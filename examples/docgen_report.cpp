@@ -195,6 +195,10 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12s %12zu\n", "  full (whole-document)", "-",
               xquery->stats.nodeset_cache_invalidations -
                   xquery->stats.nodeset_cache_partial_invalidations);
+  std::printf("%-28s %12s %12zu\n", "probe filters (hash index)", "-",
+              xquery->stats.probe_filters);
+  std::printf("%-28s %12s %12zu\n", "  probe indexes built", "-",
+              xquery->stats.probe_index_builds);
 
   if (explain) {
     auto explained = lll::docgen::ExplainXQueryPhases();

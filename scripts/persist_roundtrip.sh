@@ -8,7 +8,7 @@
 #   3. the answers must be byte-identical, and daemon B's EXPLAIN must say
 #      the plan came from the disk cache
 #   4. rerun the in-process differential suites (persist_test includes the
-#      440-query disk-vs-fresh oracle) against the same build
+#      495-query disk-vs-fresh oracle) against the same build
 #
 # Usage: scripts/persist_roundtrip.sh [build-dir]   (default ./build)
 
@@ -93,7 +93,7 @@ grep -q -E 'server plan: (compiled|memory-cache)' "${WORK}/cold.out" || {
   exit 1
 }
 
-echo "== differential suites (persist_test: 440-query disk-vs-fresh oracle) =="
+echo "== differential suites (persist_test: 495-query disk-vs-fresh oracle) =="
 ctest --test-dir "${BUILD}" -R 'persist_test|server_differential_test' \
   --output-on-failure --no-tests=error
 

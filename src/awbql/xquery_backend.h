@@ -22,10 +22,14 @@ namespace lll::awbql {
 // doc("model") and doc("metamodel")), run on our engine, and the resulting
 // node ids mapped back to ModelNodes.
 //
-// This backend is deliberately faithful to the paper's architecture -- and
-// therefore to its performance: every `follow` scans the whole <relation>
-// table, every subtype test walks the metamodel document. Benchmark E5
-// quantifies "preposterously inefficient" against EvalNative.
+// This backend is deliberately faithful to the paper's architecture: the
+// program joins by value, so every `follow` filters the whole <relation>
+// table and every subtype test looks its type up in the metamodel
+// document. The engine answers those `@a = K` predicates with hash probes
+// (DESIGN.md section 16) -- one index per candidate list per query -- and
+// interns the metamodel walks, but the program still pays interpretation
+// per query. Benchmark E5 quantifies "preposterously inefficient" against
+// EvalNative.
 class XQueryBackend {
  public:
   // Snapshots the model into XML once (AWB exported, then queried).

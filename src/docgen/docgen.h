@@ -119,6 +119,10 @@ struct DocGenStats {
   // interior anchor failed, not the whole tree): the fine-grained
   // invalidation win an interactive edit-regenerate loop banks on.
   size_t nodeset_cache_partial_invalidations = 0;
+  // XQuery engine only: `@a = K` predicates answered by a hash probe, and
+  // the attribute indexes built for them (DESIGN.md section 16).
+  size_t probe_filters = 0;
+  size_t probe_index_builds = 0;
   // XQuery engine only: wall time per phase (microseconds), phases in run
   // order. Empty for the native engine (it has no phases).
   std::vector<uint64_t> phase_us;

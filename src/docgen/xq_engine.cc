@@ -142,6 +142,8 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
     stats.nodeset_cache_invalidations += s.nodeset_cache_invalidations;
     stats.nodeset_cache_partial_invalidations +=
         s.nodeset_cache_partial_invalidations;
+    stats.probe_filters += s.probe_filters;
+    stats.probe_index_builds += s.probe_index_builds;
   };
   accumulate_eval_stats(r1.stats);
 

@@ -127,7 +127,13 @@ struct PlanPrinter {
         }
         Line(depth + 1, s);
         for (const auto& pred : step.predicates) {
-          Line(depth + 2, "predicate:");
+          std::string label = "predicate";
+          if (pred->probe_key >= 0) {
+            label += " [probe @" +
+                     pred->children[1 - pred->probe_key]->steps[0].test.name +
+                     "]";
+          }
+          Line(depth + 2, label + ":");
           Print(*pred, depth + 3);
         }
       }
@@ -221,7 +227,9 @@ std::string Explain(const xq::CompiledQuery& query,
          std::to_string(stats.eliminated_trace_calls) +
          "\n  ordered_steps_annotated: " +
          std::to_string(stats.ordered_steps_annotated) +
-         "\n  limits_pushed: " + std::to_string(stats.limits_pushed) + "\n";
+         "\n  limits_pushed: " + std::to_string(stats.limits_pushed) +
+         "\n  probe_predicates: " + std::to_string(stats.probe_predicates) +
+         "\n";
   return out;
 }
 

@@ -32,10 +32,10 @@ constexpr uint8_t kMaxOccurrence =
 constexpr uint8_t kMaxNoteKind =
     static_cast<uint8_t>(xq::RewriteNote::Kind::kLimitPushed);
 
-// Nesting ceiling for decoded expressions: real queries are a few dozen deep;
-// the ceiling only exists so a crafted checksum-valid payload cannot recurse
-// the decoder off the stack.
-constexpr size_t kMaxDecodeDepth = 2048;
+// Nesting ceiling for decoded expressions: the parser's own cap, so a crafted
+// checksum-valid payload can neither recurse the decoder off the stack nor
+// hand the evaluator a tree the parser would have refused.
+constexpr size_t kMaxDecodeDepth = xq::kMaxExprNesting;
 
 Status RangeError(const char* what, uint64_t value, uint64_t max) {
   return Status::Invalid(std::string("plan artifact: ") + what + " value " +
@@ -285,8 +285,15 @@ void EncodeCompiledQuery(const xq::CompiledQuery& query, ByteWriter* w) {
   w->U64(s.eliminated_trace_calls);
   w->U64(s.ordered_steps_annotated);
   w->U64(s.limits_pushed);
-  w->U32(static_cast<uint32_t>(s.notes.size()));
+  // Probe notes are derived, like the marks they describe: the decoder
+  // re-runs MarkProbePredicates, which notes them again.
+  uint32_t stored = 0;
   for (const xq::RewriteNote& n : s.notes) {
+    if (n.kind != xq::RewriteNote::Kind::kProbe) ++stored;
+  }
+  w->U32(stored);
+  for (const xq::RewriteNote& n : s.notes) {
+    if (n.kind == xq::RewriteNote::Kind::kProbe) continue;
     w->U8(static_cast<uint8_t>(n.kind));
     w->Str(n.detail);
     w->U64(n.line);
@@ -365,6 +372,9 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     n.col = static_cast<size_t>(col);
     s.notes.push_back(std::move(n));
   }
+  // Probe marks are never stored: derive them from the decoded AST, so a
+  // forged artifact cannot mark a predicate the optimizer would not.
+  xq::MarkProbePredicates(&m, &s);
   return xq::CompiledQuery(std::move(m), std::move(s),
                            xq::PlanOrigin::kDiskCache);
 }

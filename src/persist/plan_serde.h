@@ -19,7 +19,7 @@ namespace lll::persist {
 // as a plan-cache artifact (*.lllp) holding one entry per QueryCache slot,
 // keyed by the exact QueryCache::MakeKey string (option bits + '|' + source).
 // A loaded plan is indistinguishable from a fresh compile to the evaluator
-// and to EXPLAIN (except for its `disk-cache` provenance tag); the 440-query
+// and to EXPLAIN (except for its `disk-cache` provenance tag); the 495-query
 // differential suite in tests/persist_test.cc is the oracle for that claim.
 
 // Expression-level serde, exposed for tests; normal callers use the

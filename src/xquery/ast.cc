@@ -271,6 +271,7 @@ ExprPtr CloneExpr(const Expr& e) {
   out->col = e.col;
   out->limit_hint = e.limit_hint;
   out->statically_limit_pushable = e.statically_limit_pushable;
+  out->probe_key = e.probe_key;
   for (const ExprPtr& c : e.children) out->children.push_back(CloneExpr(*c));
   for (const PathStep& s : e.steps) {
     PathStep sc;

@@ -271,6 +271,16 @@ struct Expr {
   bool rooted = false;    // absolute: starts at the context node's root
   std::vector<PathStep> steps;
 
+  // kBinary kGenEq used as a step predicate: set by the optimizer's probe
+  // marking (MarkProbePredicates) when one operand is a bare `@name` step
+  // and the other -- the key -- cannot read the candidate. Holds the index
+  // in `children` of the key operand (1 for `@a = K`, 0 for `K = @a`); -1
+  // means not a probe. The streaming evaluator answers a marked predicate
+  // from a per-query hash index of @name values instead of evaluating it
+  // once per candidate (DESIGN.md section 16). Derived, never serialized:
+  // decoding a plan marks it again. EXPLAIN renders [probe @name].
+  int probe_key = -1;
+
   // kPath: conservative upper bound, set by the optimizer's limit push-down
   // pass, on how many leading items of this path's result any consumer can
   // observe (fn:head, fn:subsequence starting at 1, a positional `for`
@@ -329,6 +339,18 @@ struct Module {
   std::vector<VariableDecl> variables;
   ExprPtr body;
 };
+
+// The nesting cap on every expression tree. The parser rejects source that
+// nests deeper -- in its own recursion or in the tree it builds -- with a
+// located kInvalidArgument, and the plan decoder rejects deeper artifacts,
+// so every plan accepted from disk is one the parser would accept. Every
+// recursive pass (optimizer, evaluator, EXPLAIN, serde) is bounded by it.
+// Chosen by measurement (DESIGN.md section 17): under AddressSanitizer the
+// costliest shape, nested parentheses, needs ~34 KiB of stack per level, so
+// 8 MiB worker stacks top out near 235 levels; 128 keeps a query exactly
+// at the cap well inside them, and the deepest program the repository
+// ships (docgen phase 1) nests 17 deep.
+inline constexpr size_t kMaxExprNesting = 128;
 
 // Deep copy (used by the optimizer to build rewritten trees).
 ExprPtr CloneExpr(const Expr& e);

@@ -90,6 +90,10 @@ Result<QueryResult> Execute(const CompiledQuery& query,
         .Increment(stats.nodeset_cache_invalidations);
     options.metrics->counter("xq.eval.nodeset_cache_partial_invalidations")
         .Increment(stats.nodeset_cache_partial_invalidations);
+    options.metrics->counter("xq.eval.probe_filters")
+        .Increment(stats.probe_filters);
+    options.metrics->counter("xq.eval.probe_index_builds")
+        .Increment(stats.probe_index_builds);
     // Workload-facing alias: the incremental-regeneration dashboards watch
     // the partial/full invalidation split under the xq.nodeset prefix.
     options.metrics->counter("xq.nodeset.partial_invalidations")

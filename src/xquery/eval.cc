@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,7 +135,79 @@ xml::Document* SingleDocumentOf(const Sequence& seq) {
   return doc;
 }
 
+// The fingerprint text of one step: axis::test, plus the predicates'
+// canonical text unless the step is interned bare (the probe extension).
+void AppendStepFingerprint(const PathStep& step, bool with_predicates,
+                           std::string* fingerprint) {
+  *fingerprint += AxisName(step.axis);
+  *fingerprint += "::";
+  switch (step.test.kind) {
+    case NodeTestKind::kName:
+      *fingerprint += step.test.name;
+      break;
+    case NodeTestKind::kAnyName:
+      *fingerprint += "*";
+      break;
+    case NodeTestKind::kText:
+      *fingerprint += "text()";
+      break;
+    case NodeTestKind::kComment:
+      *fingerprint += "comment()";
+      break;
+    case NodeTestKind::kPi:
+      *fingerprint += "processing-instruction()";
+      break;
+    case NodeTestKind::kAnyNode:
+      *fingerprint += "node()";
+      break;
+  }
+  if (with_predicates) {
+    for (const ExprPtr& p : step.predicates) {
+      *fingerprint += '[';
+      *fingerprint += ExprToString(*p);
+      *fingerprint += ']';
+    }
+  }
+  *fingerprint += "/";
+}
+
+// Bounds of the per-query probe index memo: at most this many indexes, over
+// at most this many candidates in total. A candidate list larger than the
+// whole budget is indexed for its one probe and not kept.
+constexpr size_t kMaxProbeIndexes = 64;
+constexpr size_t kMaxProbeIndexedCandidates = size_t{1} << 18;
+
+// FNV-1a over the node identities of an all-node sequence: the probe memo's
+// key for an exact candidate list.
+uint64_t HashNodes(const Sequence& seq) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Item& item : seq.items()) {
+    h = (h ^ reinterpret_cast<uintptr_t>(item.node())) * 0x100000001b3ull;
+  }
+  return h;
+}
+
 }  // namespace
+
+// An attribute index over one exact candidate list: @attr value ->
+// ascending positions of the candidates carrying it. Values are views into
+// the candidates' document, which outlives the evaluation.
+struct Evaluator::ProbeIndex {
+  std::string attr;
+  uint64_t hash = 0;
+  std::vector<const xml::Node*> candidates;
+  std::unordered_map<std::string_view, std::vector<uint32_t>> postings;
+
+  bool Matches(const std::string& a, uint64_t h, const Sequence& seq) const {
+    if (h != hash || a != attr || seq.size() != candidates.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (seq.at(i).node() != candidates[i]) return false;
+    }
+    return true;
+  }
+};
 
 // --- DynamicContext -----------------------------------------------------
 
@@ -142,6 +218,8 @@ void DynamicContext::BindExternal(const std::string& name, Sequence value) {
 }
 
 // --- Evaluator ------------------------------------------------------------
+
+Evaluator::~Evaluator() = default;
 
 Evaluator::Evaluator(const Module& module, DynamicContext* context,
                      const EvalOptions& options)
@@ -1023,46 +1101,54 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   for (const PathStep& step : e.steps) {
     if (step.is_filter) break;
     if (!step.predicates.empty() && !StepPredicatesFoldable(step)) break;
-    fingerprint += AxisName(step.axis);
-    fingerprint += "::";
-    switch (step.test.kind) {
-      case NodeTestKind::kName:
-        fingerprint += step.test.name;
-        break;
-      case NodeTestKind::kAnyName:
-        fingerprint += "*";
-        break;
-      case NodeTestKind::kText:
-        fingerprint += "text()";
-        break;
-      case NodeTestKind::kComment:
-        fingerprint += "comment()";
-        break;
-      case NodeTestKind::kPi:
-        fingerprint += "processing-instruction()";
-        break;
-      case NodeTestKind::kAnyNode:
-        fingerprint += "node()";
-        break;
-    }
-    for (const ExprPtr& p : step.predicates) {
-      fingerprint += '[';
-      fingerprint += ExprToString(*p);
-      fingerprint += ']';
-    }
-    fingerprint += "/";
+    AppendStepFingerprint(step, /*with_predicates=*/true, &fingerprint);
     ++prefix;
   }
-  if (prefix == 0) return 0;
 
+  // The probe extension (DESIGN.md section 16): the first step that cannot
+  // fold still interns its bare axis::test when its first predicate is a
+  // probe -- every `doc("m")//node-type[@name = $t]` shares the candidates
+  // `//node-type` interns -- and the probe filters them through an index.
+  // Later predicates need per-context positions, which only the child axis
+  // recovers (grouped by parent), so other axes need a lone probe.
+  if (options_.streaming && prefix < e.steps.size()) {
+    const PathStep& step = e.steps[prefix];
+    if (!step.is_filter && !step.predicates.empty() &&
+        step.predicates[0]->probe_key >= 0 &&
+        (step.axis == Axis::kChild || step.predicates.size() == 1)) {
+      std::string bare = fingerprint;
+      AppendStepFingerprint(step, /*with_predicates=*/false, &bare);
+      LLL_ASSIGN_OR_RETURN(
+          Sequence candidates,
+          InternChain(e, prefix + 1, /*bare_last=*/true, base, bare, *current));
+      LLL_ASSIGN_OR_RETURN(std::optional<Sequence> probed,
+                           ProbeStep(e, step, candidates));
+      if (probed.has_value()) {
+        *current = std::move(*probed);
+        return prefix + 1;
+      }
+      // The probe does not apply (a key that is not all strings): intern
+      // the plain prefix below and let the step run its per-candidate loop.
+    }
+  }
+  if (prefix == 0) return 0;
+  LLL_ASSIGN_OR_RETURN(*current, InternChain(e, prefix, /*bare_last=*/false,
+                                             base, fingerprint, *current));
+  return prefix;
+}
+
+Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
+                                        bool bare_last, xml::Node* base,
+                                        const std::string& fingerprint,
+                                        const Sequence& start) {
+  NodeSetCache* cache = options_.nodeset_cache;
   xml::Document* doc = base->document();
   std::string key = NodeSetCache::MakeKey(base, fingerprint);
   NodeSetCache::Outcome outcome = NodeSetCache::Outcome::kMiss;
   if (std::shared_ptr<const CachedNodeSet> hit =
           cache->Get(doc, key, &outcome)) {
     ++stats_.nodeset_cache_hits;
-    *current = hit->nodes;  // copy of a normalized sequence; bit carries over
-    return prefix;
+    return hit->nodes;  // copy of a normalized sequence; bit carries over
   }
   if (outcome == NodeSetCache::Outcome::kStale ||
       outcome == NodeSetCache::Outcome::kStalePartial) {
@@ -1082,7 +1168,7 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   std::vector<CachedNodeSet::Guard> guards;
   bool subtree_scoped = false;
   if (options_.subtree_guards) {
-    ComputeInternGuards(e, prefix, base, &guards, &subtree_scoped);
+    ComputeInternGuards(e, steps, bare_last, base, &guards, &subtree_scoped);
   } else {
     // Subtree scoping forced off: one kSubtree guard at the document node,
     // so any edit anywhere evicts the entry, and subtree_scoped stays false
@@ -1090,15 +1176,163 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
     guards.push_back(
         NodeSetCache::GuardFor(base, CachedNodeSet::GuardKind::kSubtree));
   }
-  LLL_ASSIGN_OR_RETURN(
-      Sequence computed,
-      EvalStepsRange(e, 0, prefix, std::move(*current), kNoLimit));
+  size_t full = bare_last ? steps - 1 : steps;
+  LLL_ASSIGN_OR_RETURN(Sequence computed,
+                       EvalStepsRange(e, 0, full, start, kNoLimit));
+  if (bare_last && !computed.empty()) {
+    PathStep bare;
+    bare.axis = e.steps[full].axis;
+    bare.test = e.steps[full].test;
+    Result<Sequence> stepped = EvalStep(bare, computed);
+    if (!stepped.ok()) {
+      Status st = stepped.status();
+      return st.AddContext("in path expression" + LocationSuffix(e));
+    }
+    computed = std::move(*stepped);
+    SortDedup(&computed, false);
+  }
   if (computed.empty() || SingleDocumentOf(computed) == doc) {
     cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
                computed);
   }
-  *current = std::move(computed);
-  return prefix;
+  return computed;
+}
+
+Result<std::optional<Sequence>> Evaluator::ProbeStep(
+    const Expr& e, const PathStep& step, const Sequence& candidates) {
+  auto located = [&e](Status st) -> Status {
+    return st.AddContext("in path expression" + LocationSuffix(e));
+  };
+  if (candidates.size() < 2) {
+    // At most one candidate means at most one context contributes it: the
+    // per-context predicate loop is exactly this one.
+    Result<Sequence> kept = ApplyPredicates(step.predicates, candidates);
+    if (!kept.ok()) return located(kept.status());
+    return std::optional<Sequence>(std::move(*kept));
+  }
+  Result<std::optional<std::vector<uint32_t>>> probed =
+      ProbeHits(*step.predicates[0], candidates);
+  if (!probed.ok()) return located(probed.status());
+  if (!probed->has_value()) return std::optional<Sequence>();
+  std::vector<uint32_t> hits = std::move(**probed);
+  if (step.predicates.size() > 1) {
+    // Later predicates count positions per context, i.e. per parent here:
+    // apply them group by group, parents in document order (the context
+    // order of the per-context loop, which fixes trace and error order).
+    candidates.at(0).node()->document()->EnsureOrderIndex();
+    std::vector<std::pair<uint64_t, uint32_t>> by_parent;
+    by_parent.reserve(hits.size());
+    for (uint32_t i : hits) {
+      by_parent.emplace_back(candidates.at(i).node()->parent()->order_key(),
+                             i);
+    }
+    std::stable_sort(
+        by_parent.begin(), by_parent.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<bool> keep(candidates.size(), false);
+    for (size_t g = 0; g < by_parent.size();) {
+      size_t end = g;
+      Sequence group;
+      while (end < by_parent.size() &&
+             by_parent[end].first == by_parent[g].first) {
+        group.Append(candidates.at(by_parent[end++].second));
+      }
+      Result<Sequence> kept =
+          ApplyPredicates(step.predicates, std::move(group), /*first=*/1);
+      if (!kept.ok()) return located(kept.status());
+      // `kept` is an order-preserving subsequence of the group.
+      size_t k = 0;
+      for (size_t j = g; j < end && k < kept->size(); ++j) {
+        if (kept->at(k).node() == candidates.at(by_parent[j].second).node()) {
+          keep[by_parent[j].second] = true;
+          ++k;
+        }
+      }
+      g = end;
+    }
+    hits.erase(std::remove_if(hits.begin(), hits.end(),
+                              [&keep](uint32_t i) { return !keep[i]; }),
+               hits.end());
+  }
+  Sequence out;
+  for (uint32_t i : hits) out.Append(candidates.at(i));
+  out.MarkOrderedDeduped();  // a subsequence of the normalized candidates
+  return std::optional<Sequence>(std::move(out));
+}
+
+Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
+    const Expr& pred, const Sequence& candidates) {
+  using Hits = std::optional<std::vector<uint32_t>>;
+  if (candidates.size() < 2 || SingleDocumentOf(candidates) == nullptr) {
+    return Hits();
+  }
+  // The optimizer proved the key cannot read the candidate, so one
+  // evaluation stands for all of them -- including a failing one: the
+  // per-candidate loop would raise the same error at its first candidate.
+  LLL_ASSIGN_OR_RETURN(Sequence key, Eval(*pred.children[pred.probe_key]));
+  Sequence atoms = key.Atomized();
+  for (const Item& atom : atoms.items()) {
+    // Numbers and booleans compare by value, not by string (@n = 3 matches
+    // "3.0"): leave them to the per-candidate loop.
+    if (!atom.is_stringlike()) return Hits();
+  }
+  ++stats_.probe_filters;
+  std::vector<uint32_t> hits;
+  if (atoms.empty()) return Hits(std::move(hits));
+  const std::string& attr =
+      pred.children[1 - pred.probe_key]->steps[0].test.name;
+  uint64_t hash = HashNodes(candidates);
+  const ProbeIndex* index = nullptr;
+  for (const std::unique_ptr<ProbeIndex>& memo : probe_indexes_) {
+    if (memo->Matches(attr, hash, candidates)) {
+      index = memo.get();
+      break;
+    }
+  }
+  std::unique_ptr<ProbeIndex> built;
+  if (index == nullptr) {
+    built = std::make_unique<ProbeIndex>();
+    built->attr = attr;
+    built->hash = hash;
+    built->candidates.reserve(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const xml::Node* n = candidates.at(i).node();
+      built->candidates.push_back(n);
+      for (const xml::Node* a : n->attributes()) {
+        if (a->name() != attr) continue;
+        std::vector<uint32_t>& postings = built->postings[a->value()];
+        // A duplicate-named attribute must not list its owner twice.
+        if (postings.empty() || postings.back() != i) {
+          postings.push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+    ++stats_.probe_index_builds;
+    index = built.get();
+  }
+  for (const Item& atom : atoms.items()) {
+    auto it = index->postings.find(atom.string_value());
+    if (it != index->postings.end()) {
+      hits.insert(hits.end(), it->second.begin(), it->second.end());
+    }
+  }
+  if (atoms.size() > 1) {
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  }
+  if (built != nullptr && candidates.size() <= kMaxProbeIndexedCandidates) {
+    // Memoize, evicting the oldest indexes to stay inside the bounds.
+    while (!probe_indexes_.empty() &&
+           (probe_indexes_.size() >= kMaxProbeIndexes ||
+            probe_indexed_candidates_ + candidates.size() >
+                kMaxProbeIndexedCandidates)) {
+      probe_indexed_candidates_ -= probe_indexes_.front()->candidates.size();
+      probe_indexes_.erase(probe_indexes_.begin());
+    }
+    probe_indexed_candidates_ += candidates.size();
+    probe_indexes_.push_back(std::move(built));
+  }
+  return Hits(std::move(hits));
 }
 
 bool Evaluator::StepPredicatesFoldable(const PathStep& step) const {
@@ -1124,7 +1358,7 @@ bool Evaluator::StepPredicatesAttributeOnly(const PathStep& step) const {
 }
 
 void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
-                                    xml::Node* base,
+                                    bool bare_last, xml::Node* base,
                                     std::vector<CachedNodeSet::Guard>* guards,
                                     bool* subtree_scoped) {
   using Guard = CachedNodeSet::Guard;
@@ -1170,12 +1404,14 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   for (size_t i = 0; i < prefix; ++i) {
     const PathStep& step = e.steps[i];
     const bool last = i + 1 == prefix;
+    // A bare last step is interned without its predicates.
+    const bool unfiltered = step.predicates.empty() || (bare_last && last);
     if (guards->size() + 2 > kMaxGuards) {
       push(ctx, GuardKind::kSubtree);
       break;
     }
     if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName &&
-        step.predicates.empty()) {
+        unfiltered) {
       push(ctx, GuardKind::kLocal);
       if (last) break;
       xml::Node* match = nullptr;
@@ -1197,7 +1433,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       break;
     }
     if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName &&
-        !step.predicates.empty() && StepPredicatesAttributeOnly(step)) {
+        !unfiltered && StepPredicatesAttributeOnly(step)) {
       push(ctx, GuardKind::kLocal);
       push(ctx, GuardKind::kLocalChildren);
       if (last) break;
@@ -1222,7 +1458,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       push(ctx, GuardKind::kSubtree);
       break;
     }
-    if (step.axis == Axis::kAttribute && step.predicates.empty() && last) {
+    if (step.axis == Axis::kAttribute && unfiltered && last) {
       // An attribute set depends only on the owner's own attribute state.
       push(ctx, GuardKind::kLocal);
       break;
@@ -1456,8 +1692,20 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
 }
 
 Result<Sequence> Evaluator::ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                            Sequence candidates) {
-  for (const ExprPtr& pred : preds) {
+                                            Sequence candidates,
+                                            size_t first) {
+  for (size_t p = first; p < preds.size(); ++p) {
+    const ExprPtr& pred = preds[p];
+    if (options_.streaming && pred->probe_key >= 0) {
+      LLL_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> hits,
+                           ProbeHits(*pred, candidates));
+      if (hits.has_value()) {
+        Sequence kept;
+        for (uint32_t i : *hits) kept.Append(candidates.at(i));
+        candidates = std::move(kept);
+        continue;
+      }
+    }
     Sequence kept;
     Focus saved = focus_;
     size_t size = candidates.size();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,10 @@ struct EvalOptions {
   // merged back to document order (DESIGN.md section 10). Off = the
   // pre-streaming materializing evaluator, kept byte-identical as a
   // differential baseline and benchmark arm (bench_e13/e14), mirroring
-  // order_tracking.
+  // order_tracking. The same switch gates hash probes: predicates the
+  // optimizer marked `@a = K` (Expr::probe_key) are answered from a
+  // per-query index of @a values when on, and never when off, so the
+  // materializing evaluator stays the scan oracle (DESIGN.md section 16).
   bool streaming = true;
   // Node-set interning: memoizes the leading step chain of document-rooted
   // paths (predicate-free steps plus steps whose predicates are provably
@@ -136,6 +140,12 @@ struct EvalStats {
   size_t nodeset_cache_misses = 0;
   size_t nodeset_cache_invalidations = 0;
   size_t nodeset_cache_partial_invalidations = 0;
+  // Hash probes (DESIGN.md section 16): `probe_filters` counts marked
+  // `@a = K` predicates answered from an attribute index instead of a
+  // per-candidate loop; `probe_index_builds` counts the indexes built (the
+  // rest of the probes hit the per-query memo).
+  size_t probe_filters = 0;
+  size_t probe_index_builds = 0;
 };
 
 // A builtin function: receives evaluated arguments.
@@ -191,6 +201,7 @@ class Evaluator {
  public:
   Evaluator(const Module& module, DynamicContext* context,
             const EvalOptions& options);
+  ~Evaluator();
 
   // Evaluates global variable declarations then the module body.
   Result<xdm::Sequence> Run();
@@ -241,6 +252,8 @@ class Evaluator {
   class StreamBaseStage;
   class StreamAxisStage;
   class StreamReverseAxisStage;
+  // One memoized attribute index for hash probes (defined in eval.cc).
+  struct ProbeIndex;
 
   // "No result cap" for EvalPathImpl/EvalPathLimited.
   static constexpr size_t kNoLimit = static_cast<size_t>(-1);
@@ -300,10 +313,34 @@ class Evaluator {
   }
   // Consults / fills the node-set interning cache for the leading internable
   // step chain (predicate-free steps, plus steps whose predicates fold into
-  // the fingerprint) of a document-rooted path. On success returns the
-  // number of steps consumed and replaces *current with the (shared) prefix
-  // result; returns 0 when interning does not apply.
+  // the fingerprint) of a document-rooted path. Under streaming the chain
+  // extends through the next step's bare axis::test when that step's first
+  // predicate is a probe, and the probe then filters the interned
+  // candidates. On success returns the number of steps consumed and
+  // replaces *current with the prefix result; returns 0 when interning
+  // does not apply.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
+  // The interned result of the first `steps` steps of `e` from `base` (the
+  // last one without its predicates when `bare_last`), looked up under
+  // `fingerprint` or computed from `start` and stored.
+  Result<xdm::Sequence> InternChain(const Expr& e, size_t steps,
+                                    bool bare_last, xml::Node* base,
+                                    const std::string& fingerprint,
+                                    const xdm::Sequence& start);
+  // Applies the predicates of `step`, whose first is a probe, to the
+  // step's candidates from every context at once (sorted, one document).
+  // Later predicates see per-context positions: the hits are grouped by
+  // parent, which InternPrefix guarantees is the context (child axis).
+  // Returns nullopt when the probe does not apply (see ProbeHits).
+  Result<std::optional<xdm::Sequence>> ProbeStep(
+      const Expr& e, const PathStep& step, const xdm::Sequence& candidates);
+  // Answers the marked predicate `pred` over `candidates` from the attribute
+  // index: the positions of the passing candidates, ascending. nullopt when
+  // a dynamic condition fails -- fewer than two candidates, not all nodes of
+  // one document, or a key that does not atomize to strings/untypedAtomic
+  // only -- and the caller runs the per-candidate loop instead.
+  Result<std::optional<std::vector<uint32_t>>> ProbeHits(
+      const Expr& pred, const xdm::Sequence& candidates);
   // True if every predicate of `step` is intern-foldable (optimizer.h's
   // InternFoldablePredicate, resolved against this evaluator's user-function
   // table); the AttributeOnly variant additionally requires the attribute-
@@ -315,7 +352,11 @@ class Evaluator {
   // recording the narrowest overlay guards that dominate the chain, and
   // falls back to a whole-subtree guard at the first step it cannot scope
   // (DESIGN.md section 14). Best-effort: never fails, only widens.
-  void ComputeInternGuards(const Expr& e, size_t prefix, xml::Node* base,
+  // `bare_last`: the prefix's last step is interned without its
+  // predicates (the probe extension) and is guarded like a predicate-free
+  // step.
+  void ComputeInternGuards(const Expr& e, size_t prefix, bool bare_last,
+                           xml::Node* base,
                            std::vector<CachedNodeSet::Guard>* guards,
                            bool* subtree_scoped);
   Result<xdm::Sequence> EvalStep(const PathStep& step,
@@ -324,8 +365,10 @@ class Evaluator {
   // (and counting the skip) when `provably_ordered` or the sequence already
   // carries the ordered_deduped bit or is trivially small.
   void SortDedup(xdm::Sequence* seq, bool provably_ordered);
+  // Applies preds[first..] in turn to the whole of `candidates`.
   Result<xdm::Sequence> ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                        xdm::Sequence candidates);
+                                        xdm::Sequence candidates,
+                                        size_t first = 0);
   Result<xdm::Sequence> EvalBinary(const Expr& e);
   Result<xdm::Sequence> EvalFlwor(const Expr& e);
   Status EvalFlworClauses(const Expr& e, size_t clause_index,
@@ -375,6 +418,12 @@ class Evaluator {
   // See ChargeSkipped: true while evaluating a streamed step's predicate, so
   // probe pipelines spawned inside it do not double-charge the skip floor.
   bool suppress_skip_charges_ = false;
+  // The per-query hash-probe index memo, keyed by (attribute name, exact
+  // candidate list), oldest first; bounded in entries and in indexed
+  // candidates (eval.cc). Dies with the evaluation: documents cannot change
+  // under one Execute, and nothing is shared across queries.
+  std::vector<std::unique_ptr<ProbeIndex>> probe_indexes_;
+  size_t probe_indexed_candidates_ = 0;
 
   friend struct BuiltinRegistry;
 };

@@ -96,6 +96,8 @@ const char* RewriteNoteKindName(RewriteNote::Kind kind) {
       return "ordered-step";
     case RewriteNote::Kind::kLimitPushed:
       return "limit-pushed";
+    case RewriteNote::Kind::kProbe:
+      return "probe";
   }
   return "unknown";
 }
@@ -776,7 +778,139 @@ OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
     }
     AnalyzeOrderNoted(module->body.get(), *module, &rewriter.stats);
   }
+  MarkProbePredicates(module, &rewriter.stats);
   return rewriter.stats;
+}
+
+// --- Probe marking ---------------------------------------------------------
+
+namespace {
+
+// The `@a` operand of a probe: a relative, predicate-free, single
+// attribute step with a name test.
+bool IsBareAttributeStep(const Expr& e) {
+  if (e.kind != ExprKind::kPath || e.has_base || e.rooted ||
+      e.steps.size() != 1) {
+    return false;
+  }
+  const PathStep& s = e.steps[0];
+  return !s.is_filter && s.axis == Axis::kAttribute &&
+         s.test.kind == NodeTestKind::kName && s.predicates.empty();
+}
+
+struct ProbeMarker {
+  const Module& module;
+  OptimizerStats* stats;
+
+  // True if `key` evaluates to the same value for every candidate of the
+  // predicate it sits in, so one evaluation can serve them all.
+  bool KeyIndependent(const Expr& key) const {
+    switch (key.kind) {
+      case ExprKind::kContextItem:
+        return false;
+      case ExprKind::kPath:
+        // Relative and rooted paths both start at the focus.
+        if (!key.has_base) return false;
+        break;
+      case ExprKind::kDirectElement:
+      case ExprKind::kCompElement:
+      case ExprKind::kCompAttribute:
+      case ExprKind::kCompText:
+      case ExprKind::kCompComment:
+      case ExprKind::kCompDocument:
+        return false;  // fresh node identities per evaluation
+      case ExprKind::kFunctionCall: {
+        // position(), last(), name(), string(), ... read the focus.
+        if (key.children.empty()) return false;
+        std::string stripped = key.name;
+        if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
+        if (stripped == "trace" || stripped == "error") return false;
+        for (const FunctionDecl& fn : module.functions) {
+          if ((fn.name == key.name || fn.name == stripped) &&
+              fn.params.size() == key.children.size()) {
+            return false;  // user-defined: may trace, error or recurse
+          }
+        }
+        if (!IsBuiltinName(stripped)) return false;
+        break;
+      }
+      default:
+        break;
+    }
+    bool independent = true;
+    ForEachChild(key, [&](const Expr& c) {
+      independent = independent && KeyIndependent(c);
+    });
+    return independent;
+  }
+
+  void MarkPredicate(Expr* pred) {
+    pred->probe_key = -1;
+    if (pred->kind != ExprKind::kBinary || pred->op != BinOp::kGenEq ||
+        pred->children.size() != 2 || !Complete(*pred)) {
+      return;
+    }
+    for (int key = 1; key >= 0; --key) {
+      const Expr& attr = *pred->children[1 - key];
+      if (!IsBareAttributeStep(attr) || !KeyIndependent(*pred->children[key])) {
+        continue;
+      }
+      pred->probe_key = key;
+      ++stats->probe_predicates;
+      stats->notes.push_back(
+          {RewriteNote::Kind::kProbe,
+           "@" + attr.steps[0].test.name +
+               " = key is answered from a per-query hash index of @" +
+               attr.steps[0].test.name +
+               " values; the key is evaluated once per candidate list",
+           pred->line, pred->col});
+      return;
+    }
+  }
+
+  // Decoded plans may hold absent subexpressions (the format allows them);
+  // a predicate with one anywhere is never marked, and Mark skips them.
+  static bool Complete(const Expr& e) {
+    bool complete = true;
+    auto visit = [&complete](const ExprPtr& c) {
+      complete = complete && c != nullptr && Complete(*c);
+    };
+    for (const ExprPtr& c : e.children) visit(c);
+    for (const PathStep& s : e.steps) {
+      for (const ExprPtr& p : s.predicates) visit(p);
+    }
+    for (const FlworClause& c : e.clauses) visit(c.expr);
+    for (const OrderSpec& o : e.order_by) visit(o.key);
+    for (const DirectAttribute& a : e.attributes) {
+      for (const ExprPtr& p : a.value_parts) visit(p);
+    }
+    return complete;
+  }
+
+  void Mark(Expr* e) {
+    if (e == nullptr) return;
+    for (ExprPtr& c : e->children) Mark(c.get());
+    for (PathStep& s : e->steps) {
+      for (ExprPtr& p : s.predicates) {
+        if (p != nullptr) MarkPredicate(p.get());
+        Mark(p.get());
+      }
+    }
+    for (FlworClause& c : e->clauses) Mark(c.expr.get());
+    for (OrderSpec& o : e->order_by) Mark(o.key.get());
+    for (DirectAttribute& a : e->attributes) {
+      for (ExprPtr& p : a.value_parts) Mark(p.get());
+    }
+  }
+};
+
+}  // namespace
+
+void MarkProbePredicates(Module* module, OptimizerStats* stats) {
+  ProbeMarker marker{*module, stats};
+  for (FunctionDecl& fn : module->functions) marker.Mark(fn.body.get());
+  for (VariableDecl& var : module->variables) marker.Mark(var.expr.get());
+  marker.Mark(module->body.get());
 }
 
 // --- Node-set intern predicate folding --------------------------------------

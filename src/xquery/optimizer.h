@@ -49,6 +49,9 @@ struct RewriteNote {
     kTraceSwallowed,     // a trace() call went down with a dead let
     kOrderedStep,        // order analysis proved a step sort-free
     kLimitPushed,        // a consumer's prefix demand annotated onto a path
+    // A `@a = K` predicate marked for a hash probe (Expr::probe_key). Derived
+    // like the mark itself: never serialized, re-noted when a plan decodes.
+    kProbe,
   };
   Kind kind;
   std::string detail;  // human-readable: what, and what it became
@@ -68,12 +71,25 @@ struct OptimizerStats {
   size_t ordered_steps_annotated = 0;
   // Paths annotated with a consumer's prefix demand (Expr::limit_hint).
   size_t limits_pushed = 0;
+  // Step predicates marked for a hash probe (Expr::probe_key).
+  size_t probe_predicates = 0;
   // Every individual rewrite decision, in application order.
   std::vector<RewriteNote> notes;
 };
 
 // Optimizes the module in place.
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options);
+
+// The probe-marking pass, run last by Optimize() and again by the plan
+// decoder (a persisted plan carries no marks, so a forged artifact cannot
+// add one). Marks every step predicate of the form `@a = K` or `K = @a`
+// (general `=`, `@a` a bare attribute name step) whose key K cannot read the
+// candidate: no `.`, no path without a base, no zero-argument call (the
+// focus builtins position(), name(), string(), ...), no constructor, and no
+// call to trace/error, a user-defined function or an unknown function. Sets
+// Expr::probe_key, appends one kProbe note per mark, and counts the marks
+// in stats->probe_predicates. DESIGN.md section 16.
+void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // True if evaluating `e` can have an observable effect besides its value
 // (under the given trace policy). Used by dead-let elimination.

@@ -2,6 +2,9 @@
 
 #include <cctype>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/string_util.h"
 
@@ -29,6 +32,7 @@ class Parser {
     LLL_ASSIGN_OR_RETURN(module.body, ParseExpr());
     SkipWs();
     if (!AtEnd()) return Err("unexpected trailing input");
+    LLL_RETURN_IF_ERROR(CheckTreeNesting(module));
     return module;
   }
 
@@ -37,6 +41,7 @@ class Parser {
     LLL_ASSIGN_OR_RETURN(module.body, ParseExpr());
     SkipWs();
     if (!AtEnd()) return Err("unexpected trailing input");
+    LLL_RETURN_IF_ERROR(CheckTreeNesting(module));
     return module;
   }
 
@@ -80,6 +85,67 @@ class Parser {
     char loc[48];
     std::snprintf(loc, sizeof(loc), " at line %zu, column %zu", line_, col_);
     return Status::ParseError(message + loc);
+  }
+
+  // --- Nesting cap (kMaxExprNesting) -------------------------------------
+
+  static Status NestingError(size_t line, size_t col) {
+    char loc[48];
+    std::snprintf(loc, sizeof(loc), " at line %zu, column %zu", line, col);
+    return Status::Invalid("expression nesting exceeds " +
+                           std::to_string(kMaxExprNesting) + " levels" + loc);
+  }
+
+  // One level of the recursive descent: every self-recursive production
+  // (ParseExprSingle, sign chains, nested direct constructors) holds one,
+  // so hostile input cannot recurse the parser off the stack.
+  class Nesting {
+   public:
+    explicit Nesting(Parser* p) : p_(p) { ++p_->nesting_; }
+    ~Nesting() { --p_->nesting_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    Status Check() const {
+      return p_->nesting_ > kMaxExprNesting
+                 ? NestingError(p_->line_, p_->col_)
+                 : Status::Ok();
+    }
+
+   private:
+    Parser* p_;
+  };
+
+  // The built tree's depth, counted like the plan decoder counts it: a left-
+  // deep operator chain (1+1+...+1) nests without recursing the parser, and
+  // every later pass recurses over the tree. Iterative.
+  static Status CheckTreeNesting(const Module& module) {
+    std::vector<std::pair<const Expr*, size_t>> stack;
+    for (const FunctionDecl& fn : module.functions) {
+      stack.emplace_back(fn.body.get(), 0);
+    }
+    for (const VariableDecl& var : module.variables) {
+      stack.emplace_back(var.expr.get(), 0);
+    }
+    stack.emplace_back(module.body.get(), 0);
+    while (!stack.empty()) {
+      auto [e, depth] = stack.back();
+      stack.pop_back();
+      if (e == nullptr) continue;
+      if (depth > kMaxExprNesting) return NestingError(e->line, e->col);
+      auto push = [&stack, depth = depth](const ExprPtr& c) {
+        stack.emplace_back(c.get(), depth + 1);
+      };
+      for (const ExprPtr& c : e->children) push(c);
+      for (const PathStep& s : e->steps) {
+        for (const ExprPtr& p : s.predicates) push(p);
+      }
+      for (const FlworClause& c : e->clauses) push(c.expr);
+      for (const OrderSpec& o : e->order_by) push(o.key);
+      for (const DirectAttribute& a : e->attributes) {
+        for (const ExprPtr& p : a.value_parts) push(p);
+      }
+    }
+    return Status::Ok();
   }
 
   // Skips whitespace and nested (: ... :) comments.
@@ -412,6 +478,8 @@ class Parser {
 
   Result<ExprPtr> ParseExprSingle() {
     SkipWs();
+    Nesting nesting(this);
+    LLL_RETURN_IF_ERROR(nesting.Check());
     Mark m = Save();
     // FLWOR: "for $" / "let $".
     if (ConsumeKeyword("for") || ConsumeKeyword("let")) {
@@ -776,18 +844,14 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     SkipWs();
-    if (Peek() == '-') {
-      Advance();
-      LLL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      auto e = MakeExpr(ExprKind::kUnary);
-      e->children.push_back(std::move(operand));
-      return e;
-    }
-    if (Peek() == '+') {
-      Advance();
-      return ParseUnary();  // unary plus is the identity
-    }
-    return ParsePath();
+    if (Peek() != '-' && Peek() != '+') return ParsePath();
+    Nesting nesting(this);  // a sign chain recurses once per sign
+    LLL_RETURN_IF_ERROR(nesting.Check());
+    if (Advance() == '+') return ParseUnary();  // unary plus is the identity
+    LLL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    auto e = MakeExpr(ExprKind::kUnary);
+    e->children.push_back(std::move(operand));
+    return e;
   }
 
   // --- Paths ------------------------------------------------------------
@@ -1215,6 +1279,8 @@ class Parser {
 
   // Direct constructor: the cursor sits on '<'. Character-level scan.
   Result<ExprPtr> ParseDirectConstructor() {
+    Nesting nesting(this);
+    LLL_RETURN_IF_ERROR(nesting.Check());
     Advance();  // '<'
     if (Peek() == '!') {
       if (!ConsumeTok("!--")) return Err("expected '<!--'");
@@ -1453,6 +1519,7 @@ class Parser {
   size_t line_ = 1;
   size_t col_ = 1;
   bool boundary_preserve_ = false;
+  size_t nesting_ = 0;  // open Nesting levels
 };
 
 }  // namespace

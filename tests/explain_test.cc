@@ -1,7 +1,7 @@
 // EXPLAIN: the facility that finally answers "what did the optimizer do to
 // my query?". Golden-substring tests over the rendered output: section
 // structure, provenance, and one note per rewrite family (constant folds,
-// dead lets, swallowed traces, order-analysis verdicts).
+// dead lets, swallowed traces, order-analysis verdicts, hash probes).
 
 #include <string>
 
@@ -101,6 +101,88 @@ TEST(ExplainTest, LimitPushdownShowsHintNoteAndSummary) {
   std::string dynamic = ExplainQuery("subsequence(//a, 1, count(//b))");
   EXPECT_EQ(dynamic.find("[limit"), std::string::npos) << dynamic;
   EXPECT_NE(dynamic.find("limits_pushed: 0"), std::string::npos) << dynamic;
+}
+
+TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
+  // The golden: both forms of a general `=` against a bare attribute step,
+  // the mark on each predicate, one located note per probe, the count.
+  const std::string golden =
+      "EXPLAIN\n"
+      "== plan ==\n"
+      "Flwor (1:1)\n"
+      "  for $v:\n"
+      "    Literal \"1\" (1:11)\n"
+      "  Path rooted (1:22)\n"
+      "    step child::r [ordered] [streamed] [interned]\n"
+      "    step child::x [ordered] [streamed]\n"
+      "      predicate [probe @k]:\n"
+      "        Binary = (1:27)\n"
+      "          VarRef $v (1:27)\n"
+      "          Path (1:32)\n"
+      "            step attribute::k [ordered] [streamed]\n"
+      "      predicate [probe @j]:\n"
+      "        Binary = (1:36)\n"
+      "          Path (1:36)\n"
+      "            step attribute::j [ordered] [streamed]\n"
+      "          Literal \"2\" (1:41)\n"
+      "== rewrites ==\n"
+      "  ordered-step (1:22): step child::r proven document-ordered; "
+      "normalizing sort skipped\n"
+      "  ordered-step (1:32): step attribute::k proven document-ordered; "
+      "normalizing sort skipped\n"
+      "  ordered-step (1:36): step attribute::j proven document-ordered; "
+      "normalizing sort skipped\n"
+      "  ordered-step (1:22): step child::x proven document-ordered; "
+      "normalizing sort skipped\n"
+      "  probe (1:27): @k = key is answered from a per-query hash index of @k "
+      "values; the key is evaluated once per candidate list\n"
+      "  probe (1:36): @j = key is answered from a per-query hash index of @j "
+      "values; the key is evaluated once per candidate list\n"
+      "== summary ==\n"
+      "  folded_constants: 0\n"
+      "  eliminated_lets: 0\n"
+      "  eliminated_trace_calls: 0\n"
+      "  ordered_steps_annotated: 4\n"
+      "  limits_pushed: 0\n"
+      "  probe_predicates: 2\n";
+  EXPECT_EQ(ExplainQuery("for $v in \"1\" return /r/x[$v = @k][@j = \"2\"]"),
+            golden);
+
+  // Keys that reach outside the candidate's reach stay marked: a path with
+  // a base, even one climbing out of it.
+  for (const char* marked : {"//x[@k = $v/c]", "//x[@k = $v/..]",
+                             "//x[@k = (\"a\", string($v))]"}) {
+    EXPECT_NE(ExplainQuery(marked).find("probe_predicates: 1"),
+              std::string::npos)
+        << marked;
+  }
+  // Not probes: other comparisons, no bare attribute step, and keys that
+  // read the focus, build nodes, or call trace/error/user/unknown functions.
+  const char* unmarked[] = {
+      "//x[@k eq $v]",
+      "//x[@k != $v]",
+      "//x[@* = $v]",
+      "//x[@k = .]",
+      "//x[@k = @j]",
+      "//x[@k = /r/@k]",
+      "//x[@k = name()]",
+      "//x[@k = position()]",
+      "//x[@k = <a/>]",
+      "//x[@k = trace($v, \"t\")]",
+      "//x[@k = error()]",
+      "//x[@k = nosuch($v)]",
+      "declare function local:f($a) { $a }; //x[@k = local:f($v)]",
+  };
+  for (const char* q : unmarked) {
+    std::string out = ExplainQuery(q);
+    EXPECT_EQ(out.find("[probe"), std::string::npos) << q << "\n" << out;
+    EXPECT_NE(out.find("probe_predicates: 0"), std::string::npos) << q;
+  }
+  // An unoptimized plan carries no marks, so it never probes.
+  xq::CompileOptions copts;
+  copts.optimize = false;
+  EXPECT_EQ(ExplainQuery("//x[@k = $v]", copts).find("[probe"),
+            std::string::npos);
 }
 
 TEST(ExplainTest, UnoptimizedCompileHasNoRewrites) {

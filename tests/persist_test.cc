@@ -3,7 +3,7 @@
 //   1. Roundtrip fidelity -- a plan loaded from a *.lllp artifact and a
 //      document loaded from a *.llld snapshot are byte-identical to their
 //      fresh-built counterparts, under EXPLAIN and under the seeded
-//      440-query differential workload.
+//      495-query differential workload.
 //   2. Hostile input -- truncations at every length, every single-byte flip,
 //      stale format versions, and crafted out-of-range images all fail with
 //      kInvalidArgument and never half-warm a cache or build a broken tree.
@@ -31,6 +31,7 @@
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/engine.h"
+#include "xquery/nodeset_cache.h"
 #include "xquery/query_cache.h"
 
 namespace lll {
@@ -61,9 +62,11 @@ class ScratchDir {
   fs::path dir_;
 };
 
-std::string EvalCompiled(const xq::CompiledQuery& query, xml::Node* context) {
+std::string EvalCompiled(const xq::CompiledQuery& query, xml::Node* context,
+                         xq::NodeSetCache* nodesets = nullptr) {
   xq::ExecuteOptions opts;
   opts.context_node = context;
+  opts.eval.nodeset_cache = nodesets;
   auto result = xq::Execute(query, opts);
   if (!result.ok()) return "<ERROR: " + result.status().ToString() + ">";
   return result->SerializedItems();
@@ -202,6 +205,7 @@ const char* kFeatureQueries[] = {
     "subsequence(//a/b, 1, 2)",
     "(//a/ancestor::*)[1]",
     "string-join(for $s in (\"x\",\"y\") return $s, \"-\")",
+    "for $v in (\"1\", \"2\") return //a[@k = $v][$v = @j][1]",
 };
 
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {
@@ -225,6 +229,26 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     // full rendered fingerprint of everything the optimizer decided.
     EXPECT_EQ(obs::Explain(**a), obs::Explain(**b)) << q;
   }
+}
+
+TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
+  // Probe marks and their notes never reach the artifact: the decoder
+  // derives them from the AST, so the loaded plan still renders them.
+  const char* q = "for $v in (\"1\", \"2\") return //a[@k = $v]";
+  xq::QueryCache fresh(4);
+  ASSERT_TRUE(fresh.GetOrCompile(q).ok());
+  std::string bytes = persist::SerializePlanCache(fresh);
+  EXPECT_EQ(bytes.find("hash index"), std::string::npos);
+  xq::QueryCache loaded(4);
+  ASSERT_TRUE(persist::LoadPlanCacheFromBytes(bytes, &loaded).ok());
+  auto a = fresh.GetOrCompile(q);
+  auto b = loaded.GetOrCompile(q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ((*b)->origin(), xq::PlanOrigin::kDiskCache);
+  std::string explained = obs::Explain(**b);
+  EXPECT_NE(explained.find("[probe @k]"), std::string::npos) << explained;
+  EXPECT_NE(explained.find("probe_predicates: 1"), std::string::npos);
+  EXPECT_EQ(obs::Explain(**a), explained);
 }
 
 TEST(PersistPlans, ProvenanceIsTriState) {
@@ -552,7 +576,7 @@ TEST(PersistSnapshots, HostileArtifactBatteryIsCleanlyRejected) {
 
 // --- The differential oracle ------------------------------------------------
 
-TEST(PersistDifferential, DiskLoadedStateMatches440QueryWorkloadExactly) {
+TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   // Seeded contract: document first, then queries (test_util.h).
   std::mt19937 rng(0xB10C);
   const std::string xml = testing::RandomPathWorkloadDocument(&rng);
@@ -576,6 +600,10 @@ TEST(PersistDifferential, DiskLoadedStateMatches440QueryWorkloadExactly) {
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, fresh_cache.size());
 
+  // Interned node sets (and the probe extension through them) on both
+  // sides, one cache per document.
+  xq::NodeSetCache fresh_nodesets(1024);
+  xq::NodeSetCache loaded_nodesets(1024);
   size_t disk_hits = 0;
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
@@ -583,8 +611,9 @@ TEST(PersistDifferential, DiskLoadedStateMatches440QueryWorkloadExactly) {
     auto loaded = loaded_cache.GetOrCompile(q, {}, nullptr, &prov);
     ASSERT_TRUE(fresh.ok() && loaded.ok()) << q;
     if (prov == xq::CacheProvenance::kDiskCache) ++disk_hits;
-    ASSERT_EQ(EvalCompiled(**loaded, loaded_doc->document->root()),
-              EvalCompiled(**fresh, (*fresh_doc)->root()))
+    ASSERT_EQ(EvalCompiled(**loaded, loaded_doc->document->root(),
+                           &loaded_nodesets),
+              EvalCompiled(**fresh, (*fresh_doc)->root(), &fresh_nodesets))
         << q;
     ASSERT_EQ(obs::Explain(**loaded), obs::Explain(**fresh)) << q;
   }

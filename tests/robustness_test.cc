@@ -46,13 +46,25 @@ TEST(Robustness, DeepXmlNesting) {
 }
 
 TEST(Robustness, DeepExpressionNesting) {
-  std::string query;
-  for (int i = 0; i < 500; ++i) query += "(1 + ";
-  query += "0";
-  for (int i = 0; i < 500; ++i) query += ")";
-  auto result = xq::Run(query);
+  // The deepest nesting the parser accepts evaluates; one level more is a
+  // located kInvalidArgument, never a stack overflow.
+  auto nested = [](size_t levels) {
+    std::string query;
+    for (size_t i = 0; i < levels; ++i) query += "(1 + ";
+    query += "0";
+    for (size_t i = 0; i < levels; ++i) query += ")";
+    return query;
+  };
+  const size_t deepest = xq::kMaxExprNesting - 1;
+  auto result = xq::Run(nested(deepest));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->SerializedItems(), "500");
+  EXPECT_EQ(result->SerializedItems(), std::to_string(deepest));
+  auto rejected = xq::Run(nested(deepest + 1));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("nesting exceeds"),
+            std::string::npos)
+      << rejected.status().ToString();
 }
 
 TEST(Robustness, GarbageQueriesErrorCleanly) {

@@ -1,7 +1,8 @@
-// Shared-snapshot differential fuzz: the seeded 440-query random path
-// workload (tests/test_util.h) executed from four concurrent server sessions
-// against ONE shared snapshot must be byte-identical to a single-threaded
-// library execution of the same queries against the same document.
+// Shared-snapshot differential fuzz: the seeded 495-query random path
+// workload (tests/test_util.h: 440 paths plus 55 hash-probe shapes)
+// executed from four concurrent server sessions against ONE shared snapshot
+// must be byte-identical to a single-threaded library execution of the
+// same queries against the same document.
 //
 // This extends the streamed-vs-materializing differential suite
 // (xquery_streaming_test.cc) with the server's concurrency dimensions: a
@@ -25,7 +26,7 @@ namespace lll::server {
 namespace {
 
 constexpr int kSessions = 4;
-constexpr int kQueries = 440;
+constexpr int kQueries = 440;  // path queries; the generator adds probes
 constexpr uint32_t kSeed = 20260806;
 
 // One baseline row: whether the library accepted the query, and what it
@@ -55,13 +56,17 @@ std::vector<Expectation> SingleThreadedBaseline(
   return rows;
 }
 
+// Runs every query once, starting at `offset` and wrapping around, so that
+// sessions started at different offsets rarely meet a query for the first
+// time together.
 void RunSessionAgainstBaseline(QueryServer* server, const std::string& tenant,
                                const std::vector<std::string>& queries,
                                const std::vector<Expectation>& expected,
-                               uint64_t expected_version) {
+                               uint64_t expected_version, size_t offset = 0) {
   Session session = server->OpenSession(tenant);
   int mismatches = 0;
-  for (size_t i = 0; i < queries.size() && mismatches < 5; ++i) {
+  for (size_t n = 0; n < queries.size() && mismatches < 5; ++n) {
+    size_t i = (offset + n) % queries.size();
     QueryResponse resp = session.Query("shared", queries[i]);
     if (resp.status.ok() != expected[i].ok) {
       ++mismatches;
@@ -99,7 +104,7 @@ TEST(ServerDifferential, FourSessionsMatchSingleThreadedExecution) {
   MetricsRegistry metrics;
   ServerOptions options;
   options.worker_threads = 2;
-  // Big enough that the 440 distinct queries never evict each other -- the
+  // Big enough that the 495 distinct queries never evict each other -- the
   // cache-sharing assertion below must measure sharing, not LRU churn.
   options.query_cache_capacity = 1024;
   options.metrics = &metrics;
@@ -111,21 +116,23 @@ TEST(ServerDifferential, FourSessionsMatchSingleThreadedExecution) {
   for (int s = 0; s < kSessions; ++s) {
     threads.emplace_back([&, s] {
       RunSessionAgainstBaseline(&server, "session" + std::to_string(s),
-                                queries, expected, /*expected_version=*/1);
+                                queries, expected, /*expected_version=*/1,
+                                s * queries.size() / kSessions);
     });
   }
   for (std::thread& t : threads) t.join();
 
   // All four sessions ran the full suite through the shared caches.
   EXPECT_EQ(metrics.counter("server.queries").value(),
-            static_cast<uint64_t>(kSessions) * kQueries);
+            static_cast<uint64_t>(kSessions) * queries.size());
   EXPECT_EQ(metrics.counter("server.queries_rejected").value(), 0u);
   // The four sessions share one compile cache. Concurrent first
   // encounters of the same query may each compile it (GetOrCompile
   // compiles outside the lock), so the exact hit count is scheduling
-  // dependent -- but the bulk of the 4x440 lookups must be shared.
+  // dependent -- the staggered starts keep such races rare, and the bulk
+  // of the 4x495 lookups must be shared.
   EXPECT_GE(metrics.counter("server.query_cache_hits").value(),
-            static_cast<uint64_t>(2 * kQueries));
+            static_cast<uint64_t>(2 * queries.size()));
 }
 
 TEST(ServerDifferential, PinnedSessionsIgnoreConcurrentPublishes) {

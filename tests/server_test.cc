@@ -416,6 +416,94 @@ TEST(Submit, AsyncQueriesCompleteOnTheWorkerPool) {
   for (const std::string& r : results) EXPECT_EQ(r, "3");
 }
 
+// --- Bounded nesting -------------------------------------------------------
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(Nesting, OverDeepQueriesAreRejectedNotCrashes) {
+  // Both inputs used to segfault lll_serverd: one `query t d ...` line of
+  // 1800 nested parentheses, and 2000 nested <x>{...}</x> constructors.
+  // Each is now a located kInvalidArgument from the parser's nesting cap.
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("d", "<r/>").ok());
+  Session session = server.OpenSession("t");
+  const std::string inputs[] = {
+      Repeat("(", 1800) + "1" + Repeat(")", 1800),
+      Repeat("<x>{", 2000) + "1" + Repeat("}</x>", 2000),
+      "1" + Repeat(" + 1", 5000),  // a left-deep tree, not parser recursion
+  };
+  for (const std::string& query : inputs) {
+    QueryResponse resp = session.Query("d", query);
+    ASSERT_FALSE(resp.status.ok()) << query.substr(0, 40);
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resp.status.message().find(
+                  "nesting exceeds " + std::to_string(xq::kMaxExprNesting)),
+              std::string::npos)
+        << resp.status.ToString();
+    EXPECT_NE(resp.status.message().find("at line 1, column "),
+              std::string::npos)
+        << resp.status.ToString();
+  }
+  // The daemon is still serving.
+  EXPECT_EQ(session.Query("d", "count(/r)").result, "1");
+}
+
+TEST(Nesting, QueriesExactlyAtTheCapRunOnAWorkerThread) {
+  // The deepest query of each shape the parser accepts must evaluate on a
+  // Submit worker -- under the asan preset too, whose frames are larger.
+  constexpr size_t kCap = xq::kMaxExprNesting;
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("d", "<r/>").ok());
+  struct AtCap {
+    std::string query;
+    std::string over;  // one level deeper: rejected
+    std::string expected;
+  };
+  const AtCap cases[] = {
+      // Parser nesting: the outer expression plus one level per paren.
+      {Repeat("(", kCap - 1) + "1" + Repeat(")", kCap - 1),
+       Repeat("(", kCap) + "1" + Repeat(")", kCap), "1"},
+      // Two levels per constructor: itself and its enclosed expression.
+      {Repeat("<x>{", (kCap - 1) / 2) + "1" + Repeat("}</x>", (kCap - 1) / 2),
+       Repeat("<x>{", (kCap + 1) / 2) + "1" + Repeat("}</x>", (kCap + 1) / 2),
+       ""},
+      {"count(" + Repeat("count(", kCap - 2) + "1" + Repeat(")", kCap - 1),
+       "count(" + Repeat("count(", kCap - 1) + "1" + Repeat(")", kCap), "1"},
+      {Repeat("-", kCap - 1) + "1", Repeat("-", kCap) + "1",
+       kCap % 2 == 0 ? "-1" : "1"},
+      // Tree depth: a left-deep sum whose deepest literal sits at the cap.
+      {"1" + Repeat("+1", kCap), "1" + Repeat("+1", kCap + 1),
+       std::to_string(kCap + 1)},
+  };
+  for (const AtCap& c : cases) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    QueryResponse got;
+    server.Submit("t", "d", c.query, [&](QueryResponse resp) {
+      std::lock_guard<std::mutex> lock(mu);
+      got = std::move(resp);
+      done = true;
+      cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    if (!c.expected.empty()) {
+      EXPECT_EQ(got.result, c.expected);
+    }
+    QueryResponse over = server.Execute("t", "d", c.over);
+    EXPECT_EQ(over.status.code(), StatusCode::kInvalidArgument)
+        << over.status.ToString();
+  }
+}
+
 TEST(Docgen, BatchGenerationPinsOneModelSnapshot) {
   MetricsRegistry metrics;
   QueryServer server(TestOptions(&metrics));

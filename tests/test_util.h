@@ -94,7 +94,8 @@ inline std::string RandomPathWorkloadDocument(std::mt19937* rng) {
 // Composes `count` random path queries: 1-4 steps over /, //, explicit
 // reverse-axis prefixes and attribute steps, a predicate per step, and an
 // early-exit wrapper ((..)[N], exists, count, subsequence, fn:head,
-// positional for) one time in three.
+// positional for) one time in three. Then appends count/8 hash-probe
+// shapes, so 440 gives the 495-query workload.
 inline std::vector<std::string> RandomPathWorkloadQueries(std::mt19937* rng,
                                                           int count) {
   auto pick = [rng](int n) { return static_cast<int>((*rng)() % n); };
@@ -149,6 +150,35 @@ inline std::vector<std::string> RandomPathWorkloadQueries(std::mt19937* rng,
         break;  // the bare path
     }
     queries.push_back(std::move(query));
+  }
+  // Probe shapes (DESIGN.md section 16), appended so the first `count`
+  // queries stay as they were: `@k = KEY` predicates on let-bound paths, on
+  // steps after an interned prefix, and before per-parent positions, with
+  // node, string, multi-valued, empty, numeric and flipped keys.
+  const char* keys[] = {"$v", "string($v)", "($v, \"3\")", "()", "1", "\"2\""};
+  for (int i = 0; i < count / 8; ++i) {
+    std::string test = tests[pick(7)];
+    std::string key = keys[pick(6)];
+    std::string pred =
+        pick(4) == 0 ? "[" + key + " = @k]" : "[@k = " + key + "]";
+    switch (pick(4)) {
+      case 0:
+        queries.push_back("for $v in (\"0\", \"1\", \"2\") return //" + test +
+                          pred);
+        break;
+      case 1:
+        queries.push_back("for $v in //@k return //" + test + pred + "[" +
+                          std::to_string(1 + pick(2)) + "]");
+        break;
+      case 2:
+        queries.push_back("let $s := //" + test +
+                          " return for $v in (\"1\", \"3\") return $s" + pred);
+        break;
+      default:
+        queries.push_back("for $v in (\"1\", \"2\") return /r/" + test + "/" +
+                          tests[pick(7)] + pred);
+        break;
+    }
   }
   return queries;
 }

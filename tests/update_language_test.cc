@@ -75,7 +75,7 @@ TEST(UpdateParser, InsertPositions) {
     auto script =
         ParseUpdateScript(std::string("insert <x/> ") + pos + " /r/a");
     ASSERT_TRUE(script.ok()) << pos;
-    EXPECT_EQ(InsertPositionName(script->statements[0].position), pos);
+    EXPECT_STREQ(InsertPositionName(script->statements[0].position), pos);
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the streaming path pipeline: differential agreement with the
-// materializing evaluator, early-exit accounting, and the deep-tree
-// regression for the iterative descendant collector.
+// materializing evaluator (hash probes included), early-exit accounting,
+// and the deep-tree regression for the iterative descendant collector.
 
 #include <cstddef>
 #include <random>
@@ -11,6 +11,7 @@
 #include "tests/test_util.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
+#include "xquery/nodeset_cache.h"
 
 namespace lll {
 namespace {
@@ -103,10 +104,10 @@ TEST(Streaming, AgreesOnCorePathShapes) {
 // offending query text.
 TEST(Streaming, DifferentialRandomPaths) {
   // The generators live in test_util.h so the server differential test can
-  // run the exact same 440-query workload through sessions. Reverse axes
-  // appear as explicit prefixes; attribute steps as "@k" (the only attribute
-  // name the generator emits), so ancestor-from-attribute exercises the
-  // "slotted after owner" order keys.
+  // run the exact same 495-query workload (440 paths, 55 hash-probe shapes)
+  // through sessions. Reverse axes appear as explicit prefixes; attribute
+  // steps as "@k" (the only attribute name the generator emits), so
+  // ancestor-from-attribute exercises the "slotted after owner" order keys.
   std::mt19937 rng(20260806);  // fixed seed: failures must reproduce
   std::string xml = testing::RandomPathWorkloadDocument(&rng);
   std::vector<std::string> queries =
@@ -118,7 +119,7 @@ TEST(Streaming, DifferentialRandomPaths) {
     ++checked;
     if (::testing::Test::HasFailure()) break;  // first divergence is enough
   }
-  EXPECT_GE(checked, 400);
+  EXPECT_GE(checked, 495);
 }
 
 TEST(Streaming, EarlyExitSkipsWorkOnFirstMatch) {
@@ -365,6 +366,188 @@ TEST(Streaming, LimitHintStopsPullingEarly) {
     ASSERT_TRUE(reference.ok()) << q;
     EXPECT_EQ(streamed->SerializedItems(), reference->SerializedItems()) << q;
   }
+}
+
+// --- Hash probes vs the scan oracle ----------------------------------------
+//
+// Marked `@a = K` predicates are answered from a per-query attribute index
+// when streaming is on and by the per-candidate loop when it is off. Every
+// shape below must give byte-identical results, trace streams and statuses
+// in both modes; `probes` says whether the streamed run answers any
+// predicate from an index (false = a dynamic condition sends it back to the
+// loop).
+
+constexpr char kProbeDoc[] =
+    "<r>"
+    "<g><x k=\"1\" n=\"3.0\" b=\"true\">a</x><x k=\"2\" n=\"4\">b</x>"
+    "<x>c</x><x k=\"1\" b=\"false\">d</x></g>"
+    "<g><x k=\"3\">e</x><x k=\"1\" n=\"3\" b=\"1\">f</x><y k=\"1\"/></g>"
+    "<x k=\"2\">g</x>"
+    "</r>";
+
+struct ProbeOutcome {
+  xq::EvalStats stats;
+  std::string text;  // serialized result, or the status
+};
+
+// Runs `query` streamed twice against one node-set cache (cold, then warm
+// interned entries) and once with streaming off, and expects the three to
+// agree on result bytes, trace events and status.
+ProbeOutcome ExpectProbeMatchesScan(const std::string& query) {
+  auto doc = xml::Parse(kProbeDoc, {.strip_insignificant_whitespace = true});
+  auto other = xml::Parse("<r><x k=\"1\">h</x><x k=\"2\">i</x></r>");
+  EXPECT_TRUE(doc.ok() && other.ok());
+  auto compiled = xq::Compile(query);
+  EXPECT_TRUE(compiled.ok()) << query << "\n" << compiled.status().ToString();
+  if (!doc.ok() || !other.ok() || !compiled.ok()) return {};
+  xq::NodeSetCache streamed_cache(64);
+  xq::NodeSetCache scanned_cache(64);
+  xq::ExecuteOptions streamed;
+  streamed.context_node = (*doc)->root();
+  streamed.documents["a"] = (*doc)->root();
+  streamed.documents["b"] = (*other)->root();
+  streamed.eval.nodeset_cache = &streamed_cache;
+  xq::ExecuteOptions scanned = streamed;
+  scanned.eval.nodeset_cache = &scanned_cache;
+  scanned.eval.streaming = false;
+
+  auto render = [](const Result<xq::QueryResult>& r) {
+    if (!r.ok()) return "error: " + r.status().ToString();
+    std::string out = r->SerializedItems();
+    for (const std::string& line : r->trace_output) out += "\ntrace: " + line;
+    return out;
+  };
+  auto cold = xq::Execute(*compiled, streamed);
+  auto warm = xq::Execute(*compiled, streamed);
+  auto scan = xq::Execute(*compiled, scanned);
+  EXPECT_EQ(render(cold), render(scan)) << "probe diverges: " << query;
+  EXPECT_EQ(render(warm), render(scan)) << "warm probe diverges: " << query;
+  if (scan.ok()) {
+    EXPECT_EQ(scan->stats.probe_filters, 0u) << "streaming=false probed";
+  }
+  return {cold.ok() ? cold->stats : xq::EvalStats{}, render(scan)};
+}
+
+TEST(Streaming, ProbeAgreesWithScanOnEveryShape) {
+  struct Case {
+    const char* query;
+    bool probes;
+    const char* expected;  // result bytes, or nullptr to skip the check
+  };
+  const Case cases[] = {
+      // A filter on a let-bound path.
+      {"let $s := //x return for $v in (\"1\", \"3\") return $s[@k = $v]",
+       true, "<x k=\"1\" n=\"3.0\" b=\"true\">a</x><x k=\"1\" b=\"false\">d</x>"
+             "<x k=\"1\" n=\"3\" b=\"1\">f</x><x k=\"3\">e</x>"},
+      // An axis step after an interned prefix, and its flipped form.
+      {"for $v in (\"2\", \"1\") return //x[@k = $v]/text()", true, "bgadf"},
+      {"for $v in (\"2\", \"1\") return //x[$v = @k]/text()", true, "bgadf"},
+      {"for $v in //y/@k return /r/g/x[@k = $v]/text()", true, "adf"},
+      // A multi-valued key, and a node-valued one.
+      {"for $v in \"3\" return //x[@k = ($v, \"2\")]/text()", true, "beg"},
+      {"let $s := //x return $s[@k = doc(\"a\")//y/@k]/text()", true, "adf"},
+      // Numeric and boolean keys fall back: @n = 3 matches "3.0".
+      {"let $s := //x for $v in 3 return $s[@n = $v]/text()", false, "af"},
+      {"for $v in 3 return //x[@n = $v]/text()", false, "af"},
+      {"let $s := //x for $v in \"t\" return $s[@b = ($v eq \"t\")]/text()",
+       false, "af"},
+      // An empty key.
+      {"let $s := //x let $none := () return count($s[@k = $none])", true,
+       "0"},
+      {"count(for $v in () return //x[@k = $v])", false, "0"},
+      // Candidates that lack @a (most <x> have no @n).
+      {"let $s := //x return $s[@n = \"4\"]/text()", true, "b"},
+      // Duplicate candidates keep both copies.
+      {"let $x := (//x)[1] return count(($x, $x)[@k = \"1\"])", true, "2"},
+      {"let $s := //x return count(($s, $s)[@k = \"1\"])", true, "6"},
+      // Candidates from two documents fall back.
+      {"(doc(\"a\")//x, doc(\"b\")//x)[@k = \"1\"]/text()", false, nullptr},
+      // Candidates constructed in the arena.
+      {"let $c := (<e k=\"1\">p</e>, <e k=\"2\">q</e>, <e k=\"1\">r</e>) "
+       "for $v in \"1\" return $c[@k = $v]/text()",
+       true, "pr"},
+      // A probe followed by [1] / [2] on a child step with several parents.
+      {"for $v in \"1\" return //x[@k = $v][1]/text()", true, "af"},
+      {"for $v in \"1\" return //x[@k = $v][2]/text()", true, "d"},
+      {"for $v in \"1\" return //x[@k = $v][last()]/text()", true, "df"},
+      {"for $v in \"1\" return /r/g/*[@k = $v][2]/text()", true, "d"},
+      // Later probes on the hits of an earlier one.
+      {"for $v in \"1\" return //x[@k = $v][@b = \"false\"]/text()", true,
+       "d"},
+      // A probe that is not the step's only predicate on another axis.
+      {"for $v in \"1\" return //g/descendant::x[@k = $v][1]/text()", false,
+       "af"},
+      {"for $v in \"1\" return //g/descendant::x[@k = $v]/text()", true,
+       "adf"},
+      // Positions of a filter step count across the whole sequence.
+      {"let $s := //x for $v in \"1\" return $s[@k = $v][2]/text()", true,
+       "d"},
+  };
+  for (const Case& c : cases) {
+    ProbeOutcome out = ExpectProbeMatchesScan(c.query);
+    if (c.expected != nullptr) {
+      EXPECT_EQ(out.text, c.expected) << c.query;
+    }
+    if (c.probes) {
+      EXPECT_GT(out.stats.probe_filters, 0u) << c.query;
+    } else {
+      EXPECT_EQ(out.stats.probe_filters, 0u) << c.query;
+    }
+  }
+}
+
+TEST(Streaming, ProbeKeysThatTraceOrFailKeepParity) {
+  // A key that calls trace() is never marked: the trace stream must not
+  // lose the per-candidate events.
+  const char* traced =
+      "for $v in \"1\" return //x[@k = trace($v, \"key\")]/text()";
+  ProbeOutcome out = ExpectProbeMatchesScan(traced);
+  EXPECT_EQ(out.stats.probe_filters, 0u);
+  EXPECT_NE(out.text.find("trace: "), std::string::npos) << out.text;
+
+  // A key that raises an error: the same Status in both modes, whether the
+  // probe runs on a filter or after an interned prefix -- and no error at
+  // all when there are no candidates to test.
+  const char* failing[] = {
+      "let $s := //x return $s[@k = (\"zz\" cast as xs:integer)]",
+      "for $v in \"zz\" return //x[@k = ($v cast as xs:integer)]",
+      "for $v in \"1\" return //x[@k = $v][@n = (\"zz\" cast as xs:integer)]",
+      "let $s := (//x)[1] return $s[@k = (\"zz\" cast as xs:integer)]",
+  };
+  for (const char* q : failing) {
+    out = ExpectProbeMatchesScan(q);
+    EXPECT_EQ(out.text.rfind("error: ", 0), 0u) << q << " -> " << out.text;
+  }
+  const char* empty[] = {
+      "let $s := //nosuch return $s[@k = (\"zz\" cast as xs:integer)]",
+      "for $v in \"zz\" return //nosuch[@k = ($v cast as xs:integer)]",
+  };
+  for (const char* q : empty) {
+    out = ExpectProbeMatchesScan(q);
+    EXPECT_EQ(out.text, "") << q;
+  }
+}
+
+TEST(Streaming, ProbeIndexIsBuiltOncePerCandidateList) {
+  // 200 keys probing one 200-candidate list: one index, 200 lookups.
+  std::string xml = "<r>";
+  for (int i = 0; i < 200; ++i) {
+    xml += "<x id=\"n" + std::to_string(i) + "\"/>";
+  }
+  xml += "</r>";
+  auto doc = xml::Parse(xml);
+  ASSERT_TRUE(doc.ok());
+  auto compiled = xq::Compile(
+      "let $s := //x return count(for $i in 0 to 199 "
+      "return $s[@id = concat(\"n\", string($i))])");
+  ASSERT_TRUE(compiled.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  auto r = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->SerializedItems(), "200");
+  EXPECT_EQ(r->stats.probe_filters, 200u);
+  EXPECT_EQ(r->stats.probe_index_builds, 1u);
 }
 
 TEST(Streaming, DeepTreeDoesNotOverflowTheStack) {
