@@ -228,6 +228,8 @@ std::string Explain(const xq::CompiledQuery& query,
          "\n  ordered_steps_annotated: " +
          std::to_string(stats.ordered_steps_annotated) +
          "\n  limits_pushed: " + std::to_string(stats.limits_pushed) +
+         "\n  fused_descendant_steps: " +
+         std::to_string(stats.fused_descendant_steps) +
          "\n  probe_predicates: " + std::to_string(stats.probe_predicates) +
          "\n";
   return out;

@@ -30,7 +30,7 @@ constexpr uint8_t kMaxItemType =
 constexpr uint8_t kMaxOccurrence =
     static_cast<uint8_t>(xq::SequenceType::Occurrence::kPlus);
 constexpr uint8_t kMaxNoteKind =
-    static_cast<uint8_t>(xq::RewriteNote::Kind::kLimitPushed);
+    static_cast<uint8_t>(xq::RewriteNote::Kind::kDescendantFused);
 
 // Nesting ceiling for decoded expressions: the parser's own cap, so a crafted
 // checksum-valid payload can neither recurse the decoder off the stack nor
@@ -285,6 +285,7 @@ void EncodeCompiledQuery(const xq::CompiledQuery& query, ByteWriter* w) {
   w->U64(s.eliminated_trace_calls);
   w->U64(s.ordered_steps_annotated);
   w->U64(s.limits_pushed);
+  w->U64(s.fused_descendant_steps);
   // Probe notes are derived, like the marks they describe: the decoder
   // re-runs MarkProbePredicates, which notes them again.
   uint32_t stored = 0;
@@ -352,11 +353,13 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
   LLL_ASSIGN_OR_RETURN(uint64_t traces, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t ordered, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t limits, r->U64());
+  LLL_ASSIGN_OR_RETURN(uint64_t fused, r->U64());
   s.folded_constants = static_cast<size_t>(folded);
   s.eliminated_lets = static_cast<size_t>(lets);
   s.eliminated_trace_calls = static_cast<size_t>(traces);
   s.ordered_steps_annotated = static_cast<size_t>(ordered);
   s.limits_pushed = static_cast<size_t>(limits);
+  s.fused_descendant_steps = static_cast<size_t>(fused);
   LLL_ASSIGN_OR_RETURN(uint32_t nnotes, r->U32());
   LLL_RETURN_IF_ERROR(CheckCount(nnotes, *r, "rewrite note"));
   s.notes.reserve(nnotes);
@@ -372,8 +375,10 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     n.col = static_cast<size_t>(col);
     s.notes.push_back(std::move(n));
   }
-  // Probe marks are never stored: derive them from the decoded AST, so a
-  // forged artifact cannot mark a predicate the optimizer would not.
+  // Position-free bits and probe marks are never stored: derive them from
+  // the decoded AST, so a forged artifact cannot set one the optimizer would
+  // not. The stored AST is already fused; the pass finds nothing to fuse.
+  xq::FuseDescendantSteps(&m, &s);
   xq::MarkProbePredicates(&m, &s);
   return xq::CompiledQuery(std::move(m), std::move(s),
                            xq::PlanOrigin::kDiskCache);

@@ -126,9 +126,19 @@ struct PathStep {
   // EvalOptions::streaming) cannot be known at compile time.
   bool statically_streamable = false;
   // Set by the optimizer: this step belongs to the leading predicate-free
-  // chain of a document-rooted path, the shape the node-set interning cache
-  // memoizes. EXPLAIN renders it as [interned]. Advisory, like the above.
+  // chain of a path rooted at a tree root (the `/` root or fn:doc), the
+  // shape the node-set interning cache memoizes. EXPLAIN renders it as
+  // [interned]. Advisory, like the above.
   bool statically_internable = false;
+  // Set by the optimizer's fusion pass (FuseDescendantSteps): an axis step
+  // whose every predicate is position-free -- boolean-valued at the top
+  // level, no position()/last(), no trace/error/user-defined/unknown call --
+  // so a candidate's verdict does not depend on which context produced it
+  // or where it sits among that context's candidates. This is what licenses
+  // fusing `//T[P]` into descendant::T[P], and what lets the probe
+  // extension apply later predicates across contexts (DESIGN.md section
+  // 18). Derived, never serialized: decoding a plan derives it again.
+  bool position_free = false;
 };
 
 enum class BinOp {

@@ -1082,7 +1082,14 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   if (cache == nullptr || e.steps.empty()) return 0;
   if (current->size() != 1 || !current->at(0).is_node()) return 0;
   xml::Node* base = current->at(0).node();
-  if (!base->is_document() || base->document() == nullptr) return 0;
+  // Any tree root qualifies: a document node, or a parentless element such
+  // as a docgen phase's input. Nothing a chain reaches from a root lies
+  // outside its subtree, which the guards below cover. (An attribute's
+  // parent() is its owner; a detached one is no root.)
+  if (base->parent() != nullptr || base->is_attribute() ||
+      base->document() == nullptr) {
+    return 0;
+  }
   // Never intern sets rooted in this execution's construction arena (e.g.
   // `document { ... }` results): the arena dies with the query, while the
   // cache (session- or backend-scoped) lives on, and the next execution's
@@ -1110,12 +1117,14 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   // probe -- every `doc("m")//node-type[@name = $t]` shares the candidates
   // `//node-type` interns -- and the probe filters them through an index.
   // Later predicates need per-context positions, which only the child axis
-  // recovers (grouped by parent), so other axes need a lone probe.
+  // recovers (grouped by parent), unless the plan proved them position-free;
+  // other axes need a lone probe.
   if (options_.streaming && prefix < e.steps.size()) {
     const PathStep& step = e.steps[prefix];
     if (!step.is_filter && !step.predicates.empty() &&
         step.predicates[0]->probe_key >= 0 &&
-        (step.axis == Axis::kChild || step.predicates.size() == 1)) {
+        (step.axis == Axis::kChild || step.predicates.size() == 1 ||
+         step.position_free)) {
       std::string bare = fingerprint;
       AppendStepFingerprint(step, /*with_predicates=*/false, &bare);
       LLL_ASSIGN_OR_RETURN(
@@ -1215,7 +1224,7 @@ Result<std::optional<Sequence>> Evaluator::ProbeStep(
   if (!probed.ok()) return located(probed.status());
   if (!probed->has_value()) return std::optional<Sequence>();
   std::vector<uint32_t> hits = std::move(**probed);
-  if (step.predicates.size() > 1) {
+  if (step.predicates.size() > 1 && step.axis == Axis::kChild) {
     // Later predicates count positions per context, i.e. per parent here:
     // apply them group by group, parents in document order (the context
     // order of the per-context loop, which fixes trace and error order).
@@ -1256,6 +1265,14 @@ Result<std::optional<Sequence>> Evaluator::ProbeStep(
   }
   Sequence out;
   for (uint32_t i : hits) out.Append(candidates.at(i));
+  if (step.predicates.size() > 1 && step.axis != Axis::kChild) {
+    // Position-free later predicates (InternPrefix checked the plan's bit)
+    // judge each hit alike whichever context produced it: one pass over all.
+    Result<Sequence> kept =
+        ApplyPredicates(step.predicates, std::move(out), /*first=*/1);
+    if (!kept.ok()) return located(kept.status());
+    out = std::move(*kept);
+  }
   out.MarkOrderedDeduped();  // a subsequence of the normalized candidates
   return std::optional<Sequence>(std::move(out));
 }

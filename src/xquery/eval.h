@@ -313,7 +313,8 @@ class Evaluator {
   }
   // Consults / fills the node-set interning cache for the leading internable
   // step chain (predicate-free steps, plus steps whose predicates fold into
-  // the fingerprint) of a document-rooted path. Under streaming the chain
+  // the fingerprint) of a path from a tree root (a document node or a
+  // parentless element). Under streaming the chain
   // extends through the next step's bare axis::test when that step's first
   // predicate is a probe, and the probe then filters the interned
   // candidates. On success returns the number of steps consumed and
@@ -329,8 +330,9 @@ class Evaluator {
                                     const xdm::Sequence& start);
   // Applies the predicates of `step`, whose first is a probe, to the
   // step's candidates from every context at once (sorted, one document).
-  // Later predicates see per-context positions: the hits are grouped by
-  // parent, which InternPrefix guarantees is the context (child axis).
+  // Later predicates see per-context positions: on the child axis the hits
+  // are grouped by parent, which is the context; on other axes InternPrefix
+  // guarantees they are position-free, and they run over all hits at once.
   // Returns nullopt when the probe does not apply (see ProbeHits).
   Result<std::optional<xdm::Sequence>> ProbeStep(
       const Expr& e, const PathStep& step, const xdm::Sequence& candidates);

@@ -1,6 +1,8 @@
 #include "xquery/optimizer.h"
 
 #include <functional>
+#include <initializer_list>
+#include <string_view>
 
 #include "core/string_util.h"
 #include "xquery/eval.h"
@@ -82,6 +84,51 @@ std::string DescribeStep(const PathStep& step) {
   return out;
 }
 
+// True if `e` calls, anywhere (nested predicates included), one of the
+// builtins in `banned` (bare or fn:-prefixed), a user-defined function
+// (which may trace or error internally) or an unknown one.
+bool CallsAny(const Expr& e, const Module& module,
+              std::initializer_list<std::string_view> banned) {
+  if (e.kind == ExprKind::kFunctionCall) {
+    std::string stripped = e.name;
+    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
+    for (std::string_view name : banned) {
+      if (stripped == name) return true;
+    }
+    for (const FunctionDecl& fn : module.functions) {
+      if ((fn.name == e.name || fn.name == stripped) &&
+          fn.params.size() == e.children.size()) {
+        return true;
+      }
+    }
+    if (!IsBuiltinName(stripped)) return true;
+  }
+  bool calls = false;
+  ForEachChild(e, [&](const Expr& c) {
+    calls = calls || CallsAny(c, module, banned);
+  });
+  return calls;
+}
+
+// Decoded plans may hold absent subexpressions (the format allows them);
+// the passes that also run on decoded plans leave such an expression alone.
+bool Complete(const Expr& e) {
+  bool complete = true;
+  auto visit = [&complete](const ExprPtr& c) {
+    complete = complete && c != nullptr && Complete(*c);
+  };
+  for (const ExprPtr& c : e.children) visit(c);
+  for (const PathStep& s : e.steps) {
+    for (const ExprPtr& p : s.predicates) visit(p);
+  }
+  for (const FlworClause& c : e.clauses) visit(c.expr);
+  for (const OrderSpec& o : e.order_by) visit(o.key);
+  for (const DirectAttribute& a : e.attributes) {
+    for (const ExprPtr& p : a.value_parts) visit(p);
+  }
+  return complete;
+}
+
 }  // namespace
 
 const char* RewriteNoteKindName(RewriteNote::Kind kind) {
@@ -96,6 +143,8 @@ const char* RewriteNoteKindName(RewriteNote::Kind kind) {
       return "ordered-step";
     case RewriteNote::Kind::kLimitPushed:
       return "limit-pushed";
+    case RewriteNote::Kind::kDescendantFused:
+      return "descendant-fused";
     case RewriteNote::Kind::kProbe:
       return "probe";
   }
@@ -644,23 +693,7 @@ struct OrderAnalyzer {
   // Static twin of Evaluator::PredicateBlocksStreaming, resolved against the
   // module's function declarations instead of the runtime registry.
   bool BlocksStreaming(const Expr& e) const {
-    if (e.kind == ExprKind::kFunctionCall) {
-      std::string stripped = e.name;
-      if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-      if (stripped == "last" || stripped == "trace" || stripped == "error") {
-        return true;
-      }
-      for (const FunctionDecl& fn : module.functions) {
-        if ((fn.name == e.name || fn.name == stripped) &&
-            fn.params.size() == e.children.size()) {
-          return true;  // user-defined: may trace/error internally
-        }
-      }
-      if (!IsBuiltinName(stripped)) return true;
-    }
-    bool blocked = false;
-    ForEachChild(e, [&](const Expr& c) { blocked = blocked || BlocksStreaming(c); });
-    return blocked;
+    return CallsAny(e, module, {"last", "trace", "error"});
   }
 
   OrderProp AnalyzePath(Expr* e) {
@@ -767,6 +800,7 @@ OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
     rewriter.Rewrite(var.expr.get());
   }
   rewriter.Rewrite(module->body.get());
+  FuseDescendantSteps(module, &rewriter.stats);
   if (options.order_analysis) {
     // After rewriting: dead-let elimination can degenerate FLWORs into their
     // bodies, which makes more paths statically analyzable.
@@ -866,25 +900,6 @@ struct ProbeMarker {
            pred->line, pred->col});
       return;
     }
-  }
-
-  // Decoded plans may hold absent subexpressions (the format allows them);
-  // a predicate with one anywhere is never marked, and Mark skips them.
-  static bool Complete(const Expr& e) {
-    bool complete = true;
-    auto visit = [&complete](const ExprPtr& c) {
-      complete = complete && c != nullptr && Complete(*c);
-    };
-    for (const ExprPtr& c : e.children) visit(c);
-    for (const PathStep& s : e.steps) {
-      for (const ExprPtr& p : s.predicates) visit(p);
-    }
-    for (const FlworClause& c : e.clauses) visit(c.expr);
-    for (const OrderSpec& o : e.order_by) visit(o.key);
-    for (const DirectAttribute& a : e.attributes) {
-      for (const ExprPtr& p : a.value_parts) visit(p);
-    }
-    return complete;
   }
 
   void Mark(Expr* e) {
@@ -1124,6 +1139,111 @@ bool InternAttributeOnlyPredicate(const Expr& pred,
                                   const UserFunctionLookup& is_user_function) {
   FoldScanner scanner{is_user_function, /*attr_only=*/true};
   return scanner.FoldableBool(pred);
+}
+
+// --- Descendant-step fusion -------------------------------------------------
+
+namespace {
+
+// True if `e`, as a predicate, is boolean-valued at its top level and so can
+// never be a numeric position test: a comparison, and/or, a call to a
+// boolean builtin, or a node path (tested for emptiness).
+bool BooleanValued(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kBinary:
+      switch (e.op) {
+        case BinOp::kOr:
+        case BinOp::kAnd:
+        case BinOp::kGenEq:
+        case BinOp::kGenNe:
+        case BinOp::kGenLt:
+        case BinOp::kGenLe:
+        case BinOp::kGenGt:
+        case BinOp::kGenGe:
+        case BinOp::kValEq:
+        case BinOp::kValNe:
+        case BinOp::kValLt:
+        case BinOp::kValLe:
+        case BinOp::kValGt:
+        case BinOp::kValGe:
+        case BinOp::kIs:
+          return true;
+        default:
+          return false;
+      }
+    case ExprKind::kFunctionCall: {
+      std::string stripped = e.name;
+      if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
+      return IsInternBooleanBuiltin(stripped);
+    }
+    case ExprKind::kPath:
+      return !e.steps.empty() && !e.steps.back().is_filter;
+    default:
+      return false;
+  }
+}
+
+struct DescendantFuser {
+  const Module& module;
+  OptimizerStats* stats;
+
+  // A predicate whose verdict for a candidate is the same under any focus
+  // position and size: boolean-valued, no position()/last(), and none of
+  // the calls BlocksStreaming refuses (trace/error/user-defined/unknown),
+  // so dropping the per-parent evaluation is unobservable.
+  bool PositionFree(const ExprPtr& pred) const {
+    return pred != nullptr && Complete(*pred) && BooleanValued(*pred) &&
+           !CallsAny(*pred, module, {"position", "last", "trace", "error"});
+  }
+
+  void Fuse(Expr* e) {
+    if (e == nullptr) return;
+    for (ExprPtr& c : e->children) Fuse(c.get());
+    for (PathStep& s : e->steps) {
+      for (ExprPtr& p : s.predicates) Fuse(p.get());
+      s.position_free = !s.is_filter;
+      for (const ExprPtr& p : s.predicates) {
+        s.position_free = s.position_free && PositionFree(p);
+      }
+    }
+    for (FlworClause& c : e->clauses) Fuse(c.expr.get());
+    for (OrderSpec& o : e->order_by) Fuse(o.key.get());
+    for (DirectAttribute& a : e->attributes) {
+      for (ExprPtr& p : a.value_parts) Fuse(p.get());
+    }
+    // descendant-or-self::node()/child::T selects the T children of every
+    // node at or below the context, i.e. its T descendants. Only the
+    // predicates' focus differs -- positions among one parent's children
+    // against positions among all descendants -- which a position-free
+    // predicate never observes.
+    for (size_t i = 0; i + 1 < e->steps.size(); ++i) {
+      const PathStep& any = e->steps[i];
+      PathStep& child = e->steps[i + 1];
+      if (any.is_filter || any.axis != Axis::kDescendantOrSelf ||
+          any.test.kind != NodeTestKind::kAnyNode ||
+          !any.predicates.empty() || child.axis != Axis::kChild ||
+          !child.position_free) {
+        continue;
+      }
+      std::string before = DescribeStep(any) + "/" + DescribeStep(child);
+      child.axis = Axis::kDescendant;
+      stats->notes.push_back({RewriteNote::Kind::kDescendantFused,
+                              before + " fused into " + DescribeStep(child) +
+                                  "; no predicate observes position",
+                              e->line, e->col});
+      ++stats->fused_descendant_steps;
+      e->steps.erase(e->steps.begin() + static_cast<ptrdiff_t>(i));
+    }
+  }
+};
+
+}  // namespace
+
+void FuseDescendantSteps(Module* module, OptimizerStats* stats) {
+  DescendantFuser fuser{*module, stats};
+  for (FunctionDecl& fn : module->functions) fuser.Fuse(fn.body.get());
+  for (VariableDecl& var : module->variables) fuser.Fuse(var.expr.get());
+  fuser.Fuse(module->body.get());
 }
 
 }  // namespace lll::xq

@@ -49,6 +49,7 @@ struct RewriteNote {
     kTraceSwallowed,     // a trace() call went down with a dead let
     kOrderedStep,        // order analysis proved a step sort-free
     kLimitPushed,        // a consumer's prefix demand annotated onto a path
+    kDescendantFused,    // descendant-or-self::node()/child::T -> descendant::T
     // A `@a = K` predicate marked for a hash probe (Expr::probe_key). Derived
     // like the mark itself: never serialized, re-noted when a plan decodes.
     kProbe,
@@ -71,6 +72,8 @@ struct OptimizerStats {
   size_t ordered_steps_annotated = 0;
   // Paths annotated with a consumer's prefix demand (Expr::limit_hint).
   size_t limits_pushed = 0;
+  // `//T` step pairs fused into one descendant::T step.
+  size_t fused_descendant_steps = 0;
   // Step predicates marked for a hash probe (Expr::probe_key).
   size_t probe_predicates = 0;
   // Every individual rewrite decision, in application order.
@@ -79,6 +82,17 @@ struct OptimizerStats {
 
 // Optimizes the module in place.
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options);
+
+// The descendant-fusion pass, run by Optimize() after its rewrites and
+// before order analysis and probe marking, and again by the plan decoder.
+// Sets PathStep::position_free on every axis step, then rewrites each
+// `descendant-or-self::node()/child::T[P...]` step pair (the expansion of
+// `//T[P...]`; the first step bare) into `descendant::T[P...]` when the
+// child step is position-free. Each fusion appends a kDescendantFused note
+// and counts in stats->fused_descendant_steps. A plan the pass already ran
+// over has nothing left to fuse, so the decoder's re-run only re-derives the
+// position_free bits, which are never stored. DESIGN.md section 18.
+void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 
 // The probe-marking pass, run last by Optimize() and again by the plan
 // decoder (a persisted plan carries no marks, so a forged artifact cannot

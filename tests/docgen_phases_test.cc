@@ -2,10 +2,13 @@
 // standalone on handcrafted inputs -- each phase is an XQuery program with
 // its own contract, testable in isolation.
 
+#include <string>
+
 #include "gtest/gtest.h"
 #include "docgen/xq_programs.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
+#include "xquery/nodeset_cache.h"
 
 namespace lll::docgen {
 namespace {
@@ -105,6 +108,41 @@ TEST(Phase4Placeholders, ContentInsideInternalDataIsNotRewritten) {
       "<p>A-GOES-HERE</p></doc>");
   // The body expansion splices A's content verbatim.
   EXPECT_NE(out.find("<p>see B-GOES-HERE</p>"), std::string::npos);
+}
+
+TEST(Phase4Placeholders, ScansForPlaceholdersOncePerRun) {
+  // Phase 4 splits every text node against doc("doc")//PLACEHOLDER. In the
+  // pipeline doc("doc") is the previous phase's result, a parentless root
+  // element; the scan is the same for every text node, so the node-set
+  // cache computes it once and every later text node hits it.
+  constexpr size_t kTexts = 60;
+  std::string xml =
+      "<doc><INTERNAL-DATA><PLACEHOLDER name=\"T\"><b>bold</b></PLACEHOLDER>"
+      "</INTERNAL-DATA>";
+  for (size_t i = 0; i < kTexts; ++i) {
+    xml += "<p>text " + std::to_string(i) + " T-GOES-HERE</p>";
+  }
+  xml += "</doc>";
+  auto parsed = xml::Parse(xml, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(parsed.ok());
+  xml::Document phase3_output;
+  xml::Node* root = phase3_output.ImportNode((*parsed)->DocumentElement());
+  ASSERT_EQ(root->parent(), nullptr);
+
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.documents["doc"] = root;
+  opts.eval.nodeset_cache = &cache;
+  auto result = xq::Run(Phase4PlaceholdersProgram(), opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NE(result->SerializedItems().find("<p>text 59 <b>bold</b></p>"),
+            std::string::npos);
+  // The text inside INTERNAL-DATA is copied verbatim, so exactly kTexts
+  // text nodes look the placeholders up: one miss, then hits. The other two
+  // misses are the root's own attribute::* and child::node() in local:copy,
+  // read once each.
+  EXPECT_EQ(result->stats.nodeset_cache_hits, kTexts - 1);
+  EXPECT_EQ(result->stats.nodeset_cache_misses, 3u);
 }
 
 TEST(Phase2Omissions, ListsUnvisitedNodesOfRequestedTypes) {

@@ -1,12 +1,15 @@
 // EXPLAIN: the facility that finally answers "what did the optimizer do to
 // my query?". Golden-substring tests over the rendered output: section
 // structure, provenance, and one note per rewrite family (constant folds,
-// dead lets, swallowed traces, order-analysis verdicts, hash probes).
+// dead lets, swallowed traces, order-analysis verdicts, hash probes,
+// descendant fusion).
 
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/explain.h"
+#include "xml/parser.h"
 #include "xquery/engine.h"
 
 namespace lll {
@@ -144,6 +147,7 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
       "  eliminated_trace_calls: 0\n"
       "  ordered_steps_annotated: 4\n"
       "  limits_pushed: 0\n"
+      "  fused_descendant_steps: 0\n"
       "  probe_predicates: 2\n";
   EXPECT_EQ(ExplainQuery("for $v in \"1\" return /r/x[$v = @k][@j = \"2\"]"),
             golden);
@@ -183,6 +187,88 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
   copts.optimize = false;
   EXPECT_EQ(ExplainQuery("//x[@k = $v]", copts).find("[probe"),
             std::string::npos);
+}
+
+TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
+  // Both `//` pairs fuse: the plan shows one descendant step each, with the
+  // position-free predicate kept on it, one located note per fusion, and
+  // the count.
+  const std::string golden =
+      "EXPLAIN\n"
+      "== plan ==\n"
+      "Path rooted (1:1)\n"
+      "  step descendant::a [ordered] [streamed] [interned]\n"
+      "  step descendant::b [streamed] [interned]\n"
+      "    predicate:\n"
+      "      Path (1:8)\n"
+      "        step child::c [ordered] [streamed]\n"
+      "== rewrites ==\n"
+      "  descendant-fused (1:1): descendant-or-self::node()/child::a fused "
+      "into descendant::a; no predicate observes position\n"
+      "  descendant-fused (1:1): descendant-or-self::node()/child::b fused "
+      "into descendant::b; no predicate observes position\n"
+      "  ordered-step (1:1): step descendant::a proven document-ordered; "
+      "normalizing sort skipped\n"
+      "  ordered-step (1:8): step child::c proven document-ordered; "
+      "normalizing sort skipped\n"
+      "== summary ==\n"
+      "  folded_constants: 0\n"
+      "  eliminated_lets: 0\n"
+      "  eliminated_trace_calls: 0\n"
+      "  ordered_steps_annotated: 2\n"
+      "  limits_pushed: 0\n"
+      "  fused_descendant_steps: 2\n"
+      "  probe_predicates: 0\n";
+  EXPECT_EQ(ExplainQuery("//a//b[c]"), golden);
+}
+
+TEST(ExplainTest, PositionDependentPredicatesKeepBothSteps) {
+  // A predicate that can see position counts it among ONE parent's children,
+  // so `//x[P]` keeps its two steps and filters each parent's x children on
+  // their own. b holds x1; a holds x2, x3; c holds x4, x5. Fused, every
+  // answer below would differ.
+  auto doc = xml::Parse(
+      "<r><a><b><x n=\"1\"/></b><x n=\"2\"><y/></x><x n=\"3\"/></a>"
+      "<c><x n=\"4\"><y/></x><x n=\"5\"/></c></r>");
+  ASSERT_TRUE(doc.ok());
+  struct Case {
+    const char* query;
+    const char* ns;  // the n of each selected x, in document order
+  };
+  const Case cases[] = {
+      {"//x[1]", "1 2 4"},                    // fused: 1
+      {"//x[last()]", "1 3 5"},               // fused: 5
+      {"//x[position() = 2]", "3 5"},         // fused: 2
+      {"let $n := 2 return //x[$n]", "3 5"},  // fused: 2
+      {"//x[count(y)]", "2 4"},               // fused: none
+      {"//x[trace(\"t\", string(@n))]", "1 2 3 4 5"},
+  };
+  for (const Case& c : cases) {
+    std::string plan = ExplainQuery(c.query);
+    EXPECT_NE(plan.find("step descendant-or-self::node()"), std::string::npos)
+        << c.query << "\n" << plan;
+    EXPECT_NE(plan.find("step child::x"), std::string::npos) << c.query;
+    EXPECT_NE(plan.find("fused_descendant_steps: 0"), std::string::npos)
+        << c.query;
+    for (bool streaming : {true, false}) {
+      xq::ExecuteOptions opts;
+      opts.context_node = (*doc)->root();
+      opts.eval.streaming = streaming;
+      auto r = xq::Run(std::string("for $x in ") + c.query +
+                           " return string($x/@n)",
+                       opts);
+      ASSERT_TRUE(r.ok()) << c.query;
+      EXPECT_EQ(r->SerializedItems(), c.ns) << c.query;
+      if (std::string(c.query).find("trace") != std::string::npos) {
+        // Parents in document order, each parent's x children in turn: a
+        // (x2, x3) comes before b (x1). Fused, the trace would run 1..5.
+        EXPECT_EQ(r->trace_output,
+                  (std::vector<std::string>{"(t) (2)", "(t) (3)", "(t) (1)",
+                                            "(t) (4)", "(t) (5)"}))
+            << "streaming=" << streaming;
+      }
+    }
+  }
 }
 
 TEST(ExplainTest, UnoptimizedCompileHasNoRewrites) {

@@ -249,6 +249,13 @@ TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
   EXPECT_NE(explained.find("[probe @k]"), std::string::npos) << explained;
   EXPECT_NE(explained.find("probe_predicates: 1"), std::string::npos);
   EXPECT_EQ(obs::Explain(**a), explained);
+  // The `//a` fusion is stored (its note and count round-trip inside the
+  // EXPLAIN above); the position-free bit it rests on is derived again.
+  EXPECT_NE(explained.find("descendant-fused"), std::string::npos);
+  const xq::Expr& path = *(*b)->module().body->children[0];
+  ASSERT_EQ(path.steps.size(), 1u);
+  EXPECT_EQ(path.steps[0].axis, xq::Axis::kDescendant);
+  EXPECT_TRUE(path.steps[0].position_free);
 }
 
 TEST(PersistPlans, ProvenanceIsTriState) {

@@ -91,6 +91,19 @@ inline std::string RandomPathWorkloadDocument(std::mt19937* rng) {
   return xml;
 }
 
+// The vocabulary the query generator below draws from: node tests (with
+// repeats, for their draw weight), step predicates, and the keys of the
+// hash-probe shapes, each evaluated with $v bound. Exposed so that other
+// batteries can cover every shape exhaustively.
+inline constexpr const char* kPathWorkloadTests[] = {"a", "b", "c", "d",
+                                                     "*", "a", "b"};
+inline constexpr const char* kPathWorkloadPredicates[] = {
+    "",      "",       "[1]",    "[2]",
+    "[last()]", "[@k]",   "[@k=\"1\"]", "[c]",
+    "[position() < 3]", "[b/c]"};
+inline constexpr const char* kPathWorkloadProbeKeys[] = {
+    "$v", "string($v)", "($v, \"3\")", "()", "1", "\"2\""};
+
 // Composes `count` random path queries: 1-4 steps over /, //, explicit
 // reverse-axis prefixes and attribute steps, a predicate per step, and an
 // early-exit wrapper ((..)[N], exists, count, subsequence, fn:head,
@@ -100,14 +113,12 @@ inline std::vector<std::string> RandomPathWorkloadQueries(std::mt19937* rng,
                                                           int count) {
   auto pick = [rng](int n) { return static_cast<int>((*rng)() % n); };
   const char* axes[] = {"/", "//", "/", "//"};
-  const char* tests[] = {"a", "b", "c", "d", "*", "a", "b"};
+  const auto& tests = kPathWorkloadTests;
   const char* axis_prefixes[] = {"",          "",           "",
                                  "",          "",           "",
                                  "ancestor::", "ancestor-or-self::",
                                  "preceding-sibling::", "parent::"};
-  const char* preds[] = {"",      "",       "[1]",    "[2]",
-                         "[last()]", "[@k]",   "[@k=\"1\"]", "[c]",
-                         "[position() < 3]", "[b/c]"};
+  const auto& preds = kPathWorkloadPredicates;
   std::vector<std::string> queries;
   queries.reserve(count);
   for (int i = 0; i < count; ++i) {
@@ -155,7 +166,7 @@ inline std::vector<std::string> RandomPathWorkloadQueries(std::mt19937* rng,
   // queries stay as they were: `@k = KEY` predicates on let-bound paths, on
   // steps after an interned prefix, and before per-parent positions, with
   // node, string, multi-valued, empty, numeric and flipped keys.
-  const char* keys[] = {"$v", "string($v)", "($v, \"3\")", "()", "1", "\"2\""};
+  const auto& keys = kPathWorkloadProbeKeys;
   for (int i = 0; i < count / 8; ++i) {
     std::string test = tests[pick(7)];
     std::string key = keys[pick(6)];

@@ -2,8 +2,15 @@
 // trace introduces a dead variable $dummy, which the Galax compiler helpfully
 // optimizes away -- along with the call to trace."
 
+#include <iterator>
+#include <random>
+#include <set>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "xml/parser.h"
+#include "xquery/nodeset_cache.h"
 #include "xquery/optimizer.h"
 #include "xquery/parser.h"
 
@@ -223,10 +230,11 @@ TEST(OrderAnalysis, RootedChildChainIsFullyAnnotated) {
 }
 
 TEST(OrderAnalysis, DescendantLosesDisjointnessForLaterSteps) {
-  // //x == /descendant-or-self::node()/child::x. The first step is provably
+  // //x[1] == /descendant-or-self::node()/child::x[1] (a positional
+  // predicate keeps the pair unfused). The first step is provably
   // ordered (singleton source) but yields a NESTED set, so the child step
   // cannot be proven and keeps its normalizing sort.
-  auto query = xq::Compile("//x");
+  auto query = xq::Compile("//x[1]");
   ASSERT_TRUE(query.ok());
   const xq::Expr& body = *query->module().body;
   ASSERT_EQ(body.kind, xq::ExprKind::kPath);
@@ -263,10 +271,10 @@ TEST(OrderAnalysis, EvaluatorSkipsProvenSortsAndCountsThem) {
   EXPECT_GT(r->stats.sorts_skipped, 0u);
   EXPECT_EQ(r->stats.sorts_performed, 0u);
 
-  // //b: in the materializing evaluator the child step off the nested
+  // //a/b: in the materializing evaluator the child step off the nested
   // descendant set must really sort. (The streaming pipeline sidesteps the
   // sort entirely; pin it off to observe the materializing behavior.)
-  auto unproven = xq::Compile("//b");
+  auto unproven = xq::Compile("//a/b");
   ASSERT_TRUE(unproven.ok());
   xq::ExecuteOptions materializing = opts;
   materializing.eval.streaming = false;
@@ -394,6 +402,119 @@ TEST(LimitPushdown, DisablingThePassDropsHintsNotAnswers) {
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->optimizer_stats().limits_pushed, 0u);
   EXPECT_EQ(query->module().body->children[0]->limit_hint, 0u);
+}
+
+// --- Descendant-step fusion ---------------------------------------------------
+
+// Serialized result (or status code) of `query` under the given options.
+std::string Outcome(const std::string& query, const xq::ExecuteOptions& opts) {
+  auto r = xq::Run(query, opts);
+  if (!r.ok()) return std::string("error: ") + StatusCodeName(r.status().code());
+  return r->SerializedItems();
+}
+
+TEST(DescendantFusion, AgreesWithTheUnfusedFormOnEveryShape) {
+  // B//T[P] against (for $d in B/descendant-or-self::node() return
+  // $d/child::T[P]) | (): the loop keeps the two steps in separate paths,
+  // so nothing fuses and every parent's children are filtered separately,
+  // which is the meaning the fused plan must keep. Every `//` shape of the
+  // random path workload: each node test under each predicate, each probe
+  // key in both operand orders, and a probe followed by a second predicate,
+  // from several bases, over the document node and over a parentless copy
+  // of the root element.
+  std::mt19937 rng(13);
+  auto doc = xml::Parse(testing::RandomPathWorkloadDocument(&rng),
+                        {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xml::Document arena;
+  xml::Node* detached = arena.ImportNode((*doc)->DocumentElement());
+
+  // The vocabulary repeats entries for their draw weight; cover each once.
+  std::set<std::string> tests(std::begin(testing::kPathWorkloadTests),
+                              std::end(testing::kPathWorkloadTests));
+  std::set<std::string> preds(std::begin(testing::kPathWorkloadPredicates),
+                              std::end(testing::kPathWorkloadPredicates));
+  for (const char* key : testing::kPathWorkloadProbeKeys) {
+    const std::string probe = std::string("[@k = ") + key + "]";
+    preds.insert(probe);
+    preds.insert(std::string("[") + key + " = @k]");
+    preds.insert(probe + "[c]");
+    preds.insert(probe + "[1]");
+  }
+  const char* bases[] = {"", "/r", "//a", "/r/*[2]"};
+  size_t fused = 0, checked = 0;
+  for (xml::Node* context : {(*doc)->root(), detached}) {
+    xq::NodeSetCache cache;
+    xq::ExecuteOptions streamed;
+    streamed.context_node = context;
+    streamed.eval.nodeset_cache = &cache;
+    xq::ExecuteOptions materializing;
+    materializing.context_node = context;
+    materializing.eval.streaming = false;
+    for (const std::string& test : tests) {
+      for (const std::string& pred : preds) {
+        for (const char* base : bases) {
+          const std::string wrap = "for $v in (\"1\", \"3\") return ";
+          const std::string query = wrap + base + "//" + test + pred;
+          const std::string unfused =
+              wrap + "(for $d in " + base +
+              "/descendant-or-self::node() return $d/child::" + test + pred +
+              ") | ()";
+          auto compiled = xq::Compile(query);
+          ASSERT_TRUE(compiled.ok()) << query;
+          fused += compiled->optimizer_stats().fused_descendant_steps;
+          const std::string want = Outcome(unfused, materializing);
+          EXPECT_EQ(Outcome(query, materializing), want) << query;
+          EXPECT_EQ(Outcome(query, streamed), want) << query;  // cold
+          EXPECT_EQ(Outcome(query, streamed), want) << query;  // warm
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(fused, checked / 2);  // most shapes fuse; positional ones stay
+}
+
+TEST(DescendantFusion, FusedProbeStepKeepsItsProbeWithMorePredicates) {
+  // //x[@k = $v][c] fuses into one descendant::x step whose first predicate
+  // is a probe; the probe extension still interns the bare descendant::x
+  // (one miss, then hits) and answers @k from the index, applying the
+  // position-free [c] to the hits, where the parent-grouped form of the
+  // child axis would not apply.
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) {
+    xml += "<g><x k=\"" + std::to_string(i % 4) + "\">" +
+           (i % 3 == 0 ? "<c/>" : "") + "</x></g>";
+  }
+  xml += "</r>";
+  auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  const std::string query =
+      "for $v in (\"0\", \"1\", \"2\") return count(//x[@k = $v][c])";
+  auto compiled = xq::Compile(query);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(compiled->optimizer_stats().fused_descendant_steps, 1u);
+  EXPECT_EQ(compiled->optimizer_stats().probe_predicates, 1u);
+
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.eval.nodeset_cache = &cache;
+  auto r = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->SerializedItems(), "4 3 3");
+  EXPECT_EQ(r->stats.probe_filters, 3u);
+  EXPECT_EQ(r->stats.nodeset_cache_misses, 1u);
+  EXPECT_EQ(r->stats.nodeset_cache_hits, 2u);
+
+  xq::ExecuteOptions scan = opts;
+  scan.eval.streaming = false;
+  scan.eval.nodeset_cache = nullptr;
+  auto reference = xq::Execute(*compiled, scan);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->SerializedItems(), r->SerializedItems());
+  EXPECT_EQ(reference->stats.probe_filters, 0u);
 }
 
 TEST(TraceBehavior, TraceReturnsLastArgument) {
