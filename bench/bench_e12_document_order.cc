@@ -15,8 +15,7 @@
 //     of depth.
 //   * `//` queries end to end through the engine, deep and wide.
 //   * a union chain (//a | //b | //c), whose every | re-normalizes.
-//   * the optimizer's order analysis: a provably-ordered child chain with
-//     the analysis on vs off (sorts_skipped vs sorts_performed).
+//   * a rooted child chain (sorts_skipped vs sorts_performed).
 //
 // Results go to stdout AND BENCH_e12.json (JSON reporter).
 
@@ -152,8 +151,8 @@ BENCHMARK(BM_E12_IndexRebuild)->ArgName("depth")->Arg(100)->Arg(400);
 
 // --- `//` queries end to end ----------------------------------------------
 
-void RunQuery(benchmark::State& state, Document* doc, const std::string& text,
-              bool order_tracking = true) {
+void RunQuery(benchmark::State& state, Document* doc,
+              const std::string& text) {
   auto compiled = lll::xq::Compile(text);
   if (!compiled.ok()) {
     state.SkipWithError("compile failed");
@@ -161,7 +160,6 @@ void RunQuery(benchmark::State& state, Document* doc, const std::string& text,
   }
   lll::xq::ExecuteOptions opts;
   opts.context_node = doc->root();
-  opts.eval.order_tracking = order_tracking;
   size_t results = 0;
   lll::xq::EvalStats stats;
   for (auto _ : state) {
@@ -198,24 +196,17 @@ void BM_E12_UnionChain(benchmark::State& state) {
 }
 BENCHMARK(BM_E12_UnionChain)->ArgName("branches")->Arg(20)->Arg(60);
 
-// --- Order tracking: proven chains skip their sorts ------------------------
+// --- A rooted child chain ------------------------------------------------
 //
-// The same provably-ordered child chain with the skip machinery on (static
-// annotations + dynamic tracking; sorts_skipped == steps) and off (the
-// pre-index behavior: normalize after every step). The counters in
-// BENCH_e12.json show where the time went.
+// The child chain root/branch/a from the document node, under the default
+// (streaming) evaluator: the pipeline emits in document order, so
+// sorts_performed is 0 and sorts_skipped counts the skipped normalizations.
 
-void BM_E12_ProvableChainTracked(benchmark::State& state) {
+void BM_E12_ChildChain(benchmark::State& state) {
   auto doc = MakeWideTree(60, 20);
   RunQuery(state, doc.get(), "/root/branch/a");
 }
-BENCHMARK(BM_E12_ProvableChainTracked);
-
-void BM_E12_ProvableChainAlwaysSort(benchmark::State& state) {
-  auto doc = MakeWideTree(60, 20);
-  RunQuery(state, doc.get(), "/root/branch/a", /*order_tracking=*/false);
-}
-BENCHMARK(BM_E12_ProvableChainAlwaysSort);
+BENCHMARK(BM_E12_ChildChain);
 
 }  // namespace
 

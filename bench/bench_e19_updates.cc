@@ -19,12 +19,6 @@
 //                       publish's insert+delete dirties ONE model's parts
 //                       list; every other chain re-validates its migrated
 //                       guards and hits.
-//   * MixedWholeDoc/M   the A/B baseline: ServerOptions::subtree_invalidation
-//                       = false forces every interned entry under a single
-//                       whole-document guard, so each publish evicts the
-//                       entire migrated cache and the read burst re-pays
-//                       cold evaluation -- what "any edit invalidates
-//                       everything" costs at the server boundary.
 //   * WriteHeavy/M      subtree ON, max(1, M/64) publishes per iteration:
 //                       the blend where write amplification (one clone per
 //                       publish) starts to dominate the read-side savings.
@@ -33,10 +27,9 @@
 //                       `update` verb pays before touching any snapshot.
 //
 // Counters: sub_hits / sub_partial / sub_full aggregate the read bursts'
-// EvalStats across the run (MixedSubtree must show partial > 0, full == 0;
-// MixedWholeDoc the reverse), migrated counts cache entries carried across
-// publishes. Results go to stdout AND BENCH_e19.json; engine counters land
-// in BENCH_e19.metrics.json.
+// EvalStats across the run (MixedSubtree must show partial > 0, full == 0),
+// migrated counts cache entries carried across publishes. Results go to
+// stdout AND BENCH_e19.json; engine counters land in BENCH_e19.metrics.json.
 
 #include <memory>
 #include <string>
@@ -95,13 +88,11 @@ std::string EditScript(int m) {
   return "insert <part/> into " + parts + "; delete " + parts + "/part[1]";
 }
 
-void RunMixedLoop(benchmark::State& state, int models, int writes_per_iter,
-                  bool subtree) {
+void RunMixedLoop(benchmark::State& state, int models, int writes_per_iter) {
   lll::MetricsRegistry metrics;
   ServerOptions options;
   options.worker_threads = 0;  // everything on the bench thread
   options.nodeset_cache_capacity = 512;
-  options.subtree_invalidation = subtree;
   options.metrics = &metrics;
   QueryServer server(options);
   if (!server.AddDocumentXml("lib", MakeLibraryXml(models)).ok()) {
@@ -153,20 +144,14 @@ void RunMixedLoop(benchmark::State& state, int models, int writes_per_iter,
 
 void BM_E19_MixedSubtree(benchmark::State& state) {
   RunMixedLoop(state, static_cast<int>(state.range(0)),
-               /*writes_per_iter=*/1, /*subtree=*/true);
+               /*writes_per_iter=*/1);
 }
 BENCHMARK(BM_E19_MixedSubtree)->Arg(64)->Arg(256);
-
-void BM_E19_MixedWholeDoc(benchmark::State& state) {
-  RunMixedLoop(state, static_cast<int>(state.range(0)),
-               /*writes_per_iter=*/1, /*subtree=*/false);
-}
-BENCHMARK(BM_E19_MixedWholeDoc)->Arg(64)->Arg(256);
 
 void BM_E19_WriteHeavy(benchmark::State& state) {
   const int models = static_cast<int>(state.range(0));
   const int writes = models / 64 > 0 ? models / 64 : 1;
-  RunMixedLoop(state, models, writes, /*subtree=*/true);
+  RunMixedLoop(state, models, writes);
 }
 BENCHMARK(BM_E19_WriteHeavy)->Arg(64)->Arg(256);
 

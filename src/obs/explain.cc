@@ -12,31 +12,12 @@ namespace {
 using xq::Expr;
 using xq::ExprKind;
 using xq::FlworClause;
-using xq::NodeTestKind;
 using xq::PathStep;
 using xq::RewriteNote;
 
 void AppendLocation(std::string* out, size_t line, size_t col) {
   if (line == 0) return;
   *out += " (" + std::to_string(line) + ":" + std::to_string(col) + ")";
-}
-
-std::string NodeTestText(const PathStep& step) {
-  switch (step.test.kind) {
-    case NodeTestKind::kName:
-      return step.test.name;
-    case NodeTestKind::kAnyName:
-      return "*";
-    case NodeTestKind::kText:
-      return "text()";
-    case NodeTestKind::kComment:
-      return "comment()";
-    case NodeTestKind::kPi:
-      return "processing-instruction()";
-    case NodeTestKind::kAnyNode:
-      return "node()";
-  }
-  return "?";
 }
 
 struct PlanPrinter {
@@ -92,7 +73,7 @@ struct PlanPrinter {
       case ExprKind::kPath:
         if (e.rooted) head += " rooted";
         if (e.has_base) head += " from-base";
-        if (e.statically_limit_pushable && e.limit_hint > 0) {
+        if (e.limit_hint > 0) {
           head += " [limit " + std::to_string(e.limit_hint) + "]";
         }
         break;
@@ -110,16 +91,16 @@ struct PlanPrinter {
     }
     if (e.kind == ExprKind::kPath) {
       for (const PathStep& step : e.steps) {
-        std::string s = step.is_filter
-                            ? "filter"
-                            : std::string("step ") + xq::AxisName(step.axis) +
-                                  "::" + NodeTestText(step);
-        if (step.statically_ordered) s += " [ordered]";
-        if (step.statically_streamable) {
+        std::string s = "filter";
+        if (!step.is_filter) {
+          s = "step ";
+          xq::AppendAxisTest(step, &s);
+        }
+        if (step.streamable) {
           s += xq::IsReverseStreamableAxis(step.axis) ? " [streamed-rev]"
                                                       : " [streamed]";
         }
-        if (step.statically_internable) {
+        if (step.internable) {
           s += context_doc == nullptr
                    ? " [interned]"
                    : " [interned@v" +
@@ -225,8 +206,6 @@ std::string Explain(const xq::CompiledQuery& query,
          "\n  eliminated_lets: " + std::to_string(stats.eliminated_lets) +
          "\n  eliminated_trace_calls: " +
          std::to_string(stats.eliminated_trace_calls) +
-         "\n  ordered_steps_annotated: " +
-         std::to_string(stats.ordered_steps_annotated) +
          "\n  limits_pushed: " + std::to_string(stats.limits_pushed) +
          "\n  fused_descendant_steps: " +
          std::to_string(stats.fused_descendant_steps) +

@@ -9,14 +9,17 @@ namespace lll::obs {
 
 // EXPLAIN: pretty-print a compiled query's optimized plan with every rewrite
 // decision annotated. The paper's users had no way to learn that the
-// optimizer had deleted their trace() calls or why a query re-sorted after
-// every step; this renders exactly that information:
+// optimizer had deleted their trace() calls or which steps run streamed;
+// this renders exactly that information:
 //
-//   == plan ==            indented optimized AST; path steps the order
-//                         analysis proved sort-free carry [ordered]
+//   == plan ==            indented optimized AST; path steps carry their
+//                         resolved facts ([streamed], [streamed-rev],
+//                         [interned]), paths their [limit N], predicates
+//                         their [probe @a]
 //   == rewrites ==        one line per optimizer decision (constant folds,
-//                         dead lets, swallowed traces, ordered steps), each
-//                         with its source line:col
+//                         dead lets, swallowed traces, pushed limits, fused
+//                         descendant steps, probes), each with its source
+//                         line:col
 //   == summary ==         aggregate optimizer stats
 struct ExplainOptions {
   // Where the compiled query came from, shown in the header when nonempty.

@@ -13,10 +13,9 @@ using xq::ExprPtr;
 // Section ids within a plan-cache artifact.
 constexpr uint32_t kPlansSection = 1;
 
-// Decode-side enum ceilings. Serde covers every AST field CloneExpr copies;
-// a new enumerator added without bumping these (and kFormatVersion) fails
-// the static_asserts in EncodeExpr's switch-free design is not available, so
-// the ceilings live next to the decode checks they guard.
+// Decode-side enum ceilings. Serde covers every AST field the parser and the
+// optimizer's rewrites set; a new enumerator needs its ceiling raised here
+// (and kFormatVersion bumped), next to the decode checks they guard.
 constexpr uint8_t kMaxExprKind = static_cast<uint8_t>(xq::ExprKind::kTryCatch);
 constexpr uint8_t kMaxBinOp = static_cast<uint8_t>(xq::BinOp::kTo);
 constexpr uint8_t kMaxAxis = static_cast<uint8_t>(xq::Axis::kPrecedingSibling);
@@ -75,21 +74,55 @@ Result<xq::SequenceType> DecodeSequenceType(ByteReader* r) {
 
 void EncodeExpr(const Expr& e, ByteWriter* w);
 
-// Optional expression: absent pointers round-trip as absent (FlworClause
-// exprs and the module body are non-null in practice, but the format does
-// not rely on it).
-void EncodeOptExpr(const ExprPtr& e, ByteWriter* w) {
-  w->U8(e != nullptr ? 1 : 0);
-  if (e != nullptr) EncodeExpr(*e, w);
+// Every subexpression slot -- module body, function body, variable
+// initializer, child, predicate, clause, order key, attribute part -- is
+// written behind a presence byte that is always 1: the parser never leaves a
+// slot empty, and every pass and the evaluator dereference them, so the
+// decoder rejects an artifact that claims one is absent.
+void EncodeSubExpr(const ExprPtr& e, ByteWriter* w) {
+  w->U8(1);
+  EncodeExpr(*e, w);
 }
 
 Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth);
 
-Result<ExprPtr> DecodeOptExpr(ByteReader* r, size_t depth) {
+Result<ExprPtr> DecodeSubExpr(ByteReader* r, size_t depth) {
   LLL_ASSIGN_OR_RETURN(uint8_t present, r->U8());
-  if (present > 1) return RangeError("expr-present flag", present, 1);
-  if (present == 0) return ExprPtr();
+  if (present != 1) {
+    return Status::Invalid("plan artifact: absent subexpression (presence "
+                           "byte " + std::to_string(present) + ")");
+  }
   return DecodeExpr(r, depth);
+}
+
+// The children every expression of this kind dereferences unconditionally
+// (in the evaluator, the passes and EXPLAIN). The parser always builds
+// them; a decoded expression with fewer is rejected like an absent one.
+size_t RequiredChildren(const Expr& e) {
+  switch (e.kind) {
+    case xq::ExprKind::kPath:
+      return e.has_base ? 1 : 0;
+    case xq::ExprKind::kIf:
+      return 3;
+    case xq::ExprKind::kBinary:
+    case xq::ExprKind::kQuantified:
+    case xq::ExprKind::kTryCatch:
+      return 2;
+    case xq::ExprKind::kCompElement:
+    case xq::ExprKind::kCompAttribute:
+      return e.computed_name ? 2 : 1;
+    case xq::ExprKind::kUnary:
+    case xq::ExprKind::kFlwor:
+    case xq::ExprKind::kCompText:
+    case xq::ExprKind::kCompComment:
+    case xq::ExprKind::kCompDocument:
+    case xq::ExprKind::kCastAs:
+    case xq::ExprKind::kCastableAs:
+    case xq::ExprKind::kInstanceOf:
+      return 1;
+    default:
+      return 0;
+  }
 }
 
 void EncodeExpr(const Expr& e, ByteWriter* w) {
@@ -108,24 +141,20 @@ void EncodeExpr(const Expr& e, ByteWriter* w) {
     w->U8(static_cast<uint8_t>(s.test.kind));
     w->Str(s.test.name);
     w->U8(s.is_filter ? 1 : 0);
-    w->U8(s.statically_ordered ? 1 : 0);
-    w->U8(s.statically_streamable ? 1 : 0);
-    w->U8(s.statically_internable ? 1 : 0);
     w->U32(static_cast<uint32_t>(s.predicates.size()));
-    for (const ExprPtr& p : s.predicates) EncodeOptExpr(p, w);
+    for (const ExprPtr& p : s.predicates) EncodeSubExpr(p, w);
   }
   w->U64(e.limit_hint);
-  w->U8(e.statically_limit_pushable ? 1 : 0);
   w->U32(static_cast<uint32_t>(e.clauses.size()));
   for (const xq::FlworClause& c : e.clauses) {
     w->U8(static_cast<uint8_t>(c.kind));
     w->Str(c.var);
     w->Str(c.pos_var);
-    EncodeOptExpr(c.expr, w);
+    EncodeSubExpr(c.expr, w);
   }
   w->U32(static_cast<uint32_t>(e.order_by.size()));
   for (const xq::OrderSpec& o : e.order_by) {
-    EncodeOptExpr(o.key, w);
+    EncodeSubExpr(o.key, w);
     w->U8(o.descending ? 1 : 0);
   }
   w->U8(e.quantifier_every ? 1 : 0);
@@ -133,14 +162,14 @@ void EncodeExpr(const Expr& e, ByteWriter* w) {
   for (const xq::DirectAttribute& a : e.attributes) {
     w->Str(a.name);
     w->U32(static_cast<uint32_t>(a.value_parts.size()));
-    for (const ExprPtr& p : a.value_parts) EncodeOptExpr(p, w);
+    for (const ExprPtr& p : a.value_parts) EncodeSubExpr(p, w);
   }
   w->U8(e.computed_name ? 1 : 0);
   EncodeSequenceType(e.type, w);
   w->U64(e.line);
   w->U64(e.col);
   w->U32(static_cast<uint32_t>(e.children.size()));
-  for (const ExprPtr& c : e.children) EncodeOptExpr(c, w);
+  for (const ExprPtr& c : e.children) EncodeSubExpr(c, w);
 }
 
 Result<bool> DecodeBool(ByteReader* r, const char* what) {
@@ -182,25 +211,17 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
     s.test.kind = static_cast<xq::NodeTestKind>(test);
     LLL_ASSIGN_OR_RETURN(s.test.name, r->Str());
     LLL_ASSIGN_OR_RETURN(s.is_filter, DecodeBool(r, "is_filter"));
-    LLL_ASSIGN_OR_RETURN(s.statically_ordered,
-                         DecodeBool(r, "statically_ordered"));
-    LLL_ASSIGN_OR_RETURN(s.statically_streamable,
-                         DecodeBool(r, "statically_streamable"));
-    LLL_ASSIGN_OR_RETURN(s.statically_internable,
-                         DecodeBool(r, "statically_internable"));
     LLL_ASSIGN_OR_RETURN(uint32_t npreds, r->U32());
     LLL_RETURN_IF_ERROR(CheckCount(npreds, *r, "predicate"));
     s.predicates.reserve(npreds);
     for (uint32_t j = 0; j < npreds; ++j) {
-      LLL_ASSIGN_OR_RETURN(ExprPtr p, DecodeOptExpr(r, depth + 1));
+      LLL_ASSIGN_OR_RETURN(ExprPtr p, DecodeSubExpr(r, depth + 1));
       s.predicates.push_back(std::move(p));
     }
     e->steps.push_back(std::move(s));
   }
   LLL_ASSIGN_OR_RETURN(uint64_t limit_hint, r->U64());
   e->limit_hint = static_cast<size_t>(limit_hint);
-  LLL_ASSIGN_OR_RETURN(e->statically_limit_pushable,
-                       DecodeBool(r, "statically_limit_pushable"));
   LLL_ASSIGN_OR_RETURN(uint32_t nclauses, r->U32());
   LLL_RETURN_IF_ERROR(CheckCount(nclauses, *r, "FLWOR clause"));
   e->clauses.reserve(nclauses);
@@ -211,7 +232,7 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
     c.kind = static_cast<xq::FlworClause::Kind>(ck);
     LLL_ASSIGN_OR_RETURN(c.var, r->Str());
     LLL_ASSIGN_OR_RETURN(c.pos_var, r->Str());
-    LLL_ASSIGN_OR_RETURN(c.expr, DecodeOptExpr(r, depth + 1));
+    LLL_ASSIGN_OR_RETURN(c.expr, DecodeSubExpr(r, depth + 1));
     e->clauses.push_back(std::move(c));
   }
   LLL_ASSIGN_OR_RETURN(uint32_t norder, r->U32());
@@ -219,7 +240,7 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
   e->order_by.reserve(norder);
   for (uint32_t i = 0; i < norder; ++i) {
     xq::OrderSpec o;
-    LLL_ASSIGN_OR_RETURN(o.key, DecodeOptExpr(r, depth + 1));
+    LLL_ASSIGN_OR_RETURN(o.key, DecodeSubExpr(r, depth + 1));
     LLL_ASSIGN_OR_RETURN(o.descending, DecodeBool(r, "descending"));
     e->order_by.push_back(std::move(o));
   }
@@ -234,7 +255,7 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
     LLL_RETURN_IF_ERROR(CheckCount(nparts, *r, "attribute value part"));
     a.value_parts.reserve(nparts);
     for (uint32_t j = 0; j < nparts; ++j) {
-      LLL_ASSIGN_OR_RETURN(ExprPtr p, DecodeOptExpr(r, depth + 1));
+      LLL_ASSIGN_OR_RETURN(ExprPtr p, DecodeSubExpr(r, depth + 1));
       a.value_parts.push_back(std::move(p));
     }
     e->attributes.push_back(std::move(a));
@@ -249,8 +270,14 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
   LLL_RETURN_IF_ERROR(CheckCount(nchildren, *r, "child expr"));
   e->children.reserve(nchildren);
   for (uint32_t i = 0; i < nchildren; ++i) {
-    LLL_ASSIGN_OR_RETURN(ExprPtr c, DecodeOptExpr(r, depth + 1));
+    LLL_ASSIGN_OR_RETURN(ExprPtr c, DecodeSubExpr(r, depth + 1));
     e->children.push_back(std::move(c));
+  }
+  if (e->children.size() < RequiredChildren(*e)) {
+    return Status::Invalid(std::string("plan artifact: ") +
+                           xq::ExprKindName(e->kind) + " with " +
+                           std::to_string(e->children.size()) +
+                           " of its subexpressions");
   }
   return ExprPtr(std::move(e));
 }
@@ -270,20 +297,19 @@ void EncodeCompiledQuery(const xq::CompiledQuery& query, ByteWriter* w) {
     for (bool b : f.has_param_type) w->U8(b ? 1 : 0);
     EncodeSequenceType(f.return_type, w);
     w->U8(f.has_return_type ? 1 : 0);
-    EncodeOptExpr(f.body, w);
+    EncodeSubExpr(f.body, w);
   }
   w->U32(static_cast<uint32_t>(m.variables.size()));
   for (const xq::VariableDecl& v : m.variables) {
     w->Str(v.name);
-    EncodeOptExpr(v.expr, w);
+    EncodeSubExpr(v.expr, w);
   }
-  EncodeOptExpr(m.body, w);
+  EncodeSubExpr(m.body, w);
 
   const xq::OptimizerStats& s = query.optimizer_stats();
   w->U64(s.folded_constants);
   w->U64(s.eliminated_lets);
   w->U64(s.eliminated_trace_calls);
-  w->U64(s.ordered_steps_annotated);
   w->U64(s.limits_pushed);
   w->U64(s.fused_descendant_steps);
   // Probe notes are derived, like the marks they describe: the decoder
@@ -333,7 +359,7 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     }
     LLL_ASSIGN_OR_RETURN(f.return_type, DecodeSequenceType(r));
     LLL_ASSIGN_OR_RETURN(f.has_return_type, DecodeBool(r, "has_return_type"));
-    LLL_ASSIGN_OR_RETURN(f.body, DecodeOptExpr(r, 0));
+    LLL_ASSIGN_OR_RETURN(f.body, DecodeSubExpr(r, 0));
     m.functions.push_back(std::move(f));
   }
   LLL_ASSIGN_OR_RETURN(uint32_t nvars, r->U32());
@@ -342,22 +368,20 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
   for (uint32_t i = 0; i < nvars; ++i) {
     xq::VariableDecl v;
     LLL_ASSIGN_OR_RETURN(v.name, r->Str());
-    LLL_ASSIGN_OR_RETURN(v.expr, DecodeOptExpr(r, 0));
+    LLL_ASSIGN_OR_RETURN(v.expr, DecodeSubExpr(r, 0));
     m.variables.push_back(std::move(v));
   }
-  LLL_ASSIGN_OR_RETURN(m.body, DecodeOptExpr(r, 0));
+  LLL_ASSIGN_OR_RETURN(m.body, DecodeSubExpr(r, 0));
 
   xq::OptimizerStats s;
   LLL_ASSIGN_OR_RETURN(uint64_t folded, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t lets, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t traces, r->U64());
-  LLL_ASSIGN_OR_RETURN(uint64_t ordered, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t limits, r->U64());
   LLL_ASSIGN_OR_RETURN(uint64_t fused, r->U64());
   s.folded_constants = static_cast<size_t>(folded);
   s.eliminated_lets = static_cast<size_t>(lets);
   s.eliminated_trace_calls = static_cast<size_t>(traces);
-  s.ordered_steps_annotated = static_cast<size_t>(ordered);
   s.limits_pushed = static_cast<size_t>(limits);
   s.fused_descendant_steps = static_cast<size_t>(fused);
   LLL_ASSIGN_OR_RETURN(uint32_t nnotes, r->U32());
@@ -375,11 +399,11 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     n.col = static_cast<size_t>(col);
     s.notes.push_back(std::move(n));
   }
-  // Position-free bits and probe marks are never stored: derive them from
-  // the decoded AST, so a forged artifact cannot set one the optimizer would
-  // not. The stored AST is already fused; the pass finds nothing to fuse.
-  xq::FuseDescendantSteps(&m, &s);
+  // Probe marks and per-step facts are never stored: derive them from the
+  // decoded AST, so a forged artifact cannot set one the optimizer would
+  // not.
   xq::MarkProbePredicates(&m, &s);
+  xq::ResolveSteps(&m);
   return xq::CompiledQuery(std::move(m), std::move(s),
                            xq::PlanOrigin::kDiskCache);
 }

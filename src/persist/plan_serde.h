@@ -13,19 +13,21 @@
 
 namespace lll::persist {
 
-// Serialized compiled plans: the optimizer-annotated AST (every field
-// CloneExpr preserves -- order bits, streamability/internability advisories,
-// limit hints, line/col) plus the OptimizerStats and rewrite notes, written
-// as a plan-cache artifact (*.lllp) holding one entry per QueryCache slot,
-// keyed by the exact QueryCache::MakeKey string (option bits + '|' + source).
+// Serialized compiled plans: the optimized AST (limit hints and line/col
+// included) plus the OptimizerStats and rewrite notes, written as a
+// plan-cache artifact (*.lllp) holding one entry per QueryCache slot, keyed
+// by the exact QueryCache::MakeKey string (option bits + '|' + source).
+// Derived facts -- probe marks and the per-step bits ResolveSteps computes --
+// are never stored; the decoder derives them again.
 // A loaded plan is indistinguishable from a fresh compile to the evaluator
 // and to EXPLAIN (except for its `disk-cache` provenance tag); the 495-query
 // differential suite in tests/persist_test.cc is the oracle for that claim.
 
 // Expression-level serde, exposed for tests; normal callers use the
 // plan-cache functions below. Decode validates every enum and count against
-// the remaining input, so a crafted payload fails with kInvalidArgument
-// instead of building an out-of-range AST.
+// the remaining input and rejects absent subexpressions, so a crafted
+// payload fails with kInvalidArgument instead of building an out-of-range
+// or incomplete AST.
 void EncodeCompiledQuery(const xq::CompiledQuery& query, ByteWriter* w);
 Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r);
 

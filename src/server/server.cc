@@ -226,7 +226,6 @@ QueryResponse QueryServer::ExecuteOnSnapshot(const std::string& tenant,
   xq::ExecuteOptions opts;
   opts.context_node = snapshot->root();
   opts.eval.nodeset_cache = snapshot->nodeset_cache();
-  opts.eval.subtree_guards = options_.subtree_invalidation;
   opts.eval.max_steps = quota.max_eval_steps;
   if (quota.timeout_ms != 0) {
     opts.eval.deadline = start + std::chrono::milliseconds(quota.timeout_ms);

@@ -45,12 +45,6 @@ struct ServerOptions {
   size_t query_cache_capacity = 256;
   // Node-set interning cache capacity of EACH snapshot.
   size_t nodeset_cache_capacity = 128;
-  // Subtree-scoped cache invalidation (EvalOptions::subtree_guards): when
-  // on (default), interned chains carry the PR-9 descent guards and survive
-  // publishes that edit unrelated subtrees. Off = every entry is guarded by
-  // one whole-document version -- any edit evicts everything -- kept as the
-  // A/B baseline bench_e19 measures the update language against.
-  bool subtree_invalidation = true;
   TenantQuota default_quota;
   // Where server.* metrics go; nullptr = GlobalMetrics(). Borrowed.
   MetricsRegistry* metrics = nullptr;

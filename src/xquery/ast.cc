@@ -30,8 +30,29 @@ const char* AxisName(Axis axis) {
   return "?";
 }
 
-OrderProp MeetOrder(OrderProp a, OrderProp b) {
-  return static_cast<int>(a) < static_cast<int>(b) ? a : b;
+void AppendAxisTest(const PathStep& step, std::string* out) {
+  *out += AxisName(step.axis);
+  *out += "::";
+  switch (step.test.kind) {
+    case NodeTestKind::kName:
+      *out += step.test.name;
+      break;
+    case NodeTestKind::kAnyName:
+      *out += "*";
+      break;
+    case NodeTestKind::kText:
+      *out += "text()";
+      break;
+    case NodeTestKind::kComment:
+      *out += "comment()";
+      break;
+    case NodeTestKind::kPi:
+      *out += "processing-instruction()";
+      break;
+    case NodeTestKind::kAnyNode:
+      *out += "node()";
+      break;
+  }
 }
 
 bool IsForwardStreamableAxis(Axis axis) {
@@ -66,103 +87,6 @@ bool IsReverseStreamableAxis(Axis axis) {
 
 bool IsStreamableAxis(Axis axis) {
   return IsForwardStreamableAxis(axis) || IsReverseStreamableAxis(axis);
-}
-
-bool ContainsLastCall(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall &&
-      (e.name == "last" || e.name == "fn:last")) {
-    return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && ContainsLastCall(*c)) return true;
-  }
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) {
-      if (p != nullptr && ContainsLastCall(*p)) return true;
-    }
-  }
-  for (const FlworClause& c : e.clauses) {
-    if (c.expr != nullptr && ContainsLastCall(*c.expr)) return true;
-  }
-  for (const OrderSpec& o : e.order_by) {
-    if (o.key != nullptr && ContainsLastCall(*o.key)) return true;
-  }
-  for (const DirectAttribute& a : e.attributes) {
-    for (const ExprPtr& p : a.value_parts) {
-      if (p != nullptr && ContainsLastCall(*p)) return true;
-    }
-  }
-  return false;
-}
-
-bool ContainsTraceCall(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall &&
-      (e.name == "trace" || e.name == "fn:trace" || e.name == "error" ||
-       e.name == "fn:error")) {
-    return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && ContainsTraceCall(*c)) return true;
-  }
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) {
-      if (p != nullptr && ContainsTraceCall(*p)) return true;
-    }
-  }
-  for (const FlworClause& c : e.clauses) {
-    if (c.expr != nullptr && ContainsTraceCall(*c.expr)) return true;
-  }
-  for (const OrderSpec& o : e.order_by) {
-    if (o.key != nullptr && ContainsTraceCall(*o.key)) return true;
-  }
-  for (const DirectAttribute& a : e.attributes) {
-    for (const ExprPtr& p : a.value_parts) {
-      if (p != nullptr && ContainsTraceCall(*p)) return true;
-    }
-  }
-  return false;
-}
-
-OrderProp TransferOrder(OrderProp input, Axis axis) {
-  if (input == OrderProp::kNone) return OrderProp::kNone;
-  switch (axis) {
-    case Axis::kSelf:
-      // self::test filters the context node itself: a subset, in place.
-      return input;
-    case Axis::kChild:
-    case Axis::kAttribute:
-      // Disjoint ascending contexts yield disjoint ascending sibling (or
-      // attribute) groups; the results are again ancestor-free. From a
-      // merely-ordered (nested) context set, sibling groups interleave.
-      return (input == OrderProp::kSingleton ||
-              input == OrderProp::kOrderedDisjoint)
-                 ? OrderProp::kOrderedDisjoint
-                 : OrderProp::kNone;
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf:
-      // Disjoint ascending subtrees flatten to one ascending, duplicate-free
-      // run -- but the result itself is nested, so disjointness is lost.
-      return (input == OrderProp::kSingleton ||
-              input == OrderProp::kOrderedDisjoint)
-                 ? OrderProp::kOrdered
-                 : OrderProp::kNone;
-    case Axis::kFollowingSibling:
-      // Following siblings of one node are ascending and ancestor-free;
-      // sibling runs from two distinct contexts can overlap (duplicates).
-      return input == OrderProp::kSingleton ? OrderProp::kOrderedDisjoint
-                                            : OrderProp::kNone;
-    case Axis::kParent:
-      // The parent of one node is at most one node; distinct ordered
-      // contexts can share parents (duplicates) and invert order.
-      return input == OrderProp::kSingleton ? OrderProp::kSingleton
-                                            : OrderProp::kNone;
-    case Axis::kAncestor:
-    case Axis::kAncestorOrSelf:
-    case Axis::kPrecedingSibling:
-      // Reverse axes: collected in reverse document order by design.
-      return OrderProp::kNone;
-  }
-  return OrderProp::kNone;
 }
 
 const char* BinOpName(BinOp op) {
@@ -254,59 +178,6 @@ std::string SequenceType::ToString() const {
   return base;
 }
 
-ExprPtr CloneExpr(const Expr& e) {
-  auto out = std::make_unique<Expr>(e.kind);
-  out->literal_type = e.literal_type;
-  out->text = e.text;
-  out->integer = e.integer;
-  out->number = e.number;
-  out->name = e.name;
-  out->op = e.op;
-  out->has_base = e.has_base;
-  out->rooted = e.rooted;
-  out->quantifier_every = e.quantifier_every;
-  out->computed_name = e.computed_name;
-  out->type = e.type;
-  out->line = e.line;
-  out->col = e.col;
-  out->limit_hint = e.limit_hint;
-  out->statically_limit_pushable = e.statically_limit_pushable;
-  out->probe_key = e.probe_key;
-  for (const ExprPtr& c : e.children) out->children.push_back(CloneExpr(*c));
-  for (const PathStep& s : e.steps) {
-    PathStep sc;
-    sc.axis = s.axis;
-    sc.test = s.test;
-    sc.is_filter = s.is_filter;
-    sc.statically_ordered = s.statically_ordered;
-    sc.statically_streamable = s.statically_streamable;
-    sc.statically_internable = s.statically_internable;
-    for (const ExprPtr& p : s.predicates) sc.predicates.push_back(CloneExpr(*p));
-    out->steps.push_back(std::move(sc));
-  }
-  for (const FlworClause& c : e.clauses) {
-    FlworClause cc;
-    cc.kind = c.kind;
-    cc.var = c.var;
-    cc.pos_var = c.pos_var;
-    cc.expr = CloneExpr(*c.expr);
-    out->clauses.push_back(std::move(cc));
-  }
-  for (const OrderSpec& o : e.order_by) {
-    OrderSpec oc;
-    oc.key = CloneExpr(*o.key);
-    oc.descending = o.descending;
-    out->order_by.push_back(std::move(oc));
-  }
-  for (const DirectAttribute& a : e.attributes) {
-    DirectAttribute ac;
-    ac.name = a.name;
-    for (const ExprPtr& p : a.value_parts) ac.value_parts.push_back(CloneExpr(*p));
-    out->attributes.push_back(std::move(ac));
-  }
-  return out;
-}
-
 size_t CountExprNodes(const Expr& e) {
   size_t n = 1;
   for (const ExprPtr& c : e.children) n += CountExprNodes(*c);
@@ -372,16 +243,7 @@ void Render(const Expr& e, std::string* out) {
       (void)first_child;
       for (const PathStep& s : e.steps) {
         *out += "/";
-        *out += AxisName(s.axis);
-        *out += "::";
-        switch (s.test.kind) {
-          case NodeTestKind::kName: *out += s.test.name; break;
-          case NodeTestKind::kAnyName: *out += "*"; break;
-          case NodeTestKind::kText: *out += "text()"; break;
-          case NodeTestKind::kComment: *out += "comment()"; break;
-          case NodeTestKind::kPi: *out += "processing-instruction()"; break;
-          case NodeTestKind::kAnyNode: *out += "node()"; break;
-        }
+        AppendAxisTest(s, out);
         for (const ExprPtr& p : s.predicates) {
           *out += "[";
           Render(*p, out);

@@ -44,37 +44,6 @@ struct NodeTest {
   std::string name;  // for kName
 };
 
-// Static document-order property of a (node) sequence, used by the
-// optimizer's order analysis and mirrored dynamically by the evaluator. A
-// chain: each level implies everything below it.
-//
-//   kSingleton        at most one node (trivially ordered, deduped, and
-//                     ancestor-free)
-//   kOrderedDisjoint  document order, duplicate-free, and no member is an
-//                     ancestor of another (subtrees are disjoint intervals)
-//   kOrdered          document order and duplicate-free
-//   kNone             nothing proven
-//
-// The disjointness bit is what makes step-wise proofs compose: child::x from
-// an ordered-but-nested context set interleaves sibling groups out of order,
-// while from a disjoint set every context's results occupy disjoint,
-// ascending intervals.
-enum class OrderProp {
-  kNone,
-  kOrdered,
-  kOrderedDisjoint,
-  kSingleton,
-};
-
-// Property of one axis step's (concatenated, per-context-deduped) result
-// given the property of its input sequence. Reverse axes always return
-// kNone: the evaluator collects them in reverse document order and relies on
-// the normalizing sort.
-OrderProp TransferOrder(OrderProp input, Axis axis);
-
-// min() on the OrderProp chain.
-OrderProp MeetOrder(OrderProp a, OrderProp b);
-
 // True for the forward axes the streaming pipeline can enumerate lazily in
 // document order, one candidate at a time.
 bool IsForwardStreamableAxis(Axis axis);
@@ -88,21 +57,6 @@ bool IsReverseStreamableAxis(Axis axis);
 // Either of the above: the step's axis can participate in the pull pipeline.
 bool IsStreamableAxis(Axis axis);
 
-// Conservative scan for calls that observe the focus size: true if any
-// subexpression is a function call named last / fn:last. Streaming counts
-// positions exactly but never knows the final count, so such a predicate
-// disqualifies its step. Nested predicates get their own focus but are
-// included anyway; the over-approximation only costs a fallback.
-bool ContainsLastCall(const Expr& e);
-
-// Conservative scan for calls with externally observable effects: true if
-// any subexpression calls trace / fn:trace / error / fn:error. The streamed
-// merge interleaves per-run predicate evaluation and early exit skips
-// evaluations outright, so a trace-bearing predicate must fall back to the
-// materializing evaluator to keep the trace-event stream byte-identical
-// between modes (the trace-parity rule, DESIGN.md section 10).
-bool ContainsTraceCall(const Expr& e);
-
 struct PathStep {
   Axis axis = Axis::kChild;
   NodeTest test;
@@ -112,34 +66,47 @@ struct PathStep {
   // across the sequence), unlike an axis step whose predicates count
   // positions per context item. This is how (1,2,3)[2] yields 2.
   bool is_filter = false;
-  // Set by the optimizer's order analysis: this step's result is provably in
-  // document order (and duplicate-free) when the path is evaluated step-wise
-  // with inter-step dedup, so the evaluator may skip the normalizing sort.
-  bool statically_ordered = false;
-  // Set by the optimizer: this step is syntactically eligible for the
-  // pull-based streaming pipeline (a streamable axis whose predicates never
-  // call fn:last(), fn:trace()/fn:error(), or a user-defined/unknown
-  // function). EXPLAIN renders it as [streamed] for forward axes and
-  // [streamed-rev] for reverse ones. Advisory only -- the
-  // evaluator recomputes eligibility per call, because the CompiledQuery may
-  // be shared across threads and dynamic conditions (single-document input,
-  // EvalOptions::streaming) cannot be known at compile time.
-  bool statically_streamable = false;
-  // Set by the optimizer: this step belongs to the leading predicate-free
-  // chain of a path rooted at a tree root (the `/` root or fn:doc), the
-  // shape the node-set interning cache memoizes. EXPLAIN renders it as
-  // [interned]. Advisory, like the above.
-  bool statically_internable = false;
-  // Set by the optimizer's fusion pass (FuseDescendantSteps): an axis step
-  // whose every predicate is position-free -- boolean-valued at the top
-  // level, no position()/last(), no trace/error/user-defined/unknown call --
-  // so a candidate's verdict does not depend on which context produced it
+  // The per-step facts below are derived by ResolveSteps (optimizer.h),
+  // which Compile runs on every plan, optimized or not, and the plan decoder
+  // runs on every loaded plan. They are never serialized, and the evaluator
+  // reads them instead of re-scanning predicates; only dynamic conditions
+  // (EvalOptions::streaming, single-document input, a tree-root base, an
+  // attached cache) are left to check at run time.
+  //
+  // Every predicate is position-free: boolean-valued at the top level, no
+  // position()/last(), no trace/error/user-defined/unknown call. A
+  // candidate's verdict then does not depend on which context produced it
   // or where it sits among that context's candidates. This is what licenses
   // fusing `//T[P]` into descendant::T[P], and what lets the probe
   // extension apply later predicates across contexts (DESIGN.md section
-  // 18). Derived, never serialized: decoding a plan derives it again.
+  // 18).
   bool position_free = false;
+  // The step may run inside the pull pipeline: a streamable axis whose
+  // predicates never call fn:last(), fn:trace()/fn:error(), or a
+  // user-defined/unknown function (the trace-parity rule, DESIGN.md section
+  // 10). EXPLAIN renders it as [streamed] for forward axes and
+  // [streamed-rev] for reverse ones.
+  bool streamable = false;
+  // Every predicate is intern-foldable: its value for a candidate is a pure
+  // function of the tree (DESIGN.md section 14), so the step may join an
+  // interned chain with its predicates' text folded into the fingerprint.
+  // True for a predicate-free axis step.
+  bool foldable = false;
+  // Every predicate is additionally attribute-only (every path in it a
+  // single attribute step), the class the intern guard descent may resolve
+  // through. True for a predicate-free axis step.
+  bool attribute_only = false;
+  // The step belongs to the leading foldable chain of a path whose base is
+  // statically a tree root (the `/` root or fn:doc), the shape the node-set
+  // interning cache memoizes. EXPLAIN renders it as [interned]; the
+  // evaluator interns any dynamically found tree root from `foldable`.
+  bool internable = false;
 };
+
+// Appends a step's "axis::test" spelling (e.g. "child::a",
+// "descendant::text()") to `out`: the one renderer behind ExprToString,
+// EXPLAIN, rewrite notes and node-set fingerprints.
+void AppendAxisTest(const PathStep& step, std::string* out);
 
 enum class BinOp {
   kOr,
@@ -297,9 +264,8 @@ struct Expr {
   // guarded by `$p le N`). 0 means no bound. Applied only when
   // EvalOptions::streaming is on; the materializing evaluator ignores it so
   // streaming=false stays byte-identical as the differential baseline.
+  // EXPLAIN renders a nonzero hint as [limit N].
   size_t limit_hint = 0;
-  // Advisory mirror of limit_hint for EXPLAIN ([limit N]).
-  bool statically_limit_pushable = false;
 
   // kFlwor
   std::vector<FlworClause> clauses;
@@ -361,9 +327,6 @@ struct Module {
 // at the cap well inside them, and the deepest program the repository
 // ships (docgen phase 1) nests 17 deep.
 inline constexpr size_t kMaxExprNesting = 128;
-
-// Deep copy (used by the optimizer to build rewritten trees).
-ExprPtr CloneExpr(const Expr& e);
 
 // Number of Expr nodes in the tree -- a code-size metric for E3/E10.
 size_t CountExprNodes(const Expr& e);

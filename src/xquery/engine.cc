@@ -30,6 +30,7 @@ Result<CompiledQuery> Compile(std::string_view source,
   if (options.optimize) {
     stats = Optimize(&module, options.optimizer);
   }
+  ResolveSteps(&module);
   return CompiledQuery(std::move(module), stats);
 }
 

@@ -12,7 +12,6 @@
 
 #include "core/string_util.h"
 #include "xquery/nodeset_cache.h"
-#include "xquery/optimizer.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 #include "xdm/compare.h"
@@ -139,28 +138,7 @@ xml::Document* SingleDocumentOf(const Sequence& seq) {
 // canonical text unless the step is interned bare (the probe extension).
 void AppendStepFingerprint(const PathStep& step, bool with_predicates,
                            std::string* fingerprint) {
-  *fingerprint += AxisName(step.axis);
-  *fingerprint += "::";
-  switch (step.test.kind) {
-    case NodeTestKind::kName:
-      *fingerprint += step.test.name;
-      break;
-    case NodeTestKind::kAnyName:
-      *fingerprint += "*";
-      break;
-    case NodeTestKind::kText:
-      *fingerprint += "text()";
-      break;
-    case NodeTestKind::kComment:
-      *fingerprint += "comment()";
-      break;
-    case NodeTestKind::kPi:
-      *fingerprint += "processing-instruction()";
-      break;
-    case NodeTestKind::kAnyNode:
-      *fingerprint += "node()";
-      break;
-  }
+  AppendAxisTest(step, fingerprint);
   if (with_predicates) {
     for (const ExprPtr& p : step.predicates) {
       *fingerprint += '[';
@@ -170,6 +148,10 @@ void AppendStepFingerprint(const PathStep& step, bool with_predicates,
   }
   *fingerprint += "/";
 }
+
+// `value` cast to `type`: the part of `cast as` after the operand's
+// evaluation, which `castable as` asks of the value it already holds.
+Result<Sequence> CastValue(const Sequence& value, const SequenceType& type);
 
 // Bounds of the per-query probe index memo: at most this many indexes, over
 // at most this many candidates in total. A candidate list larger than the
@@ -393,21 +375,11 @@ Result<Sequence> Evaluator::EvalInner(const Expr& e) {
     case ExprKind::kCastAs:
       return EvalCast(e);
     case ExprKind::kCastableAs: {
-      // `e castable as T`: true iff `e cast as T` would succeed. EvalCast
-      // re-evaluates the child, which is fine: the operand is evaluated at
-      // most twice and side effects are limited to trace lines.
+      // `e castable as T`: true iff casting the operand's value to T would
+      // succeed. The operand is evaluated once, and its own failure is an
+      // error, not `false`.
       LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*e.children[0]));
-      Sequence atomized = value.Atomized();
-      if (atomized.size() > 1) return Sequence(Item::Boolean(false));
-      if (atomized.empty()) {
-        return Sequence(Item::Boolean(
-            e.type.occurrence == SequenceType::Occurrence::kOptional));
-      }
-      Expr probe(ExprKind::kCastAs);
-      probe.type = e.type;
-      probe.children.push_back(CloneExpr(*e.children[0]));
-      Result<Sequence> attempt = EvalCast(probe);
-      return Sequence(Item::Boolean(attempt.ok()));
+      return Sequence(Item::Boolean(CastValue(value, e.type).ok()));
     }
     case ExprKind::kInstanceOf:
       return EvalInstanceOf(e);
@@ -439,68 +411,14 @@ Result<Sequence> Evaluator::EvalInner(const Expr& e) {
 
 // --- Paths ----------------------------------------------------------------
 
-void Evaluator::SortDedup(Sequence* seq, bool provably_ordered) {
-  if (provably_ordered || seq->ordered_deduped() || seq->size() <= 1) {
+void Evaluator::SortDedup(Sequence* seq) {
+  if (seq->ordered_deduped() || seq->size() <= 1) {
     seq->MarkOrderedDeduped();
     ++stats_.sorts_skipped;
     return;
   }
   seq->SortDocumentOrderAndDedup(&stats_.order_compares);
   ++stats_.sorts_performed;
-}
-
-// Streamability of one step at evaluation time; the axis classification
-// (ast.cc) is shared with the optimizer's advisory statically_streamable
-// annotation, which applies the same predicate scan against the module.
-bool Evaluator::StepStreamable(const PathStep& step) const {
-  if (step.is_filter || !IsStreamableAxis(step.axis)) return false;
-  for (const ExprPtr& p : step.predicates) {
-    if (PredicateBlocksStreaming(*p)) return false;
-  }
-  return true;
-}
-
-bool Evaluator::PredicateBlocksStreaming(const Expr& e) const {
-  if (e.kind == ExprKind::kFunctionCall) {
-    std::string stripped = e.name;
-    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-    // fn:last() observes the focus size, which streaming never knows.
-    // fn:trace()/fn:error() have externally observable effects whose order
-    // and count must match the materializing evaluator: the merge
-    // interleaves per-run predicate evaluation and early exit skips it
-    // outright, so such predicates take the materializing path (the
-    // trace-parity rule). User-defined and unknown functions may do either
-    // internally, so they block too.
-    if (stripped == "last" || stripped == "trace" || stripped == "error") {
-      return true;
-    }
-    size_t arity = e.children.size();
-    if (functions_.count({e.name, arity}) != 0 ||
-        functions_.count({stripped, arity}) != 0) {
-      return true;
-    }
-    if (!IsBuiltinName(stripped)) return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && PredicateBlocksStreaming(*c)) return true;
-  }
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) {
-      if (p != nullptr && PredicateBlocksStreaming(*p)) return true;
-    }
-  }
-  for (const FlworClause& c : e.clauses) {
-    if (c.expr != nullptr && PredicateBlocksStreaming(*c.expr)) return true;
-  }
-  for (const OrderSpec& o : e.order_by) {
-    if (o.key != nullptr && PredicateBlocksStreaming(*o.key)) return true;
-  }
-  for (const DirectAttribute& a : e.attributes) {
-    for (const ExprPtr& p : a.value_parts) {
-      if (p != nullptr && PredicateBlocksStreaming(*p)) return true;
-    }
-  }
-  return false;
 }
 
 // --- Streaming pipeline ---------------------------------------------------
@@ -1098,16 +1016,13 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   if (base->document() == ctx_->construction_arena()) return 0;
 
   // The internable prefix: leading axis steps that are pure functions of
-  // the tree. Predicate-free steps qualify outright; steps whose predicates
-  // are all intern-foldable (no position()/last()/variables/effects, only
-  // downward reads -- see optimizer.h) qualify too, with the predicates'
-  // canonical text folded into the fingerprint so `model[@id="a"]` and
-  // `model[@id="b"]` intern separately.
+  // the tree (PathStep::foldable), with the predicates' canonical text
+  // folded into the fingerprint so `model[@id="a"]` and `model[@id="b"]`
+  // intern separately.
   size_t prefix = 0;
   std::string fingerprint;
   for (const PathStep& step : e.steps) {
-    if (step.is_filter) break;
-    if (!step.predicates.empty() && !StepPredicatesFoldable(step)) break;
+    if (!step.foldable) break;
     AppendStepFingerprint(step, /*with_predicates=*/true, &fingerprint);
     ++prefix;
   }
@@ -1176,15 +1091,7 @@ Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
   // stamped too old (a harmless re-miss), never too new.
   std::vector<CachedNodeSet::Guard> guards;
   bool subtree_scoped = false;
-  if (options_.subtree_guards) {
-    ComputeInternGuards(e, steps, bare_last, base, &guards, &subtree_scoped);
-  } else {
-    // Subtree scoping forced off: one kSubtree guard at the document node,
-    // so any edit anywhere evicts the entry, and subtree_scoped stays false
-    // so the eviction counts as a FULL invalidation in the stats.
-    guards.push_back(
-        NodeSetCache::GuardFor(base, CachedNodeSet::GuardKind::kSubtree));
-  }
+  ComputeInternGuards(e, steps, bare_last, base, &guards, &subtree_scoped);
   size_t full = bare_last ? steps - 1 : steps;
   LLL_ASSIGN_OR_RETURN(Sequence computed,
                        EvalStepsRange(e, 0, full, start, kNoLimit));
@@ -1198,7 +1105,7 @@ Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
       return st.AddContext("in path expression" + LocationSuffix(e));
     }
     computed = std::move(*stepped);
-    SortDedup(&computed, false);
+    SortDedup(&computed);
   }
   if (computed.empty() || SingleDocumentOf(computed) == doc) {
     cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
@@ -1352,28 +1259,6 @@ Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
   return Hits(std::move(hits));
 }
 
-bool Evaluator::StepPredicatesFoldable(const PathStep& step) const {
-  auto is_user = [this](const std::string& name, size_t arity) {
-    return functions_.count({name, arity}) != 0;
-  };
-  for (const ExprPtr& p : step.predicates) {
-    if (p == nullptr || !InternFoldablePredicate(*p, is_user)) return false;
-  }
-  return true;
-}
-
-bool Evaluator::StepPredicatesAttributeOnly(const PathStep& step) const {
-  auto is_user = [this](const std::string& name, size_t arity) {
-    return functions_.count({name, arity}) != 0;
-  };
-  for (const ExprPtr& p : step.predicates) {
-    if (p == nullptr || !InternAttributeOnlyPredicate(*p, is_user)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
                                     bool bare_last, xml::Node* base,
                                     std::vector<CachedNodeSet::Guard>* guards,
@@ -1387,9 +1272,8 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
 
   // A non-downward axis anywhere in the prefix (parent/ancestor/siblings)
   // can read outside any subtree scope the descent below would establish;
-  // one whole-tree guard on the base covers everything such a chain sees.
-  // (This is also today's whole-document behavior, now expressed as the
-  // coarsest point of the guard lattice.)
+  // one whole-tree guard on the base covers everything such a chain sees:
+  // the coarsest point of the guard lattice.
   for (size_t i = 0; i < prefix; ++i) {
     switch (e.steps[i].axis) {
       case Axis::kChild:
@@ -1450,7 +1334,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       break;
     }
     if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName &&
-        !unfiltered && StepPredicatesAttributeOnly(step)) {
+        !unfiltered && step.attribute_only) {
       push(ctx, GuardKind::kLocal);
       push(ctx, GuardKind::kLocalChildren);
       if (last) break;
@@ -1500,17 +1384,12 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
                                            size_t limit) {
   if (first >= last) return current;
   bool streamable = options_.streaming && !current.empty();
-  if (streamable) {
-    for (size_t i = first; i < last; ++i) {
-      if (!StepStreamable(e.steps[i])) {
-        streamable = false;
-        break;
-      }
-    }
+  for (size_t i = first; i < last && streamable; ++i) {
+    streamable = e.steps[i].streamable;
   }
   if (streamable && SingleDocumentOf(current) != nullptr) {
     // The pipeline needs its context runs activated in document order.
-    SortDedup(&current, false);
+    SortDedup(&current);
     Result<Sequence> streamed =
         EvalStepsStreamed(e, first, last, std::move(current), limit);
     if (!streamed.ok()) {
@@ -1524,35 +1403,18 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
 
 // Step-wise evaluation with inter-step normalization: after each axis step
 // the intermediate sequence is brought back to document order without
-// duplicates, which is exactly the precondition under which the optimizer's
-// static proof (PathStep::statically_ordered) and the dynamic OrderProp
-// tracking below are sound. The static annotation covers whole-path proofs
-// from a known source; the dynamic side upgrades on runtime evidence the
-// optimizer cannot see (singleton intermediates, sequences that already
-// carry the ordered_deduped bit). This loop is also the streaming=false
-// baseline, byte-identical to the pre-streaming evaluator.
+// duplicates. The sort is skipped when the step's result already carries
+// the ordered_deduped bit (EvalStep sets it for a forward axis from a
+// single context) or has at most one node. This loop is also the
+// streaming=false baseline.
 Result<Sequence> Evaluator::EvalStepsMaterialized(const Expr& e, size_t first,
                                                   size_t last,
                                                   Sequence current) {
-  const bool tracking = options_.order_tracking;
-  OrderProp prop = OrderProp::kNone;
   for (size_t step_index = first; step_index < last; ++step_index) {
     const PathStep& step = e.steps[step_index];
-    // Dynamic upgrades, checked against the CURRENT sequence before the step.
-    if (tracking) {
-      if (current.size() <= 1) {
-        prop = OrderProp::kSingleton;
-      } else if (prop == OrderProp::kNone && current.ordered_deduped()) {
-        prop = OrderProp::kOrdered;
-      }
-    }
     if (step.is_filter) {
-      // Predicates select a subsequence, preserving order/dedup/disjointness.
       LLL_ASSIGN_OR_RETURN(current,
                            ApplyPredicates(step.predicates, current));
-      if (prop != OrderProp::kNone && current.AllNodes()) {
-        current.MarkOrderedDeduped();
-      }
       if (current.empty()) return current;
       continue;
     }
@@ -1562,15 +1424,7 @@ Result<Sequence> Evaluator::EvalStepsMaterialized(const Expr& e, size_t first,
       return st.AddContext("in path expression" + LocationSuffix(e));
     }
     current = std::move(*stepped);
-    prop = TransferOrder(prop, step.axis);
-    if (tracking && prop == OrderProp::kNone && step.statically_ordered) {
-      prop = OrderProp::kOrdered;
-    }
-    if (current.AllNodes()) {
-      SortDedup(&current, tracking && prop != OrderProp::kNone);
-    } else {
-      prop = OrderProp::kNone;  // atomics (e.g. data-producing last step)
-    }
+    if (current.AllNodes()) SortDedup(&current);
     if (current.empty()) return current;
   }
   return current;
@@ -1702,9 +1556,13 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
                          ApplyPredicates(step.predicates, candidates));
     result.AppendSequence(std::move(filtered));
   }
-  // Normalization (sort + dedup) happens in EvalPath, where the order
-  // analysis can prove it unnecessary; EvalStep returns the raw
-  // per-context concatenation.
+  // A forward axis enumerates one context's candidates in document order,
+  // each once; several contexts' runs may interleave or overlap, and reverse
+  // axes collect in reverse order, so those leave the bit clear and the
+  // caller sorts.
+  if (input.size() == 1 && IsForwardStreamableAxis(step.axis)) {
+    result.MarkOrderedDeduped();
+  }
   return result;
 }
 
@@ -1872,7 +1730,7 @@ Result<Sequence> Evaluator::EvalBinary(const Expr& e) {
         // Filtering an ordered-deduped lhs preserves order and dedup.
         if (lhs_ordered) out.MarkOrderedDeduped();
       }
-      SortDedup(&out, false);
+      SortDedup(&out);
       return out;
     }
     case BinOp::kTo: {
@@ -2444,16 +2302,22 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
 
 Result<Sequence> Evaluator::EvalCast(const Expr& e) {
   LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*e.children[0]));
+  return CastValue(value, e.type);
+}
+
+namespace {
+
+Result<Sequence> CastValue(const Sequence& value, const SequenceType& type) {
   Sequence atomized = value.Atomized();
   if (atomized.empty()) {
-    if (e.type.occurrence == SequenceType::Occurrence::kOptional) {
+    if (type.occurrence == SequenceType::Occurrence::kOptional) {
       return Sequence();
     }
     return Status::TypeError("cast of an empty sequence to a non-optional type");
   }
   LLL_ASSIGN_OR_RETURN(Item item, xdm::RequireSingleton(atomized, "cast"));
   using IT = SequenceType::ItemType;
-  switch (e.type.item_type) {
+  switch (type.item_type) {
     case IT::kString:
       return Sequence(Item::String(item.StringForm()));
     case IT::kUntyped:
@@ -2501,12 +2365,10 @@ Result<Sequence> Evaluator::EvalCast(const Expr& e) {
       return Status::TypeError("cannot cast \"" + s + "\" to xs:boolean");
     }
     default:
-      return Status::Unsupported("cast to " + e.type.ToString() +
+      return Status::Unsupported("cast to " + type.ToString() +
                                  " not supported");
   }
 }
-
-namespace {
 
 bool ItemMatchesType(const Item& item, const SequenceType& type) {
   using IT = SequenceType::ItemType;

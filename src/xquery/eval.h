@@ -51,15 +51,9 @@ struct EvalOptions {
   // Borrowed; lets a server abandon in-flight queries at shutdown without
   // tearing down threads mid-evaluation.
   const std::atomic<bool>* cancel = nullptr;
-  // Document-order tracking: when on (default), the evaluator skips the
-  // normalizing sort after a path step or set operator whenever the static
-  // order analysis or dynamic evidence (singleton input, ordered_deduped
-  // bit) proves the result already normalized. Off = sort after every step,
-  // the pre-index behavior; kept as a benchmark baseline (bench_e12).
-  bool order_tracking = true;
   // Streaming path pipelines: when on (default), eligible axis-step chains
-  // (streamable axes, predicates free of fn:last()/fn:trace()/user
-  // functions, single-document input) are evaluated through a pull-based
+  // (PathStep::streamable steps over single-document input) are evaluated
+  // through a pull-based
   // merge of per-context runs instead of materializing every intermediate
   // sequence, and early-exit consumers (positional predicates like [1],
   // fn:exists/fn:empty, boolean contexts, optimizer-pushed limit hints) stop
@@ -67,8 +61,8 @@ struct EvalOptions {
   // stages: per-context runs enumerate in reverse document order and are
   // merged back to document order (DESIGN.md section 10). Off = the
   // pre-streaming materializing evaluator, kept byte-identical as a
-  // differential baseline and benchmark arm (bench_e13/e14), mirroring
-  // order_tracking. The same switch gates hash probes: predicates the
+  // differential baseline and benchmark arm (bench_e13/e14). The same
+  // switch gates hash probes: predicates the
   // optimizer marked `@a = K` (Expr::probe_key) are answered from a
   // per-query index of @a values when on, and never when off, so the
   // materializing evaluator stays the scan oracle (DESIGN.md section 16).
@@ -82,15 +76,6 @@ struct EvalOptions {
   // evaluation AND be scoped to the documents' owner (cached sequences hold
   // raw Node pointers). nullptr = no interning.
   NodeSetCache* nodeset_cache = nullptr;
-  // Subtree-scoped guard computation for interned entries: when on
-  // (default), entries are guarded by the PR-9 descent analysis
-  // (ComputeInternGuards) and survive edits outside their dependency chain.
-  // Off = every entry carries a single whole-document kSubtree guard at its
-  // base, i.e. ANY edit anywhere invalidates it -- the pre-overlay
-  // behavior, kept as the "whole-document invalidation forced off" baseline
-  // arm for bench_e19 and the server A/B knob
-  // (ServerOptions::subtree_invalidation).
-  bool subtree_guards = true;
   // Per-expression profiling (obs/profiler.h): attribute wall time, eval
   // counts, and result sizes to AST nodes. Off = one null-pointer test per
   // expression, nothing more.
@@ -109,10 +94,10 @@ struct EvalStats {
   size_t function_calls = 0;     // user-defined function invocations
   // Document-order bookkeeping: path steps and set operators must yield
   // ordered, deduplicated node sequences. `sorts_performed` counts actual
-  // sort passes; `sorts_skipped` counts normalizations proven unnecessary
-  // (statically by the optimizer's order analysis, or dynamically via the
-  // sequence's ordered_deduped bit / singleton inputs); `order_compares`
-  // counts document-order comparator calls inside performed sorts.
+  // sort passes; `sorts_skipped` counts normalizations found unnecessary
+  // (the sequence's ordered_deduped bit, set e.g. by a forward step from a
+  // single context, or at most one item); `order_compares` counts
+  // document-order comparator calls inside performed sorts.
   size_t sorts_performed = 0;
   size_t sorts_skipped = 0;
   size_t order_compares = 0;
@@ -297,24 +282,16 @@ class Evaluator {
   // save/restore around the batch.
   Result<bool> PredicateKeep(const Expr& pred, const xdm::Item& item,
                              size_t position, size_t size);
-  // True if `step` may run inside the pull pipeline: a streamable axis, not
-  // a filter step, and predicates free of focus-size observers (fn:last),
-  // effectful calls (fn:trace / fn:error), and user-defined or unknown
-  // functions (which may trace internally) -- the trace-parity rule.
-  bool StepStreamable(const PathStep& step) const;
-  // The recursive scan behind StepStreamable, resolving calls against this
-  // evaluator's user-function table.
-  bool PredicateBlocksStreaming(const Expr& e) const;
   // Routes every nodes_skipped_early_exit charge; suppressed while a nested
   // early-exit probe runs inside a streamed step's predicate, where the
   // outer pipeline's own abandonment accounting covers the same candidates.
   void ChargeSkipped(size_t n) {
     if (!suppress_skip_charges_) stats_.nodes_skipped_early_exit += n;
   }
-  // Consults / fills the node-set interning cache for the leading internable
-  // step chain (predicate-free steps, plus steps whose predicates fold into
-  // the fingerprint) of a path from a tree root (a document node or a
-  // parentless element). Under streaming the chain
+  // Consults / fills the node-set interning cache for the leading chain of
+  // PathStep::foldable steps (predicate-free steps, plus steps whose
+  // predicates fold into the fingerprint) of a path from a tree root (a
+  // document node or a parentless element). Under streaming the chain
   // extends through the next step's bare axis::test when that step's first
   // predicate is a probe, and the probe then filters the interned
   // candidates. On success returns the number of steps consumed and
@@ -343,12 +320,6 @@ class Evaluator {
   // only -- and the caller runs the per-candidate loop instead.
   Result<std::optional<std::vector<uint32_t>>> ProbeHits(
       const Expr& pred, const xdm::Sequence& candidates);
-  // True if every predicate of `step` is intern-foldable (optimizer.h's
-  // InternFoldablePredicate, resolved against this evaluator's user-function
-  // table); the AttributeOnly variant additionally requires the attribute-
-  // only class the guard descent may resolve through.
-  bool StepPredicatesFoldable(const PathStep& step) const;
-  bool StepPredicatesAttributeOnly(const PathStep& step) const;
   // Builds the subtree version guard set for an intern entry: descends from
   // `base` through prefix steps that resolve to singleton elements,
   // recording the narrowest overlay guards that dominate the chain, and
@@ -361,12 +332,15 @@ class Evaluator {
                            xml::Node* base,
                            std::vector<CachedNodeSet::Guard>* guards,
                            bool* subtree_scoped);
+  // One axis step over every context of `input`: the per-context results
+  // concatenated, marked ordered_deduped when a single context fed a
+  // forward axis (the one case that needs no normalizing sort).
   Result<xdm::Sequence> EvalStep(const PathStep& step,
                                  const xdm::Sequence& input);
   // Normalizes `seq` to document order without duplicates, skipping the sort
-  // (and counting the skip) when `provably_ordered` or the sequence already
-  // carries the ordered_deduped bit or is trivially small.
-  void SortDedup(xdm::Sequence* seq, bool provably_ordered);
+  // (and counting the skip) when the sequence already carries the
+  // ordered_deduped bit or is trivially small.
+  void SortDedup(xdm::Sequence* seq);
   // Applies preds[first..] in turn to the whole of `candidates`.
   Result<xdm::Sequence> ApplyPredicates(const std::vector<ExprPtr>& preds,
                                         xdm::Sequence candidates,

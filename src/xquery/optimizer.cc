@@ -25,6 +25,46 @@ void ForEachChild(const Expr& e, const std::function<void(const Expr&)>& fn) {
   }
 }
 
+// Mutable twin of the above, for the passes that annotate in place.
+void ForEachChild(Expr* e, const std::function<void(Expr*)>& fn) {
+  for (ExprPtr& c : e->children) fn(c.get());
+  for (PathStep& s : e->steps) {
+    for (ExprPtr& p : s.predicates) fn(p.get());
+  }
+  for (FlworClause& c : e->clauses) fn(c.expr.get());
+  for (OrderSpec& o : e->order_by) fn(o.key.get());
+  for (DirectAttribute& a : e->attributes) {
+    for (ExprPtr& p : a.value_parts) fn(p.get());
+  }
+}
+
+// Applies `fn` to every top-level expression of the module: function
+// bodies, global variable initializers, then the body.
+void ForEachTopLevel(Module* module, const std::function<void(Expr*)>& fn) {
+  for (FunctionDecl& f : module->functions) fn(f.body.get());
+  for (VariableDecl& var : module->variables) fn(var.expr.get());
+  fn(module->body.get());
+}
+
+// A call's function name without its fn: prefix.
+std::string StripFn(const std::string& name) {
+  return StartsWith(name, "fn:") ? name.substr(3) : name;
+}
+
+// True if `call` resolves to a user-declared function: a declaration whose
+// name matches the call's, bare or fn:-stripped, at the call's arity. Such
+// a declaration shadows the builtin of the same name.
+bool CallsUserFunction(const Expr& call, const Module& module) {
+  const std::string stripped = StripFn(call.name);
+  for (const FunctionDecl& fn : module.functions) {
+    if ((fn.name == call.name || fn.name == stripped) &&
+        fn.params.size() == call.children.size()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool IsTraceCall(const Expr& e) {
   return e.kind == ExprKind::kFunctionCall &&
          (e.name == "trace" || e.name == "fn:trace");
@@ -59,28 +99,8 @@ bool NumericLiteral(const Expr& e, double* value) {
 }
 
 std::string DescribeStep(const PathStep& step) {
-  std::string out = AxisName(step.axis);
-  out += "::";
-  switch (step.test.kind) {
-    case NodeTestKind::kName:
-      out += step.test.name;
-      break;
-    case NodeTestKind::kAnyName:
-      out += "*";
-      break;
-    case NodeTestKind::kText:
-      out += "text()";
-      break;
-    case NodeTestKind::kComment:
-      out += "comment()";
-      break;
-    case NodeTestKind::kPi:
-      out += "processing-instruction()";
-      break;
-    case NodeTestKind::kAnyNode:
-      out += "node()";
-      break;
-  }
+  std::string out;
+  AppendAxisTest(step, &out);
   return out;
 }
 
@@ -90,43 +110,17 @@ std::string DescribeStep(const PathStep& step) {
 bool CallsAny(const Expr& e, const Module& module,
               std::initializer_list<std::string_view> banned) {
   if (e.kind == ExprKind::kFunctionCall) {
-    std::string stripped = e.name;
-    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
+    const std::string stripped = StripFn(e.name);
     for (std::string_view name : banned) {
       if (stripped == name) return true;
     }
-    for (const FunctionDecl& fn : module.functions) {
-      if ((fn.name == e.name || fn.name == stripped) &&
-          fn.params.size() == e.children.size()) {
-        return true;
-      }
-    }
-    if (!IsBuiltinName(stripped)) return true;
+    if (CallsUserFunction(e, module) || !IsBuiltinName(stripped)) return true;
   }
   bool calls = false;
   ForEachChild(e, [&](const Expr& c) {
     calls = calls || CallsAny(c, module, banned);
   });
   return calls;
-}
-
-// Decoded plans may hold absent subexpressions (the format allows them);
-// the passes that also run on decoded plans leave such an expression alone.
-bool Complete(const Expr& e) {
-  bool complete = true;
-  auto visit = [&complete](const ExprPtr& c) {
-    complete = complete && c != nullptr && Complete(*c);
-  };
-  for (const ExprPtr& c : e.children) visit(c);
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) visit(p);
-  }
-  for (const FlworClause& c : e.clauses) visit(c.expr);
-  for (const OrderSpec& o : e.order_by) visit(o.key);
-  for (const DirectAttribute& a : e.attributes) {
-    for (const ExprPtr& p : a.value_parts) visit(p);
-  }
-  return complete;
 }
 
 }  // namespace
@@ -139,8 +133,6 @@ const char* RewriteNoteKindName(RewriteNote::Kind kind) {
       return "dead-let-eliminated";
     case RewriteNote::Kind::kTraceSwallowed:
       return "trace-swallowed";
-    case RewriteNote::Kind::kOrderedStep:
-      return "ordered-step";
     case RewriteNote::Kind::kLimitPushed:
       return "limit-pushed";
     case RewriteNote::Kind::kDescendantFused:
@@ -276,17 +268,8 @@ struct Rewriter {
   // Resolves `e` as a call to the builtin `want` (bare or fn:-prefixed) that
   // is not shadowed by a user-declared function of the same name and arity.
   bool IsUnshadowedBuiltin(const Expr& e, const char* want) const {
-    if (e.kind != ExprKind::kFunctionCall) return false;
-    std::string name = e.name;
-    if (StartsWith(name, "fn:")) name = name.substr(3);
-    if (name != want) return false;
-    for (const FunctionDecl& fn : module.functions) {
-      if ((fn.name == e.name || fn.name == name) &&
-          fn.params.size() == e.children.size()) {
-        return false;  // a user function shadows the builtin
-      }
-    }
-    return true;
+    return e.kind == ExprKind::kFunctionCall && StripFn(e.name) == want &&
+           !CallsUserFunction(e, module);
   }
 
   // The prefix demand a call places on its first (sequence) argument: 1 for
@@ -389,7 +372,6 @@ struct Rewriter {
     if (path->limit_hint == 0 || demand < path->limit_hint) {
       path->limit_hint = demand;
     }
-    path->statically_limit_pushable = true;
     ++stats.limits_pushed;
     stats.notes.push_back(
         {RewriteNote::Kind::kLimitPushed, std::move(why), line, col});
@@ -580,210 +562,6 @@ struct Rewriter {
   }
 };
 
-// --- Order analysis ---------------------------------------------------------
-
-// True if a call to `name` with `arity` args resolves to a builtin whose
-// result is at most one item. A user-defined function of the same name/arity
-// shadows the builtin in EvalFunctionCall, so it must not exist.
-bool IsSingletonBuiltin(const Expr& e, const Module& module) {
-  std::string name = e.name;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
-  if (name != "doc" && name != "root" && name != "exactly-one" &&
-      name != "zero-or-one") {
-    return false;
-  }
-  for (const FunctionDecl& fn : module.functions) {
-    if ((fn.name == e.name || fn.name == name) &&
-        fn.params.size() == e.children.size()) {
-      return false;  // shadowed by a user function of unknown cardinality
-    }
-  }
-  return true;
-}
-
-struct OrderAnalyzer {
-  const Module& module;
-  size_t annotated = 0;
-  std::vector<RewriteNote>* notes = nullptr;  // optional EXPLAIN feed
-
-  OrderProp Analyze(Expr* e) {
-    switch (e->kind) {
-      case ExprKind::kLiteral:
-      case ExprKind::kTextLiteral:
-      case ExprKind::kEmptySequence:
-      case ExprKind::kContextItem:
-        // The focus is a single item by definition; literals are singletons.
-        return OrderProp::kSingleton;
-      case ExprKind::kPath:
-        return AnalyzePath(e);
-      case ExprKind::kSequence: {
-        if (e->children.size() == 1) return Analyze(e->children[0].get());
-        for (ExprPtr& c : e->children) Analyze(c.get());
-        return OrderProp::kNone;
-      }
-      case ExprKind::kIf: {
-        Analyze(e->children[0].get());
-        OrderProp then_prop = Analyze(e->children[1].get());
-        OrderProp else_prop = Analyze(e->children[2].get());
-        return MeetOrder(then_prop, else_prop);
-      }
-      case ExprKind::kTryCatch: {
-        OrderProp body = Analyze(e->children[0].get());
-        OrderProp handler = Analyze(e->children[1].get());
-        return MeetOrder(body, handler);
-      }
-      case ExprKind::kFlwor: {
-        bool iterates = false;
-        for (FlworClause& c : e->clauses) {
-          Analyze(c.expr.get());
-          if (c.kind == FlworClause::Kind::kFor) iterates = true;
-        }
-        for (OrderSpec& o : e->order_by) Analyze(o.key.get());
-        OrderProp body = Analyze(e->children[0].get());
-        // A let/where-only FLWOR evaluates its return at most once, so the
-        // body's property survives; a for-loop concatenates tuples.
-        if (!iterates && e->order_by.empty()) return body;
-        return OrderProp::kNone;
-      }
-      case ExprKind::kFunctionCall: {
-        for (ExprPtr& c : e->children) Analyze(c.get());
-        return IsSingletonBuiltin(*e, module) ? OrderProp::kSingleton
-                                              : OrderProp::kNone;
-      }
-      case ExprKind::kBinary: {
-        Analyze(e->children[0].get());
-        Analyze(e->children[1].get());
-        switch (e->op) {
-          case BinOp::kUnion:
-          case BinOp::kIntersect:
-          case BinOp::kExcept:
-            // The evaluator normalizes set-operator results.
-            return OrderProp::kOrdered;
-          case BinOp::kTo:
-            return OrderProp::kNone;  // many atomics; node order is moot
-          default:
-            return OrderProp::kSingleton;  // comparisons/arithmetic: <= 1 item
-        }
-      }
-      case ExprKind::kUnary:
-      case ExprKind::kQuantified:
-      case ExprKind::kCastAs:
-      case ExprKind::kCastableAs:
-      case ExprKind::kInstanceOf:
-      case ExprKind::kDirectElement:
-      case ExprKind::kCompElement:
-      case ExprKind::kCompAttribute:
-      case ExprKind::kCompText:
-      case ExprKind::kCompComment:
-      case ExprKind::kCompDocument: {
-        for (ExprPtr& c : e->children) Analyze(c.get());
-        for (DirectAttribute& a : e->attributes) {
-          for (ExprPtr& p : a.value_parts) Analyze(p.get());
-        }
-        return OrderProp::kSingleton;
-      }
-      case ExprKind::kVarRef:
-        // No environment tracking; the evaluator's dynamic ordered_deduped
-        // bit covers variables bound to already-normalized sequences.
-        return OrderProp::kNone;
-    }
-    return OrderProp::kNone;
-  }
-
-  // Static twin of Evaluator::PredicateBlocksStreaming, resolved against the
-  // module's function declarations instead of the runtime registry.
-  bool BlocksStreaming(const Expr& e) const {
-    return CallsAny(e, module, {"last", "trace", "error"});
-  }
-
-  OrderProp AnalyzePath(Expr* e) {
-    OrderProp prop;
-    if (e->has_base) {
-      prop = Analyze(e->children[0].get());
-    } else {
-      // Rooted paths start at the context root; relative paths start at the
-      // focus item. Either way: one node.
-      prop = OrderProp::kSingleton;
-    }
-    // Interning applies to the leading predicate-free chain of a path whose
-    // base is a lone document node: the rooted form, or fn:doc(...).
-    bool internable =
-        (!e->has_base && e->rooted) ||
-        (e->has_base && e->children[0]->kind == ExprKind::kFunctionCall &&
-         (e->children[0]->name == "doc" || e->children[0]->name == "fn:doc"));
-    for (PathStep& step : e->steps) {
-      for (ExprPtr& p : step.predicates) Analyze(p.get());
-      if (step.is_filter) {
-        internable = false;
-        continue;  // a subset preserves every property
-      }
-      // Advisory streaming/interning annotations (rendered by EXPLAIN); the
-      // evaluator re-derives both per call from dynamic conditions. Mirrors
-      // Evaluator::PredicateBlocksStreaming: fn:last needs materialized
-      // cardinality, and trace/error/user-defined calls must see the exact
-      // materializing evaluation order (trace-parity rule, DESIGN.md section
-      // 10), so any of them in a predicate disqualifies the step.
-      step.statically_streamable = IsStreamableAxis(step.axis);
-      if (step.statically_streamable) {
-        for (const ExprPtr& p : step.predicates) {
-          if (BlocksStreaming(*p)) {
-            step.statically_streamable = false;
-            break;
-          }
-        }
-      }
-      // Predicate-free steps intern outright; steps whose predicates are
-      // all intern-foldable (pure functions of the tree, folded into the
-      // fingerprint) keep the chain going too.
-      if (!step.predicates.empty()) {
-        auto is_user = [this](const std::string& name, size_t arity) {
-          for (const FunctionDecl& fn : module.functions) {
-            if (fn.name == name && fn.params.size() == arity) return true;
-          }
-          return false;
-        };
-        for (const ExprPtr& p : step.predicates) {
-          if (!InternFoldablePredicate(*p, is_user)) {
-            internable = false;
-            break;
-          }
-        }
-      }
-      step.statically_internable = internable;
-      prop = TransferOrder(prop, step.axis);
-      step.statically_ordered = prop != OrderProp::kNone;
-      if (step.statically_ordered) {
-        ++annotated;
-        if (notes != nullptr) {
-          notes->push_back({RewriteNote::Kind::kOrderedStep,
-                            "step " + DescribeStep(step) +
-                                " proven document-ordered; normalizing sort "
-                                "skipped",
-                            e->line, e->col});
-        }
-      }
-    }
-    return prop;
-  }
-};
-
-}  // namespace
-
-OrderProp AnalyzeOrder(Expr* e, const Module& module, size_t* annotated) {
-  OrderAnalyzer analyzer{module};
-  OrderProp prop = analyzer.Analyze(e);
-  if (annotated != nullptr) *annotated += analyzer.annotated;
-  return prop;
-}
-
-namespace {
-
-void AnalyzeOrderNoted(Expr* e, const Module& module, OptimizerStats* stats) {
-  OrderAnalyzer analyzer{module, 0, &stats->notes};
-  analyzer.Analyze(e);
-  stats->ordered_steps_annotated += analyzer.annotated;
-}
-
 }  // namespace
 
 bool IsPure(const Expr& e, const Module& module, bool recognize_trace) {
@@ -793,25 +571,8 @@ bool IsPure(const Expr& e, const Module& module, bool recognize_trace) {
 
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
   Rewriter rewriter(*module, options);
-  for (FunctionDecl& fn : module->functions) {
-    rewriter.Rewrite(fn.body.get());
-  }
-  for (VariableDecl& var : module->variables) {
-    rewriter.Rewrite(var.expr.get());
-  }
-  rewriter.Rewrite(module->body.get());
+  ForEachTopLevel(module, [&rewriter](Expr* e) { rewriter.Rewrite(e); });
   FuseDescendantSteps(module, &rewriter.stats);
-  if (options.order_analysis) {
-    // After rewriting: dead-let elimination can degenerate FLWORs into their
-    // bodies, which makes more paths statically analyzable.
-    for (FunctionDecl& fn : module->functions) {
-      AnalyzeOrderNoted(fn.body.get(), *module, &rewriter.stats);
-    }
-    for (VariableDecl& var : module->variables) {
-      AnalyzeOrderNoted(var.expr.get(), *module, &rewriter.stats);
-    }
-    AnalyzeOrderNoted(module->body.get(), *module, &rewriter.stats);
-  }
   MarkProbePredicates(module, &rewriter.stats);
   return rewriter.stats;
 }
@@ -854,18 +615,14 @@ struct ProbeMarker {
       case ExprKind::kCompDocument:
         return false;  // fresh node identities per evaluation
       case ExprKind::kFunctionCall: {
-        // position(), last(), name(), string(), ... read the focus.
-        if (key.children.empty()) return false;
-        std::string stripped = key.name;
-        if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-        if (stripped == "trace" || stripped == "error") return false;
-        for (const FunctionDecl& fn : module.functions) {
-          if ((fn.name == key.name || fn.name == stripped) &&
-              fn.params.size() == key.children.size()) {
-            return false;  // user-defined: may trace, error or recurse
-          }
+        // position(), last(), name(), string(), ... read the focus; a
+        // user-defined function may trace, error or recurse.
+        const std::string stripped = StripFn(key.name);
+        if (key.children.empty() || stripped == "trace" ||
+            stripped == "error" || CallsUserFunction(key, module) ||
+            !IsBuiltinName(stripped)) {
+          return false;
         }
-        if (!IsBuiltinName(stripped)) return false;
         break;
       }
       default:
@@ -881,7 +638,7 @@ struct ProbeMarker {
   void MarkPredicate(Expr* pred) {
     pred->probe_key = -1;
     if (pred->kind != ExprKind::kBinary || pred->op != BinOp::kGenEq ||
-        pred->children.size() != 2 || !Complete(*pred)) {
+        pred->children.size() != 2) {
       return;
     }
     for (int key = 1; key >= 0; --key) {
@@ -903,19 +660,10 @@ struct ProbeMarker {
   }
 
   void Mark(Expr* e) {
-    if (e == nullptr) return;
-    for (ExprPtr& c : e->children) Mark(c.get());
     for (PathStep& s : e->steps) {
-      for (ExprPtr& p : s.predicates) {
-        if (p != nullptr) MarkPredicate(p.get());
-        Mark(p.get());
-      }
+      for (ExprPtr& p : s.predicates) MarkPredicate(p.get());
     }
-    for (FlworClause& c : e->clauses) Mark(c.expr.get());
-    for (OrderSpec& o : e->order_by) Mark(o.key.get());
-    for (DirectAttribute& a : e->attributes) {
-      for (ExprPtr& p : a.value_parts) Mark(p.get());
-    }
+    ForEachChild(e, [this](Expr* c) { Mark(c); });
   }
 };
 
@@ -923,9 +671,7 @@ struct ProbeMarker {
 
 void MarkProbePredicates(Module* module, OptimizerStats* stats) {
   ProbeMarker marker{*module, stats};
-  for (FunctionDecl& fn : module->functions) marker.Mark(fn.body.get());
-  for (VariableDecl& var : module->variables) marker.Mark(var.expr.get());
-  marker.Mark(module->body.get());
+  ForEachTopLevel(module, [&marker](Expr* e) { marker.Mark(e); });
 }
 
 // --- Node-set intern predicate folding --------------------------------------
@@ -968,27 +714,33 @@ bool IsInternBooleanBuiltin(const std::string& stripped) {
          stripped == "true" || stripped == "false";
 }
 
+// Decides whether a predicate may be folded into a node-set intern
+// fingerprint: its value for a given candidate node is a pure function of
+// the tree alone. That requires all of (DESIGN.md section 14):
+//
+//   - provably boolean-valued at the top level (comparisons, and/or,
+//     not/exists/empty/boolean calls) or a node-path shape whose effective
+//     boolean value is "any nodes?" -- NEVER a possibly-numeric expression,
+//     which XPath predicate semantics would turn into a position test;
+//   - no position()/last()/variables/dynamic context: the whitelisted
+//     builtins are pure functions of their arguments and the context ITEM;
+//   - no observable effects (fn:trace/fn:error -- the trace-parity rule) and
+//     no user-defined or unknown functions, which may hide either;
+//   - only downward-reading subexpressions: relative non-rooted paths over
+//     child/attribute/descendant(-or-self)/self axes, so everything the
+//     predicate can see lies beneath the candidate and is covered by the
+//     entry's subtree guards.
+//
+// In attribute-only mode every path must moreover be a single attribute
+// step (e.g. `[@id = "x"]` and and/or combinations): the class the guard
+// descent may resolve through, because the candidates' attribute state is
+// exactly what a kLocalChildren guard on their parent watches.
 struct FoldScanner {
-  const UserFunctionLookup& is_user_function;
-  // Attribute-only mode: every path must be a single attribute-axis step.
+  const Module& module;
   bool attr_only = false;
 
   bool UserOrUnknown(const Expr& e) const {
-    std::string stripped = e.name;
-    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-    size_t arity = e.children.size();
-    if (is_user_function != nullptr &&
-        (is_user_function(e.name, arity) ||
-         is_user_function(stripped, arity))) {
-      return true;
-    }
-    return !IsBuiltinName(stripped);
-  }
-
-  static std::string Stripped(const Expr& e) {
-    std::string stripped = e.name;
-    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-    return stripped;
+    return CallsUserFunction(e, module) || !IsBuiltinName(StripFn(e.name));
   }
 
   bool FoldablePath(const Expr& e) const {
@@ -1054,7 +806,7 @@ struct FoldScanner {
         }
       case ExprKind::kFunctionCall: {
         if (UserOrUnknown(e)) return false;
-        if (!IsInternBooleanBuiltin(Stripped(e))) return false;
+        if (!IsInternBooleanBuiltin(StripFn(e.name))) return false;
         for (const ExprPtr& c : e.children) {
           if (!FoldableValue(*c)) return false;
         }
@@ -1112,7 +864,7 @@ struct FoldScanner {
                FoldableValue(*e.children[1]) && FoldableValue(*e.children[2]);
       case ExprKind::kFunctionCall: {
         if (UserOrUnknown(e)) return false;
-        if (!IsInternFoldableBuiltin(Stripped(e))) return false;
+        if (!IsInternFoldableBuiltin(StripFn(e.name))) return false;
         for (const ExprPtr& c : e.children) {
           if (!FoldableValue(*c)) return false;
         }
@@ -1127,23 +879,7 @@ struct FoldScanner {
   }
 };
 
-}  // namespace
-
-bool InternFoldablePredicate(const Expr& pred,
-                             const UserFunctionLookup& is_user_function) {
-  FoldScanner scanner{is_user_function, /*attr_only=*/false};
-  return scanner.FoldableBool(pred);
-}
-
-bool InternAttributeOnlyPredicate(const Expr& pred,
-                                  const UserFunctionLookup& is_user_function) {
-  FoldScanner scanner{is_user_function, /*attr_only=*/true};
-  return scanner.FoldableBool(pred);
-}
-
 // --- Descendant-step fusion -------------------------------------------------
-
-namespace {
 
 // True if `e`, as a predicate, is boolean-valued at its top level and so can
 // never be a numeric position test: a comparison, and/or, a call to a
@@ -1171,11 +907,8 @@ bool BooleanValued(const Expr& e) {
         default:
           return false;
       }
-    case ExprKind::kFunctionCall: {
-      std::string stripped = e.name;
-      if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-      return IsInternBooleanBuiltin(stripped);
-    }
+    case ExprKind::kFunctionCall:
+      return IsInternBooleanBuiltin(StripFn(e.name));
     case ExprKind::kPath:
       return !e.steps.empty() && !e.steps.back().is_filter;
     default:
@@ -1183,34 +916,28 @@ bool BooleanValued(const Expr& e) {
   }
 }
 
+// The rule behind PathStep::position_free: an axis step whose every
+// predicate has the same verdict for a candidate under any focus position
+// and size -- boolean-valued, no position()/last(), and none of the calls
+// that block streaming (trace/error/user-defined/unknown), so dropping the
+// per-parent evaluation is unobservable.
+bool PositionFree(const PathStep& step, const Module& module) {
+  if (step.is_filter) return false;
+  for (const ExprPtr& p : step.predicates) {
+    if (!BooleanValued(*p) ||
+        CallsAny(*p, module, {"position", "last", "trace", "error"})) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct DescendantFuser {
   const Module& module;
   OptimizerStats* stats;
 
-  // A predicate whose verdict for a candidate is the same under any focus
-  // position and size: boolean-valued, no position()/last(), and none of
-  // the calls BlocksStreaming refuses (trace/error/user-defined/unknown),
-  // so dropping the per-parent evaluation is unobservable.
-  bool PositionFree(const ExprPtr& pred) const {
-    return pred != nullptr && Complete(*pred) && BooleanValued(*pred) &&
-           !CallsAny(*pred, module, {"position", "last", "trace", "error"});
-  }
-
   void Fuse(Expr* e) {
-    if (e == nullptr) return;
-    for (ExprPtr& c : e->children) Fuse(c.get());
-    for (PathStep& s : e->steps) {
-      for (ExprPtr& p : s.predicates) Fuse(p.get());
-      s.position_free = !s.is_filter;
-      for (const ExprPtr& p : s.predicates) {
-        s.position_free = s.position_free && PositionFree(p);
-      }
-    }
-    for (FlworClause& c : e->clauses) Fuse(c.expr.get());
-    for (OrderSpec& o : e->order_by) Fuse(o.key.get());
-    for (DirectAttribute& a : e->attributes) {
-      for (ExprPtr& p : a.value_parts) Fuse(p.get());
-    }
+    ForEachChild(e, [this](Expr* c) { Fuse(c); });
     // descendant-or-self::node()/child::T selects the T children of every
     // node at or below the context, i.e. its T descendants. Only the
     // predicates' focus differs -- positions among one parent's children
@@ -1222,7 +949,7 @@ struct DescendantFuser {
       if (any.is_filter || any.axis != Axis::kDescendantOrSelf ||
           any.test.kind != NodeTestKind::kAnyNode ||
           !any.predicates.empty() || child.axis != Axis::kChild ||
-          !child.position_free) {
+          !PositionFree(child, module)) {
         continue;
       }
       std::string before = DescribeStep(any) + "/" + DescribeStep(child);
@@ -1237,13 +964,55 @@ struct DescendantFuser {
   }
 };
 
+// --- Step resolution --------------------------------------------------------
+
+bool IsDocCall(const Expr& e) {
+  return e.kind == ExprKind::kFunctionCall &&
+         (e.name == "doc" || e.name == "fn:doc");
+}
+
+struct StepResolver {
+  const Module& module;
+
+  void Resolve(Expr* e) {
+    ForEachChild(e, [this](Expr* c) { Resolve(c); });
+    // Interning starts at a base that is statically a tree root: the `/`
+    // root, or fn:doc(...).
+    bool internable = e->kind == ExprKind::kPath &&
+                      (e->has_base ? IsDocCall(*e->children[0]) : e->rooted);
+    const FoldScanner foldable{module, /*attr_only=*/false};
+    const FoldScanner attribute_only{module, /*attr_only=*/true};
+    for (PathStep& step : e->steps) {
+      step.position_free = PositionFree(step, module);
+      step.streamable = !step.is_filter && IsStreamableAxis(step.axis);
+      step.foldable = !step.is_filter;
+      step.attribute_only = !step.is_filter;
+      for (const ExprPtr& p : step.predicates) {
+        // fn:last needs materialized cardinality, and trace/error/user-
+        // defined calls must see the exact materializing evaluation order
+        // (the trace-parity rule, DESIGN.md section 10).
+        step.streamable =
+            step.streamable && !CallsAny(*p, module, {"last", "trace", "error"});
+        step.foldable = step.foldable && foldable.FoldableBool(*p);
+        step.attribute_only =
+            step.attribute_only && attribute_only.FoldableBool(*p);
+      }
+      internable = internable && step.foldable;
+      step.internable = internable;
+    }
+  }
+};
+
 }  // namespace
 
 void FuseDescendantSteps(Module* module, OptimizerStats* stats) {
   DescendantFuser fuser{*module, stats};
-  for (FunctionDecl& fn : module->functions) fuser.Fuse(fn.body.get());
-  for (VariableDecl& var : module->variables) fuser.Fuse(var.expr.get());
-  fuser.Fuse(module->body.get());
+  ForEachTopLevel(module, [&fuser](Expr* e) { fuser.Fuse(e); });
+}
+
+void ResolveSteps(Module* module) {
+  StepResolver resolver{*module};
+  ForEachTopLevel(module, [&resolver](Expr* e) { resolver.Resolve(e); });
 }
 
 }  // namespace lll::xq

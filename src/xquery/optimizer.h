@@ -1,7 +1,6 @@
 #ifndef LLL_XQUERY_OPTIMIZER_H_
 #define LLL_XQUERY_OPTIMIZER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,11 +21,6 @@ struct OptimizerOptions {
   bool constant_folding = true;
   bool dead_let_elimination = true;
   bool recognize_trace = false;
-  // Order analysis: annotate path steps whose results are provably in
-  // document order under step-wise evaluation (forward axes from a singleton
-  // or ordered-disjoint input), so the evaluator can skip the normalizing
-  // sort the flat XDM otherwise forces after every step.
-  bool order_analysis = true;
   // Limit push-down: annotate paths consumed by a statically limited
   // consumer (fn:head, fn:subsequence with literal start/length, a
   // positional `for $x at $p in PATH` immediately guarded by `where $p le
@@ -47,7 +41,6 @@ struct RewriteNote {
     kConstantFolded,     // subtree replaced by its literal value
     kDeadLetEliminated,  // unused pure let binding removed
     kTraceSwallowed,     // a trace() call went down with a dead let
-    kOrderedStep,        // order analysis proved a step sort-free
     kLimitPushed,        // a consumer's prefix demand annotated onto a path
     kDescendantFused,    // descendant-or-self::node()/child::T -> descendant::T
     // A `@a = K` predicate marked for a hash probe (Expr::probe_key). Derived
@@ -68,8 +61,6 @@ struct OptimizerStats {
   // trace() calls that were inside eliminated lets -- the paper's pathology,
   // counted so E6 can report exactly how many trace outputs were swallowed.
   size_t eliminated_trace_calls = 0;
-  // Path steps proven order-preserving by the order analysis.
-  size_t ordered_steps_annotated = 0;
   // Paths annotated with a consumer's prefix demand (Expr::limit_hint).
   size_t limits_pushed = 0;
   // `//T` step pairs fused into one descendant::T step.
@@ -84,14 +75,11 @@ struct OptimizerStats {
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options);
 
 // The descendant-fusion pass, run by Optimize() after its rewrites and
-// before order analysis and probe marking, and again by the plan decoder.
-// Sets PathStep::position_free on every axis step, then rewrites each
-// `descendant-or-self::node()/child::T[P...]` step pair (the expansion of
-// `//T[P...]`; the first step bare) into `descendant::T[P...]` when the
-// child step is position-free. Each fusion appends a kDescendantFused note
-// and counts in stats->fused_descendant_steps. A plan the pass already ran
-// over has nothing left to fuse, so the decoder's re-run only re-derives the
-// position_free bits, which are never stored. DESIGN.md section 18.
+// before probe marking. Rewrites each `descendant-or-self::node()/child::
+// T[P...]` step pair (the expansion of `//T[P...]`; the first step bare)
+// into `descendant::T[P...]` when the child step is position-free (see
+// PathStep::position_free). Each fusion appends a kDescendantFused note and
+// counts in stats->fused_descendant_steps. DESIGN.md section 18.
 void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 
 // The probe-marking pass, run last by Optimize() and again by the plan
@@ -105,6 +93,14 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 // in stats->probe_predicates. DESIGN.md section 16.
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
+// The resolve pass: derives every per-step fact of PathStep (position_free,
+// streamable, foldable, attribute_only, internable) from the AST, resolving
+// calls against the module's own function declarations. Run by Compile on
+// every plan, optimized or not, after any rewrite, and by the plan decoder
+// on every loaded plan, so the bits are computed once per plan and never
+// stored.
+void ResolveSteps(Module* module);
+
 // True if evaluating `e` can have an observable effect besides its value
 // (under the given trace policy). Used by dead-let elimination.
 bool IsPure(const Expr& e, const Module& module, bool recognize_trace);
@@ -114,52 +110,6 @@ size_t CountVariableUses(const Expr& e, const std::string& name);
 
 // Number of fn:trace calls in the tree.
 size_t CountTraceCalls(const Expr& e);
-
-// The order-analysis pass, run by Optimize() when order_analysis is on.
-// Annotates PathStep::statically_ordered throughout `e` and returns the
-// static order property of e's own result. `annotated` (optional) counts the
-// steps proven ordered. Conservative: only sources whose cardinality is
-// statically known (context item, rooted paths, literals, constructors,
-// fn:doc/fn:root calls, let-only FLWORs, if/else joins) seed the proof;
-// everything else starts at kNone and the evaluator's dynamic tracking picks
-// up the slack at run time.
-OrderProp AnalyzeOrder(Expr* e, const Module& module, size_t* annotated);
-
-// --- Node-set intern predicate folding --------------------------------------
-//
-// Resolver for "is (name, arity) a user-defined function in scope?". The
-// optimizer answers it from Module::functions, the evaluator from its
-// runtime registry; sharing the analysis through this hook keeps the static
-// [interned] annotation and the dynamic interning decision from drifting.
-using UserFunctionLookup =
-    std::function<bool(const std::string& name, size_t arity)>;
-
-// True if `pred` may be folded into a node-set intern fingerprint: its value
-// for a given candidate node is a pure function of the tree alone. That
-// requires all of (DESIGN.md section 14):
-//
-//   - provably boolean-valued at the top level (comparisons, and/or,
-//     not/exists/empty/boolean calls) or a node-path shape whose effective
-//     boolean value is "any nodes?" -- NEVER a possibly-numeric expression,
-//     which XPath predicate semantics would turn into a position test;
-//   - no position()/last()/variables/dynamic context: the whitelisted
-//     builtins are pure functions of their arguments and the context ITEM;
-//   - no observable effects (fn:trace/fn:error -- the trace-parity rule) and
-//     no user-defined or unknown functions, which may hide either;
-//   - only downward-reading subexpressions: relative non-rooted paths over
-//     child/attribute/descendant(-or-self)/self axes, so everything the
-//     predicate can see lies beneath the candidate and is covered by the
-//     entry's subtree guards.
-bool InternFoldablePredicate(const Expr& pred,
-                             const UserFunctionLookup& is_user_function);
-
-// True if `pred` is additionally an ATTRIBUTE-ONLY foldable predicate: every
-// path subexpression is a single attribute-axis step (e.g. `[@id = "x"]`
-// and and/or combinations). This is the class the cache may resolve through
-// when anchoring guards below a step -- the candidates' attribute state is
-// exactly what a kLocalChildren guard on their parent watches.
-bool InternAttributeOnlyPredicate(const Expr& pred,
-                                  const UserFunctionLookup& is_user_function);
 
 }  // namespace lll::xq
 

@@ -21,7 +21,6 @@ std::string QueryCache::MakeKey(std::string_view source,
   key.push_back(options.optimizer.constant_folding ? '1' : '0');
   key.push_back(options.optimizer.dead_let_elimination ? '1' : '0');
   key.push_back(options.optimizer.recognize_trace ? '1' : '0');
-  key.push_back(options.optimizer.order_analysis ? '1' : '0');
   key.push_back(options.optimizer.limit_pushdown ? '1' : '0');
   key.push_back('|');
   key.append(source);

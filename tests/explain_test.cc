@@ -1,7 +1,7 @@
 // EXPLAIN: the facility that finally answers "what did the optimizer do to
 // my query?". Golden-substring tests over the rendered output: section
 // structure, provenance, and one note per rewrite family (constant folds,
-// dead lets, swallowed traces, order-analysis verdicts, hash probes,
+// dead lets, swallowed traces, resolved step facts, hash probes,
 // descendant fusion).
 
 #include <string>
@@ -63,13 +63,19 @@ TEST(ExplainTest, RecognizeTraceLeavesNoSwallowNote) {
   EXPECT_EQ(out.find("trace-swallowed"), std::string::npos) << out;
 }
 
-TEST(ExplainTest, OrderAnalysisVerdictShowsInPlanAndNotes) {
-  std::string out = ExplainQuery("/library/book/title");
-  // PR 2's order analysis proves forward child chains document-ordered;
-  // EXPLAIN surfaces both the [ordered] plan annotation and the note.
-  EXPECT_NE(out.find("[ordered]"), std::string::npos) << out;
-  EXPECT_NE(out.find("ordered-step"), std::string::npos) << out;
-  EXPECT_NE(out.find("sort skipped"), std::string::npos) << out;
+TEST(ExplainTest, ResolvedStepFactsShowOnEveryPlan) {
+  // The per-step facts are resolved for every plan, optimized or not, and a
+  // rooted child chain streams and interns either way. Document order is
+  // the evaluator's business, not the plan's: no step claims it.
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    std::string out = ExplainQuery("/library/book/title", copts);
+    EXPECT_NE(out.find("step child::book [streamed] [interned]"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("ordered"), std::string::npos) << out;
+  }
 }
 
 TEST(ExplainTest, ReverseAxisStepsAreMarkedStreamedRev) {
@@ -116,27 +122,19 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
       "  for $v:\n"
       "    Literal \"1\" (1:11)\n"
       "  Path rooted (1:22)\n"
-      "    step child::r [ordered] [streamed] [interned]\n"
-      "    step child::x [ordered] [streamed]\n"
+      "    step child::r [streamed] [interned]\n"
+      "    step child::x [streamed]\n"
       "      predicate [probe @k]:\n"
       "        Binary = (1:27)\n"
       "          VarRef $v (1:27)\n"
       "          Path (1:32)\n"
-      "            step attribute::k [ordered] [streamed]\n"
+      "            step attribute::k [streamed]\n"
       "      predicate [probe @j]:\n"
       "        Binary = (1:36)\n"
       "          Path (1:36)\n"
-      "            step attribute::j [ordered] [streamed]\n"
+      "            step attribute::j [streamed]\n"
       "          Literal \"2\" (1:41)\n"
       "== rewrites ==\n"
-      "  ordered-step (1:22): step child::r proven document-ordered; "
-      "normalizing sort skipped\n"
-      "  ordered-step (1:32): step attribute::k proven document-ordered; "
-      "normalizing sort skipped\n"
-      "  ordered-step (1:36): step attribute::j proven document-ordered; "
-      "normalizing sort skipped\n"
-      "  ordered-step (1:22): step child::x proven document-ordered; "
-      "normalizing sort skipped\n"
       "  probe (1:27): @k = key is answered from a per-query hash index of @k "
       "values; the key is evaluated once per candidate list\n"
       "  probe (1:36): @j = key is answered from a per-query hash index of @j "
@@ -145,7 +143,6 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
       "  folded_constants: 0\n"
       "  eliminated_lets: 0\n"
       "  eliminated_trace_calls: 0\n"
-      "  ordered_steps_annotated: 4\n"
       "  limits_pushed: 0\n"
       "  fused_descendant_steps: 0\n"
       "  probe_predicates: 2\n";
@@ -197,25 +194,20 @@ TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
       "EXPLAIN\n"
       "== plan ==\n"
       "Path rooted (1:1)\n"
-      "  step descendant::a [ordered] [streamed] [interned]\n"
+      "  step descendant::a [streamed] [interned]\n"
       "  step descendant::b [streamed] [interned]\n"
       "    predicate:\n"
       "      Path (1:8)\n"
-      "        step child::c [ordered] [streamed]\n"
+      "        step child::c [streamed]\n"
       "== rewrites ==\n"
       "  descendant-fused (1:1): descendant-or-self::node()/child::a fused "
       "into descendant::a; no predicate observes position\n"
       "  descendant-fused (1:1): descendant-or-self::node()/child::b fused "
       "into descendant::b; no predicate observes position\n"
-      "  ordered-step (1:1): step descendant::a proven document-ordered; "
-      "normalizing sort skipped\n"
-      "  ordered-step (1:8): step child::c proven document-ordered; "
-      "normalizing sort skipped\n"
       "== summary ==\n"
       "  folded_constants: 0\n"
       "  eliminated_lets: 0\n"
       "  eliminated_trace_calls: 0\n"
-      "  ordered_steps_annotated: 2\n"
       "  limits_pushed: 0\n"
       "  fused_descendant_steps: 2\n"
       "  probe_predicates: 0\n";

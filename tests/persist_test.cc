@@ -231,6 +231,34 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   }
 }
 
+// Every path step's derived facts in traversal order, one five-character
+// group per step: position_free, streamable, foldable, attribute_only,
+// internable.
+void AppendStepFacts(const xq::Expr& e, std::string* out) {
+  for (const xq::PathStep& s : e.steps) {
+    for (bool bit : {s.position_free, s.streamable, s.foldable,
+                     s.attribute_only, s.internable}) {
+      out->push_back(bit ? '1' : '0');
+    }
+    out->push_back(' ');
+    for (const xq::ExprPtr& p : s.predicates) AppendStepFacts(*p, out);
+  }
+  for (const xq::ExprPtr& c : e.children) AppendStepFacts(*c, out);
+  for (const xq::FlworClause& c : e.clauses) AppendStepFacts(*c.expr, out);
+  for (const xq::OrderSpec& o : e.order_by) AppendStepFacts(*o.key, out);
+  for (const xq::DirectAttribute& a : e.attributes) {
+    for (const xq::ExprPtr& p : a.value_parts) AppendStepFacts(*p, out);
+  }
+}
+
+std::string StepFacts(const xq::Module& m) {
+  std::string out;
+  for (const xq::FunctionDecl& f : m.functions) AppendStepFacts(*f.body, &out);
+  for (const xq::VariableDecl& v : m.variables) AppendStepFacts(*v.expr, &out);
+  AppendStepFacts(*m.body, &out);
+  return out;
+}
+
 TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
   // Probe marks and their notes never reach the artifact: the decoder
   // derives them from the AST, so the loaded plan still renders them.
@@ -318,6 +346,66 @@ TEST(PersistPlans, CorruptArtifactsNeverHalfWarmTheCache) {
   auto count = persist::LoadPlanCacheFromBytes(writer.Finish(), &target);
   EXPECT_EQ(count.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(target.size(), 0u);
+}
+
+// The encoded plan of `query`, compiled without optimization.
+std::string EncodeUnoptimized(const std::string& query) {
+  xq::CompileOptions plain;
+  plain.optimize = false;
+  auto compiled = xq::Compile(query, plain);
+  EXPECT_TRUE(compiled.ok()) << query;
+  persist::ByteWriter w;
+  if (compiled.ok()) persist::EncodeCompiledQuery(*compiled, &w);
+  return w.TakeBytes();
+}
+
+// Where the subexpression slot holding the image's one string literal
+// "MARKER" starts: its presence byte, which precedes the literal's kind
+// byte, literal-type byte and the text's u32 length.
+size_t MarkerSlot(const std::string& image) {
+  const size_t text = image.find("MARKER");
+  EXPECT_NE(text, std::string::npos);
+  return text == std::string::npos ? 0 : text - 4 - 1 - 1 - 1;
+}
+
+Status DecodeImage(const std::string& image) {
+  persist::ByteReader r(image);
+  return persist::DecodeCompiledQuery(&r).status();
+}
+
+TEST(PersistPlans, AbsentSubexpressionsAreRejected) {
+  // The parser never leaves a subexpression slot empty, so a plan that
+  // claims one is absent -- the module body, a step predicate, a binary
+  // operand -- is rejected at decode time instead of reaching an evaluator,
+  // pass or EXPLAIN that dereferences it.
+  // One more "MARKER" slot in a sequence adds exactly its presence byte and
+  // the literal (all other fields are fixed-width), wherever it sits.
+  const size_t slot_size =
+      EncodeUnoptimized("(1, \"MARKER\", \"MARKER\")").size() -
+      EncodeUnoptimized("(1, \"MARKER\")").size();
+  for (const char* query :
+       {"\"MARKER\"", "/r[\"MARKER\"]", "1 = \"MARKER\""}) {
+    std::string image = EncodeUnoptimized(query);
+    ASSERT_TRUE(DecodeImage(image).ok()) << query;
+    const size_t slot = MarkerSlot(image);
+    ASSERT_EQ(image[slot], 1) << query;
+    image.replace(slot, slot_size, std::string(1, '\0'));
+    ASSERT_EQ(image.find("MARKER"), std::string::npos) << query;
+    Status st = DecodeImage(image);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(st.message().find("absent subexpression"), std::string::npos)
+        << query << ": " << st.ToString();
+  }
+  // A slot dropped together with its count is rejected too: a unary minus
+  // with no operand.
+  std::string image = EncodeUnoptimized("-\"MARKER\"");
+  const size_t slot = MarkerSlot(image);
+  image.erase(slot, slot_size);
+  image.replace(slot - 4, 4, std::string(4, '\0'));  // the child count
+  Status st = DecodeImage(image);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("Unary with 0"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(PersistPlans, MetricsCountStoresLoadsMismatchesAndFailures) {
@@ -612,6 +700,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   xq::NodeSetCache fresh_nodesets(1024);
   xq::NodeSetCache loaded_nodesets(1024);
   size_t disk_hits = 0;
+  size_t facts_set[6] = {};
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
     xq::CacheProvenance prov = xq::CacheProvenance::kCompiled;
@@ -623,7 +712,17 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
               EvalCompiled(**fresh, (*fresh_doc)->root(), &fresh_nodesets))
         << q;
     ASSERT_EQ(obs::Explain(**loaded), obs::Explain(**fresh)) << q;
+    // The step facts are never stored; the decoder derives every one of
+    // them again, exactly as the fresh compile did.
+    const std::string facts = StepFacts((*fresh)->module());
+    ASSERT_EQ(StepFacts((*loaded)->module()), facts) << q;
+    for (size_t i = 0; i < facts.size(); ++i) {
+      if (facts[i] == '1') ++facts_set[i % 6];
+    }
   }
+  // Every fact is set somewhere in the workload, so the comparison above
+  // is not vacuous.
+  for (size_t i = 0; i < 5; ++i) EXPECT_GT(facts_set[i], 0u) << i;
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that
   // provenance even when the hit itself came from the in-memory LRU (the
   // plan never paid compile cost in this process -- that's what the tag

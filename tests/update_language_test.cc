@@ -368,28 +368,6 @@ TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
             m2.stats.nodeset_cache_partial_invalidations)
       << "every invalidation from the scoped update must be subtree-scoped";
   EXPECT_EQ(m2.result.find("<part/><part/>"), 0u);
-
-  // Control arm: with subtree invalidation forced off, the SAME traffic
-  // produces full invalidations on both chains.
-  MetricsRegistry coarse_metrics;
-  server::ServerOptions coarse = UpdateTestOptions(&coarse_metrics);
-  coarse.subtree_invalidation = false;
-  server::QueryServer coarse_server(coarse);
-  ASSERT_TRUE(coarse_server.AddDocumentXml("lib", kLibrary).ok());
-  server::Session coarse_session = coarse_server.OpenSession("acme");
-  ASSERT_TRUE(coarse_session.Query("lib", q_m1).status.ok());
-  ASSERT_TRUE(coarse_session.Query("lib", q_m2).status.ok());
-  ASSERT_TRUE(coarse_server
-                  .PublishUpdate("lib",
-                                 "insert <part/> into "
-                                 "/library/models/model[@id = \"m2\"]/parts")
-                  .ok());
-  coarse_session.Refresh();
-  server::QueryResponse coarse_m1 = coarse_session.Query("lib", q_m1);
-  ASSERT_TRUE(coarse_m1.status.ok());
-  EXPECT_GE(coarse_m1.stats.nodeset_cache_invalidations, 1u);
-  EXPECT_EQ(coarse_m1.stats.nodeset_cache_partial_invalidations, 0u)
-      << "the whole-document baseline must never count partial";
 }
 
 // The mutate-between-runs differential, driven ENTIRELY by update-language

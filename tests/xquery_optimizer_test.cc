@@ -170,139 +170,75 @@ TEST(Optimizer, CountVariableUsesRespectsShadowing) {
   EXPECT_EQ(xq::CountVariableUses(*module->body, "x"), 3u);
 }
 
-// --- Order analysis ---------------------------------------------------------
+// --- Document order -----------------------------------------------------------
+//
+// Path steps and set operators return nodes in document order without
+// duplicates. The streaming pipeline emits that order directly; the
+// materializing evaluator sorts after a step unless the step had a single
+// context and a forward axis, whose candidates come out in order.
 
-TEST(OrderAnalysis, TransferOrderLattice) {
-  using xq::Axis;
-  using xq::OrderProp;
-  // Forward step-wise proofs: child/attribute keep disjointness, descendant
-  // axes lose it (a descendant set can nest), reverse axes prove nothing.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kChild),
-            OrderProp::kOrderedDisjoint);
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kOrderedDisjoint, Axis::kChild),
-            OrderProp::kOrderedDisjoint);
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kOrderedDisjoint, Axis::kAttribute),
-            OrderProp::kOrderedDisjoint);
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kDescendant),
-            OrderProp::kOrdered);
-  EXPECT_EQ(
-      xq::TransferOrder(OrderProp::kOrderedDisjoint, Axis::kDescendantOrSelf),
-      OrderProp::kOrdered);
-  // Ordered-but-possibly-nested input proves nothing for child::—sibling
-  // groups of nested contexts interleave.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kOrdered, Axis::kChild),
-            OrderProp::kNone);
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kOrdered, Axis::kDescendant),
-            OrderProp::kNone);
-  // self:: preserves whatever the input had.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kOrdered, Axis::kSelf),
-            OrderProp::kOrdered);
-  // following-sibling only composes from a singleton.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kFollowingSibling),
-            OrderProp::kOrderedDisjoint);
-  EXPECT_EQ(
-      xq::TransferOrder(OrderProp::kOrderedDisjoint, Axis::kFollowingSibling),
-      OrderProp::kNone);
-  // parent:: from a singleton stays a singleton.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kParent),
-            OrderProp::kSingleton);
-  // Reverse axes are collected in reverse document order: never proven.
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kAncestor),
-            OrderProp::kNone);
-  EXPECT_EQ(xq::TransferOrder(OrderProp::kSingleton, Axis::kPrecedingSibling),
-            OrderProp::kNone);
-
-  EXPECT_EQ(xq::MeetOrder(OrderProp::kSingleton, OrderProp::kOrdered),
-            OrderProp::kOrdered);
-  EXPECT_EQ(xq::MeetOrder(OrderProp::kNone, OrderProp::kSingleton),
-            OrderProp::kNone);
-}
-
-TEST(OrderAnalysis, RootedChildChainIsFullyAnnotated) {
-  auto query = xq::Compile("/r/a/b");
-  ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->optimizer_stats().ordered_steps_annotated, 3u);
-  const xq::Expr& body = *query->module().body;
-  ASSERT_EQ(body.kind, xq::ExprKind::kPath);
-  for (const xq::PathStep& s : body.steps) {
-    EXPECT_TRUE(s.statically_ordered) << xq::AxisName(s.axis);
-  }
-}
-
-TEST(OrderAnalysis, DescendantLosesDisjointnessForLaterSteps) {
-  // //x[1] == /descendant-or-self::node()/child::x[1] (a positional
-  // predicate keeps the pair unfused). The first step is provably
-  // ordered (singleton source) but yields a NESTED set, so the child step
-  // cannot be proven and keeps its normalizing sort.
-  auto query = xq::Compile("//x[1]");
-  ASSERT_TRUE(query.ok());
-  const xq::Expr& body = *query->module().body;
-  ASSERT_EQ(body.kind, xq::ExprKind::kPath);
-  ASSERT_EQ(body.steps.size(), 2u);
-  EXPECT_TRUE(body.steps[0].statically_ordered);
-  EXPECT_FALSE(body.steps[1].statically_ordered);
-  EXPECT_EQ(query->optimizer_stats().ordered_steps_annotated, 1u);
-}
-
-TEST(OrderAnalysis, DisablingTheAnalysisDropsAnnotationsNotAnswers) {
-  xq::CompileOptions off;
-  off.optimizer.order_analysis = false;
-  auto query = xq::Compile("/r/a/b", off);
-  ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->optimizer_stats().ordered_steps_annotated, 0u);
-  for (const xq::PathStep& s : query->module().body->steps) {
-    EXPECT_FALSE(s.statically_ordered);
-  }
-}
-
-TEST(OrderAnalysis, EvaluatorSkipsProvenSortsAndCountsThem) {
+TEST(DocumentOrder, StreamedChainsNeverSort) {
   auto doc = xml::Parse(
       "<r><a><b/><b/></a><a><b/><b/></a><x/><a><b/><x/></a></r>");
   ASSERT_TRUE(doc.ok());
   xq::ExecuteOptions opts;
   opts.context_node = (*doc)->root();
-
-  // Fully proven chain: every step's normalization is skipped.
-  auto query = xq::Compile("/r/a/b");
-  ASSERT_TRUE(query.ok());
-  auto r = xq::Execute(*query, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->sequence.size(), 5u);
-  EXPECT_GT(r->stats.sorts_skipped, 0u);
-  EXPECT_EQ(r->stats.sorts_performed, 0u);
-
-  // //a/b: in the materializing evaluator the child step off the nested
-  // descendant set must really sort. (The streaming pipeline sidesteps the
-  // sort entirely; pin it off to observe the materializing behavior.)
-  auto unproven = xq::Compile("//a/b");
-  ASSERT_TRUE(unproven.ok());
-  xq::ExecuteOptions materializing = opts;
-  materializing.eval.streaming = false;
-  auto r2 = xq::Execute(*unproven, materializing);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->sequence.size(), 5u);
-  EXPECT_GT(r2->stats.sorts_performed, 0u);
-  EXPECT_GT(r2->stats.order_compares, 0u);
-
-  // Streamed, the same query needs no normalizing sort and agrees item for
-  // item.
-  auto r2s = xq::Execute(*unproven, opts);
-  ASSERT_TRUE(r2s.ok());
-  EXPECT_EQ(r2s->stats.sorts_performed, 0u);
-  EXPECT_EQ(r2s->SerializedItems(), r2->SerializedItems());
-
-  // Same answers with the analysis off -- the sorts come back, the result
-  // sequence does not change.
-  xq::CompileOptions off;
-  off.optimizer.order_analysis = false;
-  auto baseline = xq::Compile("/r/a/b", off);
-  ASSERT_TRUE(baseline.ok());
-  auto r3 = xq::Execute(*baseline, opts);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3->SerializedItems(), r->SerializedItems());
+  for (const char* q : {"/r/a/b", "//a/b", "//b"}) {
+    auto r = xq::Run(q, opts);
+    ASSERT_TRUE(r.ok()) << q;
+    EXPECT_EQ(r->sequence.size(), 5u) << q;
+    EXPECT_GT(r->stats.nodes_pulled, 0u) << q;
+    EXPECT_EQ(r->stats.sorts_performed, 0u) << q;
+  }
 }
 
-TEST(OrderAnalysis, UnionOfOverlappingPathsStillNormalizes) {
+TEST(DocumentOrder, SingleContextStepsSkipTheSortWhenMaterializing) {
+  // /r/a: child::r from the document node, then child::a from the one r.
+  // Each step has a single context, so neither result needs a sort.
+  auto doc = xml::Parse("<r><a/><x/><a/><a/></r>");
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions materializing;
+  materializing.context_node = (*doc)->root();
+  materializing.eval.streaming = false;
+  auto r = xq::Run("/r/a", materializing);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->sequence.size(), 3u);
+  EXPECT_EQ(r->stats.sorts_performed, 0u);
+  EXPECT_EQ(r->stats.order_compares, 0u);
+  EXPECT_EQ(r->stats.sorts_skipped, 2u);
+}
+
+TEST(DocumentOrder, NestedContextsStillSortWhenMaterializing) {
+  auto doc = xml::Parse(
+      "<r><a><b/><b/></a><a><b/><b/></a><x/><a><b/><x/></a></r>");
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  auto query = xq::Compile("//a/b");
+  ASSERT_TRUE(query.ok());
+
+  // //a/b: the child step runs from several a contexts, so the
+  // materializing evaluator must really sort.
+  xq::ExecuteOptions materializing = opts;
+  materializing.eval.streaming = false;
+  auto sorted = xq::Execute(*query, materializing);
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(sorted->sequence.size(), 5u);
+  EXPECT_GT(sorted->stats.sorts_performed, 0u);
+  EXPECT_GT(sorted->stats.order_compares, 0u);
+
+  // Streamed, the same query needs no sort and agrees item for item.
+  auto streamed = xq::Execute(*query, opts);
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_EQ(streamed->stats.sorts_performed, 0u);
+  ASSERT_EQ(streamed->sequence.size(), sorted->sequence.size());
+  for (size_t i = 0; i < sorted->sequence.size(); ++i) {
+    EXPECT_EQ(streamed->sequence.at(i).node(), sorted->sequence.at(i).node())
+        << i;
+  }
+}
+
+TEST(DocumentOrder, UnionOfOverlappingPathsStillNormalizes) {
   auto doc = xml::Parse("<r><a/><b/><a/><b/></r>");
   ASSERT_TRUE(doc.ok());
   xq::ExecuteOptions opts;
@@ -323,7 +259,6 @@ TEST(LimitPushdown, LiteralConsumersAnnotateThePath) {
   EXPECT_EQ(sub->optimizer_stats().limits_pushed, 1u);
   ASSERT_EQ(sub->module().body->children.size(), 3u);
   EXPECT_EQ(sub->module().body->children[0]->limit_hint, 3u);
-  EXPECT_TRUE(sub->module().body->children[0]->statically_limit_pushable);
 
   auto head = xq::Compile("head(//a)");
   ASSERT_TRUE(head.ok());

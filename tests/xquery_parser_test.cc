@@ -157,16 +157,12 @@ TEST(ParserErrors, SpecificMessages) {
   EXPECT_NE(ParseErr("1 2").find("trailing"), std::string::npos);
 }
 
-TEST(ParserAst, CloneAndCount) {
+TEST(ParserAst, CountExprNodes) {
   auto module = ParseExpression(
       "for $x in (1 to 10) where $x > 2 order by $x return <v a=\"{$x}\">{$x"
       "}</v>");
   ASSERT_TRUE(module.ok());
-  size_t n = CountExprNodes(*module->body);
-  EXPECT_GT(n, 8u);
-  ExprPtr clone = CloneExpr(*module->body);
-  EXPECT_EQ(CountExprNodes(*clone), n);
-  EXPECT_EQ(ExprToString(*clone), ExprToString(*module->body));
+  EXPECT_GT(CountExprNodes(*module->body), 8u);
 }
 
 TEST(ParserLexical, WhitespaceFlexibility) {

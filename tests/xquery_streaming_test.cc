@@ -122,6 +122,26 @@ TEST(Streaming, DifferentialRandomPaths) {
   EXPECT_GE(checked, 495);
 }
 
+TEST(Streaming, UnoptimizedPlansStillStream) {
+  // Streamability is resolved for every plan, not only optimized ones: an
+  // optimize=false compile of /r/a still runs through the pipeline.
+  auto doc = xml::Parse("<r><a/><b/><a/></r>");
+  ASSERT_TRUE(doc.ok());
+  xq::CompileOptions plain;
+  plain.optimize = false;
+  auto compiled = xq::Compile("/r/a", plain);
+  ASSERT_TRUE(compiled.ok());
+  for (const xq::PathStep& step : compiled->module().body->steps) {
+    EXPECT_TRUE(step.streamable);
+  }
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  auto r = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->sequence.size(), 2u);
+  EXPECT_GT(r->stats.nodes_pulled, 0u);
+}
+
 TEST(Streaming, EarlyExitSkipsWorkOnFirstMatch) {
   // A wide document: one thousand <x> leaves under one root.
   std::string xml = "<r>";

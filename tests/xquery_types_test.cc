@@ -3,6 +3,7 @@
 // "metastasis" scenario the paper describes.
 
 #include "gtest/gtest.h"
+#include "obs/trace_sink.h"
 #include "tests/test_util.h"
 #include "xquery/parser.h"
 
@@ -148,6 +149,26 @@ TEST(CastableAs, BasicProbes) {
   EXPECT_EQ(Eval("() castable as xs:integer?"), "true");
   EXPECT_EQ(Eval("() castable as xs:integer"), "false");
   EXPECT_EQ(Eval("(1, 2) castable as xs:integer"), "false");
+}
+
+TEST(CastableAs, EvaluatesItsOperandOnce) {
+  // `castable as` casts the value it already holds: the operand's trace
+  // fires once, as it does for `cast as` and `instance of`.
+  for (const char* q : {"trace(\"t\", \"7\") castable as xs:integer",
+                        "trace(\"t\", \"7\") cast as xs:integer",
+                        "trace(\"t\", \"7\") instance of xs:string"}) {
+    obs::CollectingTraceSink sink;
+    xq::ExecuteOptions opts;
+    opts.eval.trace_sink = &sink;
+    auto r = xq::Run(q, opts);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    EXPECT_EQ(r->trace_output.size(), 1u) << q;
+    EXPECT_EQ(sink.Events().size(), 1u) << q;
+  }
+  EXPECT_EQ(Eval("trace(\"t\", \"7\") castable as xs:integer"), "true");
+  // A failing operand is an error, not `false`.
+  EXPECT_NE(EvalError("error(\"boom\") castable as xs:integer").find("boom"),
+            std::string::npos);
 }
 
 TEST(CastableAs, GuardsTheCast) {
