@@ -35,6 +35,9 @@ QUERIES=(
   'query t lib string-join(//shelf/@id, ",")'
   'query t lib //shelf[@id="1"]/book[1]/text()'
   'query t lib for $s in //shelf order by $s/@id descending return count($s/book)'
+  # A typed parameter, an arity overload and a re-bound let: daemon B binds
+  # every name of the loaded plan again.
+  'query t lib declare function local:twice($a as xs:integer) { $a * 2 }; declare function local:twice($a, $b) { $a + $b }; let $n := count(//book) let $n := local:twice($n) return local:twice($n, 1)'
 )
 
 burst() {
@@ -81,6 +84,12 @@ if ! diff <(strip_varying "${WORK}/cold.out") \
   echo "persist_roundtrip: warm answers diverge from cold" >&2
   exit 1
 fi
+
+# The binding query answers 9 (4 books, twice, plus one) from the loaded plan.
+grep -qx '9' "${WORK}/warm.out" || {
+  echo "persist_roundtrip: the loaded binding query did not answer 9" >&2
+  exit 1
+}
 
 grep -q 'server plan: disk-cache' "${WORK}/warm.out" || {
   echo "persist_roundtrip: warm EXPLAIN did not report disk-cache" >&2

@@ -97,8 +97,8 @@ struct DocGenStats {
   // XQuery engine only: evaluator steps across all phases.
   size_t eval_steps = 0;
   // XQuery engine only: document-order normalizations across all phases --
-  // sorts actually performed vs. proven unnecessary (statically by the
-  // optimizer's order analysis or dynamically by the evaluator).
+  // sorts actually performed vs. found unnecessary (the sequence already
+  // carried its ordered bit, or held at most one item).
   size_t sorts_performed = 0;
   size_t sorts_skipped = 0;
   // XQuery engine only: streaming pipeline traffic across all phases --

@@ -31,7 +31,7 @@ namespace lll::persist {
 // format version covers the ENTIRE artifact family: any change to a section
 // payload encoding bumps kFormatVersion, and old files are rejected cleanly.
 inline constexpr char kMagic[4] = {'L', 'L', 'L', 'A'};
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 
 // Artifact kinds (the second-level tag under the shared container).
 inline constexpr uint32_t kPlanCacheArtifact = 1;  // *.lllp

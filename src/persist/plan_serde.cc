@@ -1,5 +1,7 @@
 #include "persist/plan_serde.h"
 
+#include <optional>
+
 #include "xquery/ast.h"
 #include "xquery/optimizer.h"
 
@@ -178,6 +180,21 @@ Result<bool> DecodeBool(ByteReader* r, const char* what) {
   return v == 1;
 }
 
+// A type annotation behind a presence byte: 0 for none, 1 then the type.
+void EncodeOptionalType(const std::optional<xq::SequenceType>& t,
+                        ByteWriter* w) {
+  w->U8(t.has_value() ? 1 : 0);
+  if (t.has_value()) EncodeSequenceType(*t, w);
+}
+
+Result<std::optional<xq::SequenceType>> DecodeOptionalType(ByteReader* r,
+                                                           const char* what) {
+  LLL_ASSIGN_OR_RETURN(bool present, DecodeBool(r, what));
+  if (!present) return std::optional<xq::SequenceType>();
+  LLL_ASSIGN_OR_RETURN(xq::SequenceType t, DecodeSequenceType(r));
+  return std::optional<xq::SequenceType>(std::move(t));
+}
+
 Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
   if (depth > kMaxDecodeDepth) {
     return Status::Invalid("plan artifact: expression nesting exceeds " +
@@ -290,13 +307,11 @@ void EncodeCompiledQuery(const xq::CompiledQuery& query, ByteWriter* w) {
   for (const xq::FunctionDecl& f : m.functions) {
     w->Str(f.name);
     w->U32(static_cast<uint32_t>(f.params.size()));
-    for (const std::string& p : f.params) w->Str(p);
-    w->U32(static_cast<uint32_t>(f.param_types.size()));
-    for (const xq::SequenceType& t : f.param_types) EncodeSequenceType(t, w);
-    w->U32(static_cast<uint32_t>(f.has_param_type.size()));
-    for (bool b : f.has_param_type) w->U8(b ? 1 : 0);
-    EncodeSequenceType(f.return_type, w);
-    w->U8(f.has_return_type ? 1 : 0);
+    for (const xq::FunctionDecl::Param& p : f.params) {
+      w->Str(p.name);
+      EncodeOptionalType(p.type, w);
+    }
+    EncodeOptionalType(f.return_type, w);
     EncodeSubExpr(f.body, w);
   }
   w->U32(static_cast<uint32_t>(m.variables.size()));
@@ -338,27 +353,13 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     LLL_ASSIGN_OR_RETURN(f.name, r->Str());
     LLL_ASSIGN_OR_RETURN(uint32_t nparams, r->U32());
     LLL_RETURN_IF_ERROR(CheckCount(nparams, *r, "function param"));
-    f.params.reserve(nparams);
-    for (uint32_t j = 0; j < nparams; ++j) {
-      LLL_ASSIGN_OR_RETURN(std::string p, r->Str());
-      f.params.push_back(std::move(p));
+    f.params.resize(nparams);
+    for (xq::FunctionDecl::Param& p : f.params) {
+      LLL_ASSIGN_OR_RETURN(p.name, r->Str());
+      LLL_ASSIGN_OR_RETURN(p.type, DecodeOptionalType(r, "parameter type"));
     }
-    LLL_ASSIGN_OR_RETURN(uint32_t ntypes, r->U32());
-    LLL_RETURN_IF_ERROR(CheckCount(ntypes, *r, "param type"));
-    f.param_types.reserve(ntypes);
-    for (uint32_t j = 0; j < ntypes; ++j) {
-      LLL_ASSIGN_OR_RETURN(xq::SequenceType t, DecodeSequenceType(r));
-      f.param_types.push_back(std::move(t));
-    }
-    LLL_ASSIGN_OR_RETURN(uint32_t nflags, r->U32());
-    LLL_RETURN_IF_ERROR(CheckCount(nflags, *r, "param-type flag"));
-    f.has_param_type.reserve(nflags);
-    for (uint32_t j = 0; j < nflags; ++j) {
-      LLL_ASSIGN_OR_RETURN(bool b, DecodeBool(r, "has_param_type"));
-      f.has_param_type.push_back(b);
-    }
-    LLL_ASSIGN_OR_RETURN(f.return_type, DecodeSequenceType(r));
-    LLL_ASSIGN_OR_RETURN(f.has_return_type, DecodeBool(r, "has_return_type"));
+    LLL_ASSIGN_OR_RETURN(f.return_type,
+                         DecodeOptionalType(r, "return type"));
     LLL_ASSIGN_OR_RETURN(f.body, DecodeSubExpr(r, 0));
     m.functions.push_back(std::move(f));
   }
@@ -399,9 +400,10 @@ Result<xq::CompiledQuery> DecodeCompiledQuery(ByteReader* r) {
     n.col = static_cast<size_t>(col);
     s.notes.push_back(std::move(n));
   }
-  // Probe marks and per-step facts are never stored: derive them from the
-  // decoded AST, so a forged artifact cannot set one the optimizer would
-  // not.
+  // Name bindings, probe marks and per-step facts are never stored: derive
+  // them from the decoded AST, so a forged artifact cannot set one the
+  // compiler would not.
+  xq::BindNames(&m);
   xq::MarkProbePredicates(&m, &s);
   xq::ResolveSteps(&m);
   return xq::CompiledQuery(std::move(m), std::move(s),

@@ -63,10 +63,11 @@ class Sequence {
   bool AnyNode() const;
 
   // The order invariant: true means "if this is a node sequence, it is in
-  // document order with no duplicate nodes". Set by sorting (or by an
-  // evaluator that can prove the invariant statically); cleared by any
-  // mutation that could break it. Lets already-sorted sequences skip the
-  // re-sort that the flat XDM otherwise forces after every path step.
+  // document order with no duplicate nodes". Set by sorting, or by an
+  // evaluator step whose candidates come out in order (one context, a
+  // forward axis); cleared by any mutation that could break it. Lets
+  // already-sorted sequences skip the re-sort that the flat XDM otherwise
+  // forces after every path step.
   bool ordered_deduped() const { return ordered_deduped_; }
   void MarkOrderedDeduped() { ordered_deduped_ = true; }
 

@@ -1,7 +1,9 @@
 #ifndef LLL_XQUERY_AST_H_
 #define LLL_XQUERY_AST_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,8 @@ namespace lll::xq {
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
+struct FunctionDecl;
+struct Builtin;  // eval.h
 
 // XPath axes. The subset covers everything the paper's document generator
 // used: child::, descendant(-or-self)::, parent:: ("parent::book"), self::,
@@ -209,6 +213,8 @@ struct FlworClause {
   std::string var;       // without '$'
   std::string pos_var;   // "for $x at $i in ..." ; empty if none
   ExprPtr expr;          // binding expr, or the where condition
+  // $var's frame slot, and $pos_var's is slot + 1 (bound by BindNames).
+  uint32_t slot = 0;
 };
 
 struct OrderSpec {
@@ -287,6 +293,21 @@ struct Expr {
   // kCastAs / kInstanceOf / function signature use.
   SequenceType type;
 
+  // Name bindings, set by BindNames (optimizer.h) and never serialized.
+  // kFunctionCall: the user declaration (in this plan's Module, whose
+  // functions never change after binding) or else the builtin it runs;
+  // neither means an unknown function, an error once evaluated.
+  const FunctionDecl* decl = nullptr;
+  const Builtin* builtin = nullptr;
+  // kVarRef: where the value lives. kQuantified: its variable's frame slot;
+  // kTryCatch: $err:description's ($err:code's is slot + 1).
+  enum class Scope {
+    kLocal,     // the current call frame's `slot`
+    kGlobal,    // the prolog's variables[slot]
+    kExternal,  // ExecuteOptions::variables, by name
+  } scope = Scope::kExternal;
+  uint32_t slot = 0;
+
   // Source position, 1-based; kept through optimization for diagnostics.
   size_t line = 0;
   size_t col = 0;
@@ -294,13 +315,15 @@ struct Expr {
 
 // A user-defined function: declare function local:name($a as T, $b) as T {..}.
 struct FunctionDecl {
+  struct Param {
+    std::string name;
+    std::optional<SequenceType> type;  // unannotated: anything goes
+  };
   std::string name;
-  std::vector<std::string> params;
-  std::vector<SequenceType> param_types;  // parallel; defaults to item()*
-  SequenceType return_type;               // item()* if unannotated
-  bool has_return_type = false;
-  std::vector<bool> has_param_type;
+  std::vector<Param> params;  // parameter i lives in frame slot i
+  std::optional<SequenceType> return_type;
   ExprPtr body;
+  uint32_t frame_size = 0;  // parameters plus the body's bindings
 };
 
 // declare variable $name := expr;
@@ -314,6 +337,7 @@ struct Module {
   std::vector<FunctionDecl> functions;
   std::vector<VariableDecl> variables;
   ExprPtr body;
+  uint32_t frame_size = 0;  // the variable initializers' and body's bindings
 };
 
 // The nesting cap on every expression tree. The parser rejects source that

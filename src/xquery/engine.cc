@@ -26,6 +26,7 @@ std::string QueryResult::SerializedItems(
 Result<CompiledQuery> Compile(std::string_view source,
                               const CompileOptions& options) {
   LLL_ASSIGN_OR_RETURN(Module module, ParseModule(source));
+  BindNames(&module);
   OptimizerStats stats;
   if (options.optimize) {
     stats = Optimize(&module, options.optimizer);

@@ -195,10 +195,6 @@ struct Evaluator::ProbeIndex {
 
 DynamicContext::DynamicContext() : arena_(std::make_unique<xml::Document>()) {}
 
-void DynamicContext::BindExternal(const std::string& name, Sequence value) {
-  env_.emplace_back(name, std::move(value));
-}
-
 // --- Evaluator ------------------------------------------------------------
 
 Evaluator::~Evaluator() = default;
@@ -206,9 +202,6 @@ Evaluator::~Evaluator() = default;
 Evaluator::Evaluator(const Module& module, DynamicContext* context,
                      const EvalOptions& options)
     : module_(module), ctx_(context), options_(options) {
-  for (const FunctionDecl& fn : module.functions) {
-    functions_[{fn.name, fn.params.size()}] = &fn;
-  }
   if (ctx_->has_context_item_) {
     focus_.item = ctx_->context_item_;
     focus_.position = 1;
@@ -217,9 +210,18 @@ Evaluator::Evaluator(const Module& module, DynamicContext* context,
   }
 }
 
-const Sequence* Evaluator::EnvLookup(const std::string& name) const {
-  for (auto it = ctx_->env_.rbegin(); it != ctx_->env_.rend(); ++it) {
-    if (it->first == name) return &it->second;
+const Sequence* Evaluator::LookupVariable(const Expr& ref) const {
+  switch (ref.scope) {
+    case Expr::Scope::kLocal:
+      return &slots_[frame_base_ + ref.slot];
+    case Expr::Scope::kGlobal:
+      // A function called from an earlier initializer may read a variable
+      // whose own initializer has not run yet.
+      return ref.slot < globals_.size() ? &globals_[ref.slot] : nullptr;
+    case Expr::Scope::kExternal: {
+      auto it = ctx_->externals_.find(ref.name);
+      return it == ctx_->externals_.end() ? nullptr : &it->second;
+    }
   }
   return nullptr;
 }
@@ -258,9 +260,11 @@ Status Evaluator::StepBudget() {
 }
 
 Result<Sequence> Evaluator::Run() {
+  slots_.resize(module_.frame_size);
+  globals_.reserve(module_.variables.size());
   for (const VariableDecl& var : module_.variables) {
     LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*var.expr));
-    EnvBind(var.name, std::move(value));
+    globals_.push_back(std::move(value));
   }
   return Eval(*module_.body);
 }
@@ -318,7 +322,7 @@ Result<Sequence> Evaluator::EvalInner(const Expr& e) {
       return out;
     }
     case ExprKind::kVarRef: {
-      const Sequence* bound = EnvLookup(e.name);
+      const Sequence* bound = LookupVariable(e);
       if (bound == nullptr) {
         return Status::Invalid("variable '$" + e.name + "' not found at line " +
                                std::to_string(e.line));
@@ -396,14 +400,10 @@ Result<Sequence> Evaluator::EvalInner(const Expr& e) {
           attempt.status().code() == StatusCode::kResourceExhausted) {
         return attempt.status();
       }
-      size_t mark = EnvMark();
-      EnvBind("err:description",
-              Sequence(Item::String(attempt.status().message())));
-      EnvBind("err:code",
-              Sequence(Item::String(StatusCodeName(attempt.status().code()))));
-      Result<Sequence> handled = Eval(*e.children[1]);
-      EnvRestore(mark);
-      return handled;
+      Slot(e.slot) = Sequence(Item::String(attempt.status().message()));
+      Slot(e.slot + 1) =
+          Sequence(Item::String(StatusCodeName(attempt.status().code())));
+      return Eval(*e.children[1]);
     }
   }
   return Status::Internal("unhandled expression kind");
@@ -1843,11 +1843,9 @@ int CompareSortKeys(const SortKey& a, const SortKey& b) {
 Result<Sequence> Evaluator::EvalFlwor(const Expr& e) {
   Sequence out;
   std::vector<std::pair<std::vector<Sequence>, Sequence>> tuples;
-  size_t mark = EnvMark();
-  Status st = EvalFlworClauses(e, 0, e.order_by.empty() ? nullptr : &tuples,
-                               e.order_by.empty() ? &out : nullptr);
-  EnvRestore(mark);
-  LLL_RETURN_IF_ERROR(st);
+  LLL_RETURN_IF_ERROR(
+      EvalFlworClauses(e, 0, e.order_by.empty() ? nullptr : &tuples,
+                       e.order_by.empty() ? &out : nullptr));
   if (e.order_by.empty()) return out;
 
   // Precompute sort keys and validate column homogeneity.
@@ -1927,12 +1925,8 @@ Status Evaluator::EvalFlworClauses(
   const FlworClause& clause = e.clauses[clause_index];
   switch (clause.kind) {
     case FlworClause::Kind::kLet: {
-      LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*clause.expr));
-      size_t mark = EnvMark();
-      EnvBind(clause.var, std::move(value));
-      Status st = EvalFlworClauses(e, clause_index + 1, tuples, out);
-      EnvRestore(mark);
-      return st;
+      LLL_ASSIGN_OR_RETURN(Slot(clause.slot), Eval(*clause.expr));
+      return EvalFlworClauses(e, clause_index + 1, tuples, out);
     }
     case FlworClause::Kind::kWhere: {
       LLL_ASSIGN_OR_RETURN(bool truth, EvalEffectiveBoolean(*clause.expr));
@@ -1942,15 +1936,12 @@ Status Evaluator::EvalFlworClauses(
     case FlworClause::Kind::kFor: {
       LLL_ASSIGN_OR_RETURN(Sequence domain, Eval(*clause.expr));
       for (size_t i = 0; i < domain.size(); ++i) {
-        size_t mark = EnvMark();
-        EnvBind(clause.var, Sequence(domain.at(i)));
+        Slot(clause.slot) = Sequence(domain.at(i));
         if (!clause.pos_var.empty()) {
-          EnvBind(clause.pos_var,
-                  Sequence(Item::Integer(static_cast<int64_t>(i + 1))));
+          Slot(clause.slot + 1) =
+              Sequence(Item::Integer(static_cast<int64_t>(i + 1)));
         }
-        Status st = EvalFlworClauses(e, clause_index + 1, tuples, out);
-        EnvRestore(mark);
-        LLL_RETURN_IF_ERROR(st);
+        LLL_RETURN_IF_ERROR(EvalFlworClauses(e, clause_index + 1, tuples, out));
       }
       return Status::Ok();
     }
@@ -1961,10 +1952,8 @@ Status Evaluator::EvalFlworClauses(
 Result<Sequence> Evaluator::EvalQuantified(const Expr& e) {
   LLL_ASSIGN_OR_RETURN(Sequence domain, Eval(*e.children[0]));
   for (const Item& item : domain.items()) {
-    size_t mark = EnvMark();
-    EnvBind(e.name, Sequence(item));
+    Slot(e.slot) = Sequence(item);
     Result<bool> truth = EvalEffectiveBoolean(*e.children[1]);
-    EnvRestore(mark);
     if (!truth.ok()) return truth.status();
     if (e.quantifier_every && !*truth) return Sequence(Item::Boolean(false));
     if (!e.quantifier_every && *truth) return Sequence(Item::Boolean(true));
@@ -1975,91 +1964,26 @@ Result<Sequence> Evaluator::EvalQuantified(const Expr& e) {
 // --- Function calls -----------------------------------------------------
 
 Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
-  std::string name = e.name;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
-
-  // User-defined functions shadow nothing (different namespaces in spirit).
-  auto udf = functions_.find({e.name, e.children.size()});
-  if (udf == functions_.end()) {
-    udf = functions_.find({name, e.children.size()});
-  }
-  if (udf != functions_.end()) {
-    const FunctionDecl& fn = *udf->second;
-    if (++call_depth_ > 512) {
-      --call_depth_;
-      return Status::Internal("recursion too deep in '" + fn.name + "'");
-    }
-    ++stats_.function_calls;
-    std::vector<Sequence> args;
-    args.reserve(e.children.size());
-    for (const ExprPtr& arg : e.children) {
-      Result<Sequence> value = Eval(*arg);
-      if (!value.ok()) {
-        --call_depth_;
-        return value.status();
-      }
-      args.push_back(std::move(*value));
-    }
-    size_t mark = EnvMark();
-    for (size_t i = 0; i < fn.params.size(); ++i) {
-      if (fn.has_param_type[i]) {
-        Sequence converted;
-        Status st = CheckSequenceType(args[i], fn.param_types[i],
-                                      fn.params.size() > i ? fn.params[i].c_str()
-                                                           : "parameter",
-                                      &converted);
-        if (!st.ok()) {
-          EnvRestore(mark);
-          --call_depth_;
-          return st.AddContext("in call to " + fn.name + "()");
-        }
-        EnvBind(fn.params[i], std::move(converted));
-      } else {
-        EnvBind(fn.params[i], std::move(args[i]));
-      }
-    }
-    // Function bodies do not inherit the caller's focus.
-    Focus saved = focus_;
-    focus_ = Focus{};
-    Result<Sequence> body = Eval(*fn.body);
-    focus_ = saved;
-    EnvRestore(mark);
-    --call_depth_;
-    if (!body.ok()) {
-      Status st = body.status();
-      return st.AddContext("in call to " + fn.name + "()");
-    }
-    if (fn.has_return_type) {
-      Sequence converted;
-      Status st =
-          CheckSequenceType(*body, fn.return_type, "return value", &converted);
-      if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
-      return converted;
-    }
-    return body;
-  }
-
-  // fn:exists / fn:empty over a path argument: emptiness is decided by the
-  // first node, so pull at most one instead of materializing the set. Placed
-  // after the UDF lookup so a user-declared exists/empty still wins.
-  if (options_.streaming && e.children.size() == 1 &&
-      (name == "exists" || name == "empty") &&
-      IsNodePathShape(*e.children[0])) {
-    LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(*e.children[0], 1));
-    bool is_empty = probe.empty();
-    return Sequence(Item::Boolean(name == "empty" ? is_empty : !is_empty));
-  }
-
-  const auto& builtins = BuiltinFunctions();
-  auto bi = builtins.find({name, e.children.size()});
-  if (bi == builtins.end()) {
-    bi = builtins.find({name, static_cast<size_t>(-1)});  // variadic
-  }
-  if (bi == builtins.end()) {
+  if (e.decl != nullptr) return CallUserFunction(e, *e.decl);
+  if (e.builtin == nullptr) {
     return Status::NotFound("unknown function " + e.name + "#" +
                             std::to_string(e.children.size()) + " at line " +
                             std::to_string(e.line));
   }
+  const Builtin& builtin = *e.builtin;
+
+  // fn:exists / fn:empty over a path argument: emptiness is decided by the
+  // first node, so pull at most one instead of materializing the set. A
+  // user-declared exists/empty is bound instead and never gets here.
+  if (options_.streaming && e.children.size() == 1 &&
+      (builtin.name == "exists" || builtin.name == "empty") &&
+      IsNodePathShape(*e.children[0])) {
+    LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(*e.children[0], 1));
+    bool is_empty = probe.empty();
+    return Sequence(Item::Boolean(builtin.name == "empty" ? is_empty
+                                                          : !is_empty));
+  }
+
   std::vector<Sequence> args;
   args.reserve(e.children.size());
   for (const ExprPtr& arg : e.children) {
@@ -2071,13 +1995,66 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
   // builtins like trace re-enter Eval.
   const Expr* saved_site = builtin_call_site_;
   builtin_call_site_ = &e;
-  Result<Sequence> out = bi->second(*this, args);
+  Result<Sequence> out = builtin.fn(*this, args);
   builtin_call_site_ = saved_site;
   if (!out.ok()) {
     Status st = out.status();
-    return st.AddContext("in call to " + name + "()" + LocationSuffix(e));
+    return st.AddContext("in call to " + builtin.name + "()" +
+                         LocationSuffix(e));
   }
   return out;
+}
+
+Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
+                                             const FunctionDecl& fn) {
+  if (call_depth_ >= 512) {
+    return Status::Internal("recursion too deep in '" + fn.name + "'");
+  }
+  ++call_depth_;
+  ++stats_.function_calls;
+  // The callee's frame goes on top of the slot stack, its parameters in its
+  // first slots, and comes off on every way out.
+  const size_t base = slots_.size();
+  slots_.resize(base + fn.frame_size);
+  struct PopFrame {
+    Evaluator* ev;
+    size_t base;
+    ~PopFrame() {
+      ev->slots_.resize(base);
+      --ev->call_depth_;
+    }
+  } pop{this, base};
+  // The arguments are evaluated in the caller's frame, all of them before
+  // any parameter's type is checked.
+  for (size_t i = 0; i < fn.params.size(); ++i) {
+    LLL_ASSIGN_OR_RETURN(slots_[base + i], Eval(*call.children[i]));
+  }
+  for (size_t i = 0; i < fn.params.size(); ++i) {
+    const FunctionDecl::Param& param = fn.params[i];
+    if (!param.type.has_value()) continue;
+    Sequence converted;
+    Status st = CheckSequenceType(slots_[base + i], *param.type,
+                                  param.name.c_str(), &converted);
+    if (!st.ok()) return st.AddContext("in call to " + fn.name + "()");
+    slots_[base + i] = std::move(converted);
+  }
+  // Function bodies see neither the caller's focus nor its variables.
+  const Focus saved_focus = focus_;
+  const size_t saved_base = frame_base_;
+  focus_ = Focus{};
+  frame_base_ = base;
+  Result<Sequence> body = Eval(*fn.body);
+  frame_base_ = saved_base;
+  focus_ = saved_focus;
+  if (!body.ok()) {
+    return body.status().AddContext("in call to " + fn.name + "()");
+  }
+  if (!fn.return_type.has_value()) return body;
+  Sequence converted;
+  Status st =
+      CheckSequenceType(*body, *fn.return_type, "return value", &converted);
+  if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
+  return converted;
 }
 
 // --- Constructors -------------------------------------------------------

@@ -137,9 +137,9 @@ struct EvalStats {
 using BuiltinFn = std::function<Result<xdm::Sequence>(
     Evaluator&, std::vector<xdm::Sequence>&)>;
 
-// The dynamic context of an evaluation: variable bindings, the focus
-// (context item / position / size), available documents, the construction
-// arena, and the trace sink.
+// The dynamic context of an evaluation: external variable bindings, the
+// focus (context item / position / size), available documents, the
+// construction arena, and the trace sink.
 class DynamicContext {
  public:
   DynamicContext();
@@ -160,7 +160,9 @@ class DynamicContext {
   }
 
   // External variable bindings (visible as $name).
-  void BindExternal(const std::string& name, xdm::Sequence value);
+  void BindExternal(const std::string& name, xdm::Sequence value) {
+    externals_[name] = std::move(value);
+  }
 
   // The initial context item (the document the query runs against).
   void SetContextItem(xdm::Item item) {
@@ -174,7 +176,7 @@ class DynamicContext {
   friend class Evaluator;
   std::unique_ptr<xml::Document> arena_;
   std::map<std::string, xml::Node*> documents_;
-  std::vector<std::pair<std::string, xdm::Sequence>> env_;
+  std::map<std::string, xdm::Sequence> externals_;
   xdm::Item context_item_ = xdm::Item::Boolean(false);
   bool has_context_item_ = false;
   std::vector<std::string> trace_output_;
@@ -370,13 +372,12 @@ class Evaluator {
   Status CheckSequenceType(const xdm::Sequence& seq, const SequenceType& type,
                            const char* where, xdm::Sequence* converted);
 
-  // Variable environment helpers (lexically scoped via save/restore).
-  size_t EnvMark() const { return ctx_->env_.size(); }
-  void EnvRestore(size_t mark) { ctx_->env_.resize(mark); }
-  void EnvBind(const std::string& name, xdm::Sequence value) {
-    ctx_->env_.emplace_back(name, std::move(value));
-  }
-  const xdm::Sequence* EnvLookup(const std::string& name) const;
+  // A slot of the current call frame (Expr::slot, FlworClause::slot).
+  xdm::Sequence& Slot(uint32_t slot) { return slots_[frame_base_ + slot]; }
+  // The value a kVarRef is bound to, or nullptr when nothing binds it (yet).
+  const xdm::Sequence* LookupVariable(const Expr& ref) const;
+  Result<xdm::Sequence> CallUserFunction(const Expr& call,
+                                         const FunctionDecl& fn);
 
   Result<Focus> RequireFocus(const Expr& e) const;
 
@@ -387,7 +388,12 @@ class Evaluator {
   EvalOptions options_;
   EvalStats stats_;
   Focus focus_;
-  std::map<std::pair<std::string, size_t>, const FunctionDecl*> functions_;
+  // Local variables live on one slot stack, each call's frame above its
+  // caller's from frame_base_; prolog variables in globals_, as their
+  // initializers finish.
+  std::vector<xdm::Sequence> slots_;
+  size_t frame_base_ = 0;
+  std::vector<xdm::Sequence> globals_;
   int call_depth_ = 0;
   obs::Profiler* profiler_ = nullptr;
   const Expr* builtin_call_site_ = nullptr;
@@ -400,12 +406,32 @@ class Evaluator {
   // under one Execute, and nothing is shared across queries.
   std::vector<std::unique_ptr<ProbeIndex>> probe_indexes_;
   size_t probe_indexed_candidates_ = 0;
-
-  friend struct BuiltinRegistry;
 };
 
-// Registers the fn:/math: builtin library; see functions.cc for the catalog.
-const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions();
+// What the optimizer's passes know of a builtin (optimizer.cc).
+enum BuiltinFact : unsigned {
+  kTraces = 1u << 0,         // fn:trace: writes the trace stream
+  kErrors = 1u << 1,         // fn:error: aborts
+  kReadsPosition = 1u << 2,  // fn:position
+  kReadsSize = 1u << 3,      // fn:last
+  // A pure function of its arguments and the context item (DESIGN.md
+  // section 14).
+  kTreePure = 1u << 4,
+  kBooleanValued = 1u << 5,  // as a predicate, never a position test
+};
+
+// One entry of the builtin library; see functions.cc for the catalog.
+struct Builtin {
+  std::string name;  // no fn: prefix
+  BuiltinFn fn;
+  unsigned facts = 0;  // BuiltinFact bits
+
+  bool Has(unsigned fact) const { return (facts & fact) != 0; }
+};
+
+// The builtin `name` (no fn: prefix) callable with `arity` arguments: the
+// entry of exactly that arity, else a variadic one; nullptr if none.
+const Builtin* FindBuiltin(const std::string& name, size_t arity);
 // The fn:subsequence selection window, shared by the builtin and the
 // optimizer's limit push-down so pushed and unpushed plans agree: positions
 // p (1-based) with *lo <= p < *hi are selected, computed with XPath fn:round
@@ -414,9 +440,6 @@ const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions();
 // window is statically empty (NaN start or length).
 bool SubsequenceWindow(double start, double length, bool has_length,
                        double* lo, double* hi);
-// True if a builtin with this name exists at any arity (used by the
-// optimizer's purity analysis).
-bool IsBuiltinName(const std::string& name);
 
 }  // namespace lll::xq
 

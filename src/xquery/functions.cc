@@ -121,37 +121,43 @@ Result<Sequence> FocusArg(Evaluator& ev) {
   return Sequence(ev.focus_item());
 }
 
-std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
-  std::map<std::pair<std::string, size_t>, BuiltinFn> reg;
-  auto def = [&reg](const std::string& name, size_t arity, BuiltinFn fn) {
-    reg[{name, arity}] = std::move(fn);
+using Registry = std::map<std::pair<std::string, size_t>, Builtin>;
+
+// Every entry carries the BuiltinFact bits (eval.h) the optimizer's passes
+// read; an entry with none is effect-free but never folded into an intern
+// fingerprint nor taken for a boolean predicate.
+Registry BuildRegistry() {
+  Registry reg;
+  auto def = [&reg](const std::string& name, size_t arity, BuiltinFn fn,
+                    unsigned facts = 0) {
+    reg[{name, arity}] = Builtin{name, std::move(fn), facts};
   };
 
   // --- Cardinality and sequences ------------------------------------------
 
   def("count", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return IntSeq(static_cast<int64_t>(args[0].size()));
-  });
+  }, kTreePure);
   def("empty", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(args[0].empty());
-  });
+  }, kTreePure | kBooleanValued);
   def("exists", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(!args[0].empty());
-  });
+  }, kTreePure | kBooleanValued);
   def("not", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
     return BoolSeq(!b);
-  });
+  }, kTreePure | kBooleanValued);
   def("boolean", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
     return BoolSeq(b);
-  });
+  }, kTreePure | kBooleanValued);
   def("true", 0, [](Evaluator&, std::vector<Sequence>&) -> Result<Sequence> {
     return BoolSeq(true);
-  });
+  }, kTreePure | kBooleanValued);
   def("false", 0, [](Evaluator&, std::vector<Sequence>&) -> Result<Sequence> {
     return BoolSeq(false);
-  });
+  }, kTreePure | kBooleanValued);
   def("reverse", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     Sequence out;
     for (size_t i = args[0].size(); i-- > 0;) out.Append(args[0].at(i));
@@ -256,22 +262,22 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
   def("position", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     if (!ev.has_focus()) return Status::Invalid("position() without a focus");
     return IntSeq(static_cast<int64_t>(ev.focus_position()));
-  });
+  }, kReadsPosition);
   def("last", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     if (!ev.has_focus()) return Status::Invalid("last() without a focus");
     return IntSeq(static_cast<int64_t>(ev.focus_size()));
-  });
+  }, kReadsSize);
 
   // --- Strings ------------------------------------------------------------
 
   def("string", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return StrSeq(focus.at(0).StringForm());
-  });
+  }, kTreePure);
   def("string", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "string"));
     return StrSeq(s);
-  });
+  }, kTreePure);
   def("concat", kVariadic, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     std::string out;
     for (Sequence& arg : args) {
@@ -279,7 +285,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       out += s;
     }
     return StrSeq(out);
-  });
+  }, kTreePure);
   def("string-join", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "string-join"));
     std::string out;
@@ -289,7 +295,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       out += atomized.at(i).StringForm();
     }
     return StrSeq(out);
-  });
+  }, kTreePure);
   def("substring", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring"));
     LLL_ASSIGN_OR_RETURN(double start, OneNumber(args[1], "substring"));
@@ -299,7 +305,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       if (i + 1 >= begin) out.push_back(s[static_cast<size_t>(i)]);
     }
     return StrSeq(out);
-  });
+  }, kTreePure);
   def("substring", 3, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring"));
     LLL_ASSIGN_OR_RETURN(double start, OneNumber(args[1], "substring"));
@@ -312,46 +318,46 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       if (p >= lo && p < hi) out.push_back(s[static_cast<size_t>(i)]);
     }
     return StrSeq(out);
-  });
+  }, kTreePure);
   def("string-length", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return IntSeq(static_cast<int64_t>(focus.at(0).StringForm().size()));
-  });
+  }, kTreePure);
   def("string-length", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "string-length"));
     return IntSeq(static_cast<int64_t>(s.size()));
-  });
+  }, kTreePure);
   def("contains", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string haystack, OneStringOrEmpty(args[0], "contains"));
     LLL_ASSIGN_OR_RETURN(std::string needle, OneStringOrEmpty(args[1], "contains"));
     return BoolSeq(Contains(haystack, needle));
-  });
+  }, kTreePure | kBooleanValued);
   def("starts-with", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "starts-with"));
     LLL_ASSIGN_OR_RETURN(std::string prefix, OneStringOrEmpty(args[1], "starts-with"));
     return BoolSeq(StartsWith(s, prefix));
-  });
+  }, kTreePure | kBooleanValued);
   def("ends-with", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "ends-with"));
     LLL_ASSIGN_OR_RETURN(std::string suffix, OneStringOrEmpty(args[1], "ends-with"));
     return BoolSeq(EndsWith(s, suffix));
-  });
+  }, kTreePure | kBooleanValued);
   def("normalize-space", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return StrSeq(NormalizeSpace(focus.at(0).StringForm()));
-  });
+  }, kTreePure);
   def("normalize-space", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "normalize-space"));
     return StrSeq(NormalizeSpace(s));
-  });
+  }, kTreePure);
   def("upper-case", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "upper-case"));
     return StrSeq(ToUpper(s));
-  });
+  }, kTreePure);
   def("lower-case", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "lower-case"));
     return StrSeq(ToLower(s));
-  });
+  }, kTreePure);
   def("translate", 3, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "translate"));
     LLL_ASSIGN_OR_RETURN(std::string from, OneStringOrEmpty(args[1], "translate"));
@@ -366,19 +372,19 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       }  // else: dropped
     }
     return StrSeq(out);
-  });
+  }, kTreePure);
   def("substring-before", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring-before"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "substring-before"));
     size_t idx = sep.empty() ? std::string::npos : s.find(sep);
     return StrSeq(idx == std::string::npos ? "" : s.substr(0, idx));
-  });
+  }, kTreePure);
   def("substring-after", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring-after"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "substring-after"));
     size_t idx = sep.empty() ? std::string::npos : s.find(sep);
     return StrSeq(idx == std::string::npos ? "" : s.substr(idx + sep.size()));
-  });
+  }, kTreePure);
   def("tokenize", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "tokenize"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "tokenize"));
@@ -447,7 +453,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     auto parsed = ParseDouble(focus.at(0).StringForm());
     return DblSeq(parsed ? *parsed : std::nan(""));
-  });
+  }, kTreePure);
   def("number", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return DblSeq(std::nan(""));
     Sequence atomized = args[0].Atomized();
@@ -461,19 +467,19 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
     }
     auto parsed = ParseDouble(item.StringForm());
     return DblSeq(parsed ? *parsed : std::nan(""));
-  });
+  }, kTreePure);
   def("sum", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kSum, args[0]);
-  });
+  }, kTreePure);
   def("avg", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kAvg, args[0]);
-  });
+  }, kTreePure);
   def("max", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kMax, args[0]);
-  });
+  }, kTreePure);
   def("min", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kMin, args[0]);
-  });
+  }, kTreePure);
   def("abs", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     Sequence atomized = args[0].Atomized();
@@ -483,22 +489,22 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
     }
     LLL_ASSIGN_OR_RETURN(double d, item.NumericValue());
     return DblSeq(std::fabs(d));
-  });
+  }, kTreePure);
   def("floor", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "floor"));
     return IntSeq(static_cast<int64_t>(std::floor(d)));
-  });
+  }, kTreePure);
   def("ceiling", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "ceiling"));
     return IntSeq(static_cast<int64_t>(std::ceil(d)));
-  });
+  }, kTreePure);
   def("round", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "round"));
     return IntSeq(static_cast<int64_t>(std::floor(d + 0.5)));
-  });
+  }, kTreePure);
 
   // --- Nodes ------------------------------------------------------------
 
@@ -515,19 +521,19 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
       return Status::Invalid("name() requires a node context item");
     }
     return StrSeq(ev.focus_item().node()->name());
-  });
+  }, kTreePure);
   def("name", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return StrSeq("");
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "name"));
     return StrSeq(n->name());
-  });
+  }, kTreePure);
   def("local-name", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return StrSeq("");
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "local-name"));
     const std::string& name = n->name();
     size_t colon = name.find(':');
     return StrSeq(colon == std::string::npos ? name : name.substr(colon + 1));
-  });
+  }, kTreePure);
   def("root", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "root"));
@@ -535,7 +541,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
   });
   def("data", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return args[0].Atomized();
-  });
+  }, kTreePure);
   def("doc", 1, [](Evaluator& ev, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string name, OneStringOrEmpty(args[0], "doc"));
     xml::Node* doc = ev.context()->LookupDocument(name);
@@ -569,18 +575,18 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
 
   def("error", 0, [](Evaluator&, std::vector<Sequence>&) -> Result<Sequence> {
     return Status::Invalid("fn:error (err:FOER0000)");
-  });
+  }, kErrors);
   def("error", 1, [](Evaluator& ev, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string msg, OneStringOrEmpty(args[0], "error"));
     ev.Trace("error: " + msg);
     return Status::Invalid("fn:error: " + msg);
-  });
+  }, kErrors);
   def("error", 2, [](Evaluator& ev, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string code, OneStringOrEmpty(args[0], "error"));
     LLL_ASSIGN_OR_RETURN(std::string msg, OneStringOrEmpty(args[1], "error"));
     ev.Trace("error: " + code + ": " + msg);
     return Status::Invalid("fn:error: " + code + ": " + msg);
-  });
+  }, kErrors);
   def("trace", kVariadic, [](Evaluator& ev, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args.empty()) return Status::Invalid("trace() needs an argument");
     std::string line;
@@ -590,7 +596,7 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
     }
     ev.Trace(line);
     return args.back();
-  });
+  }, kTraces);
 
   // --- map: (lessons-applied extension, Moral #1) ---------------------------
   //
@@ -695,10 +701,11 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
 
 }  // namespace
 
-const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions() {
-  static const auto& registry = *new std::map<std::pair<std::string, size_t>,
-                                              BuiltinFn>(BuildRegistry());
-  return registry;
+const Builtin* FindBuiltin(const std::string& name, size_t arity) {
+  static const Registry& registry = *new Registry(BuildRegistry());
+  auto it = registry.find({name, arity});
+  if (it == registry.end()) it = registry.find({name, kVariadic});
+  return it == registry.end() ? nullptr : &it->second;
 }
 
 bool SubsequenceWindow(double start, double length, bool has_length,
@@ -718,17 +725,6 @@ bool SubsequenceWindow(double start, double length, bool has_length,
   }
   *hi = *lo + std::floor(length + 0.5);
   return !std::isnan(*hi);
-}
-
-bool IsBuiltinName(const std::string& raw) {
-  std::string name = raw;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
-  const auto& reg = BuiltinFunctions();
-  for (const auto& [key, fn] : reg) {
-    (void)fn;
-    if (key.first == name) return true;
-  }
-  return false;
 }
 
 }  // namespace lll::xq

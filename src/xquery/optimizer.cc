@@ -1,7 +1,7 @@
 #include "xquery/optimizer.h"
 
 #include <functional>
-#include <initializer_list>
+#include <map>
 #include <string_view>
 
 #include "core/string_util.h"
@@ -46,39 +46,21 @@ void ForEachTopLevel(Module* module, const std::function<void(Expr*)>& fn) {
   fn(module->body.get());
 }
 
-// A call's function name without its fn: prefix.
-std::string StripFn(const std::string& name) {
-  return StartsWith(name, "fn:") ? name.substr(3) : name;
+// True if `e` is a call bound to a builtin with any of the `facts`.
+bool CallsBuiltinWith(const Expr& e, unsigned facts) {
+  return e.builtin != nullptr && e.builtin->Has(facts);
 }
 
-// True if `call` resolves to a user-declared function: a declaration whose
-// name matches the call's, bare or fn:-stripped, at the call's arity. Such
-// a declaration shadows the builtin of the same name.
-bool CallsUserFunction(const Expr& call, const Module& module) {
-  const std::string stripped = StripFn(call.name);
-  for (const FunctionDecl& fn : module.functions) {
-    if ((fn.name == call.name || fn.name == stripped) &&
-        fn.params.size() == call.children.size()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool IsTraceCall(const Expr& e) {
-  return e.kind == ExprKind::kFunctionCall &&
-         (e.name == "trace" || e.name == "fn:trace");
-}
-
-bool IsErrorCall(const Expr& e) {
-  return e.kind == ExprKind::kFunctionCall &&
-         (e.name == "error" || e.name == "fn:error");
+// True if `e` reads local variable `slot` of its frame.
+bool IsLocalRef(const Expr& e, uint32_t slot) {
+  return e.kind == ExprKind::kVarRef && e.scope == Expr::Scope::kLocal &&
+         e.slot == slot;
 }
 
 // Collects pointers to every trace() call in the tree, for the swallowed-
 // trace rewrite notes (the count alone can't say WHERE the calls were).
 void CollectTraceCalls(const Expr& e, std::vector<const Expr*>* out) {
-  if (IsTraceCall(e)) out->push_back(&e);
+  if (CallsBuiltinWith(e, kTraces)) out->push_back(&e);
   ForEachChild(e, [out](const Expr& c) { CollectTraceCalls(c, out); });
 }
 
@@ -104,22 +86,16 @@ std::string DescribeStep(const PathStep& step) {
   return out;
 }
 
-// True if `e` calls, anywhere (nested predicates included), one of the
-// builtins in `banned` (bare or fn:-prefixed), a user-defined function
-// (which may trace or error internally) or an unknown one.
-bool CallsAny(const Expr& e, const Module& module,
-              std::initializer_list<std::string_view> banned) {
-  if (e.kind == ExprKind::kFunctionCall) {
-    const std::string stripped = StripFn(e.name);
-    for (std::string_view name : banned) {
-      if (stripped == name) return true;
-    }
-    if (CallsUserFunction(e, module) || !IsBuiltinName(stripped)) return true;
+// True if `e` calls, anywhere (nested predicates included), a builtin with
+// any of the `facts`, a user-defined function (which may trace or error
+// internally) or an unknown one.
+bool CallsAny(const Expr& e, unsigned facts) {
+  if (e.kind == ExprKind::kFunctionCall &&
+      (e.builtin == nullptr || e.builtin->Has(facts))) {
+    return true;
   }
   bool calls = false;
-  ForEachChild(e, [&](const Expr& c) {
-    calls = calls || CallsAny(c, module, banned);
-  });
+  ForEachChild(e, [&](const Expr& c) { calls = calls || CallsAny(c, facts); });
   return calls;
 }
 
@@ -143,81 +119,29 @@ const char* RewriteNoteKindName(RewriteNote::Kind kind) {
   return "unknown";
 }
 
-size_t CountTraceCalls(const Expr& e) {
-  size_t n = IsTraceCall(e) ? 1 : 0;
-  ForEachChild(e, [&n](const Expr& c) { n += CountTraceCalls(c); });
-  return n;
-}
-
-size_t CountVariableUses(const Expr& e, const std::string& name) {
-  if (e.kind == ExprKind::kVarRef) return e.name == name ? 1 : 0;
-  if (e.kind == ExprKind::kQuantified) {
-    size_t n = CountVariableUses(*e.children[0], name);
-    if (e.name != name) n += CountVariableUses(*e.children[1], name);
-    return n;
-  }
-  if (e.kind == ExprKind::kFlwor) {
-    size_t n = 0;
-    bool shadowed = false;
-    for (const FlworClause& c : e.clauses) {
-      if (shadowed) break;
-      n += CountVariableUses(*c.expr, name);
-      if (c.kind != FlworClause::Kind::kWhere &&
-          (c.var == name || c.pos_var == name)) {
-        shadowed = true;
-      }
-    }
-    if (!shadowed) {
-      for (const OrderSpec& o : e.order_by) {
-        n += CountVariableUses(*o.key, name);
-      }
-      n += CountVariableUses(*e.children[0], name);
-    }
-    return n;
-  }
-  size_t n = 0;
-  ForEachChild(e, [&](const Expr& c) { n += CountVariableUses(c, name); });
-  return n;
-}
-
 namespace {
 
 // Purity with a memo over user-defined functions; recursive functions are
 // treated optimistically (pure unless their body shows otherwise), which is
 // what an aggressive query optimizer does.
 struct PurityAnalyzer {
-  const Module& module;
   bool recognize_trace;
-  std::map<std::string, int> function_state;  // 0=analyzing, 1=pure, 2=impure
+  // 0=analyzing, 1=pure, 2=impure; one verdict per declaration, so arity
+  // overloads of one name are judged apart.
+  std::map<const FunctionDecl*, int> function_state;
 
   bool Pure(const Expr& e) {
-    if (IsErrorCall(e)) return false;  // eliminating error() changes outcomes
-    if (IsTraceCall(e)) {
-      if (recognize_trace) return false;  // the "fixed" optimizer
-      // Galax-era behavior: trace looks pure, so a dead let swallows it.
+    // Eliminating error() changes outcomes. Galax-era behavior: trace looks
+    // pure, so a dead let swallows it; the "fixed" optimizer recognizes it.
+    if (CallsBuiltinWith(e, recognize_trace ? kErrors | kTraces : kErrors)) {
+      return false;
     }
-    if (e.kind == ExprKind::kFunctionCall && !IsTraceCall(e)) {
-      std::string name = e.name;
-      if (StartsWith(name, "fn:")) name = name.substr(3);
-      bool builtin = IsBuiltinName(e.name) || IsBuiltinName(name);
-      if (!builtin) {
-        const FunctionDecl* decl = nullptr;
-        for (const FunctionDecl& fn : module.functions) {
-          if (fn.name == e.name && fn.params.size() == e.children.size()) {
-            decl = &fn;
-            break;
-          }
-        }
-        if (decl == nullptr) return false;  // unknown callee: assume impure
-        auto [it, inserted] = function_state.try_emplace(decl->name, 0);
-        if (inserted) {
-          bool body_pure = Pure(*decl->body);
-          it = function_state.find(decl->name);
-          it->second = body_pure ? 1 : 2;
-        }
-        if (it->second == 2) return false;
-        // state 0 (self-recursive) or 1: treat as pure.
-      }
+    if (e.kind == ExprKind::kFunctionCall && e.builtin == nullptr) {
+      if (e.decl == nullptr) return false;  // unknown callee: assume impure
+      auto [it, inserted] = function_state.try_emplace(e.decl, 0);
+      if (inserted) it->second = Pure(*e.decl->body) ? 1 : 2;
+      if (it->second == 2) return false;
+      // state 0 (self-recursive) or 1: treat as pure.
     }
     bool pure = true;
     ForEachChild(e, [&](const Expr& c) {
@@ -228,31 +152,18 @@ struct PurityAnalyzer {
 };
 
 struct Rewriter {
-  const Module& module;
-  const OptimizerOptions& options;
   OptimizerStats stats;
   PurityAnalyzer purity;
 
-  explicit Rewriter(const Module& m, const OptimizerOptions& opts)
-      : module(m), options(opts), purity{m, opts.recognize_trace, {}} {}
+  explicit Rewriter(const OptimizerOptions& opts)
+      : purity{opts.recognize_trace, {}} {}
 
   void Rewrite(Expr* e) {
     // Bottom-up: rewrite children first.
-    for (ExprPtr& c : e->children) Rewrite(c.get());
-    for (PathStep& s : e->steps) {
-      for (ExprPtr& p : s.predicates) Rewrite(p.get());
-    }
-    for (FlworClause& c : e->clauses) Rewrite(c.expr.get());
-    for (OrderSpec& o : e->order_by) Rewrite(o.key.get());
-    for (DirectAttribute& a : e->attributes) {
-      for (ExprPtr& p : a.value_parts) Rewrite(p.get());
-    }
-
-    if (options.dead_let_elimination && e->kind == ExprKind::kFlwor) {
-      EliminateDeadLets(e);
-    }
-    if (options.constant_folding) FoldConstants(e);
-    if (options.limit_pushdown) PushLimits(e);
+    ForEachChild(e, [this](Expr* c) { Rewrite(c); });
+    if (e->kind == ExprKind::kFlwor) EliminateDeadLets(e);
+    FoldConstants(e);
+    PushLimits(e);
   }
 
   // --- Limit push-down ------------------------------------------------------
@@ -265,23 +176,15 @@ struct Rewriter {
   // that prefix. Conservative by design: only literal bounds, only direct
   // consumer positions, no propagation through arbitrary expressions.
 
-  // Resolves `e` as a call to the builtin `want` (bare or fn:-prefixed) that
-  // is not shadowed by a user-declared function of the same name and arity.
-  bool IsUnshadowedBuiltin(const Expr& e, const char* want) const {
-    return e.kind == ExprKind::kFunctionCall && StripFn(e.name) == want &&
-           !CallsUserFunction(e, module);
-  }
-
   // The prefix demand a call places on its first (sequence) argument: 1 for
   // fn:head, the window end for fn:subsequence with literal start/length
   // (via the same SubsequenceWindow normalization the builtin uses, so
-  // pushed and unpushed plans select identical items), 0 for anything else.
+  // pushed and unpushed plans select identical items), 0 for anything else,
+  // a user-defined function of the same name included.
   size_t ConsumerDemand(const Expr& call) const {
-    if (call.children.size() == 1 && IsUnshadowedBuiltin(call, "head")) {
-      return 1;
-    }
-    if (call.children.size() == 3 &&
-        IsUnshadowedBuiltin(call, "subsequence")) {
+    if (call.builtin == nullptr) return 0;
+    if (call.builtin->name == "head") return 1;
+    if (call.builtin->name == "subsequence" && call.children.size() == 3) {
       double start, len;
       if (!NumericLiteral(*call.children[1], &start) ||
           !NumericLiteral(*call.children[2], &len)) {
@@ -300,14 +203,15 @@ struct Rewriter {
     return 0;
   }
 
-  // A where-condition that caps position variable $pos_var at N for every
-  // passing tuple: `$p le N` / `$p lt N` / `$p eq N` (value or general
-  // form) with an integer literal bound. Returns 0 when nothing is proven.
-  size_t PositionBound(const Expr& w, const std::string& pos_var) const {
+  // A where-condition that caps the position variable in `pos_slot` at N
+  // for every passing tuple: `$p le N` / `$p lt N` / `$p eq N` (value or
+  // general form) with an integer literal bound. Returns 0 when nothing is
+  // proven.
+  size_t PositionBound(const Expr& w, uint32_t pos_slot) const {
     if (w.kind != ExprKind::kBinary || w.children.size() != 2) return 0;
     const Expr& l = *w.children[0];
     const Expr& r = *w.children[1];
-    if (l.kind != ExprKind::kVarRef || l.name != pos_var) return 0;
+    if (!IsLocalRef(l, pos_slot)) return 0;
     if (r.kind != ExprKind::kLiteral ||
         r.literal_type != Expr::LiteralType::kInteger) {
       return 0;
@@ -327,44 +231,28 @@ struct Rewriter {
     }
   }
 
-  // Finds the demand of the one unshadowed use of $var in `e`, but only if
-  // that use sits directly in a limited consumer's sequence slot. Traversal
-  // mirrors CountVariableUses' shadowing rules, so a same-named binding
-  // deeper in never matches. Callers must have established uses == 1.
-  size_t SoleUseDemand(const Expr& e, const std::string& var) const {
-    if (e.kind == ExprKind::kFunctionCall) {
-      size_t demand = ConsumerDemand(e);
-      if (demand > 0 && !e.children.empty() &&
-          e.children[0]->kind == ExprKind::kVarRef &&
-          e.children[0]->name == var) {
-        return demand;
-      }
+  // The references to local variable `slot` in `e`: how many, and the
+  // demand (ConsumerDemand) of a limited consumer taking one of them as its
+  // sequence argument. Each binding has its own slot, so a same-named
+  // binding deeper in never matches.
+  struct SlotUses {
+    size_t count = 0;
+    size_t demand = 0;
+  };
+  void CountUses(const Expr& e, uint32_t slot, SlotUses* uses) const {
+    if (IsLocalRef(e, slot)) ++uses->count;
+    if (e.kind == ExprKind::kFunctionCall && !e.children.empty() &&
+        IsLocalRef(*e.children[0], slot)) {
+      uses->demand = ConsumerDemand(e);
     }
-    if (e.kind == ExprKind::kQuantified) {
-      size_t d = SoleUseDemand(*e.children[0], var);
-      if (d == 0 && e.name != var) d = SoleUseDemand(*e.children[1], var);
-      return d;
-    }
-    if (e.kind == ExprKind::kFlwor) {
-      for (const FlworClause& c : e.clauses) {
-        size_t d = SoleUseDemand(*c.expr, var);
-        if (d > 0) return d;
-        if (c.kind != FlworClause::Kind::kWhere &&
-            (c.var == var || c.pos_var == var)) {
-          return 0;  // rebound: later references are a different variable
-        }
-      }
-      for (const OrderSpec& o : e.order_by) {
-        size_t d = SoleUseDemand(*o.key, var);
-        if (d > 0) return d;
-      }
-      return SoleUseDemand(*e.children[0], var);
-    }
-    size_t found = 0;
-    ForEachChild(e, [&](const Expr& c) {
-      if (found == 0) found = SoleUseDemand(c, var);
-    });
-    return found;
+    ForEachChild(e, [&](const Expr& c) { CountUses(c, slot, uses); });
+  }
+  // The uses of a FLWOR clause's variable, all of which sit in the FLWOR.
+  SlotUses UsesOf(const Expr& flwor, const FlworClause& clause) const {
+    SlotUses uses;
+    ForEachChild(flwor,
+                 [&](const Expr& c) { CountUses(c, clause.slot, &uses); });
+    return uses;
   }
 
   void ApplyHint(Expr* path, size_t demand, std::string why, size_t line,
@@ -401,7 +289,7 @@ struct Rewriter {
       if (c.expr->kind != ExprKind::kPath) continue;
       const FlworClause& next = e->clauses[i + 1];
       if (next.kind != FlworClause::Kind::kWhere) continue;
-      size_t bound = PositionBound(*next.expr, c.pos_var);
+      size_t bound = PositionBound(*next.expr, c.slot + 1);
       if (bound > 0) {
         ApplyHint(c.expr.get(), bound,
                   "where $" + c.pos_var + " caps the positional for at " +
@@ -411,46 +299,14 @@ struct Rewriter {
     }
     // A let-bound path consumed exactly once, directly by a limited
     // consumer: binding only the demanded prefix is unobservable.
-    for (size_t i = 0; i < e->clauses.size(); ++i) {
-      FlworClause& c = e->clauses[i];
+    for (FlworClause& c : e->clauses) {
       if (c.kind != FlworClause::Kind::kLet) continue;
       if (c.expr->kind != ExprKind::kPath) continue;
-      size_t uses = 0;
-      bool shadowed = false;
-      for (size_t j = i + 1; j < e->clauses.size() && !shadowed; ++j) {
-        uses += CountVariableUses(*e->clauses[j].expr, c.var);
-        if (e->clauses[j].kind != FlworClause::Kind::kWhere &&
-            (e->clauses[j].var == c.var ||
-             e->clauses[j].pos_var == c.var)) {
-          shadowed = true;
-        }
-      }
-      if (!shadowed) {
-        for (const OrderSpec& o : e->order_by) {
-          uses += CountVariableUses(*o.key, c.var);
-        }
-        uses += CountVariableUses(*e->children[0], c.var);
-      }
-      if (uses != 1) continue;
-      size_t demand = 0;
-      for (size_t j = i + 1; j < e->clauses.size() && demand == 0; ++j) {
-        demand = SoleUseDemand(*e->clauses[j].expr, c.var);
-        if (e->clauses[j].kind != FlworClause::Kind::kWhere &&
-            (e->clauses[j].var == c.var ||
-             e->clauses[j].pos_var == c.var)) {
-          break;  // rebound; stop searching like the use count did
-        }
-      }
-      if (demand == 0 && !shadowed) {
-        for (size_t k = 0; k < e->order_by.size() && demand == 0; ++k) {
-          demand = SoleUseDemand(*e->order_by[k].key, c.var);
-        }
-        if (demand == 0) demand = SoleUseDemand(*e->children[0], c.var);
-      }
-      if (demand > 0) {
-        ApplyHint(c.expr.get(), demand,
+      const SlotUses uses = UsesOf(*e, c);
+      if (uses.count == 1 && uses.demand > 0) {
+        ApplyHint(c.expr.get(), uses.demand,
                   "let $" + c.var + " is consumed once, by a consumer that " +
-                      "observes at most " + std::to_string(demand) +
+                      "observes at most " + std::to_string(uses.demand) +
                       " item(s); limit pushed",
                   c.expr->line, c.expr->col);
       }
@@ -466,23 +322,7 @@ struct Rewriter {
       for (size_t i = 0; i < flwor->clauses.size(); ++i) {
         const FlworClause& clause = flwor->clauses[i];
         if (clause.kind != FlworClause::Kind::kLet) continue;
-        size_t uses = 0;
-        bool shadowed = false;
-        for (size_t j = i + 1; j < flwor->clauses.size() && !shadowed; ++j) {
-          uses += CountVariableUses(*flwor->clauses[j].expr, clause.var);
-          if (flwor->clauses[j].kind != FlworClause::Kind::kWhere &&
-              (flwor->clauses[j].var == clause.var ||
-               flwor->clauses[j].pos_var == clause.var)) {
-            shadowed = true;
-          }
-        }
-        if (!shadowed) {
-          for (const OrderSpec& o : flwor->order_by) {
-            uses += CountVariableUses(*o.key, clause.var);
-          }
-          uses += CountVariableUses(*flwor->children[0], clause.var);
-        }
-        if (uses != 0) continue;
+        if (UsesOf(*flwor, clause).count != 0) continue;
         if (!purity.Pure(*clause.expr)) continue;
         std::vector<const Expr*> traces;
         CollectTraceCalls(*clause.expr, &traces);
@@ -564,14 +404,17 @@ struct Rewriter {
 
 }  // namespace
 
-bool IsPure(const Expr& e, const Module& module, bool recognize_trace) {
-  PurityAnalyzer analyzer{module, recognize_trace, {}};
+bool IsPure(const Expr& e, bool recognize_trace) {
+  PurityAnalyzer analyzer{recognize_trace, {}};
   return analyzer.Pure(e);
 }
 
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
-  Rewriter rewriter(*module, options);
+  Rewriter rewriter(options);
   ForEachTopLevel(module, [&rewriter](Expr* e) { rewriter.Rewrite(e); });
+  // The lets dead-let elimination removed leave their slots unused: number
+  // the frames again, as binding the stored plan will.
+  if (rewriter.stats.eliminated_lets > 0) BindNames(module);
   FuseDescendantSteps(module, &rewriter.stats);
   MarkProbePredicates(module, &rewriter.stats);
   return rewriter.stats;
@@ -594,7 +437,6 @@ bool IsBareAttributeStep(const Expr& e) {
 }
 
 struct ProbeMarker {
-  const Module& module;
   OptimizerStats* stats;
 
   // True if `key` evaluates to the same value for every candidate of the
@@ -614,17 +456,14 @@ struct ProbeMarker {
       case ExprKind::kCompComment:
       case ExprKind::kCompDocument:
         return false;  // fresh node identities per evaluation
-      case ExprKind::kFunctionCall: {
+      case ExprKind::kFunctionCall:
         // position(), last(), name(), string(), ... read the focus; a
         // user-defined function may trace, error or recurse.
-        const std::string stripped = StripFn(key.name);
-        if (key.children.empty() || stripped == "trace" ||
-            stripped == "error" || CallsUserFunction(key, module) ||
-            !IsBuiltinName(stripped)) {
+        if (key.children.empty() || key.builtin == nullptr ||
+            key.builtin->Has(kTraces | kErrors)) {
           return false;
         }
         break;
-      }
       default:
         break;
     }
@@ -670,7 +509,7 @@ struct ProbeMarker {
 }  // namespace
 
 void MarkProbePredicates(Module* module, OptimizerStats* stats) {
-  ProbeMarker marker{*module, stats};
+  ProbeMarker marker{stats};
   ForEachTopLevel(module, [&marker](Expr* e) { marker.Mark(e); });
 }
 
@@ -678,52 +517,55 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats) {
 
 namespace {
 
-// Pure value builtins a foldable predicate may call: functions of their
-// arguments and the context ITEM only -- nothing that observes position(),
-// last(), variables, the dynamic context, or has effects. Note the absence
-// of position/last (focus-dependent), trace/error (trace-parity rule),
-// doc/collection (reach outside the candidate subtree), and generate-id
-// (identity-dependent across documents).
-bool IsInternFoldableBuiltin(const std::string& stripped) {
-  static const char* const kAllowed[] = {
-      "abs",        "avg",           "boolean",          "ceiling",
-      "concat",     "contains",      "count",            "data",
-      "empty",      "ends-with",     "exists",           "false",
-      "floor",      "local-name",    "lower-case",       "max",
-      "min",        "name",          "normalize-space",  "not",
-      "number",     "round",         "starts-with",      "string",
-      "string-join", "string-length", "substring",
-      "substring-after", "substring-before", "sum", "translate",
-      "true",       "upper-case",
-  };
-  for (const char* name : kAllowed) {
-    if (stripped == name) return true;
+// True if `e`, as a predicate, is boolean-valued at its top level and so can
+// never be a numeric position test: a comparison, and/or, a call to a
+// boolean builtin, or a node path (tested for emptiness).
+bool BooleanValued(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kBinary:
+      switch (e.op) {
+        case BinOp::kOr:
+        case BinOp::kAnd:
+        case BinOp::kGenEq:
+        case BinOp::kGenNe:
+        case BinOp::kGenLt:
+        case BinOp::kGenLe:
+        case BinOp::kGenGt:
+        case BinOp::kGenGe:
+        case BinOp::kValEq:
+        case BinOp::kValNe:
+        case BinOp::kValLt:
+        case BinOp::kValLe:
+        case BinOp::kValGt:
+        case BinOp::kValGe:
+        case BinOp::kIs:
+          return true;
+        default:
+          return false;
+      }
+    case ExprKind::kFunctionCall:
+      return CallsBuiltinWith(e, kBooleanValued);
+    case ExprKind::kPath:
+      return !e.steps.empty() && !e.steps.back().is_filter;
+    default:
+      return false;
   }
-  return false;
-}
-
-// The boolean-valued builtins among the above, acceptable as a predicate's
-// TOP-LEVEL expression. The distinction matters because XPath predicate
-// semantics treat a numeric predicate value as a position test: folding
-// `[count(c)]` would freeze a position-dependent selection, while
-// `[exists(c)]` is a pure tree function.
-bool IsInternBooleanBuiltin(const std::string& stripped) {
-  return stripped == "not" || stripped == "exists" || stripped == "empty" ||
-         stripped == "boolean" || stripped == "contains" ||
-         stripped == "starts-with" || stripped == "ends-with" ||
-         stripped == "true" || stripped == "false";
 }
 
 // Decides whether a predicate may be folded into a node-set intern
 // fingerprint: its value for a given candidate node is a pure function of
 // the tree alone. That requires all of (DESIGN.md section 14):
 //
-//   - provably boolean-valued at the top level (comparisons, and/or,
-//     not/exists/empty/boolean calls) or a node-path shape whose effective
+//   - provably boolean-valued at the top level (comparisons, and/or, calls
+//     to kBooleanValued builtins) or a node-path shape whose effective
 //     boolean value is "any nodes?" -- NEVER a possibly-numeric expression,
-//     which XPath predicate semantics would turn into a position test;
-//   - no position()/last()/variables/dynamic context: the whitelisted
-//     builtins are pure functions of their arguments and the context ITEM;
+//     which XPath predicate semantics would turn into a position test
+//     (folding `[count(c)]` would freeze a position-dependent selection,
+//     while `[exists(c)]` is a pure tree function);
+//   - no position()/last()/variables/dynamic context: the only builtins
+//     called are kTreePure ones, pure functions of their arguments and the
+//     context ITEM (not position/last, trace/error, doc/collection or
+//     generate-id);
 //   - no observable effects (fn:trace/fn:error -- the trace-parity rule) and
 //     no user-defined or unknown functions, which may hide either;
 //   - only downward-reading subexpressions: relative non-rooted paths over
@@ -736,12 +578,7 @@ bool IsInternBooleanBuiltin(const std::string& stripped) {
 // descent may resolve through, because the candidates' attribute state is
 // exactly what a kLocalChildren guard on their parent watches.
 struct FoldScanner {
-  const Module& module;
   bool attr_only = false;
-
-  bool UserOrUnknown(const Expr& e) const {
-    return CallsUserFunction(e, module) || !IsBuiltinName(StripFn(e.name));
-  }
 
   bool FoldablePath(const Expr& e) const {
     if (e.rooted || e.has_base) return false;  // must start at the candidate
@@ -780,44 +617,19 @@ struct FoldScanner {
   }
 
   bool FoldableBool(const Expr& e) const {
+    if (!BooleanValued(e)) return false;
     switch (e.kind) {
       case ExprKind::kBinary:
-        switch (e.op) {
-          case BinOp::kAnd:
-          case BinOp::kOr:
-            return FoldableBool(*e.children[0]) && FoldableBool(*e.children[1]);
-          case BinOp::kGenEq:
-          case BinOp::kGenNe:
-          case BinOp::kGenLt:
-          case BinOp::kGenLe:
-          case BinOp::kGenGt:
-          case BinOp::kGenGe:
-          case BinOp::kValEq:
-          case BinOp::kValNe:
-          case BinOp::kValLt:
-          case BinOp::kValLe:
-          case BinOp::kValGt:
-          case BinOp::kValGe:
-          case BinOp::kIs:
-            return FoldableValue(*e.children[0]) &&
-                   FoldableValue(*e.children[1]);
-          default:
-            return false;  // arithmetic/union/range: value, maybe numeric
+        if (e.op == BinOp::kAnd || e.op == BinOp::kOr) {
+          return FoldableBool(*e.children[0]) && FoldableBool(*e.children[1]);
         }
-      case ExprKind::kFunctionCall: {
-        if (UserOrUnknown(e)) return false;
-        if (!IsInternBooleanBuiltin(StripFn(e.name))) return false;
-        for (const ExprPtr& c : e.children) {
-          if (!FoldableValue(*c)) return false;
-        }
-        return true;
-      }
+        return FoldableValue(*e.children[0]) && FoldableValue(*e.children[1]);
       case ExprKind::kPath:
         // A node path's effective boolean value is "any nodes?" -- node
         // sequences are never mistaken for position tests.
         return FoldablePath(e);
       default:
-        return false;
+        return FoldableValue(e);  // a call to a boolean builtin
     }
   }
 
@@ -863,8 +675,7 @@ struct FoldScanner {
         return FoldableValue(*e.children[0]) &&
                FoldableValue(*e.children[1]) && FoldableValue(*e.children[2]);
       case ExprKind::kFunctionCall: {
-        if (UserOrUnknown(e)) return false;
-        if (!IsInternFoldableBuiltin(StripFn(e.name))) return false;
+        if (!CallsBuiltinWith(e, kTreePure)) return false;
         for (const ExprPtr& c : e.children) {
           if (!FoldableValue(*c)) return false;
         }
@@ -881,51 +692,16 @@ struct FoldScanner {
 
 // --- Descendant-step fusion -------------------------------------------------
 
-// True if `e`, as a predicate, is boolean-valued at its top level and so can
-// never be a numeric position test: a comparison, and/or, a call to a
-// boolean builtin, or a node path (tested for emptiness).
-bool BooleanValued(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kBinary:
-      switch (e.op) {
-        case BinOp::kOr:
-        case BinOp::kAnd:
-        case BinOp::kGenEq:
-        case BinOp::kGenNe:
-        case BinOp::kGenLt:
-        case BinOp::kGenLe:
-        case BinOp::kGenGt:
-        case BinOp::kGenGe:
-        case BinOp::kValEq:
-        case BinOp::kValNe:
-        case BinOp::kValLt:
-        case BinOp::kValLe:
-        case BinOp::kValGt:
-        case BinOp::kValGe:
-        case BinOp::kIs:
-          return true;
-        default:
-          return false;
-      }
-    case ExprKind::kFunctionCall:
-      return IsInternBooleanBuiltin(StripFn(e.name));
-    case ExprKind::kPath:
-      return !e.steps.empty() && !e.steps.back().is_filter;
-    default:
-      return false;
-  }
-}
-
 // The rule behind PathStep::position_free: an axis step whose every
 // predicate has the same verdict for a candidate under any focus position
 // and size -- boolean-valued, no position()/last(), and none of the calls
 // that block streaming (trace/error/user-defined/unknown), so dropping the
 // per-parent evaluation is unobservable.
-bool PositionFree(const PathStep& step, const Module& module) {
+bool PositionFree(const PathStep& step) {
   if (step.is_filter) return false;
   for (const ExprPtr& p : step.predicates) {
     if (!BooleanValued(*p) ||
-        CallsAny(*p, module, {"position", "last", "trace", "error"})) {
+        CallsAny(*p, kReadsPosition | kReadsSize | kTraces | kErrors)) {
       return false;
     }
   }
@@ -933,7 +709,6 @@ bool PositionFree(const PathStep& step, const Module& module) {
 }
 
 struct DescendantFuser {
-  const Module& module;
   OptimizerStats* stats;
 
   void Fuse(Expr* e) {
@@ -949,7 +724,7 @@ struct DescendantFuser {
       if (any.is_filter || any.axis != Axis::kDescendantOrSelf ||
           any.test.kind != NodeTestKind::kAnyNode ||
           !any.predicates.empty() || child.axis != Axis::kChild ||
-          !PositionFree(child, module)) {
+          !PositionFree(child)) {
         continue;
       }
       std::string before = DescribeStep(any) + "/" + DescribeStep(child);
@@ -966,24 +741,19 @@ struct DescendantFuser {
 
 // --- Step resolution --------------------------------------------------------
 
-bool IsDocCall(const Expr& e) {
-  return e.kind == ExprKind::kFunctionCall &&
-         (e.name == "doc" || e.name == "fn:doc");
-}
-
 struct StepResolver {
-  const Module& module;
-
   void Resolve(Expr* e) {
     ForEachChild(e, [this](Expr* c) { Resolve(c); });
     // Interning starts at a base that is statically a tree root: the `/`
     // root, or fn:doc(...).
-    bool internable = e->kind == ExprKind::kPath &&
-                      (e->has_base ? IsDocCall(*e->children[0]) : e->rooted);
-    const FoldScanner foldable{module, /*attr_only=*/false};
-    const FoldScanner attribute_only{module, /*attr_only=*/true};
+    const Builtin* base = e->has_base ? e->children[0]->builtin : nullptr;
+    bool internable =
+        e->kind == ExprKind::kPath &&
+        (e->has_base ? base != nullptr && base->name == "doc" : e->rooted);
+    const FoldScanner foldable{/*attr_only=*/false};
+    const FoldScanner attribute_only{/*attr_only=*/true};
     for (PathStep& step : e->steps) {
-      step.position_free = PositionFree(step, module);
+      step.position_free = PositionFree(step);
       step.streamable = !step.is_filter && IsStreamableAxis(step.axis);
       step.foldable = !step.is_filter;
       step.attribute_only = !step.is_filter;
@@ -992,7 +762,7 @@ struct StepResolver {
         // defined calls must see the exact materializing evaluation order
         // (the trace-parity rule, DESIGN.md section 10).
         step.streamable =
-            step.streamable && !CallsAny(*p, module, {"last", "trace", "error"});
+            step.streamable && !CallsAny(*p, kReadsSize | kTraces | kErrors);
         step.foldable = step.foldable && foldable.FoldableBool(*p);
         step.attribute_only =
             step.attribute_only && attribute_only.FoldableBool(*p);
@@ -1006,13 +776,136 @@ struct StepResolver {
 }  // namespace
 
 void FuseDescendantSteps(Module* module, OptimizerStats* stats) {
-  DescendantFuser fuser{*module, stats};
+  DescendantFuser fuser{stats};
   ForEachTopLevel(module, [&fuser](Expr* e) { fuser.Fuse(e); });
 }
 
 void ResolveSteps(Module* module) {
-  StepResolver resolver{*module};
+  StepResolver resolver;
   ForEachTopLevel(module, [&resolver](Expr* e) { resolver.Resolve(e); });
+}
+
+// --- Name binding -----------------------------------------------------------
+
+namespace {
+
+struct NameBinder {
+  const Module& module;
+  // The local variables in scope, innermost last, with their frame slots.
+  std::vector<std::pair<std::string_view, uint32_t>> scope;
+  // Slots handed out in the current frame; each binding gets its own.
+  uint32_t frame_size = 0;
+  // The prolog variables [0, visible_globals) are in scope.
+  size_t visible_globals = 0;
+
+  uint32_t Declare(std::string_view name) {
+    scope.emplace_back(name, frame_size);
+    return frame_size++;
+  }
+
+  // The innermost local, else the latest visible global, else an external.
+  void BindVariable(Expr* ref) const {
+    for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
+      if (it->first == ref->name) {
+        ref->scope = Expr::Scope::kLocal;
+        ref->slot = it->second;
+        return;
+      }
+    }
+    for (size_t g = visible_globals; g-- > 0;) {
+      if (module.variables[g].name == ref->name) {
+        ref->scope = Expr::Scope::kGlobal;
+        ref->slot = static_cast<uint32_t>(g);
+        return;
+      }
+    }
+    ref->scope = Expr::Scope::kExternal;
+  }
+
+  // A user declaration of the call's arity wins, named as the call is, else
+  // as the call is without fn: (the latest such declaration); then the
+  // builtin of the name without fn:. This is the one place a call's fn:
+  // prefix is stripped.
+  void BindCall(Expr* call) const {
+    const std::string bare =
+        StartsWith(call->name, "fn:") ? call->name.substr(3) : call->name;
+    call->decl = nullptr;
+    call->builtin = nullptr;
+    for (const std::string& want : {call->name, bare}) {
+      for (auto it = module.functions.rbegin(); it != module.functions.rend();
+           ++it) {
+        if (it->name == want && it->params.size() == call->children.size()) {
+          call->decl = &*it;
+          return;
+        }
+      }
+    }
+    call->builtin = FindBuiltin(bare, call->children.size());
+  }
+
+  // Binds `e` and everything under it, declaring each variable it binds in
+  // scope for exactly the subexpressions that see it.
+  void Bind(Expr* e) {
+    const size_t mark = scope.size();
+    switch (e->kind) {
+      case ExprKind::kVarRef:
+        BindVariable(e);
+        return;
+      case ExprKind::kFunctionCall:
+        BindCall(e);
+        break;
+      case ExprKind::kFlwor:
+        for (FlworClause& c : e->clauses) {
+          Bind(c.expr.get());
+          if (c.kind == FlworClause::Kind::kWhere) continue;
+          c.slot = Declare(c.var);
+          if (!c.pos_var.empty()) Declare(c.pos_var);
+        }
+        for (OrderSpec& o : e->order_by) Bind(o.key.get());
+        Bind(e->children[0].get());
+        scope.resize(mark);
+        return;
+      case ExprKind::kQuantified:
+        Bind(e->children[0].get());
+        e->slot = Declare(e->name);
+        Bind(e->children[1].get());
+        scope.resize(mark);
+        return;
+      case ExprKind::kTryCatch:
+        Bind(e->children[0].get());
+        e->slot = Declare("err:description");
+        Declare("err:code");
+        Bind(e->children[1].get());
+        scope.resize(mark);
+        return;
+      default:
+        break;
+    }
+    ForEachChild(e, [this](Expr* c) { Bind(c); });
+  }
+};
+
+}  // namespace
+
+void BindNames(Module* module) {
+  NameBinder binder{*module, {}, 0, module->variables.size()};
+  for (FunctionDecl& fn : module->functions) {
+    binder.frame_size = 0;
+    for (const FunctionDecl::Param& p : fn.params) binder.Declare(p.name);
+    binder.Bind(fn.body.get());
+    binder.scope.clear();
+    fn.frame_size = binder.frame_size;
+  }
+  // The main frame: each variable initializer sees the variables declared
+  // before it, the body sees them all.
+  binder.frame_size = 0;
+  binder.visible_globals = 0;
+  for (VariableDecl& var : module->variables) {
+    binder.Bind(var.expr.get());
+    ++binder.visible_globals;
+  }
+  binder.Bind(module->body.get());
+  module->frame_size = binder.frame_size;
 }
 
 }  // namespace lll::xq

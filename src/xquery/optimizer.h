@@ -16,20 +16,11 @@ namespace lll::xq {
 //
 // introduces a dead variable that is "helpfully optimized away -- along with
 // the call to trace". Setting recognize_trace = true models "the optimizer
-// would be fixed to recognize trace in the next version".
+// would be fixed to recognize trace in the next version". Constant folding,
+// dead-let elimination and limit push-down (DESIGN.md section 10) always
+// run.
 struct OptimizerOptions {
-  bool constant_folding = true;
-  bool dead_let_elimination = true;
   bool recognize_trace = false;
-  // Limit push-down: annotate paths consumed by a statically limited
-  // consumer (fn:head, fn:subsequence with literal start/length, a
-  // positional `for $x at $p in PATH` immediately guarded by `where $p le
-  // N`, and let-bound paths used exactly once in such a position) with
-  // Expr::limit_hint, so the streaming evaluator stops pulling after the
-  // first N nodes. Conservative: hints never cross an expression boundary
-  // whose consumer could observe more than the prefix. The materializing
-  // evaluator ignores hints entirely.
-  bool limit_pushdown = true;
 };
 
 // One rewrite decision, recorded for EXPLAIN. Where the rewrite deleted
@@ -71,7 +62,14 @@ struct OptimizerStats {
   std::vector<RewriteNote> notes;
 };
 
-// Optimizes the module in place.
+// The name-binding pass, run by Compile on every plan before any other pass
+// and by the plan decoder on every loaded plan; nothing it sets is stored.
+// Sets every call's Expr::decl or Expr::builtin, every variable reference's
+// Expr::scope and slot, every binding's slot and every frame's size, by the
+// rules of DESIGN.md section 18.
+void BindNames(Module* module);
+
+// Optimizes the bound module in place.
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options);
 
 // The descendant-fusion pass, run by Optimize() after its rewrites and
@@ -94,22 +92,16 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
-// streamable, foldable, attribute_only, internable) from the AST, resolving
-// calls against the module's own function declarations. Run by Compile on
-// every plan, optimized or not, after any rewrite, and by the plan decoder
-// on every loaded plan, so the bits are computed once per plan and never
-// stored.
+// streamable, foldable, attribute_only, internable) from the bound AST. Run
+// by Compile on every plan, optimized or not, after any rewrite, and by the
+// plan decoder on every loaded plan, so the bits are computed once per plan
+// and never stored.
 void ResolveSteps(Module* module);
 
-// True if evaluating `e` can have an observable effect besides its value
-// (under the given trace policy). Used by dead-let elimination.
-bool IsPure(const Expr& e, const Module& module, bool recognize_trace);
-
-// Number of times $name is referenced in `e`, respecting shadowing.
-size_t CountVariableUses(const Expr& e, const std::string& name);
-
-// Number of fn:trace calls in the tree.
-size_t CountTraceCalls(const Expr& e);
+// False if evaluating the bound expression `e` can have an observable
+// effect besides its value (under the given trace policy). Used by
+// dead-let elimination.
+bool IsPure(const Expr& e, bool recognize_trace);
 
 }  // namespace lll::xq
 

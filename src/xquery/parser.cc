@@ -287,17 +287,13 @@ class Parser {
     if (Peek() != ')') {
       while (true) {
         if (!ConsumeTok("$")) return Err("expected '$' starting a parameter");
-        LLL_ASSIGN_OR_RETURN(std::string pname, ExpectName("parameter name"));
-        fn.params.push_back(pname);
+        FunctionDecl::Param param;
+        LLL_ASSIGN_OR_RETURN(param.name, ExpectName("parameter name"));
         SkipWs();
         if (ConsumeKeyword("as")) {
-          LLL_ASSIGN_OR_RETURN(SequenceType t, ParseSequenceType());
-          fn.param_types.push_back(t);
-          fn.has_param_type.push_back(true);
-        } else {
-          fn.param_types.push_back(SequenceType{});
-          fn.has_param_type.push_back(false);
+          LLL_ASSIGN_OR_RETURN(param.type, ParseSequenceType());
         }
+        fn.params.push_back(std::move(param));
         if (ConsumeTok(",")) continue;
         break;
       }
@@ -305,7 +301,6 @@ class Parser {
     if (!ConsumeTok(")")) return Err("expected ')' after parameters");
     if (ConsumeKeyword("as")) {
       LLL_ASSIGN_OR_RETURN(fn.return_type, ParseSequenceType());
-      fn.has_return_type = true;
     }
     if (!ConsumeTok("{")) return Err("expected '{' before function body");
     LLL_ASSIGN_OR_RETURN(fn.body, ParseExpr());

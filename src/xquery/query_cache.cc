@@ -16,12 +16,9 @@ std::string QueryCache::MakeKey(std::string_view source,
   // Every switch that changes the compiled form is part of the key; two
   // option sets that differ in any bit must never share an entry.
   std::string key;
-  key.reserve(source.size() + 8);
+  key.reserve(source.size() + 3);
   key.push_back(options.optimize ? '1' : '0');
-  key.push_back(options.optimizer.constant_folding ? '1' : '0');
-  key.push_back(options.optimizer.dead_let_elimination ? '1' : '0');
   key.push_back(options.optimizer.recognize_trace ? '1' : '0');
-  key.push_back(options.optimizer.limit_pushdown ? '1' : '0');
   key.push_back('|');
   key.append(source);
   return key;

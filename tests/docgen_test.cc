@@ -335,8 +335,8 @@ TEST_F(DocgenTest, XQueryEngineCountsPhaseCopies) {
 
 TEST_F(DocgenTest, XQueryEngineSkipsProvenDocumentOrderSorts) {
   // The phase programs are path-heavy (doc("...")//x chains from singleton
-  // sources); the order analysis plus dynamic tracking must prove a healthy
-  // share of their normalizing sorts unnecessary.
+  // sources); the ordered bit their steps carry must let a healthy share of
+  // their normalizing sorts be skipped.
   auto result = GenerateXQueryFromText(
       "<doc><for nodes=\"from type:User; sort label\"><p><label/></p></for>"
       "<table-of-omissions/></doc>",

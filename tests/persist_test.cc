@@ -206,7 +206,62 @@ const char* kFeatureQueries[] = {
     "(//a/ancestor::*)[1]",
     "string-join(for $s in (\"x\",\"y\") return $s, \"-\")",
     "for $v in (\"1\", \"2\") return //a[@k = $v][$v = @j][1]",
+    "declare function local:f($a) { $a }; "
+    "declare function local:f($a, $b as xs:integer) as xs:integer { $b }; "
+    "local:f(local:f(1), 2)",
+    "let $n := count(//a) let $n := $n * 2 return "
+    "some $n in ($n, 1) satisfies $n = 1",
 };
+
+// Every name binding of the plan in traversal order (BindNames): each
+// call's target -- a user declaration by index, a builtin by its entry --
+// each variable reference's scope and slot, each binding's slot, and the
+// frame sizes. Two plans of one process bound alike print alike.
+void AppendBindings(const xq::Module& m, const xq::Expr& e, std::string* out) {
+  if (e.kind == xq::ExprKind::kFunctionCall) {
+    if (e.decl != nullptr) {
+      *out += "u" + std::to_string(e.decl - m.functions.data());
+    } else if (e.builtin != nullptr) {
+      *out += "b" + e.builtin->name + "@" +
+              std::to_string(reinterpret_cast<uintptr_t>(e.builtin));
+    } else {
+      *out += "?";
+    }
+  } else if (e.kind == xq::ExprKind::kVarRef) {
+    *out += "v" + std::to_string(static_cast<int>(e.scope)) + ":" +
+            std::to_string(e.slot);
+  } else if (e.kind == xq::ExprKind::kQuantified ||
+             e.kind == xq::ExprKind::kTryCatch) {
+    *out += "s" + std::to_string(e.slot);
+  }
+  out->push_back(' ');
+  for (const xq::PathStep& s : e.steps) {
+    for (const xq::ExprPtr& p : s.predicates) AppendBindings(m, *p, out);
+  }
+  for (const xq::ExprPtr& c : e.children) AppendBindings(m, *c, out);
+  for (const xq::FlworClause& c : e.clauses) {
+    *out += "s" + std::to_string(c.slot) + " ";
+    AppendBindings(m, *c.expr, out);
+  }
+  for (const xq::OrderSpec& o : e.order_by) AppendBindings(m, *o.key, out);
+  for (const xq::DirectAttribute& a : e.attributes) {
+    for (const xq::ExprPtr& p : a.value_parts) AppendBindings(m, *p, out);
+  }
+}
+
+std::string Bindings(const xq::Module& m) {
+  std::string out;
+  for (const xq::FunctionDecl& f : m.functions) {
+    out += "F" + std::to_string(f.frame_size) + " ";
+    AppendBindings(m, *f.body, &out);
+  }
+  for (const xq::VariableDecl& v : m.variables) {
+    AppendBindings(m, *v.expr, &out);
+  }
+  out += "M" + std::to_string(m.frame_size) + " ";
+  AppendBindings(m, *m.body, &out);
+  return out;
+}
 
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   xq::QueryCache fresh(64);
@@ -228,7 +283,33 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     // Identical plan trees, rewrite notes, and summary stats: EXPLAIN is the
     // full rendered fingerprint of everything the optimizer decided.
     EXPECT_EQ(obs::Explain(**a), obs::Explain(**b)) << q;
+    // The decoder binds every name again, exactly as the fresh compile did.
+    EXPECT_EQ(Bindings((*b)->module()), Bindings((*a)->module())) << q;
   }
+}
+
+TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
+  const char* q =
+      "declare function local:inc($n as xs:integer) { $n + 1 }; "
+      "local:inc(\"x\")";
+  xq::QueryCache fresh(4);
+  ASSERT_TRUE(fresh.GetOrCompile(q).ok());
+  xq::QueryCache loaded(4);
+  ASSERT_TRUE(persist::LoadPlanCacheFromBytes(
+                  persist::SerializePlanCache(fresh), &loaded)
+                  .ok());
+  auto a = fresh.GetOrCompile(q);
+  auto b = loaded.GetOrCompile(q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ((*b)->origin(), xq::PlanOrigin::kDiskCache);
+  auto fresh_result = xq::Execute(**a);
+  auto loaded_result = xq::Execute(**b);
+  ASSERT_FALSE(loaded_result.ok());
+  EXPECT_NE(loaded_result.status().ToString().find("in call to local:inc()"),
+            std::string::npos)
+      << loaded_result.status().ToString();
+  EXPECT_EQ(loaded_result.status().ToString(),
+            fresh_result.status().ToString());
 }
 
 // Every path step's derived facts in traversal order, one five-character
@@ -406,6 +487,39 @@ TEST(PersistPlans, AbsentSubexpressionsAreRejected) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("Unary with 0"), std::string::npos)
       << st.ToString();
+}
+
+TEST(PersistPlans, CraftedTypeAnnotationsAreRejected) {
+  // A parameter list is one list of {name, optional type}, so a plan cannot
+  // give a function fewer parameter types than parameters. What the
+  // encoding still admits is a presence byte other than 0 or 1.
+  const std::string image = EncodeUnoptimized(
+      "declare function local:MARKER($n as xs:integer) as xs:integer "
+      "{ $n }; local:MARKER(1)");
+  ASSERT_TRUE(DecodeImage(image).ok());
+  // The function count, the name, the parameter count, the parameter's
+  // name, then its type-presence byte; the return type's presence byte
+  // follows the parameter's three-field type.
+  const size_t name = image.find("local:MARKER");
+  ASSERT_NE(name, std::string::npos);
+  const size_t param_type = name + 12 + 4 + 4 + 1;
+  ASSERT_EQ(image.substr(param_type - 1, 1), "n");
+  const size_t return_type = param_type + 1 + 1 + 1 + 4;
+  for (size_t at : {param_type, return_type}) {
+    ASSERT_EQ(image[at], 1) << at;
+    std::string forged = image;
+    forged[at] = 2;
+    Status st = DecodeImage(forged);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << at;
+    EXPECT_NE(st.message().find("type value 2 out of range"),
+              std::string::npos)
+        << st.ToString();
+    // An absent annotation is a valid plan.
+    forged[at] = 0;
+    const size_t type_bytes = 1 + 1 + 4;  // item type, occurrence, name
+    forged.erase(at + 1, type_bytes);
+    EXPECT_TRUE(DecodeImage(forged).ok()) << at;
+  }
 }
 
 TEST(PersistPlans, MetricsCountStoresLoadsMismatchesAndFailures) {
@@ -701,6 +815,8 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   xq::NodeSetCache loaded_nodesets(1024);
   size_t disk_hits = 0;
   size_t facts_set[6] = {};
+  size_t bound_calls = 0;
+  size_t bound_vars = 0;
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
     xq::CacheProvenance prov = xq::CacheProvenance::kCompiled;
@@ -712,10 +828,14 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
               EvalCompiled(**fresh, (*fresh_doc)->root(), &fresh_nodesets))
         << q;
     ASSERT_EQ(obs::Explain(**loaded), obs::Explain(**fresh)) << q;
-    // The step facts are never stored; the decoder derives every one of
-    // them again, exactly as the fresh compile did.
+    // The step facts and name bindings are never stored; the decoder
+    // derives every one of them again, exactly as the fresh compile did.
     const std::string facts = StepFacts((*fresh)->module());
     ASSERT_EQ(StepFacts((*loaded)->module()), facts) << q;
+    const std::string bindings = Bindings((*fresh)->module());
+    ASSERT_EQ(Bindings((*loaded)->module()), bindings) << q;
+    bound_calls += bindings.find(" b") != std::string::npos;
+    bound_vars += bindings.find(" v") != std::string::npos;
     for (size_t i = 0; i < facts.size(); ++i) {
       if (facts[i] == '1') ++facts_set[i % 6];
     }
@@ -723,6 +843,8 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   // Every fact is set somewhere in the workload, so the comparison above
   // is not vacuous.
   for (size_t i = 0; i < 5; ++i) EXPECT_GT(facts_set[i], 0u) << i;
+  EXPECT_GT(bound_calls, 0u);
+  EXPECT_GT(bound_vars, 0u);
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that
   // provenance even when the hit itself came from the in-memory LRU (the
   // plan never paid compile cost in this process -- that's what the tag

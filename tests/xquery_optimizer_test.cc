@@ -146,28 +146,110 @@ TEST(Optimizer, PurityAnalysisOfUserFunctions) {
   auto module = xq::ParseModule(
       "declare function local:pure($x) { $x + 1 }; "
       "declare function local:impure($x) { trace(\"v\", $x) }; "
-      "1");
+      "(local:pure(1), local:impure(1))");
   ASSERT_TRUE(module.ok());
-  auto call_pure = xq::ParseExpression("local:pure(1)");
-  auto call_impure = xq::ParseExpression("local:impure(1)");
-  ASSERT_TRUE(call_pure.ok());
-  ASSERT_TRUE(call_impure.ok());
-  EXPECT_TRUE(
-      xq::IsPure(*call_pure->body, *module, /*recognize_trace=*/true));
-  EXPECT_FALSE(
-      xq::IsPure(*call_impure->body, *module, /*recognize_trace=*/true));
+  xq::BindNames(&*module);
+  const xq::Expr& call_pure = *module->body->children[0];
+  const xq::Expr& call_impure = *module->body->children[1];
+  EXPECT_TRUE(xq::IsPure(call_pure, /*recognize_trace=*/true));
+  EXPECT_FALSE(xq::IsPure(call_impure, /*recognize_trace=*/true));
   // Under the Galax-era policy even the "impure" one looks pure.
-  EXPECT_TRUE(
-      xq::IsPure(*call_impure->body, *module, /*recognize_trace=*/false));
+  EXPECT_TRUE(xq::IsPure(call_impure, /*recognize_trace=*/false));
 }
 
-TEST(Optimizer, CountVariableUsesRespectsShadowing) {
-  auto module =
-      xq::ParseExpression("($x, for $x in (1,2) return $x, $x + $x)");
-  ASSERT_TRUE(module.ok());
-  // Outer $x used: once at the head, twice at the tail; the loop's own $x
-  // uses do not count.
-  EXPECT_EQ(xq::CountVariableUses(*module->body, "x"), 3u);
+// --- Name binding -----------------------------------------------------------
+//
+// Every call and variable reference is bound once, before any pass reads it,
+// and the optimizer and the evaluator both read that one binding. Each query
+// below gave one answer with the optimizer on and another with it off while
+// they resolved names apart.
+
+// The outcome of `query` compiled with and without the optimizer: the
+// serialized result, or the error's code and message.
+std::string BothModes(const std::string& query) {
+  std::string out[2];
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    auto r = xq::Run(query, {}, copts);
+    out[optimize] = r.ok() ? r->SerializedItems()
+                           : std::string(StatusCodeName(r.status().code())) +
+                                 ": " + r.status().message();
+  }
+  EXPECT_EQ(out[true], out[false]) << query;
+  return out[true];
+}
+
+TEST(NameBinding, ArityOverloadsAreJudgedApart) {
+  // f#2 is pure, f#1 raises: the dead `let $y` must keep its call.
+  EXPECT_EQ(BothModes("declare function local:f($a) { error(\"boom\") }; "
+                      "declare function local:f($a, $b) { 1 }; "
+                      "let $x := local:f(1, 2) let $y := local:f(1) return 0"),
+            "InvalidArgument: fn:error: boom");
+}
+
+TEST(NameBinding, AUserFunctionNamedLikeABuiltinIsTheOneCalled) {
+  EXPECT_EQ(BothModes("declare function exists($x) { error(\"boom\") }; "
+                      "let $d := exists(1) return 2"),
+            "InvalidArgument: fn:error: boom");
+}
+
+TEST(NameBinding, FunctionBodiesSeeGlobalsNotTheirCallersLocals) {
+  const std::string prolog =
+      "declare variable $v := 7; declare function local:g() { $v }; ";
+  EXPECT_EQ(BothModes(prolog + "let $v := 1 return local:g()"), "7");
+  EXPECT_EQ(BothModes(prolog + "for $v in (1, 2) return local:g()"), "7 7");
+}
+
+TEST(NameBinding, UnknownNamesFailOnlyWhenEvaluated) {
+  EXPECT_EQ(BothModes("if (false()) then nosuch() else 1"), "1");
+  EXPECT_EQ(BothModes("if (false()) then $nope else 1"), "1");
+  // A builtin's name at an arity it lacks is an unknown function to the
+  // optimizer too, so the dead let keeps the call.
+  EXPECT_EQ(BothModes("let $x := count(1, 2) return 0"),
+            "NotFound: unknown function count#2 at line 1");
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    auto call = xq::Run("nosuch()", {}, copts);
+    ASSERT_FALSE(call.ok());
+    EXPECT_EQ(call.status().ToString(),
+              "NotFound: unknown function nosuch#0 at line 1");
+    auto var = xq::Run("$nope", {}, copts);
+    ASSERT_FALSE(var.ok());
+    EXPECT_EQ(var.status().ToString(),
+              "InvalidArgument: variable '$nope' not found at line 1");
+  }
+}
+
+TEST(NameBinding, ShadowedReferencesBindToTheInnermostBinding) {
+  auto query = xq::Compile(
+      "let $x := 1 return ($x, for $x in (1,2) return $x, $x + $x)");
+  ASSERT_TRUE(query.ok());
+  const xq::Expr& flwor = *query->module().body;
+  ASSERT_EQ(flwor.kind, xq::ExprKind::kFlwor);
+  const uint32_t outer = flwor.clauses[0].slot;
+  const xq::Expr& seq = *flwor.children[0];
+  ASSERT_EQ(seq.children.size(), 3u);
+  const xq::Expr& loop = *seq.children[1];
+  const uint32_t inner = loop.clauses[0].slot;
+  EXPECT_NE(inner, outer);
+  // The head and both operands of the tail read the outer $x; the loop's
+  // return reads its own.
+  for (const xq::Expr* ref : {seq.children[0].get(),
+                              seq.children[2]->children[0].get(),
+                              seq.children[2]->children[1].get()}) {
+    EXPECT_EQ(ref->scope, xq::Expr::Scope::kLocal);
+    EXPECT_EQ(ref->slot, outer);
+  }
+  EXPECT_EQ(loop.children[0]->slot, inner);
+  EXPECT_EQ(query->module().frame_size, 2u);
+  // A name nothing binds is an external, looked up by name at Execute.
+  xq::ExecuteOptions opts;
+  opts.variables["y"] = xdm::Sequence(xdm::Item::Integer(5));
+  auto ext = xq::Run("let $x := 1 return $x + $y", opts);
+  ASSERT_TRUE(ext.ok());
+  EXPECT_EQ(ext->SerializedItems(), "6");
 }
 
 // --- Document order -----------------------------------------------------------
@@ -328,15 +410,6 @@ TEST(LimitPushdown, UserFunctionShadowingDisablesThePush) {
   if (shadowed.ok()) {
     EXPECT_EQ(shadowed->optimizer_stats().limits_pushed, 0u);
   }
-}
-
-TEST(LimitPushdown, DisablingThePassDropsHintsNotAnswers) {
-  xq::CompileOptions off;
-  off.optimizer.limit_pushdown = false;
-  auto query = xq::Compile("subsequence(//a, 1, 3)", off);
-  ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->optimizer_stats().limits_pushed, 0u);
-  EXPECT_EQ(query->module().body->children[0]->limit_hint, 0u);
 }
 
 // --- Descendant-step fusion ---------------------------------------------------

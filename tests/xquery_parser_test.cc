@@ -102,11 +102,13 @@ TEST(ParserProlog, FunctionsAndVariables) {
   ASSERT_EQ(module->functions.size(), 1u);
   const FunctionDecl& fn = module->functions[0];
   EXPECT_EQ(fn.name, "local:f");
-  EXPECT_EQ(fn.params.size(), 2u);
-  EXPECT_FALSE(fn.has_param_type[0]);
-  EXPECT_TRUE(fn.has_param_type[1]);
-  EXPECT_TRUE(fn.has_return_type);
-  EXPECT_EQ(fn.return_type.ToString(), "xs:integer");
+  ASSERT_EQ(fn.params.size(), 2u);
+  EXPECT_EQ(fn.params[0].name, "a");
+  EXPECT_FALSE(fn.params[0].type.has_value());
+  ASSERT_TRUE(fn.params[1].type.has_value());
+  EXPECT_EQ(fn.params[1].type->ToString(), "xs:integer");
+  ASSERT_TRUE(fn.return_type.has_value());
+  EXPECT_EQ(fn.return_type->ToString(), "xs:integer");
 }
 
 TEST(ParserProlog, DuplicateArityOverloads) {
