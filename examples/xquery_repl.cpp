@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   lll::xq::ExecuteOptions exec_options;
   if (context_doc != nullptr) exec_options.context_node = context_doc->root();
   // Feed the global registry so :metrics has something to show.
-  exec_options.metrics = &lll::GlobalMetrics();
+  const lll::xq::ExecMetrics exec_metrics(lll::GlobalMetrics());
+  exec_options.metrics = &exec_metrics;
   // Session-scoped interning: repeated queries over the context document
   // reuse their rooted step chains (:metrics shows the
   // xq.eval.nodeset_cache_* counters move). Declared after context_doc so

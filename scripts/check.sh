@@ -20,23 +20,6 @@ find . -path ./build -prune -o -path ./build-tsan -prune -o \
   -path ./build-asan -prune -o \
   \( -name '*.lllp' -o -name '*.llld' \) -print0 | xargs -0r rm -f
 
-# EvalStats <-> metrics-export drift guard: every counter field in the
-# EvalStats struct must be exported by engine.cc under its canonical
-# `xq.eval.<field>` name. A counter added to the struct but never exported
-# silently vanishes from :metrics, docgen_report --profile, and the bench
-# *.metrics.json sidecars -- fail fast here instead.
-echo "== metrics: EvalStats fields vs engine.cc exports =="
-drift=0
-for field in $(awk '/^struct EvalStats \{/,/^\};/' src/xquery/eval.h |
-               sed -n 's/^ *size_t \([a-z_]*\) = 0;.*/\1/p'); do
-  if ! grep -q "xq\.eval\.${field}" src/xquery/engine.cc; then
-    echo "error: EvalStats::${field} has no xq.eval.${field} export in src/xquery/engine.cc" >&2
-    drift=1
-  fi
-done
-[ "$drift" -eq 0 ] || exit 1
-echo "all EvalStats counters exported"
-
 # Update-grammar <-> DESIGN.md drift guard: the statement productions in the
 # update parser's grammar comment (src/xquery/update_parser.h) are the
 # language's contract, and DESIGN.md section 15 documents them verbatim. A

@@ -76,6 +76,18 @@ XQueryBackend::XQueryBackend(const awb::Model* model,
   metamodel_doc_ = parsed.ok() ? std::move(*parsed) : nullptr;
 }
 
+XQueryBackend::Metrics::Metrics(MetricsRegistry& registry)
+    : registry(registry),
+      exec(registry),
+      evals(registry.counter("awbql.xquery.evals")),
+      compile_cache_hits(registry.counter("awbql.xquery.compile_cache_hits")),
+      compile_cache_misses(
+          registry.counter("awbql.xquery.compile_cache_misses")) {}
+
+void XQueryBackend::set_metrics(MetricsRegistry* metrics) {
+  metrics_ = metrics != nullptr ? std::make_unique<Metrics>(*metrics) : nullptr;
+}
+
 std::string XQueryBackend::CompileToXQuery(const Query& query) const {
   std::string out = kPrologTemplate;
   out += "\nlet $nodes := doc(\"model\")/awb-model/node\n";
@@ -200,7 +212,7 @@ Result<std::vector<const awb::ModelNode*>> XQueryBackend::Eval(
   bool cache_hit = false;
   LLL_ASSIGN_OR_RETURN(std::shared_ptr<const xq::CompiledQuery> compiled,
                        compile_cache_.GetOrCompile(program, {}, &cache_hit));
-  opts.metrics = metrics_;
+  if (metrics_ != nullptr) opts.metrics = &metrics_->exec;
   // The snapshots never mutate after construction, so interned node sets
   // (doc("model")/relation chains, metamodel subtype walks) stay valid for
   // the backend's whole lifetime.
@@ -208,12 +220,11 @@ Result<std::vector<const awb::ModelNode*>> XQueryBackend::Eval(
   LLL_ASSIGN_OR_RETURN(xq::QueryResult result, xq::Execute(*compiled, opts));
   last_stats_ = result.stats;
   if (metrics_ != nullptr) {
-    metrics_->counter("awbql.xquery.evals").Increment();
-    metrics_->counter(cache_hit ? "awbql.xquery.compile_cache_hits"
-                                : "awbql.xquery.compile_cache_misses")
+    metrics_->evals.Increment();
+    (cache_hit ? metrics_->compile_cache_hits : metrics_->compile_cache_misses)
         .Increment();
-    compile_cache_.ExportTo(metrics_, "awbql.xquery.cache");
-    nodeset_cache_.ExportTo(metrics_, "awbql.xquery.nodeset");
+    compile_cache_.ExportTo(&metrics_->registry, "awbql.xquery.cache");
+    nodeset_cache_.ExportTo(&metrics_->registry, "awbql.xquery.nodeset");
   }
   std::vector<const awb::ModelNode*> nodes;
   nodes.reserve(result.sequence.size());

@@ -66,8 +66,9 @@ class XQueryBackend {
   CacheStats cache_stats() const { return compile_cache_.stats(); }
 
   // When set, every Eval records counters/timings under "awbql.xquery." and
-  // the compile cache exports its hit/miss gauges. Borrowed.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  // "xq.", and the compile cache exports its hit/miss gauges. Borrowed; the
+  // handles are resolved here, once. nullptr detaches.
+  void set_metrics(MetricsRegistry* metrics);
 
  private:
   const awb::Model* model_;
@@ -79,7 +80,17 @@ class XQueryBackend {
   // sequences hold raw node pointers into those snapshots.
   xq::NodeSetCache nodeset_cache_{/*capacity=*/128};
   xq::EvalStats last_stats_;
-  MetricsRegistry* metrics_ = nullptr;
+  // The attached registry's handles.
+  struct Metrics {
+    explicit Metrics(MetricsRegistry& registry);
+
+    MetricsRegistry& registry;
+    xq::ExecMetrics exec;
+    Counter& evals;
+    Counter& compile_cache_hits;
+    Counter& compile_cache_misses;
+  };
+  std::unique_ptr<Metrics> metrics_;
 };
 
 }  // namespace lll::awbql

@@ -170,13 +170,6 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 MetricsRegistry& GlobalMetrics() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

@@ -18,14 +18,19 @@ namespace lll {
 // a registry a server (or a bench harness) can poll.
 //
 // Concurrency contract: instrument handles returned by the registry are
-// stable for the registry's lifetime and all mutation paths are lock-free
-// atomics, so hot paths pay one relaxed add per event. The registry itself
-// serializes only name->instrument resolution (done once per call site in
-// sensible code) and snapshotting.
+// stable for the registry's lifetime (instruments are never dropped) and
+// all mutation paths are lock-free atomics, so hot paths pay one relaxed
+// add per event. The registry itself serializes only name->instrument
+// resolution (done once, by the owner of a hot path: see xq::ExecMetrics)
+// and snapshotting.
 
 class Counter {
  public:
-  void Increment(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  // Adding zero touches nothing, so a hot path can report counters that
+  // rarely move without bouncing their cache lines between threads.
+  void Increment(uint64_t n = 1) {
+    if (n != 0) v_.fetch_add(n, std::memory_order_relaxed);
+  }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -82,9 +87,6 @@ class MetricsRegistry {
   // Histograms export count/sum/mean/max/p50/p95/p99. Keys are sorted, so
   // snapshots diff cleanly.
   std::string ToJson() const;
-
-  // Drops every instrument (tests; NOT safe while handles are in use).
-  void Reset();
 
  private:
   mutable std::mutex mu_;

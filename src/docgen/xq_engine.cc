@@ -1,6 +1,7 @@
 #include "docgen/xq_engine.h"
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "awb/xml_io.h"
@@ -84,6 +85,8 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
 
   DocGenStats stats;
   std::vector<std::string> phase_profiles;
+  std::optional<xq::ExecMetrics> exec_metrics;
+  if (options.metrics != nullptr) exec_metrics.emplace(*options.metrics);
 
   // Compiles (cached) and runs one phase, timing it and routing the caller's
   // observability options (profiler, trace sink, metrics) into the engine.
@@ -92,7 +95,7 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
     opts.eval.profile = options.profile;
     opts.eval.trace_sink = options.trace_sink;
     opts.eval.nodeset_cache = nodeset_cache;
-    opts.metrics = options.metrics;
+    if (exec_metrics.has_value()) opts.metrics = &*exec_metrics;
     const auto started = std::chrono::steady_clock::now();
     LLL_ASSIGN_OR_RETURN(std::shared_ptr<const xq::CompiledQuery> compiled,
                          PhaseProgramCache().GetOrCompile(program));

@@ -17,8 +17,8 @@ namespace lll::persist {
 // included) plus the OptimizerStats and rewrite notes, written as a
 // plan-cache artifact (*.lllp) holding one entry per QueryCache slot, keyed
 // by the exact QueryCache::MakeKey string (option bits + '|' + source).
-// Derived facts -- probe marks and the per-step bits ResolveSteps computes --
-// are never stored; the decoder derives them again.
+// Derived facts -- probe marks and the per-step bits and fingerprint text
+// ResolveSteps computes -- are never stored; the decoder derives them again.
 // A loaded plan is indistinguishable from a fresh compile to the evaluator
 // and to EXPLAIN (except for its `disk-cache` provenance tag); the 495-query
 // differential suite in tests/persist_test.cc is the oracle for that claim.

@@ -43,10 +43,38 @@ class InflightGuard {
 
 }  // namespace
 
+QueryServer::Tenant::Tenant(MetricsRegistry& registry,
+                            const std::string& name,
+                            const TenantQuota& quota)
+    : quota(quota),
+      queries(registry.counter("server.tenant." + name + ".queries")),
+      rejected(registry.counter("server.tenant." + name + ".rejected")),
+      query_us(registry.histogram("server.tenant." + name + ".query_us")) {}
+
+QueryServer::Metrics::Metrics(MetricsRegistry& registry)
+    : exec(registry),
+      queries(registry.counter("server.queries")),
+      queries_ok(registry.counter("server.queries_ok")),
+      queries_rejected(registry.counter("server.queries_rejected")),
+      query_errors(registry.counter("server.query_errors")),
+      compile_errors(registry.counter("server.compile_errors")),
+      query_cache_hits(registry.counter("server.query_cache_hits")),
+      query_cache_misses(registry.counter("server.query_cache_misses")),
+      query_us(registry.histogram("server.query_us")),
+      snapshots_published(registry.counter("server.snapshots_published")),
+      updates(registry.counter("server.updates")),
+      reports_generated(registry.counter("server.reports_generated")),
+      plan_hits(registry.counter("persist.plan.hits")),
+      plan_misses(registry.counter("persist.plan.misses")),
+      documents(registry.gauge("server.documents")),
+      nodeset_entries_migrated(
+          registry.gauge("server.nodeset_entries_migrated")) {}
+
 QueryServer::QueryServer(const ServerOptions& options)
     : options_(options),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &GlobalMetrics()),
+      handles_(*metrics_),
       store_(options.nodeset_cache_capacity),
       query_cache_(options.query_cache_capacity),
       pool_(options.worker_threads) {}
@@ -61,8 +89,7 @@ Status QueryServer::AddDocument(const std::string& name,
                                 std::unique_ptr<xml::Document> doc) {
   Status st = store_.Install(name, std::move(doc));
   if (st.ok()) {
-    metrics_->gauge("server.documents")
-        .Set(static_cast<int64_t>(store_.Names().size()));
+    handles_.documents.Set(static_cast<int64_t>(store_.Names().size()));
   }
   return st;
 }
@@ -79,7 +106,7 @@ Status QueryServer::AddDocumentXml(const std::string& name,
 Result<uint64_t> QueryServer::PublishEdit(const std::string& name,
                                           const EditFn& edit) {
   Result<uint64_t> version = store_.PublishEdit(name, edit);
-  if (version.ok()) metrics_->counter("server.snapshots_published").Increment();
+  if (version.ok()) handles_.snapshots_published.Increment();
   return version;
 }
 
@@ -102,8 +129,8 @@ Result<uint64_t> QueryServer::PublishUpdate(const std::string& name,
         return Status::Ok();
       });
   if (!version.ok()) return version;
-  metrics_->counter("server.snapshots_published").Increment();
-  metrics_->counter("server.updates").Increment();
+  handles_.snapshots_published.Increment();
+  handles_.updates.Increment();
   if (stats != nullptr) *stats = applied;
   return version;
 }
@@ -115,18 +142,8 @@ Result<uint64_t> QueryServer::PublishXml(const std::string& name,
     return doc.status().AddContext("while parsing publish of '" + name + "'");
   }
   Result<uint64_t> version = store_.PublishDocument(name, std::move(*doc));
-  if (version.ok()) metrics_->counter("server.snapshots_published").Increment();
+  if (version.ok()) handles_.snapshots_published.Increment();
   return version;
-}
-
-QueryServer::Tenant* QueryServer::TenantFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  auto& slot = tenants_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Tenant>();
-    slot->quota = options_.default_quota;
-  }
-  return slot.get();
 }
 
 QueryServer::Tenant* QueryServer::TenantAndQuota(const std::string& name,
@@ -134,8 +151,7 @@ QueryServer::Tenant* QueryServer::TenantAndQuota(const std::string& name,
   std::lock_guard<std::mutex> lock(tenants_mu_);
   auto& slot = tenants_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Tenant>();
-    slot->quota = options_.default_quota;
+    slot = std::make_unique<Tenant>(*metrics_, name, options_.default_quota);
   }
   *quota = slot->quota;
   return slot.get();
@@ -143,7 +159,8 @@ QueryServer::Tenant* QueryServer::TenantAndQuota(const std::string& name,
 
 void QueryServer::SetQuota(const std::string& tenant,
                            const TenantQuota& quota) {
-  Tenant* t = TenantFor(tenant);
+  TenantQuota previous;
+  Tenant* t = TenantAndQuota(tenant, &previous);
   std::lock_guard<std::mutex> lock(tenants_mu_);
   t->quota = quota;
 }
@@ -154,9 +171,9 @@ TenantQuota QueryServer::QuotaFor(const std::string& tenant) const {
   return it == tenants_.end() ? options_.default_quota : it->second->quota;
 }
 
-void QueryServer::CountRejection(const std::string& tenant) {
-  metrics_->counter("server.queries_rejected").Increment();
-  metrics_->counter("server.tenant." + tenant + ".rejected").Increment();
+void QueryServer::CountRejection(Tenant* tenant) {
+  handles_.queries_rejected.Increment();
+  tenant->rejected.Increment();
 }
 
 void QueryServer::CountPlanProvenance(xq::CacheProvenance provenance) {
@@ -165,10 +182,10 @@ void QueryServer::CountPlanProvenance(xq::CacheProvenance provenance) {
   // neither, so the ratio measures the artifact's coverage rather than
   // whether anyone loaded one.
   if (provenance == xq::CacheProvenance::kDiskCache) {
-    metrics_->counter("persist.plan.hits").Increment();
+    handles_.plan_hits.Increment();
   } else if (provenance == xq::CacheProvenance::kCompiled &&
              query_cache_.warmed()) {
-    metrics_->counter("persist.plan.misses").Increment();
+    handles_.plan_misses.Increment();
   }
 }
 
@@ -183,18 +200,18 @@ QueryResponse QueryServer::ExecuteOnSnapshot(const std::string& tenant,
                                              const std::string& query_text) {
   const Clock::time_point start = Clock::now();
   QueryResponse resp;
-  metrics_->counter("server.queries").Increment();
-  metrics_->counter("server.tenant." + tenant + ".queries").Increment();
+  TenantQuota quota;
+  Tenant* t = TenantAndQuota(tenant, &quota);
+  handles_.queries.Increment();
+  t->queries.Increment();
 
   if (snapshot == nullptr) {
     resp.status = Status::NotFound("no such document");
-    metrics_->counter("server.query_errors").Increment();
+    handles_.query_errors.Increment();
     return resp;
   }
 
   // Admission: one atomic increment against the tenant's in-flight cap.
-  TenantQuota quota;
-  Tenant* t = TenantAndQuota(tenant, &quota);
   int64_t inflight = t->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
   InflightGuard guard(&t->inflight);
   if (static_cast<uint64_t>(inflight) > quota.max_inflight) {
@@ -203,7 +220,7 @@ QueryResponse QueryServer::ExecuteOnSnapshot(const std::string& tenant,
         std::to_string(quota.max_inflight) + ")");
     resp.rejected = true;
     resp.latency_us = ElapsedUs(start);
-    CountRejection(tenant);
+    CountRejection(t);
     return resp;
   }
 
@@ -214,12 +231,10 @@ QueryResponse QueryServer::ExecuteOnSnapshot(const std::string& tenant,
   if (!compiled.ok()) {
     resp.status = compiled.status();
     resp.latency_us = ElapsedUs(start);
-    metrics_->counter("server.compile_errors").Increment();
+    handles_.compile_errors.Increment();
     return resp;
   }
-  metrics_
-      ->counter(cache_hit ? "server.query_cache_hits"
-                          : "server.query_cache_misses")
+  (cache_hit ? handles_.query_cache_hits : handles_.query_cache_misses)
       .Increment();
   CountPlanProvenance(provenance);
 
@@ -231,29 +246,28 @@ QueryResponse QueryServer::ExecuteOnSnapshot(const std::string& tenant,
     opts.eval.deadline = start + std::chrono::milliseconds(quota.timeout_ms);
   }
   opts.eval.cancel = &shutdown_;
-  opts.metrics = metrics_;
+  opts.metrics = &handles_.exec;
 
   auto result = xq::Execute(**compiled, opts);
   resp.snapshot_version = snapshot->version();
   resp.latency_us = ElapsedUs(start);
-  metrics_->histogram("server.query_us").Observe(resp.latency_us);
-  metrics_->histogram("server.tenant." + tenant + ".query_us")
-      .Observe(resp.latency_us);
+  handles_.query_us.Observe(resp.latency_us);
+  t->query_us.Observe(resp.latency_us);
 
   if (!result.ok()) {
     resp.status = result.status();
     if (resp.status.code() == StatusCode::kResourceExhausted) {
       // Budget / deadline / shutdown: the query was abandoned, not wrong.
       resp.rejected = true;
-      CountRejection(tenant);
+      CountRejection(t);
     } else {
-      metrics_->counter("server.query_errors").Increment();
+      handles_.query_errors.Increment();
     }
     return resp;
   }
   resp.result = result->SerializedItems();
   resp.stats = result->stats;
-  metrics_->counter("server.queries_ok").Increment();
+  handles_.queries_ok.Increment();
   return resp;
 }
 
@@ -315,7 +329,7 @@ Result<std::vector<std::string>> QueryServer::GenerateReports(
   int64_t inflight = t->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
   InflightGuard guard(&t->inflight);
   if (static_cast<uint64_t>(inflight) > quota.max_inflight) {
-    CountRejection(tenant);
+    CountRejection(t);
     return Status::ResourceExhausted("tenant '" + tenant +
                                      "' is over its in-flight quota");
   }
@@ -353,8 +367,7 @@ Result<std::vector<std::string>> QueryServer::GenerateReports(
   for (const docgen::DocGenResult& r : *results) {
     rendered.push_back(r.Serialized());
   }
-  metrics_->counter("server.reports_generated")
-      .Increment(rendered.size());
+  handles_.reports_generated.Increment(rendered.size());
   return rendered;
 }
 
@@ -430,8 +443,8 @@ std::string QueryServer::MetricsJson() const {
   metrics_->gauge("xml.doc.bytes").Set(static_cast<int64_t>(bytes));
   metrics_->gauge("xml.names.interned")
       .Set(static_cast<int64_t>(xml::NameTable::interned_count()));
-  metrics_->gauge("server.nodeset_entries_migrated")
-      .Set(static_cast<int64_t>(store_.cache_entries_migrated()));
+  handles_.nodeset_entries_migrated.Set(
+      static_cast<int64_t>(store_.cache_entries_migrated()));
   return metrics_->ToJson();
 }
 

@@ -14,6 +14,7 @@
 #include "core/result.h"
 #include "core/thread_pool.h"
 #include "server/snapshot.h"
+#include "xquery/engine.h"
 #include "xquery/query_cache.h"
 #include "xquery/update_eval.h"
 
@@ -232,19 +233,51 @@ class QueryServer {
   void Shutdown() { shutdown_.store(true, std::memory_order_relaxed); }
 
  private:
+  // A tenant's quota, in-flight count and server.tenant.<name>.* handles,
+  // resolved when the tenant is first seen.
   struct Tenant {
+    Tenant(MetricsRegistry& registry, const std::string& name,
+           const TenantQuota& quota);
+
     TenantQuota quota;
     std::atomic<int64_t> inflight{0};
+    Counter& queries;
+    Counter& rejected;
+    Histogram& query_us;
   };
 
-  Tenant* TenantFor(const std::string& name);
-  // TenantFor + quota read under a single tenants_mu_ acquisition.
+  // The server.* and persist.plan.* instruments the server bumps, resolved
+  // once in the constructor.
+  struct Metrics {
+    explicit Metrics(MetricsRegistry& registry);
+
+    xq::ExecMetrics exec;
+    Counter& queries;
+    Counter& queries_ok;
+    Counter& queries_rejected;
+    Counter& query_errors;
+    Counter& compile_errors;
+    Counter& query_cache_hits;
+    Counter& query_cache_misses;
+    Histogram& query_us;
+    Counter& snapshots_published;
+    Counter& updates;
+    Counter& reports_generated;
+    Counter& plan_hits;
+    Counter& plan_misses;
+    Gauge& documents;
+    Gauge& nodeset_entries_migrated;
+  };
+
+  // The tenant (created on first sight) and its quota, read under one
+  // tenants_mu_ acquisition.
   Tenant* TenantAndQuota(const std::string& name, TenantQuota* quota);
-  void CountRejection(const std::string& tenant);
+  void CountRejection(Tenant* tenant);
   void CountPlanProvenance(xq::CacheProvenance provenance);
 
   ServerOptions options_;
   MetricsRegistry* metrics_;
+  Metrics handles_;
   SnapshotStore store_;
   xq::QueryCache query_cache_;
   std::atomic<bool> shutdown_{false};

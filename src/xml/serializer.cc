@@ -1,191 +1,202 @@
 #include "xml/serializer.h"
 
+#include <vector>
+
 namespace lll::xml {
 
-std::string EscapeText(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string EscapeAttribute(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
 bool IsHtmlVoidElement(std::string_view name) {
-  // Lowercase comparison: HTML tag names are case-insensitive.
-  std::string lower(name);
-  for (char& c : lower) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  for (const char* v : {"br", "hr", "img", "input", "meta", "link", "area",
-                        "base", "col", "embed", "source", "track", "wbr"}) {
-    if (lower == v) return true;
+  // Case-insensitive: HTML tag names are.
+  for (std::string_view v : {"br", "hr", "img", "input", "meta", "link", "area",
+                             "base", "col", "embed", "source", "track",
+                             "wbr"}) {
+    if (name.size() != v.size()) continue;
+    size_t i = 0;
+    while (i < v.size()) {
+      char c = name[i];
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+      if (c != v[i]) break;
+      ++i;
+    }
+    if (i == v.size()) return true;
   }
   return false;
 }
 
 namespace {
 
-// Explicit-stack serializer: one work item is either a node to render (open
-// tag emitted immediately, children and the close tag pushed as further
-// items) or a literal to append (separators, indentation, close tags). This
-// keeps 100k-deep documents from exhausting the call stack.
-void SerializeTo(const Node* root, const SerializeOptions& options,
-                 int root_depth, std::string* out) {
-  struct Item {
-    const Node* node = nullptr;  // nullptr: append `lit` instead
-    int depth = 0;
-    std::string lit;
-  };
-  auto indent_of = [&](int d) {
-    std::string s(1, '\n');
-    s.append(static_cast<size_t>(d * options.indent), ' ');
-    return s;
-  };
-
-  std::vector<Item> stack;
-  stack.push_back(Item{root, root_depth, {}});
-  std::vector<Item> seq;  // children of the current node, in document order
-  while (!stack.empty()) {
-    Item item = std::move(stack.back());
-    stack.pop_back();
-    if (item.node == nullptr) {
-      out->append(item.lit);
-      continue;
-    }
-    const Node* node = item.node;
-    int depth = item.depth;
-    seq.clear();
-
-    switch (node->kind()) {
-      case NodeKind::kDocument: {
-        if (options.declaration) {
-          out->append("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-          if (options.indent > 0) out->push_back('\n');
-        }
-        bool first = true;
-        for (const Node* c : node->children()) {
-          if (!first && options.indent > 0) seq.push_back(Item{nullptr, 0, "\n"});
-          seq.push_back(Item{c, depth, {}});
-          first = false;
-        }
+// Appends `s` to `out` with '&' and '<' escaped, plus '"' in an attribute
+// value or '>' in text. Unescaped runs are copied whole.
+void AppendEscaped(std::string_view s, bool attribute, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity = nullptr;
+    switch (s[i]) {
+      case '&':
+        entity = "&amp;";
         break;
+      case '<':
+        entity = "&lt;";
+        break;
+      case '>':
+        if (!attribute) entity = "&gt;";
+        break;
+      case '"':
+        if (attribute) entity = "&quot;";
+        break;
+      default:
+        break;
+    }
+    if (entity == nullptr) continue;
+    out->append(s.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+void AppendAttribute(const Node* attr, std::string* out) {
+  out->append(attr->name());
+  out->append("=\"");
+  AppendEscaped(attr->value(), /*attribute=*/true, out);
+  out->push_back('"');
+}
+
+// One open element (or the document node) whose children are being
+// rendered.
+struct Frame {
+  const Node* node;
+  uint32_t next;  // index of the next child to render
+  int depth;      // depth of the children
+  // Children go on their own indented lines (element-only content under a
+  // nonzero indent); for a document node, newline-separated.
+  bool pretty;
+};
+
+class Writer {
+ public:
+  Writer(const SerializeOptions& options, std::string* out)
+      : options_(options), out_(out) {}
+
+  // Explicit stack, one frame per open element, so 100k-deep documents
+  // cannot exhaust the call stack.
+  void Run(const Node* root) {
+    Open(root, 0);
+    while (!stack_.empty()) {
+      Frame& top = stack_.back();
+      NodeList children = top.node->children();
+      if (top.next < children.size()) {
+        const Node* child = children[top.next++];
+        const int depth = top.depth;
+        if (top.node->is_document()) {
+          if (top.next > 1 && top.pretty) out_->push_back('\n');
+        } else if (top.pretty) {
+          Newline(depth);
+        }
+        Open(child, depth);  // may push, invalidating `top`
+        continue;
       }
+      if (top.node->is_element()) {
+        if (top.pretty) Newline(top.depth - 1);
+        CloseTag(top.node);
+      }
+      stack_.pop_back();
+    }
+  }
+
+ private:
+  void Newline(int depth) {
+    out_->push_back('\n');
+    out_->append(static_cast<size_t>(depth * options_.indent), ' ');
+  }
+
+  void CloseTag(const Node* element) {
+    out_->append("</");
+    out_->append(element->name());
+    out_->push_back('>');
+  }
+
+  // Renders a leaf whole, or an element's start tag (and, when it has no
+  // children, its end); pushes a frame for children still to render.
+  void Open(const Node* node, int depth) {
+    switch (node->kind()) {
+      case NodeKind::kDocument:
+        if (options_.declaration) {
+          out_->append("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+          if (options_.indent > 0) out_->push_back('\n');
+        }
+        stack_.push_back(Frame{node, 0, depth, options_.indent > 0});
+        return;
       case NodeKind::kElement: {
-        out->push_back('<');
-        out->append(node->name());
+        out_->push_back('<');
+        out_->append(node->name());
         for (const Node* a : node->attributes()) {
-          out->push_back(' ');
-          out->append(a->name());
-          out->append("=\"");
-          out->append(EscapeAttribute(a->value()));
-          out->push_back('"');
+          out_->push_back(' ');
+          AppendAttribute(a, out_);
         }
-        if (node->children().empty()) {
-          if (options.html) {
-            out->push_back('>');
-            if (IsHtmlVoidElement(node->name())) break;  // <br> has no close
-            out->append("</");
-            out->append(node->name());
-            out->push_back('>');
-            break;
+        NodeList children = node->children();
+        if (children.empty()) {
+          if (options_.html) {
+            out_->push_back('>');
+            if (!IsHtmlVoidElement(node->name())) CloseTag(node);
+          } else if (options_.self_close_empty) {
+            out_->append("/>");
+          } else {
+            out_->push_back('>');
+            CloseTag(node);
           }
-          if (options.self_close_empty) {
-            out->append("/>");
-            break;
-          }
+          return;
         }
-        out->push_back('>');
+        out_->push_back('>');
         // Mixed content (any text child) is serialized inline; element-only
         // content gets the pretty indentation.
-        bool element_only = true;
-        for (const Node* c : node->children()) {
+        bool pretty = options_.indent > 0;
+        for (const Node* c : children) {
           if (c->is_text()) {
-            element_only = false;
+            pretty = false;
             break;
           }
         }
-        std::string close = "</" + node->name() + ">";
-        if (options.indent > 0 && element_only && !node->children().empty()) {
-          for (const Node* c : node->children()) {
-            seq.push_back(Item{nullptr, 0, indent_of(depth + 1)});
-            seq.push_back(Item{c, depth + 1, {}});
-          }
-          seq.push_back(Item{nullptr, 0, indent_of(depth) + close});
-        } else {
-          for (const Node* c : node->children()) {
-            seq.push_back(Item{c, depth + 1, {}});
-          }
-          seq.push_back(Item{nullptr, 0, close});
-        }
-        break;
+        stack_.push_back(Frame{node, 0, depth + 1, pretty});
+        return;
       }
       case NodeKind::kText:
-        out->append(EscapeText(node->value()));
-        break;
+        AppendEscaped(node->value(), /*attribute=*/false, out_);
+        return;
       case NodeKind::kComment:
-        out->append("<!--");
-        out->append(node->value());
-        out->append("-->");
-        break;
+        out_->append("<!--");
+        out_->append(node->value());
+        out_->append("-->");
+        return;
       case NodeKind::kProcessingInstruction:
-        out->append("<?");
-        out->append(node->name());
+        out_->append("<?");
+        out_->append(node->name());
         if (!node->value().empty()) {
-          out->push_back(' ');
-          out->append(node->value());
+          out_->push_back(' ');
+          out_->append(node->value());
         }
-        out->append("?>");
-        break;
+        out_->append("?>");
+        return;
       case NodeKind::kAttribute:
-        out->append(node->name());
-        out->append("=\"");
-        out->append(EscapeAttribute(node->value()));
-        out->push_back('"');
-        break;
+        AppendAttribute(node, out_);
+        return;
     }
-    for (size_t i = seq.size(); i-- > 0;) stack.push_back(std::move(seq[i]));
   }
-}
+
+  const SerializeOptions& options_;
+  std::string* out_;
+  std::vector<Frame> stack_;
+};
 
 }  // namespace
 
+void SerializeTo(const Node* node, const SerializeOptions& options,
+                 std::string* out) {
+  Writer(options, out).Run(node);
+}
+
 std::string Serialize(const Node* node, const SerializeOptions& options) {
   std::string out;
-  SerializeTo(node, options, 0, &out);
+  SerializeTo(node, options, &out);
   return out;
 }
 

@@ -25,15 +25,14 @@ struct SerializeOptions {
 // area, base, col, embed, source, track, wbr).
 bool IsHtmlVoidElement(std::string_view name);
 
-// Escapes '&', '<', '>' for text content.
-std::string EscapeText(std::string_view text);
-// Escapes '&', '<', '"' for double-quoted attribute values.
-std::string EscapeAttribute(std::string_view value);
-
 // Serializes a node (document, element, text, comment, or PI) to XML text.
-// A detached attribute node serializes as `name="value"` -- useful for
-// diagnostics, not valid document content.
+// Text escapes '&', '<', '>'; double-quoted attribute values escape '&',
+// '<', '"'. A detached attribute node serializes as `name="value"` -- useful
+// for diagnostics, not valid document content.
 std::string Serialize(const Node* node, const SerializeOptions& options = {});
+// Serialize, appended to `out`.
+void SerializeTo(const Node* node, const SerializeOptions& options,
+                 std::string* out);
 
 }  // namespace lll::xml
 

@@ -105,6 +105,10 @@ struct PathStep {
   // interning cache memoizes. EXPLAIN renders it as [interned]; the
   // evaluator interns any dynamically found tree root from `foldable`.
   bool internable = false;
+  // A foldable step's text in an interned chain's fingerprint: axis::test,
+  // each predicate's canonical text in brackets, then "/". Empty for other
+  // steps.
+  std::string fingerprint;
 };
 
 // Appends a step's "axis::test" spelling (e.g. "child::a",

@@ -12,7 +12,7 @@ std::string QueryResult::SerializedItems(
   bool last_atomic = false;
   for (const xdm::Item& item : sequence.items()) {
     if (item.is_node()) {
-      out += xml::Serialize(item.node(), options);
+      xml::SerializeTo(item.node(), options, &out);
       last_atomic = false;
     } else {
       if (last_atomic) out += " ";
@@ -21,6 +21,26 @@ std::string QueryResult::SerializedItems(
     }
   }
   return out;
+}
+
+ExecMetrics::ExecMetrics(MetricsRegistry& registry)
+    : executions(registry.counter("xq.executions")),
+      execute_us(registry.histogram("xq.execute_us")),
+      errors(registry.counter("xq.errors"))
+#define LLL_XQ_EXEC_METRICS_RESOLVE(field) \
+  , field(registry.counter("xq.eval." #field))
+      LLL_XQ_EVAL_STATS(LLL_XQ_EXEC_METRICS_RESOLVE)
+#undef LLL_XQ_EXEC_METRICS_RESOLVE
+{
+}
+
+void ExecMetrics::Record(const EvalStats& stats, uint64_t us, bool ok) const {
+  executions.Increment();
+  execute_us.Observe(us);
+#define LLL_XQ_EXEC_METRICS_RECORD(field) field.Increment(stats.field);
+  LLL_XQ_EVAL_STATS(LLL_XQ_EXEC_METRICS_RECORD)
+#undef LLL_XQ_EXEC_METRICS_RECORD
+  if (!ok) errors.Increment();
 }
 
 Result<CompiledQuery> Compile(std::string_view source,
@@ -56,51 +76,11 @@ Result<QueryResult> Execute(const CompiledQuery& query,
   if (timed) start = std::chrono::steady_clock::now();
   Result<xdm::Sequence> value = evaluator.Run();
   if (options.metrics != nullptr) {
-    uint64_t us = static_cast<uint64_t>(
+    const uint64_t us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
-    const EvalStats& stats = evaluator.stats();
-    options.metrics->counter("xq.executions").Increment();
-    options.metrics->histogram("xq.execute_us").Observe(us);
-    options.metrics->counter("xq.eval.steps").Increment(stats.steps);
-    options.metrics->counter("xq.eval.constructed_nodes")
-        .Increment(stats.constructed_nodes);
-    options.metrics->counter("xq.eval.trace_calls")
-        .Increment(stats.trace_calls);
-    options.metrics->counter("xq.eval.function_calls")
-        .Increment(stats.function_calls);
-    options.metrics->counter("xq.eval.sorts_performed")
-        .Increment(stats.sorts_performed);
-    options.metrics->counter("xq.eval.sorts_skipped")
-        .Increment(stats.sorts_skipped);
-    options.metrics->counter("xq.eval.order_compares")
-        .Increment(stats.order_compares);
-    options.metrics->counter("xq.eval.nodes_pulled")
-        .Increment(stats.nodes_pulled);
-    options.metrics->counter("xq.eval.nodes_skipped_early_exit")
-        .Increment(stats.nodes_skipped_early_exit);
-    options.metrics->counter("xq.eval.reverse_runs_merged")
-        .Increment(stats.reverse_runs_merged);
-    options.metrics->counter("xq.eval.limit_pushdowns")
-        .Increment(stats.limit_pushdowns);
-    options.metrics->counter("xq.eval.nodeset_cache_hits")
-        .Increment(stats.nodeset_cache_hits);
-    options.metrics->counter("xq.eval.nodeset_cache_misses")
-        .Increment(stats.nodeset_cache_misses);
-    options.metrics->counter("xq.eval.nodeset_cache_invalidations")
-        .Increment(stats.nodeset_cache_invalidations);
-    options.metrics->counter("xq.eval.nodeset_cache_partial_invalidations")
-        .Increment(stats.nodeset_cache_partial_invalidations);
-    options.metrics->counter("xq.eval.probe_filters")
-        .Increment(stats.probe_filters);
-    options.metrics->counter("xq.eval.probe_index_builds")
-        .Increment(stats.probe_index_builds);
-    // Workload-facing alias: the incremental-regeneration dashboards watch
-    // the partial/full invalidation split under the xq.nodeset prefix.
-    options.metrics->counter("xq.nodeset.partial_invalidations")
-        .Increment(stats.nodeset_cache_partial_invalidations);
-    if (!value.ok()) options.metrics->counter("xq.errors").Increment();
+    options.metrics->Record(evaluator.stats(), us, value.ok());
   }
   if (!value.ok()) {
     return value.status();

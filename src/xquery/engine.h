@@ -30,7 +30,8 @@ namespace lll::xq {
 //   * A CompiledQuery is immutable after Compile. Execute() only READS the
 //     module -- the evaluator never mutates the AST, and all construction
 //     happens in a per-execution arena owned by the DynamicContext it
-//     creates. Many threads may Execute() the SAME CompiledQuery at once.
+//     creates (on the first constructor). Many threads may Execute() the
+//     SAME CompiledQuery at once.
 //   * ExecuteOptions documents and the context node are read-only during
 //     execution; node items in results reference either the per-execution
 //     arena (moved into the QueryResult) or the caller's input documents.
@@ -73,6 +74,25 @@ class CompiledQuery {
   PlanOrigin origin_ = PlanOrigin::kCompiled;
 };
 
+// Handles to the instruments Execute() reports into: xq.executions,
+// xq.execute_us, xq.errors and one xq.eval.<field> counter per EvalStats
+// field. The owner of the registry (a server, an awbql backend, a docgen
+// run, the REPL) resolves them once, registering every instrument up front,
+// so an execution pays one relaxed add per instrument and no name lookup.
+struct ExecMetrics {
+  explicit ExecMetrics(MetricsRegistry& registry);
+
+  // Records one execution: its wall time, whether it failed, and its stats.
+  void Record(const EvalStats& stats, uint64_t execute_us, bool ok) const;
+
+  Counter& executions;
+  Histogram& execute_us;
+  Counter& errors;
+#define LLL_XQ_EXEC_METRICS_HANDLE(field) Counter& field;
+  LLL_XQ_EVAL_STATS(LLL_XQ_EXEC_METRICS_HANDLE)
+#undef LLL_XQ_EXEC_METRICS_HANDLE
+};
+
 struct ExecuteOptions {
   // The initial context item (usually a document node or element).
   xml::Node* context_node = nullptr;
@@ -81,15 +101,16 @@ struct ExecuteOptions {
   // Documents reachable via fn:doc("name").
   std::map<std::string, xml::Node*> documents;
   EvalOptions eval;
-  // When set, Execute() records execution counters and wall-time histograms
-  // here (metric names under "xq."). Borrowed; typically &GlobalMetrics().
-  MetricsRegistry* metrics = nullptr;
+  // When set, Execute() records execution counters and its wall time
+  // through these handles. Borrowed.
+  const ExecMetrics* metrics = nullptr;
 };
 
 struct QueryResult {
   xdm::Sequence sequence;
   // Owns every node constructed during evaluation; node items in `sequence`
-  // may point into it (or into the caller's input documents).
+  // may point into it (or into the caller's input documents). Null when the
+  // query constructed nothing.
   std::unique_ptr<xml::Document> arena;
   std::vector<std::string> trace_output;
   EvalStats stats;

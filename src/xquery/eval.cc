@@ -134,21 +134,6 @@ xml::Document* SingleDocumentOf(const Sequence& seq) {
   return doc;
 }
 
-// The fingerprint text of one step: axis::test, plus the predicates'
-// canonical text unless the step is interned bare (the probe extension).
-void AppendStepFingerprint(const PathStep& step, bool with_predicates,
-                           std::string* fingerprint) {
-  AppendAxisTest(step, fingerprint);
-  if (with_predicates) {
-    for (const ExprPtr& p : step.predicates) {
-      *fingerprint += '[';
-      *fingerprint += ExprToString(*p);
-      *fingerprint += ']';
-    }
-  }
-  *fingerprint += "/";
-}
-
 // `value` cast to `type`: the part of `cast as` after the operand's
 // evaluation, which `castable as` asks of the value it already holds.
 Result<Sequence> CastValue(const Sequence& value, const SequenceType& type);
@@ -190,10 +175,6 @@ struct Evaluator::ProbeIndex {
     return true;
   }
 };
-
-// --- DynamicContext -----------------------------------------------------
-
-DynamicContext::DynamicContext() : arena_(std::make_unique<xml::Document>()) {}
 
 // --- Evaluator ------------------------------------------------------------
 
@@ -1023,7 +1004,7 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   std::string fingerprint;
   for (const PathStep& step : e.steps) {
     if (!step.foldable) break;
-    AppendStepFingerprint(step, /*with_predicates=*/true, &fingerprint);
+    fingerprint += step.fingerprint;
     ++prefix;
   }
 
@@ -1041,7 +1022,8 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
         (step.axis == Axis::kChild || step.predicates.size() == 1 ||
          step.position_free)) {
       std::string bare = fingerprint;
-      AppendStepFingerprint(step, /*with_predicates=*/false, &bare);
+      AppendAxisTest(step, &bare);
+      bare += '/';
       LLL_ASSIGN_OR_RETURN(
           Sequence candidates,
           InternChain(e, prefix + 1, /*bare_last=*/true, base, bare, *current));
@@ -2061,7 +2043,12 @@ Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
 
 xml::Node* Evaluator::CopyIntoArena(const xml::Node* n) {
   ++stats_.constructed_nodes;
-  return ctx_->arena_->ImportNode(n);
+  return Arena()->ImportNode(n);
+}
+
+xml::Document* Evaluator::Arena() {
+  if (ctx_->arena_ == nullptr) ctx_->arena_ = std::make_unique<xml::Document>();
+  return ctx_->arena_.get();
 }
 
 Status Evaluator::FillElementContent(xml::Node* element,
@@ -2077,7 +2064,7 @@ Status Evaluator::FillElementContent(xml::Node* element,
       prev->set_value(std::string(prev->value()) + text);
       return;
     }
-    xml::Node* tn = ctx_->arena_->CreateText(text);
+    xml::Node* tn = Arena()->CreateText(text);
     ++stats_.constructed_nodes;
     (void)element->AppendChild(tn);
   };
@@ -2111,7 +2098,7 @@ Status Evaluator::FillElementContent(xml::Node* element,
           return Status::ConstructionError(
               "attribute node in document constructor content");
         }
-        xml::Node* attr = ctx_->arena_->CreateAttribute(item.node()->name(),
+        xml::Node* attr = Arena()->CreateAttribute(item.node()->name(),
                                                         item.node()->value());
         ++stats_.constructed_nodes;
         if (options_.galax_duplicate_attributes) {
@@ -2166,7 +2153,7 @@ Status Evaluator::FillElementContent(xml::Node* element,
 }
 
 Result<Sequence> Evaluator::EvalDirectElement(const Expr& e) {
-  xml::Node* element = ctx_->arena_->CreateElement(e.name);
+  xml::Node* element = Arena()->CreateElement(e.name);
   ++stats_.constructed_nodes;
   for (const DirectAttribute& attr : e.attributes) {
     if (element->AttributeValue(attr.name).has_value()) {
@@ -2217,7 +2204,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
         return Status::ConstructionError("invalid element name '" + name +
                                          "' (err:XQDY0074)");
       }
-      xml::Node* element = ctx_->arena_->CreateElement(name);
+      xml::Node* element = Arena()->CreateElement(name);
       ++stats_.constructed_nodes;
       std::vector<const Expr*> parts{&content};
       LLL_RETURN_IF_ERROR(FillElementContent(element, parts));
@@ -2235,7 +2222,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
         if (i > 0) text += " ";
         text += atomized.at(i).StringForm();
       }
-      xml::Node* attr = ctx_->arena_->CreateAttribute(name, text);
+      xml::Node* attr = Arena()->CreateAttribute(name, text);
       ++stats_.constructed_nodes;
       return Sequence(Item::NodeRef(attr));
     }
@@ -2247,7 +2234,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
         if (i > 0) text += " ";
         text += atomized.at(i).StringForm();
       }
-      xml::Node* tn = ctx_->arena_->CreateText(text);
+      xml::Node* tn = Arena()->CreateText(text);
       ++stats_.constructed_nodes;
       return Sequence(Item::NodeRef(tn));
     }
@@ -2259,12 +2246,12 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
         if (i > 0) text += " ";
         text += atomized.at(i).StringForm();
       }
-      xml::Node* cn = ctx_->arena_->CreateComment(text);
+      xml::Node* cn = Arena()->CreateComment(text);
       ++stats_.constructed_nodes;
       return Sequence(Item::NodeRef(cn));
     }
     case ExprKind::kCompDocument: {
-      xml::Node* doc = ctx_->arena_->CreateDocumentNode();
+      xml::Node* doc = Arena()->CreateDocumentNode();
       ++stats_.constructed_nodes;
       std::vector<const Expr*> parts{&content};
       LLL_RETURN_IF_ERROR(FillElementContent(doc, parts));

@@ -86,51 +86,68 @@ struct EvalOptions {
   obs::TraceSink* trace_sink = nullptr;
 };
 
-// Statistics collected during one evaluation.
+// Statistics collected during one evaluation, one X(field) per counter.
+// EvalStats and the xq.eval.<field> metric handles (ExecMetrics, engine.h)
+// are both generated from this list, so a counter cannot exist in one and
+// not the other.
+//
+//   steps              expression evaluations
+//   constructed_nodes  nodes created by constructors
+//   trace_calls        fn:trace invocations actually executed
+//   function_calls     user-defined function invocations
+//
+// Document-order bookkeeping: path steps and set operators must yield
+// ordered, deduplicated node sequences. `sorts_performed` counts actual sort
+// passes; `sorts_skipped` counts normalizations found unnecessary (the
+// sequence's ordered_deduped bit, set e.g. by a forward step from a single
+// context, or at most one item); `order_compares` counts document-order
+// comparator calls inside performed sorts.
+//
+// Streaming pipeline bookkeeping: `nodes_pulled` counts axis candidates
+// actually examined by streamed steps; `nodes_skipped_early_exit` is a lower
+// bound on candidates an early-exiting consumer (positional predicate,
+// fn:exists, boolean context) never had to visit. Nested early-exit probes
+// (an exists() inside a predicate of an outer streamed step) do not
+// contribute to the skip floor: the outer pipeline already accounts for the
+// candidate subtrees it abandons. `reverse_runs_merged` counts nonempty
+// per-context reverse-axis runs pushed onto the document-order merge heap.
+// `limit_pushdowns` counts paths evaluated under an optimizer-pushed limit
+// hint (fn:head, fn:subsequence, positional-for shapes; see
+// Expr::limit_hint).
+//
+// Node-set interning cache traffic attributable to this evaluation. An
+// invalidation is a lookup that found an entry with a failed subtree version
+// guard (stale edit history, not a cold key); the partial counter is the
+// subset whose entry was subtree-scoped -- i.e. the finer-than-whole-
+// document guards earned their keep by surviving unrelated edits.
+//
+// Hash probes (DESIGN.md section 16): `probe_filters` counts marked
+// `@a = K` predicates answered from an attribute index instead of a
+// per-candidate loop; `probe_index_builds` counts the indexes built (the
+// rest of the probes hit the per-query memo).
+#define LLL_XQ_EVAL_STATS(X)              \
+  X(steps)                                \
+  X(constructed_nodes)                    \
+  X(trace_calls)                          \
+  X(function_calls)                       \
+  X(sorts_performed)                      \
+  X(sorts_skipped)                        \
+  X(order_compares)                       \
+  X(nodes_pulled)                         \
+  X(nodes_skipped_early_exit)             \
+  X(reverse_runs_merged)                  \
+  X(limit_pushdowns)                      \
+  X(nodeset_cache_hits)                   \
+  X(nodeset_cache_misses)                 \
+  X(nodeset_cache_invalidations)          \
+  X(nodeset_cache_partial_invalidations)  \
+  X(probe_filters)                        \
+  X(probe_index_builds)
+
 struct EvalStats {
-  size_t steps = 0;            // expression evaluations
-  size_t constructed_nodes = 0;  // nodes created by constructors
-  size_t trace_calls = 0;        // fn:trace invocations actually executed
-  size_t function_calls = 0;     // user-defined function invocations
-  // Document-order bookkeeping: path steps and set operators must yield
-  // ordered, deduplicated node sequences. `sorts_performed` counts actual
-  // sort passes; `sorts_skipped` counts normalizations found unnecessary
-  // (the sequence's ordered_deduped bit, set e.g. by a forward step from a
-  // single context, or at most one item); `order_compares` counts
-  // document-order comparator calls inside performed sorts.
-  size_t sorts_performed = 0;
-  size_t sorts_skipped = 0;
-  size_t order_compares = 0;
-  // Streaming pipeline bookkeeping: `nodes_pulled` counts axis candidates
-  // actually examined by streamed steps; `nodes_skipped_early_exit` is a
-  // lower bound on candidates an early-exiting consumer (positional
-  // predicate, fn:exists, boolean context) never had to visit. Nested
-  // early-exit probes (an exists() inside a predicate of an outer streamed
-  // step) do not contribute to the skip floor: the outer pipeline already
-  // accounts for the candidate subtrees it abandons.
-  size_t nodes_pulled = 0;
-  size_t nodes_skipped_early_exit = 0;
-  // Reverse-axis streaming: nonempty per-context reverse runs pushed onto
-  // the document-order merge heap.
-  size_t reverse_runs_merged = 0;
-  // Paths evaluated under an optimizer-pushed limit hint (fn:head,
-  // fn:subsequence, positional-for shapes; see Expr::limit_hint).
-  size_t limit_pushdowns = 0;
-  // Node-set interning cache traffic attributable to this evaluation. An
-  // invalidation is a lookup that found an entry with a failed subtree
-  // version guard (stale edit history, not a cold key); the partial counter
-  // is the subset whose entry was subtree-scoped -- i.e. the finer-than-
-  // whole-document guards earned their keep by surviving unrelated edits.
-  size_t nodeset_cache_hits = 0;
-  size_t nodeset_cache_misses = 0;
-  size_t nodeset_cache_invalidations = 0;
-  size_t nodeset_cache_partial_invalidations = 0;
-  // Hash probes (DESIGN.md section 16): `probe_filters` counts marked
-  // `@a = K` predicates answered from an attribute index instead of a
-  // per-candidate loop; `probe_index_builds` counts the indexes built (the
-  // rest of the probes hit the per-query memo).
-  size_t probe_filters = 0;
-  size_t probe_index_builds = 0;
+#define LLL_XQ_EVAL_STATS_FIELD(field) size_t field = 0;
+  LLL_XQ_EVAL_STATS(LLL_XQ_EVAL_STATS_FIELD)
+#undef LLL_XQ_EVAL_STATS_FIELD
 };
 
 // A builtin function: receives evaluated arguments.
@@ -142,10 +159,9 @@ using BuiltinFn = std::function<Result<xdm::Sequence>(
 // construction arena, and the trace sink.
 class DynamicContext {
  public:
-  DynamicContext();
-
-  // The arena owning every node constructed during evaluation. Results that
-  // reference constructed nodes stay valid as long as this context (or the
+  // The arena owning every node constructed during evaluation, created by
+  // the first constructor; nullptr until then. Results that reference
+  // constructed nodes stay valid as long as this context (or the
   // QueryResult that adopts the arena) lives.
   xml::Document* construction_arena() { return arena_.get(); }
   std::unique_ptr<xml::Document> ReleaseArena() { return std::move(arena_); }
@@ -368,6 +384,8 @@ class Evaluator {
 
   // Copies a node (and subtree) into the construction arena.
   xml::Node* CopyIntoArena(const xml::Node* n);
+  // The construction arena, created on first use.
+  xml::Document* Arena();
 
   Status CheckSequenceType(const xdm::Sequence& seq, const SequenceType& type,
                            const char* where, xdm::Sequence* converted);

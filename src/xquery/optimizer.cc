@@ -769,6 +769,14 @@ struct StepResolver {
       }
       internable = internable && step.foldable;
       step.internable = internable;
+      step.fingerprint.clear();
+      if (step.foldable) {
+        AppendAxisTest(step, &step.fingerprint);
+        for (const ExprPtr& p : step.predicates) {
+          step.fingerprint += '[' + ExprToString(*p) + ']';
+        }
+        step.fingerprint += '/';
+      }
     }
   }
 };

@@ -266,6 +266,27 @@ TEST(XmlIo, ModelRoundTrip) {
   EXPECT_EQ(ExportModelXml(*imported), xml_text);
 }
 
+TEST(XmlIo, ExportBytesArePinned) {
+  // A golden of the serializer's pretty-printed, declared output over a
+  // model export, with escapes in both text and attribute positions.
+  Metamodel mm = MakeItArchitectureMetamodel();
+  Model model(&mm);
+  ModelNode* alice = model.CreateNode("User", "Alice & \"Al\"");
+  ModelNode* bob = model.CreateNode("User", "<Bob>");
+  ASSERT_TRUE(model.Connect("likes", alice, bob).ok());
+  EXPECT_EQ(ExportModelXml(model),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+            "<awb-model metamodel=\"it-architecture\">\n"
+            "  <node id=\"N1\" type=\"User\">\n"
+            "    <property name=\"name\">Alice &amp; \"Al\"</property>\n"
+            "  </node>\n"
+            "  <node id=\"N2\" type=\"User\">\n"
+            "    <property name=\"name\">&lt;Bob&gt;</property>\n"
+            "  </node>\n"
+            "  <relation id=\"R1\" type=\"likes\" source=\"N1\" target=\"N2\"/>\n"
+            "</awb-model>");
+}
+
 TEST(XmlIo, MetamodelRoundTrip) {
   Metamodel mm = MakeItArchitectureMetamodel();
   std::string xml_text = ExportMetamodelXml(mm);

@@ -8,6 +8,9 @@
 
 #include "core/metrics.h"
 #include "gtest/gtest.h"
+#include "xml/parser.h"
+#include "xquery/engine.h"
+#include "xquery/nodeset_cache.h"
 
 namespace lll {
 namespace {
@@ -93,11 +96,62 @@ TEST(MetricsRegistryTest, ToJsonSnapshot) {
   EXPECT_LT(json.find("a.count"), json.find("b.count"));
 }
 
-TEST(MetricsRegistryTest, ResetDropsInstruments) {
+// --- Execute's export -------------------------------------------------------
+
+TEST(ExecMetricsTest, EveryInstrumentIsRegisteredWhenResolved) {
   MetricsRegistry reg;
-  reg.counter("x").Increment(7);
-  reg.Reset();
-  EXPECT_EQ(reg.counter("x").value(), 0u);
+  const xq::ExecMetrics handles(reg);
+  const std::string json = reg.ToJson();
+  for (const char* name :
+       {"\"xq.executions\": 0", "\"xq.errors\": 0", "\"xq.execute_us\"",
+        "\"xq.eval.steps\": 0", "\"xq.eval.probe_index_builds\": 0"}) {
+    EXPECT_NE(json.find(name), std::string::npos) << name << "\n" << json;
+  }
+  EXPECT_EQ(&handles.steps, &reg.counter("xq.eval.steps"));
+  // The old alias of xq.eval.nodeset_cache_partial_invalidations is gone.
+  EXPECT_EQ(json.find("xq.nodeset."), std::string::npos) << json;
+}
+
+TEST(ExecMetricsTest, CountersEqualTheStatsOfEveryExecution) {
+  auto doc = xml::Parse(
+      "<r><a k=\"1\"><b/><b/></a><a k=\"2\"><b/></a><c><b/></c></r>");
+  ASSERT_TRUE(doc.ok());
+  auto query = xq::Compile("(/r/a[@k = \"1\"]/b, /r/c/b, /r/a/b)/..");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+
+  MetricsRegistry reg;
+  const xq::ExecMetrics handles(reg);
+  xq::NodeSetCache nodesets;
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.eval.nodeset_cache = &nodesets;
+  opts.metrics = &handles;
+  xq::EvalStats total;
+  for (int run = 0; run < 2; ++run) {
+    auto result = xq::Execute(*query, opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+#define LLL_TEST_SUM(field) total.field += result->stats.field;
+    LLL_XQ_EVAL_STATS(LLL_TEST_SUM)
+#undef LLL_TEST_SUM
+  }
+  EXPECT_GT(total.steps, 0u);
+  EXPECT_GT(total.nodes_pulled, 0u);
+  EXPECT_GT(total.sorts_performed, 0u);
+  EXPECT_GT(total.nodeset_cache_hits, 0u);
+#define LLL_TEST_EXPORTED(field) \
+  EXPECT_EQ(reg.counter("xq.eval." #field).value(), total.field) << #field;
+  LLL_XQ_EVAL_STATS(LLL_TEST_EXPORTED)
+#undef LLL_TEST_EXPORTED
+  EXPECT_EQ(reg.counter("xq.executions").value(), 2u);
+  EXPECT_EQ(reg.histogram("xq.execute_us").count(), 2u);
+  EXPECT_EQ(reg.counter("xq.errors").value(), 0u);
+
+  // A failed execution is an execution and an error.
+  auto failing = xq::Compile("error()");
+  ASSERT_TRUE(failing.ok());
+  EXPECT_FALSE(xq::Execute(*failing, opts).ok());
+  EXPECT_EQ(reg.counter("xq.executions").value(), 3u);
+  EXPECT_EQ(reg.counter("xq.errors").value(), 1u);
 }
 
 // --- Concurrency (TSan target) ---------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
@@ -263,6 +264,54 @@ std::string Bindings(const xq::Module& m) {
   return out;
 }
 
+// Calls `fn` on every path step of `e`, in traversal order.
+void ForEachStep(const xq::Expr& e,
+                 const std::function<void(const xq::PathStep&)>& fn) {
+  for (const xq::PathStep& s : e.steps) {
+    fn(s);
+    for (const xq::ExprPtr& p : s.predicates) ForEachStep(*p, fn);
+  }
+  for (const xq::ExprPtr& c : e.children) ForEachStep(*c, fn);
+  for (const xq::FlworClause& c : e.clauses) ForEachStep(*c.expr, fn);
+  for (const xq::OrderSpec& o : e.order_by) ForEachStep(*o.key, fn);
+  for (const xq::DirectAttribute& a : e.attributes) {
+    for (const xq::ExprPtr& p : a.value_parts) ForEachStep(*p, fn);
+  }
+}
+
+void ForEachStep(const xq::Module& m,
+                 const std::function<void(const xq::PathStep&)>& fn) {
+  for (const xq::FunctionDecl& f : m.functions) ForEachStep(*f.body, fn);
+  for (const xq::VariableDecl& v : m.variables) ForEachStep(*v.expr, fn);
+  ForEachStep(*m.body, fn);
+}
+
+// Every path step's derived facts in traversal order, one five-character
+// group per step: position_free, streamable, foldable, attribute_only,
+// internable.
+std::string StepFacts(const xq::Module& m) {
+  std::string out;
+  ForEachStep(m, [&out](const xq::PathStep& s) {
+    for (bool bit : {s.position_free, s.streamable, s.foldable,
+                     s.attribute_only, s.internable}) {
+      out.push_back(bit ? '1' : '0');
+    }
+    out.push_back(' ');
+  });
+  return out;
+}
+
+// Every path step's derived fingerprint text in traversal order, one line
+// per step (empty for steps that do not fold).
+std::string StepFingerprints(const xq::Module& m) {
+  std::string out;
+  ForEachStep(m, [&out](const xq::PathStep& s) {
+    out += s.fingerprint;
+    out += '\n';
+  });
+  return out;
+}
+
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   xq::QueryCache fresh(64);
   for (const char* q : kFeatureQueries) {
@@ -275,6 +324,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   EXPECT_EQ(*count, std::size(kFeatureQueries));
   EXPECT_TRUE(loaded.warmed());
 
+  size_t folded = 0;  // queries with a step that folds into a fingerprint
   for (const char* q : kFeatureQueries) {
     auto a = fresh.GetOrCompile(q);
     auto b = loaded.GetOrCompile(q);
@@ -283,9 +333,14 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     // Identical plan trees, rewrite notes, and summary stats: EXPLAIN is the
     // full rendered fingerprint of everything the optimizer decided.
     EXPECT_EQ(obs::Explain(**a), obs::Explain(**b)) << q;
-    // The decoder binds every name again, exactly as the fresh compile did.
+    // The decoder binds every name again, exactly as the fresh compile did,
+    // and derives the same fingerprint text for every step.
     EXPECT_EQ(Bindings((*b)->module()), Bindings((*a)->module())) << q;
+    const std::string fingerprints = StepFingerprints((*a)->module());
+    EXPECT_EQ(StepFingerprints((*b)->module()), fingerprints) << q;
+    folded += fingerprints.find("/\n") != std::string::npos;
   }
+  EXPECT_GT(folded, 0u);
 }
 
 TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
@@ -310,34 +365,6 @@ TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
       << loaded_result.status().ToString();
   EXPECT_EQ(loaded_result.status().ToString(),
             fresh_result.status().ToString());
-}
-
-// Every path step's derived facts in traversal order, one five-character
-// group per step: position_free, streamable, foldable, attribute_only,
-// internable.
-void AppendStepFacts(const xq::Expr& e, std::string* out) {
-  for (const xq::PathStep& s : e.steps) {
-    for (bool bit : {s.position_free, s.streamable, s.foldable,
-                     s.attribute_only, s.internable}) {
-      out->push_back(bit ? '1' : '0');
-    }
-    out->push_back(' ');
-    for (const xq::ExprPtr& p : s.predicates) AppendStepFacts(*p, out);
-  }
-  for (const xq::ExprPtr& c : e.children) AppendStepFacts(*c, out);
-  for (const xq::FlworClause& c : e.clauses) AppendStepFacts(*c.expr, out);
-  for (const xq::OrderSpec& o : e.order_by) AppendStepFacts(*o.key, out);
-  for (const xq::DirectAttribute& a : e.attributes) {
-    for (const xq::ExprPtr& p : a.value_parts) AppendStepFacts(*p, out);
-  }
-}
-
-std::string StepFacts(const xq::Module& m) {
-  std::string out;
-  for (const xq::FunctionDecl& f : m.functions) AppendStepFacts(*f.body, &out);
-  for (const xq::VariableDecl& v : m.variables) AppendStepFacts(*v.expr, &out);
-  AppendStepFacts(*m.body, &out);
-  return out;
 }
 
 TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
@@ -817,6 +844,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   size_t facts_set[6] = {};
   size_t bound_calls = 0;
   size_t bound_vars = 0;
+  size_t folded = 0;
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
     xq::CacheProvenance prov = xq::CacheProvenance::kCompiled;
@@ -834,6 +862,11 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
     ASSERT_EQ(StepFacts((*loaded)->module()), facts) << q;
     const std::string bindings = Bindings((*fresh)->module());
     ASSERT_EQ(Bindings((*loaded)->module()), bindings) << q;
+    // Fingerprint text is derived too, and must match byte for byte: it is
+    // the node-set cache key.
+    const std::string fingerprints = StepFingerprints((*fresh)->module());
+    ASSERT_EQ(StepFingerprints((*loaded)->module()), fingerprints) << q;
+    folded += fingerprints.find("/\n") != std::string::npos;
     bound_calls += bindings.find(" b") != std::string::npos;
     bound_vars += bindings.find(" v") != std::string::npos;
     for (size_t i = 0; i < facts.size(); ++i) {
@@ -845,6 +878,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   for (size_t i = 0; i < 5; ++i) EXPECT_GT(facts_set[i], 0u) << i;
   EXPECT_GT(bound_calls, 0u);
   EXPECT_GT(bound_vars, 0u);
+  EXPECT_GT(folded, 0u);
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that
   // provenance even when the hit itself came from the in-memory LRU (the
   // plan never paid compile cost in this process -- that's what the tag

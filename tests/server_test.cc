@@ -210,6 +210,61 @@ TEST(Admission, ZeroInflightQuotaDisablesATenant) {
   EXPECT_EQ(metrics.counter("server.queries_rejected").value(), 1u);
 }
 
+TEST(ServerMetrics, ExportsCountWhatTheResponsesSay) {
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("cat", kCatalog).ok());
+  TenantQuota disabled;
+  disabled.max_inflight = 0;
+  server.SetQuota("blocked", disabled);
+
+  const std::vector<std::string> queries = {
+      "count(//item)", "/catalog/item[@id = \"2\"]/name",
+      "for $i in //item order by $i/name return string($i/@id)"};
+  constexpr uint64_t kReads = 5;
+  uint64_t ok = 0;
+  uint64_t steps = 0;
+  for (uint64_t i = 0; i < kReads; ++i) {
+    for (const char* tenant : {"acme", "globex", "blocked"}) {
+      QueryResponse resp =
+          server.Execute(tenant, "cat", queries[i % queries.size()]);
+      if (std::string(tenant) == "blocked") {
+        EXPECT_TRUE(resp.rejected);
+        continue;
+      }
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      ++ok;
+      steps += resp.stats.steps;
+    }
+  }
+
+  EXPECT_EQ(metrics.counter("server.queries").value(), 3 * kReads);
+  EXPECT_EQ(metrics.counter("server.queries_ok").value(), ok);
+  EXPECT_EQ(metrics.counter("server.queries_rejected").value(), kReads);
+  // Every admitted read executed once, and its evaluation stats were
+  // exported exactly as the response reports them.
+  EXPECT_EQ(metrics.counter("xq.executions").value(),
+            metrics.counter("server.queries_ok").value());
+  EXPECT_EQ(metrics.histogram("xq.execute_us").count(), ok);
+  EXPECT_EQ(metrics.counter("xq.errors").value(), 0u);
+  EXPECT_GT(steps, 0u);
+  EXPECT_EQ(metrics.counter("xq.eval.steps").value(), steps);
+  for (const char* tenant : {"acme", "globex"}) {
+    const std::string prefix = std::string("server.tenant.") + tenant;
+    EXPECT_EQ(metrics.counter(prefix + ".queries").value(), kReads) << tenant;
+    EXPECT_EQ(metrics.counter(prefix + ".rejected").value(), 0u) << tenant;
+    EXPECT_EQ(metrics.histogram(prefix + ".query_us").count(), kReads)
+        << tenant;
+  }
+  // A rejected read counts as a query and a rejection, and never reaches
+  // the latency histogram.
+  EXPECT_EQ(metrics.counter("server.tenant.blocked.queries").value(), kReads);
+  EXPECT_EQ(metrics.counter("server.tenant.blocked.rejected").value(),
+            kReads);
+  EXPECT_EQ(metrics.histogram("server.tenant.blocked.query_us").count(), 0u);
+  EXPECT_EQ(metrics.histogram("server.query_us").count(), ok);
+}
+
 TEST(Admission, InflightCapRejectsConcurrentExcess) {
   MetricsRegistry metrics;
   ServerOptions options = TestOptions(&metrics);

@@ -1,5 +1,9 @@
 // Unit tests for the XML infoset, parser, serializer, and deep-equal.
 
+#include <iterator>
+#include <memory>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "xml/deep_equal.h"
 #include "xml/node.h"
@@ -237,6 +241,402 @@ TEST(XmlSerializer, RoundTripPreservesStructure) {
   EXPECT_TRUE(
       DeepEqual(doc->DocumentElement(), doc2->DocumentElement()))
       << ExplainDifference(doc->DocumentElement(), doc2->DocumentElement());
+}
+
+// Byte-for-byte goldens of the serializer, captured before its rewrite to a
+// one-frame-per-open-element stack: every SerializeOptions combination over
+// a document node with a prolog PI and comment, mixed content (whose
+// element-only descendants still indent), empty void and non-void HTML
+// elements, and `"&<>` in attribute and text values.
+const char* const kGoldenInputs[] = {
+    "<?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"/>"
+    "<!--mid--><b>text</b><c></c><?bare?></root>",
+    "<p>one <b>two <i>three</i></b> four<span><em/><em>x</em></span>"
+    "<q/></p>",
+    "<html><body><br/><div/><p>a<br/>b</p><img src=\"i.png\"/><HR/>"
+    "<table><tr/></table><span></span></body></html>",
+    "<w><e a=\"&quot;&amp;&lt;&gt;\" b='x\"y'>&quot;&amp;&lt;&gt;"
+    "<f c=\"&gt;&lt;\"/>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"/></w>",
+};
+
+struct SerializerGolden {
+  int input;  // index into kGoldenInputs; input 0 serializes its document
+              // node, the others their document element
+  int indent;
+  bool declaration;
+  bool self_close_empty;
+  bool html;
+  const char* expected;
+};
+
+const SerializerGolden kSerializerGoldens[] = {
+    {0, 0, false, false, false,
+     "<?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 0, false, false, true,
+     "<?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 0, false, true, false,
+     "<?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"/><!--mid--><b>text</b><c/><?bare?></root>"},
+    {0, 0, false, true, true,
+     "<?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 0, true, false, false,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?><?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 0, true, false, true,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?><?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 0, true, true, false,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?><?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"/><!--mid--><b>text</b><c/><?bare?></root>"},
+    {0, 0, true, true, true,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?><?style href=\"s.css\"?><!--lead--><root><?inner data?><a x=\"1\"></a><!--mid--><b>text</b><c></c><?bare?></root>"},
+    {0, 2, false, false, false,
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, false, false, true,
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, false, true, false,
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"/>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c/>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, false, true, true,
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, true, false, false,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, true, false, true,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, true, true, false,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"/>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c/>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {0, 2, true, true, true,
+     "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+     "<?style href=\"s.css\"?>\n"
+     "<!--lead-->\n"
+     "<root>\n"
+     "  <?inner data?>\n"
+     "  <a x=\"1\"></a>\n"
+     "  <!--mid-->\n"
+     "  <b>text</b>\n"
+     "  <c></c>\n"
+     "  <?bare?>\n"
+     "</root>"},
+    {1, 0, false, false, false,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 0, false, false, true,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 0, false, true, false,
+     "<p>one <b>two <i>three</i></b> four<span><em/><em>x</em></span><q/></p>"},
+    {1, 0, false, true, true,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 0, true, false, false,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 0, true, false, true,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 0, true, true, false,
+     "<p>one <b>two <i>three</i></b> four<span><em/><em>x</em></span><q/></p>"},
+    {1, 0, true, true, true,
+     "<p>one <b>two <i>three</i></b> four<span><em></em><em>x</em></span><q></q></p>"},
+    {1, 2, false, false, false,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {1, 2, false, false, true,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {1, 2, false, true, false,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em/>\n"
+     "    <em>x</em>\n"
+     "  </span><q/></p>"},
+    {1, 2, false, true, true,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {1, 2, true, false, false,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {1, 2, true, false, true,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {1, 2, true, true, false,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em/>\n"
+     "    <em>x</em>\n"
+     "  </span><q/></p>"},
+    {1, 2, true, true, true,
+     "<p>one <b>two <i>three</i></b> four<span>\n"
+     "    <em></em>\n"
+     "    <em>x</em>\n"
+     "  </span><q></q></p>"},
+    {2, 0, false, false, false,
+     "<html><body><br></br><div></div><p>a<br></br>b</p><img src=\"i.png\"></img><HR></HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 0, false, false, true,
+     "<html><body><br><div></div><p>a<br>b</p><img src=\"i.png\"><HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 0, false, true, false,
+     "<html><body><br/><div/><p>a<br/>b</p><img src=\"i.png\"/><HR/><table><tr/></table><span/></body></html>"},
+    {2, 0, false, true, true,
+     "<html><body><br><div></div><p>a<br>b</p><img src=\"i.png\"><HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 0, true, false, false,
+     "<html><body><br></br><div></div><p>a<br></br>b</p><img src=\"i.png\"></img><HR></HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 0, true, false, true,
+     "<html><body><br><div></div><p>a<br>b</p><img src=\"i.png\"><HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 0, true, true, false,
+     "<html><body><br/><div/><p>a<br/>b</p><img src=\"i.png\"/><HR/><table><tr/></table><span/></body></html>"},
+    {2, 0, true, true, true,
+     "<html><body><br><div></div><p>a<br>b</p><img src=\"i.png\"><HR><table><tr></tr></table><span></span></body></html>"},
+    {2, 2, false, false, false,
+     "<html>\n"
+     "  <body>\n"
+     "    <br></br>\n"
+     "    <div></div>\n"
+     "    <p>a<br></br>b</p>\n"
+     "    <img src=\"i.png\"></img>\n"
+     "    <HR></HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, false, false, true,
+     "<html>\n"
+     "  <body>\n"
+     "    <br>\n"
+     "    <div></div>\n"
+     "    <p>a<br>b</p>\n"
+     "    <img src=\"i.png\">\n"
+     "    <HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, false, true, false,
+     "<html>\n"
+     "  <body>\n"
+     "    <br/>\n"
+     "    <div/>\n"
+     "    <p>a<br/>b</p>\n"
+     "    <img src=\"i.png\"/>\n"
+     "    <HR/>\n"
+     "    <table>\n"
+     "      <tr/>\n"
+     "    </table>\n"
+     "    <span/>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, false, true, true,
+     "<html>\n"
+     "  <body>\n"
+     "    <br>\n"
+     "    <div></div>\n"
+     "    <p>a<br>b</p>\n"
+     "    <img src=\"i.png\">\n"
+     "    <HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, true, false, false,
+     "<html>\n"
+     "  <body>\n"
+     "    <br></br>\n"
+     "    <div></div>\n"
+     "    <p>a<br></br>b</p>\n"
+     "    <img src=\"i.png\"></img>\n"
+     "    <HR></HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, true, false, true,
+     "<html>\n"
+     "  <body>\n"
+     "    <br>\n"
+     "    <div></div>\n"
+     "    <p>a<br>b</p>\n"
+     "    <img src=\"i.png\">\n"
+     "    <HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, true, true, false,
+     "<html>\n"
+     "  <body>\n"
+     "    <br/>\n"
+     "    <div/>\n"
+     "    <p>a<br/>b</p>\n"
+     "    <img src=\"i.png\"/>\n"
+     "    <HR/>\n"
+     "    <table>\n"
+     "      <tr/>\n"
+     "    </table>\n"
+     "    <span/>\n"
+     "  </body>\n"
+     "</html>"},
+    {2, 2, true, true, true,
+     "<html>\n"
+     "  <body>\n"
+     "    <br>\n"
+     "    <div></div>\n"
+     "    <p>a<br>b</p>\n"
+     "    <img src=\"i.png\">\n"
+     "    <HR>\n"
+     "    <table>\n"
+     "      <tr></tr>\n"
+     "    </table>\n"
+     "    <span></span>\n"
+     "  </body>\n"
+     "</html>"},
+    {3, 0, false, false, false,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 0, false, false, true,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 0, false, true, false,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"/>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"/></w>"},
+    {3, 0, false, true, true,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 0, true, false, false,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 0, true, false, true,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 0, true, true, false,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"/>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"/></w>"},
+    {3, 0, true, true, true,
+     "<w><e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e><h k=\"&amp;&quot;\"></h></w>"},
+    {3, 2, false, false, false,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+    {3, 2, false, false, true,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+    {3, 2, false, true, false,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"/>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"/>\n"
+     "</w>"},
+    {3, 2, false, true, true,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+    {3, 2, true, false, false,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+    {3, 2, true, false, true,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+    {3, 2, true, true, false,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"/>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"/>\n"
+     "</w>"},
+    {3, 2, true, true, true,
+     "<w>\n"
+     "  <e a=\"&quot;&amp;&lt;>\" b=\"x&quot;y\">\"&amp;&lt;&gt;<f c=\">&lt;\"></f>t&gt;<g>&amp;</g></e>\n"
+     "  <h k=\"&amp;&quot;\"></h>\n"
+     "</w>"},
+};
+
+TEST(XmlSerializer, GoldenBytesForEveryOptionCombination) {
+  std::vector<std::unique_ptr<Document>> docs;
+  for (const char* text : kGoldenInputs) docs.push_back(MustParse(text));
+  ASSERT_EQ(std::size(kSerializerGoldens), 64u);
+  for (const SerializerGolden& g : kSerializerGoldens) {
+    const Document& doc = *docs[static_cast<size_t>(g.input)];
+    const Node* node = g.input == 0 ? doc.root() : doc.DocumentElement();
+    SerializeOptions opts;
+    opts.indent = g.indent;
+    opts.declaration = g.declaration;
+    opts.self_close_empty = g.self_close_empty;
+    opts.html = g.html;
+    EXPECT_EQ(Serialize(node, opts), g.expected)
+        << "input " << g.input << " indent " << g.indent << " declaration "
+        << g.declaration << " self_close_empty " << g.self_close_empty
+        << " html " << g.html;
+  }
 }
 
 TEST(XmlDeepEqual, DetectsDifferences) {

@@ -17,6 +17,39 @@ TEST(XQueryConstruct, DirectElement) {
   EXPECT_EQ(Eval("<a><b/><c/></a>"), "<a><b/><c/></a>");
 }
 
+TEST(XQueryConstruct, TheArenaExistsOnlyWhenSomethingIsConstructed) {
+  auto doc = xml::Parse("<r><a>1</a><a>2</a></r>");
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+
+  // Reading the input constructs nothing, so no arena is created.
+  auto read = xq::Run("(/r/a, count(//a))", opts);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->arena, nullptr);
+  EXPECT_EQ(read->stats.constructed_nodes, 0u);
+  EXPECT_EQ(read->SerializedItems(), "<a>1</a><a>2</a>2");
+
+  // A constructing query hands its arena to the result: the constructed
+  // nodes outlive Execute and its DynamicContext.
+  std::unique_ptr<xml::Document> arena;
+  xdm::Sequence built;
+  {
+    auto made = xq::Run("<list>{for $a in /r/a return <n v=\"{$a}\"/>}</list>",
+                        opts);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    ASSERT_NE(made->arena, nullptr);
+    EXPECT_GT(made->stats.constructed_nodes, 0u);
+    arena = std::move(made->arena);
+    built = std::move(made->sequence);
+  }
+  ASSERT_EQ(built.size(), 1u);
+  ASSERT_TRUE(built.at(0).is_node());
+  EXPECT_EQ(built.at(0).node()->document(), arena.get());
+  EXPECT_EQ(xml::Serialize(built.at(0).node()),
+            "<list><n v=\"1\"/><n v=\"2\"/></list>");
+}
+
 TEST(XQueryConstruct, BoundaryWhitespaceIsStripped) {
   EXPECT_EQ(Eval("<a>\n  <b/>\n  <c/>\n</a>"), "<a><b/><c/></a>");
   EXPECT_EQ(Eval("<a> keep me </a>"), "<a> keep me </a>");
