@@ -6,7 +6,7 @@
 #   2. daemon B: a FRESH process, warm-boots with `load <dir>` (no XML, no
 #      compiles), answers the same burst
 #   3. the answers must be byte-identical, and daemon B's EXPLAIN must say
-#      the plan came from the disk cache
+#      the plan came from the disk cache and mark the memoizable function
 #   4. rerun the in-process differential suites (persist_test includes the
 #      495-query disk-vs-fresh oracle) against the same build
 #
@@ -29,6 +29,13 @@ STATE="${WORK}/state"
 cat > "${WORK}/lib.xml" <<'XML'
 <lib><shelf id="0"><book>ada</book><book>basic</book></shelf><shelf id="1"><book>c</book><book>d</book></shelf></lib>
 XML
+cat > "${WORK}/types.xml" <<'XML'
+<types><type name="thing"/><type name="person" extends="thing"/><type name="user" extends="person"/><type name="admin" extends="user"/><type name="program" extends="thing"/></types>
+XML
+
+# A recursive subtype walk, the shape of the awbql backend's: daemon B must
+# answer it from the loaded plan, and judge the function memoizable again.
+SUBTYPE='declare function local:is-sub($m, $t, $super) { if ($t eq $super) then true() else let $d := $m//type[@name = $t] return if (empty($d/@extends)) then false() else local:is-sub($m, string($d/@extends), $super) }; let $m := /types return string-join(for $t in //type return concat($t/@name, "=", local:is-sub($m, string($t/@name), "person")), ",")'
 
 QUERIES=(
   'query t lib count(//book)'
@@ -38,16 +45,19 @@ QUERIES=(
   # A typed parameter, an arity overload and a re-bound let: daemon B binds
   # every name of the loaded plan again.
   'query t lib declare function local:twice($a as xs:integer) { $a * 2 }; declare function local:twice($a, $b) { $a + $b }; let $n := count(//book) let $n := local:twice($n) return local:twice($n, 1)'
+  "query t types ${SUBTYPE}"
 )
 
 burst() {
   for q in "${QUERIES[@]}"; do echo "${q}"; done
   echo 'explain lib count(//book)'
+  echo "explain types ${SUBTYPE}"
 }
 
 echo "== daemon A: parse XML, compile, answer, save state =="
 {
   echo "load lib ${WORK}/lib.xml"
+  echo "load types ${WORK}/types.xml"
   burst
   # Save AFTER the burst so plans.lllp holds every compiled plan.
   echo "save ${STATE}"
@@ -88,6 +98,17 @@ fi
 # The binding query answers 9 (4 books, twice, plus one) from the loaded plan.
 grep -qx '9' "${WORK}/warm.out" || {
   echo "persist_roundtrip: the loaded binding query did not answer 9" >&2
+  exit 1
+}
+
+grep -qx 'thing=false,person=true,user=true,admin=true,program=false' \
+  "${WORK}/warm.out" || {
+  echo "persist_roundtrip: the loaded subtype walk answered wrongly" >&2
+  exit 1
+}
+# The memo mark is derived, never stored: daemon B derives it again.
+grep -qxF '== function local:is-sub#3 == [memo]' "${WORK}/warm.out" || {
+  echo "persist_roundtrip: warm EXPLAIN lost the [memo] mark" >&2
   exit 1
 }
 

@@ -174,7 +174,7 @@ std::string Explain(const xq::CompiledQuery& query,
   const xq::Module& module = query.module();
   for (const auto& fn : module.functions) {
     out += "== function " + fn.name + "#" + std::to_string(fn.params.size()) +
-           " ==\n";
+           (fn.memoizable ? " == [memo]\n" : " ==\n");
     out += ExplainExprForDoc(*fn.body, options.max_depth,
                              options.context_document);
   }

@@ -328,6 +328,12 @@ struct FunctionDecl {
   std::optional<SequenceType> return_type;
   ExprPtr body;
   uint32_t frame_size = 0;  // parameters plus the body's bindings
+  // A call may be answered from the evaluator's memo of earlier calls with
+  // the same arguments: neither the body nor any user function it reaches
+  // constructs a node, calls an unknown function, or calls a builtin that
+  // traces, raises or constructs (DESIGN.md section 19). Derived by
+  // ResolveSteps, never serialized. EXPLAIN renders it as [memo].
+  bool memoizable = false;
 };
 
 // declare variable $name := expr;

@@ -1,8 +1,11 @@
 #include "xquery/eval.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <string_view>
@@ -154,6 +157,88 @@ uint64_t HashNodes(const Sequence& seq) {
   return h;
 }
 
+// Bounds of the call memo: entries, result items and bytes (keys plus the
+// string values of results) stored. Once one is reached, calls still run
+// but store nothing more. An argument of more items gets no key.
+constexpr size_t kMaxMemoEntries = 4096;
+constexpr size_t kMaxMemoItems = size_t{1} << 16;
+constexpr size_t kMaxMemoBytes = size_t{1} << 22;
+constexpr size_t kMaxMemoArgumentItems = 8;
+
+template <typename T>
+void AppendBytes(const T& value, std::string* out) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  out->append(bytes, sizeof(T));
+}
+
+// Appends `arg`'s part of a call memo key: its length, then each item's
+// kind and value -- a node by identity, a double by its bits (0 and -0
+// differ in their string forms), a string with its length. False when the
+// argument gets no key: too long, or holding a map.
+bool AppendMemoKey(const Sequence& arg, std::string* key) {
+  if (arg.size() > kMaxMemoArgumentItems) return false;
+  key->push_back(static_cast<char>(arg.size()));
+  for (const Item& item : arg.items()) {
+    key->push_back(static_cast<char>(item.kind()));
+    switch (item.kind()) {
+      case xdm::ItemKind::kString:
+      case xdm::ItemKind::kUntyped:
+        AppendBytes(item.string_value().size(), key);
+        key->append(item.string_value());
+        break;
+      case xdm::ItemKind::kBoolean:
+        key->push_back(item.boolean_value() ? 1 : 0);
+        break;
+      case xdm::ItemKind::kInteger:
+        AppendBytes(item.integer_value(), key);
+        break;
+      case xdm::ItemKind::kDouble:
+        AppendBytes(item.double_value(), key);
+        break;
+      case xdm::ItemKind::kNode:
+        AppendBytes(item.node(), key);
+        break;
+      case xdm::ItemKind::kMap:
+        return false;
+    }
+  }
+  return true;
+}
+
+// The bytes a stored call result holds beyond its items: string values.
+size_t StringBytes(const Sequence& seq) {
+  size_t bytes = 0;
+  for (const Item& item : seq.items()) {
+    if (item.is_stringlike()) bytes += item.string_value().size();
+  }
+  return bytes;
+}
+
+// Stack left below the floor for what runs between two StepBudget checks
+// or after the last one: one evaluation level plus the builtin it calls.
+// Measured under AddressSanitizer by recursing 13 shapes into the floor
+// (DESIGN.md section 17): a 16 KiB reserve overflowed, 24 KiB never did.
+constexpr uintptr_t kStackReserve = 128 * 1024;
+
+// The lowest address the running thread's stack may reach before
+// evaluation must stop: the stack's lowest address, as pthread_getattr_np
+// reports it, plus kStackReserve. Read once per thread, since for the main
+// thread glibc reads /proc/self/maps. 0 when unknown.
+uintptr_t ThreadStackFloor() {
+  thread_local const uintptr_t floor = [] {
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) != 0) return uintptr_t{0};
+    void* lowest = nullptr;
+    size_t size = 0;
+    const bool known = pthread_attr_getstack(&attr, &lowest, &size) == 0;
+    pthread_attr_destroy(&attr);
+    return known ? reinterpret_cast<uintptr_t>(lowest) + kStackReserve
+                 : uintptr_t{0};
+  }();
+  return floor;
+}
+
 }  // namespace
 
 // An attribute index over one exact candidate list: @attr value ->
@@ -182,7 +267,10 @@ Evaluator::~Evaluator() = default;
 
 Evaluator::Evaluator(const Module& module, DynamicContext* context,
                      const EvalOptions& options)
-    : module_(module), ctx_(context), options_(options) {
+    : module_(module),
+      ctx_(context),
+      options_(options),
+      stack_floor_(ThreadStackFloor()) {
   if (ctx_->has_context_item_) {
     focus_.item = ctx_->context_item_;
     focus_.position = 1;
@@ -225,6 +313,13 @@ Status Evaluator::StepBudget() {
         "evaluation step budget exceeded (" +
         std::to_string(options_.max_steps) + " steps)");
   }
+  // Every recursion of the evaluator, through nested expressions or calls,
+  // passes here, so this one compare bounds its stack.
+  if (reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+      stack_floor_) {
+    return Status::Internal(
+        "recursion too deep: the evaluation would overflow its stack");
+  }
   // Cancellation and deadline are polled, not checked per step: one relaxed
   // atomic load every 128 steps, one clock read only when a deadline is set.
   if ((stats_.steps & 0x7F) == 0) {
@@ -247,6 +342,9 @@ Result<Sequence> Evaluator::Run() {
     LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*var.expr));
     globals_.push_back(std::move(value));
   }
+  // Every global is set from here on, so a memoizable function's answer
+  // depends on its arguments alone.
+  memo_open_ = options_.streaming;
   return Eval(*module_.body);
 }
 
@@ -1989,11 +2087,6 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
 
 Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
                                              const FunctionDecl& fn) {
-  if (call_depth_ >= 512) {
-    return Status::Internal("recursion too deep in '" + fn.name + "'");
-  }
-  ++call_depth_;
-  ++stats_.function_calls;
   // The callee's frame goes on top of the slot stack, its parameters in its
   // first slots, and comes off on every way out.
   const size_t base = slots_.size();
@@ -2001,16 +2094,32 @@ Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
   struct PopFrame {
     Evaluator* ev;
     size_t base;
-    ~PopFrame() {
-      ev->slots_.resize(base);
-      --ev->call_depth_;
-    }
+    ~PopFrame() { ev->slots_.resize(base); }
   } pop{this, base};
   // The arguments are evaluated in the caller's frame, all of them before
   // any parameter's type is checked.
   for (size_t i = 0; i < fn.params.size(); ++i) {
     LLL_ASSIGN_OR_RETURN(slots_[base + i], Eval(*call.children[i]));
   }
+  // A memoizable call with the same callee and arguments as an earlier one
+  // answers as that one did, type errors included: an error is never
+  // stored, so it recurs by running the body again.
+  std::string key;
+  bool memo = memo_open_ && fn.memoizable;
+  if (memo) {
+    AppendBytes(&fn, &key);
+    for (size_t i = 0; memo && i < fn.params.size(); ++i) {
+      memo = AppendMemoKey(slots_[base + i], &key);
+    }
+  }
+  if (memo) {
+    auto hit = call_memo_.find(key);
+    if (hit != call_memo_.end()) {
+      ++stats_.function_memo_hits;
+      return hit->second;
+    }
+  }
+  ++stats_.function_calls;
   for (size_t i = 0; i < fn.params.size(); ++i) {
     const FunctionDecl::Param& param = fn.params[i];
     if (!param.type.has_value()) continue;
@@ -2029,14 +2138,31 @@ Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
   frame_base_ = saved_base;
   focus_ = saved_focus;
   if (!body.ok()) {
-    return body.status().AddContext("in call to " + fn.name + "()");
+    // Moved, not copied: each frame of a deep recursion adds one line of
+    // context, and copying them all at every frame made unwinding ~4,000
+    // calls take 0.85 s instead of 0.02 s.
+    Status st = std::move(body.status());
+    st.AddContext("in call to " + fn.name + "()");
+    return st;
   }
-  if (!fn.return_type.has_value()) return body;
-  Sequence converted;
-  Status st =
-      CheckSequenceType(*body, *fn.return_type, "return value", &converted);
-  if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
-  return converted;
+  Sequence value = std::move(*body);
+  if (fn.return_type.has_value()) {
+    Sequence converted;
+    Status st =
+        CheckSequenceType(value, *fn.return_type, "return value", &converted);
+    if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
+    value = std::move(converted);
+  }
+  if (memo && call_memo_.size() < kMaxMemoEntries &&
+      call_memo_items_ + value.size() <= kMaxMemoItems) {
+    const size_t bytes = key.size() + StringBytes(value);
+    if (call_memo_bytes_ + bytes <= kMaxMemoBytes) {
+      call_memo_items_ += value.size();
+      call_memo_bytes_ += bytes;
+      call_memo_.emplace(std::move(key), value);
+    }
+  }
+  return value;
 }
 
 // --- Constructors -------------------------------------------------------

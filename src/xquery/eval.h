@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/result.h"
@@ -66,6 +67,10 @@ struct EvalOptions {
   // optimizer marked `@a = K` (Expr::probe_key) are answered from a
   // per-query index of @a values when on, and never when off, so the
   // materializing evaluator stays the scan oracle (DESIGN.md section 16).
+  // It gates the call memo alike: a call to a FunctionDecl::memoizable
+  // function is answered from this execution's table of earlier calls with
+  // the same arguments when on, and always runs its body when off
+  // (DESIGN.md section 19).
   bool streaming = true;
   // Node-set interning: memoizes the leading step chain of document-rooted
   // paths (predicate-free steps plus steps whose predicates are provably
@@ -94,7 +99,9 @@ struct EvalOptions {
 //   steps              expression evaluations
 //   constructed_nodes  nodes created by constructors
 //   trace_calls        fn:trace invocations actually executed
-//   function_calls     user-defined function invocations
+//   function_calls     user-defined function bodies run
+//   function_memo_hits user-defined function calls answered from the call
+//                      memo instead (DESIGN.md section 19)
 //
 // Document-order bookkeeping: path steps and set operators must yield
 // ordered, deduplicated node sequences. `sorts_performed` counts actual sort
@@ -130,6 +137,7 @@ struct EvalOptions {
   X(constructed_nodes)                    \
   X(trace_calls)                          \
   X(function_calls)                       \
+  X(function_memo_hits)                   \
   X(sorts_performed)                      \
   X(sorts_skipped)                        \
   X(order_compares)                       \
@@ -399,6 +407,8 @@ class Evaluator {
 
   Result<Focus> RequireFocus(const Expr& e) const;
 
+  // Charges one step and fails, uncatchably, when the step budget, the
+  // deadline, cancellation or the stack floor says stop.
   Status StepBudget();
 
   const Module& module_;
@@ -412,7 +422,12 @@ class Evaluator {
   std::vector<xdm::Sequence> slots_;
   size_t frame_base_ = 0;
   std::vector<xdm::Sequence> globals_;
-  int call_depth_ = 0;
+  // StepBudget fails once the evaluation's stack reaches this address: the
+  // running thread's lowest stack address plus a reserve (eval.cc); 0 when
+  // unknown, and then nothing is checked. One bound for nesting within an
+  // expression tree and across user-function calls alike (DESIGN.md
+  // section 17).
+  uintptr_t stack_floor_ = 0;
   obs::Profiler* profiler_ = nullptr;
   const Expr* builtin_call_site_ = nullptr;
   // See ChargeSkipped: true while evaluating a streamed step's predicate, so
@@ -424,6 +439,16 @@ class Evaluator {
   // under one Execute, and nothing is shared across queries.
   std::vector<std::unique_ptr<ProbeIndex>> probe_indexes_;
   size_t probe_indexed_candidates_ = 0;
+  // The call memo: (callee, arguments) -> the call's result, for
+  // FunctionDecl::memoizable callees, bounded in entries, stored result
+  // items and stored bytes (eval.cc). Open only under EvalOptions::streaming
+  // and once Run has initialized every prolog variable, since a function
+  // called from an initializer may see an unset global. Dies with the
+  // evaluation, like the probe indexes (DESIGN.md section 19).
+  bool memo_open_ = false;
+  std::unordered_map<std::string, xdm::Sequence> call_memo_;
+  size_t call_memo_items_ = 0;
+  size_t call_memo_bytes_ = 0;
 };
 
 // What the optimizer's passes know of a builtin (optimizer.cc).
@@ -436,6 +461,9 @@ enum BuiltinFact : unsigned {
   // section 14).
   kTreePure = 1u << 4,
   kBooleanValued = 1u << 5,  // as a predicate, never a position test
+  // fn:parse-xml-fragment: copies fresh nodes into the construction arena,
+  // so two calls never return the same nodes.
+  kConstructs = 1u << 6,
 };
 
 // One entry of the builtin library; see functions.cc for the catalog.

@@ -569,7 +569,7 @@ Registry BuildRegistry() {
       out.Append(Item::NodeRef(ev.CopyNodeIntoArena(child)));
     }
     return out;
-  });
+  }, kConstructs);
 
   // --- Diagnostics ----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string_view>
 
 #include "core/string_util.h"
@@ -121,42 +122,110 @@ const char* RewriteNoteKindName(RewriteNote::Kind kind) {
 
 namespace {
 
-// Purity with a memo over user-defined functions; recursive functions are
-// treated optimistically (pure unless their body shows otherwise), which is
-// what an aggressive query optimizer does.
-struct PurityAnalyzer {
-  bool recognize_trace;
-  // 0=analyzing, 1=pure, 2=impure; one verdict per declaration, so arity
-  // overloads of one name are judged apart.
-  std::map<const FunctionDecl*, int> function_state;
+// True for the expressions that construct nodes: each evaluation makes
+// fresh node identities.
+bool IsConstructor(ExprKind kind) {
+  switch (kind) {
+    case ExprKind::kDirectElement:
+    case ExprKind::kCompElement:
+    case ExprKind::kCompAttribute:
+    case ExprKind::kCompText:
+    case ExprKind::kCompComment:
+    case ExprKind::kCompDocument:
+      return true;
+    default:
+      return false;
+  }
+}
 
-  bool Pure(const Expr& e) {
-    // Eliminating error() changes outcomes. Galax-era behavior: trace looks
-    // pure, so a dead let swallows it; the "fixed" optimizer recognizes it.
-    if (CallsBuiltinWith(e, recognize_trace ? kErrors | kTraces : kErrors)) {
+// Purity over the call graph. An expression has an effect of its own when
+// it calls an unknown function or a builtin with any of the `effects`
+// facts, or, when `effects` holds kConstructs, when it constructs a node.
+// It is pure when neither it nor any user function it reaches has one.
+// Recursion is judged optimistically -- a cycle alone is no effect -- yet
+// a function is pure only if everything it reaches is, whatever order the
+// calls are met in.
+struct PurityAnalyzer {
+  unsigned effects;
+  // Per declaration (so arity overloads of one name are judged apart): its
+  // body has no effect of its own, and the user functions it calls.
+  struct Body {
+    bool effect_free = true;
+    std::vector<const FunctionDecl*> callees;
+  };
+  std::map<const FunctionDecl*, Body> bodies;
+  // Per declaration: the verdict on everything it reaches.
+  std::map<const FunctionDecl*, bool> verdicts;
+
+  // True if `e` has no effect of its own; appends the user functions it
+  // calls to `callees`.
+  bool EffectFree(const Expr& e,
+                  std::vector<const FunctionDecl*>* callees) const {
+    if (e.kind == ExprKind::kFunctionCall) {
+      if (e.decl != nullptr) {
+        callees->push_back(e.decl);
+      } else if (e.builtin == nullptr || e.builtin->Has(effects)) {
+        return false;
+      }
+    } else if ((effects & kConstructs) != 0 && IsConstructor(e.kind)) {
       return false;
     }
-    if (e.kind == ExprKind::kFunctionCall && e.builtin == nullptr) {
-      if (e.decl == nullptr) return false;  // unknown callee: assume impure
-      auto [it, inserted] = function_state.try_emplace(e.decl, 0);
-      if (inserted) it->second = Pure(*e.decl->body) ? 1 : 2;
-      if (it->second == 2) return false;
-      // state 0 (self-recursive) or 1: treat as pure.
-    }
-    bool pure = true;
+    bool effect_free = true;
     ForEachChild(e, [&](const Expr& c) {
-      if (pure && !Pure(c)) pure = false;
+      effect_free = effect_free && EffectFree(c, callees);
     });
-    return pure;
+    return effect_free;
+  }
+
+  bool Pure(const Expr& e) {
+    std::vector<const FunctionDecl*> callees;
+    if (!EffectFree(e, &callees)) return false;
+    for (const FunctionDecl* fn : callees) {
+      if (!Pure(*fn)) return false;
+    }
+    return true;
+  }
+
+  // A walk of everything `fn` reaches. When it finds no effect, every
+  // function it reached reaches only what `fn` does, so all are pure.
+  bool Pure(const FunctionDecl& fn) {
+    if (auto it = verdicts.find(&fn); it != verdicts.end()) return it->second;
+    std::set<const FunctionDecl*> reached{&fn};
+    std::vector<const FunctionDecl*> pending{&fn};
+    while (!pending.empty()) {
+      const FunctionDecl* f = pending.back();
+      pending.pop_back();
+      if (auto it = verdicts.find(f); it != verdicts.end()) {
+        if (!it->second) return verdicts[&fn] = false;
+        continue;  // everything it reaches is pure
+      }
+      auto [body, fresh] = bodies.try_emplace(f);
+      if (fresh) {
+        body->second.effect_free = EffectFree(*f->body, &body->second.callees);
+      }
+      if (!body->second.effect_free) return verdicts[&fn] = false;
+      for (const FunctionDecl* callee : body->second.callees) {
+        if (reached.insert(callee).second) pending.push_back(callee);
+      }
+    }
+    for (const FunctionDecl* f : reached) verdicts[f] = true;
+    return true;
   }
 };
+
+// The effects dead-let elimination must keep. Eliminating error() changes
+// outcomes. Galax-era behavior: trace looks pure, so a dead let swallows
+// it; the "fixed" optimizer recognizes it.
+unsigned LetEffects(bool recognize_trace) {
+  return recognize_trace ? kErrors | kTraces : kErrors;
+}
 
 struct Rewriter {
   OptimizerStats stats;
   PurityAnalyzer purity;
 
   explicit Rewriter(const OptimizerOptions& opts)
-      : purity{opts.recognize_trace, {}} {}
+      : purity{LetEffects(opts.recognize_trace), {}, {}} {}
 
   void Rewrite(Expr* e) {
     // Bottom-up: rewrite children first.
@@ -405,7 +474,7 @@ struct Rewriter {
 }  // namespace
 
 bool IsPure(const Expr& e, bool recognize_trace) {
-  PurityAnalyzer analyzer{recognize_trace, {}};
+  PurityAnalyzer analyzer{LetEffects(recognize_trace), {}, {}};
   return analyzer.Pure(e);
 }
 
@@ -442,6 +511,8 @@ struct ProbeMarker {
   // True if `key` evaluates to the same value for every candidate of the
   // predicate it sits in, so one evaluation can serve them all.
   bool KeyIndependent(const Expr& key) const {
+    // A constructor makes fresh node identities per evaluation.
+    if (IsConstructor(key.kind)) return false;
     switch (key.kind) {
       case ExprKind::kContextItem:
         return false;
@@ -449,13 +520,6 @@ struct ProbeMarker {
         // Relative and rooted paths both start at the focus.
         if (!key.has_base) return false;
         break;
-      case ExprKind::kDirectElement:
-      case ExprKind::kCompElement:
-      case ExprKind::kCompAttribute:
-      case ExprKind::kCompText:
-      case ExprKind::kCompComment:
-      case ExprKind::kCompDocument:
-        return false;  // fresh node identities per evaluation
       case ExprKind::kFunctionCall:
         // position(), last(), name(), string(), ... read the focus; a
         // user-defined function may trace, error or recurse.
@@ -791,6 +855,9 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats) {
 void ResolveSteps(Module* module) {
   StepResolver resolver;
   ForEachTopLevel(module, [&resolver](Expr* e) { resolver.Resolve(e); });
+  // Whatever the trace policy: a memo hit must never swallow a trace line.
+  PurityAnalyzer memo{kTraces | kErrors | kConstructs, {}, {}};
+  for (FunctionDecl& fn : module->functions) fn.memoizable = memo.Pure(fn);
 }
 
 // --- Name binding -----------------------------------------------------------

@@ -92,15 +92,16 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
-// streamable, foldable, attribute_only, internable) from the bound AST. Run
-// by Compile on every plan, optimized or not, after any rewrite, and by the
-// plan decoder on every loaded plan, so the bits are computed once per plan
-// and never stored.
+// streamable, foldable, attribute_only, internable) and every
+// FunctionDecl::memoizable from the bound AST. Run by Compile on every
+// plan, optimized or not, after any rewrite, and by the plan decoder on
+// every loaded plan, so the bits are computed once per plan and never
+// stored.
 void ResolveSteps(Module* module);
 
-// False if evaluating the bound expression `e` can have an observable
-// effect besides its value (under the given trace policy). Used by
-// dead-let elimination.
+// False if evaluating the bound expression `e`, or any user function it
+// reaches, can have an observable effect besides its value (under the
+// given trace policy). Used by dead-let elimination.
 bool IsPure(const Expr& e, bool recognize_trace);
 
 }  // namespace lll::xq

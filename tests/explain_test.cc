@@ -2,7 +2,7 @@
 // my query?". Golden-substring tests over the rendered output: section
 // structure, provenance, and one note per rewrite family (constant folds,
 // dead lets, swallowed traces, resolved step facts, hash probes,
-// descendant fusion).
+// descendant fusion) and the call memo's function mark.
 
 #include <string>
 #include <vector>
@@ -280,6 +280,29 @@ TEST(ExplainTest, FunctionsAndVariablesGetTheirOwnSections) {
   EXPECT_NE(out.find("== function local:twice#1 =="), std::string::npos)
       << out;
   EXPECT_NE(out.find("== variable $base =="), std::string::npos) << out;
+}
+
+TEST(ExplainTest, MemoizableFunctionsAreMarked) {
+  // The awbql backend's subtype walk (recursive, reads doc(), no effect)
+  // is marked; a function that traces is not, under either trace policy.
+  for (bool recognize_trace : {false, true}) {
+    xq::CompileOptions copts;
+    copts.optimizer.recognize_trace = recognize_trace;
+    const std::string out = ExplainQuery(
+        "declare function local:is-node-subtype($t, $super) {\n"
+        "  if ($t eq $super) then true()\n"
+        "  else let $decl := doc(\"metamodel\")//node-type[@name = $t]\n"
+        "  return if (empty($decl/@extends)) then false()\n"
+        "  else local:is-node-subtype(string($decl/@extends), $super) };\n"
+        "declare function local:traced($x) { trace($x, \"x\") };\n"
+        "(local:is-node-subtype(\"a\", \"b\"), local:traced(1))",
+        copts);
+    EXPECT_NE(out.find("== function local:is-node-subtype#2 == [memo]\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("== function local:traced#1 ==\n"), std::string::npos)
+        << out;
+  }
 }
 
 TEST(ExplainExprTest, DepthCapElides) {

@@ -212,6 +212,12 @@ const char* kFeatureQueries[] = {
     "local:f(local:f(1), 2)",
     "let $n := count(//a) let $n := $n * 2 return "
     "some $n in ($n, 1) satisfies $n = 1",
+    // A memoizable recursive walk, called from a predicate.
+    "declare function local:up($k, $top) { "
+    "  if ($k eq $top) then true() else "
+    "  let $a := //a[@k = $k] return "
+    "  if (empty($a/@j)) then false() else local:up(string($a/@j), $top) }; "
+    "//a[local:up(string(@k), \"1\")]",
 };
 
 // Every name binding of the plan in traversal order (BindNames): each
@@ -301,6 +307,15 @@ std::string StepFacts(const xq::Module& m) {
   return out;
 }
 
+// Every declaration's derived FunctionDecl::memoizable, in order.
+std::string Memoizable(const xq::Module& m) {
+  std::string out;
+  for (const xq::FunctionDecl& f : m.functions) {
+    out.push_back(f.memoizable ? '1' : '0');
+  }
+  return out;
+}
+
 // Every path step's derived fingerprint text in traversal order, one line
 // per step (empty for steps that do not fold).
 std::string StepFingerprints(const xq::Module& m) {
@@ -325,6 +340,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   EXPECT_TRUE(loaded.warmed());
 
   size_t folded = 0;  // queries with a step that folds into a fingerprint
+  size_t memoizable = 0;  // queries with a memoizable declaration
   for (const char* q : kFeatureQueries) {
     auto a = fresh.GetOrCompile(q);
     auto b = loaded.GetOrCompile(q);
@@ -339,8 +355,14 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     const std::string fingerprints = StepFingerprints((*a)->module());
     EXPECT_EQ(StepFingerprints((*b)->module()), fingerprints) << q;
     folded += fingerprints.find("/\n") != std::string::npos;
+    // Every declaration is judged memoizable again, as the fresh compile
+    // judged it.
+    const std::string memo = Memoizable((*a)->module());
+    EXPECT_EQ(Memoizable((*b)->module()), memo) << q;
+    memoizable += memo.find('1') != std::string::npos;
   }
   EXPECT_GT(folded, 0u);
+  EXPECT_GT(memoizable, 0u);
 }
 
 TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
@@ -866,6 +888,8 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
     // the node-set cache key.
     const std::string fingerprints = StepFingerprints((*fresh)->module());
     ASSERT_EQ(StepFingerprints((*loaded)->module()), fingerprints) << q;
+    ASSERT_EQ(Memoizable((*loaded)->module()), Memoizable((*fresh)->module()))
+        << q;
     folded += fingerprints.find("/\n") != std::string::npos;
     bound_calls += bindings.find(" b") != std::string::npos;
     bound_vars += bindings.find(" v") != std::string::npos;

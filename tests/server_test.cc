@@ -559,6 +559,49 @@ TEST(Nesting, QueriesExactlyAtTheCapRunOnAWorkerThread) {
   }
 }
 
+TEST(Nesting, RecursionThroughCallsIsAStatusNotACrash) {
+  // Each call stacks another tree of 121 nested levels, each within the
+  // nesting cap: this one 819-byte protocol line used to segfault
+  // lll_serverd. The evaluator's stack floor (DESIGN.md section 17) turns
+  // it into an uncatchable error, on the session's thread and on a Submit
+  // worker alike, and the server keeps serving.
+  std::string body = "local:f($n - 1)";
+  for (int i = 0; i < 120; ++i) body = "1 + (" + body + ")";
+  const std::string prolog =
+      "declare function local:f($n) { if ($n le 0) then 0 else " + body +
+      " }; ";
+  const std::string query = prolog + "local:f(24)";
+  ASSERT_EQ(("query t demo " + query).size(), 819u);
+  const std::string caught = prolog + "try { local:f(24) } catch { -1 }";
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("d", "<r/>").ok());
+  Session session = server.OpenSession("t");
+  for (const std::string& q : {query, caught}) {
+    QueryResponse resp = session.Query("d", q);
+    EXPECT_EQ(resp.status.code(), StatusCode::kInternal)
+        << resp.status.ToString().substr(0, 200);
+    EXPECT_NE(resp.status.message().find("recursion"), std::string::npos)
+        << resp.status.message();
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    QueryResponse got;
+    server.Submit("t", "d", q, [&](QueryResponse r) {
+      std::lock_guard<std::mutex> lock(mu);
+      got = std::move(r);
+      done = true;
+      cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+    EXPECT_EQ(got.status.code(), StatusCode::kInternal);
+    EXPECT_NE(got.status.message().find("recursion"), std::string::npos);
+  }
+  EXPECT_EQ(session.Query("d", "count(/r)").result, "1");
+}
+
 TEST(Docgen, BatchGenerationPinsOneModelSnapshot) {
   MetricsRegistry metrics;
   QueryServer server(TestOptions(&metrics));

@@ -6,6 +6,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -155,6 +156,77 @@ TEST(Optimizer, PurityAnalysisOfUserFunctions) {
   EXPECT_FALSE(xq::IsPure(call_impure, /*recognize_trace=*/true));
   // Under the Galax-era policy even the "impure" one looks pure.
   EXPECT_TRUE(xq::IsPure(call_impure, /*recognize_trace=*/false));
+}
+
+TEST(Optimizer, PurityIsJudgedOverTheWholeCallGraph) {
+  // local:g reaches error() only through local:f, in a cycle that was still
+  // open when judging $x first met local:g. local:g was then taken for pure,
+  // so dead-let elimination dropped $y and swallowed its error.
+  const char* query =
+      "declare function local:g($n) { local:f($n) }; "
+      "declare function local:f($n) { "
+      "  if ($n = 0) then local:g(1) else if ($n = 1) then 0 "
+      "  else error(\"reached\") }; "
+      "let $x := local:f(0) let $y := local:g(2) return 1";
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    auto result = xq::Run(query, {}, copts);
+    ASSERT_FALSE(result.ok()) << "optimize=" << optimize;
+    EXPECT_NE(result.status().message().find("reached"), std::string::npos);
+  }
+  // Recursion alone is judged optimistically.
+  auto module = xq::ParseModule(
+      "declare function local:even($n) { "
+      "  if ($n = 0) then true() else local:odd($n - 1) }; "
+      "declare function local:odd($n) { "
+      "  if ($n = 0) then false() else local:even($n - 1) }; "
+      "local:even(2)");
+  ASSERT_TRUE(module.ok());
+  xq::BindNames(&*module);
+  EXPECT_TRUE(xq::IsPure(*module->body, /*recognize_trace=*/true));
+}
+
+TEST(Optimizer, MemoizableFunctionsHaveNoEffectAnywhereTheyReach) {
+  struct Case {
+    const char* decls;
+    std::vector<bool> memoizable;  // per declaration, in order
+  };
+  const Case cases[] = {
+      {"declare function local:a($x) { $x + 1 }; "
+       "declare function local:b($x) { doc(\"d\")//t[@n = $x] };",
+       {true, true}},
+      // Recursion, direct and mutual.
+      {"declare function local:even($n) { "
+       "  if ($n = 0) then true() else local:odd($n - 1) }; "
+       "declare function local:odd($n) { "
+       "  if ($n = 0) then false() else local:even($n - 1) };",
+       {true, true}},
+      // trace() excludes whatever the trace policy, and so do error(), an
+      // unknown call, a constructor and parse-xml-fragment -- in the body or
+      // anywhere the body reaches, in any order.
+      {"declare function local:t($x) { trace($x, \"t\") }; "
+       "declare function local:e($x) { try { error() } catch { $x } }; "
+       "declare function local:u($x) { local:nosuch($x) }; "
+       "declare function local:c($x) { <a>{$x}</a> }; "
+       "declare function local:p($x) { parse-xml-fragment($x) };",
+       {false, false, false, false, false}},
+      {"declare function local:g($n) { local:f($n) }; "
+       "declare function local:f($n) { "
+       "  if ($n = 0) then local:g(1) else <a/> }; "
+       "declare function local:h($n) { local:g($n) };",
+       {false, false, false}},
+  };
+  for (const Case& c : cases) {
+    auto query = xq::Compile(std::string(c.decls) + " 1");
+    ASSERT_TRUE(query.ok()) << c.decls;
+    const auto& functions = query->module().functions;
+    ASSERT_EQ(functions.size(), c.memoizable.size()) << c.decls;
+    for (size_t i = 0; i < functions.size(); ++i) {
+      EXPECT_EQ(functions[i].memoizable, c.memoizable[i])
+          << c.decls << " -- " << functions[i].name;
+    }
+  }
 }
 
 // --- Name binding -----------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the streaming path pipeline: differential agreement with the
-// materializing evaluator (hash probes included), early-exit accounting,
-// and the deep-tree regression for the iterative descendant collector.
+// materializing evaluator (hash probes and the call memo included),
+// early-exit accounting, and the deep-tree regression for the iterative
+// descendant collector.
 
 #include <cstddef>
 #include <random>
@@ -413,6 +414,15 @@ struct ProbeOutcome {
   std::string text;  // serialized result, or the status
 };
 
+// What a differential compares of one execution: the result bytes and the
+// trace lines, or the status.
+std::string Render(const Result<xq::QueryResult>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  std::string out = r->SerializedItems();
+  for (const std::string& line : r->trace_output) out += "\ntrace: " + line;
+  return out;
+}
+
 // Runs `query` streamed twice against one node-set cache (cold, then warm
 // interned entries) and once with streaming off, and expects the three to
 // agree on result bytes, trace events and status.
@@ -434,21 +444,15 @@ ProbeOutcome ExpectProbeMatchesScan(const std::string& query) {
   scanned.eval.nodeset_cache = &scanned_cache;
   scanned.eval.streaming = false;
 
-  auto render = [](const Result<xq::QueryResult>& r) {
-    if (!r.ok()) return "error: " + r.status().ToString();
-    std::string out = r->SerializedItems();
-    for (const std::string& line : r->trace_output) out += "\ntrace: " + line;
-    return out;
-  };
   auto cold = xq::Execute(*compiled, streamed);
   auto warm = xq::Execute(*compiled, streamed);
   auto scan = xq::Execute(*compiled, scanned);
-  EXPECT_EQ(render(cold), render(scan)) << "probe diverges: " << query;
-  EXPECT_EQ(render(warm), render(scan)) << "warm probe diverges: " << query;
+  EXPECT_EQ(Render(cold), Render(scan)) << "probe diverges: " << query;
+  EXPECT_EQ(Render(warm), Render(scan)) << "warm probe diverges: " << query;
   if (scan.ok()) {
     EXPECT_EQ(scan->stats.probe_filters, 0u) << "streaming=false probed";
   }
-  return {cold.ok() ? cold->stats : xq::EvalStats{}, render(scan)};
+  return {cold.ok() ? cold->stats : xq::EvalStats{}, Render(scan)};
 }
 
 TEST(Streaming, ProbeAgreesWithScanOnEveryShape) {
@@ -606,6 +610,232 @@ TEST(Streaming, DeepTreeDoesNotOverflowTheStack) {
   auto e = xq::Execute(*probe, opts);
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->SerializedItems(), "true");
+}
+
+// --- The call memo (DESIGN.md section 19) -----------------------------------
+
+// A metamodel with a subtype chain and a model typed by it: the shape of the
+// awbql backend's subtype walk.
+constexpr char kMetamodel[] =
+    "<metamodel>"
+    "<node-type name=\"Thing\"/>"
+    "<node-type name=\"Person\" extends=\"Thing\"/>"
+    "<node-type name=\"User\" extends=\"Person\"/>"
+    "<node-type name=\"Admin\" extends=\"User\"/>"
+    "<node-type name=\"Program\" extends=\"Thing\"/>"
+    "</metamodel>";
+constexpr char kModel[] =
+    "<awb-model>"
+    "<node id=\"n1\" type=\"User\"/><node id=\"n2\" type=\"Admin\"/>"
+    "<node id=\"n3\" type=\"Program\"/><node id=\"n4\" type=\"User\"/>"
+    "<node id=\"n5\" type=\"Person\"/><node id=\"n6\" type=\"Thing\"/>"
+    "</awb-model>";
+
+// The recursive subtype walk the awbql backend generates.
+constexpr char kSubtypeProlog[] =
+    "declare function local:is-node-subtype($t, $super) {"
+    "  if ($t eq $super) then true()"
+    "  else"
+    "    let $decl := doc(\"metamodel\")//node-type[@name = $t]"
+    "    return"
+    "      if (empty($decl)) then false()"
+    "      else if (empty($decl/@extends)) then false()"
+    "      else local:is-node-subtype(string($decl/@extends), $super)"
+    "};";
+
+struct MemoOutcome {
+  xq::EvalStats streamed;
+  xq::EvalStats reference;
+  std::string text;  // Render() of the reference run
+};
+
+// Runs `query` streamed and with streaming off (no call memo) against the
+// model, with the metamodel as doc("metamodel"), and expects the two to
+// agree on result bytes, trace lines and status.
+MemoOutcome ExpectMemoMatchesReference(const std::string& query) {
+  auto metamodel = xml::Parse(kMetamodel);
+  auto model = xml::Parse(kModel);
+  EXPECT_TRUE(metamodel.ok() && model.ok());
+  auto compiled = xq::Compile(query);
+  EXPECT_TRUE(compiled.ok()) << query << "\n" << compiled.status().ToString();
+  if (!metamodel.ok() || !model.ok() || !compiled.ok()) return {};
+  xq::ExecuteOptions streamed;
+  streamed.context_node = (*model)->root();
+  streamed.documents["metamodel"] = (*metamodel)->root();
+  streamed.documents["model"] = (*model)->root();
+  xq::ExecuteOptions reference = streamed;
+  reference.eval.streaming = false;
+  auto a = xq::Execute(*compiled, streamed);
+  auto b = xq::Execute(*compiled, reference);
+  EXPECT_EQ(Render(a), Render(b)) << "the call memo diverges on: " << query;
+  MemoOutcome out;
+  if (a.ok()) out.streamed = a->stats;
+  if (b.ok()) {
+    out.reference = b->stats;
+    EXPECT_EQ(b->stats.function_memo_hits, 0u) << "streaming=false memoized";
+  }
+  out.text = Render(b);
+  return out;
+}
+
+TEST(CallMemo, RepeatedCallsAgreeWithTheReferenceAndHit) {
+  struct Case {
+    std::string query;
+    const char* expected;
+  };
+  const std::string subtype = kSubtypeProlog;
+  const Case cases[] = {
+      // Strings, integers, doubles, booleans.
+      {"declare function local:up($s) { upper-case($s) }; "
+       "for $s in (\"ab\", \"cd\", \"ab\", \"ab\") return local:up($s)",
+       "AB CD AB AB"},
+      {"declare function local:sq($n) { $n * $n }; "
+       "for $i in (1, 2, 1, 2, 3) return local:sq($i)",
+       "1 4 1 4 9"},
+      {"declare function local:half($d) { $d div 2 }; "
+       "for $d in (1.5e0, -0.0e0, 1.5e0, 0.0e0, -0.0e0) "
+       "return string(local:half($d))",
+       nullptr},
+      {"declare function local:flip($b) { not($b) }; "
+       "for $b in (true(), false(), true()) return local:flip($b)",
+       "false true false"},
+      // A string and an untypedAtomic of the same text are different keys.
+      {"declare function local:kind($v) { $v instance of xs:string }; "
+       "for $v in (\"n1\", data(//node[1]/@id), \"n1\", data(//node[1]/@id)) "
+       "return local:kind($v)",
+       "true false true false"},
+      // Nodes, by identity; two arguments; a sequence argument.
+      {"declare function local:id($n) { string($n/@id) }; "
+       "string-join(for $n in (//node, //node) return local:id($n), \" \")",
+       "n1 n2 n3 n4 n5 n6 n1 n2 n3 n4 n5 n6"},
+      {"declare function local:pair($a, $b) { concat($a, \"-\", $b) }; "
+       "for $i in (1, 2, 1) return local:pair($i, \"x\")",
+       "1-x 2-x 1-x"},
+      {"declare function local:sum($s) { sum($s) }; "
+       "for $i in 1 to 3 return local:sum((1, 2, $i mod 2))",
+       "4 3 4"},
+      // The subtype walk from a predicate, a FLWOR and a quantifier.
+      {subtype + "string-join(//node[local:is-node-subtype(string(@type), "
+                 "\"Person\")]/@id, \" \")",
+       "n1 n2 n4 n5"},
+      {subtype + "for $n in //node where local:is-node-subtype("
+                 "string($n/@type), \"User\") return string($n/@id)",
+       "n1 n2 n4"},
+      {subtype + "for $t in (\"User\", \"Program\") return "
+                 "count(//node[local:is-node-subtype(string(@type), $t)])",
+       "3 1"},
+      {subtype + "every $n in //node satisfies "
+                 "local:is-node-subtype(string($n/@type), \"Thing\")",
+       "true"},
+  };
+  for (const Case& c : cases) {
+    MemoOutcome out = ExpectMemoMatchesReference(c.query);
+    if (c.expected != nullptr) {
+      EXPECT_EQ(out.text, c.expected) << c.query;
+    }
+    EXPECT_GT(out.streamed.function_memo_hits, 0u) << c.query;
+    EXPECT_LT(out.streamed.function_calls, out.reference.function_calls)
+        << c.query;
+  }
+}
+
+TEST(CallMemo, AGlobalSetLaterIsNotFrozenByAnInitializer) {
+  // local:f() runs first from $a's initializer, before $g is set: its
+  // answer there must not be reused once the prolog is done.
+  MemoOutcome out = ExpectMemoMatchesReference(
+      "declare variable $a := local:f(); declare variable $g := 7; "
+      "declare function local:f() { try { $g } catch { -1 } }; "
+      "($a, local:f(), local:f())");
+  EXPECT_EQ(out.text, "-1 7 7");
+  EXPECT_EQ(out.streamed.function_memo_hits, 1u);
+}
+
+TEST(CallMemo, ExcludedCallsRunEveryTime) {
+  struct Case {
+    const char* query;
+    const char* expected;
+  };
+  const Case cases[] = {
+      // A trace() traces on every call.
+      {"declare function local:t($x) { trace($x, \"t\") }; "
+       "(local:t(1), local:t(1))",
+       "t t\ntrace: (1) (t)\ntrace: (1) (t)"},
+      // Constructed nodes are fresh on every call, directly or not.
+      {"declare function local:mk() { <a/> }; local:mk() is local:mk()",
+       "false"},
+      {"declare function local:mk() { <a/> }; "
+       "declare function local:wrap() { local:mk() }; "
+       "local:wrap() is local:wrap()",
+       "false"},
+      {"declare function local:p() { parse-xml-fragment(\"<a/>\") }; "
+       "local:p() is local:p()",
+       "false"},
+      // An error() caught inside the function traces on every call.
+      {"declare function local:e($x) { try { error(\"boom\") } catch { $x } }; "
+       "(local:e(1), local:e(1))",
+       "1 1\ntrace: error: boom\ntrace: error: boom"},
+  };
+  for (const Case& c : cases) {
+    MemoOutcome out = ExpectMemoMatchesReference(c.query);
+    EXPECT_EQ(out.text, c.expected) << c.query;
+    EXPECT_EQ(out.streamed.function_memo_hits, 0u) << c.query;
+  }
+}
+
+TEST(CallMemo, FailuresAreNeverStored) {
+  // A typed parameter fails the same way on every call; the passing calls
+  // around the failing ones still hit.
+  MemoOutcome out = ExpectMemoMatchesReference(
+      "declare function local:i($n as xs:integer) { $n + 1 }; "
+      "for $v in (1, \"x\", 1, \"x\") return "
+      "try { local:i($v) } catch { $err:code }");
+  EXPECT_EQ(out.text, "2 TypeError 2 TypeError");
+  EXPECT_EQ(out.streamed.function_memo_hits, 1u);
+  // So does an error raised by the body.
+  out = ExpectMemoMatchesReference(
+      "declare function local:d($n) { 1 idiv $n }; "
+      "for $v in (0, 0) return try { local:d($v) } catch { \"caught\" }");
+  EXPECT_EQ(out.text, "caught caught");
+  EXPECT_EQ(out.streamed.function_memo_hits, 0u);
+}
+
+TEST(CallMemo, UnkeyedArgumentsAndBoundsStillAnswerExactly) {
+  // Arguments that get no key: more than eight items, or a map.
+  MemoOutcome out = ExpectMemoMatchesReference(
+      "declare function local:c($s) { count($s) }; "
+      "(local:c(1 to 9), local:c(1 to 9), local:c(1 to 8), local:c(1 to 8))");
+  EXPECT_EQ(out.text, "9 9 8 8");
+  EXPECT_EQ(out.streamed.function_memo_hits, 1u);
+  out = ExpectMemoMatchesReference(
+      "declare function local:m($m) { map:size($m) }; "
+      "(local:m(map:new()), local:m(map:new()))");
+  EXPECT_EQ(out.text, "0 0");
+  EXPECT_EQ(out.streamed.function_memo_hits, 0u);
+
+  // More distinct calls than the table's 4096 entries: the first 4096 are
+  // stored, and only those answer the second pass.
+  out = ExpectMemoMatchesReference(
+      "declare function local:sq($n) { $n * $n }; "
+      "sum(for $i in 1 to 5000 return local:sq($i)) - "
+      "sum(for $i in 1 to 5000 return local:sq($i))");
+  EXPECT_EQ(out.text, "0");
+  EXPECT_EQ(out.streamed.function_memo_hits, 4096u);
+
+  // A result of more items than the table may hold is never stored.
+  out = ExpectMemoMatchesReference(
+      "declare function local:r($n) { 1 to $n }; "
+      "for $n in (70000, 70000, 3, 3) return count(local:r($n))");
+  EXPECT_EQ(out.text, "70000 70000 3 3");
+  EXPECT_EQ(out.streamed.function_memo_hits, 1u);
+
+  // Nor is a result of more string bytes (here 4.9 MB) than it may hold.
+  out = ExpectMemoMatchesReference(
+      "declare function local:s($x) { "
+      "  string-join(for $i in 1 to 600 return $x, \"\") }; "
+      "let $k := string-join(for $i in 1 to 1024 return \"abcdefgh\", \"\") "
+      "return (string-length(local:s($k)), string-length(local:s($k)))");
+  EXPECT_EQ(out.text, "4915200 4915200");
+  EXPECT_EQ(out.streamed.function_memo_hits, 0u);
 }
 
 }  // namespace
