@@ -3,14 +3,15 @@
 // Paper connection: AWB shipped its XQuery template interpreter to every
 // user, and every process paid the same startup tax -- recompile the five
 // phase programs, re-parse the model documents -- before answering its first
-// query. The persistence subsystem makes that state a build artifact: plans
-// serialize to *.lllp (the optimizer-annotated AST, loaded straight into the
-// query cache) and documents to *.llld (the SoA arenas, loaded without
-// touching the XML parser).
+// query. The persistence subsystem makes that state a build artifact:
+// documents persist to *.llld (the SoA arenas, loaded without touching the
+// XML parser) and plans to *.lllp (the query cache's keys, each compiled
+// again while the artifact loads -- a warm boot recovers the working set,
+// not the compile time).
 //
 // Measured here, cold vs warm at matched inputs:
 //   * the five docgen phase programs: compile from source vs load from a
-//     plan-cache artifact;
+//     plan-cache artifact (which compiles the same five sources);
 //   * a document corpus: parse the XML text vs load the binary snapshot
 //     (from bytes, and from a file through the mmap path);
 //   * the query server's time-to-ready: boot with AddDocumentXml and compile

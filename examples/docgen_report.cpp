@@ -5,8 +5,7 @@
 // engines -- the XQuery multi-phase pipeline and the native (Java-rewrite)
 // engine -- verifies they agree, and prints the cost comparison.
 //
-//   ./build/examples/docgen_report [--explain] [--profile]
-//                                  [--plan-cache-dir DIR] [output-prefix]
+//   ./build/examples/docgen_report [--explain] [--profile] [output-prefix]
 //
 // writes <prefix>-native.html and <prefix>-xquery.html (default prefix
 // "/tmp/awb-report").
@@ -17,15 +16,8 @@
 //               compile-cache provenance.
 //   --profile   per-expression hot-spot report for each phase, generator
 //               trace events, and a JSON metrics snapshot.
-//   --plan-cache-dir DIR
-//               warm boot for the XQuery engine: load DIR/phases.lllp into
-//               the phase cache before generating (stale or missing artifact
-//               = cold start), and (re)write it afterwards so the next run
-//               starts warm. With --explain, warmed phases show `disk-cache`
-//               provenance instead of `compiled`.
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -93,31 +85,14 @@ int main(int argc, char** argv) {
   std::string prefix = "/tmp/awb-report";
   bool explain = false;
   bool profile = false;
-  std::string plan_cache_dir;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--explain") {
       explain = true;
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--plan-cache-dir" && i + 1 < argc) {
-      plan_cache_dir = argv[++i];
     } else {
       prefix = arg;
-    }
-  }
-
-  std::string plan_cache_path;
-  if (!plan_cache_dir.empty()) {
-    std::filesystem::create_directories(plan_cache_dir);
-    plan_cache_path = plan_cache_dir + "/phases.lllp";
-    auto loaded = lll::docgen::LoadXQueryPhaseCache(plan_cache_path);
-    if (loaded.ok()) {
-      std::printf("plan cache: warmed %zu phase plans from %s\n", *loaded,
-                  plan_cache_path.c_str());
-    } else {
-      std::printf("plan cache: cold start (%s)\n",
-                  loaded.status().ToString().c_str());
     }
   }
 
@@ -222,15 +197,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n== metrics ==\n%s\n",
                 lll::GlobalMetrics().ToJson().c_str());
-  }
-
-  if (!plan_cache_path.empty()) {
-    lll::Status st = lll::docgen::AotCompileXQueryPhases(plan_cache_path);
-    if (st.ok()) {
-      std::printf("plan cache: wrote %s\n", plan_cache_path.c_str());
-    } else {
-      std::printf("plan cache: save failed: %s\n", st.ToString().c_str());
-    }
   }
 
   std::string native_path = prefix + "-native.html";

@@ -3,12 +3,17 @@
 # artifacts is indistinguishable from the one that wrote them.
 #
 #   1. daemon A: register a document, answer a query burst, `save <dir>`
-#   2. daemon B: a FRESH process, warm-boots with `load <dir>` (no XML, no
-#      compiles), answers the same burst
+#   2. daemon B: a FRESH process, warm-boots with `load <dir>` (documents
+#      from their snapshots with no XML parse, the recorded queries compiled
+#      during the load), answers the same burst
 #   3. the answers must be byte-identical, and daemon B's EXPLAIN must say
 #      the plan came from the disk cache and mark the memoizable function
-#   4. rerun the in-process differential suites (persist_test includes the
+#   4. a daemon refuses `save` and `load` paths outside its --state-dir
+#   5. rerun the in-process differential suites (persist_test includes the
 #      495-query disk-vs-fresh oracle) against the same build
+#
+# Both daemons run with --state-dir "${WORK}", so every file verb names a
+# path relative to it.
 #
 # Usage: scripts/persist_roundtrip.sh [build-dir]   (default ./build)
 
@@ -25,6 +30,7 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "${WORK}"' EXIT
 STATE="${WORK}/state"
+daemon() { "${SERVERD}" --state-dir "${WORK}"; }
 
 cat > "${WORK}/lib.xml" <<'XML'
 <lib><shelf id="0"><book>ada</book><book>basic</book></shelf><shelf id="1"><book>c</book><book>d</book></shelf></lib>
@@ -56,23 +62,23 @@ burst() {
 
 echo "== daemon A: parse XML, compile, answer, save state =="
 {
-  echo "load lib ${WORK}/lib.xml"
-  echo "load types ${WORK}/types.xml"
+  echo "load lib lib.xml"
+  echo "load types types.xml"
   burst
-  # Save AFTER the burst so plans.lllp holds every compiled plan.
-  echo "save ${STATE}"
+  # Save AFTER the burst so plans.lllp records every compiled query.
+  echo "save state"
   echo 'quit'
-} | "${SERVERD}" > "${WORK}/cold.out"
+} | daemon > "${WORK}/cold.out"
 
 test -s "${STATE}/plans.lllp"
 ls "${STATE}"/doc-*.llld >/dev/null
 
 echo "== daemon B: fresh process, warm boot from ${STATE} =="
 {
-  echo "load ${STATE}"
+  echo "load state"
   burst
   echo 'quit'
-} | "${SERVERD}" > "${WORK}/warm.out"
+} | daemon > "${WORK}/warm.out"
 
 if grep -E '^(error|rejected):' "${WORK}/cold.out" "${WORK}/warm.out"; then
   echo "persist_roundtrip: a daemon reported an error" >&2
@@ -122,6 +128,22 @@ grep -q -E 'server plan: (compiled|memory-cache)' "${WORK}/cold.out" || {
   echo "persist_roundtrip: cold EXPLAIN did not report a local compile" >&2
   exit 1
 }
+
+echo "== file verbs outside --state-dir are refused =="
+{
+  echo "save ${WORK}/escaped"
+  echo "load ../lib.xml"
+  echo 'quit'
+} | daemon > "${WORK}/refused.out"
+if [[ "$(grep -c '^error: ' "${WORK}/refused.out")" != 2 ]]; then
+  echo "persist_roundtrip: a daemon accepted a path outside --state-dir" >&2
+  cat "${WORK}/refused.out" >&2
+  exit 1
+fi
+if [[ -e "${WORK}/escaped" ]]; then
+  echo "persist_roundtrip: a refused save wrote ${WORK}/escaped" >&2
+  exit 1
+fi
 
 echo "== differential suites (persist_test: 495-query disk-vs-fresh oracle) =="
 ctest --test-dir "${BUILD}" -R 'persist_test|server_differential_test' \

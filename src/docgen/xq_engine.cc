@@ -7,7 +7,6 @@
 #include "awb/xml_io.h"
 #include "docgen/xq_programs.h"
 #include "obs/explain.h"
-#include "persist/plan_serde.h"
 #include "xml/name_table.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
@@ -289,17 +288,5 @@ Result<std::string> ExplainXQueryPhases() {
 }
 
 xq::QueryCache& XQueryPhaseCache() { return PhaseProgramCache(); }
-
-Status AotCompileXQueryPhases(const std::string& path) {
-  for (const PhaseSpec& phase : AllPhases()) {
-    LLL_RETURN_IF_ERROR(
-        PhaseProgramCache().GetOrCompile(*phase.program).status());
-  }
-  return persist::SavePlanCache(PhaseProgramCache(), path);
-}
-
-Result<size_t> LoadXQueryPhaseCache(const std::string& path) {
-  return persist::LoadPlanCache(path, &PhaseProgramCache());
-}
 
 }  // namespace lll::docgen

@@ -104,21 +104,9 @@ class XQuerySession {
 Result<std::string> ExplainXQueryPhases();
 
 // The process-wide compiled-phase cache behind GenerateXQuery and
-// ExplainXQueryPhases. Exposed so tooling can warm it from a plan-cache
-// artifact (warm boot) or clear it (tests).
+// ExplainXQueryPhases. Exposed so tooling can inspect or clear it (tests,
+// benchmarks).
 xq::QueryCache& XQueryPhaseCache();
-
-// AOT-compiles all five phase programs into the shared phase cache and
-// writes them as a plan-cache artifact (*.lllp) at `path`. A fleet member
-// that loads the artifact at startup runs its first generation without
-// compiling anything.
-Status AotCompileXQueryPhases(const std::string& path);
-
-// Warms the shared phase cache from a plan-cache artifact written by
-// AotCompileXQueryPhases (or any persist::SavePlanCache). Returns the number
-// of plans loaded; stale or corrupt artifacts fail with kInvalidArgument and
-// load nothing (a clean cold start).
-Result<size_t> LoadXQueryPhaseCache(const std::string& path);
 
 }  // namespace lll::docgen
 

@@ -25,8 +25,8 @@ struct ExplainOptions {
   // Where the compiled query came from, shown in the header when nonempty.
   // Callers on a QueryCache use the canonical tri-state spellings from
   // xq::CacheProvenanceName: "compiled" (fresh), "memory-cache" (hit on a
-  // plan compiled earlier in-process), "disk-cache" (hit on a plan
-  // deserialized from a persisted *.lllp artifact).
+  // plan compiled earlier in-process), "disk-cache" (hit on a plan compiled
+  // during a warm boot from the keys a *.lllp artifact recorded).
   std::string provenance;
   // Cap on rendered plan depth; deeper subtrees elide to "...".
   size_t max_depth = 32;

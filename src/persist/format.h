@@ -28,10 +28,13 @@ namespace lll::persist {
 // a different format version, a checksum mismatch, an out-of-bounds section,
 // or a truncated file returns kInvalidArgument and the caller falls back to
 // recompiling/reparsing -- never UB, never a partially loaded artifact. The
-// format version covers the ENTIRE artifact family: any change to a section
-// payload encoding bumps kFormatVersion, and old files are rejected cleanly.
+// format version covers the ENTIRE artifact family and moves only when the
+// encoding of a section payload changes (the container, the plan-key list,
+// the document storage image); old files are then rejected cleanly. A
+// change to the XQuery AST or to the compiler's passes does not move it:
+// plan artifacts hold query text, which every build compiles afresh.
 inline constexpr char kMagic[4] = {'L', 'L', 'L', 'A'};
-inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kFormatVersion = 5;
 
 // Artifact kinds (the second-level tag under the shared container).
 inline constexpr uint32_t kPlanCacheArtifact = 1;  // *.lllp
@@ -50,11 +53,8 @@ uint64_t Fnv1a64(std::string_view data);
 // Append-only encoder for section payloads.
 class ByteWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
   // Length-prefixed string: u32 length + bytes.
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
@@ -79,14 +79,8 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  Result<uint8_t> U8() {
-    LLL_ASSIGN_OR_RETURN(std::string_view b, Raw(1));
-    return static_cast<uint8_t>(b[0]);
-  }
   Result<uint32_t> U32() { return Fixed<uint32_t>(); }
   Result<uint64_t> U64() { return Fixed<uint64_t>(); }
-  Result<int64_t> I64() { return Fixed<int64_t>(); }
-  Result<double> F64() { return Fixed<double>(); }
   Result<std::string> Str() {
     LLL_ASSIGN_OR_RETURN(uint32_t len, U32());
     LLL_ASSIGN_OR_RETURN(std::string_view b, Raw(len));

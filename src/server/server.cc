@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <utility>
 
 #include "awb/xml_io.h"
@@ -379,15 +380,37 @@ Status QueryServer::SaveState(const std::string& dir) const {
     return Status::Internal("cannot create state directory '" + dir +
                             "': " + ec.message());
   }
+  std::set<std::string> written = {"plans.lllp"};
   LLL_RETURN_IF_ERROR(
       persist::SavePlanCache(query_cache_, dir + "/plans.lllp", metrics_));
   size_t n = 0;
   for (const std::string& name : store_.Names()) {
     SnapshotPtr snap = store_.Current(name);
     if (snap == nullptr) continue;
-    const std::string path = dir + "/doc-" + std::to_string(n++) + ".llld";
-    LLL_RETURN_IF_ERROR(
-        persist::SaveDocumentSnapshot(snap->document(), name, path, metrics_));
+    const std::string file = "doc-" + std::to_string(n++) + ".llld";
+    LLL_RETURN_IF_ERROR(persist::SaveDocumentSnapshot(
+        snap->document(), name, dir + "/" + file, metrics_));
+    written.insert(file);
+  }
+  // LoadState loads every artifact in the directory, so artifacts an
+  // earlier save left behind would bring back documents this server no
+  // longer holds. Remove them only now that every new one is in place: a
+  // save that failed above removes nothing.
+  std::vector<fs::path> stale;
+  for (fs::directory_iterator it(dir, ec);
+       !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    const fs::path& path = it->path();
+    if ((path.extension() == ".llld" || path.extension() == ".lllp") &&
+        written.count(path.filename().string()) == 0) {
+      stale.push_back(path);
+    }
+  }
+  for (const fs::path& path : stale) {
+    if (!ec) fs::remove(path, ec);
+  }
+  if (ec) {
+    return Status::Internal("cannot clear stale artifacts from '" + dir +
+                            "': " + ec.message());
   }
   return Status::Ok();
 }
@@ -467,6 +490,33 @@ uint64_t Session::pinned_version(const std::string& doc_name) const {
   auto it = pins_.find(doc_name);
   return it == pins_.end() || it->second == nullptr ? 0
                                                     : it->second->version();
+}
+
+Result<std::string> ResolveStatePath(const std::string& state_dir,
+                                     const std::string& path) {
+  namespace fs = std::filesystem;
+  if (state_dir.empty()) {
+    return Status::Invalid("file verbs need the daemon's --state-dir");
+  }
+  if (path.empty() || fs::path(path).is_absolute()) {
+    return Status::Invalid("'" + path +
+                           "' is not relative to the state directory");
+  }
+  std::error_code ec;
+  fs::path root = fs::weakly_canonical(state_dir, ec);
+  fs::path resolved;
+  if (!ec) resolved = fs::weakly_canonical(root / path, ec);
+  if (ec) {
+    return Status::Invalid("cannot resolve '" + path + "': " + ec.message());
+  }
+  if (!root.has_filename()) root = root.parent_path();  // a trailing '/'
+  // Inside means every component of the root leads the resolved path.
+  if (std::mismatch(root.begin(), root.end(), resolved.begin(),
+                    resolved.end())
+          .first != root.end()) {
+    return Status::Invalid("'" + path + "' leaves the state directory");
+  }
+  return resolved.string();
 }
 
 }  // namespace lll::server

@@ -198,19 +198,21 @@ class QueryServer {
   // --- Persistence (warm boot) ---------------------------------------------
 
   // Writes the server's warm state into `dir` (created if missing): the
-  // compiled-plan cache as plans.lllp and the CURRENT snapshot of every
+  // plan cache's keys as plans.lllp and the CURRENT snapshot of every
   // document as doc-<n>.llld (names are embedded in the artifacts, so no
-  // side index). Artifacts are written atomically; a crashed save leaves the
-  // previous generation intact.
+  // side index). Artifacts are written atomically; once all are written,
+  // every other *.lllp / *.llld in `dir` is removed, so a reused directory
+  // holds exactly this save. A save that fails removes nothing.
   Status SaveState(const std::string& dir) const;
 
-  // Loads a state directory written by SaveState: plans warm the query
-  // cache (later hits EXPLAIN as disk-cache), snapshots become documents --
-  // installed fresh, or published as a new version when the name already
-  // exists. Unreadable artifacts are skipped and counted
-  // (persist.{plan,snapshot}.{version_mismatch,load_failures}); a version
-  // mismatch is therefore a clean cold start, never an error. Returns the
-  // first genuinely unexpected failure (e.g. an unreadable directory).
+  // Loads a state directory written by SaveState: the recorded keys are
+  // compiled into the query cache (later hits EXPLAIN as disk-cache),
+  // snapshots become documents -- installed fresh, or published as a new
+  // version when the name already exists. Unloadable artifacts are skipped
+  // and counted (persist.{plan,snapshot}.{version_mismatch,load_failures});
+  // a version mismatch is therefore a clean cold start, never an error.
+  // Returns the first genuinely unexpected failure (e.g. an unreadable
+  // directory).
   Status LoadState(const std::string& dir);
 
   // --- Admin ---------------------------------------------------------------
@@ -290,6 +292,14 @@ class QueryServer {
   // still be alive while the pool winds down.
   ThreadPool pool_;
 };
+
+// Where a daemon file verb (`load <name> <path>`, `load <dir>`,
+// `save <dir>`) may reach: `path` must be relative and stay inside
+// `state_dir` once `..` and symlinks are resolved. Returns the resolved
+// path; kInvalidArgument for an empty `state_dir` (no file verbs at all), an
+// absolute path, or one that leaves the directory. Reads only path metadata.
+Result<std::string> ResolveStatePath(const std::string& state_dir,
+                                     const std::string& path);
 
 }  // namespace lll::server
 

@@ -11,8 +11,8 @@
 //   load <name> <path>          register a document from an XML file
 //   load <dir>                  warm-boot: restore a state directory
 //                               written by `save` (plans.lllp + *.llld)
-//   save <dir>                  persist the plan cache and every current
-//                               document snapshot into <dir>
+//   save <dir>                  persist the plan cache's keys and every
+//                               current document snapshot into <dir>
 //   doc <name> <xml>            register a document from inline XML
 //   publish <name> <xml>        publish a new version (inline XML)
 //   query <tenant> <doc> <xq>   run an XQuery on the session's pinned
@@ -31,8 +31,12 @@
 //
 // --demo preloads a small catalog document under the name "demo".
 // --state-dir DIR restores DIR at startup (missing/stale artifacts are a
-// clean cold start) so the fleet boots warm without re-parsing XML or
-// recompiling queries.
+// clean cold start): documents load from their snapshots without an XML
+// parse, and the recorded working set of queries is compiled before the
+// first request. DIR also confines the file verbs: every <path> and <dir>
+// above is resolved under it and must stay inside it (no absolute paths, no
+// escape through `..` or a symlink). Without --state-dir the file verbs are
+// refused.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -94,7 +98,8 @@ bool ParseUint(const std::string& word, uint64_t* out) {
 // One client conversation: reads commands from `in`, answers on `out`.
 // Sessions are per-tenant within the conversation, so repeated queries from
 // one connection see pinned snapshots.
-void Serve(QueryServer* server, std::istream& in, std::ostream& out) {
+void Serve(QueryServer* server, const std::string& state_dir,
+           std::istream& in, std::ostream& out) {
   std::map<std::string, Session> sessions;
   auto session_for = [&](const std::string& tenant) -> Session& {
     auto it = sessions.find(tenant);
@@ -128,7 +133,8 @@ void Serve(QueryServer* server, std::istream& in, std::ostream& out) {
         out << "error: usage: save <dir>\n.\n" << std::flush;
         continue;
       }
-      lll::Status st = server->SaveState(words[1]);
+      auto dir = lll::server::ResolveStatePath(state_dir, words[1]);
+      lll::Status st = dir.ok() ? server->SaveState(*dir) : dir.status();
       out << (st.ok() ? std::string("ok") : "error: " + st.ToString())
           << "\n.\n"
           << std::flush;
@@ -139,7 +145,8 @@ void Serve(QueryServer* server, std::istream& in, std::ostream& out) {
       std::vector<std::string> words = SplitWords(line, 2, &args);
       if (cmd == "load" && words.size() == 2 && args.empty()) {
         // One argument: restore a state directory written by `save`.
-        lll::Status st = server->LoadState(words[1]);
+        auto dir = lll::server::ResolveStatePath(state_dir, words[1]);
+        lll::Status st = dir.ok() ? server->LoadState(*dir) : dir.status();
         out << (st.ok() ? std::string("ok") : "error: " + st.ToString())
             << "\n.\n"
             << std::flush;
@@ -154,7 +161,13 @@ void Serve(QueryServer* server, std::istream& in, std::ostream& out) {
       const std::string& name = words[1];
       std::string xml = args;
       if (cmd == "load") {
-        std::ifstream file(args);
+        auto path = lll::server::ResolveStatePath(state_dir, args);
+        if (!path.ok()) {
+          out << "error: " << path.status().ToString() << "\n.\n"
+              << std::flush;
+          continue;
+        }
+        std::ifstream file(*path);
         if (!file) {
           out << "error: cannot open " << args << "\n.\n" << std::flush;
           continue;
@@ -280,7 +293,7 @@ void Serve(QueryServer* server, std::istream& in, std::ostream& out) {
 // Minimal blocking TCP front end: accept, one thread + one conversation per
 // connection. Enough to demonstrate "EXPLAIN over the wire" with netcat; the
 // heavy lifting (isolation, quotas, metrics) all lives in lll_server.
-int ServeTcp(QueryServer* server, int port) {
+int ServeTcp(QueryServer* server, const std::string& state_dir, int port) {
   int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) {
     std::perror("socket");
@@ -302,13 +315,13 @@ int ServeTcp(QueryServer* server, int port) {
   for (;;) {
     int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) continue;
-    std::thread([server, fd]() {
+    std::thread([server, &state_dir, fd]() {
       // Buffer the whole conversation through iostreams over the fd.
       __gnu_cxx::stdio_filebuf<char> inbuf(fd, std::ios::in);
       __gnu_cxx::stdio_filebuf<char> outbuf(::dup(fd), std::ios::out);
       std::istream in(&inbuf);
       std::ostream out(&outbuf);
-      Serve(server, in, out);
+      Serve(server, state_dir, in, out);
     }).detach();
   }
 }
@@ -379,7 +392,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "lll_serverd: warm boot, %zu documents resident\n",
                  server.DocumentNames().size());
   }
-  if (port != 0) return ServeTcp(&server, port);
-  Serve(&server, std::cin, std::cout);
+  if (port != 0) return ServeTcp(&server, state_dir, port);
+  Serve(&server, state_dir, std::cin, std::cout);
   return 0;
 }

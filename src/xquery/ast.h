@@ -71,9 +71,8 @@ struct PathStep {
   // positions per context item. This is how (1,2,3)[2] yields 2.
   bool is_filter = false;
   // The per-step facts below are derived by ResolveSteps (optimizer.h),
-  // which Compile runs on every plan, optimized or not, and the plan decoder
-  // runs on every loaded plan. They are never serialized, and the evaluator
-  // reads them instead of re-scanning predicates; only dynamic conditions
+  // which Compile runs on every plan, optimized or not. The evaluator reads
+  // them instead of re-scanning predicates; only dynamic conditions
   // (EvalOptions::streaming, single-document input, a tree-root base, an
   // attached cache) are left to check at run time.
   //
@@ -264,8 +263,8 @@ struct Expr {
   // in `children` of the key operand (1 for `@a = K`, 0 for `K = @a`); -1
   // means not a probe. The streaming evaluator answers a marked predicate
   // from a per-query hash index of @name values instead of evaluating it
-  // once per candidate (DESIGN.md section 16). Derived, never serialized:
-  // decoding a plan marks it again. EXPLAIN renders [probe @name].
+  // once per candidate (DESIGN.md section 16). EXPLAIN renders
+  // [probe @name].
   int probe_key = -1;
 
   // kPath: conservative upper bound, set by the optimizer's limit push-down
@@ -297,7 +296,7 @@ struct Expr {
   // kCastAs / kInstanceOf / function signature use.
   SequenceType type;
 
-  // Name bindings, set by BindNames (optimizer.h) and never serialized.
+  // Name bindings, set by BindNames (optimizer.h).
   // kFunctionCall: the user declaration (in this plan's Module, whose
   // functions never change after binding) or else the builtin it runs;
   // neither means an unknown function, an error once evaluated.
@@ -332,7 +331,7 @@ struct FunctionDecl {
   // the same arguments: neither the body nor any user function it reaches
   // constructs a node, calls an unknown function, or calls a builtin that
   // traces, raises or constructs (DESIGN.md section 19). Derived by
-  // ResolveSteps, never serialized. EXPLAIN renders it as [memo].
+  // ResolveSteps. EXPLAIN renders it as [memo].
   bool memoizable = false;
 };
 
@@ -352,9 +351,9 @@ struct Module {
 
 // The nesting cap on every expression tree. The parser rejects source that
 // nests deeper -- in its own recursion or in the tree it builds -- with a
-// located kInvalidArgument, and the plan decoder rejects deeper artifacts,
-// so every plan accepted from disk is one the parser would accept. Every
-// recursive pass (optimizer, evaluator, EXPLAIN, serde) is bounded by it.
+// located kInvalidArgument; plans loaded from disk are compiled from their
+// query text, so the same check guards them. Every recursive pass
+// (optimizer, evaluator, EXPLAIN) is bounded by it.
 // Chosen by measurement (DESIGN.md section 17): under AddressSanitizer the
 // costliest shape, nested parentheses, needs ~34 KiB of stack per level, so
 // 8 MiB worker stacks top out near 235 levels; 128 keeps a query exactly

@@ -50,16 +50,16 @@ struct CompileOptions {
 };
 
 // How a CompiledQuery came to exist in this process. kDiskCache marks a plan
-// deserialized from a persisted plan-cache artifact (src/persist): it never
-// went through Parse/Optimize here, and EXPLAIN reports it as `disk-cache`
-// so a fleet operator can tell warm boots from recompiles.
+// compiled during a warm boot from the working set a plan-cache artifact
+// recorded (src/persist): it is a fresh Compile like any other, and EXPLAIN
+// reports it as `disk-cache` so a fleet operator can tell warm boots from
+// plans compiled on demand.
 enum class PlanOrigin { kCompiled, kDiskCache };
 
 class CompiledQuery {
  public:
-  CompiledQuery(Module module, OptimizerStats stats,
-                PlanOrigin origin = PlanOrigin::kCompiled)
-      : module_(std::move(module)), optimizer_stats_(stats), origin_(origin) {}
+  CompiledQuery(Module module, OptimizerStats stats)
+      : module_(std::move(module)), optimizer_stats_(stats) {}
 
   CompiledQuery(CompiledQuery&&) = default;
   CompiledQuery& operator=(CompiledQuery&&) = default;
@@ -67,6 +67,7 @@ class CompiledQuery {
   const Module& module() const { return module_; }
   const OptimizerStats& optimizer_stats() const { return optimizer_stats_; }
   PlanOrigin origin() const { return origin_; }
+  void set_origin(PlanOrigin origin) { origin_ = origin; }
 
  private:
   Module module_;

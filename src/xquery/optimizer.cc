@@ -481,9 +481,6 @@ bool IsPure(const Expr& e, bool recognize_trace) {
 OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
   Rewriter rewriter(options);
   ForEachTopLevel(module, [&rewriter](Expr* e) { rewriter.Rewrite(e); });
-  // The lets dead-let elimination removed leave their slots unused: number
-  // the frames again, as binding the stored plan will.
-  if (rewriter.stats.eliminated_lets > 0) BindNames(module);
   FuseDescendantSteps(module, &rewriter.stats);
   MarkProbePredicates(module, &rewriter.stats);
   return rewriter.stats;

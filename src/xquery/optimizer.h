@@ -34,8 +34,7 @@ struct RewriteNote {
     kTraceSwallowed,     // a trace() call went down with a dead let
     kLimitPushed,        // a consumer's prefix demand annotated onto a path
     kDescendantFused,    // descendant-or-self::node()/child::T -> descendant::T
-    // A `@a = K` predicate marked for a hash probe (Expr::probe_key). Derived
-    // like the mark itself: never serialized, re-noted when a plan decodes.
+    // A `@a = K` predicate marked for a hash probe (Expr::probe_key).
     kProbe,
   };
   Kind kind;
@@ -62,11 +61,11 @@ struct OptimizerStats {
   std::vector<RewriteNote> notes;
 };
 
-// The name-binding pass, run by Compile on every plan before any other pass
-// and by the plan decoder on every loaded plan; nothing it sets is stored.
+// The name-binding pass, run by Compile on every plan before any other pass.
 // Sets every call's Expr::decl or Expr::builtin, every variable reference's
 // Expr::scope and slot, every binding's slot and every frame's size, by the
-// rules of DESIGN.md section 18.
+// rules of DESIGN.md section 18. A let that dead-let elimination removes
+// later leaves its slot unused.
 void BindNames(Module* module);
 
 // Optimizes the bound module in place.
@@ -80,13 +79,12 @@ OptimizerStats Optimize(Module* module, const OptimizerOptions& options);
 // counts in stats->fused_descendant_steps. DESIGN.md section 18.
 void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 
-// The probe-marking pass, run last by Optimize() and again by the plan
-// decoder (a persisted plan carries no marks, so a forged artifact cannot
-// add one). Marks every step predicate of the form `@a = K` or `K = @a`
-// (general `=`, `@a` a bare attribute name step) whose key K cannot read the
-// candidate: no `.`, no path without a base, no zero-argument call (the
-// focus builtins position(), name(), string(), ...), no constructor, and no
-// call to trace/error, a user-defined function or an unknown function. Sets
+// The probe-marking pass, run last by Optimize(). Marks every step
+// predicate of the form `@a = K` or `K = @a` (general `=`, `@a` a bare
+// attribute name step) whose key K cannot read the candidate: no `.`, no
+// path without a base, no zero-argument call (the focus builtins
+// position(), name(), string(), ...), no constructor, and no call to
+// trace/error, a user-defined function or an unknown function. Sets
 // Expr::probe_key, appends one kProbe note per mark, and counts the marks
 // in stats->probe_predicates. DESIGN.md section 16.
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
@@ -94,9 +92,8 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats);
 // The resolve pass: derives every per-step fact of PathStep (position_free,
 // streamable, foldable, attribute_only, internable) and every
 // FunctionDecl::memoizable from the bound AST. Run by Compile on every
-// plan, optimized or not, after any rewrite, and by the plan decoder on
-// every loaded plan, so the bits are computed once per plan and never
-// stored.
+// plan, optimized or not, after any rewrite, so the bits are computed once
+// per plan.
 void ResolveSteps(Module* module);
 
 // False if evaluating the bound expression `e`, or any user function it

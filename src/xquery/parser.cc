@@ -115,9 +115,9 @@ class Parser {
     Parser* p_;
   };
 
-  // The built tree's depth, counted like the plan decoder counts it: a left-
-  // deep operator chain (1+1+...+1) nests without recursing the parser, and
-  // every later pass recurses over the tree. Iterative.
+  // The built tree's depth: a left-deep operator chain (1+1+...+1) nests
+  // without recursing the parser, and every later pass recurses over the
+  // tree. Iterative.
   static Status CheckTreeNesting(const Module& module) {
     std::vector<std::pair<const Expr*, size_t>> stack;
     for (const FunctionDecl& fn : module.functions) {

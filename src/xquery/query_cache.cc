@@ -24,6 +24,47 @@ std::string QueryCache::MakeKey(std::string_view source,
   return key;
 }
 
+namespace {
+
+// MakeKey's inverse: compiles a key's source with the options it encodes.
+Result<CompiledQuery> CompileKey(std::string_view key) {
+  const size_t bar = key.find('|');
+  if (bar == std::string_view::npos) {
+    return Status::Invalid("no '|' after the option bits");
+  }
+  const std::string_view bits = key.substr(0, bar);
+  if (bits.size() != 2 || bits.find_first_not_of("01") != std::string::npos) {
+    return Status::Invalid("option bits '" + std::string(bits) +
+                           "' are not two of '0'/'1'");
+  }
+  CompileOptions options;
+  options.optimize = bits[0] == '1';
+  options.optimizer.recognize_trace = bits[1] == '1';
+  return Compile(key.substr(bar + 1), options);
+}
+
+}  // namespace
+
+Result<size_t> QueryCache::LoadKeys(const std::vector<std::string>& keys) {
+  // Compile everything before touching the cache: a bad key late in the
+  // list must not leave the first part of it warmed.
+  std::vector<std::shared_ptr<const CompiledQuery>> plans;
+  plans.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Result<CompiledQuery> compiled = CompileKey(keys[i]);
+    if (!compiled.ok()) {
+      return Status::Invalid("plan key " + std::to_string(i) + ": " +
+                             compiled.status().ToString());
+    }
+    compiled->set_origin(PlanOrigin::kDiskCache);
+    plans.push_back(
+        std::make_shared<const CompiledQuery>(std::move(compiled).value()));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) cache_.Put(keys[i], plans[i]);
+  warmed_.store(true, std::memory_order_relaxed);
+  return keys.size();
+}
+
 Result<std::shared_ptr<const CompiledQuery>> QueryCache::GetOrCompile(
     std::string_view source, const CompileOptions& options, bool* cache_hit,
     CacheProvenance* provenance) {

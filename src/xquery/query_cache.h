@@ -15,9 +15,9 @@
 namespace lll::xq {
 
 // Where a GetOrCompile answer came from, for EXPLAIN and persist.* metrics:
-// freshly compiled, hit on a plan compiled earlier in this process, or hit
-// on a plan deserialized from a persisted artifact (which never paid parse +
-// optimize in this process at all).
+// freshly compiled, hit on a plan compiled earlier in this process on
+// demand, or hit on a plan compiled during a warm boot from the working set
+// a persisted artifact recorded (LoadKeys).
 enum class CacheProvenance { kCompiled, kMemoryCache, kDiskCache };
 
 // Canonical EXPLAIN spelling: "compiled" / "memory-cache" / "disk-cache".
@@ -54,22 +54,20 @@ class QueryCache {
       bool* cache_hit = nullptr, CacheProvenance* provenance = nullptr);
 
   // Every entry, most- to least-recently used, as shared immutable handles
-  // -- the enumeration the persistence layer serializes to a plan-cache
-  // artifact (persist::SavePlanCache).
+  // -- the enumeration whose keys the persistence layer writes to a
+  // plan-cache artifact (persist::SavePlanCache).
   std::vector<std::pair<std::string, std::shared_ptr<const CompiledQuery>>>
   Entries() const {
     return cache_.Snapshot();
   }
 
-  // Inserts a plan deserialized from a persisted artifact under its stored
-  // key (which MakeKey produced when it was saved) and marks the cache
-  // warmed. The plan should carry PlanOrigin::kDiskCache so later hits
-  // report disk-cache provenance.
-  void PutDeserialized(const std::string& key, CompiledQuery compiled) {
-    cache_.Put(key,
-               std::make_shared<const CompiledQuery>(std::move(compiled)));
-    warmed_.store(true, std::memory_order_relaxed);
-  }
+  // Warm boot from keys MakeKey produced, least recently used first: reads
+  // each key's options back, compiles every source with them, and only then
+  // inserts the plans in order, stamped PlanOrigin::kDiskCache, and marks
+  // the cache warmed. Returns the number of keys. All or nothing: a key with
+  // an option bit other than '0'/'1', no '|', or a source that fails to
+  // compile fails the whole list with kInvalidArgument and inserts nothing.
+  Result<size_t> LoadKeys(const std::vector<std::string>& keys);
 
   // True once any persisted plan has been loaded into this cache. Callers
   // use it to give persist.plan.misses its meaning: a compile in a warmed
@@ -87,7 +85,8 @@ class QueryCache {
   size_t size() const { return cache_.size(); }
   void Clear() { cache_.Clear(); }
 
-  // The exact key used internally (exposed for tests).
+  // The exact key used internally: the option bits, '|', then the source.
+  // Plan-cache artifacts store it, and LoadKeys inverts it.
   static std::string MakeKey(std::string_view source,
                              const CompileOptions& options);
 

@@ -5,22 +5,25 @@
 //      fresh-built counterparts, under EXPLAIN and under the seeded
 //      495-query differential workload.
 //   2. Hostile input -- truncations at every length, every single-byte flip,
-//      stale format versions, and crafted out-of-range images all fail with
-//      kInvalidArgument and never half-warm a cache or build a broken tree.
+//      stale format versions, crafted plan keys and crafted out-of-range
+//      images all fail with kInvalidArgument and never half-warm a cache or
+//      build a broken tree.
 //   3. Observability -- EXPLAIN distinguishes compiled / memory-cache /
 //      disk-cache provenance, and the persist.* counters record every store,
 //      load, version mismatch, and failure.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
-#include "docgen/xq_engine.h"
 #include "gtest/gtest.h"
 #include "obs/explain.h"
 #include "persist/doc_snapshot.h"
@@ -189,12 +192,12 @@ TEST(PersistFormat, ByteFlipBatteryEveryFlipRejected) {
   }
 }
 
-// --- Plan serde -------------------------------------------------------------
+// --- Plan artifacts ---------------------------------------------------------
 
 // Feature coverage beyond the random path workload: FLWOR with order by,
 // user functions with type annotations, quantifiers, constructors,
 // conditionals, and the optimizer pathologies (dead lets, swallowed traces)
-// whose rewrite notes must survive the roundtrip for EXPLAIN.
+// whose rewrite notes a loaded plan's EXPLAIN must show again.
 const char* kFeatureQueries[] = {
     "1 + 2 * 3",
     "for $x in //a where $x/@k return count($x/b)",
@@ -349,8 +352,8 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     // Identical plan trees, rewrite notes, and summary stats: EXPLAIN is the
     // full rendered fingerprint of everything the optimizer decided.
     EXPECT_EQ(obs::Explain(**a), obs::Explain(**b)) << q;
-    // The decoder binds every name again, exactly as the fresh compile did,
-    // and derives the same fingerprint text for every step.
+    // Loading binds every name again, exactly as the fresh compile did, and
+    // derives the same fingerprint text for every step.
     EXPECT_EQ(Bindings((*b)->module()), Bindings((*a)->module())) << q;
     const std::string fingerprints = StepFingerprints((*a)->module());
     EXPECT_EQ(StepFingerprints((*b)->module()), fingerprints) << q;
@@ -390,8 +393,8 @@ TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
 }
 
 TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
-  // Probe marks and their notes never reach the artifact: the decoder
-  // derives them from the AST, so the loaded plan still renders them.
+  // Probe marks and their notes never reach the artifact: loading compiles
+  // the query text again, so the loaded plan still renders them.
   const char* q = "for $v in (\"1\", \"2\") return //a[@k = $v]";
   xq::QueryCache fresh(4);
   ASSERT_TRUE(fresh.GetOrCompile(q).ok());
@@ -407,8 +410,8 @@ TEST(PersistPlans, ProbeMarksAreDerivedNotStored) {
   EXPECT_NE(explained.find("[probe @k]"), std::string::npos) << explained;
   EXPECT_NE(explained.find("probe_predicates: 1"), std::string::npos);
   EXPECT_EQ(obs::Explain(**a), explained);
-  // The `//a` fusion is stored (its note and count round-trip inside the
-  // EXPLAIN above); the position-free bit it rests on is derived again.
+  // The `//a` fusion, its note and count (inside the EXPLAIN above) and the
+  // position-free bit it rests on are all derived again.
   EXPECT_NE(explained.find("descendant-fused"), std::string::npos);
   const xq::Expr& path = *(*b)->module().body->children[0];
   ASSERT_EQ(path.steps.size(), 1u);
@@ -442,6 +445,18 @@ TEST(PersistPlans, ProvenanceIsTriState) {
   EXPECT_EQ(prov, xq::CacheProvenance::kCompiled);
 }
 
+// A plan-cache artifact holding `keys` as given, under `count` (default:
+// the number of keys) -- the payload SerializePlanCache writes.
+std::string KeyArtifact(const std::vector<std::string>& keys,
+                        std::optional<uint32_t> count = std::nullopt) {
+  persist::ByteWriter payload;
+  payload.U32(count.value_or(static_cast<uint32_t>(keys.size())));
+  for (const std::string& key : keys) payload.Str(key);
+  persist::ArtifactWriter writer(persist::kPlanCacheArtifact);
+  writer.AddSection(1, payload.TakeBytes());
+  return writer.Finish();
+}
+
 TEST(PersistPlans, CorruptArtifactsNeverHalfWarmTheCache) {
   xq::QueryCache source(64);
   for (const char* q : kFeatureQueries) {
@@ -460,115 +475,90 @@ TEST(PersistPlans, CorruptArtifactsNeverHalfWarmTheCache) {
     ASSERT_FALSE(target.warmed());
   }
 
-  // A checksum-valid artifact whose payload decodes partway: two entries,
-  // the second one garbage. Decode-all-before-insert means entry one must
-  // NOT appear in the cache afterwards.
-  auto good = xq::Compile("1+1");
-  ASSERT_TRUE(good.ok());
-  persist::ByteWriter plans;
-  plans.U32(2);
-  plans.Str(xq::QueryCache::MakeKey("1+1", {}));
-  persist::EncodeCompiledQuery(*good, &plans);
-  plans.Str("key-of-garbage");
-  plans.U8(0xee);  // an ExprKind far past the ceiling
-  persist::ArtifactWriter writer(persist::kPlanCacheArtifact);
-  writer.AddSection(1, plans.TakeBytes());
-  auto count = persist::LoadPlanCacheFromBytes(writer.Finish(), &target);
+  // A checksum-valid artifact whose second key does not compile. Loading
+  // compiles every key before inserting any, so the first must NOT appear.
+  auto count = persist::LoadPlanCacheFromBytes(
+      KeyArtifact({xq::QueryCache::MakeKey("1+1", {}),
+                   xq::QueryCache::MakeKey("1 +", {})}),
+      &target);
   EXPECT_EQ(count.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(target.size(), 0u);
+  EXPECT_FALSE(target.warmed());
 }
 
-// The encoded plan of `query`, compiled without optimization.
-std::string EncodeUnoptimized(const std::string& query) {
+TEST(PersistPlans, CraftedKeysAreRejected) {
+  // Checksum-valid artifacts whose keys no MakeKey produced: each fails as
+  // a whole, counts one load failure and leaves the cache cold.
+  const std::string past_cap = "11|" + std::string(xq::kMaxExprNesting, '(') +
+                               "1" + std::string(xq::kMaxExprNesting, ')');
+  const std::string at_cap = "11|" +
+                             std::string(xq::kMaxExprNesting - 1, '(') + "1" +
+                             std::string(xq::kMaxExprNesting - 1, ')');
+  const std::string good = xq::QueryCache::MakeKey("1+1", {});
+  xq::QueryCache saved(8);
+  ASSERT_TRUE(saved.GetOrCompile("1+1").ok());
+  ASSERT_EQ(KeyArtifact({good}), persist::SerializePlanCache(saved));
+  struct Crafted {
+    const char* what;
+    std::string image;
+  };
+  const Crafted cases[] = {
+      {"option bit 2", KeyArtifact({good, "21|1+1"})},
+      {"option bit x", KeyArtifact({"1x|1+1"})},
+      {"one option bit", KeyArtifact({"1|1+1"})},
+      {"no '|'", KeyArtifact({"111+1"})},
+      {"unparsable text", KeyArtifact({"11|for $x in"})},
+      {"nesting one past the cap", KeyArtifact({at_cap, past_cap})},
+      {"a count past the payload", KeyArtifact({good}, 1000)},
+  };
+  for (const Crafted& c : cases) {
+    MetricsRegistry metrics;
+    xq::QueryCache cache(8);
+    auto count = persist::LoadPlanCacheFromBytes(c.image, &cache, &metrics);
+    EXPECT_EQ(count.status().code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(metrics.counter("persist.plan.load_failures").value(), 1u)
+        << c.what;
+    EXPECT_EQ(metrics.counter("persist.plan.loads").value(), 0u) << c.what;
+    EXPECT_EQ(cache.size(), 0u) << c.what;
+    EXPECT_FALSE(cache.warmed()) << c.what;
+  }
+  // The key exactly at the cap is one the parser accepts.
+  xq::QueryCache cache(8);
+  auto count = persist::LoadPlanCacheFromBytes(KeyArtifact({at_cap}), &cache);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 1u);
+}
+
+TEST(PersistPlans, KeysLoadWithTheOptionsTheyRecord) {
+  // A dead let around a trace call: each option set compiles it to a
+  // different plan, so EXPLAIN tells them apart.
+  const char* q = "let $dead := trace(\"gone\", 1) let $v := 2 + 3 return $v";
   xq::CompileOptions plain;
   plain.optimize = false;
-  auto compiled = xq::Compile(query, plain);
-  EXPECT_TRUE(compiled.ok()) << query;
-  persist::ByteWriter w;
-  if (compiled.ok()) persist::EncodeCompiledQuery(*compiled, &w);
-  return w.TakeBytes();
-}
-
-// Where the subexpression slot holding the image's one string literal
-// "MARKER" starts: its presence byte, which precedes the literal's kind
-// byte, literal-type byte and the text's u32 length.
-size_t MarkerSlot(const std::string& image) {
-  const size_t text = image.find("MARKER");
-  EXPECT_NE(text, std::string::npos);
-  return text == std::string::npos ? 0 : text - 4 - 1 - 1 - 1;
-}
-
-Status DecodeImage(const std::string& image) {
-  persist::ByteReader r(image);
-  return persist::DecodeCompiledQuery(&r).status();
-}
-
-TEST(PersistPlans, AbsentSubexpressionsAreRejected) {
-  // The parser never leaves a subexpression slot empty, so a plan that
-  // claims one is absent -- the module body, a step predicate, a binary
-  // operand -- is rejected at decode time instead of reaching an evaluator,
-  // pass or EXPLAIN that dereferences it.
-  // One more "MARKER" slot in a sequence adds exactly its presence byte and
-  // the literal (all other fields are fixed-width), wherever it sits.
-  const size_t slot_size =
-      EncodeUnoptimized("(1, \"MARKER\", \"MARKER\")").size() -
-      EncodeUnoptimized("(1, \"MARKER\")").size();
-  for (const char* query :
-       {"\"MARKER\"", "/r[\"MARKER\"]", "1 = \"MARKER\""}) {
-    std::string image = EncodeUnoptimized(query);
-    ASSERT_TRUE(DecodeImage(image).ok()) << query;
-    const size_t slot = MarkerSlot(image);
-    ASSERT_EQ(image[slot], 1) << query;
-    image.replace(slot, slot_size, std::string(1, '\0'));
-    ASSERT_EQ(image.find("MARKER"), std::string::npos) << query;
-    Status st = DecodeImage(image);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << query;
-    EXPECT_NE(st.message().find("absent subexpression"), std::string::npos)
-        << query << ": " << st.ToString();
+  xq::CompileOptions traced;
+  traced.optimizer.recognize_trace = true;
+  xq::QueryCache source(8);
+  for (const xq::CompileOptions& o : {xq::CompileOptions{}, plain, traced}) {
+    ASSERT_TRUE(source.GetOrCompile(q, o).ok());
   }
-  // A slot dropped together with its count is rejected too: a unary minus
-  // with no operand.
-  std::string image = EncodeUnoptimized("-\"MARKER\"");
-  const size_t slot = MarkerSlot(image);
-  image.erase(slot, slot_size);
-  image.replace(slot - 4, 4, std::string(4, '\0'));  // the child count
-  Status st = DecodeImage(image);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("Unary with 0"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(PersistPlans, CraftedTypeAnnotationsAreRejected) {
-  // A parameter list is one list of {name, optional type}, so a plan cannot
-  // give a function fewer parameter types than parameters. What the
-  // encoding still admits is a presence byte other than 0 or 1.
-  const std::string image = EncodeUnoptimized(
-      "declare function local:MARKER($n as xs:integer) as xs:integer "
-      "{ $n }; local:MARKER(1)");
-  ASSERT_TRUE(DecodeImage(image).ok());
-  // The function count, the name, the parameter count, the parameter's
-  // name, then its type-presence byte; the return type's presence byte
-  // follows the parameter's three-field type.
-  const size_t name = image.find("local:MARKER");
-  ASSERT_NE(name, std::string::npos);
-  const size_t param_type = name + 12 + 4 + 4 + 1;
-  ASSERT_EQ(image.substr(param_type - 1, 1), "n");
-  const size_t return_type = param_type + 1 + 1 + 1 + 4;
-  for (size_t at : {param_type, return_type}) {
-    ASSERT_EQ(image[at], 1) << at;
-    std::string forged = image;
-    forged[at] = 2;
-    Status st = DecodeImage(forged);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << at;
-    EXPECT_NE(st.message().find("type value 2 out of range"),
-              std::string::npos)
-        << st.ToString();
-    // An absent annotation is a valid plan.
-    forged[at] = 0;
-    const size_t type_bytes = 1 + 1 + 4;  // item type, occurrence, name
-    forged.erase(at + 1, type_bytes);
-    EXPECT_TRUE(DecodeImage(forged).ok()) << at;
+  xq::QueryCache loaded(8);
+  auto count = persist::LoadPlanCacheFromBytes(
+      persist::SerializePlanCache(source), &loaded);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 3u);
+  std::vector<std::string> explained;
+  for (const xq::CompileOptions& o : {xq::CompileOptions{}, plain, traced}) {
+    xq::CacheProvenance prov = xq::CacheProvenance::kCompiled;
+    auto b = loaded.GetOrCompile(q, o, nullptr, &prov);
+    auto fresh = xq::Compile(q, o);
+    ASSERT_TRUE(b.ok() && fresh.ok());
+    EXPECT_EQ(prov, xq::CacheProvenance::kDiskCache);
+    explained.push_back(obs::Explain(**b));
+    EXPECT_EQ(explained.back(), obs::Explain(*fresh));
   }
+  EXPECT_NE(explained[0], explained[1]);
+  EXPECT_NE(explained[0], explained[2]);
+  EXPECT_NE(explained[1], explained[2]);
 }
 
 TEST(PersistPlans, MetricsCountStoresLoadsMismatchesAndFailures) {
@@ -590,6 +580,13 @@ TEST(PersistPlans, MetricsCountStoresLoadsMismatchesAndFailures) {
   stale[4] = static_cast<char>(persist::kFormatVersion + 1);
   EXPECT_FALSE(persist::LoadPlanCacheFromBytes(stale, &warm, &metrics).ok());
   EXPECT_EQ(metrics.counter("persist.plan.version_mismatch").value(), 1u);
+  // Version 4 stored serialized ASTs; its artifacts are a clean mismatch.
+  std::string v4 = persist::SerializePlanCache(cache);
+  v4[4] = 4;
+  xq::QueryCache cold(8);
+  EXPECT_FALSE(persist::LoadPlanCacheFromBytes(v4, &cold, &metrics).ok());
+  EXPECT_EQ(metrics.counter("persist.plan.version_mismatch").value(), 2u);
+  EXPECT_FALSE(cold.warmed());
 
   std::string corrupt = persist::SerializePlanCache(cache);
   corrupt[corrupt.size() - 3] ^= 0x10;
@@ -996,38 +993,105 @@ TEST(PersistServer, ExplainDistinguishesAllThreeProvenances) {
   EXPECT_NE(warm->find("server plan: disk-cache"), std::string::npos) << *warm;
 }
 
-// --- Docgen AOT phase plans -------------------------------------------------
-
-TEST(PersistDocgen, AotCompiledPhasesLoadWithDiskProvenance) {
+TEST(PersistServer, ResavingADirectoryDropsWhatTheServerNoLongerHolds) {
   ScratchDir dir;
-  const std::string path = dir.path("phases.lllp");
-
-  docgen::XQueryPhaseCache().Clear();
-  auto cold = docgen::ExplainXQueryPhases();
-  ASSERT_TRUE(cold.ok());
-  EXPECT_NE(cold->find("plan: compiled"), std::string::npos);
-  EXPECT_EQ(cold->find("plan: disk-cache"), std::string::npos);
-
-  ASSERT_TRUE(docgen::AotCompileXQueryPhases(path).ok());
-  docgen::XQueryPhaseCache().Clear();
-  auto count = docgen::LoadXQueryPhaseCache(path);
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(*count, 5u);  // all five phase programs
-
-  auto warm = docgen::ExplainXQueryPhases();
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->find("plan: compiled"), std::string::npos) << *warm;
-  EXPECT_NE(warm->find("plan: disk-cache"), std::string::npos);
-  // Identical plans modulo the provenance tag.
-  std::string normalized = *warm;
-  for (size_t at = normalized.find("plan: disk-cache");
-       at != std::string::npos; at = normalized.find("plan: disk-cache")) {
-    normalized.replace(at, 16, "plan: compiled");
+  server::ServerOptions options;
+  options.worker_threads = 0;
+  server::QueryServer a(options);
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(a.AddDocumentXml(name, "<d/>").ok());
   }
-  EXPECT_EQ(normalized, *cold);
+  ASSERT_TRUE(a.SaveState(dir.str()).ok());
 
-  // Leave the process-wide cache cold-but-clean for other tests.
-  docgen::XQueryPhaseCache().Clear();
+  server::QueryServer b(options);
+  ASSERT_TRUE(b.AddDocumentXml("x", "<d/>").ok());
+  // A save that fails partway removes nothing: here a directory squats on
+  // the staging name of the first snapshot.
+  fs::create_directories(dir.path("doc-0.llld.tmp"));
+  ASSERT_FALSE(b.SaveState(dir.str()).ok());
+  for (const char* file : {"doc-0.llld", "doc-1.llld", "doc-2.llld"}) {
+    EXPECT_TRUE(fs::exists(dir.path(file))) << file;
+  }
+  fs::remove(dir.path("doc-0.llld.tmp"));
+  ASSERT_TRUE(b.SaveState(dir.str()).ok());
+
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir.str())) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"doc-0.llld", "plans.lllp"}));
+
+  server::QueryServer c(options);
+  ASSERT_TRUE(c.LoadState(dir.str()).ok());
+  EXPECT_EQ(c.DocumentNames(), std::vector<std::string>{"x"});
+}
+
+TEST(PersistServer, RejectedPlanArtifactStillLoadsTheDocuments) {
+  ScratchDir dir;
+  MetricsRegistry metrics_a;
+  server::ServerOptions options;
+  options.worker_threads = 0;
+  options.metrics = &metrics_a;
+  server::QueryServer a(options);
+  ASSERT_TRUE(a.AddDocumentXml("shop", kSnapshotXml).ok());
+  ASSERT_TRUE(a.Execute("t", "shop", "count(//item)").status.ok());
+  ASSERT_TRUE(a.SaveState(dir.str()).ok());
+  // Replace the plans with a checksum-valid artifact whose key is crafted.
+  {
+    std::ofstream plans(dir.path("plans.lllp"),
+                        std::ios::binary | std::ios::trunc);
+    plans << KeyArtifact({"21|count(//item)"});
+  }
+
+  MetricsRegistry metrics_b;
+  options.metrics = &metrics_b;
+  server::QueryServer b(options);
+  ASSERT_TRUE(b.LoadState(dir.str()).ok());
+  EXPECT_EQ(metrics_b.counter("persist.plan.load_failures").value(), 1u);
+  EXPECT_EQ(metrics_b.counter("persist.snapshot.loads").value(), 1u);
+  EXPECT_EQ(b.Execute("t", "shop", "count(//item)").result, "2");
+  // The plans booted cold: the query compiled in this process.
+  auto plan = b.Explain("shop", "count(//x)");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("server plan: compiled"), std::string::npos) << *plan;
+  EXPECT_EQ(metrics_b.counter("persist.plan.hits").value(), 0u);
+}
+
+TEST(PersistServer, DaemonFileVerbsStayInsideTheStateDir) {
+  ScratchDir dir;
+  const std::string state = dir.path("state");
+  fs::create_directories(state + "/sub");
+  fs::create_directories(dir.path("outside"));
+  fs::create_directory_symlink(dir.path("outside"), state + "/out");
+  fs::create_directory_symlink(state + "/sub", state + "/in");
+  const std::string root = fs::canonical(state).string();
+
+  // Relative paths resolve under the state directory, existing or not.
+  for (const auto& [path, want] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"lib.xml", root + "/lib.xml"},
+           {"sub/saved", root + "/sub/saved"},
+           {"sub/../saved", root + "/saved"},
+           {"in/doc.xml", root + "/sub/doc.xml"},
+           {".", root}}) {
+    auto resolved = server::ResolveStatePath(state, path);
+    ASSERT_TRUE(resolved.ok()) << path << ": " << resolved.status().ToString();
+    EXPECT_EQ(fs::path(*resolved).lexically_normal(),
+              fs::path(want).lexically_normal())
+        << path;
+  }
+  // Absolute paths, `..` escapes and symlinks that lead out are refused.
+  for (const std::string& path :
+       {dir.path("outside"), std::string("/etc/passwd"), std::string(".."),
+        std::string("../outside/x"), std::string("sub/../../outside"),
+        std::string("out"), std::string("out/file.xml")}) {
+    auto resolved = server::ResolveStatePath(state, path);
+    EXPECT_FALSE(resolved.ok()) << path << " resolved to " << *resolved;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument) << path;
+  }
+  // Without a state directory no path is allowed at all.
+  EXPECT_FALSE(server::ResolveStatePath("", "lib.xml").ok());
 }
 
 }  // namespace
