@@ -1,4 +1,4 @@
-// E14: streamed reverse axes and limit push-down.
+// E14: streamed reverse axes and limit hints.
 //
 // Paper connection: the AWB templates navigate UP as often as down --
 // "the section this directive sits in" is an ancestor:: query -- and they
@@ -13,9 +13,10 @@
 //     sort happens and a per-run [1] stops each chain at its first hit.
 //     The headline shape `//x/ancestor::y[1]` (nearest matching ancestor)
 //     is where deep trees pay the most under materialization.
-//   * limit push-down: `subsequence(//x, 1, N)`, `fn:head(//x)` and the
-//     positional-for spelling stop the pipeline after the demanded prefix
-//     instead of materializing 10k nodes to keep three.
+//   * limit hints: `fn:head(//x)` stops the pipeline after the first node
+//     instead of materializing 2000 to keep one. `subsequence(//x, 1, 3)`
+//     and the positional-for spelling get no hint from the plan and scan
+//     in full; their arms stay as the measure of that.
 //
 // Full-scan arms (count over the same shapes) guard against the new stages
 // taxing queries they cannot help, mirroring E13's no-tax check.
@@ -179,7 +180,7 @@ void BM_E14_ForwardFullScanMaterializing(benchmark::State& state) {
 }
 BENCHMARK(BM_E14_ForwardFullScanMaterializing);
 
-// --- Limit push-down ------------------------------------------------------
+// --- Limit hints ----------------------------------------------------------
 void BM_E14_SubsequenceStreamed(benchmark::State& state) {
   auto doc = MakeChainDoc(kGroups, kDepth, kLeaves);
   RunQuery(state, doc.get(), "subsequence(//x, 1, 3)", /*streaming=*/true);

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
               xquery->stats.nodes_skipped_early_exit);
   std::printf("%-28s %12s %12zu\n", "reverse runs merged", "-",
               xquery->stats.reverse_runs_merged);
-  std::printf("%-28s %12s %12zu\n", "limit push-downs", "-",
+  std::printf("%-28s %12s %12zu\n", "limited paths", "-",
               xquery->stats.limit_pushdowns);
   std::printf("%-28s %12s %12zu\n", "nodeset cache hits", "-",
               xquery->stats.nodeset_cache_hits);

@@ -132,33 +132,6 @@ Result<std::vector<const ModelNode*>> EvalNative(const Query& query,
   return current;
 }
 
-Result<std::vector<const ModelNode*>> EvalNativeCached(
-    const Query& query, const Model& model, NativeQueryMemo* memo,
-    const ModelNode* focus) {
-  if (memo == nullptr) return EvalNative(query, model, focus);
-  // The canonical text round-trips the query exactly, so it is a sound
-  // identity; the focus id distinguishes per-focus results of `from focus`
-  // queries. The marker byte keeps "no focus" distinct from a focus whose
-  // id happens to be the empty string.
-  std::string key = QueryToText(query);
-  key += '\n';
-  if (focus != nullptr) {
-    key += '#';
-    key += focus->id();
-  } else {
-    key += '-';
-  }
-  if (auto cached = memo->cache_.Get(key)) {
-    memo->hits_.fetch_add(1, std::memory_order_relaxed);
-    return *cached;
-  }
-  memo->misses_.fetch_add(1, std::memory_order_relaxed);
-  LLL_ASSIGN_OR_RETURN(std::vector<const ModelNode*> nodes,
-                       EvalNative(query, model, focus));
-  memo->cache_.Put(key, std::make_shared<std::vector<const ModelNode*>>(nodes));
-  return nodes;
-}
-
 std::vector<std::string> OmissionsReport(const awb::Model& model) {
   std::vector<std::string> report;
   // Omission class 1: recommended properties that are absent, found via the

@@ -1,13 +1,11 @@
 #ifndef LLL_AWBQL_NATIVE_H_
 #define LLL_AWBQL_NATIVE_H_
 
-#include <atomic>
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "awb/model.h"
 #include "awbql/query.h"
-#include "core/lru_cache.h"
 #include "core/result.h"
 
 namespace lll::awbql {
@@ -18,44 +16,6 @@ namespace lll::awbql {
 // source is `from focus`.
 Result<std::vector<const awb::ModelNode*>> EvalNative(
     const Query& query, const awb::Model& model,
-    const awb::ModelNode* focus = nullptr);
-
-// Memoizes EvalNative results for repeated (query, focus) pairs -- the
-// native-side analogue of the XQuery engine's node-set interning cache.
-//
-// Unlike xml::Document, awb::Model carries no structure-version counter
-// (ModelNode mutators have no back-pointer to their Model, and Model is
-// movable, so back-pointers would dangle), so staleness cannot be detected
-// automatically. The memo is therefore explicitly scoped: create one per
-// docgen generation (the model is constant for its duration), or Clear()
-// after any model mutation. Cached vectors hold raw ModelNode pointers; the
-// memo must not outlive the model.
-class NativeQueryMemo {
- public:
-  explicit NativeQueryMemo(size_t capacity = 256) : cache_(capacity) {}
-
-  NativeQueryMemo(const NativeQueryMemo&) = delete;
-  NativeQueryMemo& operator=(const NativeQueryMemo&) = delete;
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t size() const { return cache_.size(); }
-  void Clear() { cache_.Clear(); }
-
- private:
-  friend Result<std::vector<const awb::ModelNode*>> EvalNativeCached(
-      const Query&, const awb::Model&, NativeQueryMemo*,
-      const awb::ModelNode*);
-
-  LruCache<std::vector<const awb::ModelNode*>> cache_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-};
-
-// EvalNative through `memo` (nullptr = straight EvalNative). Errors are not
-// memoized, so a failing query fails identically every time.
-Result<std::vector<const awb::ModelNode*>> EvalNativeCached(
-    const Query& query, const awb::Model& model, NativeQueryMemo* memo,
     const awb::ModelNode* focus = nullptr);
 
 // The Omissions window (the UI feature that forced the rewrite): the stock

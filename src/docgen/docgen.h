@@ -107,7 +107,7 @@ struct DocGenStats {
   size_t nodes_pulled = 0;
   size_t nodes_skipped_early_exit = 0;
   // XQuery engine only: reverse-axis runs fed into the k-way document-order
-  // merge, and paths truncated by an optimizer-pushed limit hint.
+  // merge, and streamed pipelines run under a path's limit hint.
   size_t reverse_runs_merged = 0;
   size_t limit_pushdowns = 0;
   // XQuery engine only: node-set interning cache traffic across all phases

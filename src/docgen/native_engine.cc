@@ -95,7 +95,6 @@ class Generator {
   DocGenStats& stats() { return stats_; }
   std::set<std::string>& visited() { return visited_; }
   std::vector<TocEntry>& toc() { return toc_; }
-  const awbql::NativeQueryMemo& native_memo() const { return native_memo_; }
   std::map<std::string, xml::Node*>& placeholders() { return placeholders_; }
 
   void Visit(const ModelNode* node) { visited_.insert(node->id()); }
@@ -109,7 +108,7 @@ class Generator {
     if (query_element != nullptr) {
       LLL_ASSIGN_OR_RETURN(const awbql::Query* query,
                            ParsedXmlQuery(query_element));
-      return awbql::EvalNativeCached(*query, model_, &native_memo_, focus);
+      return awbql::EvalNative(*query, model_, focus);
     }
     auto nodes_attr = t->AttributeValue("nodes");
     if (!nodes_attr.has_value()) {
@@ -119,7 +118,7 @@ class Generator {
     LLL_ASSIGN_OR_RETURN(std::shared_ptr<const awbql::Query> query,
                          awbql::SharedQueryParseCache().GetOrParse(
                              NodesAttributeToQueryText(std::string(*nodes_attr))));
-    return awbql::EvalNativeCached(*query, model_, &native_memo_, focus);
+    return awbql::EvalNative(*query, model_, focus);
   }
 
   // --- Patch phase ------------------------------------------------------
@@ -631,7 +630,7 @@ class Generator {
       }
       LLL_ASSIGN_OR_RETURN(const awbql::Query* query,
                            ParsedXmlQuery(query_element));
-      return awbql::EvalNativeCached(*query, model_, &native_memo_, focus);
+      return awbql::EvalNative(*query, model_, focus);
     }
     auto attr = t->AttributeValue(which);
     if (!attr.has_value()) {
@@ -640,7 +639,7 @@ class Generator {
     LLL_ASSIGN_OR_RETURN(std::shared_ptr<const awbql::Query> query,
                          awbql::SharedQueryParseCache().GetOrParse(
                              NodesAttributeToQueryText(std::string(*attr))));
-    return awbql::EvalNativeCached(*query, model_, &native_memo_, focus);
+    return awbql::EvalNative(*query, model_, focus);
   }
 
   // Error handling: under kPropagate, attach GenTrouble context and bubble
@@ -680,10 +679,6 @@ class Generator {
   std::map<std::string, xml::Node*> placeholders_;
   std::map<const xml::Node*, std::unique_ptr<const awbql::Query>>
       xml_query_memo_;
-  // Query-result memo for this generation: the model is constant while a
-  // document is generated, which is exactly the scope the memo's manual
-  // invalidation contract requires (see awbql::NativeQueryMemo).
-  awbql::NativeQueryMemo native_memo_;
 };
 
 Result<const ModelNode*> ResolveInitialFocus(const Model& model,
@@ -733,10 +728,6 @@ Result<DocGenResult> GenerateNative(const xml::Node* template_root,
   result.stats.nodes_visited = generator.visited().size();
   result.stats.toc_entries = generator.toc().size();
   if (options.metrics != nullptr) {
-    options.metrics->gauge("docgen.native.query_memo.hits")
-        .Set(static_cast<int64_t>(generator.native_memo().hits()));
-    options.metrics->gauge("docgen.native.query_memo.misses")
-        .Set(static_cast<int64_t>(generator.native_memo().misses()));
     const xml::DocumentStorageStats storage =
         result.document->storage_stats();
     options.metrics->gauge("xml.doc.nodes")

@@ -202,11 +202,9 @@ std::string Explain(const xq::CompiledQuery& query,
   }
 
   out += "== summary ==\n";
-  out += "  folded_constants: " + std::to_string(stats.folded_constants) +
-         "\n  eliminated_lets: " + std::to_string(stats.eliminated_lets) +
+  out += "  eliminated_lets: " + std::to_string(stats.eliminated_lets) +
          "\n  eliminated_trace_calls: " +
          std::to_string(stats.eliminated_trace_calls) +
-         "\n  limits_pushed: " + std::to_string(stats.limits_pushed) +
          "\n  fused_descendant_steps: " +
          std::to_string(stats.fused_descendant_steps) +
          "\n  probe_predicates: " + std::to_string(stats.probe_predicates) +

@@ -16,10 +16,9 @@ namespace lll::obs {
 //                         resolved facts ([streamed], [streamed-rev],
 //                         [interned]), paths their [limit N], predicates
 //                         their [probe @a]
-//   == rewrites ==        one line per optimizer decision (constant folds,
-//                         dead lets, swallowed traces, pushed limits, fused
-//                         descendant steps, probes), each with its source
-//                         line:col
+//   == rewrites ==        one line per optimizer decision (dead lets,
+//                         swallowed traces, fused descendant steps,
+//                         probes), each with its source line:col
 //   == summary ==         aggregate optimizer stats
 struct ExplainOptions {
   // Where the compiled query came from, shown in the header when nonempty.

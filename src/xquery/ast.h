@@ -267,13 +267,14 @@ struct Expr {
   // [probe @name].
   int probe_key = -1;
 
-  // kPath: conservative upper bound, set by the optimizer's limit push-down
-  // pass, on how many leading items of this path's result any consumer can
-  // observe (fn:head, fn:subsequence starting at 1, a positional `for`
-  // guarded by `$p le N`). 0 means no bound. Applied only when
-  // EvalOptions::streaming is on; the materializing evaluator ignores it so
-  // streaming=false stays byte-identical as the differential baseline.
-  // EXPLAIN renders a nonzero hint as [limit N].
+  // kPath: how many leading items of this node path's result its direct
+  // consumer can observe, derived by the resolve pass (ResolveSteps) on
+  // every plan: 1 for an `if`/`and`/`or`/`where`/`satisfies` operand, a
+  // step or filter predicate, or the argument of fn:exists/fn:empty/fn:head;
+  // N for the base of `(P)[N]` (DESIGN.md section 10). 0 means no bound.
+  // Applied only when EvalOptions::streaming is on; the materializing
+  // evaluator ignores it so streaming=false stays byte-identical as the
+  // differential baseline. EXPLAIN renders a nonzero hint as [limit N].
   size_t limit_hint = 0;
 
   // kFlwor

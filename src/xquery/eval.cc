@@ -111,15 +111,6 @@ void CollectDescendants(xml::Node* n, std::vector<xml::Node*>* out) {
   }
 }
 
-// A path whose last step is an axis step: every item of its result is a
-// node, so emptiness / effective boolean value / predicate truth are all
-// decided by the first node pulled (a node sequence is never a numeric
-// singleton position test).
-bool IsNodePathShape(const Expr& e) {
-  return e.kind == ExprKind::kPath && !e.steps.empty() &&
-         !e.steps.back().is_filter;
-}
-
 // The one document every node of `seq` belongs to, or nullptr (empty
 // sequence, atomics present, detached nodes, or nodes of several documents).
 xml::Document* SingleDocumentOf(const Sequence& seq) {
@@ -413,16 +404,12 @@ Result<Sequence> Evaluator::EvalInner(const Expr& e) {
       return Sequence(f.item);
     }
     case ExprKind::kPath:
-      // An optimizer-pushed limit hint (fn:head / fn:subsequence /
-      // positional-for shapes) caps the streamed result; the materializing
-      // fallback inside EvalPathImpl still returns the full result, which
-      // consumers of a limited path tolerate by contract. streaming=false
-      // ignores the hint entirely: the baseline stays byte-identical.
-      if (options_.streaming && e.limit_hint > 0) {
-        ++stats_.limit_pushdowns;
-        return EvalPathImpl(e, e.limit_hint);
-      }
-      return EvalPath(e);
+      // The plan's limit hint caps the streamed result; the materializing
+      // fallback inside EvalPath still returns the full result, which the
+      // consumer of a limited path tolerates by the rule that set the hint.
+      // streaming=false ignores the hint: the baseline stays byte-identical.
+      return EvalPath(e, options_.streaming && e.limit_hint > 0 ? e.limit_hint
+                                                                : kNoLimit);
     case ExprKind::kBinary:
       return EvalBinary(e);
     case ExprKind::kUnary: {
@@ -1019,44 +1006,10 @@ class Evaluator::StreamReverseAxisStage : public StreamStage {
 
 // --- Path dispatch --------------------------------------------------------
 
-Result<Sequence> Evaluator::EvalPath(const Expr& e) {
-  return EvalPathImpl(e, kNoLimit);
-}
-
-Result<Sequence> Evaluator::EvalPathLimited(const Expr& e, size_t limit) {
-  LLL_RETURN_IF_ERROR(StepBudget());
-  if (profiler_ == nullptr) return EvalPathImpl(e, limit);
-  obs::Profiler::Scope scope(profiler_, &e, [&e] { return DescribeSite(e); });
-  Result<Sequence> result = EvalPathImpl(e, limit);
-  if (result.ok()) scope.set_items(result->size());
-  return result;
-}
-
-Result<Sequence> Evaluator::EvalPathImpl(const Expr& e, size_t limit) {
+Result<Sequence> Evaluator::EvalPath(const Expr& e, size_t limit) {
   Sequence current;
   if (e.has_base) {
-    const Expr& base = *e.children[0];
-    // (BASE)[N] push-down: when the first step is a filter whose single
-    // predicate is a positive integer literal, only the first N items of
-    // BASE can matter -- stream BASE with that cap. Sound only because the
-    // filter step has no other predicate (a second predicate would see a
-    // truncated focus size) and both evaluation modes return node results
-    // normalized, so "first N" is the same set either way.
-    size_t base_limit = kNoLimit;
-    if (options_.streaming && base.kind == ExprKind::kPath &&
-        !e.steps.empty() && e.steps[0].is_filter &&
-        e.steps[0].predicates.size() == 1) {
-      const Expr& p = *e.steps[0].predicates[0];
-      if (p.kind == ExprKind::kLiteral &&
-          p.literal_type == Expr::LiteralType::kInteger && p.integer >= 1) {
-        base_limit = static_cast<size_t>(p.integer);
-      }
-    }
-    if (base_limit != kNoLimit) {
-      LLL_ASSIGN_OR_RETURN(current, EvalPathLimited(base, base_limit));
-    } else {
-      LLL_ASSIGN_OR_RETURN(current, Eval(base));
-    }
+    LLL_ASSIGN_OR_RETURN(current, Eval(*e.children[0]));
   } else if (e.rooted) {
     LLL_ASSIGN_OR_RETURN(Focus f, RequireFocus(e));
     if (!f.item.is_node()) {
@@ -1468,6 +1421,7 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
     streamable = e.steps[i].streamable;
   }
   if (streamable && SingleDocumentOf(current) != nullptr) {
+    if (limit != kNoLimit) ++stats_.limit_pushdowns;
     // The pipeline needs its context runs activated in document order.
     SortDedup(&current);
     Result<Sequence> streamed =
@@ -1558,10 +1512,6 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
 }
 
 Result<bool> Evaluator::EvalEffectiveBoolean(const Expr& e) {
-  if (options_.streaming && IsNodePathShape(e)) {
-    LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(e, 1));
-    return !probe.empty();
-  }
   LLL_ASSIGN_OR_RETURN(Sequence value, Eval(e));
   return xdm::EffectiveBooleanValue(value);
 }
@@ -1691,13 +1641,6 @@ Result<bool> Evaluator::PredicateKeep(const Expr& pred, const Item& item,
   focus_.position = position;
   focus_.size = size;
   focus_.valid = true;
-  // A predicate that is itself a node-producing path can only be judged by
-  // (non-)emptiness -- a node sequence is never a numeric singleton -- so
-  // one pulled node decides it.
-  if (options_.streaming && IsNodePathShape(pred)) {
-    LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(pred, 1));
-    return !probe.empty();
-  }
   LLL_ASSIGN_OR_RETURN(Sequence value, Eval(pred));
   // A singleton strictly-numeric predicate is a position test.
   if (value.size() == 1 && value.at(0).is_numeric()) {
@@ -2051,19 +1994,6 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
                             std::to_string(e.line));
   }
   const Builtin& builtin = *e.builtin;
-
-  // fn:exists / fn:empty over a path argument: emptiness is decided by the
-  // first node, so pull at most one instead of materializing the set. A
-  // user-declared exists/empty is bound instead and never gets here.
-  if (options_.streaming && e.children.size() == 1 &&
-      (builtin.name == "exists" || builtin.name == "empty") &&
-      IsNodePathShape(*e.children[0])) {
-    LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(*e.children[0], 1));
-    bool is_empty = probe.empty();
-    return Sequence(Item::Boolean(builtin.name == "empty" ? is_empty
-                                                          : !is_empty));
-  }
-
   std::vector<Sequence> args;
   args.reserve(e.children.size());
   for (const ExprPtr& arg : e.children) {

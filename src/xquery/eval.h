@@ -56,9 +56,9 @@ struct EvalOptions {
   // (PathStep::streamable steps over single-document input) are evaluated
   // through a pull-based
   // merge of per-context runs instead of materializing every intermediate
-  // sequence, and early-exit consumers (positional predicates like [1],
-  // fn:exists/fn:empty, boolean contexts, optimizer-pushed limit hints) stop
-  // pulling once the answer is determined. Reverse axes run as barrier
+  // sequence, and early-exit consumers (literal positional predicates like
+  // [1] inside a step, and every path the plan gives an Expr::limit_hint)
+  // stop pulling once the answer is determined. Reverse axes run as barrier
   // stages: per-context runs enumerate in reverse document order and are
   // merged back to document order (DESIGN.md section 10). Off = the
   // pre-streaming materializing evaluator, kept byte-identical as a
@@ -118,9 +118,9 @@ struct EvalOptions {
 // contribute to the skip floor: the outer pipeline already accounts for the
 // candidate subtrees it abandons. `reverse_runs_merged` counts nonempty
 // per-context reverse-axis runs pushed onto the document-order merge heap.
-// `limit_pushdowns` counts paths evaluated under an optimizer-pushed limit
-// hint (fn:head, fn:subsequence, positional-for shapes; see
-// Expr::limit_hint).
+// `limit_pushdowns` counts streamed pipelines run under a path's
+// Expr::limit_hint; a hinted path whose input is empty or whose steps cannot
+// stream is evaluated in full and not counted.
 //
 // Node-set interning cache traffic attributable to this evaluation. An
 // invalidation is a lookup that found an entry with a failed subtree version
@@ -266,25 +266,22 @@ class Evaluator {
   // One memoized attribute index for hash probes (defined in eval.cc).
   struct ProbeIndex;
 
-  // "No result cap" for EvalPathImpl/EvalPathLimited.
+  // "No result cap" for EvalPath.
   static constexpr size_t kNoLimit = static_cast<size_t>(-1);
 
-  // The actual dispatch switch behind Eval().
+  // The actual dispatch switch behind Eval(). The one reader of
+  // Expr::limit_hint, and only under EvalOptions::streaming.
   Result<xdm::Sequence> EvalInner(const Expr& e);
 
-  Result<xdm::Sequence> EvalPath(const Expr& e);
   // Path evaluation with an optional result cap. `limit` is an optimization
   // hint, not a contract: when the step chain streams, at most `limit` nodes
   // are produced (and they are exactly the first `limit` of the full
   // result); when it falls back to materializing, the full result comes
   // back. Callers may rely on the first min(limit, full size) items only.
-  Result<xdm::Sequence> EvalPathImpl(const Expr& e, size_t limit);
-  // Entry point for early-exit consumers reaching a path WITHOUT going
-  // through Eval(): replicates Eval's step-budget charge and profiler frame
-  // so capped paths stay visible to max_steps and hot-spot reports.
-  Result<xdm::Sequence> EvalPathLimited(const Expr& e, size_t limit);
+  Result<xdm::Sequence> EvalPath(const Expr& e, size_t limit);
   // Evaluates steps [first, last) of a path against `current`, streaming
-  // when eligible, otherwise via the materializing step loop.
+  // when eligible, otherwise via the materializing step loop. A streamed
+  // run under a `limit` counts in EvalStats::limit_pushdowns.
   Result<xdm::Sequence> EvalStepsRange(const Expr& e, size_t first,
                                        size_t last, xdm::Sequence current,
                                        size_t limit);
@@ -298,14 +295,15 @@ class Evaluator {
   Result<xdm::Sequence> EvalStepsStreamed(const Expr& e, size_t first,
                                           size_t last, xdm::Sequence current,
                                           size_t limit);
-  // Effective boolean value with early exit: a node-producing path condition
-  // pulls one node instead of materializing its whole result.
+  // Effective boolean value of `e`. A node path here carries limit hint 1,
+  // so under streaming it pulls one node instead of its whole result.
   Result<bool> EvalEffectiveBoolean(const Expr& e);
   // One predicate decision for the candidate at `position` (1-based) out of
   // `size`: literal-integer predicates are pure position tests (no Eval),
   // singleton-numeric results compare against position, everything else
-  // takes its effective boolean value. Sets and leaves the focus; callers
-  // save/restore around the batch.
+  // takes its effective boolean value (a node-path predicate carries limit
+  // hint 1). Sets and leaves the focus; callers save/restore around the
+  // batch.
   Result<bool> PredicateKeep(const Expr& pred, const xdm::Item& item,
                              size_t position, size_t size);
   // Routes every nodes_skipped_early_exit charge; suppressed while a nested
@@ -464,6 +462,9 @@ enum BuiltinFact : unsigned {
   // fn:parse-xml-fragment: copies fresh nodes into the construction arena,
   // so two calls never return the same nodes.
   kConstructs = 1u << 6,
+  // fn:exists, fn:empty, fn:head: the first item of the one argument, or
+  // its absence, decides the result (DESIGN.md section 10).
+  kFirstItemDecides = 1u << 7,
 };
 
 // One entry of the builtin library; see functions.cc for the catalog.
@@ -478,14 +479,6 @@ struct Builtin {
 // The builtin `name` (no fn: prefix) callable with `arity` arguments: the
 // entry of exactly that arity, else a variadic one; nullptr if none.
 const Builtin* FindBuiltin(const std::string& name, size_t arity);
-// The fn:subsequence selection window, shared by the builtin and the
-// optimizer's limit push-down so pushed and unpushed plans agree: positions
-// p (1-based) with *lo <= p < *hi are selected, computed with XPath fn:round
-// semantics (floor(x + 0.5), round-half-UP -- not std::round). *hi is +inf
-// for the 2-argument form (`has_length` false). Returns false when the
-// window is statically empty (NaN start or length).
-bool SubsequenceWindow(double start, double length, bool has_length,
-                       double* lo, double* hi);
 
 }  // namespace lll::xq
 

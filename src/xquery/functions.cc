@@ -42,6 +42,29 @@ Result<double> OneNumber(const Sequence& seq, const char* what) {
   return item.NumericValue();
 }
 
+// The fn:subsequence selection window: positions p (1-based) with
+// *lo <= p < *hi are selected. *hi is +inf for the 2-argument form
+// (`has_length` false). Returns false when the window is empty because the
+// start or length is NaN.
+bool SubsequenceWindow(double start, double length, bool has_length,
+                       double* lo, double* hi) {
+  // fn:subsequence rounds with fn:round semantics: floor(x + 0.5), i.e.
+  // round half UP. std::round (round half away from zero) disagrees at
+  // negative halves -- fn:round(-2.5) is -2, std::round gives -3 -- which
+  // shifted the window for negative fractional starts/lengths. NaN
+  // propagates through floor and the comparisons below, selecting nothing;
+  // infinite starts/lengths behave per IEEE (start -inf + length inf is
+  // NaN = empty, matching the spec's round(-inf)+round(inf) window).
+  *lo = std::floor(start + 0.5);
+  if (std::isnan(*lo)) return false;
+  if (!has_length) {
+    *hi = std::numeric_limits<double>::infinity();
+    return true;
+  }
+  *hi = *lo + std::floor(length + 0.5);
+  return !std::isnan(*hi);
+}
+
 Sequence BoolSeq(bool b) { return Sequence(Item::Boolean(b)); }
 Sequence StrSeq(std::string s) { return Sequence(Item::String(std::move(s))); }
 Sequence IntSeq(int64_t i) { return Sequence(Item::Integer(i)); }
@@ -140,10 +163,10 @@ Registry BuildRegistry() {
   }, kTreePure);
   def("empty", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(args[0].empty());
-  }, kTreePure | kBooleanValued);
+  }, kTreePure | kBooleanValued | kFirstItemDecides);
   def("exists", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(!args[0].empty());
-  }, kTreePure | kBooleanValued);
+  }, kTreePure | kBooleanValued | kFirstItemDecides);
   def("not", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
     return BoolSeq(!b);
@@ -191,7 +214,7 @@ Registry BuildRegistry() {
   });
   def("head", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return args[0].empty() ? Sequence() : Sequence(args[0].at(0));
-  });
+  }, kFirstItemDecides);
   def("tail", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     Sequence out;
     for (size_t i = 1; i < args[0].size(); ++i) out.Append(args[0].at(i));
@@ -706,25 +729,6 @@ const Builtin* FindBuiltin(const std::string& name, size_t arity) {
   auto it = registry.find({name, arity});
   if (it == registry.end()) it = registry.find({name, kVariadic});
   return it == registry.end() ? nullptr : &it->second;
-}
-
-bool SubsequenceWindow(double start, double length, bool has_length,
-                       double* lo, double* hi) {
-  // fn:subsequence rounds with fn:round semantics: floor(x + 0.5), i.e.
-  // round half UP. std::round (round half away from zero) disagrees at
-  // negative halves -- fn:round(-2.5) is -2, std::round gives -3 -- which
-  // shifted the window for negative fractional starts/lengths. NaN
-  // propagates through floor and the comparisons below, selecting nothing;
-  // infinite starts/lengths behave per IEEE (start -inf + length inf is
-  // NaN = empty, matching the spec's round(-inf)+round(inf) window).
-  *lo = std::floor(start + 0.5);
-  if (std::isnan(*lo)) return false;
-  if (!has_length) {
-    *hi = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  *hi = *lo + std::floor(length + 0.5);
-  return !std::isnan(*hi);
 }
 
 }  // namespace lll::xq

@@ -65,22 +65,6 @@ void CollectTraceCalls(const Expr& e, std::vector<const Expr*>* out) {
   ForEachChild(e, [out](const Expr& c) { CollectTraceCalls(c, out); });
 }
 
-// A numeric literal usable as a static subsequence bound. Negative literals
-// parse as kUnary and are (conservatively) not recognized.
-bool NumericLiteral(const Expr& e, double* value) {
-  if (e.kind != ExprKind::kLiteral) return false;
-  switch (e.literal_type) {
-    case Expr::LiteralType::kInteger:
-      *value = static_cast<double>(e.integer);
-      return true;
-    case Expr::LiteralType::kDouble:
-      *value = e.number;
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string DescribeStep(const PathStep& step) {
   std::string out;
   AppendAxisTest(step, &out);
@@ -104,14 +88,10 @@ bool CallsAny(const Expr& e, unsigned facts) {
 
 const char* RewriteNoteKindName(RewriteNote::Kind kind) {
   switch (kind) {
-    case RewriteNote::Kind::kConstantFolded:
-      return "constant-folded";
     case RewriteNote::Kind::kDeadLetEliminated:
       return "dead-let-eliminated";
     case RewriteNote::Kind::kTraceSwallowed:
       return "trace-swallowed";
-    case RewriteNote::Kind::kLimitPushed:
-      return "limit-pushed";
     case RewriteNote::Kind::kDescendantFused:
       return "descendant-fused";
     case RewriteNote::Kind::kProbe:
@@ -231,155 +211,21 @@ struct Rewriter {
     // Bottom-up: rewrite children first.
     ForEachChild(e, [this](Expr* c) { Rewrite(c); });
     if (e->kind == ExprKind::kFlwor) EliminateDeadLets(e);
-    FoldConstants(e);
-    PushLimits(e);
   }
 
-  // --- Limit push-down ------------------------------------------------------
-  //
-  // Annotates path expressions with the prefix demand of a statically
-  // limited consumer (Expr::limit_hint). Sound because the streaming
-  // evaluator produces exactly the first `hint` items of the full result
-  // (and falls back to the FULL result when the chain cannot stream), and
-  // because each recognized consumer provably never observes anything past
-  // that prefix. Conservative by design: only literal bounds, only direct
-  // consumer positions, no propagation through arbitrary expressions.
-
-  // The prefix demand a call places on its first (sequence) argument: 1 for
-  // fn:head, the window end for fn:subsequence with literal start/length
-  // (via the same SubsequenceWindow normalization the builtin uses, so
-  // pushed and unpushed plans select identical items), 0 for anything else,
-  // a user-defined function of the same name included.
-  size_t ConsumerDemand(const Expr& call) const {
-    if (call.builtin == nullptr) return 0;
-    if (call.builtin->name == "head") return 1;
-    if (call.builtin->name == "subsequence" && call.children.size() == 3) {
-      double start, len;
-      if (!NumericLiteral(*call.children[1], &start) ||
-          !NumericLiteral(*call.children[2], &len)) {
-        return 0;
-      }
-      double lo, hi;
-      if (!SubsequenceWindow(start, len, /*has_length=*/true, &lo, &hi)) {
-        return 0;  // statically empty; nothing worth annotating
-      }
-      // Selected positions satisfy p < hi, so the first hi-1 items suffice
-      // regardless of lo. Unbounded or out-of-range windows are not pushed.
-      double need = hi - 1;
-      if (!(need >= 1) || need > 1e15) return 0;
-      return static_cast<size_t>(need);
-    }
-    return 0;
-  }
-
-  // A where-condition that caps the position variable in `pos_slot` at N
-  // for every passing tuple: `$p le N` / `$p lt N` / `$p eq N` (value or
-  // general form) with an integer literal bound. Returns 0 when nothing is
-  // proven.
-  size_t PositionBound(const Expr& w, uint32_t pos_slot) const {
-    if (w.kind != ExprKind::kBinary || w.children.size() != 2) return 0;
-    const Expr& l = *w.children[0];
-    const Expr& r = *w.children[1];
-    if (!IsLocalRef(l, pos_slot)) return 0;
-    if (r.kind != ExprKind::kLiteral ||
-        r.literal_type != Expr::LiteralType::kInteger) {
-      return 0;
-    }
-    int64_t n = r.integer;
-    switch (w.op) {
-      case BinOp::kValLe:
-      case BinOp::kGenLe:
-      case BinOp::kValEq:
-      case BinOp::kGenEq:
-        return n >= 1 ? static_cast<size_t>(n) : 0;
-      case BinOp::kValLt:
-      case BinOp::kGenLt:
-        return n >= 2 ? static_cast<size_t>(n - 1) : 0;
-      default:
-        return 0;
-    }
-  }
-
-  // The references to local variable `slot` in `e`: how many, and the
-  // demand (ConsumerDemand) of a limited consumer taking one of them as its
-  // sequence argument. Each binding has its own slot, so a same-named
-  // binding deeper in never matches.
-  struct SlotUses {
-    size_t count = 0;
-    size_t demand = 0;
-  };
-  void CountUses(const Expr& e, uint32_t slot, SlotUses* uses) const {
-    if (IsLocalRef(e, slot)) ++uses->count;
-    if (e.kind == ExprKind::kFunctionCall && !e.children.empty() &&
-        IsLocalRef(*e.children[0], slot)) {
-      uses->demand = ConsumerDemand(e);
-    }
-    ForEachChild(e, [&](const Expr& c) { CountUses(c, slot, uses); });
+  // The references to local variable `slot` in `e`. Each binding has its
+  // own slot, so a same-named binding deeper in never matches.
+  static size_t CountUses(const Expr& e, uint32_t slot) {
+    size_t count = IsLocalRef(e, slot) ? 1 : 0;
+    ForEachChild(e, [&](const Expr& c) { count += CountUses(c, slot); });
+    return count;
   }
   // The uses of a FLWOR clause's variable, all of which sit in the FLWOR.
-  SlotUses UsesOf(const Expr& flwor, const FlworClause& clause) const {
-    SlotUses uses;
+  static size_t UsesOf(const Expr& flwor, const FlworClause& clause) {
+    size_t count = 0;
     ForEachChild(flwor,
-                 [&](const Expr& c) { CountUses(c, clause.slot, &uses); });
-    return uses;
-  }
-
-  void ApplyHint(Expr* path, size_t demand, std::string why, size_t line,
-                 size_t col) {
-    if (path->limit_hint == 0 || demand < path->limit_hint) {
-      path->limit_hint = demand;
-    }
-    ++stats.limits_pushed;
-    stats.notes.push_back(
-        {RewriteNote::Kind::kLimitPushed, std::move(why), line, col});
-  }
-
-  void PushLimits(Expr* e) {
-    if (e->kind == ExprKind::kFunctionCall) {
-      size_t demand = ConsumerDemand(*e);
-      if (demand > 0 && !e->children.empty() &&
-          e->children[0]->kind == ExprKind::kPath) {
-        ApplyHint(e->children[0].get(), demand,
-                  e->name + "() observes at most the first " +
-                      std::to_string(demand) +
-                      " item(s) of its path argument; limit pushed",
-                  e->line, e->col);
-      }
-      return;
-    }
-    if (e->kind != ExprKind::kFlwor) return;
-    // Positional for guarded by an IMMEDIATELY following where on the
-    // position variable: tuples past the bound are filtered before any
-    // other clause can observe them (an intervening clause might error or
-    // trace on a tuple the push-down would never produce).
-    for (size_t i = 0; i + 1 < e->clauses.size(); ++i) {
-      FlworClause& c = e->clauses[i];
-      if (c.kind != FlworClause::Kind::kFor || c.pos_var.empty()) continue;
-      if (c.expr->kind != ExprKind::kPath) continue;
-      const FlworClause& next = e->clauses[i + 1];
-      if (next.kind != FlworClause::Kind::kWhere) continue;
-      size_t bound = PositionBound(*next.expr, c.slot + 1);
-      if (bound > 0) {
-        ApplyHint(c.expr.get(), bound,
-                  "where $" + c.pos_var + " caps the positional for at " +
-                      std::to_string(bound) + " tuple(s); limit pushed",
-                  c.expr->line, c.expr->col);
-      }
-    }
-    // A let-bound path consumed exactly once, directly by a limited
-    // consumer: binding only the demanded prefix is unobservable.
-    for (FlworClause& c : e->clauses) {
-      if (c.kind != FlworClause::Kind::kLet) continue;
-      if (c.expr->kind != ExprKind::kPath) continue;
-      const SlotUses uses = UsesOf(*e, c);
-      if (uses.count == 1 && uses.demand > 0) {
-        ApplyHint(c.expr.get(), uses.demand,
-                  "let $" + c.var + " is consumed once, by a consumer that " +
-                      "observes at most " + std::to_string(uses.demand) +
-                      " item(s); limit pushed",
-                  c.expr->line, c.expr->col);
-      }
-    }
+                 [&](const Expr& c) { count += CountUses(c, clause.slot); });
+    return count;
   }
 
   // Scans a FLWOR for `let $v := E` clauses where $v is unused downstream
@@ -391,7 +237,7 @@ struct Rewriter {
       for (size_t i = 0; i < flwor->clauses.size(); ++i) {
         const FlworClause& clause = flwor->clauses[i];
         if (clause.kind != FlworClause::Kind::kLet) continue;
-        if (UsesOf(*flwor, clause).count != 0) continue;
+        if (UsesOf(*flwor, clause) != 0) continue;
         if (!purity.Pure(*clause.expr)) continue;
         std::vector<const Expr*> traces;
         CollectTraceCalls(*clause.expr, &traces);
@@ -420,54 +266,6 @@ struct Rewriter {
       ExprPtr body = std::move(flwor->children[0]);
       *flwor = std::move(*body);
     }
-  }
-
-  void FoldConstants(Expr* e) {
-    if (e->kind != ExprKind::kBinary) return;
-    if (e->children.size() != 2) return;
-    const Expr& a = *e->children[0];
-    const Expr& b = *e->children[1];
-    if (a.kind != ExprKind::kLiteral || b.kind != ExprKind::kLiteral) return;
-    if (a.literal_type != Expr::LiteralType::kInteger ||
-        b.literal_type != Expr::LiteralType::kInteger) {
-      return;
-    }
-    int64_t x = a.integer;
-    int64_t y = b.integer;
-    int64_t value = 0;
-    switch (e->op) {
-      case BinOp::kAdd:
-        value = x + y;
-        break;
-      case BinOp::kSub:
-        value = x - y;
-        break;
-      case BinOp::kMul:
-        value = x * y;
-        break;
-      case BinOp::kIdiv:
-        if (y == 0) return;  // leave the runtime error in place
-        value = x / y;
-        break;
-      case BinOp::kMod:
-        if (y == 0) return;
-        value = x % y;
-        break;
-      default:
-        return;
-    }
-    Expr folded(ExprKind::kLiteral);
-    folded.literal_type = Expr::LiteralType::kInteger;
-    folded.integer = value;
-    folded.line = e->line;
-    folded.col = e->col;
-    stats.notes.push_back({RewriteNote::Kind::kConstantFolded,
-                           std::to_string(x) + " " + BinOpName(e->op) + " " +
-                               std::to_string(y) + " folded to " +
-                               std::to_string(value),
-                           e->line, e->col});
-    *e = std::move(folded);
-    ++stats.folded_constants;
   }
 };
 
@@ -578,6 +376,14 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats) {
 
 namespace {
 
+// A path whose last step is an axis step: every item of its result is a
+// node, so its effective boolean value is "any nodes?", decided by the
+// first node, and it is never a numeric position test.
+bool NodePath(const Expr& e) {
+  return e.kind == ExprKind::kPath && !e.steps.empty() &&
+         !e.steps.back().is_filter;
+}
+
 // True if `e`, as a predicate, is boolean-valued at its top level and so can
 // never be a numeric position test: a comparison, and/or, a call to a
 // boolean builtin, or a node path (tested for emptiness).
@@ -607,7 +413,7 @@ bool BooleanValued(const Expr& e) {
     case ExprKind::kFunctionCall:
       return CallsBuiltinWith(e, kBooleanValued);
     case ExprKind::kPath:
-      return !e.steps.empty() && !e.steps.back().is_filter;
+      return NodePath(e);
     default:
       return false;
   }
@@ -800,11 +606,72 @@ struct DescendantFuser {
   }
 };
 
+// --- Prefix demand ----------------------------------------------------------
+
+// The rule behind Expr::limit_hint: how many leading items of a node path's
+// result its direct consumer can observe. 1 when the consumer takes the
+// path's effective boolean value -- an `if` condition, an `and`/`or`
+// operand, a `where` or `satisfies` clause, a step or filter predicate --
+// or is a kFirstItemDecides builtin (fn:exists, fn:empty, fn:head); N when
+// the path is the base of `(P)[N]`. Sets the hint on each node path among
+// `e`'s operands that such a consumer reads.
+void MarkDemand(Expr* e) {
+  const auto demand = [](Expr* operand, size_t n) {
+    if (NodePath(*operand)) operand->limit_hint = n;
+  };
+  switch (e->kind) {
+    case ExprKind::kIf:
+      demand(e->children[0].get(), 1);
+      break;
+    case ExprKind::kBinary:
+      if (e->op == BinOp::kAnd || e->op == BinOp::kOr) {
+        demand(e->children[0].get(), 1);
+        demand(e->children[1].get(), 1);
+      }
+      break;
+    case ExprKind::kQuantified:
+      demand(e->children[1].get(), 1);
+      break;
+    case ExprKind::kFlwor:
+      for (FlworClause& c : e->clauses) {
+        if (c.kind == FlworClause::Kind::kWhere) demand(c.expr.get(), 1);
+      }
+      break;
+    case ExprKind::kFunctionCall:
+      // A user function of the same name binds to Expr::decl instead.
+      if (CallsBuiltinWith(*e, kFirstItemDecides)) {
+        demand(e->children[0].get(), 1);
+      }
+      break;
+    case ExprKind::kPath: {
+      for (PathStep& step : e->steps) {
+        for (ExprPtr& p : step.predicates) demand(p.get(), 1);
+      }
+      // (P)[N] reads only the first N items of P when N is a positive
+      // integer literal and the only predicate of the filter: a second one
+      // would see the truncated focus size.
+      if (!e->has_base || e->steps.empty() || !e->steps[0].is_filter ||
+          e->steps[0].predicates.size() != 1) {
+        break;
+      }
+      const Expr& n = *e->steps[0].predicates[0];
+      if (n.kind == ExprKind::kLiteral &&
+          n.literal_type == Expr::LiteralType::kInteger && n.integer >= 1) {
+        demand(e->children[0].get(), static_cast<size_t>(n.integer));
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 // --- Step resolution --------------------------------------------------------
 
 struct StepResolver {
   void Resolve(Expr* e) {
     ForEachChild(e, [this](Expr* c) { Resolve(c); });
+    MarkDemand(e);
     // Interning starts at a base that is statically a tree root: the `/`
     // root, or fn:doc(...).
     const Builtin* base = e->has_base ? e->children[0]->builtin : nullptr;

@@ -16,9 +16,8 @@ namespace lll::xq {
 //
 // introduces a dead variable that is "helpfully optimized away -- along with
 // the call to trace". Setting recognize_trace = true models "the optimizer
-// would be fixed to recognize trace in the next version". Constant folding,
-// dead-let elimination and limit push-down (DESIGN.md section 10) always
-// run.
+// would be fixed to recognize trace in the next version". Dead-let
+// elimination, `//T` fusion and probe marking always run.
 struct OptimizerOptions {
   bool recognize_trace = false;
 };
@@ -29,10 +28,8 @@ struct OptimizerOptions {
 // missing when their trace output silently vanished.
 struct RewriteNote {
   enum class Kind {
-    kConstantFolded,     // subtree replaced by its literal value
     kDeadLetEliminated,  // unused pure let binding removed
     kTraceSwallowed,     // a trace() call went down with a dead let
-    kLimitPushed,        // a consumer's prefix demand annotated onto a path
     kDescendantFused,    // descendant-or-self::node()/child::T -> descendant::T
     // A `@a = K` predicate marked for a hash probe (Expr::probe_key).
     kProbe,
@@ -46,13 +43,10 @@ struct RewriteNote {
 const char* RewriteNoteKindName(RewriteNote::Kind kind);
 
 struct OptimizerStats {
-  size_t folded_constants = 0;
   size_t eliminated_lets = 0;
   // trace() calls that were inside eliminated lets -- the paper's pathology,
   // counted so E6 can report exactly how many trace outputs were swallowed.
   size_t eliminated_trace_calls = 0;
-  // Paths annotated with a consumer's prefix demand (Expr::limit_hint).
-  size_t limits_pushed = 0;
   // `//T` step pairs fused into one descendant::T step.
   size_t fused_descendant_steps = 0;
   // Step predicates marked for a hash probe (Expr::probe_key).
@@ -90,10 +84,10 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
-// streamable, foldable, attribute_only, internable) and every
-// FunctionDecl::memoizable from the bound AST. Run by Compile on every
-// plan, optimized or not, after any rewrite, so the bits are computed once
-// per plan.
+// streamable, foldable, attribute_only, internable), every path's
+// Expr::limit_hint and every FunctionDecl::memoizable from the bound AST.
+// Run by Compile on every plan, optimized or not, after any rewrite, so the
+// facts are computed once per plan.
 void ResolveSteps(Module* module);
 
 // False if evaluating the bound expression `e`, or any user function it

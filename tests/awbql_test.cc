@@ -71,31 +71,6 @@ class AwbqlTest : public ::testing::Test {
   ModelNode* prog2_;
 };
 
-TEST_F(AwbqlTest, NativeMemoKeysFocusAndNoFocusDistinctly) {
-  // The memo key encodes "no focus" with a marker byte distinct from any
-  // focus id, so an unfocused evaluation can never share an entry with a
-  // focused one (not even a hypothetical focus whose id is empty).
-  NativeQueryMemo memo;
-  auto query = ParseQuery("from type:User\nsort label\n");
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-
-  auto unfocused = EvalNativeCached(*query, model_, &memo, nullptr);
-  ASSERT_TRUE(unfocused.ok());
-  EXPECT_EQ(memo.misses(), 1u);
-
-  auto focused = EvalNativeCached(*query, model_, &memo, alice_);
-  ASSERT_TRUE(focused.ok());
-  EXPECT_EQ(memo.misses(), 2u);
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(Labels(*focused), Labels(*unfocused));
-
-  // Repeats hit their own entries.
-  EXPECT_TRUE(EvalNativeCached(*query, model_, &memo, nullptr).ok());
-  EXPECT_TRUE(EvalNativeCached(*query, model_, &memo, alice_).ok());
-  EXPECT_EQ(memo.hits(), 2u);
-  EXPECT_EQ(memo.size(), 2u);
-}
-
 TEST_F(AwbqlTest, ParserRoundTrip) {
   const char* text =
       "from type:User\n"

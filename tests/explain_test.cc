@@ -1,8 +1,8 @@
 // EXPLAIN: the facility that finally answers "what did the optimizer do to
 // my query?". Golden-substring tests over the rendered output: section
-// structure, provenance, and one note per rewrite family (constant folds,
-// dead lets, swallowed traces, resolved step facts, hash probes,
-// descendant fusion) and the call memo's function mark.
+// structure, provenance, one note per rewrite family (dead lets, swallowed
+// traces, hash probes, descendant fusion), the resolved step facts, the
+// limit hints and the call memo's function mark.
 
 #include <string>
 #include <vector>
@@ -33,13 +33,6 @@ TEST(ExplainTest, SectionsAndProvenanceHeader) {
   EXPECT_NE(out.find("== plan =="), std::string::npos) << out;
   EXPECT_NE(out.find("== rewrites =="), std::string::npos) << out;
   EXPECT_NE(out.find("== summary =="), std::string::npos) << out;
-}
-
-TEST(ExplainTest, ConstantFoldIsAnnotated) {
-  std::string out = ExplainQuery("1 + 2");
-  EXPECT_NE(out.find("constant-folded"), std::string::npos) << out;
-  // The plan shows the folded literal, not the original addition.
-  EXPECT_NE(out.find("3"), std::string::npos) << out;
 }
 
 TEST(ExplainTest, DeadLetAndSwallowedTraceAreAnnotatedWithLocation) {
@@ -97,19 +90,70 @@ TEST(ExplainTest, TracePredicateDisqualifiesStreamingAnnotation) {
   EXPECT_EQ(udf.find("child::a [streamed]"), std::string::npos) << udf;
 }
 
-TEST(ExplainTest, LimitPushdownShowsHintNoteAndSummary) {
-  std::string out = ExplainQuery("subsequence(//a, 1, 3)");
-  EXPECT_NE(out.find("[limit 3]"), std::string::npos) << out;
-  EXPECT_NE(out.find("limit-pushed"), std::string::npos) << out;
-  EXPECT_NE(out.find("limits_pushed: 1"), std::string::npos) << out;
+// Every [limit N] of an EXPLAIN, in order.
+std::vector<size_t> LimitMarks(const std::string& explain) {
+  const std::string tag = "[limit ";
+  std::vector<size_t> marks;
+  for (size_t at = explain.find(tag); at != std::string::npos;
+       at = explain.find(tag, at + 1)) {
+    marks.push_back(std::stoul(explain.substr(at + tag.size())));
+  }
+  return marks;
+}
 
-  std::string head = ExplainQuery("head(//a/b)");
-  EXPECT_NE(head.find("[limit 1]"), std::string::npos) << head;
-
-  // A non-literal bound cannot be pushed.
-  std::string dynamic = ExplainQuery("subsequence(//a, 1, count(//b))");
-  EXPECT_EQ(dynamic.find("[limit"), std::string::npos) << dynamic;
-  EXPECT_NE(dynamic.find("limits_pushed: 0"), std::string::npos) << dynamic;
+TEST(ExplainTest, LimitHintsMarkEveryConsumerOfTheRuleAndNothingElse) {
+  // The resolve pass derives each node path's hint from its direct
+  // consumer on every plan, so the marks are the same with the optimizer
+  // on and off.
+  struct Case {
+    const char* query;
+    std::vector<size_t> marks;
+  };
+  const Case cases[] = {
+      // An effective boolean value: the first node decides.
+      {"if (//a) then 1 else 2", {1}},
+      {"//a and //b", {1, 1}},
+      {"//a or //b/c", {1, 1}},
+      {"for $x in //a where $x/b return $x", {1}},
+      {"some $x in //a satisfies $x/b", {1}},
+      {"every $x in //a satisfies $x/b", {1}},
+      {"//a[b]", {1}},
+      {"(//a)[b/c]", {1}},
+      // Only the [b]: with a second predicate the base is read in full.
+      {"(//a)[1][b]", {1}},
+      {"declare function local:f($n) { if ($n/b) then 1 else 0 }; "
+       "local:f(/)",
+       {1}},
+      // The first item decides.
+      {"exists(//a)", {1}},
+      {"fn:empty(//a)", {1}},
+      {"head(//a/b)", {1}},
+      // (P)[N] reads the first N items of P.
+      {"(//a)[3]", {3}},
+      {"(//a)[2]/b", {2}},
+      // None of these can stop early.
+      {"//a = \"x\"", {}},
+      {"//a[@k = //b]", {}},
+      {"count(//a)", {}},
+      {"subsequence(//a, 1, 2)", {}},
+      {"for $x at $p in //a where $p le 2 return $x", {}},
+      {"let $s := //a return head($s)", {}},
+      {"not(//a)", {}},
+      {"//a[1]", {}},
+      {"exists((//a)[@k = \"1\"])", {}},
+      {"if ((//a)[last()]) then 1 else 2", {}},
+      {"declare function head($s) { count($s) }; head(//a)", {}},
+  };
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    for (const Case& c : cases) {
+      const std::string out = ExplainQuery(c.query, copts);
+      EXPECT_EQ(LimitMarks(out), c.marks)
+          << c.query << " optimize=" << optimize << "\n"
+          << out;
+    }
+  }
 }
 
 TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
@@ -140,10 +184,8 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
       "  probe (1:36): @j = key is answered from a per-query hash index of @j "
       "values; the key is evaluated once per candidate list\n"
       "== summary ==\n"
-      "  folded_constants: 0\n"
       "  eliminated_lets: 0\n"
       "  eliminated_trace_calls: 0\n"
-      "  limits_pushed: 0\n"
       "  fused_descendant_steps: 0\n"
       "  probe_predicates: 2\n";
   EXPECT_EQ(ExplainQuery("for $v in \"1\" return /r/x[$v = @k][@j = \"2\"]"),
@@ -188,8 +230,8 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
 
 TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
   // Both `//` pairs fuse: the plan shows one descendant step each, with the
-  // position-free predicate kept on it, one located note per fusion, and
-  // the count.
+  // position-free predicate kept on it (a node path, so one node decides
+  // it), one located note per fusion, and the count.
   const std::string golden =
       "EXPLAIN\n"
       "== plan ==\n"
@@ -197,7 +239,7 @@ TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
       "  step descendant::a [streamed] [interned]\n"
       "  step descendant::b [streamed] [interned]\n"
       "    predicate:\n"
-      "      Path (1:8)\n"
+      "      Path [limit 1] (1:8)\n"
       "        step child::c [streamed]\n"
       "== rewrites ==\n"
       "  descendant-fused (1:1): descendant-or-self::node()/child::a fused "
@@ -205,10 +247,8 @@ TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
       "  descendant-fused (1:1): descendant-or-self::node()/child::b fused "
       "into descendant::b; no predicate observes position\n"
       "== summary ==\n"
-      "  folded_constants: 0\n"
       "  eliminated_lets: 0\n"
       "  eliminated_trace_calls: 0\n"
-      "  limits_pushed: 0\n"
       "  fused_descendant_steps: 2\n"
       "  probe_predicates: 0\n";
   EXPECT_EQ(ExplainQuery("//a//b[c]"), golden);
@@ -266,10 +306,13 @@ TEST(ExplainTest, PositionDependentPredicatesKeepBothSteps) {
 TEST(ExplainTest, UnoptimizedCompileHasNoRewrites) {
   xq::CompileOptions copts;
   copts.optimize = false;
-  std::string out = ExplainQuery("1 + 2", copts);
-  // The plan shows the raw addition and the rewrite log is empty.
-  EXPECT_EQ(out.find("constant-folded"), std::string::npos) << out;
-  EXPECT_NE(out.find("+"), std::string::npos) << out;
+  std::string out = ExplainQuery("let $dead := 1 return //a", copts);
+  // The plan keeps the dead let and both `//` steps, and the rewrite log is
+  // empty.
+  EXPECT_NE(out.find("let $dead:"), std::string::npos) << out;
+  EXPECT_NE(out.find("step descendant-or-self::node()"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("== rewrites ==\n  (none)\n"), std::string::npos) << out;
 }
 
 TEST(ExplainTest, FunctionsAndVariablesGetTheirOwnSections) {

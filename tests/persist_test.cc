@@ -310,6 +310,36 @@ std::string StepFacts(const xq::Module& m) {
   return out;
 }
 
+// Every path's derived Expr::limit_hint in traversal order, one number per
+// path.
+void AppendLimitHints(const xq::Expr& e, std::string* out) {
+  if (e.kind == xq::ExprKind::kPath) {
+    *out += std::to_string(e.limit_hint) + " ";
+  }
+  for (const xq::PathStep& s : e.steps) {
+    for (const xq::ExprPtr& p : s.predicates) AppendLimitHints(*p, out);
+  }
+  for (const xq::ExprPtr& c : e.children) AppendLimitHints(*c, out);
+  for (const xq::FlworClause& c : e.clauses) AppendLimitHints(*c.expr, out);
+  for (const xq::OrderSpec& o : e.order_by) AppendLimitHints(*o.key, out);
+  for (const xq::DirectAttribute& a : e.attributes) {
+    for (const xq::ExprPtr& p : a.value_parts) AppendLimitHints(*p, out);
+  }
+}
+
+std::string LimitHints(const xq::Module& m) {
+  std::string out;
+  for (const xq::FunctionDecl& f : m.functions) AppendLimitHints(*f.body, &out);
+  for (const xq::VariableDecl& v : m.variables) AppendLimitHints(*v.expr, &out);
+  AppendLimitHints(*m.body, &out);
+  return out;
+}
+
+// True if some path of `hints` (LimitHints) carries a hint.
+bool AnyLimitHint(const std::string& hints) {
+  return hints.find_first_not_of("0 ") != std::string::npos;
+}
+
 // Every declaration's derived FunctionDecl::memoizable, in order.
 std::string Memoizable(const xq::Module& m) {
   std::string out;
@@ -344,6 +374,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
 
   size_t folded = 0;  // queries with a step that folds into a fingerprint
   size_t memoizable = 0;  // queries with a memoizable declaration
+  size_t limited = 0;     // queries with a path that carries a limit hint
   for (const char* q : kFeatureQueries) {
     auto a = fresh.GetOrCompile(q);
     auto b = loaded.GetOrCompile(q);
@@ -363,9 +394,14 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     const std::string memo = Memoizable((*a)->module());
     EXPECT_EQ(Memoizable((*b)->module()), memo) << q;
     memoizable += memo.find('1') != std::string::npos;
+    // And every path gets the limit hint the fresh compile derived.
+    const std::string hints = LimitHints((*a)->module());
+    EXPECT_EQ(LimitHints((*b)->module()), hints) << q;
+    limited += AnyLimitHint(hints);
   }
   EXPECT_GT(folded, 0u);
   EXPECT_GT(memoizable, 0u);
+  EXPECT_GT(limited, 0u);
 }
 
 TEST(PersistPlans, LoadedPlansStillCheckParameterTypes) {
@@ -530,9 +566,11 @@ TEST(PersistPlans, CraftedKeysAreRejected) {
 }
 
 TEST(PersistPlans, KeysLoadWithTheOptionsTheyRecord) {
-  // A dead let around a trace call: each option set compiles it to a
-  // different plan, so EXPLAIN tells them apart.
-  const char* q = "let $dead := trace(\"gone\", 1) let $v := 2 + 3 return $v";
+  // A dead let around a trace call and a dead pure let: each option set
+  // compiles it to a different plan, so EXPLAIN tells them apart.
+  const char* q =
+      "let $dead := trace(\"gone\", 1) let $pure := 2 + 3 let $v := 4 "
+      "return $v";
   xq::CompileOptions plain;
   plain.optimize = false;
   xq::CompileOptions traced;
@@ -864,6 +902,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   size_t bound_calls = 0;
   size_t bound_vars = 0;
   size_t folded = 0;
+  size_t limited = 0;
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
     xq::CacheProvenance prov = xq::CacheProvenance::kCompiled;
@@ -887,6 +926,9 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
     ASSERT_EQ(StepFingerprints((*loaded)->module()), fingerprints) << q;
     ASSERT_EQ(Memoizable((*loaded)->module()), Memoizable((*fresh)->module()))
         << q;
+    const std::string hints = LimitHints((*fresh)->module());
+    ASSERT_EQ(LimitHints((*loaded)->module()), hints) << q;
+    limited += AnyLimitHint(hints);
     folded += fingerprints.find("/\n") != std::string::npos;
     bound_calls += bindings.find(" b") != std::string::npos;
     bound_vars += bindings.find(" v") != std::string::npos;
@@ -900,6 +942,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   EXPECT_GT(bound_calls, 0u);
   EXPECT_GT(bound_vars, 0u);
   EXPECT_GT(folded, 0u);
+  EXPECT_GT(limited, 0u);
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that
   // provenance even when the hit itself came from the in-memory LRU (the
   // plan never paid compile cost in this process -- that's what the tag

@@ -129,20 +129,6 @@ TEST(Optimizer, DeadLetInsideUserFunctionIsEliminated) {
   EXPECT_TRUE(result->trace_output.empty());
 }
 
-TEST(Optimizer, ConstantFolding) {
-  auto query = xq::Compile("1 + 2 * 3");
-  ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->optimizer_stats().folded_constants, 2u);
-  EXPECT_EQ(xq::ExprToString(*query->module().body), "7");
-}
-
-TEST(Optimizer, FoldingLeavesDivisionByZeroForRuntime) {
-  auto query = xq::Compile("1 idiv 0");
-  ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->optimizer_stats().folded_constants, 0u);
-  EXPECT_FALSE(xq::Execute(*query).ok());
-}
-
 TEST(Optimizer, PurityAnalysisOfUserFunctions) {
   auto module = xq::ParseModule(
       "declare function local:pure($x) { $x + 1 }; "
@@ -405,83 +391,6 @@ TEST(DocumentOrder, UnionOfOverlappingPathsStillNormalizes) {
   EXPECT_EQ(r->sequence.at(1).node()->name(), "b");
   // ...which takes an actual sort.
   EXPECT_GT(r->stats.sorts_performed, 0u);
-}
-
-TEST(LimitPushdown, LiteralConsumersAnnotateThePath) {
-  auto sub = xq::Compile("subsequence(//a, 1, 3)");
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->optimizer_stats().limits_pushed, 1u);
-  ASSERT_EQ(sub->module().body->children.size(), 3u);
-  EXPECT_EQ(sub->module().body->children[0]->limit_hint, 3u);
-
-  auto head = xq::Compile("head(//a)");
-  ASSERT_TRUE(head.ok());
-  EXPECT_EQ(head->optimizer_stats().limits_pushed, 1u);
-  EXPECT_EQ(head->module().body->children[0]->limit_hint, 1u);
-
-  // The window is normalized exactly like the builtin: start 0, length 3
-  // covers positions [0, 3), so only the first two items can pass.
-  auto zero = xq::Compile("subsequence(//a, 0, 3)");
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(zero->module().body->children[0]->limit_hint, 2u);
-
-  // A negative literal start parses as unary minus, which the conservative
-  // pass does not recognize: no hint, correctness unaffected.
-  auto negative = xq::Compile("subsequence(//a, -2, 4)");
-  ASSERT_TRUE(negative.ok());
-  EXPECT_EQ(negative->module().body->children[0]->limit_hint, 0u);
-
-  // Dynamic bounds are never pushed.
-  auto dynamic = xq::Compile("subsequence(//a, 1, count(//b))");
-  ASSERT_TRUE(dynamic.ok());
-  EXPECT_EQ(dynamic->optimizer_stats().limits_pushed, 0u);
-}
-
-TEST(LimitPushdown, PositionalForWithImmediateWhere) {
-  auto le = xq::Compile("for $x at $p in //a where $p le 3 return $x");
-  ASSERT_TRUE(le.ok());
-  EXPECT_EQ(le->optimizer_stats().limits_pushed, 1u);
-  EXPECT_EQ(le->module().body->clauses[0].expr->limit_hint, 3u);
-
-  auto lt = xq::Compile("for $x at $p in //a where $p lt 3 return $x");
-  ASSERT_TRUE(lt.ok());
-  EXPECT_EQ(lt->module().body->clauses[0].expr->limit_hint, 2u);
-
-  auto eq = xq::Compile("for $x at $p in //a where $p eq 1 return $x");
-  ASSERT_TRUE(eq.ok());
-  EXPECT_EQ(eq->module().body->clauses[0].expr->limit_hint, 1u);
-
-  // An intervening clause could observe (or fail on) tuples past the bound,
-  // so a where that is not immediately next blocks the push.
-  auto gap = xq::Compile(
-      "for $x at $p in //a let $y := $x where $p le 3 return $y");
-  ASSERT_TRUE(gap.ok());
-  EXPECT_EQ(gap->optimizer_stats().limits_pushed, 0u);
-
-  // A bound on something other than the position variable proves nothing.
-  auto other = xq::Compile("for $x at $p in //a where $x le 3 return $x");
-  ASSERT_TRUE(other.ok());
-  EXPECT_EQ(other->optimizer_stats().limits_pushed, 0u);
-}
-
-TEST(LimitPushdown, LetBoundPathConsumedOnce) {
-  auto once = xq::Compile("let $s := //a return head($s)");
-  ASSERT_TRUE(once.ok());
-  EXPECT_EQ(once->optimizer_stats().limits_pushed, 1u);
-  EXPECT_EQ(once->module().body->clauses[0].expr->limit_hint, 1u);
-
-  // A second use can observe the full sequence.
-  auto twice = xq::Compile("let $s := //a return (head($s), count($s))");
-  ASSERT_TRUE(twice.ok());
-  EXPECT_EQ(twice->optimizer_stats().limits_pushed, 0u);
-}
-
-TEST(LimitPushdown, UserFunctionShadowingDisablesThePush) {
-  auto shadowed = xq::Compile(
-      "declare function head($s) { count($s) }; head(//a)");
-  if (shadowed.ok()) {
-    EXPECT_EQ(shadowed->optimizer_stats().limits_pushed, 0u);
-  }
 }
 
 // --- Descendant-step fusion ---------------------------------------------------
