@@ -7,7 +7,8 @@
 #      from their snapshots with no XML parse, the recorded queries compiled
 #      during the load), answers the same burst
 #   3. the answers must be byte-identical, and daemon B's EXPLAIN must say
-#      the plan came from the disk cache and mark the memoizable function
+#      the plan came from the disk cache, mark the memoizable function and
+#      mark the probe-extended step interned
 #   4. a daemon refuses `save` and `load` paths outside its --state-dir
 #   5. rerun the in-process differential suites (persist_test includes the
 #      495-query disk-vs-fresh oracle) against the same build
@@ -43,10 +44,15 @@ XML
 # answer it from the loaded plan, and judge the function memoizable again.
 SUBTYPE='declare function local:is-sub($m, $t, $super) { if ($t eq $super) then true() else let $d := $m//type[@name = $t] return if (empty($d/@extends)) then false() else local:is-sub($m, string($d/@extends), $super) }; let $m := /types return string-join(for $t in //type return concat($t/@name, "=", local:is-sub($m, string($t/@name), "person")), ",")'
 
+# A probe key that is no literal: the probe extends the interned chain
+# through the bare child::shelf step.
+PROBED='/lib/shelf[@id = concat("1", "")]/book/text()'
+
 QUERIES=(
   'query t lib count(//book)'
   'query t lib string-join(//shelf/@id, ",")'
   'query t lib //shelf[@id="1"]/book[1]/text()'
+  "query t lib ${PROBED}"
   'query t lib for $s in //shelf order by $s/@id descending return count($s/book)'
   # A typed parameter, an arity overload and a re-bound let: daemon B binds
   # every name of the loaded plan again.
@@ -57,6 +63,7 @@ QUERIES=(
 burst() {
   for q in "${QUERIES[@]}"; do echo "${q}"; done
   echo 'explain lib count(//book)'
+  echo "explain lib ${PROBED}"
   echo "explain types ${SUBTYPE}"
 }
 
@@ -115,6 +122,14 @@ grep -qx 'thing=false,person=true,user=true,admin=true,program=false' \
 # The memo mark is derived, never stored: daemon B derives it again.
 grep -qxF '== function local:is-sub#3 == [memo]' "${WORK}/warm.out" || {
   echo "persist_roundtrip: warm EXPLAIN lost the [memo] mark" >&2
+  exit 1
+}
+
+# The interning plan is derived, never stored: daemon B derives the probe
+# extension again.
+grep -qE '^  step child::shelf \[streamed\] \[interned(@v[0-9]+)?\]$' \
+  "${WORK}/warm.out" || {
+  echo "persist_roundtrip: warm EXPLAIN lost the probe-extended [interned]" >&2
   exit 1
 }
 

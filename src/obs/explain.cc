@@ -3,6 +3,7 @@
 #include <string>
 
 #include "xquery/ast.h"
+#include "xquery/eval.h"
 #include "xquery/optimizer.h"
 
 namespace lll::obs {
@@ -18,6 +19,19 @@ using xq::RewriteNote;
 void AppendLocation(std::string* out, size_t line, size_t col) {
   if (line == 0) return;
   *out += " (" + std::to_string(line) + ":" + std::to_string(col) + ")";
+}
+
+// How many leading steps of `path` the evaluator interns (Expr::
+// intern_steps, plus the probe-extended step), shown where the base is
+// statically a tree root: the `/` root or fn:doc(...). The evaluator also
+// interns from a tree root it finds only at run time.
+size_t InternedSteps(const Expr& path) {
+  const xq::Builtin* base =
+      path.has_base ? path.children[0]->builtin : nullptr;
+  if (path.has_base ? base == nullptr || base->name != "doc" : !path.rooted) {
+    return 0;
+  }
+  return path.intern_steps + (path.probe_chain_key.empty() ? 0 : 1);
 }
 
 struct PlanPrinter {
@@ -90,7 +104,9 @@ struct PlanPrinter {
       child_start = 1;
     }
     if (e.kind == ExprKind::kPath) {
-      for (const PathStep& step : e.steps) {
+      const size_t interned = InternedSteps(e);
+      for (size_t i = 0; i < e.steps.size(); ++i) {
+        const PathStep& step = e.steps[i];
         std::string s = "filter";
         if (!step.is_filter) {
           s = "step ";
@@ -100,7 +116,7 @@ struct PlanPrinter {
           s += xq::IsReverseStreamableAxis(step.axis) ? " [streamed-rev]"
                                                       : " [streamed]";
         }
-        if (step.internable) {
+        if (i < interned) {
           s += context_doc == nullptr
                    ? " [interned]"
                    : " [interned@v" +

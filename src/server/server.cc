@@ -380,22 +380,45 @@ Status QueryServer::SaveState(const std::string& dir) const {
     return Status::Internal("cannot create state directory '" + dir +
                             "': " + ec.message());
   }
-  std::set<std::string> written = {"plans.lllp"};
-  LLL_RETURN_IF_ERROR(
-      persist::SavePlanCache(query_cache_, dir + "/plans.lllp", metrics_));
+  // Every artifact is staged as <file>.new, a name LoadState skips, and
+  // renamed into place only once all are written: a save that fails leaves
+  // the earlier save whole, never new plans beside old snapshots.
+  const auto staged = [&dir](const std::string& file) {
+    return dir + "/" + file + ".new";
+  };
+  std::vector<std::string> files;
+  Status st = persist::SavePlanCache(query_cache_, staged("plans.lllp"),
+                                     metrics_);
+  if (st.ok()) files.push_back("plans.lllp");
   size_t n = 0;
   for (const std::string& name : store_.Names()) {
+    if (!st.ok()) break;
     SnapshotPtr snap = store_.Current(name);
     if (snap == nullptr) continue;
     const std::string file = "doc-" + std::to_string(n++) + ".llld";
-    LLL_RETURN_IF_ERROR(persist::SaveDocumentSnapshot(
-        snap->document(), name, dir + "/" + file, metrics_));
-    written.insert(file);
+    st = persist::SaveDocumentSnapshot(snap->document(), name, staged(file),
+                                       metrics_);
+    if (st.ok()) files.push_back(file);
+  }
+  size_t placed = 0;
+  for (; st.ok() && placed < files.size(); ++placed) {
+    fs::rename(staged(files[placed]), dir + "/" + files[placed], ec);
+    if (ec) {
+      st = Status::Internal("cannot move '" + staged(files[placed]) +
+                            "' into place: " + ec.message());
+      break;
+    }
+  }
+  if (!st.ok()) {
+    for (size_t i = placed; i < files.size(); ++i) {
+      fs::remove(staged(files[i]), ec);
+    }
+    return st;
   }
   // LoadState loads every artifact in the directory, so artifacts an
   // earlier save left behind would bring back documents this server no
-  // longer holds. Remove them only now that every new one is in place: a
-  // save that failed above removes nothing.
+  // longer holds.
+  const std::set<std::string> written(files.begin(), files.end());
   std::vector<fs::path> stale;
   for (fs::directory_iterator it(dir, ec);
        !ec && it != fs::directory_iterator(); it.increment(ec)) {

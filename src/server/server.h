@@ -200,9 +200,10 @@ class QueryServer {
   // Writes the server's warm state into `dir` (created if missing): the
   // plan cache's keys as plans.lllp and the CURRENT snapshot of every
   // document as doc-<n>.llld (names are embedded in the artifacts, so no
-  // side index). Artifacts are written atomically; once all are written,
-  // every other *.lllp / *.llld in `dir` is removed, so a reused directory
-  // holds exactly this save. A save that fails removes nothing.
+  // side index). Each artifact is staged as <file>.new and renamed into
+  // place only once all are written; then every other *.lllp / *.llld in
+  // `dir` is removed, so a reused directory holds exactly this save. A save
+  // that fails removes what it staged and leaves the earlier save whole.
   Status SaveState(const std::string& dir) const;
 
   // Loads a state directory written by SaveState: the recorded keys are

@@ -73,8 +73,8 @@ struct PathStep {
   // The per-step facts below are derived by ResolveSteps (optimizer.h),
   // which Compile runs on every plan, optimized or not. The evaluator reads
   // them instead of re-scanning predicates; only dynamic conditions
-  // (EvalOptions::streaming, single-document input, a tree-root base, an
-  // attached cache) are left to check at run time.
+  // (EvalOptions::streaming, single-document input) are left to check at
+  // run time.
   //
   // Every predicate is position-free: boolean-valued at the top level, no
   // position()/last(), no trace/error/user-defined/unknown call. A
@@ -90,29 +90,11 @@ struct PathStep {
   // 10). EXPLAIN renders it as [streamed] for forward axes and
   // [streamed-rev] for reverse ones.
   bool streamable = false;
-  // Every predicate is intern-foldable: its value for a candidate is a pure
-  // function of the tree (DESIGN.md section 14), so the step may join an
-  // interned chain with its predicates' text folded into the fingerprint.
-  // True for a predicate-free axis step.
-  bool foldable = false;
-  // Every predicate is additionally attribute-only (every path in it a
-  // single attribute step), the class the intern guard descent may resolve
-  // through. True for a predicate-free axis step.
-  bool attribute_only = false;
-  // The step belongs to the leading foldable chain of a path whose base is
-  // statically a tree root (the `/` root or fn:doc), the shape the node-set
-  // interning cache memoizes. EXPLAIN renders it as [interned]; the
-  // evaluator interns any dynamically found tree root from `foldable`.
-  bool internable = false;
-  // A foldable step's text in an interned chain's fingerprint: axis::test,
-  // each predicate's canonical text in brackets, then "/". Empty for other
-  // steps.
-  std::string fingerprint;
 };
 
 // Appends a step's "axis::test" spelling (e.g. "child::a",
 // "descendant::text()") to `out`: the one renderer behind ExprToString,
-// EXPLAIN, rewrite notes and node-set fingerprints.
+// EXPLAIN, rewrite notes and node-set intern keys.
 void AppendAxisTest(const PathStep& step, std::string* out);
 
 enum class BinOp {
@@ -276,6 +258,24 @@ struct Expr {
   // evaluator ignores it so streaming=false stays byte-identical as the
   // differential baseline. EXPLAIN renders a nonzero hint as [limit N].
   size_t limit_hint = 0;
+
+  // kPath: node-set interning, decided by the resolve pass (ResolveSteps)
+  // on every plan (DESIGN.md section 14). The first `intern_steps` steps
+  // are the chain the evaluator memoizes when the path starts at a tree
+  // root: axis steps whose every predicate is `@a = "literal"` or
+  // `"literal" = @a`. `intern_key` is their text: each step's axis::test,
+  // `[@a="literal"]` per predicate (the literal's quotes doubled), then
+  // "/". The next step is probe-extended when its first predicate is a
+  // probe (probe_key, so only in optimized plans): under streaming the
+  // chain then runs through that step's bare axis::test, and the probe
+  // filters the interned candidates (DESIGN.md section 16).
+  // `probe_chain_key` is that chain's key -- the intern key plus the bare
+  // axis::test and "/" -- and empty when no step is probe-extended.
+  // EXPLAIN renders every interned step of a path whose base is statically
+  // a tree root as [interned].
+  size_t intern_steps = 0;
+  std::string intern_key;
+  std::string probe_chain_key;
 
   // kFlwor
   std::vector<FlworClause> clauses;

@@ -93,6 +93,23 @@ bool MatchesTest(const xml::Node* n, const NodeTest& test, Axis axis) {
   return false;
 }
 
+// True if element `n` passes every predicate of `step`, each of the folded
+// form `@a = "literal"` or `"literal" = @a`: an attribute a of n has
+// exactly the literal's value.
+bool MatchesFoldedPredicates(const xml::Node& n, const PathStep& step) {
+  for (const ExprPtr& pred : step.predicates) {
+    const int literal = pred->children[0]->kind == ExprKind::kLiteral ? 0 : 1;
+    const std::string& attr = pred->children[1 - literal]->steps[0].test.name;
+    const std::string& value = pred->children[literal]->text;
+    bool match = false;
+    for (const xml::Node* a : n.attributes()) {
+      match = match || (a->name() == attr && a->value() == value);
+    }
+    if (!match) return false;
+  }
+  return true;
+}
+
 // Preorder walk with an explicit stack: descendant axes over degenerate
 // (deep-chain) documents must not be bounded by the C++ call stack. Each
 // frame is (node, index of the next child to visit).
@@ -1029,7 +1046,8 @@ Result<Sequence> Evaluator::EvalPath(const Expr& e, size_t limit) {
 
 Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   NodeSetCache* cache = options_.nodeset_cache;
-  if (cache == nullptr || e.steps.empty()) return 0;
+  const bool probe = options_.streaming && !e.probe_chain_key.empty();
+  if (cache == nullptr || (e.intern_steps == 0 && !probe)) return 0;
   if (current->size() != 1 || !current->at(0).is_node()) return 0;
   xml::Node* base = current->at(0).node();
   // Any tree root qualifies: a document node, or a parentless element such
@@ -1047,51 +1065,28 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   // cannot make raw pointers into a freed arena safe to hand out.
   if (base->document() == ctx_->construction_arena()) return 0;
 
-  // The internable prefix: leading axis steps that are pure functions of
-  // the tree (PathStep::foldable), with the predicates' canonical text
-  // folded into the fingerprint so `model[@id="a"]` and `model[@id="b"]`
-  // intern separately.
-  size_t prefix = 0;
-  std::string fingerprint;
-  for (const PathStep& step : e.steps) {
-    if (!step.foldable) break;
-    fingerprint += step.fingerprint;
-    ++prefix;
-  }
-
-  // The probe extension (DESIGN.md section 16): the first step that cannot
-  // fold still interns its bare axis::test when its first predicate is a
-  // probe -- every `doc("m")//node-type[@name = $t]` shares the candidates
-  // `//node-type` interns -- and the probe filters them through an index.
-  // Later predicates need per-context positions, which only the child axis
-  // recovers (grouped by parent), unless the plan proved them position-free;
-  // other axes need a lone probe.
-  if (options_.streaming && prefix < e.steps.size()) {
-    const PathStep& step = e.steps[prefix];
-    if (!step.is_filter && !step.predicates.empty() &&
-        step.predicates[0]->probe_key >= 0 &&
-        (step.axis == Axis::kChild || step.predicates.size() == 1 ||
-         step.position_free)) {
-      std::string bare = fingerprint;
-      AppendAxisTest(step, &bare);
-      bare += '/';
-      LLL_ASSIGN_OR_RETURN(
-          Sequence candidates,
-          InternChain(e, prefix + 1, /*bare_last=*/true, base, bare, *current));
-      LLL_ASSIGN_OR_RETURN(std::optional<Sequence> probed,
-                           ProbeStep(e, step, candidates));
-      if (probed.has_value()) {
-        *current = std::move(*probed);
-        return prefix + 1;
-      }
-      // The probe does not apply (a key that is not all strings): intern
-      // the plain prefix below and let the step run its per-candidate loop.
+  // The probe extension (DESIGN.md section 16): every
+  // `doc("m")//node-type[@name = $t]` shares the candidates
+  // `//node-type` interns, and the probe filters them through an index.
+  if (probe) {
+    const size_t extended = e.intern_steps + 1;
+    LLL_ASSIGN_OR_RETURN(Sequence candidates,
+                         InternChain(e, extended, /*bare_last=*/true, base,
+                                     e.probe_chain_key, *current));
+    LLL_ASSIGN_OR_RETURN(std::optional<Sequence> probed,
+                         ProbeStep(e, e.steps[e.intern_steps], candidates));
+    if (probed.has_value()) {
+      *current = std::move(*probed);
+      return extended;
     }
+    // The probe does not apply (a key that is not all strings): intern
+    // the plain prefix below and let the step run its per-candidate loop.
   }
-  if (prefix == 0) return 0;
-  LLL_ASSIGN_OR_RETURN(*current, InternChain(e, prefix, /*bare_last=*/false,
-                                             base, fingerprint, *current));
-  return prefix;
+  if (e.intern_steps == 0) return 0;
+  LLL_ASSIGN_OR_RETURN(*current,
+                       InternChain(e, e.intern_steps, /*bare_last=*/false,
+                                   base, e.intern_key, *current));
+  return e.intern_steps;
 }
 
 Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
@@ -1206,8 +1201,9 @@ Result<std::optional<Sequence>> Evaluator::ProbeStep(
   Sequence out;
   for (uint32_t i : hits) out.Append(candidates.at(i));
   if (step.predicates.size() > 1 && step.axis != Axis::kChild) {
-    // Position-free later predicates (InternPrefix checked the plan's bit)
-    // judge each hit alike whichever context produced it: one pass over all.
+    // Position-free later predicates (the plan extends other axes only
+    // through position-free steps) judge each hit alike whichever context
+    // produced it: one pass over all.
     Result<Sequence> kept =
         ApplyPredicates(step.predicates, std::move(out), /*first=*/1);
     if (!kept.ok()) return located(kept.status());
@@ -1327,7 +1323,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   //
   //   child::name (no predicates)  the selection depends only on ctx's own
   //                                child list              -> {ctx, kLocal}
-  //   child::name[attr-only preds] ...plus the candidates' attribute state
+  //   child::name[@a = "lit"]...   ...plus the candidates' attribute state
   //                       -> {ctx, kLocal} + {ctx, kLocalChildren}
   //
   // and stop with a whole-subtree guard at the first step that fans out,
@@ -1344,49 +1340,27 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       push(ctx, GuardKind::kSubtree);
       break;
     }
-    if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName &&
-        unfiltered) {
+    if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName) {
       push(ctx, GuardKind::kLocal);
+      if (!unfiltered) push(ctx, GuardKind::kLocalChildren);
       if (last) break;
-      xml::Node* match = nullptr;
+      // The anchor: the one child the step selects. Every predicate of a
+      // step inside the chain is a folded `@a = "literal"`.
+      xml::Node* anchor = nullptr;
       bool unique = true;
       for (xml::Node* c : ctx->children()) {
-        if (c->is_element() && c->name() == step.test.name) {
-          if (match != nullptr) {
-            unique = false;
-            break;
-          }
-          match = c;
+        if (!c->is_element() || c->name() != step.test.name ||
+            !MatchesFoldedPredicates(*c, step)) {
+          continue;
         }
+        if (anchor != nullptr) {
+          unique = false;
+          break;
+        }
+        anchor = c;
       }
-      if (unique && match != nullptr) {
-        ctx = match;
-        continue;
-      }
-      push(ctx, GuardKind::kSubtree);
-      break;
-    }
-    if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName &&
-        !unfiltered && step.attribute_only) {
-      push(ctx, GuardKind::kLocal);
-      push(ctx, GuardKind::kLocalChildren);
-      if (last) break;
-      // Resolve through the predicate with the real evaluator so the
-      // singleton decision matches evaluation semantics exactly; shield the
-      // main evaluation's stats, focus, and profile from the probe (it must
-      // be invisible -- a guard-quality refinement, not an evaluation).
-      EvalStats saved_stats = stats_;
-      Focus saved_focus = focus_;
-      obs::Profiler* saved_profiler = profiler_;
-      profiler_ = nullptr;
-      Result<Sequence> selected =
-          EvalStep(step, Sequence(Item::NodeRef(ctx)));
-      profiler_ = saved_profiler;
-      stats_ = saved_stats;
-      focus_ = saved_focus;
-      if (selected.ok() && selected->size() == 1 &&
-          selected->at(0).is_node() && selected->at(0).node()->is_element()) {
-        ctx = selected->at(0).node();
+      if (unique && anchor != nullptr) {
+        ctx = anchor;
         continue;
       }
       push(ctx, GuardKind::kSubtree);
@@ -1397,8 +1371,8 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       push(ctx, GuardKind::kLocal);
       break;
     }
-    // descendant/self steps, wildcards, folded general predicates: the
-    // result can depend on anything beneath ctx.
+    // descendant/self steps and wildcards: the result can depend on
+    // anything beneath ctx.
     push(ctx, GuardKind::kSubtree);
     break;
   }

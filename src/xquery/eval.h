@@ -72,10 +72,10 @@ struct EvalOptions {
   // the same arguments when on, and always runs its body when off
   // (DESIGN.md section 19).
   bool streaming = true;
-  // Node-set interning: memoizes the leading step chain of document-rooted
-  // paths (predicate-free steps plus steps whose predicates are provably
-  // pure functions of the tree, folded into the fingerprint) as (document
-  // identity, step-chain fingerprint) -> Sequence, invalidated by the
+  // Node-set interning: memoizes the leading step chain of tree-rooted
+  // paths the plan marked (Expr::intern_steps: predicate-free steps plus
+  // steps whose predicates are all `@a = "literal"`, folded into the key)
+  // as (document identity, Expr::intern_key) -> Sequence, invalidated by the
   // document's per-node subtree edit-version overlay -- an edit evicts only
   // entries whose dependency chain it dirtied. Borrowed; must outlive the
   // evaluation AND be scoped to the documents' owner (cached sequences hold
@@ -312,15 +312,14 @@ class Evaluator {
   void ChargeSkipped(size_t n) {
     if (!suppress_skip_charges_) stats_.nodes_skipped_early_exit += n;
   }
-  // Consults / fills the node-set interning cache for the leading chain of
-  // PathStep::foldable steps (predicate-free steps, plus steps whose
-  // predicates fold into the fingerprint) of a path from a tree root (a
-  // document node or a parentless element). Under streaming the chain
-  // extends through the next step's bare axis::test when that step's first
-  // predicate is a probe, and the probe then filters the interned
-  // candidates. On success returns the number of steps consumed and
-  // replaces *current with the prefix result; returns 0 when interning
-  // does not apply.
+  // Consults / fills the node-set interning cache for the chain the plan
+  // decided (Expr::intern_steps and intern_key) when the path starts at a
+  // tree root (a document node or a parentless element). Under streaming a
+  // probe-extended path (Expr::probe_chain_key) interns the chain through
+  // the next step's bare axis::test instead, and the probe then filters
+  // the interned candidates. On success returns the number of steps
+  // consumed and replaces *current with the prefix result; returns 0 when
+  // interning does not apply.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
   // The interned result of the first `steps` steps of `e` from `base` (the
   // last one without its predicates when `bare_last`), looked up under
@@ -332,8 +331,9 @@ class Evaluator {
   // Applies the predicates of `step`, whose first is a probe, to the
   // step's candidates from every context at once (sorted, one document).
   // Later predicates see per-context positions: on the child axis the hits
-  // are grouped by parent, which is the context; on other axes InternPrefix
-  // guarantees they are position-free, and they run over all hits at once.
+  // are grouped by parent, which is the context; on other axes the plan
+  // extends only through steps whose later predicates are position-free,
+  // and they run over all hits at once.
   // Returns nullopt when the probe does not apply (see ProbeHits).
   Result<std::optional<xdm::Sequence>> ProbeStep(
       const Expr& e, const PathStep& step, const xdm::Sequence& candidates);
@@ -346,9 +346,11 @@ class Evaluator {
       const Expr& pred, const xdm::Sequence& candidates);
   // Builds the subtree version guard set for an intern entry: descends from
   // `base` through prefix steps that resolve to singleton elements,
-  // recording the narrowest overlay guards that dominate the chain, and
-  // falls back to a whole-subtree guard at the first step it cannot scope
-  // (DESIGN.md section 14). Best-effort: never fails, only widens.
+  // recording the narrowest overlay guards that dominate the chain -- a
+  // folded step resolves to the one child whose attributes match its
+  // literals -- and falls back to a whole-subtree guard at the first step
+  // it cannot scope (DESIGN.md section 14). Best-effort: never fails, only
+  // widens.
   // `bare_last`: the prefix's last step is interned without its
   // predicates (the probe extension) and is guarded like a predicate-free
   // step.
@@ -455,16 +457,13 @@ enum BuiltinFact : unsigned {
   kErrors = 1u << 1,         // fn:error: aborts
   kReadsPosition = 1u << 2,  // fn:position
   kReadsSize = 1u << 3,      // fn:last
-  // A pure function of its arguments and the context item (DESIGN.md
-  // section 14).
-  kTreePure = 1u << 4,
-  kBooleanValued = 1u << 5,  // as a predicate, never a position test
+  kBooleanValued = 1u << 4,  // as a predicate, never a position test
   // fn:parse-xml-fragment: copies fresh nodes into the construction arena,
   // so two calls never return the same nodes.
-  kConstructs = 1u << 6,
+  kConstructs = 1u << 5,
   // fn:exists, fn:empty, fn:head: the first item of the one argument, or
   // its absence, decides the result (DESIGN.md section 10).
-  kFirstItemDecides = 1u << 7,
+  kFirstItemDecides = 1u << 6,
 };
 
 // One entry of the builtin library; see functions.cc for the catalog.

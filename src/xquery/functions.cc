@@ -147,8 +147,8 @@ Result<Sequence> FocusArg(Evaluator& ev) {
 using Registry = std::map<std::pair<std::string, size_t>, Builtin>;
 
 // Every entry carries the BuiltinFact bits (eval.h) the optimizer's passes
-// read; an entry with none is effect-free but never folded into an intern
-// fingerprint nor taken for a boolean predicate.
+// read; an entry with none is effect-free but never taken for a boolean
+// predicate.
 Registry BuildRegistry() {
   Registry reg;
   auto def = [&reg](const std::string& name, size_t arity, BuiltinFn fn,
@@ -160,27 +160,27 @@ Registry BuildRegistry() {
 
   def("count", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return IntSeq(static_cast<int64_t>(args[0].size()));
-  }, kTreePure);
+  });
   def("empty", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(args[0].empty());
-  }, kTreePure | kBooleanValued | kFirstItemDecides);
+  }, kBooleanValued | kFirstItemDecides);
   def("exists", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return BoolSeq(!args[0].empty());
-  }, kTreePure | kBooleanValued | kFirstItemDecides);
+  }, kBooleanValued | kFirstItemDecides);
   def("not", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
     return BoolSeq(!b);
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("boolean", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
     return BoolSeq(b);
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("true", 0, [](Evaluator&, std::vector<Sequence>&) -> Result<Sequence> {
     return BoolSeq(true);
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("false", 0, [](Evaluator&, std::vector<Sequence>&) -> Result<Sequence> {
     return BoolSeq(false);
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("reverse", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     Sequence out;
     for (size_t i = args[0].size(); i-- > 0;) out.Append(args[0].at(i));
@@ -296,11 +296,11 @@ Registry BuildRegistry() {
   def("string", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return StrSeq(focus.at(0).StringForm());
-  }, kTreePure);
+  });
   def("string", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "string"));
     return StrSeq(s);
-  }, kTreePure);
+  });
   def("concat", kVariadic, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     std::string out;
     for (Sequence& arg : args) {
@@ -308,7 +308,7 @@ Registry BuildRegistry() {
       out += s;
     }
     return StrSeq(out);
-  }, kTreePure);
+  });
   def("string-join", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "string-join"));
     std::string out;
@@ -318,7 +318,7 @@ Registry BuildRegistry() {
       out += atomized.at(i).StringForm();
     }
     return StrSeq(out);
-  }, kTreePure);
+  });
   def("substring", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring"));
     LLL_ASSIGN_OR_RETURN(double start, OneNumber(args[1], "substring"));
@@ -328,7 +328,7 @@ Registry BuildRegistry() {
       if (i + 1 >= begin) out.push_back(s[static_cast<size_t>(i)]);
     }
     return StrSeq(out);
-  }, kTreePure);
+  });
   def("substring", 3, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring"));
     LLL_ASSIGN_OR_RETURN(double start, OneNumber(args[1], "substring"));
@@ -341,46 +341,46 @@ Registry BuildRegistry() {
       if (p >= lo && p < hi) out.push_back(s[static_cast<size_t>(i)]);
     }
     return StrSeq(out);
-  }, kTreePure);
+  });
   def("string-length", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return IntSeq(static_cast<int64_t>(focus.at(0).StringForm().size()));
-  }, kTreePure);
+  });
   def("string-length", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "string-length"));
     return IntSeq(static_cast<int64_t>(s.size()));
-  }, kTreePure);
+  });
   def("contains", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string haystack, OneStringOrEmpty(args[0], "contains"));
     LLL_ASSIGN_OR_RETURN(std::string needle, OneStringOrEmpty(args[1], "contains"));
     return BoolSeq(Contains(haystack, needle));
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("starts-with", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "starts-with"));
     LLL_ASSIGN_OR_RETURN(std::string prefix, OneStringOrEmpty(args[1], "starts-with"));
     return BoolSeq(StartsWith(s, prefix));
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("ends-with", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "ends-with"));
     LLL_ASSIGN_OR_RETURN(std::string suffix, OneStringOrEmpty(args[1], "ends-with"));
     return BoolSeq(EndsWith(s, suffix));
-  }, kTreePure | kBooleanValued);
+  }, kBooleanValued);
   def("normalize-space", 0, [](Evaluator& ev, std::vector<Sequence>&) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     return StrSeq(NormalizeSpace(focus.at(0).StringForm()));
-  }, kTreePure);
+  });
   def("normalize-space", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "normalize-space"));
     return StrSeq(NormalizeSpace(s));
-  }, kTreePure);
+  });
   def("upper-case", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "upper-case"));
     return StrSeq(ToUpper(s));
-  }, kTreePure);
+  });
   def("lower-case", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "lower-case"));
     return StrSeq(ToLower(s));
-  }, kTreePure);
+  });
   def("translate", 3, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "translate"));
     LLL_ASSIGN_OR_RETURN(std::string from, OneStringOrEmpty(args[1], "translate"));
@@ -395,19 +395,19 @@ Registry BuildRegistry() {
       }  // else: dropped
     }
     return StrSeq(out);
-  }, kTreePure);
+  });
   def("substring-before", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring-before"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "substring-before"));
     size_t idx = sep.empty() ? std::string::npos : s.find(sep);
     return StrSeq(idx == std::string::npos ? "" : s.substr(0, idx));
-  }, kTreePure);
+  });
   def("substring-after", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "substring-after"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "substring-after"));
     size_t idx = sep.empty() ? std::string::npos : s.find(sep);
     return StrSeq(idx == std::string::npos ? "" : s.substr(idx + sep.size()));
-  }, kTreePure);
+  });
   def("tokenize", 2, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string s, OneStringOrEmpty(args[0], "tokenize"));
     LLL_ASSIGN_OR_RETURN(std::string sep, OneStringOrEmpty(args[1], "tokenize"));
@@ -476,7 +476,7 @@ Registry BuildRegistry() {
     LLL_ASSIGN_OR_RETURN(Sequence focus, FocusArg(ev));
     auto parsed = ParseDouble(focus.at(0).StringForm());
     return DblSeq(parsed ? *parsed : std::nan(""));
-  }, kTreePure);
+  });
   def("number", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return DblSeq(std::nan(""));
     Sequence atomized = args[0].Atomized();
@@ -490,19 +490,19 @@ Registry BuildRegistry() {
     }
     auto parsed = ParseDouble(item.StringForm());
     return DblSeq(parsed ? *parsed : std::nan(""));
-  }, kTreePure);
+  });
   def("sum", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kSum, args[0]);
-  }, kTreePure);
+  });
   def("avg", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kAvg, args[0]);
-  }, kTreePure);
+  });
   def("max", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kMax, args[0]);
-  }, kTreePure);
+  });
   def("min", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return Aggregate(Agg::kMin, args[0]);
-  }, kTreePure);
+  });
   def("abs", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     Sequence atomized = args[0].Atomized();
@@ -512,22 +512,22 @@ Registry BuildRegistry() {
     }
     LLL_ASSIGN_OR_RETURN(double d, item.NumericValue());
     return DblSeq(std::fabs(d));
-  }, kTreePure);
+  });
   def("floor", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "floor"));
     return IntSeq(static_cast<int64_t>(std::floor(d)));
-  }, kTreePure);
+  });
   def("ceiling", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "ceiling"));
     return IntSeq(static_cast<int64_t>(std::ceil(d)));
-  }, kTreePure);
+  });
   def("round", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(double d, OneNumber(args[0], "round"));
     return IntSeq(static_cast<int64_t>(std::floor(d + 0.5)));
-  }, kTreePure);
+  });
 
   // --- Nodes ------------------------------------------------------------
 
@@ -544,19 +544,19 @@ Registry BuildRegistry() {
       return Status::Invalid("name() requires a node context item");
     }
     return StrSeq(ev.focus_item().node()->name());
-  }, kTreePure);
+  });
   def("name", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return StrSeq("");
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "name"));
     return StrSeq(n->name());
-  }, kTreePure);
+  });
   def("local-name", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return StrSeq("");
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "local-name"));
     const std::string& name = n->name();
     size_t colon = name.find(':');
     return StrSeq(colon == std::string::npos ? name : name.substr(colon + 1));
-  }, kTreePure);
+  });
   def("root", 1, [node_arg](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     if (args[0].empty()) return Sequence();
     LLL_ASSIGN_OR_RETURN(xml::Node * n, node_arg(args[0], "root"));
@@ -564,7 +564,7 @@ Registry BuildRegistry() {
   });
   def("data", 1, [](Evaluator&, std::vector<Sequence>& args) -> Result<Sequence> {
     return args[0].Atomized();
-  }, kTreePure);
+  });
   def("doc", 1, [](Evaluator& ev, std::vector<Sequence>& args) -> Result<Sequence> {
     LLL_ASSIGN_OR_RETURN(std::string name, OneStringOrEmpty(args[0], "doc"));
     xml::Node* doc = ev.context()->LookupDocument(name);

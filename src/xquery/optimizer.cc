@@ -372,8 +372,6 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats) {
   ForEachTopLevel(module, [&marker](Expr* e) { marker.Mark(e); });
 }
 
-// --- Node-set intern predicate folding --------------------------------------
-
 namespace {
 
 // A path whose last step is an axis step: every item of its result is a
@@ -418,144 +416,6 @@ bool BooleanValued(const Expr& e) {
       return false;
   }
 }
-
-// Decides whether a predicate may be folded into a node-set intern
-// fingerprint: its value for a given candidate node is a pure function of
-// the tree alone. That requires all of (DESIGN.md section 14):
-//
-//   - provably boolean-valued at the top level (comparisons, and/or, calls
-//     to kBooleanValued builtins) or a node-path shape whose effective
-//     boolean value is "any nodes?" -- NEVER a possibly-numeric expression,
-//     which XPath predicate semantics would turn into a position test
-//     (folding `[count(c)]` would freeze a position-dependent selection,
-//     while `[exists(c)]` is a pure tree function);
-//   - no position()/last()/variables/dynamic context: the only builtins
-//     called are kTreePure ones, pure functions of their arguments and the
-//     context ITEM (not position/last, trace/error, doc/collection or
-//     generate-id);
-//   - no observable effects (fn:trace/fn:error -- the trace-parity rule) and
-//     no user-defined or unknown functions, which may hide either;
-//   - only downward-reading subexpressions: relative non-rooted paths over
-//     child/attribute/descendant(-or-self)/self axes, so everything the
-//     predicate can see lies beneath the candidate and is covered by the
-//     entry's subtree guards.
-//
-// In attribute-only mode every path must moreover be a single attribute
-// step (e.g. `[@id = "x"]` and and/or combinations): the class the guard
-// descent may resolve through, because the candidates' attribute state is
-// exactly what a kLocalChildren guard on their parent watches.
-struct FoldScanner {
-  bool attr_only = false;
-
-  bool FoldablePath(const Expr& e) const {
-    if (e.rooted || e.has_base) return false;  // must start at the candidate
-    if (e.steps.empty()) return false;
-    if (attr_only) {
-      if (e.steps.size() != 1) return false;
-      const PathStep& s = e.steps[0];
-      return !s.is_filter && s.axis == Axis::kAttribute &&
-             s.predicates.empty() &&
-             (s.test.kind == NodeTestKind::kName ||
-              s.test.kind == NodeTestKind::kAnyName);
-    }
-    for (const PathStep& s : e.steps) {
-      if (s.is_filter) return false;
-      switch (s.axis) {
-        case Axis::kChild:
-        case Axis::kAttribute:
-        case Axis::kDescendant:
-        case Axis::kDescendantOrSelf:
-        case Axis::kSelf:
-          break;  // downward: stays inside the candidate's subtree
-        default:
-          return false;  // parent/ancestor/sibling escape the subtree
-      }
-      for (const ExprPtr& p : s.predicates) {
-        // Nested predicates get their own focus; integer-literal position
-        // picks and foldable boolean shapes are both pure tree functions.
-        if (p->kind == ExprKind::kLiteral &&
-            p->literal_type == Expr::LiteralType::kInteger) {
-          continue;
-        }
-        if (!FoldableBool(*p)) return false;
-      }
-    }
-    return true;
-  }
-
-  bool FoldableBool(const Expr& e) const {
-    if (!BooleanValued(e)) return false;
-    switch (e.kind) {
-      case ExprKind::kBinary:
-        if (e.op == BinOp::kAnd || e.op == BinOp::kOr) {
-          return FoldableBool(*e.children[0]) && FoldableBool(*e.children[1]);
-        }
-        return FoldableValue(*e.children[0]) && FoldableValue(*e.children[1]);
-      case ExprKind::kPath:
-        // A node path's effective boolean value is "any nodes?" -- node
-        // sequences are never mistaken for position tests.
-        return FoldablePath(e);
-      default:
-        return FoldableValue(e);  // a call to a boolean builtin
-    }
-  }
-
-  bool FoldableValue(const Expr& e) const {
-    switch (e.kind) {
-      case ExprKind::kLiteral:
-      case ExprKind::kTextLiteral:
-      case ExprKind::kEmptySequence:
-      case ExprKind::kContextItem:
-        return true;
-      case ExprKind::kSequence: {
-        for (const ExprPtr& c : e.children) {
-          if (!FoldableValue(*c)) return false;
-        }
-        return true;
-      }
-      case ExprKind::kPath:
-        return FoldablePath(e);
-      case ExprKind::kBinary:
-        switch (e.op) {
-          case BinOp::kAnd:
-          case BinOp::kOr:
-            return FoldableBool(e);
-          case BinOp::kAdd:
-          case BinOp::kSub:
-          case BinOp::kMul:
-          case BinOp::kDiv:
-          case BinOp::kIdiv:
-          case BinOp::kMod:
-          case BinOp::kUnion:
-          case BinOp::kIntersect:
-          case BinOp::kExcept:
-          case BinOp::kTo:
-            return FoldableValue(*e.children[0]) &&
-                   FoldableValue(*e.children[1]);
-          default:
-            // Comparisons are boolean-valued, fine as subexpressions too.
-            return FoldableBool(e);
-        }
-      case ExprKind::kUnary:
-        return FoldableValue(*e.children[0]);
-      case ExprKind::kIf:
-        return FoldableValue(*e.children[0]) &&
-               FoldableValue(*e.children[1]) && FoldableValue(*e.children[2]);
-      case ExprKind::kFunctionCall: {
-        if (!CallsBuiltinWith(e, kTreePure)) return false;
-        for (const ExprPtr& c : e.children) {
-          if (!FoldableValue(*c)) return false;
-        }
-        return true;
-      }
-      default:
-        // Variables (dynamic environment), FLWOR/quantified (bindings),
-        // constructors (fresh node identities per evaluation), casts kept
-        // out until needed: all unfoldable.
-        return false;
-    }
-  }
-};
 
 // --- Descendant-step fusion -------------------------------------------------
 
@@ -666,46 +526,101 @@ void MarkDemand(Expr* e) {
   }
 }
 
+// --- Node-set interning -----------------------------------------------------
+
+// The one predicate shape folded into an intern key: `@a = "literal"` or
+// `"literal" = @a`. Its verdict for a candidate reads only the candidate's
+// own attributes, which a kLocalChildren guard on the candidate's parent
+// watches, and the guard descent resolves it by comparing each child's @a
+// with the literal (DESIGN.md section 14). Returns the index in `children`
+// of the literal operand, or -1 for any other predicate.
+int FoldedLiteral(const Expr& pred) {
+  if (pred.kind != ExprKind::kBinary || pred.op != BinOp::kGenEq) return -1;
+  for (int literal = 0; literal < 2; ++literal) {
+    const Expr& k = *pred.children[literal];
+    if (k.kind == ExprKind::kLiteral &&
+        k.literal_type == Expr::LiteralType::kString &&
+        IsBareAttributeStep(*pred.children[1 - literal])) {
+      return literal;
+    }
+  }
+  return -1;
+}
+
+// The step after an interned chain is probe-extended when its first
+// predicate is a probe that can apply -- ProbeHits declines every key that
+// is not all strings, so a numeric literal key never does -- and the later
+// predicates keep their meaning over the candidates of all contexts at
+// once: on the child axis ProbeStep regroups the hits by parent, which is
+// the context; on other axes there must be none, or all position-free.
+bool ProbeExtends(const PathStep& step) {
+  if (step.is_filter || step.predicates.empty() ||
+      step.predicates[0]->probe_key < 0) {
+    return false;
+  }
+  const Expr& probe = *step.predicates[0];
+  const Expr& key = *probe.children[probe.probe_key];
+  if (key.kind == ExprKind::kLiteral &&
+      key.literal_type != Expr::LiteralType::kString) {
+    return false;
+  }
+  return step.axis == Axis::kChild || step.predicates.size() == 1 ||
+         step.position_free;
+}
+
+// Sets a path's Expr::intern_steps, intern_key and probe_chain_key. A
+// folded predicate's key text is `[@a="literal"]` whichever operand order
+// it was written in, with the literal's quotes doubled, so no literal can
+// spell the text of another chain.
+void ResolveInterning(Expr* path) {
+  for (const PathStep& step : path->steps) {
+    if (step.is_filter) break;
+    std::string text;
+    AppendAxisTest(step, &text);
+    bool folds = true;
+    for (const ExprPtr& p : step.predicates) {
+      const int literal = FoldedLiteral(*p);
+      if (literal < 0) {
+        folds = false;
+        break;
+      }
+      text += "[@" + p->children[1 - literal]->steps[0].test.name + "=\"";
+      for (char c : p->children[literal]->text) {
+        text += c;
+        if (c == '"') text += c;
+      }
+      text += "\"]";
+    }
+    if (!folds) break;
+    path->intern_key += text + '/';
+    ++path->intern_steps;
+  }
+  if (path->intern_steps < path->steps.size() &&
+      ProbeExtends(path->steps[path->intern_steps])) {
+    path->probe_chain_key = path->intern_key;
+    AppendAxisTest(path->steps[path->intern_steps], &path->probe_chain_key);
+    path->probe_chain_key += '/';
+  }
+}
+
 // --- Step resolution --------------------------------------------------------
 
 struct StepResolver {
   void Resolve(Expr* e) {
     ForEachChild(e, [this](Expr* c) { Resolve(c); });
     MarkDemand(e);
-    // Interning starts at a base that is statically a tree root: the `/`
-    // root, or fn:doc(...).
-    const Builtin* base = e->has_base ? e->children[0]->builtin : nullptr;
-    bool internable =
-        e->kind == ExprKind::kPath &&
-        (e->has_base ? base != nullptr && base->name == "doc" : e->rooted);
-    const FoldScanner foldable{/*attr_only=*/false};
-    const FoldScanner attribute_only{/*attr_only=*/true};
     for (PathStep& step : e->steps) {
       step.position_free = PositionFree(step);
       step.streamable = !step.is_filter && IsStreamableAxis(step.axis);
-      step.foldable = !step.is_filter;
-      step.attribute_only = !step.is_filter;
       for (const ExprPtr& p : step.predicates) {
         // fn:last needs materialized cardinality, and trace/error/user-
         // defined calls must see the exact materializing evaluation order
         // (the trace-parity rule, DESIGN.md section 10).
         step.streamable =
             step.streamable && !CallsAny(*p, kReadsSize | kTraces | kErrors);
-        step.foldable = step.foldable && foldable.FoldableBool(*p);
-        step.attribute_only =
-            step.attribute_only && attribute_only.FoldableBool(*p);
-      }
-      internable = internable && step.foldable;
-      step.internable = internable;
-      step.fingerprint.clear();
-      if (step.foldable) {
-        AppendAxisTest(step, &step.fingerprint);
-        for (const ExprPtr& p : step.predicates) {
-          step.fingerprint += '[' + ExprToString(*p) + ']';
-        }
-        step.fingerprint += '/';
       }
     }
+    if (e->kind == ExprKind::kPath) ResolveInterning(e);
   }
 };
 

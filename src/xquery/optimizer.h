@@ -84,10 +84,13 @@ void FuseDescendantSteps(Module* module, OptimizerStats* stats);
 void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
-// streamable, foldable, attribute_only, internable), every path's
-// Expr::limit_hint and every FunctionDecl::memoizable from the bound AST.
-// Run by Compile on every plan, optimized or not, after any rewrite, so the
-// facts are computed once per plan.
+// streamable), every path's Expr::limit_hint and intern facts
+// (intern_steps, intern_key, probe_chain_key) and every
+// FunctionDecl::memoizable from the bound AST. Run by Compile on every
+// plan, optimized or not, after any rewrite, so the facts are computed once
+// per plan. The intern rule: a step joins the interned chain when every
+// predicate it has is `@a = "literal"` or `"literal" = @a` (DESIGN.md
+// section 14).
 void ResolveSteps(Module* module);
 
 // False if evaluating the bound expression `e`, or any user function it

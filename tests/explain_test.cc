@@ -11,6 +11,7 @@
 #include "obs/explain.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
+#include "xquery/nodeset_cache.h"
 
 namespace lll {
 namespace {
@@ -156,9 +157,118 @@ TEST(ExplainTest, LimitHintsMarkEveryConsumerOfTheRuleAndNothingElse) {
   }
 }
 
+// How many times `tag` occurs in `text`.
+size_t Occurrences(const std::string& text, const std::string& tag) {
+  size_t n = 0;
+  for (size_t at = text.find(tag); at != std::string::npos;
+       at = text.find(tag, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
+  // The fold rule, one row per query shape, with the optimizer on and off.
+  // Each row names the one chain the evaluator interns, by its cache key.
+  // EXPLAIN must mark exactly that chain's steps [interned], and a second
+  // run must answer exactly that chain from the cache: one hit, no miss,
+  // one entry under that key.
+  auto doc = xml::Parse(
+      "<r><a id=\"k\" t=\"u\"><b/><b><c/></b></a><a id=\"k\" t=\"v\"><b/></a>"
+      "<a id=\"m\" n=\"3\"><b><c/></b></a></r>",
+      {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xml::Node* root = (*doc)->root();
+  struct Case {
+    const char* query;
+    const char* key_optimized;
+    const char* key_unoptimized;
+  };
+  const Case cases[] = {
+      // Literal keys fold, in either operand order, into one key.
+      {"/r/a[@id = \"k\"]", "child::r/child::a[@id=\"k\"]/",
+       "child::r/child::a[@id=\"k\"]/"},
+      {"/r/a[\"k\" = @id]", "child::r/child::a[@id=\"k\"]/",
+       "child::r/child::a[@id=\"k\"]/"},
+      {"/r/a[@id = \"k\"][@t = \"u\"]/b",
+       "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/",
+       "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/"},
+      // A probe extends the chain through its step, bare, when optimized.
+      {"/r/a[@id = concat(\"k\", \"\")]", "child::r/child::a/", "child::r/"},
+      {"doc(\"d\")//a[@id = $v]", "descendant::a/",
+       "descendant-or-self::node()/"},
+      // Every other predicate ends the chain.
+      {"//a//b[c]", "descendant::a/",
+       "descendant-or-self::node()/child::a/descendant-or-self::node()/"},
+      {"/r/a[@n = 3]", "child::r/", "child::r/"},
+      {"/r/a[starts-with(@id, \"k\")]", "child::r/", "child::r/"},
+      {"/r/a[@id = \"k\" and @t = \"u\"]", "child::r/", "child::r/"},
+      {"/r/a[@id]", "child::r/", "child::r/"},
+  };
+  for (bool optimize : {true, false}) {
+    xq::CompileOptions copts;
+    copts.optimize = optimize;
+    for (const Case& c : cases) {
+      const std::string key = optimize ? c.key_optimized : c.key_unoptimized;
+      auto compiled = xq::Compile(c.query, copts);
+      ASSERT_TRUE(compiled.ok()) << c.query;
+      const std::string plan = obs::Explain(*compiled);
+      EXPECT_EQ(Occurrences(plan, "[interned]"), Occurrences(key, "/"))
+          << c.query << " optimize=" << optimize << "\n"
+          << plan;
+
+      xq::NodeSetCache cache;
+      xq::ExecuteOptions opts;
+      opts.context_node = root;
+      opts.documents["d"] = root;
+      opts.variables["v"] = xdm::Sequence(xdm::Item::String("k"));
+      opts.eval.nodeset_cache = &cache;
+      auto cold = xq::Execute(*compiled, opts);
+      auto warm = xq::Execute(*compiled, opts);
+      ASSERT_TRUE(cold.ok() && warm.ok()) << c.query;
+      EXPECT_EQ(warm->stats.nodeset_cache_hits, 1u) << c.query;
+      EXPECT_EQ(warm->stats.nodeset_cache_misses, 0u) << c.query;
+      EXPECT_EQ(cache.size(), 1u) << c.query;
+      EXPECT_NE(cache.Get((*doc).get(), xq::NodeSetCache::MakeKey(root, key)),
+                nullptr)
+          << c.query << " optimize=" << optimize;
+
+      opts.eval.nodeset_cache = nullptr;
+      opts.eval.streaming = false;
+      auto fresh = xq::Execute(*compiled, opts);
+      ASSERT_TRUE(fresh.ok()) << c.query;
+      EXPECT_EQ(warm->SerializedItems(), fresh->SerializedItems()) << c.query;
+    }
+  }
+
+  // The folded step resolves through its anchor, the one `a` with both
+  // attributes: the entry is guarded at that element, not at its parent's
+  // whole subtree.
+  auto compiled = xq::Compile("/r/a[@id = \"k\"][@t = \"u\"]/b");
+  ASSERT_TRUE(compiled.ok());
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.context_node = root;
+  opts.eval.nodeset_cache = &cache;
+  ASSERT_TRUE(xq::Execute(*compiled, opts).ok());
+  auto entry = cache.Get(
+      (*doc).get(),
+      xq::NodeSetCache::MakeKey(
+          root, "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/"));
+  ASSERT_NE(entry, nullptr);
+  const xml::Node* anchor = (*doc)->DocumentElement()->children()[0];
+  bool anchored = false;
+  for (const auto& guard : entry->guards) {
+    EXPECT_NE(guard.kind, xq::CachedNodeSet::GuardKind::kSubtree);
+    anchored = anchored || guard.node == anchor->index();
+  }
+  EXPECT_TRUE(anchored);
+}
+
 TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
   // The golden: both forms of a general `=` against a bare attribute step,
-  // the mark on each predicate, one located note per probe, the count.
+  // the mark on each predicate, one located note per probe, the count. The
+  // probe makes child::x probe-extended, so it is interned bare.
   const std::string golden =
       "EXPLAIN\n"
       "== plan ==\n"
@@ -167,7 +277,7 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
       "    Literal \"1\" (1:11)\n"
       "  Path rooted (1:22)\n"
       "    step child::r [streamed] [interned]\n"
-      "    step child::x [streamed]\n"
+      "    step child::x [streamed] [interned]\n"
       "      predicate [probe @k]:\n"
       "        Binary = (1:27)\n"
       "          VarRef $v (1:27)\n"
@@ -231,13 +341,14 @@ TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {
 TEST(ExplainTest, DescendantFusionIsShownNotedAndCounted) {
   // Both `//` pairs fuse: the plan shows one descendant step each, with the
   // position-free predicate kept on it (a node path, so one node decides
-  // it), one located note per fusion, and the count.
+  // it, and one that does not fold into an intern key), one located note
+  // per fusion, and the count.
   const std::string golden =
       "EXPLAIN\n"
       "== plan ==\n"
       "Path rooted (1:1)\n"
       "  step descendant::a [streamed] [interned]\n"
-      "  step descendant::b [streamed] [interned]\n"
+      "  step descendant::b [streamed]\n"
       "    predicate:\n"
       "      Path [limit 1] (1:8)\n"
       "        step child::c [streamed]\n"

@@ -5,6 +5,7 @@
 // interning, and shared-cache concurrency tests (run under ThreadSanitizer
 // via the "concurrency" ctest label).
 
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -304,9 +305,8 @@ TEST(NodeSetCacheIntegration, MutationInvalidatesAndRecomputes) {
 }
 
 TEST(NodeSetCacheIntegration, FoldedPredicateChainsIntern) {
-  // Step chains with pure, focus-independent predicates now intern: the
-  // predicate text folds into the fingerprint. Before predicate folding,
-  // model[@id=...] chains bypassed the cache entirely.
+  // Step chains with `@a = "literal"` predicates intern: the predicate
+  // folds into the chain's key, so model[@id=...] chains hit the cache.
   auto doc = xml::Parse(kLibrary, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xq::NodeSetCache cache;
@@ -326,14 +326,42 @@ TEST(NodeSetCacheIntegration, FoldedPredicateChainsIntern) {
   EXPECT_GT(r2->stats.nodeset_cache_hits, 0u);
   EXPECT_EQ(r2->SerializedItems(), r1->SerializedItems());
 
-  // A different predicate value is a different fingerprint, not a hit on
-  // (or collision with) the m1 entry.
+  // A different predicate value is a different key, not a hit on (or
+  // collision with) the m1 entry.
   auto other = xq::Compile("/library/models/model[@id = \"m2\"]/parts/part");
   ASSERT_TRUE(other.ok());
   auto r3 = xq::Execute(*other, opts);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->sequence.size(), 1u);
   EXPECT_GT(r3->stats.nodeset_cache_misses, 0u);
+}
+
+TEST(NodeSetCacheIntegration, LiteralsCannotSpellAnotherChainsKey) {
+  // A folded literal enters the intern key. A literal that spells the rest
+  // of another chain's key -- if predicates were rendered as
+  // `[(/attribute::id = "literal")]` or as `[@id="literal"]` without
+  // doubling its quotes -- must still get a key of its own, or it is
+  // answered with that chain's node set.
+  auto doc = xml::Parse("<r><a id=\"k\"><b id=\"m\"/></a><a id=\"z\"/></r>");
+  ASSERT_TRUE(doc.ok());
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.eval.nodeset_cache = &cache;
+  const char* queries[] = {
+      "count(/r/a[@id = \"k\"]/b[@id = \"m\"])",
+      "count(/r/a[@id = 'k\")]/child::b[(/attribute::id = \"m'])",
+      "count(/r/a[@id = 'k\"]/child::b[@id=\"m'])",
+  };
+  const char* answers[] = {"1", "0", "0"};
+  for (size_t i = 0; i < std::size(queries); ++i) {
+    auto compiled = xq::Compile(queries[i]);
+    ASSERT_TRUE(compiled.ok()) << queries[i];
+    auto r = xq::Execute(*compiled, opts);
+    ASSERT_TRUE(r.ok()) << queries[i];
+    EXPECT_EQ(r->SerializedItems(), answers[i]) << queries[i];
+  }
+  EXPECT_EQ(cache.size(), std::size(queries));
 }
 
 TEST(NodeSetCacheIntegration, EditOutsideAnchoredSubtreeKeepsEntries) {

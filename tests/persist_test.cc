@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <random>
@@ -210,6 +211,8 @@ const char* kFeatureQueries[] = {
     "(//a/ancestor::*)[1]",
     "string-join(for $s in (\"x\",\"y\") return $s, \"-\")",
     "for $v in (\"1\", \"2\") return //a[@k = $v][$v = @j][1]",
+    // Literal keys in both operand orders fold into the intern key.
+    "count(/r/a[@k = \"1\"][\"2\" = @j]/b)",
     "declare function local:f($a) { $a }; "
     "declare function local:f($a, $b as xs:integer) as xs:integer { $b }; "
     "local:f(local:f(1), 2)",
@@ -273,65 +276,49 @@ std::string Bindings(const xq::Module& m) {
   return out;
 }
 
-// Calls `fn` on every path step of `e`, in traversal order.
-void ForEachStep(const xq::Expr& e,
-                 const std::function<void(const xq::PathStep&)>& fn) {
+// Calls `fn` on every path expression of `e`, in traversal order.
+void ForEachPath(const xq::Expr& e,
+                 const std::function<void(const xq::Expr&)>& fn) {
+  if (e.kind == xq::ExprKind::kPath) fn(e);
   for (const xq::PathStep& s : e.steps) {
-    fn(s);
-    for (const xq::ExprPtr& p : s.predicates) ForEachStep(*p, fn);
+    for (const xq::ExprPtr& p : s.predicates) ForEachPath(*p, fn);
   }
-  for (const xq::ExprPtr& c : e.children) ForEachStep(*c, fn);
-  for (const xq::FlworClause& c : e.clauses) ForEachStep(*c.expr, fn);
-  for (const xq::OrderSpec& o : e.order_by) ForEachStep(*o.key, fn);
+  for (const xq::ExprPtr& c : e.children) ForEachPath(*c, fn);
+  for (const xq::FlworClause& c : e.clauses) ForEachPath(*c.expr, fn);
+  for (const xq::OrderSpec& o : e.order_by) ForEachPath(*o.key, fn);
   for (const xq::DirectAttribute& a : e.attributes) {
-    for (const xq::ExprPtr& p : a.value_parts) ForEachStep(*p, fn);
+    for (const xq::ExprPtr& p : a.value_parts) ForEachPath(*p, fn);
   }
 }
 
-void ForEachStep(const xq::Module& m,
-                 const std::function<void(const xq::PathStep&)>& fn) {
-  for (const xq::FunctionDecl& f : m.functions) ForEachStep(*f.body, fn);
-  for (const xq::VariableDecl& v : m.variables) ForEachStep(*v.expr, fn);
-  ForEachStep(*m.body, fn);
+void ForEachPath(const xq::Module& m,
+                 const std::function<void(const xq::Expr&)>& fn) {
+  for (const xq::FunctionDecl& f : m.functions) ForEachPath(*f.body, fn);
+  for (const xq::VariableDecl& v : m.variables) ForEachPath(*v.expr, fn);
+  ForEachPath(*m.body, fn);
 }
 
-// Every path step's derived facts in traversal order, one five-character
-// group per step: position_free, streamable, foldable, attribute_only,
-// internable.
+// Every path step's derived facts in traversal order, one two-character
+// group per step: position_free, streamable.
 std::string StepFacts(const xq::Module& m) {
   std::string out;
-  ForEachStep(m, [&out](const xq::PathStep& s) {
-    for (bool bit : {s.position_free, s.streamable, s.foldable,
-                     s.attribute_only, s.internable}) {
-      out.push_back(bit ? '1' : '0');
+  ForEachPath(m, [&out](const xq::Expr& path) {
+    for (const xq::PathStep& s : path.steps) {
+      out.push_back(s.position_free ? '1' : '0');
+      out.push_back(s.streamable ? '1' : '0');
+      out.push_back(' ');
     }
-    out.push_back(' ');
   });
   return out;
 }
 
 // Every path's derived Expr::limit_hint in traversal order, one number per
 // path.
-void AppendLimitHints(const xq::Expr& e, std::string* out) {
-  if (e.kind == xq::ExprKind::kPath) {
-    *out += std::to_string(e.limit_hint) + " ";
-  }
-  for (const xq::PathStep& s : e.steps) {
-    for (const xq::ExprPtr& p : s.predicates) AppendLimitHints(*p, out);
-  }
-  for (const xq::ExprPtr& c : e.children) AppendLimitHints(*c, out);
-  for (const xq::FlworClause& c : e.clauses) AppendLimitHints(*c.expr, out);
-  for (const xq::OrderSpec& o : e.order_by) AppendLimitHints(*o.key, out);
-  for (const xq::DirectAttribute& a : e.attributes) {
-    for (const xq::ExprPtr& p : a.value_parts) AppendLimitHints(*p, out);
-  }
-}
-
 std::string LimitHints(const xq::Module& m) {
   std::string out;
-  for (const xq::FunctionDecl& f : m.functions) AppendLimitHints(*f.body, &out);
-  for (const xq::VariableDecl& v : m.variables) AppendLimitHints(*v.expr, &out);
-  AppendLimitHints(*m.body, &out);
+  ForEachPath(m, [&out](const xq::Expr& path) {
+    out += std::to_string(path.limit_hint) + " ";
+  });
   return out;
 }
 
@@ -349,15 +336,20 @@ std::string Memoizable(const xq::Module& m) {
   return out;
 }
 
-// Every path step's derived fingerprint text in traversal order, one line
-// per step (empty for steps that do not fold).
-std::string StepFingerprints(const xq::Module& m) {
+// Every path's derived intern facts in traversal order, one line per path:
+// Expr::intern_steps, intern_key and probe_chain_key.
+std::string InternFacts(const xq::Module& m) {
   std::string out;
-  ForEachStep(m, [&out](const xq::PathStep& s) {
-    out += s.fingerprint;
-    out += '\n';
+  ForEachPath(m, [&out](const xq::Expr& path) {
+    out += std::to_string(path.intern_steps) + " " + path.intern_key + " " +
+           path.probe_chain_key + "\n";
   });
   return out;
+}
+
+// True if some intern key of `facts` (InternFacts) folds a predicate.
+bool AnyFoldedPredicate(const std::string& facts) {
+  return facts.find('[') != std::string::npos;
 }
 
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {
@@ -372,7 +364,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   EXPECT_EQ(*count, std::size(kFeatureQueries));
   EXPECT_TRUE(loaded.warmed());
 
-  size_t folded = 0;  // queries with a step that folds into a fingerprint
+  size_t folded = 0;  // queries with a predicate folded into an intern key
   size_t memoizable = 0;  // queries with a memoizable declaration
   size_t limited = 0;     // queries with a path that carries a limit hint
   for (const char* q : kFeatureQueries) {
@@ -384,11 +376,11 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     // full rendered fingerprint of everything the optimizer decided.
     EXPECT_EQ(obs::Explain(**a), obs::Explain(**b)) << q;
     // Loading binds every name again, exactly as the fresh compile did, and
-    // derives the same fingerprint text for every step.
+    // derives the same intern facts for every path.
     EXPECT_EQ(Bindings((*b)->module()), Bindings((*a)->module())) << q;
-    const std::string fingerprints = StepFingerprints((*a)->module());
-    EXPECT_EQ(StepFingerprints((*b)->module()), fingerprints) << q;
-    folded += fingerprints.find("/\n") != std::string::npos;
+    const std::string interned = InternFacts((*a)->module());
+    EXPECT_EQ(InternFacts((*b)->module()), interned) << q;
+    folded += AnyFoldedPredicate(interned);
     // Every declaration is judged memoizable again, as the fresh compile
     // judged it.
     const std::string memo = Memoizable((*a)->module());
@@ -898,10 +890,11 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   xq::NodeSetCache fresh_nodesets(1024);
   xq::NodeSetCache loaded_nodesets(1024);
   size_t disk_hits = 0;
-  size_t facts_set[6] = {};
+  size_t facts_set[3] = {};
   size_t bound_calls = 0;
   size_t bound_vars = 0;
   size_t folded = 0;
+  size_t extended = 0;
   size_t limited = 0;
   for (const std::string& q : queries) {
     auto fresh = fresh_cache.GetOrCompile(q);
@@ -920,28 +913,31 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
     ASSERT_EQ(StepFacts((*loaded)->module()), facts) << q;
     const std::string bindings = Bindings((*fresh)->module());
     ASSERT_EQ(Bindings((*loaded)->module()), bindings) << q;
-    // Fingerprint text is derived too, and must match byte for byte: it is
-    // the node-set cache key.
-    const std::string fingerprints = StepFingerprints((*fresh)->module());
-    ASSERT_EQ(StepFingerprints((*loaded)->module()), fingerprints) << q;
+    // The intern facts are derived too, and the keys must match byte for
+    // byte: they are the node-set cache keys.
+    const std::string interned = InternFacts((*fresh)->module());
+    ASSERT_EQ(InternFacts((*loaded)->module()), interned) << q;
     ASSERT_EQ(Memoizable((*loaded)->module()), Memoizable((*fresh)->module()))
         << q;
     const std::string hints = LimitHints((*fresh)->module());
     ASSERT_EQ(LimitHints((*loaded)->module()), hints) << q;
     limited += AnyLimitHint(hints);
-    folded += fingerprints.find("/\n") != std::string::npos;
+    folded += AnyFoldedPredicate(interned);
+    // Only a probe chain key ends its line with "/".
+    extended += interned.find("/\n") != std::string::npos;
     bound_calls += bindings.find(" b") != std::string::npos;
     bound_vars += bindings.find(" v") != std::string::npos;
     for (size_t i = 0; i < facts.size(); ++i) {
-      if (facts[i] == '1') ++facts_set[i % 6];
+      if (facts[i] == '1') ++facts_set[i % 3];
     }
   }
   // Every fact is set somewhere in the workload, so the comparison above
   // is not vacuous.
-  for (size_t i = 0; i < 5; ++i) EXPECT_GT(facts_set[i], 0u) << i;
+  for (size_t i = 0; i < 2; ++i) EXPECT_GT(facts_set[i], 0u) << i;
   EXPECT_GT(bound_calls, 0u);
   EXPECT_GT(bound_vars, 0u);
   EXPECT_GT(folded, 0u);
+  EXPECT_GT(extended, 0u);
   EXPECT_GT(limited, 0u);
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that
   // provenance even when the hit itself came from the in-memory LRU (the
@@ -1036,6 +1032,21 @@ TEST(PersistServer, ExplainDistinguishesAllThreeProvenances) {
   EXPECT_NE(warm->find("server plan: disk-cache"), std::string::npos) << *warm;
 }
 
+// The file names in `dir`, sorted.
+std::vector<std::string> Listing(const ScratchDir& dir) {
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir.str())) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(PersistServer, ResavingADirectoryDropsWhatTheServerNoLongerHolds) {
   ScratchDir dir;
   server::ServerOptions options;
@@ -1044,26 +1055,33 @@ TEST(PersistServer, ResavingADirectoryDropsWhatTheServerNoLongerHolds) {
   for (const char* name : {"a", "b", "c"}) {
     ASSERT_TRUE(a.AddDocumentXml(name, "<d/>").ok());
   }
+  ASSERT_TRUE(a.Execute("t", "a", "count(/d)").status.ok());
   ASSERT_TRUE(a.SaveState(dir.str()).ok());
+  const std::string plans = FileBytes(dir.path("plans.lllp"));
 
   server::QueryServer b(options);
   ASSERT_TRUE(b.AddDocumentXml("x", "<d/>").ok());
-  // A save that fails partway removes nothing: here a directory squats on
-  // the staging name of the first snapshot.
-  fs::create_directories(dir.path("doc-0.llld.tmp"));
+  ASSERT_TRUE(b.Execute("t", "x", "count(//d)").status.ok());
+  // A save that fails partway leaves the earlier save whole: here a
+  // directory squats on the staging name of the first snapshot, so the
+  // save fails after staging its plans. They are removed, and the earlier
+  // plans stay in place beside the snapshots they were saved with.
+  fs::create_directories(dir.path("doc-0.llld.new"));
   ASSERT_FALSE(b.SaveState(dir.str()).ok());
-  for (const char* file : {"doc-0.llld", "doc-1.llld", "doc-2.llld"}) {
-    EXPECT_TRUE(fs::exists(dir.path(file))) << file;
-  }
-  fs::remove(dir.path("doc-0.llld.tmp"));
-  ASSERT_TRUE(b.SaveState(dir.str()).ok());
+  EXPECT_EQ(Listing(dir),
+            (std::vector<std::string>{"doc-0.llld", "doc-0.llld.new",
+                                      "doc-1.llld", "doc-2.llld",
+                                      "plans.lllp"}));
+  EXPECT_EQ(FileBytes(dir.path("plans.lllp")), plans);
+  server::QueryServer reloaded(options);
+  ASSERT_TRUE(reloaded.LoadState(dir.str()).ok());
+  EXPECT_EQ(reloaded.DocumentNames(),
+            (std::vector<std::string>{"a", "b", "c"}));
 
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(dir.str())) {
-    files.push_back(entry.path().filename().string());
-  }
-  std::sort(files.begin(), files.end());
-  EXPECT_EQ(files, (std::vector<std::string>{"doc-0.llld", "plans.lllp"}));
+  fs::remove(dir.path("doc-0.llld.new"));
+  ASSERT_TRUE(b.SaveState(dir.str()).ok());
+  EXPECT_EQ(Listing(dir),
+            (std::vector<std::string>{"doc-0.llld", "plans.lllp"}));
 
   server::QueryServer c(options);
   ASSERT_TRUE(c.LoadState(dir.str()).ok());

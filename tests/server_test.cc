@@ -294,11 +294,15 @@ TEST(Admission, InflightCapRejectsConcurrentExcess) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return started; });
   }
-  // The holder loops executing; eventually we collide with an in-flight one.
+  // The holder loops executing; knock until a knock collides with an
+  // in-flight scan. The bound is wall-clock time, not a count of knocks:
+  // under CPU load any fixed count can be spent before the holder runs.
   bool saw_rejection = false;
-  for (int i = 0; i < 10000 && !saw_rejection; ++i) {
-    QueryResponse resp = server.Execute("acme", "cat", "1");
-    if (resp.rejected) saw_rejection = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!saw_rejection && std::chrono::steady_clock::now() < deadline) {
+    saw_rejection = server.Execute("acme", "cat", "1").rejected;
+    std::this_thread::yield();
   }
   release.store(true);
   holder.join();
