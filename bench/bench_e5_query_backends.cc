@@ -10,12 +10,10 @@
 // architecture), across model sizes. Equal answers, wildly unequal cost;
 // the ratio is the paper's "preposterous" factor.
 //
-// This file also measures the two mitigations this repo adds on top of the
-// paper's architecture:
-//   * the compiled-query cache (Uncached vs Cached: the repeated-query
-//     workload every interactive AWB session is made of -- the same handful
-//     of queries evaluated over and over);
-//   * the docgen batch mode (1 vs N threads through GenerateNativeParallel).
+// This file also measures the mitigation this repo adds on top of the
+// paper's architecture: the compiled-query cache (Uncached vs Cached: the
+// repeated-query workload every interactive AWB session is made of -- the
+// same handful of queries evaluated over and over).
 //
 // Results go to stdout AND to BENCH_e5.json (JSON reporter).
 
@@ -29,8 +27,6 @@
 #include "awbql/query.h"
 #include "awbql/xquery_backend.h"
 #include "benchmark/benchmark.h"
-#include "core/thread_pool.h"
-#include "docgen/native_engine.h"
 #include "xquery/query_cache.h"
 
 namespace {
@@ -168,41 +164,6 @@ void BM_E5_CompileCached(benchmark::State& state) {
       static_cast<double>(cache.stats().lookups ? cache.stats().lookups : 1);
 }
 BENCHMARK(BM_E5_CompileCached);
-
-// The docgen batch mode: one report generated through the chunk/merge path
-// with a pool of state.range(0) worker threads (0 = the sequential batch
-// path). Output is byte-identical across all thread counts (asserted in
-// concurrency_test); this measures what that determinism costs or saves.
-void BM_E5_DocgenBatch(benchmark::State& state) {
-  Model model = MakeModel(&SharedMetamodel(), 4);
-  const char* tmpl =
-      "<doc><table-of-contents/>"
-      "<for nodes=\"from type:User; sort label\">"
-      "<section heading=\"About {label}\"><label/>"
-      "<for nodes=\"from focus; follow likes>; sort label\">"
-      "<p>likes <label/></p></for></section></for>"
-      "<section heading=\"Programs\">"
-      "<for nodes=\"from type:Program; sort label\">"
-      "<p><value-of property=\"language\" default=\"?\"/></p></for></section>"
-      "<table-of-omissions types=\"Document\"/></doc>";
-  auto doc = lll::docgen::ParseTemplate(tmpl);
-  if (!doc.ok()) {
-    state.SkipWithError("template parse failed");
-    return;
-  }
-  lll::ThreadPool pool(static_cast<size_t>(state.range(0)));
-  size_t bytes = 0;
-  for (auto _ : state) {
-    auto result = lll::docgen::GenerateNativeParallel(
-        (*doc)->DocumentElement(), model, {}, &pool);
-    if (!result.ok()) state.SkipWithError("generation failed");
-    bytes = result->Serialized().size();
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.counters["output_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_E5_DocgenBatch)
-    ->ArgName("threads")->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

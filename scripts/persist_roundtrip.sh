@@ -9,7 +9,9 @@
 #   3. the answers must be byte-identical, and daemon B's EXPLAIN must say
 #      the plan came from the disk cache, mark the memoizable function and
 #      mark the probe-extended step interned
-#   4. a daemon refuses `save` and `load` paths outside its --state-dir
+#   4. a daemon refuses `save` and `load` paths outside its --state-dir,
+#      and answers a protocol line one byte over the 16 MiB cap with an
+#      error while a line of exactly the cap is served
 #   5. rerun the in-process differential suites (persist_test includes the
 #      495-query disk-vs-fresh oracle) against the same build
 #
@@ -157,6 +159,33 @@ if [[ "$(grep -c '^error: ' "${WORK}/refused.out")" != 2 ]]; then
 fi
 if [[ -e "${WORK}/escaped" ]]; then
   echo "persist_roundtrip: a refused save wrote ${WORK}/escaped" >&2
+  exit 1
+fi
+
+echo "== a protocol line over the 16 MiB cap is refused, and serving goes on =="
+LINE_CAP=16777216
+# A `refresh` command padded with spaces to exactly $1 bytes, then newline.
+refresh_line() {
+  printf 'refresh'
+  head -c "$(( $1 - 7 ))" /dev/zero | tr '\0' ' '
+  printf '\n'
+}
+{
+  refresh_line "${LINE_CAP}"
+  refresh_line "$(( LINE_CAP + 1 ))"
+  echo 'refresh'
+  echo 'quit'
+} | daemon > "${WORK}/long.out"
+if ! diff "${WORK}/long.out" - <<EOF
+ok
+.
+error: line exceeds ${LINE_CAP} bytes
+.
+ok
+.
+EOF
+then
+  echo "persist_roundtrip: the protocol line cap misbehaved" >&2
   exit 1
 fi
 

@@ -80,26 +80,6 @@ class LruCache {
     recency_.clear();
   }
 
-  // Removes every entry for which `pred(key, value)` returns true; returns
-  // the number removed. Like Clear(), not an eviction for stats purposes
-  // (nothing was displaced by capacity pressure). Outstanding shared
-  // handles to removed values stay valid, as always.
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t removed = 0;
-    for (auto it = map_.begin(); it != map_.end();) {
-      if (pred(it->first, *it->second.value)) {
-        recency_.erase(it->second.pos);
-        it = map_.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-    return removed;
-  }
-
   size_t capacity() const { return capacity_; }
 
   size_t size() const {

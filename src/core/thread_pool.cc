@@ -1,8 +1,5 @@
 #include "core/thread_pool.h"
 
-#include <atomic>
-#include <memory>
-
 namespace lll {
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -22,6 +19,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (threads_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -41,53 +42,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (threads_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Work-stealing by index: helpers and the caller all pull from `next`;
-  // `done` counts completions so the caller knows when to return even when a
-  // helper grabbed the last index.
-  struct Shared {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    size_t n;
-    const std::function<void(size_t)>* fn;
-    std::mutex mu;
-    std::condition_variable all_done;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->n = n;
-  shared->fn = &fn;
-
-  auto drain = [](const std::shared_ptr<Shared>& s) {
-    for (;;) {
-      size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->n) return;
-      (*s->fn)(i);
-      if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->n) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->all_done.notify_all();
-      }
-    }
-  };
-
-  size_t helpers = threads_.size() < n - 1 ? threads_.size() : n - 1;
-  for (size_t i = 0; i < helpers; ++i) {
-    Submit([shared, drain] { drain(shared); });
-  }
-  drain(shared);
-  std::unique_lock<std::mutex> lock(shared->mu);
-  shared->all_done.wait(lock, [&] {
-    return shared->done.load(std::memory_order_acquire) == shared->n;
-  });
-  // `shared` is a shared_ptr: stragglers that wake up after all indices are
-  // claimed exit their drain loop harmlessly.
 }
 
 }  // namespace lll

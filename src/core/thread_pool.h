@@ -11,34 +11,21 @@
 
 namespace lll {
 
-// A small fixed-size worker pool. Tasks are plain std::function<void()>;
-// error reporting is the caller's business (tasks record their own Status).
-//
-// ParallelFor is the primitive the docgen batch mode is built on: the calling
-// thread participates in the work (pulling indices from a shared counter), so
-// a ParallelFor always makes progress even when every worker is busy, and a
-// pool of 0 threads degrades to a plain sequential loop.
+// A small fixed-size worker pool behind QueryServer::Submit. Tasks are plain
+// std::function<void()>; error reporting is the caller's business (tasks
+// record their own Status).
 class ThreadPool {
  public:
-  // Creates `num_threads` workers. 0 is allowed: every ParallelFor then runs
-  // inline on the caller (handy as the "sequential mode" of batch APIs).
+  // Creates `num_threads` workers. 0 is allowed: Submit then runs each task
+  // on the caller's thread before returning.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t thread_count() const { return threads_.size(); }
-
   // Enqueues one task. Fire-and-forget; the destructor drains the queue.
   void Submit(std::function<void()> task);
-
-  // Runs fn(0) .. fn(n-1), in unspecified order across the workers and the
-  // calling thread, and returns when all n calls have finished. fn must be
-  // safe to invoke concurrently with itself. Do not call ParallelFor from
-  // inside a pool task of the same pool (the helper tasks it enqueues could
-  // then starve behind the caller).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop();

@@ -29,19 +29,16 @@ void CopyAttributes(const xml::Node* from, xml::Node* to) {
   }
 }
 
-// The generation engine, split into two separable halves so the batch mode
-// can run many walks concurrently and patch once:
+// The generation engine, in two halves:
 //
-//   * the WALK (Gen and the directive handlers): a pure function of
+//   * the WALK (Gen and the directive handlers): a recursive walk of
 //     (template, model, focus) that appends output nodes to a parent in the
-//     `out` document and feeds the private accumulators;
+//     `out` document and feeds the mutable accumulators;
 //   * the PATCH phase (PatchAll): resolves table-of-contents and omissions
-//     markers and substitutes placeholders over a finished tree, using the
+//     markers and substitutes placeholders over the finished tree, using the
 //     accumulated state.
 //
-// One Generator is confined to one thread; concurrency happens by giving
-// every worker its own Generator (own document, own accumulators) and
-// merging the accumulators afterwards -- see GenerateNativeParallel.
+// One Generator renders one report on one thread.
 class Generator {
  public:
   Generator(const Model& model, const GenerateOptions& options,
@@ -90,43 +87,22 @@ class Generator {
     return Status::Ok();
   }
 
-  // --- Accumulator access (for the batch merge) ---------------------------
+  // --- Accumulators ---------------------------------------------------------
 
-  DocGenStats& stats() { return stats_; }
-  std::set<std::string>& visited() { return visited_; }
-  std::vector<TocEntry>& toc() { return toc_; }
-  std::map<std::string, xml::Node*>& placeholders() { return placeholders_; }
+  DocGenStats stats() const {
+    DocGenStats stats = stats_;
+    stats.nodes_visited = visited_.size();
+    stats.toc_entries = toc_.size();
+    return stats;
+  }
 
   void Visit(const ModelNode* node) { visited_.insert(node->id()); }
-
-  // Evaluates the query attached to a directive: a <query> child (normalized
-  // form) or a `nodes` text attribute. Public so the batch driver can expand
-  // a top-level <for> into per-iteration work items.
-  Result<std::vector<const ModelNode*>> EvalQueryOn(const xml::Node* t,
-                                                    const ModelNode* focus) {
-    const xml::Node* query_element = t->FirstChildElement("query");
-    if (query_element != nullptr) {
-      LLL_ASSIGN_OR_RETURN(const awbql::Query* query,
-                           ParsedXmlQuery(query_element));
-      return awbql::EvalNative(*query, model_, focus);
-    }
-    auto nodes_attr = t->AttributeValue("nodes");
-    if (!nodes_attr.has_value()) {
-      return Status::Invalid("<" + t->name() +
-                             "> needs a nodes attribute or <query> child");
-    }
-    LLL_ASSIGN_OR_RETURN(std::shared_ptr<const awbql::Query> query,
-                         awbql::SharedQueryParseCache().GetOrParse(
-                             NodesAttributeToQueryText(std::string(*nodes_attr))));
-    return awbql::EvalNative(*query, model_, focus);
-  }
 
   // --- Patch phase ------------------------------------------------------
 
   // Phase 2, the "very modest second phase": patch markers in place. Markers
-  // are found by scanning the finished tree (and any detached placeholder
-  // bodies), so this works identically on a sequentially generated document
-  // and on one merged from parallel chunks.
+  // are found by scanning the finished tree and any detached placeholder
+  // bodies.
   Status PatchAll(xml::Node* root) {
     LLL_RETURN_IF_ERROR(PatchTableOfContents(root));
     LLL_RETURN_IF_ERROR(PatchOmissions(root));
@@ -619,6 +595,27 @@ class Generator {
     return raw;
   }
 
+  // Evaluates the query attached to a directive: a <query> child (normalized
+  // form) or a `nodes` text attribute.
+  Result<std::vector<const ModelNode*>> EvalQueryOn(const xml::Node* t,
+                                                    const ModelNode* focus) {
+    const xml::Node* query_element = t->FirstChildElement("query");
+    if (query_element != nullptr) {
+      LLL_ASSIGN_OR_RETURN(const awbql::Query* query,
+                           ParsedXmlQuery(query_element));
+      return awbql::EvalNative(*query, model_, focus);
+    }
+    auto nodes_attr = t->AttributeValue("nodes");
+    if (!nodes_attr.has_value()) {
+      return Status::Invalid("<" + t->name() +
+                             "> needs a nodes attribute or <query> child");
+    }
+    LLL_ASSIGN_OR_RETURN(std::shared_ptr<const awbql::Query> query,
+                         awbql::SharedQueryParseCache().GetOrParse(
+                             NodesAttributeToQueryText(std::string(*nodes_attr))));
+    return awbql::EvalNative(*query, model_, focus);
+  }
+
   Result<std::vector<const ModelNode*>> EvalTableQuery(
       const xml::Node* t, const std::string& which, const ModelNode* focus) {
     // Normalized form: <rows-query><query>...</query></rows-query>.
@@ -725,8 +722,6 @@ Result<DocGenResult> GenerateNative(const xml::Node* template_root,
 
   result.root = root;
   result.stats = generator.stats();
-  result.stats.nodes_visited = generator.visited().size();
-  result.stats.toc_entries = generator.toc().size();
   if (options.metrics != nullptr) {
     const xml::DocumentStorageStats storage =
         result.document->storage_stats();
@@ -740,159 +735,11 @@ Result<DocGenResult> GenerateNative(const xml::Node* template_root,
   return result;
 }
 
-Result<DocGenResult> GenerateNativeParallel(const xml::Node* template_root,
-                                            const awb::Model& model,
-                                            const GenerateOptions& options,
-                                            ThreadPool* pool) {
-  if (template_root == nullptr || !template_root->is_element()) {
-    return Status::Invalid("template root must be an element");
-  }
-  DocGenResult result;
-  result.document = std::make_unique<xml::Document>();
-  xml::Document* out = result.document.get();
-  Generator main_gen(model, options, out);
-
-  LLL_ASSIGN_OR_RETURN(const ModelNode* focus,
-                       ResolveInitialFocus(model, options));
-  if (focus != nullptr) main_gen.Visit(focus);
-
-  xml::Node* root = out->CreateElement(template_root->name());
-  CopyAttributes(template_root, root);
-  LLL_RETURN_IF_ERROR(out->root()->AppendChild(root));
-
-  // One work item per independent top-level unit, in document order. A
-  // top-level <for> whose query evaluates cleanly is split into one item per
-  // iteration (the per-focus-node fan-out the paper's docgen workload is
-  // made of); everything else -- and any <for> whose query fails, so the
-  // error surfaces exactly as in the sequential walk -- is one item.
-  struct WorkItem {
-    std::vector<const xml::Node*> template_nodes;
-    const ModelNode* focus = nullptr;
-    // Filled in by the worker:
-    std::unique_ptr<xml::Document> doc;
-    xml::Node* chunk_root = nullptr;
-    Status status;
-    DocGenStats stats;
-    std::set<std::string> visited;
-    std::vector<TocEntry> toc;
-    std::map<std::string, xml::Node*> placeholders;
-  };
-  std::vector<WorkItem> items;
-  for (const xml::Node* child : template_root->children()) {
-    if (child->is_element() && child->name() == "for") {
-      auto nodes = main_gen.EvalQueryOn(child, focus);
-      if (nodes.ok()) {
-        ++main_gen.stats().directives_processed;
-        std::vector<const xml::Node*> body;
-        for (const xml::Node* c : child->children()) {
-          if (c->is_element() && c->name() == "query") continue;
-          body.push_back(c);
-        }
-        for (const ModelNode* node : *nodes) {
-          main_gen.Visit(node);
-          WorkItem item;
-          item.template_nodes = body;
-          item.focus = node;
-          items.push_back(std::move(item));
-        }
-        continue;
-      }
-    }
-    WorkItem item;
-    item.template_nodes.push_back(child);
-    item.focus = focus;
-    items.push_back(std::move(item));
-  }
-
-  auto run_item = [&model, &options, &items](size_t i) {
-    WorkItem& item = items[i];
-    item.doc = std::make_unique<xml::Document>();
-    Generator g(model, options, item.doc.get());
-    item.chunk_root = item.doc->CreateElement("lll-chunk");
-    item.status = item.doc->root()->AppendChild(item.chunk_root);
-    for (const xml::Node* t : item.template_nodes) {
-      if (!item.status.ok()) break;
-      item.status = g.Gen(t, item.chunk_root, item.focus, /*depth=*/0);
-    }
-    item.stats = g.stats();
-    item.visited = std::move(g.visited());
-    item.toc = std::move(g.toc());
-    item.placeholders = std::move(g.placeholders());
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(items.size(), run_item);
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) run_item(i);
-  }
-
-  // Deterministic merge, strictly in document order.
-  auto add = [](size_t& into, size_t from) { into += from; };
-  for (WorkItem& item : items) {
-    if (!item.status.ok()) return item.status;
-    for (const xml::Node* chunk_child : item.chunk_root->children()) {
-      LLL_RETURN_IF_ERROR(root->AppendChild(out->ImportNode(chunk_child)));
-    }
-    DocGenStats& total = main_gen.stats();
-    add(total.directives_processed, item.stats.directives_processed);
-    add(total.placeholders_defined, item.stats.placeholders_defined);
-    add(total.errors_embedded, item.stats.errors_embedded);
-    add(total.document_copies, item.stats.document_copies);
-    add(total.eval_steps, item.stats.eval_steps);
-    add(total.sorts_performed, item.stats.sorts_performed);
-    add(total.sorts_skipped, item.stats.sorts_skipped);
-    main_gen.visited().insert(item.visited.begin(), item.visited.end());
-    main_gen.toc().insert(main_gen.toc().end(), item.toc.begin(),
-                          item.toc.end());
-    for (const auto& [name, holder] : item.placeholders) {
-      // Later definitions win, as in the sequential walk.
-      main_gen.placeholders()[name] = out->ImportNode(holder);
-    }
-  }
-
-  LLL_RETURN_IF_ERROR(main_gen.PatchAll(root));
-  NormalizeTextNodes(root);
-
-  result.root = root;
-  result.stats = main_gen.stats();
-  result.stats.nodes_visited = main_gen.visited().size();
-  result.stats.toc_entries = main_gen.toc().size();
-  return result;
-}
-
 Result<DocGenResult> GenerateNativeFromText(const std::string& template_xml,
                                             const awb::Model& model,
                                             const GenerateOptions& options) {
   LLL_ASSIGN_OR_RETURN(auto doc, ParseTemplate(template_xml));
   return GenerateNative(doc->DocumentElement(), model, options);
-}
-
-Result<std::vector<DocGenResult>> GenerateNativeBatch(
-    const std::vector<const xml::Node*>& template_roots,
-    const awb::Model& model, const GenerateOptions& options,
-    ThreadPool* pool) {
-  std::vector<Result<DocGenResult>> slots;
-  slots.reserve(template_roots.size());
-  for (size_t i = 0; i < template_roots.size(); ++i) {
-    slots.emplace_back(Status::Internal("template never generated"));
-  }
-  auto generate_one = [&](size_t i) {
-    slots[i] = GenerateNative(template_roots[i], model, options);
-  };
-  if (pool != nullptr && pool->thread_count() > 0) {
-    pool->ParallelFor(template_roots.size(), generate_one);
-  } else {
-    for (size_t i = 0; i < template_roots.size(); ++i) generate_one(i);
-  }
-  std::vector<DocGenResult> results;
-  results.reserve(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].ok()) {
-      return slots[i].status().AddContext("while generating batch template #" +
-                                          std::to_string(i));
-    }
-    results.push_back(std::move(*slots[i]));
-  }
-  return results;
 }
 
 }  // namespace lll::docgen

@@ -1,7 +1,6 @@
 #ifndef LLL_DOCGEN_NATIVE_ENGINE_H_
 #define LLL_DOCGEN_NATIVE_ENGINE_H_
 
-#include "core/thread_pool.h"
 #include "docgen/docgen.h"
 
 namespace lll::docgen {
@@ -21,6 +20,10 @@ namespace lll::docgen {
 //
 // The output document is built once and patched in place:
 // stats.document_copies == 0, by construction (contrast E4).
+//
+// One call renders one report, sequentially, on the calling thread. Calls
+// may run concurrently over one Model and one template: both are only read,
+// and awbql::EvalNative and the shared query parse cache are thread-safe.
 Result<DocGenResult> GenerateNative(const xml::Node* template_root,
                                     const awb::Model& model,
                                     const GenerateOptions& options = {});
@@ -29,43 +32,6 @@ Result<DocGenResult> GenerateNative(const xml::Node* template_root,
 Result<DocGenResult> GenerateNativeFromText(const std::string& template_xml,
                                             const awb::Model& model,
                                             const GenerateOptions& options = {});
-
-// Batch mode: same semantics -- and byte-identical output -- as
-// GenerateNative, but the independent top-level units of the template (each
-// top-level child of the template root; each iteration of a top-level <for>)
-// expand concurrently on `pool`, each into its own private document with its
-// own accumulators. The chunks are then merged strictly in document order
-// (output subtrees concatenated, visited sets unioned, table-of-contents
-// lists spliced in order, placeholder definitions merged with
-// last-definition-wins), and the patch phase -- table of contents, table of
-// omissions, placeholder substitution -- runs once over the merged document,
-// exactly as in the sequential engine. Determinism therefore does not depend
-// on thread scheduling. Under ErrorPolicy::kPropagate the error returned is
-// the first one in document order, matching the sequential engine.
-//
-// `pool` may be nullptr or empty (0 threads): the batch machinery then runs
-// on the calling thread, still through the chunk/merge path.
-//
-// Thread-safety requirements (audited): the Model and template are only read
-// during generation; awbql::EvalNative and the shared query parse cache are
-// safe for concurrent use.
-Result<DocGenResult> GenerateNativeParallel(const xml::Node* template_root,
-                                            const awb::Model& model,
-                                            const GenerateOptions& options,
-                                            ThreadPool* pool);
-
-// Batch mode over one immutable model state: renders every template in
-// `template_roots` against the SAME `model`, concurrently on `pool` (nullptr
-// or 0 threads = sequential on the caller). Because the model is only read,
-// all outputs are generated from one consistent state by construction --
-// this is the primitive the query server's snapshot-pinned report endpoint
-// is built on: pin a model snapshot, batch-generate, release. On error the
-// first failing template (by index, not by scheduling) wins, matching the
-// document-order rule of GenerateNativeParallel. Must not be called from
-// inside a task of the same pool.
-Result<std::vector<DocGenResult>> GenerateNativeBatch(
-    const std::vector<const xml::Node*>& template_roots,
-    const awb::Model& model, const GenerateOptions& options, ThreadPool* pool);
 
 }  // namespace lll::docgen
 

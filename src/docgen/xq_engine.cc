@@ -55,16 +55,11 @@ size_t CountDistinctVisited(const xml::Node* root) {
   return ids.size();
 }
 
-// The shared five-phase pipeline. The caller owns the model/metamodel
-// documents and the interning cache: the free GenerateXQuery builds all
-// three per call (generation-scoped cache), an XQuerySession pins them
-// across calls (cross-generation interning).
-Result<DocGenResult> RunPhases(const xml::Node* template_root,
-                               const awb::Model& model,
-                               xml::Document* model_doc,
-                               xml::Document* metamodel_doc,
-                               xq::NodeSetCache* nodeset_cache,
-                               const GenerateOptions& options) {
+}  // namespace
+
+Result<DocGenResult> GenerateXQuery(const xml::Node* template_root,
+                                    const awb::Model& model,
+                                    const GenerateOptions& options) {
   if (template_root == nullptr || !template_root->is_element()) {
     return Status::Invalid("template root must be an element");
   }
@@ -77,6 +72,16 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
   // The XQuery implementation reads everything as XML documents: the
   // template must be in normalized form (<query> children, not `nodes`
   // attributes), and model + metamodel travel as their exported XML.
+  auto model_doc = awb::ModelToXml(model);
+  LLL_ASSIGN_OR_RETURN(
+      auto metamodel_doc,
+      xml::Parse(awb::ExportMetamodelXml(model.metamodel()),
+                 {.strip_insignificant_whitespace = true}));
+  // One node-set interning cache per generation: the repeated-directive
+  // phases re-walk the same model/metamodel chains many times, and the
+  // generation scope bounds the cached raw node pointers' lifetime to the
+  // documents above (which outlive every phase).
+  xq::NodeSetCache nodeset_cache(/*capacity=*/128);
   auto template_doc = std::make_unique<xml::Document>();
   (void)template_doc->root()->AppendChild(
       template_doc->ImportNode(template_root));
@@ -93,7 +98,7 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
                        xq::ExecuteOptions& opts) -> Result<xq::QueryResult> {
     opts.eval.profile = options.profile;
     opts.eval.trace_sink = options.trace_sink;
-    opts.eval.nodeset_cache = nodeset_cache;
+    opts.eval.nodeset_cache = &nodeset_cache;
     if (exec_metrics.has_value()) opts.metrics = &*exec_metrics;
     const auto started = std::chrono::steady_clock::now();
     LLL_ASSIGN_OR_RETURN(std::shared_ptr<const xq::CompiledQuery> compiled,
@@ -194,7 +199,7 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
   if (options.metrics != nullptr) {
     options.metrics->counter("docgen.xq.generations").Increment();
     PhaseProgramCache().ExportTo(options.metrics, "docgen.xq.cache");
-    nodeset_cache->ExportTo(options.metrics, "docgen.xq.nodeset");
+    nodeset_cache.ExportTo(options.metrics, "docgen.xq.nodeset");
     // Storage gauges: the model document is the generation's dominant arena.
     const xml::DocumentStorageStats storage = model_doc->storage_stats();
     options.metrics->gauge("xml.doc.nodes")
@@ -216,51 +221,6 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
   result.root = root;
   result.stats = stats;
   result.phase_profiles = std::move(phase_profiles);
-  return result;
-}
-
-}  // namespace
-
-Result<DocGenResult> GenerateXQuery(const xml::Node* template_root,
-                                    const awb::Model& model,
-                                    const GenerateOptions& options) {
-  auto model_doc = awb::ModelToXml(model);
-  LLL_ASSIGN_OR_RETURN(
-      auto metamodel_doc,
-      xml::Parse(awb::ExportMetamodelXml(model.metamodel()),
-                 {.strip_insignificant_whitespace = true}));
-  // One node-set interning cache per generation: the repeated-directive
-  // phases re-walk the same model/metamodel chains many times, and the
-  // generation scope bounds the cached raw node pointers' lifetime to the
-  // documents above (which outlive every phase).
-  xq::NodeSetCache nodeset_cache(/*capacity=*/128);
-  return RunPhases(template_root, model, model_doc.get(), metamodel_doc.get(),
-                   &nodeset_cache, options);
-}
-
-Result<std::unique_ptr<XQuerySession>> XQuerySession::Create(
-    const awb::Model& model) {
-  auto model_doc = awb::ModelToXml(model);
-  LLL_ASSIGN_OR_RETURN(
-      auto metamodel_doc,
-      xml::Parse(awb::ExportMetamodelXml(model.metamodel()),
-                 {.strip_insignificant_whitespace = true}));
-  return std::unique_ptr<XQuerySession>(new XQuerySession(
-      model, std::move(model_doc), std::move(metamodel_doc)));
-}
-
-Result<DocGenResult> XQuerySession::Generate(const xml::Node* template_root,
-                                             const GenerateOptions& options) {
-  Result<DocGenResult> result =
-      RunPhases(template_root, *model_, model_doc_.get(), metamodel_doc_.get(),
-                &nodeset_cache_, options);
-  // Drop entries interned against this generation's scratch documents (the
-  // normalized template, intermediate phase outputs): their node pointers
-  // die with the generation. Entries over the pinned model/metamodel
-  // survive into the next generation -- the cross-generation warm set.
-  nodeset_cache_.RetainDocuments(
-      {model_doc_->doc_id(), metamodel_doc_->doc_id()});
-  if (result.ok()) ++generations_;
   return result;
 }
 

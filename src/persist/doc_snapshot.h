@@ -15,8 +15,8 @@ namespace lll::persist {
 // xml::ExportDocumentStorage -- kind/name/value arrays, concatenated child
 // and attribute pools, value bytes -- plus a LOCAL name table (the NameTable
 // remap section: process-wide interned ids are not stable across processes,
-// so names travel as strings and are re-interned on load). Loading goes
-// mmap-or-read through the shared artifact container, validates the image
+// so names travel as strings and are re-interned on load). Loading reads
+// the file whole through the shared artifact container, validates the image
 // structurally (every failure is kInvalidArgument), and rebuilds the arena
 // without parsing any XML; the loaded document serializes byte-identically
 // to the saved one and starts on the index-is-order fast path.

@@ -1,7 +1,6 @@
 #include "persist/format.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -99,7 +98,7 @@ Status ArtifactWriter::WriteFile(const std::string& path) const {
 }
 
 Status Artifact::ParseFrame(uint32_t expected_kind, ArtifactLoadInfo* info) {
-  const std::string_view bytes = data();
+  const std::string_view bytes = owned_;
   if (bytes.size() < kHeaderSize) {
     return Status::Invalid("artifact too short for a header (" +
                            std::to_string(bytes.size()) + " bytes)");
@@ -173,40 +172,22 @@ Result<Artifact> Artifact::FromFile(const std::string& path,
     ::close(fd);
     return Status::Invalid("cannot stat artifact '" + path + "'");
   }
+  // Empty and short files read fine here and fail framing below.
   const size_t size = static_cast<size_t>(st.st_size);
-  if (size > 0) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr != MAP_FAILED) {
-      a.map_addr_ = addr;
-      a.map_len_ = size;
-    }
-  }
-  if (a.map_addr_ == nullptr) {
-    // Buffered-read fallback (empty files land here too and fail framing).
-    a.owned_.resize(size);
-    size_t got = 0;
-    while (got < size) {
-      ssize_t n = ::read(fd, a.owned_.data() + got, size - got);
-      if (n <= 0) break;
-      got += static_cast<size_t>(n);
-    }
-    if (got != size) {
-      ::close(fd);
-      return Status::Invalid("short read of artifact '" + path + "'");
-    }
+  a.owned_.resize(size);
+  size_t got = 0;
+  while (got < size) {
+    ssize_t n = ::read(fd, a.owned_.data() + got, size - got);
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
   }
   ::close(fd);
+  if (got != size) {
+    return Status::Invalid("short read of artifact '" + path + "'");
+  }
   Status st_frame = a.ParseFrame(expected_kind, info);
   if (!st_frame.ok()) return st_frame.AddContext("while loading '" + path + "'");
   return a;
-}
-
-void Artifact::Unmap() {
-  if (map_addr_ != nullptr) {
-    ::munmap(map_addr_, map_len_);
-    map_addr_ = nullptr;
-    map_len_ = 0;
-  }
 }
 
 Result<std::vector<uint32_t>> DecodeU32Array(std::string_view section) {

@@ -140,27 +140,12 @@ struct ArtifactLoadInfo {
   bool version_mismatch = false;
 };
 
-// A parsed, checksum-verified artifact. Owns its backing bytes -- either an
-// mmap'd region (the file path, zero-copy until sections are consumed) or a
-// heap buffer (the bytes path, and the fallback when mmap is unavailable).
-// Section() views alias the backing bytes and die with the Artifact.
+// A parsed, checksum-verified artifact. Owns its bytes in one heap buffer;
+// Section() views alias it and die with the Artifact. Every loader copies
+// the sections it needs out at once, so a file is simply read whole.
 class Artifact {
  public:
-  Artifact() = default;
-  Artifact(Artifact&& other) noexcept { MoveFrom(std::move(other)); }
-  Artifact& operator=(Artifact&& other) noexcept {
-    if (this != &other) {
-      Unmap();
-      MoveFrom(std::move(other));
-    }
-    return *this;
-  }
-  Artifact(const Artifact&) = delete;
-  Artifact& operator=(const Artifact&) = delete;
-  ~Artifact() { Unmap(); }
-
-  // mmap-or-read load: maps the file read-only when possible, falls back to
-  // a buffered read, then validates the frame (magic, version, kind,
+  // Reads the whole file, then validates the frame (magic, version, kind,
   // checksum, section bounds). All failures are kInvalidArgument.
   static Result<Artifact> FromFile(const std::string& path,
                                    uint32_t expected_kind,
@@ -171,12 +156,11 @@ class Artifact {
                                     ArtifactLoadInfo* info = nullptr);
 
   uint32_t kind() const { return kind_; }
-  bool mapped() const { return map_addr_ != nullptr; }
 
   // The payload of section `id`, or nullopt if absent.
   std::optional<std::string_view> Section(uint32_t id) const {
     for (const SectionEntry& s : sections_) {
-      if (s.id == id) return data().substr(s.offset, s.size);
+      if (s.id == id) return std::string_view(owned_).substr(s.offset, s.size);
     }
     return std::nullopt;
   }
@@ -188,27 +172,9 @@ class Artifact {
     uint64_t size;
   };
 
-  std::string_view data() const {
-    if (map_addr_ != nullptr) {
-      return std::string_view(static_cast<const char*>(map_addr_), map_len_);
-    }
-    return owned_;
-  }
   Status ParseFrame(uint32_t expected_kind, ArtifactLoadInfo* info);
-  void Unmap();
-  void MoveFrom(Artifact&& other) {
-    owned_ = std::move(other.owned_);
-    map_addr_ = other.map_addr_;
-    map_len_ = other.map_len_;
-    kind_ = other.kind_;
-    sections_ = std::move(other.sections_);
-    other.map_addr_ = nullptr;
-    other.map_len_ = 0;
-  }
 
   std::string owned_;
-  void* map_addr_ = nullptr;
-  size_t map_len_ = 0;
   uint32_t kind_ = 0;
   std::vector<SectionEntry> sections_;
 };

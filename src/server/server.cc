@@ -6,14 +6,11 @@
 #include <set>
 #include <utility>
 
-#include "awb/xml_io.h"
-#include "docgen/native_engine.h"
 #include "obs/explain.h"
 #include "persist/doc_snapshot.h"
 #include "persist/plan_serde.h"
 #include "xml/name_table.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 #include "xquery/engine.h"
 #include "xquery/update_parser.h"
 
@@ -64,7 +61,6 @@ QueryServer::Metrics::Metrics(MetricsRegistry& registry)
       query_us(registry.histogram("server.query_us")),
       snapshots_published(registry.counter("server.snapshots_published")),
       updates(registry.counter("server.updates")),
-      reports_generated(registry.counter("server.reports_generated")),
       plan_hits(registry.counter("persist.plan.hits")),
       plan_misses(registry.counter("persist.plan.misses")),
       documents(registry.gauge("server.documents")),
@@ -314,62 +310,6 @@ Result<std::string> QueryServer::Explain(const std::string& doc_name,
                     std::to_string(snapshot->version()) + "\n";
   out += obs::Explain(**compiled, eo);
   return out;
-}
-
-Result<std::vector<std::string>> QueryServer::GenerateReports(
-    const std::string& tenant, const std::string& model_doc,
-    const awb::Metamodel* metamodel,
-    const std::vector<std::string>& template_xmls) {
-  SnapshotPtr snapshot = store_.Current(model_doc);
-  if (snapshot == nullptr) {
-    return Status::NotFound("no document named '" + model_doc + "'");
-  }
-
-  TenantQuota quota;
-  Tenant* t = TenantAndQuota(tenant, &quota);
-  int64_t inflight = t->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  InflightGuard guard(&t->inflight);
-  if (static_cast<uint64_t>(inflight) > quota.max_inflight) {
-    CountRejection(t);
-    return Status::ResourceExhausted("tenant '" + tenant +
-                                     "' is over its in-flight quota");
-  }
-
-  const xml::Node* model_root = snapshot->document().DocumentElement();
-  if (model_root == nullptr) {
-    return Status::Invalid("document '" + model_doc + "' has no element root");
-  }
-  auto model = awb::ModelFromXml(metamodel, model_root);
-  if (!model.ok()) {
-    return model.status().AddContext("while building the model from '" +
-                                     model_doc + "' @ version " +
-                                     std::to_string(snapshot->version()));
-  }
-
-  std::vector<std::unique_ptr<xml::Document>> template_docs;
-  std::vector<const xml::Node*> template_roots;
-  for (const std::string& xml_text : template_xmls) {
-    auto doc = docgen::ParseTemplate(xml_text);
-    if (!doc.ok()) {
-      return doc.status().AddContext("while parsing batch template #" +
-                                     std::to_string(template_roots.size()));
-    }
-    template_roots.push_back((*doc)->DocumentElement());
-    template_docs.push_back(std::move(*doc));
-  }
-
-  docgen::GenerateOptions gen_options;
-  gen_options.metrics = metrics_;
-  auto results = docgen::GenerateNativeBatch(template_roots, *model,
-                                             gen_options, &pool_);
-  if (!results.ok()) return results.status();
-  std::vector<std::string> rendered;
-  rendered.reserve(results->size());
-  for (const docgen::DocGenResult& r : *results) {
-    rendered.push_back(r.Serialized());
-  }
-  handles_.reports_generated.Increment(rendered.size());
-  return rendered;
 }
 
 Status QueryServer::SaveState(const std::string& dir) const {

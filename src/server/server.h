@@ -18,10 +18,6 @@
 #include "xquery/query_cache.h"
 #include "xquery/update_eval.h"
 
-namespace lll::awb {
-class Metamodel;
-}  // namespace lll::awb
-
 namespace lll::server {
 
 // Per-tenant admission limits. A quota violation is a graceful
@@ -182,19 +178,6 @@ class QueryServer {
   Result<std::string> Explain(const std::string& doc_name,
                               const std::string& query_text);
 
-  // --- Docgen over a pinned snapshot ---------------------------------------
-
-  // Batch report generation with snapshot semantics: pins the current
-  // snapshot of `model_doc` (an <awb-model> document), builds the model from
-  // it once, renders every template against that one consistent state on the
-  // worker pool, and returns the serialized outputs. Publishes that land
-  // mid-generation are invisible -- the pin holds the snapshot alive.
-  // Admission control applies (one in-flight unit for the whole batch).
-  Result<std::vector<std::string>> GenerateReports(
-      const std::string& tenant, const std::string& model_doc,
-      const awb::Metamodel* metamodel,
-      const std::vector<std::string>& template_xmls);
-
   // --- Persistence (warm boot) ---------------------------------------------
 
   // Writes the server's warm state into `dir` (created if missing): the
@@ -265,7 +248,6 @@ class QueryServer {
     Histogram& query_us;
     Counter& snapshots_published;
     Counter& updates;
-    Counter& reports_generated;
     Counter& plan_hits;
     Counter& plan_misses;
     Gauge& documents;

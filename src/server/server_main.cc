@@ -3,10 +3,13 @@
 // so every connection gets snapshot-pinned repeatable reads until it sends
 // "refresh").
 //
-//   lll_serverd [--port N] [--workers N] [--demo] [--state-dir DIR]
+//   lll_serverd [--port N] [--demo] [--state-dir DIR]
 //
 // Protocol (one command per line; responses end with a line "." on their
-// own):
+// own). A line holds at most kMaxLineBytes (16 MiB) before its newline. A
+// longer line is dropped as it is read, without being buffered, and answered
+// "error: line exceeds 16777216 bytes"; the connection stays open. Larger
+// documents go through `load <name> <path>`.
 //
 //   load <name> <path>          register a document from an XML file
 //   load <dir>                  warm-boot: restore a state directory
@@ -85,6 +88,30 @@ std::vector<std::string> SplitWords(const std::string& line, size_t n,
   return words;
 }
 
+// The longest protocol line Serve() accepts, newline excluded.
+constexpr size_t kMaxLineBytes = size_t{16} << 20;
+
+// std::getline with a cap: reads one line into `line` without its newline,
+// keeping at most kMaxLineBytes. The rest of a longer line is consumed
+// without being buffered, and `too_long` is set. False at end of input.
+bool ReadLine(std::istream& in, std::string* line, bool* too_long) {
+  line->clear();
+  *too_long = false;
+  std::streambuf* buf = in.rdbuf();
+  bool read_any = false;
+  for (int c = buf->sbumpc(); c != std::char_traits<char>::eof();
+       c = buf->sbumpc()) {
+    read_any = true;
+    if (c == '\n') return true;
+    if (line->size() < kMaxLineBytes) {
+      line->push_back(static_cast<char>(c));
+    } else {
+      *too_long = true;
+    }
+  }
+  return read_any;
+}
+
 // Parses a full decimal unsigned integer; false on anything malformed.
 // Client input must never throw out of Serve() -- that would kill the whole
 // daemon, not just the offending connection.
@@ -110,7 +137,13 @@ void Serve(QueryServer* server, const std::string& state_dir,
   };
 
   std::string line;
-  while (std::getline(in, line)) {
+  bool too_long = false;
+  while (ReadLine(in, &line, &too_long)) {
+    if (too_long) {
+      out << "error: line exceeds " << kMaxLineBytes << " bytes\n.\n"
+          << std::flush;
+      continue;
+    }
     std::string rest;
     std::vector<std::string> head = SplitWords(line, 1, &rest);
     if (head.empty()) continue;
@@ -337,14 +370,16 @@ constexpr char kDemoDocument[] =
 
 int main(int argc, char** argv) {
   int port = 0;
+  // Serve() runs every command on its connection's thread and never calls
+  // Submit, so the server starts no pool workers.
   lll::server::ServerOptions options;
+  options.worker_threads = 0;
   bool demo = false;
   std::string state_dir;
   auto usage = [](const char* complaint, const char* value) {
     std::fprintf(stderr, "lll_serverd: %s: '%s'\n", complaint, value);
     std::fprintf(stderr,
-                 "usage: lll_serverd [--port N] [--workers N] [--demo] "
-                 "[--state-dir DIR]\n");
+                 "usage: lll_serverd [--port N] [--demo] [--state-dir DIR]\n");
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
@@ -355,20 +390,13 @@ int main(int argc, char** argv) {
         return usage("--port wants an integer in [1, 65535]", argv[i]);
       }
       port = static_cast<int>(value);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      uint64_t value = 0;
-      if (!ParseUint(argv[++i], &value) || value == 0 || value > 1024) {
-        return usage("--workers wants an integer in [1, 1024]", argv[i]);
-      }
-      options.worker_threads = static_cast<size_t>(value);
     } else if (arg == "--demo") {
       demo = true;
     } else if (arg == "--state-dir" && i + 1 < argc) {
       state_dir = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: lll_serverd [--port N] [--workers N] [--demo] "
-                   "[--state-dir DIR]\n");
+      std::fprintf(
+          stderr, "usage: lll_serverd [--port N] [--demo] [--state-dir DIR]\n");
       return 2;
     }
   }

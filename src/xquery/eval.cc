@@ -1060,7 +1060,7 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   }
   // Never intern sets rooted in this execution's construction arena (e.g.
   // `document { ... }` results): the arena dies with the query, while the
-  // cache (session- or backend-scoped) lives on, and the next execution's
+  // cache (snapshot- or backend-scoped) lives on, and the next execution's
   // arena is likely reallocated at the same address -- the stamp alone
   // cannot make raw pointers into a freed arena safe to hand out.
   if (base->document() == ctx_->construction_arena()) return 0;

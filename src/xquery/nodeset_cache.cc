@@ -156,16 +156,6 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
   return migrated;
 }
 
-size_t NodeSetCache::RetainDocuments(const std::vector<uint64_t>& doc_ids) {
-  return cache_.EraseIf([&doc_ids](const std::string&,
-                                   const CachedNodeSet& entry) {
-    for (uint64_t id : doc_ids) {
-      if (entry.doc_id == id) return false;
-    }
-    return true;
-  });
-}
-
 void NodeSetCache::ExportTo(MetricsRegistry* metrics,
                             const std::string& prefix) const {
   metrics->gauge(prefix + ".hits").Set(static_cast<int64_t>(hits()));

@@ -68,11 +68,11 @@ struct CachedNodeSet {
 // documents they were computed from. A NodeSetCache must therefore be scoped
 // to the owner of those documents and destroyed (or Clear()ed) no later than
 // them -- e.g. a member of awbql::XQueryBackend next to its model/metamodel
-// snapshots, or a docgen session spanning generations of one model. It must
+// snapshots, a server snapshot, or a local of one docgen generation. It must
 // never be a process-wide singleton. (Entries for dead documents are inert
 // -- the doc_id in key and stamp can never match a live document -- but
 // their Sequences still point into freed arenas, so the cache itself must
-// not outlive its documents. RetainDocuments purges such entries.)
+// not outlive its documents.)
 //
 // Concurrency: Get/Put are safe from any number of threads (the underlying
 // LruCache serializes bookkeeping; values are shared immutable handles), and
@@ -122,11 +122,6 @@ class NodeSetCache {
   // version -- the building block callers assemble dependency chains from.
   static CachedNodeSet::Guard GuardFor(const xml::Node* n,
                                        CachedNodeSet::GuardKind kind);
-
-  // Drops every entry whose document is not in `doc_ids`. Cross-generation
-  // sessions call this to shed entries for per-generation scratch documents
-  // whose arenas are about to die.
-  size_t RetainDocuments(const std::vector<uint64_t>& doc_ids);
 
   // Copies `source`'s entries for `from` into this cache, re-targeted at
   // `to`, a clone of `from`, with `node_map` the source-index -> clone-index

@@ -4,7 +4,6 @@
 // threads, and require byte-for-byte identical answers.
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,31 +22,14 @@ namespace {
 
 // --- ThreadPool -------------------------------------------------------------
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> counts(kN);
-  pool.ParallelFor(kN, [&](size_t i) { counts[i].fetch_add(1); });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForIsReusable) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<size_t> sum{0};
-    pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 4950u);
-  }
-}
-
 TEST(ThreadPoolTest, ZeroThreadPoolRunsInline) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 0u);
-  std::vector<size_t> order;  // no atomics needed: everything is inline
-  pool.ParallelFor(5, [&](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  std::vector<int> order;  // no atomics needed: everything is inline
+  for (int i = 0; i < 5; ++i) {
+    pool.Submit([&order, i] { order.push_back(i); });
+    EXPECT_EQ(order.size(), static_cast<size_t>(i + 1));
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllRunBeforeDestruction) {
@@ -268,32 +250,14 @@ TEST(SharedDocumentOrderIndexTest, ConcurrentDirectComparesMatchOracle) {
   }
 }
 
-// --- Parallel docgen --------------------------------------------------------
+// --- Concurrent native docgen ----------------------------------------------
 
-class ParallelDocgenTest : public ::testing::Test {
- protected:
-  ParallelDocgenTest() : mm_(awb::MakeItArchitectureMetamodel()) {
-    awb::GeneratorConfig config;
-    config.seed = 20260806;
-    config.users = 8;
-    config.servers = 3;
-    config.subsystems = 4;
-    config.programs = 10;
-    config.requirements = 6;
-    config.documents = 4;
-    model_ = std::make_unique<awb::Model>(
-        awb::GenerateItModel(&mm_, config));
-  }
-
-  awb::Metamodel mm_;
-  std::unique_ptr<awb::Model> model_;
-};
-
-// A template with one of everything the merge has to get right: multiple
-// top-level sections (toc entries from different chunks), a fan-out <for>,
-// a table of contents *before* the sections it lists, a placeholder defined
-// in one chunk and used in another, and a table of omissions at the end.
-const char kBatchTemplate[] = R"(<doc>
+// A template with one of everything the walk and the patch phase touch: a
+// table of contents *before* the sections it lists, a placeholder defined
+// before its use, nested <for>s, a table and a table of omissions. Its
+// queries are `nodes` text, so every render goes through the shared query
+// parse cache.
+const char kDocgenTemplate[] = R"(<doc>
 <table-of-contents/>
 <placeholder name="SERVER-TABLE"><table rows="from type:Server; sort label"
   cols="from type:Program; sort label" relation="runs" corner="server\prog"/></placeholder>
@@ -309,86 +273,64 @@ const char kBatchTemplate[] = R"(<doc>
 <table-of-omissions types="Document"/>
 </doc>)";
 
-TEST_F(ParallelDocgenTest, ParallelOutputIsByteIdenticalToSequential) {
-  auto doc = docgen::ParseTemplate(kBatchTemplate);
+// GenerateNative from several threads over one shared Model: every render
+// byte-equals the single-threaded one.
+void ExpectConcurrentRendersMatch(const awb::Model& model,
+                                  const std::string& template_xml,
+                                  const docgen::GenerateOptions& options) {
+  auto doc = docgen::ParseTemplate(template_xml);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const xml::Node* root = (*doc)->DocumentElement();
-
-  auto sequential = docgen::GenerateNative(root, *model_);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  const std::string want = sequential->Serialized(2);
+  auto oracle = docgen::GenerateNative(root, model, options);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const std::string want = oracle->Serialized(2);
   ASSERT_FALSE(want.empty());
 
-  // Several pool shapes, including 0 workers (inline) and more workers than
-  // a single core can run at once.
-  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}, size_t{8}}) {
-    ThreadPool pool(workers);
-    auto parallel =
-        docgen::GenerateNativeParallel(root, *model_, {}, &pool);
-    ASSERT_TRUE(parallel.ok())
-        << workers << " workers: " << parallel.status().ToString();
-    EXPECT_EQ(parallel->Serialized(2), want) << workers << " workers";
-    EXPECT_EQ(parallel->stats.nodes_visited, sequential->stats.nodes_visited);
-    EXPECT_EQ(parallel->stats.toc_entries, sequential->stats.toc_entries);
-    EXPECT_EQ(parallel->stats.directives_processed,
-              sequential->stats.directives_processed);
-    EXPECT_EQ(parallel->stats.omissions_listed,
-              sequential->stats.omissions_listed);
-    EXPECT_EQ(parallel->stats.placeholders_defined,
-              sequential->stats.placeholders_defined);
-    EXPECT_EQ(parallel->stats.placeholder_replacements,
-              sequential->stats.placeholder_replacements);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRendersPerThread = 20;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kRendersPerThread; ++i) {
+        auto r = docgen::GenerateNative(root, model, options);
+        got[t].push_back(r.ok() ? r->Serialized(2) : r.status().ToString());
+      }
+    });
   }
-
-  // A null pool must work too (pure inline batch path).
-  auto inline_run = docgen::GenerateNativeParallel(root, *model_, {}, nullptr);
-  ASSERT_TRUE(inline_run.ok());
-  EXPECT_EQ(inline_run->Serialized(2), want);
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const std::string& out : got[t]) {
+      EXPECT_EQ(out, want) << "thread " << t;
+    }
+  }
 }
 
-TEST_F(ParallelDocgenTest, ErrorPolicyEmbedMatchesSequentially) {
-  // Missing `version` on some Documents (omission_rate > 0) plus no default
-  // makes <value-of> embed errors; the embedded errors must land in the same
-  // places in parallel mode.
-  const char* tmpl =
+TEST(ConcurrentDocgenTest, SharedModelRendersMatchSingleThreaded) {
+  const awb::Metamodel mm = awb::MakeItArchitectureMetamodel();
+  awb::GeneratorConfig config;
+  config.seed = 20260806;
+  config.users = 8;
+  config.servers = 3;
+  config.subsystems = 4;
+  config.programs = 10;
+  config.requirements = 6;
+  config.documents = 4;
+  const awb::Model model = awb::GenerateItModel(&mm, config);
+
+  ExpectConcurrentRendersMatch(model, kDocgenTemplate, {});
+
+  // Some Documents lack a `version` (omission_rate > 0) and the directive
+  // has no default, so kEmbed puts <error> elements in the output.
+  const std::string embed_template =
       "<doc><for nodes=\"from type:Document; sort label\">"
       "<p><value-of property=\"version\"/></p></for></doc>";
-  auto doc = docgen::ParseTemplate(tmpl);
-  ASSERT_TRUE(doc.ok());
-  docgen::GenerateOptions options;
-  options.error_policy = docgen::GenerateOptions::ErrorPolicy::kEmbed;
-
-  auto sequential =
-      docgen::GenerateNative((*doc)->DocumentElement(), *model_, options);
-  ASSERT_TRUE(sequential.ok());
-
-  ThreadPool pool(4);
-  auto parallel = docgen::GenerateNativeParallel((*doc)->DocumentElement(),
-                                                 *model_, options, &pool);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->Serialized(2), sequential->Serialized(2));
-  EXPECT_EQ(parallel->stats.errors_embedded, sequential->stats.errors_embedded);
-}
-
-TEST_F(ParallelDocgenTest, ErrorPolicyPropagateReturnsFirstErrorInOrder) {
-  // Two failing directives; the parallel engine must report the first one in
-  // document order no matter which chunk finishes first.
-  const char* tmpl =
-      "<doc><p><value-of property=\"x\"/></p>"
-      "<p><label/></p></doc>";  // both fail: no focus
-  auto doc = docgen::ParseTemplate(tmpl);
-  ASSERT_TRUE(doc.ok());
-
-  auto sequential = docgen::GenerateNative((*doc)->DocumentElement(), *model_);
-  ASSERT_FALSE(sequential.ok());
-
-  ThreadPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    auto parallel = docgen::GenerateNativeParallel((*doc)->DocumentElement(),
-                                                   *model_, {}, &pool);
-    ASSERT_FALSE(parallel.ok());
-    EXPECT_EQ(parallel.status().ToString(), sequential.status().ToString());
-  }
+  docgen::GenerateOptions embed;
+  embed.error_policy = docgen::GenerateOptions::ErrorPolicy::kEmbed;
+  auto single = docgen::GenerateNativeFromText(embed_template, model, embed);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_GT(single->stats.errors_embedded, 0u);
+  ExpectConcurrentRendersMatch(model, embed_template, embed);
 }
 
 }  // namespace

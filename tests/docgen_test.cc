@@ -364,83 +364,6 @@ TEST_F(DocgenTest, XQueryEngineInternalDataIsStripped) {
   EXPECT_EQ(out.find("VISITED"), std::string::npos);
 }
 
-TEST_F(DocgenTest, XQuerySessionMatchesTheFreeFunctionAndInternsAcrossRuns) {
-  const char* tpl =
-      "<ol><for nodes=\"from type:User; sort label\"><li>"
-      "<if><test><focus-is-type type=\"Superuser\"/></test>"
-      "<then><b><label/></b></then><else><label/></else></if>"
-      "</li></for></ol>";
-  auto parsed = ParseTemplate(tpl);
-  ASSERT_TRUE(parsed.ok());
-  const xml::Node* root = (*parsed)->DocumentElement();
-
-  auto session = XQuerySession::Create(model_);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-
-  auto reference = GenerateXQueryFromText(tpl, model_);
-  ASSERT_TRUE(reference.ok());
-
-  auto gen1 = (*session)->Generate(root);
-  ASSERT_TRUE(gen1.ok()) << gen1.status().ToString();
-  EXPECT_EQ(gen1->Serialized(), reference->Serialized());
-  EXPECT_EQ((*session)->generations(), 1u);
-
-  // Generation 2 reuses generation 1's interned model/metamodel chains: the
-  // session cache reports cross-generation hits, and the output is
-  // byte-identical.
-  const uint64_t hits_after_1 = (*session)->nodeset_cache().hits();
-  auto gen2 = (*session)->Generate(root);
-  ASSERT_TRUE(gen2.ok());
-  EXPECT_EQ(gen2->Serialized(), reference->Serialized());
-  EXPECT_GT((*session)->nodeset_cache().hits(), hits_after_1);
-  EXPECT_GT(gen2->stats.nodeset_cache_hits,
-            gen1->stats.nodeset_cache_hits);
-
-  // Scratch-document entries (template, intermediate phases) were purged at
-  // the end of each generation: whatever the cache still holds belongs to
-  // the pinned model/metamodel documents.
-  EXPECT_GT((*session)->nodeset_cache().size(), 0u);
-}
-
-TEST_F(DocgenTest, XQuerySessionRegeneratesAfterPinnedModelEdit) {
-  // The interactive loop: generate, edit the pinned model document, generate
-  // again. The second run must see the edit (no stale cache served) while
-  // untouched chains stay warm.
-  const char* tpl =
-      "<ol><for nodes=\"from type:User; sort label\"><li><label/></li>"
-      "</for></ol>";
-  auto parsed = ParseTemplate(tpl);
-  ASSERT_TRUE(parsed.ok());
-  const xml::Node* root = (*parsed)->DocumentElement();
-
-  auto session = XQuerySession::Create(model_);
-  ASSERT_TRUE(session.ok());
-  auto gen1 = (*session)->Generate(root);
-  ASSERT_TRUE(gen1.ok());
-  EXPECT_EQ(gen1->Serialized(),
-            "<ol><li>Alice</li><li>Bob</li><li>Carol</li></ol>");
-
-  // Rename Carol IN THE PINNED XML DOCUMENT (the session queries the XML,
-  // not the live Model object).
-  xml::Document* model_doc = (*session)->model_document();
-  bool renamed = false;
-  for (xml::Node* prop :
-       model_doc->DocumentElement()->DescendantElements("property")) {
-    auto pname = prop->AttributeValue("name");
-    if (pname.has_value() && *pname == "name" &&
-        prop->StringValue() == "Carol") {
-      prop->children().front()->set_value("Dave");
-      renamed = true;
-    }
-  }
-  ASSERT_TRUE(renamed);
-
-  auto gen2 = (*session)->Generate(root);
-  ASSERT_TRUE(gen2.ok());
-  EXPECT_EQ(gen2->Serialized(),
-            "<ol><li>Alice</li><li>Bob</li><li>Dave</li></ol>");
-}
-
 // --- Differential: both engines agree on error-free templates --------------
 
 TEST_F(DocgenTest, DifferentialSimple) {

@@ -204,37 +204,6 @@ TEST(NodeSetCache, DistinctBaseNodesInternSeparately) {
             xq::NodeSetCache::MakeKey((*doc2)->root(), "child::lib/"));
 }
 
-TEST(NodeSetCache, RetainDocumentsDropsForeignEntries) {
-  auto doc1 = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
-  auto doc2 = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
-  ASSERT_TRUE(doc1.ok() && doc2.ok());
-  xml::Document* d1 = doc1->get();
-  xml::Document* d2 = doc2->get();
-
-  xq::NodeSetCache cache(8);
-  auto put = [&cache](xml::Document* d, const std::string& fp) {
-    cache.Put(xq::NodeSetCache::MakeKey(d->root(), fp), d->doc_id(),
-              {xq::NodeSetCache::GuardFor(d->root(), GuardKind::kSubtree)},
-              false, xdm::Sequence(xdm::Item::NodeRef(d->DocumentElement())));
-  };
-  put(d1, "a");
-  put(d1, "b");
-  put(d2, "a");
-  ASSERT_EQ(cache.size(), 3u);
-
-  // Keep only d1: the d2 entry (about to lose its arena in the session
-  // pattern) is purged; d1's survive and still hit.
-  EXPECT_EQ(cache.RetainDocuments({d1->doc_id()}), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  xq::NodeSetCache::Outcome outcome;
-  EXPECT_NE(
-      cache.Get(d1, xq::NodeSetCache::MakeKey(d1->root(), "a"), &outcome),
-      nullptr);
-  EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
-  EXPECT_EQ(cache.Get(d2, xq::NodeSetCache::MakeKey(d2->root(), "a")),
-            nullptr);
-}
-
 // End-to-end: repeated evaluations of the same rooted, predicate-free step
 // chain through one shared cache hit on the second run.
 TEST(NodeSetCacheIntegration, RepeatedQueriesHit) {

@@ -1,7 +1,6 @@
 // Unit tests for the multi-tenant query server: the copy-on-write publish
 // protocol, session snapshot pinning, admission control, eval budgets /
-// deadlines as graceful rejections, EXPLAIN provenance, async Submit, and
-// snapshot-pinned batch docgen.
+// deadlines as graceful rejections, EXPLAIN provenance and async Submit.
 
 #include <atomic>
 #include <chrono>
@@ -11,9 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "awb/builtin_metamodels.h"
-#include "awb/generator.h"
-#include "awb/xml_io.h"
 #include "gtest/gtest.h"
 #include "server/server.h"
 #include "xml/parser.h"
@@ -604,40 +600,6 @@ TEST(Nesting, RecursionThroughCallsIsAStatusNotACrash) {
     EXPECT_NE(got.status.message().find("recursion"), std::string::npos);
   }
   EXPECT_EQ(session.Query("d", "count(/r)").result, "1");
-}
-
-TEST(Docgen, BatchGenerationPinsOneModelSnapshot) {
-  MetricsRegistry metrics;
-  QueryServer server(TestOptions(&metrics));
-
-  awb::Metamodel mm = awb::MakeItArchitectureMetamodel();
-  awb::GeneratorConfig config;
-  config.seed = 7;
-  config.users = 3;
-  config.programs = 2;
-  awb::Model model = awb::GenerateItModel(&mm, config);
-  ASSERT_TRUE(
-      server.AddDocumentXml("model", awb::ExportModelXml(model)).ok());
-
-  const std::vector<std::string> templates = {
-      "<html><for nodes=\"from type:User\"><p><label/></p></for></html>",
-      "<html><h1>Users: <for nodes=\"from type:User\"><label/>; "
-      "</for></h1></html>",
-  };
-  auto reports = server.GenerateReports("acme", "model", &mm, templates);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  ASSERT_EQ(reports->size(), 2u);
-  EXPECT_NE((*reports)[0].find("<p>"), std::string::npos);
-
-  // Publishing an EMPTY model afterwards does not disturb what the pinned
-  // run produced, and a new batch sees the new state.
-  awb::Model empty_model(&mm);
-  ASSERT_TRUE(
-      server.PublishXml("model", awb::ExportModelXml(empty_model)).ok());
-  auto after = server.GenerateReports("acme", "model", &mm, templates);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ((*after)[0].find("<p>"), std::string::npos);
-  EXPECT_EQ(metrics.counter("server.reports_generated").value(), 4u);
 }
 
 TEST(Metrics, ServerCountersAndLatencyHistogramsAreExported) {
