@@ -8,7 +8,8 @@
 // std::string name + value and two std::vector index lists -- several
 // mallocs and a few hundred bytes per node. The SoA arena stores a node as
 // one row across parallel arrays with interned names and arena-backed
-// values, and clones with array memcpy instead of a recursive rebuild.
+// values, and clones with one preorder array-to-array pass instead of a
+// recursive rebuild.
 //
 // Measured here, old vs new at matched tree shapes:
 //   * bytes per node: live-heap delta of building the tree (a bench-local
@@ -17,8 +18,10 @@
 //   * build time for the same construction sequence;
 //   * full-scan `//x`: DescendantElements over both layouts, and the real
 //     engine query end to end on the arena;
-//   * clone/publish: CloneDocument (array copy) vs the recursive deep copy
-//     the old implementation performed, and the server's PublishEdit path.
+//   * clone/publish: CloneDocument (its one path: a preorder walk that
+//     renumbers, fills the arrays and writes the order keys) vs the
+//     recursive deep copy the old implementation performed, and the
+//     server's PublishEdit path.
 //
 // Results go to stdout AND BENCH_e16.json (JSON reporter).
 

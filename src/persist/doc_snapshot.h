@@ -19,7 +19,8 @@ namespace lll::persist {
 // the file whole through the shared artifact container, validates the image
 // structurally (every failure is kInvalidArgument), and rebuilds the arena
 // without parsing any XML; the loaded document serializes byte-identically
-// to the saved one and starts on the index-is-order fast path.
+// to the saved one and starts with a fresh order index (keys 1..n, written
+// by the loader).
 
 // The snapshot artifact image. `doc_name` is the server's document name,
 // embedded so a state directory can be reloaded without a side index.

@@ -79,8 +79,8 @@ Result<uint64_t> SnapshotStore::PublishEdit(const std::string& name,
     base = entry->current;
   }
   // Capture the clone's source -> clone index table so the base snapshot's
-  // warm cache can be remapped onto the new one whichever clone path ran
-  // (identity fast path or compacting slow path).
+  // warm cache can be remapped onto the new one (the clone drops detached
+  // debris and renumbers the rest into preorder).
   std::vector<uint32_t> node_map;
   std::unique_ptr<xml::Document> copy =
       xml::CloneDocument(base->document(), &node_map);

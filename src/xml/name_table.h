@@ -11,8 +11,8 @@ namespace lll::xml {
 // Process-wide QName interning: every element/attribute/PI name used by any
 // Document is stored exactly once and addressed by a dense uint32 id. Ids are
 // stable for the process lifetime and shared across documents, which is what
-// makes CloneDocument a plain array copy (no per-document remapping) and name
-// equality an integer compare.
+// lets CloneDocument copy name ids verbatim (no per-document remapping) and
+// makes name equality an integer compare.
 //
 // Id 0 is always the empty string (document/text/comment nodes).
 //

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <numeric>
 
 namespace lll::xml {
-
-namespace {
-
-// Spines longer than this are not worth merging in the in-order build
-// tracker: a post-order attachment cascade over a deep chain would cost
-// O(depth) per merge. Past the bound we conservatively drop to the lazy
-// order index instead of tracking further.
-constexpr size_t kMaxSpineMerge = 256;
-
-}  // namespace
 
 const char* NodeKindName(NodeKind kind) {
   switch (kind) {
@@ -203,10 +194,8 @@ Status Node::RemoveChild(Node* child) {
     return Status::NotFound("not a child of this node");
   }
   Document* doc = document_;
-  doc->MarkOrderDirty();
   doc->SpanErase(doc->child_span_[idx_], doc->pos_[child->idx_]);
   doc->parent_[child->idx_] = kNilNode;
-  ++doc->unattached_;
   doc->InvalidateOrderIndex();
   doc->BumpEditVersion(idx_);
   return Status::Ok();
@@ -226,17 +215,14 @@ Status Node::ReplaceChild(Node* old_child,
     }
   }
   Document* doc = document_;
-  doc->MarkOrderDirty();
   uint32_t at = doc->pos_[old_child->idx_];
   doc->SpanErase(doc->child_span_[idx_], at);
   doc->parent_[old_child->idx_] = kNilNode;
-  ++doc->unattached_;
   for (size_t i = 0; i < replacement.size(); ++i) {
     uint32_t c = replacement[i]->idx_;
     doc->SpanInsert(doc->child_span_[idx_], doc->child_pool_,
                     at + static_cast<uint32_t>(i), c);
     doc->parent_[c] = idx_;
-    --doc->unattached_;
   }
   doc->InvalidateOrderIndex();
   doc->BumpEditVersion(idx_);
@@ -294,10 +280,8 @@ bool Node::RemoveAttribute(std::string_view name) {
   for (Node* a : attributes()) {
     if (a->name() == name) {
       Document* doc = document_;
-      doc->MarkOrderDirty();
       doc->SpanErase(doc->attr_span_[idx_], doc->pos_[a->idx_]);
       doc->parent_[a->idx_] = kNilNode;
-      ++doc->unattached_;
       doc->InvalidateOrderIndex();
       doc->BumpEditVersion(idx_);
       return true;
@@ -313,10 +297,6 @@ void Node::Detach() {
   doc->DetachSlot(idx_);
 }
 
-namespace {
-
-// QName shape check for Rename: one or two non-empty NCName parts joined by
-// a colon, NCName = (letter | '_') (letter | digit | '.' | '-' | '_')*.
 bool IsWellFormedQName(std::string_view qname) {
   bool at_part_start = true;
   bool seen_colon = false;
@@ -337,8 +317,6 @@ bool IsWellFormedQName(std::string_view qname) {
   }
   return !qname.empty() && !at_part_start;
 }
-
-}  // namespace
 
 Status Node::Rename(std::string_view qname) {
   const NodeKind k = kind();
@@ -427,12 +405,9 @@ uint32_t Document::NewSlot(NodeKind kind, uint32_t name_id,
   value_bytes_ += value.size();
   parent_.push_back(kNilNode);
   pos_.push_back(0);
-  depth_.push_back(0);
   child_span_.push_back(Span{});
   attr_span_.push_back(Span{});
   handles_.emplace_back(Node::Key(), this, idx);
-  if (idx != 0) ++unattached_;  // every non-root node starts detached
-  TrackCreate(idx);
   // A fresh node is a new (detached) tree root; it needs an order key too.
   InvalidateOrderIndex();
   return idx;
@@ -467,8 +442,7 @@ Node* Document::CreateAttribute(std::string_view name,
 
 Node* Document::ImportNode(const Node* source) {
   // Top-down iterative copy: each node is created and attached before its
-  // children are visited, which both survives 100k-deep sources and keeps
-  // the clone on the in-order fast path (attach-as-created discipline).
+  // children are visited, so a 100k-deep source cannot exhaust the stack.
   auto copy_one = [this](const Node* src) {
     uint32_t name_id = src->document() == this
                            ? src->name_id()
@@ -557,25 +531,20 @@ void Document::SpanErase(Span& s, uint32_t at) {
 }
 
 void Document::AttachChildAt(uint32_t parent, uint32_t child, uint32_t at) {
-  TrackAttachChild(parent, child, at);
   SpanInsert(child_span_[parent], child_pool_, at, child);
   parent_[child] = parent;
-  --unattached_;
   InvalidateOrderIndex();
   BumpEditVersion(parent);
 }
 
 void Document::AttachAttr(uint32_t owner, uint32_t attr) {
-  TrackAttachAttr(owner, attr);
   SpanInsert(attr_span_[owner], attr_pool_, attr_span_[owner].count, attr);
   parent_[attr] = owner;
-  --unattached_;
   InvalidateOrderIndex();
   BumpEditVersion(owner);
 }
 
 void Document::DetachSlot(uint32_t idx) {
-  MarkOrderDirty();
   uint32_t p = parent_[idx];
   if (static_cast<NodeKind>(kind_[idx]) == NodeKind::kAttribute) {
     SpanErase(attr_span_[p], pos_[idx]);
@@ -583,7 +552,6 @@ void Document::DetachSlot(uint32_t idx) {
     SpanErase(child_span_[p], pos_[idx]);
   }
   parent_[idx] = kNilNode;
-  ++unattached_;
   InvalidateOrderIndex();
   BumpEditVersion(p);
 }
@@ -608,64 +576,6 @@ void Document::BumpEditVersion(uint32_t at) {
   for (uint32_t n = at; n != kNilNode; n = parent_[n]) {
     subtree_ver_[n] = epoch;
   }
-}
-
-// --- In-order build tracker -------------------------------------------------
-
-void Document::TrackCreate(uint32_t idx) {
-  if (!index_is_order_) return;
-  // Empty spine == implicit [idx]: creating a node never heap-allocates.
-  open_trees_.push_back(OpenTree{idx, {}});
-}
-
-void Document::TrackAttachChild(uint32_t parent, uint32_t child, uint32_t at) {
-  if (!index_is_order_) return;
-  if (open_trees_.size() < 2) {
-    MarkOrderDirty();
-    return;
-  }
-  OpenTree& top = open_trees_.back();
-  OpenTree& under = open_trees_[open_trees_.size() - 2];
-  const size_t top_size = top.spine.empty() ? 1 : top.spine.size();
-  if (child != top.root || !OnSpine(under, parent) ||
-      at != child_span_[parent].count || top_size > kMaxSpineMerge) {
-    MarkOrderDirty();
-    return;
-  }
-  // Merge: the attached tree's last-in-preorder node becomes the last node
-  // of the tree below; splice its spine on below the attach point.
-  const uint32_t shift = depth_[parent] + 1;
-  if (under.spine.empty()) under.spine.push_back(under.root);
-  under.spine.resize(shift);
-  if (top.spine.empty()) {
-    depth_[top.root] = shift;
-    under.spine.push_back(top.root);
-  } else {
-    for (uint32_t s : top.spine) {
-      depth_[s] += shift;
-      under.spine.push_back(s);
-    }
-  }
-  open_trees_.pop_back();
-}
-
-void Document::TrackAttachAttr(uint32_t owner, uint32_t attr) {
-  if (!index_is_order_) return;
-  if (open_trees_.size() < 2) {
-    MarkOrderDirty();
-    return;
-  }
-  OpenTree& top = open_trees_.back();
-  OpenTree& under = open_trees_[open_trees_.size() - 2];
-  // Attributes stamp right after their owner, before its children: clean only
-  // when the owner is the last stamped node of the tree below (deepest spine
-  // node, no children yet) and the attribute is the freshly created floater.
-  if (attr != top.root || top.spine.size() > 1 ||
-      SpineBack(under) != owner || child_span_[owner].count != 0) {
-    MarkOrderDirty();
-    return;
-  }
-  open_trees_.pop_back();
 }
 
 // --- Storage maintenance ----------------------------------------------------
@@ -763,7 +673,6 @@ void Document::CompactStorage() {
   value_.shrink_to_fit();
   parent_.shrink_to_fit();
   pos_.shrink_to_fit();
-  depth_.shrink_to_fit();
   child_span_.shrink_to_fit();
   attr_span_.shrink_to_fit();
   pool_slack_ = 0;
@@ -780,7 +689,6 @@ DocumentStorageStats Document::storage_stats() const {
   bytes += value_.capacity() * sizeof(ValueRef);
   bytes += parent_.capacity() * sizeof(uint32_t);
   bytes += pos_.capacity() * sizeof(uint32_t);
-  bytes += depth_.capacity() * sizeof(uint32_t);
   bytes += child_span_.capacity() * sizeof(Span);
   bytes += attr_span_.capacity() * sizeof(Span);
   for (const PoolChunk& c : child_pool_) bytes += c.cap * sizeof(uint32_t);
@@ -797,93 +705,6 @@ DocumentStorageStats Document::storage_stats() const {
 std::unique_ptr<Document> CloneDocument(const Document& source,
                                         std::vector<uint32_t>* node_map) {
   auto clone = std::make_unique<Document>();
-
-  if (source.index_is_order_ && source.unattached_ == 0) {
-    if (node_map != nullptr) {
-      // The identity path: clone index i IS source index i.
-      node_map->resize(source.node_count());
-      for (uint32_t i = 0; i < source.node_count(); ++i) (*node_map)[i] = i;
-    }
-    // Fast path: every node is attached and index order IS document order,
-    // so the node mapping is the identity and the clone is a straight
-    // array-to-array copy -- no per-node traversal.
-    const uint32_t n = static_cast<uint32_t>(source.node_count());
-    clone->kind_ = source.kind_;
-    clone->name_ = source.name_;
-    clone->parent_ = source.parent_;
-    clone->pos_ = source.pos_;
-    clone->depth_ = source.depth_;
-    // Spans copy wholesale (counts are already right), then a single walk
-    // rebases each ptr into a fresh exact-size pool chunk and trims cap to
-    // count, shedding the source's span over-allocation.
-    clone->child_span_ = source.child_span_;
-    clone->attr_span_ = source.attr_span_;
-    auto copy_pool = [](std::vector<Document::Span>& spans,
-                        std::vector<Document::PoolChunk>& pool) {
-      size_t live = 0;
-      for (const Document::Span& s : spans) live += s.count;
-      uint32_t* out =
-          Document::PoolAlloc(pool, static_cast<uint32_t>(live));
-      for (Document::Span& d : spans) {
-        const uint32_t* src = d.ptr;
-        const uint32_t c = d.count;
-        d.ptr = c > 0 ? out : nullptr;
-        d.cap = c;
-        for (uint32_t j = 0; j < c; ++j) out[j] = src[j];
-        out += c;
-      }
-    };
-    copy_pool(clone->child_span_, clone->child_pool_);
-    copy_pool(clone->attr_span_, clone->attr_pool_);
-    // Values: block ordinals are position-independent, so when the source
-    // arena carries little set_value() slack the refs copy verbatim and the
-    // bytes copy block-by-block. A slack-heavy source re-packs instead so
-    // repeated clone-edit-clone generations cannot accrete dead bytes.
-    size_t used_total = 0;
-    for (const Document::CharBlock& b : source.chars_) used_total += b.used;
-    if (used_total <= source.value_bytes_ + source.value_bytes_ / 4 + 4096) {
-      clone->value_ = source.value_;
-      clone->chars_.clear();
-      clone->chars_.reserve(source.chars_.size());
-      for (const Document::CharBlock& b : source.chars_) {
-        Document::CharBlock nb;
-        nb.cap = b.used;  // trim growth tails; offsets < used stay valid
-        nb.used = b.used;
-        if (b.used > 0) {
-          nb.data = std::make_unique<char[]>(b.used);
-          std::memcpy(nb.data.get(), b.data.get(), b.used);
-        }
-        clone->chars_.push_back(std::move(nb));
-      }
-      clone->value_bytes_ = source.value_bytes_;
-    } else {
-      clone->value_.resize(n);
-      for (uint32_t d = 0; d < n; ++d) {
-        clone->value_[d] = clone->AddChars(source.ValueView(source.value_[d]));
-      }
-      clone->value_bytes_ = source.value_bytes_;
-    }
-    for (uint32_t d = 1; d < n; ++d) {
-      clone->handles_.emplace_back(Node::Key(), clone.get(), d);
-    }
-    // unattached_ == 0 means the source tracker holds exactly one open tree
-    // (the rooted one); its spine and the copied depths stay consistent.
-    clone->index_is_order_ = true;
-    clone->open_trees_ = source.open_trees_;
-    // The identity mapping carries the subtree edit-version overlay
-    // verbatim: the clone's per-subtree history IS the source's, which is
-    // what lets the server's publish path edit the private copy and have
-    // only the touched subtrees advance past the snapshot it cloned.
-    clone->edit_epoch_ = source.edit_epoch_;
-    clone->subtree_ver_ = source.subtree_ver_;
-    clone->local_ver_ = source.local_ver_;
-    clone->child_local_ver_ = source.child_local_ver_;
-    clone->edit_versions_wanted_.store(
-        source.edit_versions_wanted_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    clone->InvalidateOrderIndex();
-    return clone;
-  }
 
   // Pass 1: preorder over the ROOTED tree only (node, then attributes, then
   // children), assigning dense clone indices. Detached debris is dropped.
@@ -918,7 +739,6 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
   clone->value_.resize(n);
   clone->parent_.resize(n);
   clone->pos_.resize(n);
-  clone->depth_.resize(n);
   clone->child_span_.resize(n);
   clone->attr_span_.resize(n);
   size_t live_children = 0, live_attrs = 0;
@@ -942,8 +762,6 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
     uint32_t sp = source.parent_[s];
     clone->parent_[d] = sp == kNilNode ? kNilNode : map[sp];
     clone->pos_[d] = source.pos_[s];
-    clone->depth_[d] =
-        clone->parent_[d] == kNilNode ? 0 : clone->depth_[clone->parent_[d]] + 1;
     const Document::Span& cs = source.child_span_[s];
     Document::Span& dc = clone->child_span_[d];
     dc.ptr = cs.count > 0 ? child_out : nullptr;
@@ -956,22 +774,6 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
     for (uint32_t i = 0; i < as.count; ++i) *attr_out++ = map[as.ptr[i]];
   }
 
-  // The clone is compact and in document order by construction, whatever the
-  // source's mutation history: node index IS the order key. Reset the build
-  // tracker to "one open tree, rightmost spine" so further clean appends
-  // (the server's edit-after-clone path) can keep the fast path.
-  clone->index_is_order_ = true;
-  clone->open_trees_.clear();
-  Document::OpenTree main;
-  main.root = 0;
-  uint32_t cur = 0;
-  main.spine.push_back(cur);
-  while (clone->child_span_[cur].count > 0) {
-    const Document::Span& cs = clone->child_span_[cur];
-    cur = cs.ptr[cs.count - 1];
-    main.spine.push_back(cur);
-  }
-  clone->open_trees_.push_back(std::move(main));
   // Rebuild the subtree edit-version overlay under the renumbering: node d
   // of the clone is node order[d] of the source, so its versions transfer
   // slot-by-slot (indices past the source overlay's length read as 0, the
@@ -994,7 +796,8 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
           at_or_zero(source.child_local_ver_, order[d]);
     }
   }
-  clone->InvalidateOrderIndex();
+  // Clone index d is the d-th node of the source's preorder.
+  clone->SetPreorderKeys();
   if (node_map != nullptr) *node_map = std::move(map);
   return clone;
 }
@@ -1011,37 +814,38 @@ void Document::EnsureOrderIndex() const {
   version = structure_version_.load(std::memory_order_acquire);
   if (order_index_version_.load(std::memory_order_relaxed) == version) return;
 
-  if (!index_is_order_) {
-    // Slow path: stamp every tree of the forest -- the document tree plus
-    // any detached subtrees -- in root-index order, so intra-document
-    // cross-tree compares keep the "stable arbitrary order by tree identity"
-    // contract. Iterative preorder: the node, then its attributes, then its
-    // children.
-    const uint32_t n = static_cast<uint32_t>(kind_.size());
-    order_key_.assign(n, 0);
-    uint64_t next = 1;
-    std::vector<uint32_t> stack;
-    for (uint32_t root = 0; root < n; ++root) {
-      if (parent_[root] != kNilNode) continue;
-      stack.push_back(root);
-      while (!stack.empty()) {
-        uint32_t node = stack.back();
-        stack.pop_back();
-        order_key_[node] = next++;
-        const Span& as = attr_span_[node];
-        for (uint32_t i = 0; i < as.count; ++i) {
-          order_key_[as.ptr[i]] = next++;
-        }
-        const Span& cs = child_span_[node];
-        for (uint32_t i = cs.count; i-- > 0;) {
-          stack.push_back(cs.ptr[i]);
-        }
+  // Stamp every tree of the forest -- the document tree plus any detached
+  // subtrees -- in root-index order, so intra-document cross-tree compares
+  // keep the "stable arbitrary order by tree identity" contract. Iterative
+  // preorder: the node, then its attributes, then its children.
+  const uint32_t n = static_cast<uint32_t>(kind_.size());
+  order_key_.assign(n, 0);
+  uint64_t next = 1;
+  std::vector<uint32_t> stack;
+  for (uint32_t root = 0; root < n; ++root) {
+    if (parent_[root] != kNilNode) continue;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      uint32_t node = stack.back();
+      stack.pop_back();
+      order_key_[node] = next++;
+      const Span& as = attr_span_[node];
+      for (uint32_t i = 0; i < as.count; ++i) {
+        order_key_[as.ptr[i]] = next++;
+      }
+      const Span& cs = child_span_[node];
+      for (uint32_t i = cs.count; i-- > 0;) {
+        stack.push_back(cs.ptr[i]);
       }
     }
   }
-  // Fast path: creation order is document order, the index is the key, and
-  // freshness is just a version stamp.
   order_index_version_.store(version, std::memory_order_release);
+}
+
+void Document::SetPreorderKeys() {
+  order_key_.resize(kind_.size());
+  std::iota(order_key_.begin(), order_key_.end(), uint64_t{1});
+  order_index_version_.store(structure_version(), std::memory_order_release);
 }
 
 int CompareDocumentOrder(const Node* a, const Node* b) {

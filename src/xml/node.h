@@ -148,10 +148,10 @@ class Node {
   inline Node* parent() const;
   Document* document() const { return document_; }
 
-  // This node's index in the owning document's arena: dense, 0-based, and --
-  // for documents built in document order (the parser, CloneDocument) -- the
-  // preorder rank, which is what makes document-order comparison an integer
-  // compare (see Document::EnsureOrderIndex).
+  // This node's index in the owning document's arena: dense and 0-based.
+  // CloneDocument and DocumentFromStorage number nodes in preorder; other
+  // builds need not, so document order lives in the order-key index (see
+  // Document::EnsureOrderIndex), not in the index.
   uint32_t index() const { return idx_; }
 
   // Child nodes (elements, text, comments, PIs) in document order.
@@ -238,6 +238,11 @@ class Node {
   uint32_t idx_;
 };
 
+// True iff `qname` is one or two non-empty NCName parts joined by a colon,
+// NCName = (letter | '_') (letter | digit | '.' | '-' | '_')*. The check
+// behind Node::Rename and the update language's `rename ... as qname`.
+bool IsWellFormedQName(std::string_view qname);
+
 // Heap footprint summary of one document's storage (see Document::
 // storage_stats). `total_bytes` is the resident arena footprint: node
 // arrays, index pools, value arena, handle slots, and the order-key index
@@ -322,14 +327,14 @@ class Document {
   // order, so cross-tree compares within one document keep the historical
   // "stable arbitrary order by tree identity" contract.
   //
-  // Fast path: a document whose mutation history is an in-document-order
-  // build -- the parser, CloneDocument, ImportNode-and-append constructors --
-  // keeps `index order == document order`, the node index IS the order key,
-  // and EnsureOrderIndex is a single atomic store. Any out-of-order mutation
-  // (insert at a position, detach, reattach) drops the document to the slow
-  // path: a lazily materialized per-node key array, rebuilt on demand
-  // exactly like the PR-2 index. CompareDocumentOrder is then one staleness
-  // check plus an integer compare either way.
+  // The keys live in one per-node array. EnsureOrderIndex stamps it in one
+  // preorder walk whenever a structural mutation has moved
+  // structure_version() since the last stamp, and is one atomic load when
+  // nothing moved. The two builders that emit preorder by construction --
+  // CloneDocument and DocumentFromStorage -- write keys 1..n as they finish
+  // and hand over a fresh index, so a publish clone binds its update targets
+  // without a stamp. CompareDocumentOrder is one staleness check plus an
+  // integer compare.
   //
   // Thread safety: concurrent read-only users (e.g. parallel query
   // evaluations sharing one model document) may race to build the index; the
@@ -348,10 +353,6 @@ class Document {
            structure_version();
   }
 
-  // True while the arena's creation order is provably document order (the
-  // fast path above). Exposed for tests and diagnostics.
-  bool index_is_order() const { return index_is_order_; }
-
   // Process-unique, monotonically increasing id assigned at construction.
   // Unlike an address, an id is never reused after the Document dies, so
   // caches that key on a Document (or its nodes) by address must also
@@ -361,7 +362,6 @@ class Document {
 
   // The order key of node `idx` (see Node::order_key()).
   uint64_t order_key_of(uint32_t idx) const {
-    if (index_is_order_) return idx + 1;
     return idx < order_key_.size() ? order_key_[idx] : 0;
   }
 
@@ -488,7 +488,7 @@ class Document {
   void SpanErase(Span& s, uint32_t at);
 
   // Attach/detach primitives; callers have validated. These maintain the
-  // structure version, position indexes, and the in-order build tracker.
+  // structure version and the position indexes.
   void AttachChildAt(uint32_t parent, uint32_t child, uint32_t at);
   void AttachAttr(uint32_t owner, uint32_t attr);
   void DetachSlot(uint32_t idx);
@@ -499,45 +499,13 @@ class Document {
   // parent for child-list edits, the owner for attribute edits.
   void BumpEditVersion(uint32_t at);
 
-  // --- In-order build tracker ----------------------------------------------
-  //
-  // A small automaton that proves, op by op, that the arena's index order is
-  // still document order, so order keys never need materializing. It tracks
-  // a stack of "open" trees -- index-contiguous detached trees covering the
-  // arena as ordered ranges, the bottom entry being the tree rooted at node
-  // 0 -- each with its rightmost spine (the ancestors of its last-in-preorder
-  // node). Creating a node pushes a fresh one-node tree; attaching the top
-  // tree's root at the END of a child list on the spine of the tree directly
-  // below merges the two. This recognizes every build discipline the
-  // codebase uses: the parser's attach-as-created, ImportNode's top-down
-  // subtree copy, and post-order attachment of preorder-created nodes. Any
-  // unrecognized mutation calls MarkOrderDirty(). Correctness never depends
-  // on the automaton: the dirty path rebuilds keys from the true structure.
-  struct OpenTree {
-    uint32_t root;
-    // root .. last-in-preorder node, by depth. An EMPTY spine means the
-    // implicit single-entry spine [root] -- fresh one-node trees are pushed
-    // this way so creating a node never heap-allocates.
-    std::vector<uint32_t> spine;
-  };
-  bool OnSpine(const OpenTree& t, uint32_t n) const {
-    if (t.spine.empty()) return n == t.root;
-    return depth_[n] < t.spine.size() && t.spine[depth_[n]] == n;
-  }
-  uint32_t SpineBack(const OpenTree& t) const {
-    return t.spine.empty() ? t.root : t.spine.back();
-  }
-  void MarkOrderDirty() {
-    index_is_order_ = false;
-    open_trees_.clear();
-  }
-  void TrackCreate(uint32_t idx);
-  void TrackAttachChild(uint32_t parent, uint32_t child, uint32_t at);
-  void TrackAttachAttr(uint32_t owner, uint32_t attr);
-
   void InvalidateOrderIndex() {
     structure_version_.fetch_add(1, std::memory_order_acq_rel);
   }
+  // For builders whose node indices are the preorder of one rooted tree
+  // (CloneDocument, DocumentFromStorage): writes keys 1..n and marks the
+  // index fresh at the current structure version, before any reader exists.
+  void SetPreorderKeys();
 
   // --- Parallel per-node arrays (index = node id) ---------------------------
   std::vector<uint8_t> kind_;
@@ -547,25 +515,19 @@ class Document {
   std::vector<uint32_t> pos_;           // index within parent's list
   std::vector<Span> child_span_;
   std::vector<Span> attr_span_;
-  std::vector<uint32_t> depth_;         // maintained on the fast path only
   std::vector<PoolChunk> child_pool_;
   std::vector<PoolChunk> attr_pool_;
   std::vector<CharBlock> chars_;
   size_t value_bytes_ = 0;
   size_t pool_slack_ = 0;
-  uint32_t unattached_ = 0;  // created-or-detached nodes with no parent
   std::deque<Node> handles_;            // stable Node* identity objects
 
   uint64_t doc_id_ = 0;
 
-  // In-order build tracker state (see above).
-  bool index_is_order_ = true;
-  std::vector<OpenTree> open_trees_;
-
   std::atomic<uint64_t> structure_version_{1};
   mutable std::atomic<uint64_t> order_index_version_{0};
   mutable std::mutex order_index_mutex_;
-  mutable std::vector<uint64_t> order_key_;  // slow path only
+  mutable std::vector<uint64_t> order_key_;  // node index -> order key
 
   // Subtree edit-version overlay (see the public accessors above). Arrays
   // stay empty -- "uniform epoch 0" -- until a mutation happens after some
@@ -634,9 +596,9 @@ inline uint64_t Document::child_local_version_of(uint32_t idx) const {
 // consumed by DocumentFromStorage. Name ids in `name` index `names` -- NOT
 // the process-wide NameTable, whose ids are only stable within one process --
 // and `names[0]` is always the empty string. Child/attribute lists are
-// concatenated in node-index order with per-node counts; `parent`, `pos`, and
-// `depth` are NOT carried (they are derived structure and are recomputed,
-// and validated, on import).
+// concatenated in node-index order with per-node counts; `parent` and `pos`
+// are NOT carried (they are derived structure and are recomputed, and
+// validated, on import).
 struct DocumentStorageImage {
   std::vector<uint8_t> kind;          // NodeKind per node
   std::vector<uint32_t> name;         // local name id per node
@@ -652,18 +614,19 @@ struct DocumentStorageImage {
 };
 
 // Flattens `source`'s rooted tree into an image whose node-index order is
-// document order. A source with detached debris or an out-of-order mutation
-// history is cloned first (CloneDocument drops debris and renumbers into
-// preorder), so the image is always compact and in-order.
+// document order: the source is cloned first (CloneDocument drops detached
+// debris and renumbers into preorder), so the image is always compact and
+// in preorder.
 DocumentStorageImage ExportDocumentStorage(const Document& source);
 
 // Rebuilds a Document from an image: arrays are populated directly (no XML
-// parse), local name ids are re-interned through the process NameTable, and
-// the result is on the index-is-order fast path. The image is validated
-// structurally before anything is built -- out-of-range node/name ids,
-// inconsistent counts, non-preorder list layouts, or kind violations (an
-// attribute in a child list, a second document node) all return
-// kInvalidArgument. Untrusted bytes go through this one gate.
+// parse) and local name ids are re-interned through the process NameTable.
+// The image is validated structurally before anything is built --
+// out-of-range node/name ids, inconsistent counts, non-preorder list
+// layouts, or kind violations (an attribute in a child list, a second
+// document node) all return kInvalidArgument. Untrusted bytes go through
+// this one gate, and passing it proves index order is preorder, so the
+// result's order keys are written 1..n and its order index starts fresh.
 Result<std::unique_ptr<Document>> DocumentFromStorage(
     const DocumentStorageImage& image);
 
@@ -671,18 +634,19 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
 // subtrees of the source arena are NOT carried over -- a clone is a clean
 // publishable tree, not an arena dump). The copy is a preorder array-to-array
 // pass: no per-node allocation, names stay interned, values stream into the
-// clone's arena, and the resulting document is compact and on the
-// index-is-order fast path regardless of the source's mutation history. This
-// is the copy half of the server's copy-on-write publish path: the writer
-// clones the current snapshot, edits the private copy, and installs it while
-// readers keep the original alive.
+// clone's arena, and the resulting document is compact, numbered in
+// preorder and carries a fresh order index (keys 1..n) regardless of the
+// source's mutation history. This is the copy half of the server's
+// copy-on-write publish path: the writer clones the current snapshot, edits
+// the private copy, and installs it while readers keep the original alive.
 //
 // `node_map` (optional) receives the source-index -> clone-index mapping,
 // sized to source.node_count(), with kNilNode for detached debris the clone
-// dropped. On the identity fast path it is the identity mapping. This is
-// what lets NodeSetCache::MigrateClone re-target cached entries at the
-// clone even when the clone renumbered (the subtree edit-version overlay is
-// remapped through the same table, so guard versions stay aligned).
+// dropped. From a source that is already compact and in preorder (an
+// unedited clone or loaded snapshot) it is the identity. This is what lets
+// NodeSetCache::MigrateClone re-target cached entries at the clone (the
+// subtree edit-version overlay is remapped through the same table, so guard
+// versions stay aligned).
 std::unique_ptr<Document> CloneDocument(const Document& source,
                                         std::vector<uint32_t>* node_map =
                                             nullptr);
@@ -690,9 +654,9 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
 // Document order: -1 if `a` precedes `b`, 0 if same node, +1 if follows.
 // Attribute nodes order after their owner element and before its children;
 // nodes from different trees compare by tree identity (stable, arbitrary).
-// Same-document compares go through the document's order-key index (O(1),
-// and free to build for in-order-built documents); cross-document compares
-// fall back to root identity.
+// Same-document compares go through the document's order-key index (O(1)
+// once fresh; one preorder walk restamps it after a structural mutation);
+// cross-document compares fall back to root identity.
 int CompareDocumentOrder(const Node* a, const Node* b);
 
 // The pre-index structural comparator: an ancestor-path walk plus a linear

@@ -298,9 +298,6 @@ class Parser {
       Advance();  // '<'
       LLL_ASSIGN_OR_RETURN(std::string name, ParseName());
       Node* element = doc_->CreateElement(name);
-      // Attach before parsing attributes/children: the attach-as-created
-      // discipline is what keeps a parsed document on the storage layer's
-      // index-is-order fast path (document-order keys for free).
       LLL_RETURN_IF_ERROR(parent->AppendChild(element));
       bool self_closed = false;
       while (true) {

@@ -10,17 +10,16 @@ namespace {
 constexpr uint8_t kMaxKind =
     static_cast<uint8_t>(NodeKind::kProcessingInstruction);
 
-// Validates the image's structure and derives parent/pos/depth for every
-// node via an iterative preorder replay (node, then attributes, then
-// children). The one load-bearing check is that the replay visits nodes in
-// exactly index order 0..n-1 and visits all of them: that single property
-// implies the image is a rooted tree whose index order IS document order --
-// no cycles, no sharing, no detached debris, parents before children -- which
-// is the invariant the loaded document's fast-path order index relies on.
+// Validates the image's structure and derives parent/pos for every node via
+// an iterative preorder replay (node, then attributes, then children). The
+// one load-bearing check is that the replay visits nodes in exactly index
+// order 0..n-1 and visits all of them: that single property implies the
+// image is a rooted tree whose index order IS document order -- no cycles,
+// no sharing, no detached debris, parents before children -- which is what
+// licenses the loader to write order keys 1..n without a stamping walk.
 Status ValidateAndDerive(const DocumentStorageImage& img,
                          std::vector<uint32_t>* parent,
                          std::vector<uint32_t>* pos,
-                         std::vector<uint32_t>* depth,
                          std::vector<uint64_t>* child_start,
                          std::vector<uint64_t>* attr_start) {
   const size_t n = img.node_count();
@@ -90,7 +89,6 @@ Status ValidateAndDerive(const DocumentStorageImage& img,
 
   parent->assign(n, kNilNode);
   pos->assign(n, 0);
-  depth->assign(n, 0);
   uint32_t next = 1;  // slot 0 (the root) is visited first, by definition
   std::vector<std::pair<uint32_t, uint32_t>> stack;  // {node, next child pos}
   stack.emplace_back(0, 0);
@@ -109,7 +107,6 @@ Status ValidateAndDerive(const DocumentStorageImage& img,
       }
       (*parent)[a] = node;
       (*pos)[a] = i;
-      (*depth)[a] = (*depth)[node] + 1;
       ++next;
     }
     return Status::Ok();
@@ -132,7 +129,6 @@ Status ValidateAndDerive(const DocumentStorageImage& img,
     }
     (*parent)[c] = node;
     (*pos)[c] = child_i;
-    (*depth)[c] = (*depth)[node] + 1;
     ++next;
     ++child_i;
     LLL_RETURN_IF_ERROR(visit_attrs(c));
@@ -148,16 +144,12 @@ Status ValidateAndDerive(const DocumentStorageImage& img,
 }  // namespace
 
 DocumentStorageImage ExportDocumentStorage(const Document& source) {
-  if (!source.index_is_order_ || source.unattached_ > 0) {
-    // Renumber into compact preorder first; the clone drops detached debris
-    // and restores index order == document order, so the direct path below
-    // covers every source.
-    std::unique_ptr<Document> clone = CloneDocument(source);
-    return ExportDocumentStorage(*clone);
-  }
-  const uint32_t n = static_cast<uint32_t>(source.node_count());
+  // The clone drops detached debris and renumbers into compact preorder, so
+  // its arrays, in index order, are the image.
+  std::unique_ptr<Document> clone = CloneDocument(source);
+  const uint32_t n = static_cast<uint32_t>(clone->node_count());
   DocumentStorageImage img;
-  img.kind = source.kind_;
+  img.kind = clone->kind_;
   img.name.resize(n);
   img.value_len.resize(n);
   img.child_count.resize(n);
@@ -166,28 +158,28 @@ DocumentStorageImage ExportDocumentStorage(const Document& source) {
   std::unordered_map<uint32_t, uint32_t> local_id;  // NameTable id -> local
   local_id.emplace(0, 0);
   uint64_t value_total = 0;
-  for (uint32_t i = 0; i < n; ++i) value_total += source.value_[i].len;
+  for (uint32_t i = 0; i < n; ++i) value_total += clone->value_[i].len;
   img.values.reserve(value_total);
   uint64_t children_total = 0, attrs_total = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    children_total += source.child_span_[i].count;
-    attrs_total += source.attr_span_[i].count;
+    children_total += clone->child_span_[i].count;
+    attrs_total += clone->attr_span_[i].count;
   }
   img.children.reserve(children_total);
   img.attrs.reserve(attrs_total);
   for (uint32_t i = 0; i < n; ++i) {
     auto [it, inserted] =
-        local_id.emplace(source.name_[i],
+        local_id.emplace(clone->name_[i],
                          static_cast<uint32_t>(img.names.size()));
-    if (inserted) img.names.push_back(NameTable::Get(source.name_[i]));
+    if (inserted) img.names.push_back(NameTable::Get(clone->name_[i]));
     img.name[i] = it->second;
-    const std::string_view v = source.ValueView(source.value_[i]);
+    const std::string_view v = clone->ValueView(clone->value_[i]);
     img.value_len[i] = static_cast<uint32_t>(v.size());
     img.values.append(v);
-    const Document::Span& cs = source.child_span_[i];
+    const Document::Span& cs = clone->child_span_[i];
     img.child_count[i] = cs.count;
     img.children.insert(img.children.end(), cs.ptr, cs.ptr + cs.count);
-    const Document::Span& as = source.attr_span_[i];
+    const Document::Span& as = clone->attr_span_[i];
     img.attr_count[i] = as.count;
     img.attrs.insert(img.attrs.end(), as.ptr, as.ptr + as.count);
   }
@@ -196,10 +188,10 @@ DocumentStorageImage ExportDocumentStorage(const Document& source) {
 
 Result<std::unique_ptr<Document>> DocumentFromStorage(
     const DocumentStorageImage& image) {
-  std::vector<uint32_t> parent, pos, depth;
+  std::vector<uint32_t> parent, pos;
   std::vector<uint64_t> child_start, attr_start;
-  LLL_RETURN_IF_ERROR(ValidateAndDerive(image, &parent, &pos, &depth,
-                                        &child_start, &attr_start));
+  LLL_RETURN_IF_ERROR(
+      ValidateAndDerive(image, &parent, &pos, &child_start, &attr_start));
 
   const uint32_t n = static_cast<uint32_t>(image.node_count());
   auto doc = std::make_unique<Document>();
@@ -223,7 +215,6 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
   doc->value_bytes_ = image.values.size();
   doc->parent_ = std::move(parent);
   doc->pos_ = std::move(pos);
-  doc->depth_ = std::move(depth);
 
   doc->child_span_.assign(n, Document::Span{});
   doc->attr_span_.assign(n, Document::Span{});
@@ -251,28 +242,12 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
   for (uint32_t i = 1; i < n; ++i) {
     doc->handles_.emplace_back(Node::Key(), doc.get(), i);
   }
-  doc->unattached_ = 0;
-
-  // Index order is document order by validation; reset the build tracker to
-  // "one open tree, rightmost spine" (as CloneDocument does) so further
-  // clean appends keep the fast path.
-  doc->index_is_order_ = true;
-  doc->open_trees_.clear();
-  Document::OpenTree main;
-  main.root = 0;
-  uint32_t cur = 0;
-  main.spine.push_back(cur);
-  while (doc->child_span_[cur].count > 0) {
-    const Document::Span& cs = doc->child_span_[cur];
-    cur = cs.ptr[cs.count - 1];
-    main.spine.push_back(cur);
-  }
-  doc->open_trees_.push_back(std::move(main));
   // Subtree edit-version overlay: deliberately left empty, which IS the
   // uniform epoch 0 -- a snapshot-loaded document reports version 0 for
   // every node, so the node-set interning cache can start stamping entries
   // immediately and the first post-boot edit dirties only its own subtree.
-  doc->InvalidateOrderIndex();
+  // Index order is preorder by validation, so the keys are 1..n.
+  doc->SetPreorderKeys();
   return doc;
 }
 

@@ -44,7 +44,6 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
     const xml::Document* doc, const std::string& key, Outcome* outcome) {
   std::shared_ptr<const CachedNodeSet> entry = cache_.Get(key);
   if (entry == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     if (outcome != nullptr) *outcome = Outcome::kMiss;
     return nullptr;
   }
@@ -60,15 +59,12 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
   if (stale) {
     // A failed guard is an invalidation, not a plain miss: the caller DID
     // intern this chain before, and the edit history is what evicted it.
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    const bool partial = entry->subtree_scoped;
-    if (partial) partial_invalidations_.fetch_add(1, std::memory_order_relaxed);
     if (outcome != nullptr) {
-      *outcome = partial ? Outcome::kStalePartial : Outcome::kStale;
+      *outcome = entry->subtree_scoped ? Outcome::kStalePartial
+                                       : Outcome::kStale;
     }
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   if (outcome != nullptr) *outcome = Outcome::kHit;
   return entry;
 }
@@ -158,12 +154,6 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
 
 void NodeSetCache::ExportTo(MetricsRegistry* metrics,
                             const std::string& prefix) const {
-  metrics->gauge(prefix + ".hits").Set(static_cast<int64_t>(hits()));
-  metrics->gauge(prefix + ".misses").Set(static_cast<int64_t>(misses()));
-  metrics->gauge(prefix + ".invalidations")
-      .Set(static_cast<int64_t>(invalidations()));
-  metrics->gauge(prefix + ".partial_invalidations")
-      .Set(static_cast<int64_t>(partial_invalidations()));
   metrics->gauge(prefix + ".size").Set(static_cast<int64_t>(size()));
 }
 

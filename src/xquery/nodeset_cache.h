@@ -1,7 +1,6 @@
 #ifndef LLL_XQUERY_NODESET_CACHE_H_
 #define LLL_XQUERY_NODESET_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,11 +79,13 @@ struct CachedNodeSet {
 // Mutating a document concurrently with evaluations over it is NOT safe --
 // the same contract as the tree itself.
 //
-// Stats: the LruCache's own CacheStats would count a stale hit as a hit, so
-// this class keeps its own hit/miss/invalidation counters (relaxed atomics).
-// An invalidation is a lookup that found an entry with a failed guard;
-// `partial` counts the subset whose entry was subtree-scoped (a finer-than-
-// whole-document guard did its job), `invalidations` counts all of them.
+// Stats: the cache counts nothing of its own. Get reports each lookup's
+// Outcome -- a hit, a cold miss, or an invalidation (an entry found with a
+// failed guard; kStalePartial when the entry was subtree-scoped, i.e. a
+// finer-than-whole-document guard did its job) -- and the evaluator tallies
+// them per execution in EvalStats::nodeset_cache_*, which xq::Execute
+// exports as the xq.eval.nodeset_cache_* counters. (The LruCache's own
+// CacheStats would count a stale hit as a hit.)
 class NodeSetCache {
  public:
   enum class Outcome { kHit, kMiss, kStale, kStalePartial };
@@ -98,7 +99,7 @@ class NodeSetCache {
   // Returns the entry for `key` iff it was computed from this very `doc`
   // (doc_id match) and every guard still matches the document's current
   // overlay versions; nullptr on miss or staleness. `outcome` (optional)
-  // distinguishes miss / full stale / subtree-scoped stale.
+  // distinguishes hit / miss / full stale / subtree-scoped stale.
   std::shared_ptr<const CachedNodeSet> Get(const xml::Document* doc,
                                            const std::string& key,
                                            Outcome* outcome = nullptr);
@@ -125,13 +126,13 @@ class NodeSetCache {
 
   // Copies `source`'s entries for `from` into this cache, re-targeted at
   // `to`, a clone of `from`, with `node_map` the source-index -> clone-index
-  // table CloneDocument produced (identity on the fast path, a renumbering
-  // on the slow path, kNilNode for dropped debris). Keys are re-stamped
-  // with the clone's doc_id and re-based through the map, node handles and
-  // guard anchors remap through it, and guard versions transfer verbatim:
+  // table CloneDocument produced (the identity from a compact, preorder
+  // source, kNilNode for dropped debris). Keys are re-stamped with the
+  // clone's doc_id and re-based through the map, node handles and guard
+  // anchors remap through it, and guard versions transfer verbatim:
   // the clone carries the edit-version overlay (remapped through the same
   // table), so entries whose chains a post-clone edit dirtied fail their
-  // guards on first lookup (counted partial/full as usual) while untouched
+  // guards on first lookup (reported partial/full as usual) while untouched
   // chains keep hitting. Entries touching dropped nodes are skipped. This
   // is what lets a warm cache survive the server's copy-on-write publish.
   // Recency order is preserved. Returns the number of entries migrated.
@@ -139,30 +140,16 @@ class NodeSetCache {
                       const xml::Document& to,
                       const std::vector<uint32_t>& node_map);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-  uint64_t partial_invalidations() const {
-    return partial_invalidations_.load(std::memory_order_relaxed);
-  }
-
   size_t capacity() const { return cache_.capacity(); }
   size_t size() const { return cache_.size(); }
   void Clear() { cache_.Clear(); }
 
-  // Publishes the counters as gauges named "<prefix>.hits" etc. (gauges, not
-  // counters: this cache accumulates totals, so each export overwrites the
-  // last snapshot instead of double-counting -- same scheme as QueryCache).
+  // Publishes the entry count as the gauge "<prefix>.size" (a gauge: each
+  // export overwrites the last snapshot).
   void ExportTo(MetricsRegistry* metrics, const std::string& prefix) const;
 
  private:
   LruCache<CachedNodeSet> cache_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> partial_invalidations_{0};
 };
 
 }  // namespace lll::xq

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "xml/node.h"
+
 namespace lll::xq {
 
 namespace {
@@ -108,27 +110,6 @@ size_t FindTopLevelKeyword(std::string_view s, const std::vector<bool>& top,
   return std::string_view::npos;
 }
 
-bool IsWellFormedQName(std::string_view qname) {
-  bool at_part_start = true;
-  bool seen_colon = false;
-  for (char c : qname) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (c == ':') {
-      if (seen_colon || at_part_start) return false;
-      seen_colon = true;
-      at_part_start = true;
-      continue;
-    }
-    if (at_part_start) {
-      if (!std::isalpha(u) && c != '_') return false;
-      at_part_start = false;
-    } else if (!std::isalnum(u) && c != '.' && c != '-' && c != '_') {
-      return false;
-    }
-  }
-  return !qname.empty() && !at_part_start;
-}
-
 // The insert/replace payload: a quoted string (text node) or an XML
 // fragment starting with '<' (well-formedness is checked at compile time,
 // where the fragment is actually parsed).
@@ -225,7 +206,7 @@ Result<UpdateStatement> ParseStatement(std::string_view stmt) {
     }
     s.target_path = std::string(Trim(rest.substr(0, kw)));
     s.qname = std::string(Trim(rest.substr(kw + 2)));
-    if (!IsWellFormedQName(s.qname)) {
+    if (!xml::IsWellFormedQName(s.qname)) {
       return Status::ParseError("update: '" + s.qname +
                                 "' is not a well-formed QName");
     }

@@ -45,7 +45,6 @@ TEST(NodeSetCache, HitMissAndStaleOutcomes) {
   xq::NodeSetCache::Outcome outcome;
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kMiss);
-  EXPECT_EQ(cache.misses(), 1u);
 
   // A whole-tree entry: one subtree guard on the base (root) node.
   std::vector<Guard> guards = {
@@ -59,17 +58,14 @@ TEST(NodeSetCache, HitMissAndStaleOutcomes) {
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
   EXPECT_EQ(entry->nodes.size(), 1u);
   EXPECT_FALSE(entry->subtree_scoped);
-  EXPECT_EQ(cache.hits(), 1u);
 
   // Mutate the document: the entry is still stored, but the root's subtree
-  // version moved past the guard stamp, so the lookup reports a (countable)
-  // full invalidation.
+  // version moved past the guard stamp, so the lookup reports a full
+  // invalidation.
   ASSERT_TRUE(
       d->DocumentElement()->AppendChild(d->CreateElement("shelf")).ok());
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStale);
-  EXPECT_EQ(cache.invalidations(), 1u);
-  EXPECT_EQ(cache.partial_invalidations(), 0u);
 }
 
 TEST(NodeSetCache, SubtreeGuardScopesInvalidation) {
@@ -96,15 +92,12 @@ TEST(NodeSetCache, SubtreeGuardScopesInvalidation) {
   ASSERT_TRUE(shelf2->AppendChild(d->CreateElement("book")).ok());
   EXPECT_NE(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
-  EXPECT_EQ(cache.invalidations(), 0u);
 
   // An edit under shelf1 fails the subtree guard -- and because the entry
-  // was subtree-scoped, it counts as a PARTIAL invalidation.
+  // was subtree-scoped, it reports a PARTIAL invalidation.
   ASSERT_TRUE(shelf1->AppendChild(d->CreateElement("book")).ok());
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStalePartial);
-  EXPECT_EQ(cache.invalidations(), 1u);
-  EXPECT_EQ(cache.partial_invalidations(), 1u);
 }
 
 TEST(NodeSetCache, LocalChildrenGuardCatchesSiblingAttributeFlip) {
@@ -137,7 +130,6 @@ TEST(NodeSetCache, LocalChildrenGuardCatchesSiblingAttributeFlip) {
   m2->SetAttribute("id", "m1");
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStalePartial);
-  EXPECT_EQ(cache.partial_invalidations(), 1u);
 }
 
 TEST(NodeSetCache, GuardForStampsCurrentVersion) {
@@ -165,8 +157,9 @@ TEST(NodeSetCache, ZeroCapacityIsPassthrough) {
   cache.Put(key, d->doc_id(),
             {xq::NodeSetCache::GuardFor(d->root(), GuardKind::kSubtree)},
             false, xdm::Sequence());
-  EXPECT_EQ(cache.Get(d, key), nullptr);
-  EXPECT_EQ(cache.hits(), 0u);
+  xq::NodeSetCache::Outcome outcome;
+  EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
+  EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kMiss);
 }
 
 TEST(NodeSetCache, ForeignDocIdReportsStaleNotHit) {
@@ -193,7 +186,6 @@ TEST(NodeSetCache, ForeignDocIdReportsStaleNotHit) {
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
   EXPECT_EQ(cache.Get(d2, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStale);
-  EXPECT_EQ(cache.invalidations(), 1u);
 }
 
 TEST(NodeSetCache, DistinctBaseNodesInternSeparately) {
@@ -469,7 +461,7 @@ TEST(NodeSetCacheIntegration, DifferentialMutateBetweenRuns) {
 
 // Many threads evaluating through ONE shared cache over ONE read-only
 // document. Carries the "concurrency" ctest label so the TSan preset
-// exercises the Get/Put and counter paths under contention.
+// exercises the Get/Put paths under contention.
 TEST(NodeSetCacheConcurrency, SharedCacheParallelEvaluations) {
   std::string xml = "<r>";
   for (int i = 0; i < 50; ++i) {
@@ -489,6 +481,7 @@ TEST(NodeSetCacheConcurrency, SharedCacheParallelEvaluations) {
   constexpr int kIterations = 25;
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
+  std::vector<uint64_t> hits(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIterations; ++i) {
@@ -499,14 +492,20 @@ TEST(NodeSetCacheConcurrency, SharedCacheParallelEvaluations) {
         opts.context_node = (*doc)->root();
         opts.eval.nodeset_cache = &cache;
         auto r = xq::Execute(q, opts);
-        if (!r.ok() || r->SerializedItems() != want) ++failures[t];
+        if (!r.ok() || r->SerializedItems() != want) {
+          ++failures[t];
+        } else {
+          hits[t] += r->stats.nodeset_cache_hits;
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
   // Everyone after the first computation should have hit.
-  EXPECT_GT(cache.hits(), 0u);
+  uint64_t total_hits = 0;
+  for (uint64_t h : hits) total_hits += h;
+  EXPECT_GT(total_hits, 0u);
 }
 
 // Mutate-between-PHASES under threads: parallel readers share one cache

@@ -724,6 +724,8 @@ TEST(PersistSnapshots, MutatedDocumentExportsThroughTheClonePath) {
   auto loaded = persist::LoadDocumentSnapshotFromBytes(
       persist::SerializeDocumentSnapshot(**doc, "mutated"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // The loader wrote the order keys; check them before anything restamps.
+  testing::ExpectBuilderOrderKeysMatchStructure(*loaded->document);
   EXPECT_EQ(xml::Serialize(loaded->document->root()),
             xml::Serialize((*doc)->root()));
 }

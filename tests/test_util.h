@@ -48,6 +48,30 @@ inline std::string EvalError(const std::string& query) {
   return result.status().ToString();
 }
 
+// --- Builder-written order keys ---------------------------------------------
+
+// Checks a document fresh out of CloneDocument or DocumentFromStorage, before
+// anything else has touched it: the builder must hand over a fresh order
+// index (it wrote the keys itself), and those keys must order every pair of
+// nodes exactly as the structural comparator does.
+inline void ExpectBuilderOrderKeysMatchStructure(const xml::Document& doc) {
+  ASSERT_TRUE(doc.order_index_fresh());
+  const uint32_t n = static_cast<uint32_t>(doc.node_count());
+  size_t mismatches = 0;
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = 0; b < n; ++b) {
+      const int keyed = xml::CompareDocumentOrder(doc.NodeAt(a), doc.NodeAt(b));
+      const int walked =
+          xml::CompareDocumentOrderStructural(doc.NodeAt(a), doc.NodeAt(b));
+      if (keyed != walked && mismatches++ == 0) {
+        ADD_FAILURE() << "nodes " << a << " and " << b << ": keys say "
+                      << keyed << ", structure says " << walked;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << n << " x " << n << " pairs";
+}
+
 // --- The shared random path workload ---------------------------------------
 //
 // The generator behind the differential suites: a randomly grown document

@@ -20,6 +20,7 @@
 
 #include "core/rng.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 #include "xml/name_table.h"
 #include "xml/node.h"
 #include "xml/parser.h"
@@ -135,11 +136,13 @@ class Harness {
 
   // Round-trips the rooted tree through CloneDocument and compares serialized
   // forms (debris -- detached subtrees -- is intentionally dropped by clone).
+  // The clone's order keys are the ones CloneDocument wrote: they are checked
+  // against the structural comparator before anything restamps them.
   void VerifyClone() {
     std::unique_ptr<Document> clone = CloneDocument(*doc_);
+    lll::testing::ExpectBuilderOrderKeysMatchStructure(*clone);
     EXPECT_EQ(Serialize(clone->root()), Serialize(doc_->root()));
     EXPECT_EQ(clone->storage_stats().pool_slack_slots, 0u);
-    EXPECT_TRUE(clone->index_is_order());
   }
 
  private:
@@ -306,7 +309,7 @@ TEST(XmlStorageProperty, AgreesWithPointerBuiltOracle) {
       for (int i = 0; i < 40; ++i) h.Mutate(rng);
       if (batch % 4 == 3) h.doc()->CompactStorage();
       h.Verify();
-      if (testing::Test::HasFailure()) return;
+      if (::testing::Test::HasFailure()) return;
     }
     h.VerifyClone();
   }
@@ -655,20 +658,23 @@ TEST(XmlEditVersions, WantEditVersionsStampsWithoutAPriorRead) {
   }
 }
 
-TEST(XmlEditVersions, CloneCarriesOverlayFastPath) {
+TEST(XmlEditVersions, CloneCarriesOverlayAfterValueEdit) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
   Node* r = doc->DocumentElement();
   Node* a = r->children()[0];
   (void)doc->subtree_version_of(r->index());
-  // A value edit creates no nodes, so parse order stays document order and
-  // CloneDocument keeps its identity (array-copy) path. The overlay must
-  // travel verbatim.
+  // A value edit creates and moves no nodes, so the parsed document stays
+  // compact and in preorder: the clone's node map is the identity and the
+  // overlay travels slot for slot.
   a->SetAttribute("id", "a2");
   const uint64_t epoch = doc->edit_epoch();
   doc->EnsureOrderIndex();
-  std::unique_ptr<Document> clone = CloneDocument(*doc);
+  std::vector<uint32_t> node_map;
+  std::unique_ptr<Document> clone = CloneDocument(*doc, &node_map);
+  ASSERT_EQ(node_map.size(), doc->node_count());
+  for (uint32_t i = 0; i < node_map.size(); ++i) EXPECT_EQ(node_map[i], i);
   Node* cr = clone->DocumentElement();
   Node* ca = cr->children()[0];
   Node* cc = cr->children()[1];
@@ -684,7 +690,7 @@ TEST(XmlEditVersions, CloneCarriesOverlayFastPath) {
   EXPECT_EQ(doc->subtree_version_of(a->index()), epoch);
 }
 
-TEST(XmlEditVersions, CloneCarriesOverlaySlowPath) {
+TEST(XmlEditVersions, CloneCarriesOverlayPastDetachedDebris) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
@@ -693,8 +699,8 @@ TEST(XmlEditVersions, CloneCarriesOverlaySlowPath) {
   Node* c = r->children()[1];
   (void)doc->subtree_version_of(r->index());
 
-  // Detach <d> from <c>: the document now has an unattached slot, which
-  // forces CloneDocument onto the traversal (remapping) path.
+  // Detach <d> from <c>: the document now has an unattached slot, which the
+  // clone drops, so every node after it is renumbered.
   ASSERT_TRUE(c->RemoveChild(c->children()[0]).ok());
   const uint64_t removal_epoch = doc->edit_epoch();
   a->SetAttribute("id", "a3");
