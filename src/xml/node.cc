@@ -696,6 +696,9 @@ DocumentStorageStats Document::storage_stats() const {
   for (const CharBlock& b : chars_) bytes += b.cap;
   bytes += handles_.size() * sizeof(Node);
   bytes += order_key_.capacity() * sizeof(uint64_t);
+  bytes += (subtree_ver_.capacity() + local_ver_.capacity() +
+            child_local_ver_.capacity()) *
+           sizeof(uint64_t);
   stats.total_bytes = bytes;
   return stats;
 }

@@ -246,7 +246,8 @@ bool IsWellFormedQName(std::string_view qname);
 // Heap footprint summary of one document's storage (see Document::
 // storage_stats). `total_bytes` is the resident arena footprint: node
 // arrays, index pools, value arena, handle slots, and the order-key index
-// if materialized. Interned names are process-wide and excluded.
+// and the edit-version overlay (24 B a node) if materialized. Interned
+// names are process-wide and excluded.
 struct DocumentStorageStats {
   size_t node_count = 0;       // slots in the arena (detached included)
   size_t total_bytes = 0;      // resident heap bytes of this document

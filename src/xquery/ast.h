@@ -265,14 +265,15 @@ struct Expr {
   // root: axis steps whose every predicate is `@a = "literal"` or
   // `"literal" = @a`. `intern_key` is their text: each step's axis::test,
   // `[@a="literal"]` per predicate (the literal's quotes doubled), then
-  // "/". The next step is probe-extended when its first predicate is a
-  // probe (probe_key, so only in optimized plans): under streaming the
-  // chain then runs through that step's bare axis::test, and the probe
-  // filters the interned candidates (DESIGN.md section 16).
-  // `probe_chain_key` is that chain's key -- the intern key plus the bare
-  // axis::test and "/" -- and empty when no step is probe-extended.
-  // EXPLAIN renders every interned step of a path whose base is statically
-  // a tree root as [interned].
+  // "/". The next step is probe-extended when it is position_free and its
+  // first predicate is a probe (probe_key, so only in optimized plans):
+  // under streaming the chain then runs through that step's bare
+  // axis::test, and the step's predicates filter the interned candidates
+  // in one pass (DESIGN.md section 16). `probe_chain_key` is that chain's
+  // key -- the intern key plus the bare axis::test and "/" -- and empty
+  // when no step is probe-extended. A path with a limit_hint interns
+  // nothing: all three are cleared. EXPLAIN renders every interned step of
+  // a path whose base is statically a tree root as [interned].
   size_t intern_steps = 0;
   std::string intern_key;
   std::string probe_chain_key;

@@ -1037,10 +1037,7 @@ Result<Sequence> Evaluator::EvalPath(const Expr& e, size_t limit) {
     LLL_ASSIGN_OR_RETURN(Focus f, RequireFocus(e));
     current = Sequence(f.item);
   }
-  size_t first = 0;
-  if (limit == kNoLimit) {
-    LLL_ASSIGN_OR_RETURN(first, InternPrefix(e, &current));
-  }
+  LLL_ASSIGN_OR_RETURN(size_t first, InternPrefix(e, &current));
   return EvalStepsRange(e, first, e.steps.size(), std::move(current), limit);
 }
 
@@ -1067,20 +1064,27 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
 
   // The probe extension (DESIGN.md section 16): every
   // `doc("m")//node-type[@name = $t]` shares the candidates
-  // `//node-type` interns, and the probe filters them through an index.
+  // `//node-type` interns, and the step's predicates, the probe first,
+  // filter them in one pass. The plan extends only position-free steps,
+  // whose predicates judge a candidate alike whichever context produced
+  // it, so one pass over the candidates of all contexts keeps the same
+  // ones.
   if (probe) {
     const size_t extended = e.intern_steps + 1;
     LLL_ASSIGN_OR_RETURN(Sequence candidates,
                          InternChain(e, extended, /*bare_last=*/true, base,
                                      e.probe_chain_key, *current));
-    LLL_ASSIGN_OR_RETURN(std::optional<Sequence> probed,
-                         ProbeStep(e, e.steps[e.intern_steps], candidates));
-    if (probed.has_value()) {
-      *current = std::move(*probed);
+    Result<Sequence> kept = ApplyPredicates(
+        e.steps[e.intern_steps].predicates, std::move(candidates));
+    if (kept.ok()) {
+      *current = std::move(*kept);
+      current->MarkOrderedDeduped();  // a subsequence of the normalized set
       return extended;
     }
-    // The probe does not apply (a key that is not all strings): intern
-    // the plain prefix below and let the step run its per-candidate loop.
+    // Which failing candidate raises the error depends on the order the
+    // contexts meet them, which document order is not for a reverse axis
+    // or a child step from nested contexts: intern the plain prefix below
+    // and let the step's own loop raise it.
   }
   if (e.intern_steps == 0) return 0;
   LLL_ASSIGN_OR_RETURN(*current,
@@ -1140,77 +1144,6 @@ Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
                computed);
   }
   return computed;
-}
-
-Result<std::optional<Sequence>> Evaluator::ProbeStep(
-    const Expr& e, const PathStep& step, const Sequence& candidates) {
-  auto located = [&e](Status st) -> Status {
-    return st.AddContext("in path expression" + LocationSuffix(e));
-  };
-  if (candidates.size() < 2) {
-    // At most one candidate means at most one context contributes it: the
-    // per-context predicate loop is exactly this one.
-    Result<Sequence> kept = ApplyPredicates(step.predicates, candidates);
-    if (!kept.ok()) return located(kept.status());
-    return std::optional<Sequence>(std::move(*kept));
-  }
-  Result<std::optional<std::vector<uint32_t>>> probed =
-      ProbeHits(*step.predicates[0], candidates);
-  if (!probed.ok()) return located(probed.status());
-  if (!probed->has_value()) return std::optional<Sequence>();
-  std::vector<uint32_t> hits = std::move(**probed);
-  if (step.predicates.size() > 1 && step.axis == Axis::kChild) {
-    // Later predicates count positions per context, i.e. per parent here:
-    // apply them group by group, parents in document order (the context
-    // order of the per-context loop, which fixes trace and error order).
-    candidates.at(0).node()->document()->EnsureOrderIndex();
-    std::vector<std::pair<uint64_t, uint32_t>> by_parent;
-    by_parent.reserve(hits.size());
-    for (uint32_t i : hits) {
-      by_parent.emplace_back(candidates.at(i).node()->parent()->order_key(),
-                             i);
-    }
-    std::stable_sort(
-        by_parent.begin(), by_parent.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<bool> keep(candidates.size(), false);
-    for (size_t g = 0; g < by_parent.size();) {
-      size_t end = g;
-      Sequence group;
-      while (end < by_parent.size() &&
-             by_parent[end].first == by_parent[g].first) {
-        group.Append(candidates.at(by_parent[end++].second));
-      }
-      Result<Sequence> kept =
-          ApplyPredicates(step.predicates, std::move(group), /*first=*/1);
-      if (!kept.ok()) return located(kept.status());
-      // `kept` is an order-preserving subsequence of the group.
-      size_t k = 0;
-      for (size_t j = g; j < end && k < kept->size(); ++j) {
-        if (kept->at(k).node() == candidates.at(by_parent[j].second).node()) {
-          keep[by_parent[j].second] = true;
-          ++k;
-        }
-      }
-      g = end;
-    }
-    hits.erase(std::remove_if(hits.begin(), hits.end(),
-                              [&keep](uint32_t i) { return !keep[i]; }),
-               hits.end());
-  }
-  Sequence out;
-  for (uint32_t i : hits) out.Append(candidates.at(i));
-  if (step.predicates.size() > 1 && step.axis != Axis::kChild) {
-    // Position-free later predicates (the plan extends other axes only
-    // through position-free steps) judge each hit alike whichever context
-    // produced it: one pass over all.
-    Result<Sequence> kept =
-        ApplyPredicates(step.predicates, std::move(out), /*first=*/1);
-    if (!kept.ok()) return located(kept.status());
-    out = std::move(*kept);
-  }
-  out.MarkOrderedDeduped();  // a subsequence of the normalized candidates
-  return std::optional<Sequence>(std::move(out));
 }
 
 Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
@@ -1571,10 +1504,8 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
 }
 
 Result<Sequence> Evaluator::ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                            Sequence candidates,
-                                            size_t first) {
-  for (size_t p = first; p < preds.size(); ++p) {
-    const ExprPtr& pred = preds[p];
+                                            Sequence candidates) {
+  for (const ExprPtr& pred : preds) {
     if (options_.streaming && pred->probe_key >= 0) {
       LLL_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> hits,
                            ProbeHits(*pred, candidates));

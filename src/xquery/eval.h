@@ -316,10 +316,12 @@ class Evaluator {
   // decided (Expr::intern_steps and intern_key) when the path starts at a
   // tree root (a document node or a parentless element). Under streaming a
   // probe-extended path (Expr::probe_chain_key) interns the chain through
-  // the next step's bare axis::test instead, and the probe then filters
-  // the interned candidates. On success returns the number of steps
-  // consumed and replaces *current with the prefix result; returns 0 when
-  // interning does not apply.
+  // the next step's bare axis::test instead, and that step's predicates,
+  // the probe first, then filter the interned candidates in one pass (the
+  // plan extends only position-free steps); if a predicate fails, the
+  // plain prefix is interned and the step's own loop raises the error.
+  // On success returns the number of steps consumed and replaces *current
+  // with the prefix result; returns 0 when interning does not apply.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
   // The interned result of the first `steps` steps of `e` from `base` (the
   // last one without its predicates when `bare_last`), looked up under
@@ -328,20 +330,12 @@ class Evaluator {
                                     bool bare_last, xml::Node* base,
                                     const std::string& fingerprint,
                                     const xdm::Sequence& start);
-  // Applies the predicates of `step`, whose first is a probe, to the
-  // step's candidates from every context at once (sorted, one document).
-  // Later predicates see per-context positions: on the child axis the hits
-  // are grouped by parent, which is the context; on other axes the plan
-  // extends only through steps whose later predicates are position-free,
-  // and they run over all hits at once.
-  // Returns nullopt when the probe does not apply (see ProbeHits).
-  Result<std::optional<xdm::Sequence>> ProbeStep(
-      const Expr& e, const PathStep& step, const xdm::Sequence& candidates);
   // Answers the marked predicate `pred` over `candidates` from the attribute
   // index: the positions of the passing candidates, ascending. nullopt when
-  // a dynamic condition fails -- fewer than two candidates, not all nodes of
-  // one document, or a key that does not atomize to strings/untypedAtomic
-  // only -- and the caller runs the per-candidate loop instead.
+  // a dynamic condition fails -- fewer than two candidates (with none, the
+  // key is not evaluated), not all nodes of one document, or a key that
+  // does not atomize to strings/untypedAtomic only -- and ApplyPredicates
+  // runs the per-candidate loop instead.
   Result<std::optional<std::vector<uint32_t>>> ProbeHits(
       const Expr& pred, const xdm::Sequence& candidates);
   // Builds the subtree version guard set for an intern entry: descends from
@@ -367,10 +361,10 @@ class Evaluator {
   // (and counting the skip) when the sequence already carries the
   // ordered_deduped bit or is trivially small.
   void SortDedup(xdm::Sequence* seq);
-  // Applies preds[first..] in turn to the whole of `candidates`.
+  // Applies `preds` in turn to the whole of `candidates`, answering a
+  // probe-marked predicate from ProbeHits when it applies.
   Result<xdm::Sequence> ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                        xdm::Sequence candidates,
-                                        size_t first = 0);
+                                        xdm::Sequence candidates);
   Result<xdm::Sequence> EvalBinary(const Expr& e);
   Result<xdm::Sequence> EvalFlwor(const Expr& e);
   Status EvalFlworClauses(const Expr& e, size_t clause_index,

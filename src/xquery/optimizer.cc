@@ -474,10 +474,16 @@ struct DescendantFuser {
 // operand, a `where` or `satisfies` clause, a step or filter predicate --
 // or is a kFirstItemDecides builtin (fn:exists, fn:empty, fn:head); N when
 // the path is the base of `(P)[N]`. Sets the hint on each node path among
-// `e`'s operands that such a consumer reads.
+// `e`'s operands that such a consumer reads, and clears that path's intern
+// facts (Resolve derived them first, children before parents): the cache
+// holds whole results, which a path that stops early never computes.
 void MarkDemand(Expr* e) {
   const auto demand = [](Expr* operand, size_t n) {
-    if (NodePath(*operand)) operand->limit_hint = n;
+    if (!NodePath(*operand)) return;
+    operand->limit_hint = n;
+    operand->intern_steps = 0;
+    operand->intern_key.clear();
+    operand->probe_chain_key.clear();
   };
   switch (e->kind) {
     case ExprKind::kIf:
@@ -549,23 +555,20 @@ int FoldedLiteral(const Expr& pred) {
 
 // The step after an interned chain is probe-extended when its first
 // predicate is a probe that can apply -- ProbeHits declines every key that
-// is not all strings, so a numeric literal key never does -- and the later
-// predicates keep their meaning over the candidates of all contexts at
-// once: on the child axis ProbeStep regroups the hits by parent, which is
-// the context; on other axes there must be none, or all position-free.
+// is not all strings, so a numeric literal key never does -- and the step
+// is position-free, so its predicates judge the candidates of all contexts
+// in one pass exactly as they judge each context's own. A probe is itself
+// position-free (its key reads no focus and calls no trace, error or user
+// function), so a step with no other predicate extends on every axis.
 bool ProbeExtends(const PathStep& step) {
-  if (step.is_filter || step.predicates.empty() ||
+  if (!step.position_free || step.predicates.empty() ||
       step.predicates[0]->probe_key < 0) {
     return false;
   }
   const Expr& probe = *step.predicates[0];
   const Expr& key = *probe.children[probe.probe_key];
-  if (key.kind == ExprKind::kLiteral &&
-      key.literal_type != Expr::LiteralType::kString) {
-    return false;
-  }
-  return step.axis == Axis::kChild || step.predicates.size() == 1 ||
-         step.position_free;
+  return key.kind != ExprKind::kLiteral ||
+         key.literal_type == Expr::LiteralType::kString;
 }
 
 // Sets a path's Expr::intern_steps, intern_key and probe_chain_key. A

@@ -4,6 +4,7 @@
 // traces, hash probes, descendant fusion), the resolved step facts, the
 // limit hints and the call memo's function mark.
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -102,10 +103,38 @@ std::vector<size_t> LimitMarks(const std::string& explain) {
   return marks;
 }
 
+// The step lines of every [limit N] path of an EXPLAIN: the lines one level
+// below the path's own that start with "step ".
+std::vector<std::string> LimitedPathSteps(const std::string& explain) {
+  std::vector<std::string> lines;
+  std::istringstream in(explain);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto indent = [](const std::string& l) {
+    const size_t at = l.find_first_not_of(' ');
+    return at == std::string::npos ? 0 : at;
+  };
+  std::vector<std::string> steps;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const size_t depth = indent(lines[i]);
+    if (lines[i].compare(depth, 4, "Path") != 0 ||
+        lines[i].find("[limit ") == std::string::npos) {
+      continue;
+    }
+    for (size_t j = i + 1; j < lines.size() && indent(lines[j]) > depth;
+         ++j) {
+      if (lines[j].compare(depth + 2, 5, "step ") == 0) {
+        steps.push_back(lines[j]);
+      }
+    }
+  }
+  return steps;
+}
+
 TEST(ExplainTest, LimitHintsMarkEveryConsumerOfTheRuleAndNothingElse) {
   // The resolve pass derives each node path's hint from its direct
   // consumer on every plan, so the marks are the same with the optimizer
-  // on and off.
+  // on and off. A path that stops early interns nothing (the cache holds
+  // whole results), so no step of a [limit N] path is [interned].
   struct Case {
     const char* query;
     std::vector<size_t> marks;
@@ -127,6 +156,7 @@ TEST(ExplainTest, LimitHintsMarkEveryConsumerOfTheRuleAndNothingElse) {
        {1}},
       // The first item decides.
       {"exists(//a)", {1}},
+      {"exists(/r/a/b)", {1}},
       {"fn:empty(//a)", {1}},
       {"head(//a/b)", {1}},
       // (P)[N] reads the first N items of P.
@@ -153,6 +183,11 @@ TEST(ExplainTest, LimitHintsMarkEveryConsumerOfTheRuleAndNothingElse) {
       EXPECT_EQ(LimitMarks(out), c.marks)
           << c.query << " optimize=" << optimize << "\n"
           << out;
+      for (const std::string& step : LimitedPathSteps(out)) {
+        EXPECT_EQ(step.find("[interned"), std::string::npos)
+            << c.query << " optimize=" << optimize << "\n"
+            << out;
+      }
     }
   }
 }
@@ -195,6 +230,8 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
        "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/"},
       // A probe extends the chain through its step, bare, when optimized.
       {"/r/a[@id = concat(\"k\", \"\")]", "child::r/child::a/", "child::r/"},
+      // ... but only through a position-free step: [1] counts per parent.
+      {"/r/a[@id = concat(\"k\", \"\")][1]", "child::r/", "child::r/"},
       {"doc(\"d\")//a[@id = $v]", "descendant::a/",
        "descendant-or-self::node()/"},
       // Every other predicate ends the chain.

@@ -138,11 +138,13 @@ class Harness {
   // forms (debris -- detached subtrees -- is intentionally dropped by clone).
   // The clone's order keys are the ones CloneDocument wrote: they are checked
   // against the structural comparator before anything restamps them.
-  void VerifyClone() {
+  // Returns the clone's node count.
+  size_t VerifyClone() {
     std::unique_ptr<Document> clone = CloneDocument(*doc_);
     lll::testing::ExpectBuilderOrderKeysMatchStructure(*clone);
     EXPECT_EQ(Serialize(clone->root()), Serialize(doc_->root()));
     EXPECT_EQ(clone->storage_stats().pool_slack_slots, 0u);
+    return clone->node_count();
   }
 
  private:
@@ -159,11 +161,16 @@ class Harness {
     return pairs_[rng.Below(pairs_.size())];
   }
 
-  // A random attach point: document root or an attached, non-attribute node.
+  // A random attach point in the rooted tree: the document node or one of
+  // its elements. Drawing from detached nodes too would send most inserts
+  // into debris, which CloneDocument drops, and leave VerifyClone a tree of
+  // a few nodes.
   std::pair<Node*, Shadow*> PickParent(Rng& rng) {
     for (int tries = 0; tries < 8; ++tries) {
       auto [n, s] = Pick(rng);
-      if (n->is_element() || n->is_document()) return {n, s};
+      if ((n->is_element() || n->is_document()) && n->Root() == doc_->root()) {
+        return {n, s};
+      }
     }
     return pairs_[0];
   }
@@ -305,13 +312,16 @@ TEST(XmlStorageProperty, AgreesWithPointerBuiltOracle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 0x5DEECE66Dull);
     Harness h;
+    size_t cloned = 0;
     for (int batch = 0; batch < 12; ++batch) {
       for (int i = 0; i < 40; ++i) h.Mutate(rng);
       if (batch % 4 == 3) h.doc()->CompactStorage();
       h.Verify();
+      cloned = h.VerifyClone();
       if (::testing::Test::HasFailure()) return;
     }
-    h.VerifyClone();
+    // The clone checks ran on a real tree, not on leftover debris.
+    EXPECT_GE(cloned, 50u) << "seed " << seed;
   }
 }
 
@@ -652,9 +662,14 @@ TEST(XmlEditVersions, WantEditVersionsStampsWithoutAPriorRead) {
     std::unique_ptr<Document> clone = CloneDocument(**parsed, &node_map);
     clone->WantEditVersions();
     Node* cr = clone->DocumentElement();
-    ASSERT_TRUE(cr->AppendChild(clone->CreateElement("y")).ok());
+    Node* y = clone->CreateElement("y");
+    const size_t before = clone->storage_stats().total_bytes;
+    ASSERT_TRUE(cr->AppendChild(y).ok());
     EXPECT_GT(clone->subtree_version_of(cr->index()), 0u);
     EXPECT_GT(clone->local_version_of(cr->index()), 0u);
+    // The overlay it materialized, three uint64 arrays, is storage.
+    EXPECT_GE(clone->storage_stats().total_bytes - before,
+              3 * sizeof(uint64_t) * clone->node_count());
   }
 }
 

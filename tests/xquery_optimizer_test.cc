@@ -465,12 +465,11 @@ TEST(DescendantFusion, AgreesWithTheUnfusedFormOnEveryShape) {
   EXPECT_GT(fused, checked / 2);  // most shapes fuse; positional ones stay
 }
 
-TEST(DescendantFusion, FusedProbeStepKeepsItsProbeWithMorePredicates) {
+TEST(DescendantFusion, FusedStepKeepsItsProbeWithMorePredicates) {
   // //x[@k = $v][c] fuses into one descendant::x step whose first predicate
   // is a probe; the probe extension still interns the bare descendant::x
   // (one miss, then hits) and answers @k from the index, applying the
-  // position-free [c] to the hits, where the parent-grouped form of the
-  // child axis would not apply.
+  // position-free [c] to the hits in the same pass.
   std::string xml = "<r>";
   for (int i = 0; i < 40; ++i) {
     xml += "<g><x k=\"" + std::to_string(i % 4) + "\">" +

@@ -431,11 +431,12 @@ std::string Render(const Result<xq::QueryResult>& r) {
   return out;
 }
 
-// Runs `query` streamed twice against one node-set cache (cold, then warm
-// interned entries) and once with streaming off, and expects the three to
-// agree on result bytes, trace events and status.
-ProbeOutcome ExpectProbeMatchesScan(const std::string& query) {
-  auto doc = xml::Parse(kProbeDoc, {.strip_insignificant_whitespace = true});
+// Runs `query` over `xml` streamed twice against one node-set cache (cold,
+// then warm interned entries) and once with streaming off, and expects the
+// three to agree on result bytes, trace events and status.
+ProbeOutcome ExpectProbeMatchesScan(const std::string& query,
+                                    const char* xml = kProbeDoc) {
+  auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
   auto other = xml::Parse("<r><x k=\"1\">h</x><x k=\"2\">i</x></r>");
   EXPECT_TRUE(doc.ok() && other.ok());
   auto compiled = xq::Compile(query);
@@ -501,14 +502,20 @@ TEST(Streaming, ProbeAgreesWithScanOnEveryShape) {
       {"let $c := (<e k=\"1\">p</e>, <e k=\"2\">q</e>, <e k=\"1\">r</e>) "
        "for $v in \"1\" return $c[@k = $v]/text()",
        true, "pr"},
-      // A probe followed by [1] / [2] on a child step with several parents.
-      {"for $v in \"1\" return //x[@k = $v][1]/text()", true, "af"},
-      {"for $v in \"1\" return //x[@k = $v][2]/text()", true, "d"},
+      // A probe followed by [1] / [2] on a child step with several parents:
+      // the plan extends only position-free steps, so these stream with
+      // their per-context predicates; [last()] probes per context in the
+      // materializing loop.
+      {"for $v in \"1\" return //x[@k = $v][1]/text()", false, "af"},
+      {"for $v in \"1\" return //x[@k = $v][2]/text()", false, "d"},
       {"for $v in \"1\" return //x[@k = $v][last()]/text()", true, "df"},
-      {"for $v in \"1\" return /r/g/*[@k = $v][2]/text()", true, "d"},
-      // Later probes on the hits of an earlier one.
+      {"for $v in \"1\" return /r/g/*[@k = $v][2]/text()", false, "d"},
+      // Later probes on the hits of an earlier one, on a fused step and on
+      // a child step with several parents: both stay probe-extended.
       {"for $v in \"1\" return //x[@k = $v][@b = \"false\"]/text()", true,
        "d"},
+      {"for $v in \"1\" return /r/g/x[@k = $v][@b = \"false\"]/text()",
+       true, "d"},
       // A probe that is not the step's only predicate on another axis.
       {"for $v in \"1\" return //g/descendant::x[@k = $v][1]/text()", false,
        "af"},
@@ -560,6 +567,27 @@ TEST(Streaming, ProbeKeysThatTraceOrFailKeepParity) {
   for (const char* q : empty) {
     out = ExpectProbeMatchesScan(q);
     EXPECT_EQ(out.text, "") << q;
+  }
+
+  // A later predicate that fails on several candidates of a probe-extended
+  // step: the error is the one of the candidate the per-context loop meets
+  // first, also where that is not the first in document order -- a child
+  // step from nested contexts, and a reverse axis.
+  const char* nested =
+      "<r><a><a><x k=\"1\" n=\"p\"/></a><x k=\"1\" n=\"q\"/></a>"
+      "<y k=\"1\" n=\"s\"><y k=\"1\" n=\"t\"><z/></y></y></r>";
+  const std::pair<const char*, const char*> first_failing[] = {
+      {"for $v in \"1\" return "
+       "/r//a/x[@k = $v][(@n cast as xs:integer) gt 0]",
+       "\"q\""},
+      {"for $v in \"1\" return "
+       "/r//z/ancestor::y[@k = $v][(@n cast as xs:integer) gt 0]",
+       "\"t\""},
+  };
+  for (const auto& [q, value] : first_failing) {
+    out = ExpectProbeMatchesScan(q, nested);
+    EXPECT_NE(out.text.find(value), std::string::npos) << q << " -> "
+                                                       << out.text;
   }
 }
 
