@@ -5,8 +5,9 @@
 // structure-version invalidation, ONE edit anywhere evicted every interned
 // node set, so each regeneration after a small edit re-paid the cold-start
 // cost of the whole query workload. The subtree edit-version overlay scopes
-// invalidation to the chains an edit actually dirtied: after a 1-model edit
-// in a 1024-model library, 127 of 128 anchored chains keep hitting.
+// invalidation to the chains an edit actually dirtied. The anchored
+// `model[@id = "mK"]` queries share one interned entry, the models with an
+// index of their @id values, and an edit inside a model leaves it valid.
 //
 // Shapes measured, at library sizes M in {64, 256, 1024}:
 //
@@ -15,17 +16,16 @@
 //                        whole-document invalidation did to it), after the
 //                        same per-iteration edits.
 //   * Incremental1/M     1 model edited per iteration, persistent cache:
-//                        only that model's chains re-evaluate.
+//                        only the chains the edit dirtied re-evaluate.
 //   * Incremental1pct/M  max(1, M/100) models edited per iteration.
 //   * Incremental10pct/M M/10 models edited per iteration -- the blend
 //                        where incremental wins shrink toward rebuild cost.
 //   * NoCacheBaseline/M  the same workload with no cache wired at all: the
 //                        floor the incremental arms must beat, and the
-//                        no-regression guard for cold evaluation. Note that
-//                        FullRebuild sits ABOVE this floor: a miss pays
-//                        guard computation (including the anchored-predicate
-//                        probe), which only earns its keep when entries
-//                        survive edits -- exactly what clearing forfeits.
+//                        no-regression guard for cold evaluation.
+//                        FullRebuild sits far below it: within one
+//                        iteration the first anchored query builds the
+//                        shared index and the rest look their keys up.
 //   * ColdFirstMatch     `(//part)[1]` streamed on a fresh document, no
 //                        cache: the E13 early-exit shape, guarding that the
 //                        overlay's read accessors add nothing to cold

@@ -60,6 +60,8 @@ QueryServer::Metrics::Metrics(MetricsRegistry& registry)
       query_cache_misses(registry.counter("server.query_cache_misses")),
       query_us(registry.histogram("server.query_us")),
       snapshots_published(registry.counter("server.snapshots_published")),
+      publish_wait_us(registry.histogram("server.publish.wait_us")),
+      publish_work_us(registry.histogram("server.publish.work_us")),
       updates(registry.counter("server.updates")),
       plan_hits(registry.counter("persist.plan.hits")),
       plan_misses(registry.counter("persist.plan.misses")),
@@ -72,7 +74,8 @@ QueryServer::QueryServer(const ServerOptions& options)
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &GlobalMetrics()),
       handles_(*metrics_),
-      store_(options.nodeset_cache_capacity),
+      store_(options.nodeset_cache_capacity, &handles_.publish_wait_us,
+             &handles_.publish_work_us),
       query_cache_(options.query_cache_capacity),
       pool_(options.worker_threads) {}
 
@@ -115,15 +118,31 @@ Result<uint64_t> QueryServer::PublishUpdate(const std::string& name,
     return compiled.status().AddContext("while compiling an update for '" +
                                         name + "'");
   }
+  xq::UpdateOptions uo;
+  uo.metrics = metrics_;
   xq::UpdateStats applied;
-  Result<uint64_t> version = store_.PublishEdit(
-      name, [this, &compiled, &applied](xml::Document* doc, xml::Node*) {
-        xq::UpdateOptions uo;
-        uo.metrics = metrics_;
-        Result<xq::UpdateStats> r = xq::ApplyUpdate(*compiled, doc, uo);
-        if (!r.ok()) return r.status();
-        applied = *r;
-        return Status::Ok();
+  Result<uint64_t> version = store_.PublishBound(
+      name,
+      [this, &compiled, &uo,
+       &applied](const Snapshot& base) -> Result<BoundEdit> {
+        // FLUX binds every target against the pre-update document: the
+        // base snapshot, with its warm node-set cache.
+        xq::UpdateOptions bind = uo;
+        bind.eval.nodeset_cache = base.nodeset_cache();
+        LLL_ASSIGN_OR_RETURN(xq::BoundUpdate bound,
+                             xq::BindUpdate(*compiled, base.document(), bind,
+                                            &handles_.exec));
+        const size_t created = bound.created_nodes;
+        return BoundEdit{
+            created,
+            [&compiled, &uo, &applied, bound = std::move(bound)](
+                xml::Document* clone,
+                const std::vector<uint32_t>& node_map) -> Status {
+              LLL_ASSIGN_OR_RETURN(
+                  applied, xq::ApplyBoundUpdate(*compiled, bound, clone,
+                                                &node_map, uo));
+              return Status::Ok();
+            }};
       });
   if (!version.ok()) return version;
   handles_.snapshots_published.Increment();

@@ -134,12 +134,14 @@ class QueryServer {
                               const std::string& xml_text);
   // Compiles `update_text` as an update script (update_parser.h) and
   // applies it through the copy-on-write publish path: targets bind against
-  // the publish clone of the current snapshot (FLUX snapshot semantics --
-  // update_eval.h), conflicts reject the publish with the current snapshot
-  // intact, and the mutation primitives charge the clone's edit-version
-  // overlay, so the new snapshot's migrated node-set cache invalidates only
-  // the chains the statements dirtied. Returns the new snapshot version;
-  // `stats` (optional) receives the per-script counts on success.
+  // the current snapshot, with its node-set cache, before it is cloned
+  // (FLUX snapshot semantics -- update_eval.h); conflicts and invalid
+  // targets reject the publish with nothing cloned and the current snapshot
+  // intact; the bound targets map into the clone, and the mutation
+  // primitives charge its edit-version overlay, so the new snapshot's
+  // migrated node-set cache invalidates only the chains the statements
+  // dirtied. Returns the new snapshot version; `stats` (optional) receives
+  // the per-script counts on success.
   Result<uint64_t> PublishUpdate(const std::string& name,
                                  const std::string& update_text,
                                  xq::UpdateStats* stats = nullptr);
@@ -247,6 +249,10 @@ class QueryServer {
     Counter& query_cache_misses;
     Histogram& query_us;
     Counter& snapshots_published;
+    // The wait for a document's writer mutex, and the publish work done
+    // holding it (SnapshotStore).
+    Histogram& publish_wait_us;
+    Histogram& publish_work_us;
     Counter& updates;
     Counter& plan_hits;
     Counter& plan_misses;

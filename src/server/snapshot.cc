@@ -1,5 +1,6 @@
 #include "server/snapshot.h"
 
+#include <chrono>
 #include <utility>
 
 namespace lll::server {
@@ -66,31 +67,78 @@ Result<uint64_t> SnapshotStore::InstallNext(
   return version;
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// Observes the microseconds from construction to destruction in `h`, if set.
+class PublishTimer {
+ public:
+  explicit PublishTimer(Histogram* h) : h_(h), start_(Clock::now()) {}
+  ~PublishTimer() {
+    if (h_ == nullptr) return;
+    h_->Observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              start_)
+            .count()));
+  }
+  PublishTimer(const PublishTimer&) = delete;
+  PublishTimer& operator=(const PublishTimer&) = delete;
+
+ private:
+  Histogram* h_;
+  Clock::time_point start_;
+};
+
+}  // namespace
+
+std::unique_lock<std::mutex> SnapshotStore::LockWriter(Entry* entry) const {
+  PublishTimer wait(wait_us_);
+  return std::unique_lock<std::mutex>(entry->writer_mu);
+}
+
 Result<uint64_t> SnapshotStore::PublishEdit(const std::string& name,
                                             const EditFn& edit) {
+  return PublishBound(name, [&edit](const Snapshot&) -> Result<BoundEdit> {
+    return BoundEdit{0, [&edit](xml::Document* clone,
+                                const std::vector<uint32_t>&) {
+                       return edit(clone, clone->root());
+                     }};
+  });
+}
+
+Result<uint64_t> SnapshotStore::PublishBound(const std::string& name,
+                                             const BindFn& bind) {
   Entry* entry = FindEntry(name);
   if (entry == nullptr) {
     return Status::NotFound("no document named '" + name + "'");
   }
-  std::lock_guard<std::mutex> writer(entry->writer_mu);
+  std::unique_lock<std::mutex> writer = LockWriter(entry);
+  PublishTimer work(work_us_);
   SnapshotPtr base;
   {
     std::lock_guard<std::mutex> lock(entry->current_mu);
     base = entry->current;
   }
-  // Capture the clone's source -> clone index table so the base snapshot's
-  // warm cache can be remapped onto the new one (the clone drops detached
-  // debris and renumbers the rest into preorder).
+  Result<BoundEdit> bound = bind(*base);
+  if (!bound.ok()) {
+    Status st = bound.status();
+    return st.AddContext("while binding a publish of '" + name + "'");
+  }
+  // Capture the clone's source -> clone index table: the bound edit maps
+  // its targets through it, and the base snapshot's warm cache is remapped
+  // onto the new one (the clone drops detached debris and renumbers the
+  // rest into preorder).
   std::vector<uint32_t> node_map;
   std::unique_ptr<xml::Document> copy =
-      xml::CloneDocument(base->document(), &node_map);
+      xml::CloneDocument(base->document(), &node_map, bound->created_nodes);
   // The clone receives the base's migrated, guard-stamped cache entries, so
   // its overlay must record this edit even if no reader has observed a
   // version yet (the lazy wanted-flag travels by clone, and a writer
   // outpacing its readers would otherwise never stamp -- letting migrated
   // entries whose chains the edit dirtied keep validating at version 0).
   copy->WantEditVersions();
-  Status st = edit(copy.get(), copy->root());
+  Status st = bound->apply(copy.get(), node_map);
   if (!st.ok()) {
     return st.AddContext("while editing the publish copy of '" + name + "'");
   }
@@ -107,7 +155,8 @@ Result<uint64_t> SnapshotStore::PublishDocument(
   if (entry == nullptr) {
     return Status::NotFound("no document named '" + name + "'");
   }
-  std::lock_guard<std::mutex> writer(entry->writer_mu);
+  std::unique_lock<std::mutex> writer = LockWriter(entry);
+  PublishTimer work(work_us_);
   return InstallNext(entry, std::move(doc));
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/result.h"
 #include "xml/node.h"
 #include "xquery/nodeset_cache.h"
@@ -67,13 +68,30 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 // publish (the current snapshot stays installed, nothing is lost).
 using EditFn = std::function<Status(xml::Document* doc, xml::Node* root)>;
 
+// A publish's edit, bound against the base snapshot before it is cloned:
+// the clone has room for `created_nodes` more nodes, and `apply` edits it,
+// given CloneDocument's base -> clone index table. An error from `apply`
+// abandons the publish.
+struct BoundEdit {
+  size_t created_nodes = 0;
+  std::function<Status(xml::Document* clone,
+                       const std::vector<uint32_t>& node_map)>
+      apply;
+};
+
+// Binds a publish against `base`, the current snapshot: read-only, it runs
+// under the writer mutex, so `base` is the very snapshot the publish
+// clones. An error abandons the publish before anything is cloned.
+using BindFn = std::function<Result<BoundEdit>(const Snapshot& base)>;
+
 // The named-document snapshot registry: name -> current SnapshotPtr.
 //
 // Publish protocol (the invariants the server soak test enforces):
 //   1. the per-document writer mutex serializes publishers -- versions are
 //      assigned under it, so they are strictly increasing with no gaps;
-//   2. the writer CLONES the current snapshot (CloneDocument) and edits only
-//      the clone -- readers of the current snapshot never observe a write;
+//   2. the writer binds its edit on the current snapshot, read-only, then
+//      CLONES that snapshot (CloneDocument) and edits only the clone --
+//      readers of the current snapshot never observe a write;
 //   3. the clone's order index is built BEFORE install, so readers start
 //      sort-free on a fresh snapshot;
 //   4. install is an atomic pointer swap under a short mutex: a reader gets
@@ -81,8 +99,15 @@ using EditFn = std::function<Status(xml::Document* doc, xml::Node* root)>;
 //      old version survives until its last reader drops it.
 class SnapshotStore {
  public:
-  explicit SnapshotStore(size_t nodeset_cache_capacity = 128)
-      : nodeset_cache_capacity_(nodeset_cache_capacity) {}
+  // `wait_us` and `work_us` (optional, borrowed) observe every publish that
+  // takes a writer mutex: the time spent acquiring it, and the time spent
+  // holding it -- bind, clone, edit, cache migration and install.
+  explicit SnapshotStore(size_t nodeset_cache_capacity = 128,
+                         Histogram* wait_us = nullptr,
+                         Histogram* work_us = nullptr)
+      : nodeset_cache_capacity_(nodeset_cache_capacity),
+        wait_us_(wait_us),
+        work_us_(work_us) {}
 
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
@@ -97,6 +122,11 @@ class SnapshotStore {
   // Copy-on-write publish: clone current, apply `edit` to the clone, install
   // as the next version. Returns the new version number.
   Result<uint64_t> PublishEdit(const std::string& name, const EditFn& edit);
+
+  // Copy-on-write publish of an edit bound on the current snapshot: `bind`
+  // reads it, then the clone (with room for the nodes the edit creates) is
+  // edited and installed as the next version. Returns the new version.
+  Result<uint64_t> PublishBound(const std::string& name, const BindFn& bind);
 
   // Wholesale publish: installs `doc` as the next version of `name`.
   Result<uint64_t> PublishDocument(const std::string& name,
@@ -140,9 +170,14 @@ class SnapshotStore {
                                const Snapshot* carry_cache_from = nullptr,
                                const std::vector<uint32_t>* node_map = nullptr);
 
+  // Takes the entry's writer mutex, observing the wait in wait_us_.
+  std::unique_lock<std::mutex> LockWriter(Entry* entry) const;
+
   mutable std::mutex mu_;  // guards entries_ (the map, not the entries)
   std::map<std::string, std::unique_ptr<Entry>> entries_;
   size_t nodeset_cache_capacity_;
+  Histogram* wait_us_;
+  Histogram* work_us_;
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> migrated_{0};
 };

@@ -135,7 +135,7 @@ void Node::set_value(std::string_view v) {
   doc->value_bytes_ -= doc->value_[idx_].len;
   doc->value_[idx_] = doc->AddChars(v);
   // Value edits never disturb document order (no structure-version bump),
-  // but they must dirty the subtree overlay: folded predicates and
+  // but they must dirty the subtree overlay: value indexes and
   // value-sensitive consumers key on it. An attribute's value counts as a
   // local change of its OWNER element (a detached attribute has no owner
   // yet; attaching it later bumps).
@@ -558,23 +558,18 @@ void Document::DetachSlot(uint32_t idx) {
 
 void Document::BumpEditVersion(uint32_t at) {
   const uint64_t epoch = ++edit_epoch_;
-  if (subtree_ver_.empty() &&
+  if (edit_versions_.empty() &&
       !edit_versions_wanted_.load(std::memory_order_relaxed)) {
     // Nobody has read a version yet: the whole overlay is logically the
-    // uniform epoch 0 and needs no arrays. Document builds (parser,
+    // uniform epoch 0 and stamps nothing. Document builds (parser,
     // ImportNode, clone) take this O(1) path for every attach.
     return;
   }
-  if (subtree_ver_.size() < kind_.size()) {
-    subtree_ver_.resize(kind_.size(), 0);
-    local_ver_.resize(kind_.size(), 0);
-    child_local_ver_.resize(kind_.size(), 0);
-  }
-  local_ver_[at] = epoch;
+  edit_versions_[at].local = epoch;
   uint32_t parent = parent_[at];
-  if (parent != kNilNode) child_local_ver_[parent] = epoch;
+  if (parent != kNilNode) edit_versions_[parent].child_local = epoch;
   for (uint32_t n = at; n != kNilNode; n = parent_[n]) {
-    subtree_ver_[n] = epoch;
+    edit_versions_[n].subtree = epoch;
   }
 }
 
@@ -695,18 +690,25 @@ DocumentStorageStats Document::storage_stats() const {
   for (const PoolChunk& c : attr_pool_) bytes += c.cap * sizeof(uint32_t);
   for (const CharBlock& b : chars_) bytes += b.cap;
   bytes += handles_.size() * sizeof(Node);
-  bytes += order_key_.capacity() * sizeof(uint64_t);
-  bytes += (subtree_ver_.capacity() + local_ver_.capacity() +
-            child_local_ver_.capacity()) *
-           sizeof(uint64_t);
-  stats.total_bytes = bytes;
+  bytes += order_key_.capacity() * sizeof(uint32_t);
+  if (!edit_versions_.empty()) {
+    // A map node (next pointer plus entry) per stamped node, and the
+    // bucket array.
+    stats.edit_version_bytes =
+        edit_versions_.size() *
+            (sizeof(void*) +
+             sizeof(std::pair<const uint32_t, EditVersions>)) +
+        edit_versions_.bucket_count() * sizeof(void*);
+  }
+  stats.total_bytes = bytes + stats.edit_version_bytes;
   return stats;
 }
 
 // --- Clone ------------------------------------------------------------------
 
 std::unique_ptr<Document> CloneDocument(const Document& source,
-                                        std::vector<uint32_t>* node_map) {
+                                        std::vector<uint32_t>* node_map,
+                                        size_t spare_nodes) {
   auto clone = std::make_unique<Document>();
 
   // Pass 1: preorder over the ROOTED tree only (node, then attributes, then
@@ -737,13 +739,19 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
   // Pass 2: array-to-array fill. Interned name ids copy verbatim (the
   // NameTable is process-wide); values stream into the clone's arena.
   const uint32_t n = static_cast<uint32_t>(order.size());
-  clone->kind_.resize(n);
-  clone->name_.resize(n);
-  clone->value_.resize(n);
-  clone->parent_.resize(n);
-  clone->pos_.resize(n);
-  clone->child_span_.resize(n);
-  clone->attr_span_.resize(n);
+  // n nodes, with room for spare_nodes more.
+  auto size = [n, room = n + spare_nodes](auto& array) {
+    array.reserve(room);
+    array.resize(n);
+  };
+  size(clone->kind_);
+  size(clone->name_);
+  size(clone->value_);
+  size(clone->parent_);
+  size(clone->pos_);
+  size(clone->child_span_);
+  size(clone->attr_span_);
+  size(clone->order_key_);
   size_t live_children = 0, live_attrs = 0;
   for (uint32_t d = 0; d < n; ++d) {
     live_children += source.child_span_[order[d]].count;
@@ -777,27 +785,16 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
     for (uint32_t i = 0; i < as.count; ++i) *attr_out++ = map[as.ptr[i]];
   }
 
-  // Rebuild the subtree edit-version overlay under the renumbering: node d
-  // of the clone is node order[d] of the source, so its versions transfer
-  // slot-by-slot (indices past the source overlay's length read as 0, the
-  // uniform epoch, exactly as the accessors report them).
+  // Carry the subtree edit-version overlay under the renumbering: source
+  // node s is clone node map[s], and the versions of debris the clone
+  // dropped are dropped too.
   clone->edit_epoch_ = source.edit_epoch_;
   clone->edit_versions_wanted_.store(
       source.edit_versions_wanted_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  if (!source.subtree_ver_.empty()) {
-    auto at_or_zero = [](const std::vector<uint64_t>& v, uint32_t i) {
-      return i < v.size() ? v[i] : uint64_t{0};
-    };
-    clone->subtree_ver_.resize(n);
-    clone->local_ver_.resize(n);
-    clone->child_local_ver_.resize(n);
-    for (uint32_t d = 0; d < n; ++d) {
-      clone->subtree_ver_[d] = at_or_zero(source.subtree_ver_, order[d]);
-      clone->local_ver_[d] = at_or_zero(source.local_ver_, order[d]);
-      clone->child_local_ver_[d] =
-          at_or_zero(source.child_local_ver_, order[d]);
-    }
+  clone->edit_versions_.reserve(source.edit_versions_.size());
+  for (const auto& [s, versions] : source.edit_versions_) {
+    if (map[s] != kNilNode) clone->edit_versions_.emplace(map[s], versions);
   }
   // Clone index d is the d-th node of the source's preorder.
   clone->SetPreorderKeys();
@@ -823,7 +820,7 @@ void Document::EnsureOrderIndex() const {
   // preorder: the node, then its attributes, then its children.
   const uint32_t n = static_cast<uint32_t>(kind_.size());
   order_key_.assign(n, 0);
-  uint64_t next = 1;
+  uint32_t next = 1;
   std::vector<uint32_t> stack;
   for (uint32_t root = 0; root < n; ++root) {
     if (parent_[root] != kNilNode) continue;
@@ -847,7 +844,7 @@ void Document::EnsureOrderIndex() const {
 
 void Document::SetPreorderKeys() {
   order_key_.resize(kind_.size());
-  std::iota(order_key_.begin(), order_key_.end(), uint64_t{1});
+  std::iota(order_key_.begin(), order_key_.end(), uint32_t{1});
   order_index_version_.store(structure_version(), std::memory_order_release);
 }
 

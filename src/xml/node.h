@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/result.h"
@@ -119,7 +120,8 @@ class Node {
    private:
     friend class Document;
     friend std::unique_ptr<Document> CloneDocument(
-        const Document& source, std::vector<uint32_t>* node_map);
+        const Document& source, std::vector<uint32_t>* node_map,
+        size_t spare_nodes);
     friend Result<std::unique_ptr<Document>> DocumentFromStorage(
         const DocumentStorageImage& image);
     Key() = default;
@@ -245,14 +247,15 @@ bool IsWellFormedQName(std::string_view qname);
 
 // Heap footprint summary of one document's storage (see Document::
 // storage_stats). `total_bytes` is the resident arena footprint: node
-// arrays, index pools, value arena, handle slots, and the order-key index
-// and the edit-version overlay (24 B a node) if materialized. Interned
-// names are process-wide and excluded.
+// arrays, index pools, value arena, handle slots, the order-key index and
+// the edit-version overlay's stamped nodes. Interned names are
+// process-wide and excluded.
 struct DocumentStorageStats {
   size_t node_count = 0;       // slots in the arena (detached included)
   size_t total_bytes = 0;      // resident heap bytes of this document
   size_t value_bytes = 0;      // bytes of node values in the char arena
   size_t pool_slack_slots = 0; // child/attr pool entries dead after moves
+  size_t edit_version_bytes = 0;  // the overlay's share of total_bytes
 };
 
 // Arena that owns every node of one tree (or forest -- detached nodes are
@@ -322,8 +325,8 @@ class Document {
 
   // --- Document-order index -------------------------------------------------
   //
-  // Every node of the arena (detached subtrees included) carries a uint64
-  // order key: a preorder stamp with attributes slotted right after their
+  // Every node of the arena (detached subtrees included) carries an order
+  // key: a preorder stamp with attributes slotted right after their
   // owner element, before its children. Trees are stamped in root-index
   // order, so cross-tree compares within one document keep the historical
   // "stable arbitrary order by tree identity" contract.
@@ -368,12 +371,11 @@ class Document {
 
   // --- Subtree edit-version overlay -----------------------------------------
   //
-  // Three lazily-allocated per-node uint64 arrays that let caches scope
-  // invalidation to the part of the tree an edit actually touched (the
-  // node-set interning cache keys on these; see xq::NodeSetCache and
-  // DESIGN.md section 14). Every mutation primitive calls BumpEditVersion(at)
-  // with the node whose list/value changed, which advances `edit_epoch_` and
-  // stamps:
+  // Three uint64 versions per node that let caches scope invalidation to
+  // the part of the tree an edit actually touched (the node-set interning
+  // cache keys on these; see xq::NodeSetCache and DESIGN.md section 14).
+  // Every mutation primitive calls BumpEditVersion(at) with the node whose
+  // list/value changed, which advances `edit_epoch_` and stamps:
   //
   //   local_version_of(n)        n's own child list, attribute list, value,
   //                              or one of n's attributes' values changed
@@ -383,40 +385,39 @@ class Document {
   //   subtree_version_of(n)      anything changed anywhere under n -- bumped
   //                              along the whole ancestor chain, O(depth)
   //
-  // Empty arrays mean "uniform epoch 0": a freshly parsed, cloned, or
-  // snapshot-loaded document reports version 0 everywhere and is immediately
-  // internable. The arrays are only materialized by the first mutation AFTER
-  // some reader has asked for a version (the `edit_versions_wanted_` flag),
-  // so document builds -- thousands of attaches, nobody caching yet -- pay
-  // one counter increment per mutation instead of an O(depth) stamp walk.
-  // That is sound: versions recorded before materialization are all 0, the
-  // materializing edit stamps its ancestor chain with a strictly positive
-  // epoch, and untouched nodes keep reporting 0.
+  // The overlay is sparse: it holds the versions of the nodes some edit
+  // stamped, and every other node reads the uniform epoch 0. An empty
+  // overlay -- a freshly parsed, cloned, or snapshot-loaded document --
+  // reports version 0 everywhere and is immediately internable. Stamping
+  // starts with the first mutation AFTER some reader has asked for a
+  // version (the `edit_versions_wanted_` flag), so document builds --
+  // thousands of attaches, nobody caching yet -- pay one counter increment
+  // per mutation instead of an O(depth) stamp walk. That is sound: versions
+  // recorded before stamping starts are all 0, the first stamping edit
+  // stamps its ancestor chain with a strictly positive epoch, and untouched
+  // nodes keep reporting 0. A publish clone copies only the stamped nodes'
+  // versions.
   //
-  // Thread safety: the read accessors never allocate (missing overlay reads
-  // as 0) and the wanted-flag is an atomic, so any number of readers may
-  // validate versions concurrently. Mutating concurrently with readers is
-  // NOT safe -- the same contract as the tree itself.
+  // Thread safety: the read accessors never allocate (a node missing from
+  // the overlay reads 0) and the wanted-flag is an atomic, so any number of
+  // readers may validate versions concurrently. Mutating concurrently with
+  // readers is NOT safe -- the same contract as the tree itself.
   uint64_t edit_epoch() const { return edit_epoch_; }
   // Declares the document's CURRENT state to be the edit-history origin:
   // epoch 0, no edits yet. Builders call this at finalization so a parsed
   // document and a snapshot-loaded one report identical histories (the
   // cross-process EXPLAIN oracle diffs `[interned@v<epoch>]` renderings).
-  // Only legal while the overlay is unmaterialized -- i.e. before any
-  // version was observed AND edited -- so recorded guard versions can
-  // never outrun a rebased epoch; a no-op once arrays exist.
+  // Only legal while the overlay is empty -- i.e. before any version was
+  // observed AND edited -- so recorded guard versions can never outrun a
+  // rebased epoch; a no-op once some node is stamped.
   void ResetEditEpoch() {
-    if (subtree_ver_.empty() && local_ver_.empty() &&
-        child_local_ver_.empty()) {
-      edit_epoch_ = 0;
-    }
+    if (edit_versions_.empty()) edit_epoch_ = 0;
   }
   inline uint64_t subtree_version_of(uint32_t idx) const;
   inline uint64_t local_version_of(uint32_t idx) const;
   inline uint64_t child_local_version_of(uint32_t idx) const;
   // Opts this document into overlay stamping NOW, exactly as if a version
-  // accessor had been called: the next edit materializes the arrays and
-  // stamps its chain. The server's publish path calls this on the clone
+  // accessor had been called: the next edit stamps its chain. The server's publish path calls this on the clone
   // BEFORE applying the edit -- it migrates guard-stamped cache entries
   // onto the clone, and those guards must see the edit even if no reader
   // observes a version until after the new snapshot is installed. Without
@@ -431,7 +432,8 @@ class Document {
   friend class Node;
   friend class NodeList;
   friend std::unique_ptr<Document> CloneDocument(const Document& source,
-                                                 std::vector<uint32_t>* node_map);
+                                                 std::vector<uint32_t>* node_map,
+                                                 size_t spare_nodes);
   friend DocumentStorageImage ExportDocumentStorage(const Document& source);
   friend Result<std::unique_ptr<Document>> DocumentFromStorage(
       const DocumentStorageImage& image);
@@ -528,16 +530,28 @@ class Document {
   std::atomic<uint64_t> structure_version_{1};
   mutable std::atomic<uint64_t> order_index_version_{0};
   mutable std::mutex order_index_mutex_;
-  mutable std::vector<uint64_t> order_key_;  // node index -> order key
+  // Node index -> order key. Keys run 1..node_count(), so 32 bits hold
+  // them: node indices are 32-bit.
+  mutable std::vector<uint32_t> order_key_;
 
-  // Subtree edit-version overlay (see the public accessors above). Arrays
-  // stay empty -- "uniform epoch 0" -- until a mutation happens after some
-  // reader has set `edit_versions_wanted_`.
+  // Subtree edit-version overlay (see the public accessors above): the
+  // versions of every stamped node. It stays empty -- "uniform epoch 0" --
+  // until a mutation happens after some reader has set
+  // `edit_versions_wanted_`.
+  struct EditVersions {
+    uint64_t subtree = 0;
+    uint64_t local = 0;
+    uint64_t child_local = 0;
+  };
+  const EditVersions* EditVersionsOf(uint32_t idx) const {
+    edit_versions_wanted_.store(true, std::memory_order_relaxed);
+    if (edit_versions_.empty()) return nullptr;
+    auto it = edit_versions_.find(idx);
+    return it == edit_versions_.end() ? nullptr : &it->second;
+  }
   uint64_t edit_epoch_ = 0;
   mutable std::atomic<bool> edit_versions_wanted_{false};
-  std::vector<uint64_t> subtree_ver_;
-  std::vector<uint64_t> local_ver_;
-  std::vector<uint64_t> child_local_ver_;
+  std::unordered_map<uint32_t, EditVersions> edit_versions_;
 };
 
 inline Node* NodeList::operator[](size_t i) const {
@@ -579,16 +593,16 @@ inline uint64_t Node::order_key() const {
 }
 
 inline uint64_t Document::subtree_version_of(uint32_t idx) const {
-  edit_versions_wanted_.store(true, std::memory_order_relaxed);
-  return idx < subtree_ver_.size() ? subtree_ver_[idx] : 0;
+  const EditVersions* v = EditVersionsOf(idx);
+  return v == nullptr ? 0 : v->subtree;
 }
 inline uint64_t Document::local_version_of(uint32_t idx) const {
-  edit_versions_wanted_.store(true, std::memory_order_relaxed);
-  return idx < local_ver_.size() ? local_ver_[idx] : 0;
+  const EditVersions* v = EditVersionsOf(idx);
+  return v == nullptr ? 0 : v->local;
 }
 inline uint64_t Document::child_local_version_of(uint32_t idx) const {
-  edit_versions_wanted_.store(true, std::memory_order_relaxed);
-  return idx < child_local_ver_.size() ? child_local_ver_[idx] : 0;
+  const EditVersions* v = EditVersionsOf(idx);
+  return v == nullptr ? 0 : v->child_local;
 }
 
 // A flattened, position-independent image of one document's rooted tree:
@@ -648,9 +662,14 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
 // NodeSetCache::MigrateClone re-target cached entries at the clone (the
 // subtree edit-version overlay is remapped through the same table, so guard
 // versions stay aligned).
+//
+// `spare_nodes` is room for that many nodes more: every per-node array (the
+// storage arrays and the order keys) reserves it, so the nodes a publish
+// creates on the clone do not reallocate them.
 std::unique_ptr<Document> CloneDocument(const Document& source,
                                         std::vector<uint32_t>* node_map =
-                                            nullptr);
+                                            nullptr,
+                                        size_t spare_nodes = 0);
 
 // Document order: -1 if `a` precedes `b`, 0 if same node, +1 if follows.
 // Attribute nodes order after their owner element and before its children;

@@ -244,8 +244,9 @@ struct Expr {
   // and the other -- the key -- cannot read the candidate. Holds the index
   // in `children` of the key operand (1 for `@a = K`, 0 for `K = @a`); -1
   // means not a probe. The streaming evaluator answers a marked predicate
-  // from a per-query hash index of @name values instead of evaluating it
-  // once per candidate (DESIGN.md section 16). EXPLAIN renders
+  // from an index of @name values instead of evaluating it once per
+  // candidate: the interned entry's own index on a probe-extended step, a
+  // per-query one elsewhere (DESIGN.md section 16). EXPLAIN renders
   // [probe @name].
   int probe_key = -1;
 
@@ -262,18 +263,19 @@ struct Expr {
   // kPath: node-set interning, decided by the resolve pass (ResolveSteps)
   // on every plan (DESIGN.md section 14). The first `intern_steps` steps
   // are the chain the evaluator memoizes when the path starts at a tree
-  // root: axis steps whose every predicate is `@a = "literal"` or
-  // `"literal" = @a`. `intern_key` is their text: each step's axis::test,
-  // `[@a="literal"]` per predicate (the literal's quotes doubled), then
-  // "/". The next step is probe-extended when it is position_free and its
-  // first predicate is a probe (probe_key, so only in optimized plans):
-  // under streaming the chain then runs through that step's bare
-  // axis::test, and the step's predicates filter the interned candidates
-  // in one pass (DESIGN.md section 16). `probe_chain_key` is that chain's
-  // key -- the intern key plus the bare axis::test and "/" -- and empty
-  // when no step is probe-extended. A path with a limit_hint interns
-  // nothing: all three are cleared. EXPLAIN renders every interned step of
-  // a path whose base is statically a tree root as [interned].
+  // root: the leading axis steps with no predicate. `intern_key` is their
+  // text: each step's axis::test, then "/". The next step is probe-extended
+  // when it is position_free and its first predicate is a probe (probe_key,
+  // so only in optimized plans): under streaming the chain then runs
+  // through that step's bare axis::test, its entry carries an index of the
+  // probed attribute's values, the probe's key looks up that index, and the
+  // step's other predicates filter the hits (DESIGN.md section 16).
+  // `probe_chain_key` is that entry's key -- the intern key plus the bare
+  // axis::test, "/" and `@a`, the probed attribute -- and empty when no
+  // step is probe-extended. No key holds a literal, so every key value
+  // shares one entry. A path with a limit_hint interns nothing: all three
+  // are cleared. EXPLAIN renders every interned step of a path whose base
+  // is statically a tree root as [interned].
   size_t intern_steps = 0;
   std::string intern_key;
   std::string probe_chain_key;

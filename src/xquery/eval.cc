@@ -93,23 +93,6 @@ bool MatchesTest(const xml::Node* n, const NodeTest& test, Axis axis) {
   return false;
 }
 
-// True if element `n` passes every predicate of `step`, each of the folded
-// form `@a = "literal"` or `"literal" = @a`: an attribute a of n has
-// exactly the literal's value.
-bool MatchesFoldedPredicates(const xml::Node& n, const PathStep& step) {
-  for (const ExprPtr& pred : step.predicates) {
-    const int literal = pred->children[0]->kind == ExprKind::kLiteral ? 0 : 1;
-    const std::string& attr = pred->children[1 - literal]->steps[0].test.name;
-    const std::string& value = pred->children[literal]->text;
-    bool match = false;
-    for (const xml::Node* a : n.attributes()) {
-      match = match || (a->name() == attr && a->value() == value);
-    }
-    if (!match) return false;
-  }
-  return true;
-}
-
 // Preorder walk with an explicit stack: descendant axes over degenerate
 // (deep-chain) documents must not be bounded by the C++ call stack. Each
 // frame is (node, index of the next child to visit).
@@ -163,6 +146,30 @@ uint64_t HashNodes(const Sequence& seq) {
     h = (h ^ reinterpret_cast<uintptr_t>(item.node())) * 0x100000001b3ull;
   }
   return h;
+}
+
+// The nodes of `seq`, which are all nodes.
+std::vector<const xml::Node*> NodesOf(const Sequence& seq) {
+  std::vector<const xml::Node*> nodes;
+  nodes.reserve(seq.size());
+  for (const Item& item : seq.items()) nodes.push_back(item.node());
+  return nodes;
+}
+
+// The ascending, distinct positions in `nodes` of the nodes whose
+// attribute `index` indexes has one of the values `atoms`, all strings.
+std::vector<uint32_t> LookUpAll(const ValueIndex& index,
+                                std::span<const xml::Node* const> nodes,
+                                const Sequence& atoms) {
+  std::vector<uint32_t> hits;
+  for (const Item& atom : atoms.items()) {
+    index.LookUp(nodes, atom.string_value(), &hits);
+  }
+  if (atoms.size() > 1) {
+    std::sort(hits.begin(), hits.end());
+    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  }
+  return hits;
 }
 
 // Bounds of the call memo: entries, result items and bytes (keys plus the
@@ -249,17 +256,18 @@ uintptr_t ThreadStackFloor() {
 
 }  // namespace
 
-// An attribute index over one exact candidate list: @attr value ->
-// ascending positions of the candidates carrying it. Values are views into
-// the candidates' document, which outlives the evaluation.
+// One index of the probe memo: the exact candidate list it was built over,
+// by node identity, and the ValueIndex of one attribute over that list.
 struct Evaluator::ProbeIndex {
-  std::string attr;
-  uint64_t hash = 0;
+  ProbeIndex(const Sequence& seq, const std::string& attr, uint64_t h)
+      : hash(h), candidates(NodesOf(seq)), index(candidates, attr) {}
+
+  uint64_t hash;
   std::vector<const xml::Node*> candidates;
-  std::unordered_map<std::string_view, std::vector<uint32_t>> postings;
+  ValueIndex index;
 
   bool Matches(const std::string& a, uint64_t h, const Sequence& seq) const {
-    if (h != hash || a != attr || seq.size() != candidates.size()) {
+    if (h != hash || a != index.attr() || seq.size() != candidates.size()) {
       return false;
     }
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -1064,18 +1072,21 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
 
   // The probe extension (DESIGN.md section 16): every
   // `doc("m")//node-type[@name = $t]` shares the candidates
-  // `//node-type` interns, and the step's predicates, the probe first,
-  // filter them in one pass. The plan extends only position-free steps,
-  // whose predicates judge a candidate alike whichever context produced
-  // it, so one pass over the candidates of all contexts keeps the same
-  // ones.
+  // `//node-type` interns, with their index of @name, whatever $t is. The
+  // probe looks its key up in that index, and the step's other predicates
+  // filter the hits. The plan extends only position-free steps, whose
+  // predicates judge a candidate alike whichever context produced it, so
+  // one pass over the candidates of all contexts keeps the same ones.
   if (probe) {
     const size_t extended = e.intern_steps + 1;
-    LLL_ASSIGN_OR_RETURN(Sequence candidates,
-                         InternChain(e, extended, /*bare_last=*/true, base,
+    const std::vector<ExprPtr>& preds = e.steps[e.intern_steps].predicates;
+    LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
+                         InternChain(e, extended, /*probed=*/true, base,
                                      e.probe_chain_key, *current));
-    Result<Sequence> kept = ApplyPredicates(
-        e.steps[e.intern_steps].predicates, std::move(candidates));
+    Result<Sequence> kept = ProbeEntry(*preds[0], *entry);
+    if (kept.ok()) {
+      kept = ApplyPredicates(std::span(preds).subspan(1), std::move(*kept));
+    }
     if (kept.ok()) {
       *current = std::move(*kept);
       current->MarkOrderedDeduped();  // a subsequence of the normalized set
@@ -1087,16 +1098,16 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
     // and let the step's own loop raise it.
   }
   if (e.intern_steps == 0) return 0;
-  LLL_ASSIGN_OR_RETURN(*current,
-                       InternChain(e, e.intern_steps, /*bare_last=*/false,
-                                   base, e.intern_key, *current));
+  LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
+                       InternChain(e, e.intern_steps, /*probed=*/false, base,
+                                   e.intern_key, *current));
+  *current = entry->ToSequence();
   return e.intern_steps;
 }
 
-Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
-                                        bool bare_last, xml::Node* base,
-                                        const std::string& fingerprint,
-                                        const Sequence& start) {
+Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
+    const Expr& e, size_t steps, bool probed, xml::Node* base,
+    const std::string& fingerprint, const Sequence& start) {
   NodeSetCache* cache = options_.nodeset_cache;
   xml::Document* doc = base->document();
   std::string key = NodeSetCache::MakeKey(base, fingerprint);
@@ -1104,7 +1115,7 @@ Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
   if (std::shared_ptr<const CachedNodeSet> hit =
           cache->Get(doc, key, &outcome)) {
     ++stats_.nodeset_cache_hits;
-    return hit->nodes;  // copy of a normalized sequence; bit carries over
+    return hit;
   }
   if (outcome == NodeSetCache::Outcome::kStale ||
       outcome == NodeSetCache::Outcome::kStalePartial) {
@@ -1123,35 +1134,36 @@ Result<Sequence> Evaluator::InternChain(const Expr& e, size_t steps,
   // stamped too old (a harmless re-miss), never too new.
   std::vector<CachedNodeSet::Guard> guards;
   bool subtree_scoped = false;
-  ComputeInternGuards(e, steps, bare_last, base, &guards, &subtree_scoped);
-  size_t full = bare_last ? steps - 1 : steps;
+  ComputeInternGuards(e, steps, probed, base, &guards, &subtree_scoped);
+  size_t full = probed ? steps - 1 : steps;
   LLL_ASSIGN_OR_RETURN(Sequence computed,
                        EvalStepsRange(e, 0, full, start, kNoLimit));
-  if (bare_last && !computed.empty()) {
-    PathStep bare;
-    bare.axis = e.steps[full].axis;
-    bare.test = e.steps[full].test;
-    Result<Sequence> stepped = EvalStep(bare, computed);
-    if (!stepped.ok()) {
-      Status st = stepped.status();
-      return st.AddContext("in path expression" + LocationSuffix(e));
+  std::string index_attr;
+  if (probed) {
+    const PathStep& step = e.steps[full];
+    if (!computed.empty()) {
+      PathStep bare;
+      bare.axis = step.axis;
+      bare.test = step.test;
+      Result<Sequence> stepped = EvalStep(bare, computed);
+      if (!stepped.ok()) {
+        Status st = stepped.status();
+        return st.AddContext("in path expression" + LocationSuffix(e));
+      }
+      computed = std::move(*stepped);
+      SortDedup(&computed);
     }
-    computed = std::move(*stepped);
-    SortDedup(&computed);
+    const Expr& probe = *step.predicates[0];
+    index_attr = probe.children[1 - probe.probe_key]->steps[0].test.name;
+    ++stats_.probe_index_builds;
   }
-  if (computed.empty() || SingleDocumentOf(computed) == doc) {
-    cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
-               computed);
-  }
-  return computed;
+  // Axis steps from a tree root reach only that root's document, so the
+  // result is storable as it is.
+  return cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
+                    computed, index_attr);
 }
 
-Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
-    const Expr& pred, const Sequence& candidates) {
-  using Hits = std::optional<std::vector<uint32_t>>;
-  if (candidates.size() < 2 || SingleDocumentOf(candidates) == nullptr) {
-    return Hits();
-  }
+Result<std::optional<Sequence>> Evaluator::ProbeKey(const Expr& pred) {
   // The optimizer proved the key cannot read the candidate, so one
   // evaluation stands for all of them -- including a failing one: the
   // per-candidate loop would raise the same error at its first candidate.
@@ -1160,11 +1172,36 @@ Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
   for (const Item& atom : atoms.items()) {
     // Numbers and booleans compare by value, not by string (@n = 3 matches
     // "3.0"): leave them to the per-candidate loop.
-    if (!atom.is_stringlike()) return Hits();
+    if (!atom.is_stringlike()) return std::optional<Sequence>();
   }
   ++stats_.probe_filters;
-  std::vector<uint32_t> hits;
-  if (atoms.empty()) return Hits(std::move(hits));
+  return std::optional<Sequence>(std::move(atoms));
+}
+
+Result<Sequence> Evaluator::ProbeEntry(const Expr& pred,
+                                       const CachedNodeSet& entry) {
+  if (entry.nodes.size() >= 2) {
+    LLL_ASSIGN_OR_RETURN(std::optional<Sequence> atoms, ProbeKey(pred));
+    if (atoms.has_value()) {
+      Sequence kept;
+      for (uint32_t i : LookUpAll(*entry.index, entry.nodes, *atoms)) {
+        kept.Append(Item::NodeRef(entry.nodes[i]));
+      }
+      return kept;
+    }
+  }
+  return FilterEach(pred, entry.ToSequence());
+}
+
+Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
+    const Expr& pred, const Sequence& candidates) {
+  using Hits = std::optional<std::vector<uint32_t>>;
+  if (candidates.size() < 2 || SingleDocumentOf(candidates) == nullptr) {
+    return Hits();
+  }
+  LLL_ASSIGN_OR_RETURN(std::optional<Sequence> atoms, ProbeKey(pred));
+  if (!atoms.has_value()) return Hits();
+  if (atoms->empty()) return Hits(std::vector<uint32_t>());
   const std::string& attr =
       pred.children[1 - pred.probe_key]->steps[0].test.name;
   uint64_t hash = HashNodes(candidates);
@@ -1177,35 +1214,12 @@ Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
   }
   std::unique_ptr<ProbeIndex> built;
   if (index == nullptr) {
-    built = std::make_unique<ProbeIndex>();
-    built->attr = attr;
-    built->hash = hash;
-    built->candidates.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const xml::Node* n = candidates.at(i).node();
-      built->candidates.push_back(n);
-      for (const xml::Node* a : n->attributes()) {
-        if (a->name() != attr) continue;
-        std::vector<uint32_t>& postings = built->postings[a->value()];
-        // A duplicate-named attribute must not list its owner twice.
-        if (postings.empty() || postings.back() != i) {
-          postings.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
+    built = std::make_unique<ProbeIndex>(candidates, attr, hash);
     ++stats_.probe_index_builds;
     index = built.get();
   }
-  for (const Item& atom : atoms.items()) {
-    auto it = index->postings.find(atom.string_value());
-    if (it != index->postings.end()) {
-      hits.insert(hits.end(), it->second.begin(), it->second.end());
-    }
-  }
-  if (atoms.size() > 1) {
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-  }
+  std::vector<uint32_t> hits =
+      LookUpAll(index->index, index->candidates, *atoms);
   if (built != nullptr && candidates.size() <= kMaxProbeIndexedCandidates) {
     // Memoize, evicting the oldest indexes to stay inside the bounds.
     while (!probe_indexes_.empty() &&
@@ -1222,7 +1236,7 @@ Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
 }
 
 void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
-                                    bool bare_last, xml::Node* base,
+                                    bool probed, xml::Node* base,
                                     std::vector<CachedNodeSet::Guard>* guards,
                                     bool* subtree_scoped) {
   using Guard = CachedNodeSet::Guard;
@@ -1254,9 +1268,10 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   // Descend from the base through steps that provably resolve to a single
   // element, pinning each level with the narrowest guard that dominates it:
   //
-  //   child::name (no predicates)  the selection depends only on ctx's own
+  //   child::name                  the selection depends only on ctx's own
   //                                child list              -> {ctx, kLocal}
-  //   child::name[@a = "lit"]...   ...plus the candidates' attribute state
+  //   child::name, probe-extended  ...plus the candidates' attributes, which
+  //                                the entry's index reads
   //                       -> {ctx, kLocal} + {ctx, kLocalChildren}
   //
   // and stop with a whole-subtree guard at the first step that fans out,
@@ -1267,25 +1282,20 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   for (size_t i = 0; i < prefix; ++i) {
     const PathStep& step = e.steps[i];
     const bool last = i + 1 == prefix;
-    // A bare last step is interned without its predicates.
-    const bool unfiltered = step.predicates.empty() || (bare_last && last);
     if (guards->size() + 2 > kMaxGuards) {
       push(ctx, GuardKind::kSubtree);
       break;
     }
     if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName) {
       push(ctx, GuardKind::kLocal);
-      if (!unfiltered) push(ctx, GuardKind::kLocalChildren);
+      if (probed && last) push(ctx, GuardKind::kLocalChildren);
       if (last) break;
-      // The anchor: the one child the step selects. Every predicate of a
-      // step inside the chain is a folded `@a = "literal"`.
+      // The anchor: the one child the step selects. A step inside the
+      // chain has no predicate.
       xml::Node* anchor = nullptr;
       bool unique = true;
       for (xml::Node* c : ctx->children()) {
-        if (!c->is_element() || c->name() != step.test.name ||
-            !MatchesFoldedPredicates(*c, step)) {
-          continue;
-        }
+        if (!c->is_element() || c->name() != step.test.name) continue;
         if (anchor != nullptr) {
           unique = false;
           break;
@@ -1299,8 +1309,9 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
       push(ctx, GuardKind::kSubtree);
       break;
     }
-    if (step.axis == Axis::kAttribute && unfiltered && last) {
-      // An attribute set depends only on the owner's own attribute state.
+    if (step.axis == Axis::kAttribute && last) {
+      // An attribute set depends only on the owner's own attribute state,
+      // and an attribute has no attributes for an index to read.
       push(ctx, GuardKind::kLocal);
       break;
     }
@@ -1503,34 +1514,43 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
   return result;
 }
 
-Result<Sequence> Evaluator::ApplyPredicates(const std::vector<ExprPtr>& preds,
+Result<Sequence> Evaluator::ApplyPredicates(std::span<const ExprPtr> preds,
                                             Sequence candidates) {
   for (const ExprPtr& pred : preds) {
-    if (options_.streaming && pred->probe_key >= 0) {
-      LLL_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> hits,
-                           ProbeHits(*pred, candidates));
-      if (hits.has_value()) {
-        Sequence kept;
-        for (uint32_t i : *hits) kept.Append(candidates.at(i));
-        candidates = std::move(kept);
-        continue;
-      }
-    }
-    Sequence kept;
-    Focus saved = focus_;
-    size_t size = candidates.size();
-    for (size_t i = 0; i < size; ++i) {
-      Result<bool> keep = PredicateKeep(*pred, candidates.at(i), i + 1, size);
-      if (!keep.ok()) {
-        focus_ = saved;
-        return keep.status();
-      }
-      if (*keep) kept.Append(candidates.at(i));
-    }
-    focus_ = saved;
-    candidates = std::move(kept);
+    LLL_ASSIGN_OR_RETURN(candidates, ApplyPredicate(*pred, candidates));
   }
   return candidates;
+}
+
+Result<Sequence> Evaluator::ApplyPredicate(const Expr& pred,
+                                           const Sequence& candidates) {
+  if (options_.streaming && pred.probe_key >= 0) {
+    LLL_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> hits,
+                         ProbeHits(pred, candidates));
+    if (hits.has_value()) {
+      Sequence kept;
+      for (uint32_t i : *hits) kept.Append(candidates.at(i));
+      return kept;
+    }
+  }
+  return FilterEach(pred, candidates);
+}
+
+Result<Sequence> Evaluator::FilterEach(const Expr& pred,
+                                       const Sequence& candidates) {
+  Sequence kept;
+  Focus saved = focus_;
+  size_t size = candidates.size();
+  for (size_t i = 0; i < size; ++i) {
+    Result<bool> keep = PredicateKeep(pred, candidates.at(i), i + 1, size);
+    if (!keep.ok()) {
+      focus_ = saved;
+      return keep.status();
+    }
+    if (*keep) kept.Append(candidates.at(i));
+  }
+  focus_ = saved;
+  return kept;
 }
 
 Result<bool> Evaluator::PredicateKeep(const Expr& pred, const Item& item,

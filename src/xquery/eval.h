@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,8 +65,8 @@ struct EvalOptions {
   // pre-streaming materializing evaluator, kept byte-identical as a
   // differential baseline and benchmark arm (bench_e13/e14). The same
   // switch gates hash probes: predicates the
-  // optimizer marked `@a = K` (Expr::probe_key) are answered from a
-  // per-query index of @a values when on, and never when off, so the
+  // optimizer marked `@a = K` (Expr::probe_key) are answered from an
+  // index of @a values when on, and never when off, so the
   // materializing evaluator stays the scan oracle (DESIGN.md section 16).
   // It gates the call memo alike: a call to a FunctionDecl::memoizable
   // function is answered from this execution's table of earlier calls with
@@ -73,13 +74,15 @@ struct EvalOptions {
   // (DESIGN.md section 19).
   bool streaming = true;
   // Node-set interning: memoizes the leading step chain of tree-rooted
-  // paths the plan marked (Expr::intern_steps: predicate-free steps plus
-  // steps whose predicates are all `@a = "literal"`, folded into the key)
-  // as (document identity, Expr::intern_key) -> Sequence, invalidated by the
-  // document's per-node subtree edit-version overlay -- an edit evicts only
-  // entries whose dependency chain it dirtied. Borrowed; must outlive the
-  // evaluation AND be scoped to the documents' owner (cached sequences hold
-  // raw Node pointers). nullptr = no interning.
+  // paths the plan marked (Expr::intern_steps: the leading predicate-free
+  // steps) as (document identity, Expr::intern_key) -> node set, and a
+  // probe-extended chain (Expr::probe_chain_key) with an index of its
+  // probed attribute's values, which the probe's key looks up whatever its
+  // value. Entries are invalidated by the document's per-node subtree
+  // edit-version overlay -- an edit evicts only entries whose dependency
+  // chain it dirtied. Borrowed; must outlive the evaluation AND be scoped
+  // to the documents' owner (cached node sets hold raw Node pointers).
+  // nullptr = no interning.
   NodeSetCache* nodeset_cache = nullptr;
   // Per-expression profiling (obs/profiler.h): attribute wall time, eval
   // counts, and result sizes to AST nodes. Off = one null-pointer test per
@@ -130,8 +133,9 @@ struct EvalOptions {
 //
 // Hash probes (DESIGN.md section 16): `probe_filters` counts marked
 // `@a = K` predicates answered from an attribute index instead of a
-// per-candidate loop; `probe_index_builds` counts the indexes built (the
-// rest of the probes hit the per-query memo).
+// per-candidate loop; `probe_index_builds` counts the indexes built: the
+// per-query memo's, and those built with a probe-extended interned entry
+// (the rest of the probes hit the memo or a stored entry's index).
 #define LLL_XQ_EVAL_STATS(X)              \
   X(steps)                                \
   X(constructed_nodes)                    \
@@ -316,39 +320,47 @@ class Evaluator {
   // decided (Expr::intern_steps and intern_key) when the path starts at a
   // tree root (a document node or a parentless element). Under streaming a
   // probe-extended path (Expr::probe_chain_key) interns the chain through
-  // the next step's bare axis::test instead, and that step's predicates,
-  // the probe first, then filter the interned candidates in one pass (the
-  // plan extends only position-free steps); if a predicate fails, the
-  // plain prefix is interned and the step's own loop raises the error.
-  // On success returns the number of steps consumed and replaces *current
-  // with the prefix result; returns 0 when interning does not apply.
+  // the next step's bare axis::test instead, with an index of the probed
+  // attribute; the probe's key, evaluated once, looks up that index, and
+  // the step's other predicates filter the hits (the plan extends only
+  // position-free steps). If a predicate fails, the plain prefix is
+  // interned and the step's own loop raises the error. On success returns
+  // the number of steps consumed and replaces *current with the prefix
+  // result; returns 0 when interning does not apply.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
-  // The interned result of the first `steps` steps of `e` from `base` (the
-  // last one without its predicates when `bare_last`), looked up under
-  // `fingerprint` or computed from `start` and stored.
-  Result<xdm::Sequence> InternChain(const Expr& e, size_t steps,
-                                    bool bare_last, xml::Node* base,
-                                    const std::string& fingerprint,
-                                    const xdm::Sequence& start);
-  // Answers the marked predicate `pred` over `candidates` from the attribute
-  // index: the positions of the passing candidates, ascending. nullopt when
-  // a dynamic condition fails -- fewer than two candidates (with none, the
-  // key is not evaluated), not all nodes of one document, or a key that
-  // does not atomize to strings/untypedAtomic only -- and ApplyPredicates
-  // runs the per-candidate loop instead.
+  // The interned entry for the first `steps` steps of `e` from `base` --
+  // when `probed`, the last one bare, with the index of its probe's
+  // attribute -- looked up under `fingerprint` or computed from `start`
+  // and stored.
+  Result<std::shared_ptr<const CachedNodeSet>> InternChain(
+      const Expr& e, size_t steps, bool probed, xml::Node* base,
+      const std::string& fingerprint, const xdm::Sequence& start);
+  // The key of the marked predicate `pred`, evaluated once and atomized;
+  // nullopt when it does not atomize to strings/untypedAtomic only.
+  Result<std::optional<xdm::Sequence>> ProbeKey(const Expr& pred);
+  // Applies the marked first predicate `pred` of a probe-extended step to
+  // its interned `entry`: a key of strings looks up the entry's index; any
+  // other key, or an entry of fewer than two nodes (whose key is not
+  // evaluated), runs the per-candidate loop over the entry's nodes.
+  Result<xdm::Sequence> ProbeEntry(const Expr& pred,
+                                   const CachedNodeSet& entry);
+  // Answers the marked predicate `pred` over `candidates` from the
+  // per-query memo's attribute index, built on its first use. The
+  // positions of the passing candidates, ascending. nullopt when a dynamic
+  // condition fails -- fewer than two candidates (and then the key is not
+  // evaluated), not all nodes of one document, or a key that does not
+  // atomize to strings/untypedAtomic only -- and the caller runs the
+  // per-candidate loop instead.
   Result<std::optional<std::vector<uint32_t>>> ProbeHits(
       const Expr& pred, const xdm::Sequence& candidates);
   // Builds the subtree version guard set for an intern entry: descends from
   // `base` through prefix steps that resolve to singleton elements,
-  // recording the narrowest overlay guards that dominate the chain -- a
-  // folded step resolves to the one child whose attributes match its
-  // literals -- and falls back to a whole-subtree guard at the first step
-  // it cannot scope (DESIGN.md section 14). Best-effort: never fails, only
-  // widens.
-  // `bare_last`: the prefix's last step is interned without its
-  // predicates (the probe extension) and is guarded like a predicate-free
-  // step.
-  void ComputeInternGuards(const Expr& e, size_t prefix, bool bare_last,
+  // recording the narrowest overlay guards that dominate the chain, and
+  // falls back to a whole-subtree guard at the first step it cannot scope
+  // (DESIGN.md section 14). Best-effort: never fails, only widens.
+  // `probed`: the prefix's last step is probe-extended, and its index reads
+  // the candidates' attributes, so it is guarded like a filtered step.
+  void ComputeInternGuards(const Expr& e, size_t prefix, bool probed,
                            xml::Node* base,
                            std::vector<CachedNodeSet::Guard>* guards,
                            bool* subtree_scoped);
@@ -361,10 +373,16 @@ class Evaluator {
   // (and counting the skip) when the sequence already carries the
   // ordered_deduped bit or is trivially small.
   void SortDedup(xdm::Sequence* seq);
-  // Applies `preds` in turn to the whole of `candidates`, answering a
-  // probe-marked predicate from ProbeHits when it applies.
-  Result<xdm::Sequence> ApplyPredicates(const std::vector<ExprPtr>& preds,
+  // Applies `preds` in turn to the whole of `candidates`.
+  Result<xdm::Sequence> ApplyPredicates(std::span<const ExprPtr> preds,
                                         xdm::Sequence candidates);
+  // Applies one predicate to the whole of `candidates`: a probe-marked one
+  // from ProbeHits when it applies, else the per-candidate loop.
+  Result<xdm::Sequence> ApplyPredicate(const Expr& pred,
+                                       const xdm::Sequence& candidates);
+  // Applies one predicate to each of `candidates` in turn.
+  Result<xdm::Sequence> FilterEach(const Expr& pred,
+                                   const xdm::Sequence& candidates);
   Result<xdm::Sequence> EvalBinary(const Expr& e);
   Result<xdm::Sequence> EvalFlwor(const Expr& e);
   Status EvalFlworClauses(const Expr& e, size_t clause_index,

@@ -1,8 +1,11 @@
 #include "xquery/nodeset_cache.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 namespace lll::xq {
 
@@ -22,6 +25,44 @@ uint64_t CurrentVersion(const xml::Document* doc,
 }
 
 }  // namespace
+
+uint32_t ValueIndex::Hash(std::string_view value) {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(value));
+}
+
+ValueIndex::ValueIndex(std::span<const xml::Node* const> nodes,
+                       std::string attr)
+    : attr_(std::move(attr)) {
+  postings_.reserve(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (const xml::Node* a : nodes[i]->attributes()) {
+      if (a->name() == attr_) {
+        postings_.push_back({Hash(a->value()), static_cast<uint32_t>(i)});
+      }
+    }
+  }
+  std::sort(postings_.begin(), postings_.end());
+  // Duplicate-named attributes must not list their owner twice.
+  postings_.erase(std::unique(postings_.begin(), postings_.end()),
+                  postings_.end());
+}
+
+void ValueIndex::LookUp(std::span<const xml::Node* const> nodes,
+                        std::string_view value,
+                        std::vector<uint32_t>* hits) const {
+  const uint32_t hash = Hash(value);
+  for (auto it = std::lower_bound(postings_.begin(), postings_.end(),
+                                  Posting{hash, 0});
+       it != postings_.end() && it->hash == hash; ++it) {
+    // A hash match is a candidate: the node's own attributes decide.
+    for (const xml::Node* a : nodes[it->position]->attributes()) {
+      if (a->name() == attr_ && a->value() == value) {
+        hits->push_back(it->position);
+        break;
+      }
+    }
+  }
+}
 
 std::string NodeSetCache::MakeKey(const xml::Node* base,
                                   const std::string& fingerprint) {
@@ -69,15 +110,34 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
   return entry;
 }
 
-void NodeSetCache::Put(const std::string& key, uint64_t doc_id,
-                       std::vector<CachedNodeSet::Guard> guards,
-                       bool subtree_scoped, xdm::Sequence nodes) {
+xdm::Sequence CachedNodeSet::ToSequence() const {
+  std::vector<xdm::Item> items;
+  items.reserve(nodes.size());
+  for (xml::Node* node : nodes) items.push_back(xdm::Item::NodeRef(node));
+  xdm::Sequence seq(std::move(items));
+  if (ordered_deduped) seq.MarkOrderedDeduped();
+  return seq;
+}
+
+std::shared_ptr<const CachedNodeSet> NodeSetCache::Put(
+    const std::string& key, uint64_t doc_id,
+    std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
+    const xdm::Sequence& nodes, const std::string& index_attr) {
   auto entry = std::make_shared<CachedNodeSet>();
   entry->doc_id = doc_id;
   entry->guards = std::move(guards);
   entry->subtree_scoped = subtree_scoped;
-  entry->nodes = std::move(nodes);
-  cache_.Put(key, std::move(entry));
+  entry->nodes.reserve(nodes.size());
+  for (const xdm::Item& item : nodes.items()) {
+    entry->nodes.push_back(item.node());
+  }
+  entry->ordered_deduped = nodes.ordered_deduped();
+  if (!index_attr.empty()) {
+    entry->index =
+        std::make_shared<const ValueIndex>(entry->nodes, index_attr);
+  }
+  cache_.Put(key, entry);
+  return entry;
 }
 
 size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
@@ -105,17 +165,17 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
     // the clone dropped (detached debris) -- is skipped: a skip is just a
     // cold miss on the new snapshot.
     bool mappable = true;
-    xdm::Sequence nodes;
-    for (const xdm::Item& item : entry->nodes.items()) {
-      const uint32_t mapped =
-          item.is_node() && item.node()->document() == &from
-              ? remap(item.node()->index())
-              : xml::kNilNode;
+    auto moved = std::make_shared<CachedNodeSet>();
+    moved->nodes.reserve(entry->nodes.size());
+    for (const xml::Node* node : entry->nodes) {
+      const uint32_t mapped = node->document() == &from
+                                  ? remap(node->index())
+                                  : xml::kNilNode;
       if (mapped == xml::kNilNode) {
         mappable = false;
         break;
       }
-      nodes.Append(xdm::Item::NodeRef(to.NodeAt(mapped)));
+      moved->nodes.push_back(to.NodeAt(mapped));
     }
     if (!mappable) continue;
     std::vector<CachedNodeSet::Guard> guards = entry->guards;
@@ -127,7 +187,6 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
       }
     }
     if (!mappable) continue;
-    if (entry->nodes.ordered_deduped()) nodes.MarkOrderedDeduped();
     // Key layout is "<doc_id>@<base_index>|<fingerprint>" (MakeKey): swap
     // the doc_id prefix and re-base the node index through the map, keep
     // the fingerprint.
@@ -143,10 +202,14 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
     }
     const uint32_t mapped_base = remap(base);
     if (mapped_base == xml::kNilNode) continue;
-    Put(std::to_string(to.doc_id()) + "@" + std::to_string(mapped_base) +
-            key.substr(bar),
-        to.doc_id(), std::move(guards), entry->subtree_scoped,
-        std::move(nodes));
+    moved->doc_id = to.doc_id();
+    moved->guards = std::move(guards);
+    moved->subtree_scoped = entry->subtree_scoped;
+    moved->ordered_deduped = entry->ordered_deduped;
+    moved->index = entry->index;
+    cache_.Put(std::to_string(to.doc_id()) + "@" +
+                   std::to_string(mapped_base) + key.substr(bar),
+               std::move(moved));
     ++migrated;
   }
   return migrated;

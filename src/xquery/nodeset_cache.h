@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/lru_cache.h"
@@ -12,6 +14,39 @@
 #include "xml/node.h"
 
 namespace lll::xq {
+
+// An index of one attribute's values over a list of nodes: for each node
+// that carries the attribute, a hash of the value and the node's position,
+// sorted by hash. It holds no view into a document -- a lookup checks each
+// hash match against the list it is handed: the one it was built over, or
+// those nodes' counterparts on a clone in the same order -- so an entry
+// migrated onto a clone reads it after its source snapshot died. A
+// probe-extended CachedNodeSet holds one, and so does each index of the
+// evaluator's per-query probe memo (DESIGN.md section 16).
+class ValueIndex {
+ public:
+  // Indexes attribute `attr` over `nodes`.
+  ValueIndex(std::span<const xml::Node* const> nodes, std::string attr);
+
+  const std::string& attr() const { return attr_; }
+
+  // The hash the postings are sorted by.
+  static uint32_t Hash(std::string_view value);
+
+  // Appends to `hits`, ascending, the positions in `nodes` (as above) of
+  // the nodes whose attribute attr() has the value `value`.
+  void LookUp(std::span<const xml::Node* const> nodes,
+              std::string_view value, std::vector<uint32_t>* hits) const;
+
+ private:
+  struct Posting {
+    uint32_t hash;
+    uint32_t position;
+    auto operator<=>(const Posting&) const = default;
+  };
+  std::string attr_;
+  std::vector<Posting> postings_;  // sorted
+};
 
 // One interned node set: the materialized, normalized (document order, no
 // duplicates) result of a step chain from one document node, stamped with
@@ -54,7 +89,17 @@ struct CachedNodeSet {
   // entry's validity is scoped to a subtree rather than the whole tree.
   // Distinguishes partial from full invalidations in the stats.
   bool subtree_scoped = false;
-  xdm::Sequence nodes;
+  // The node set, 8 bytes a node, and whether the sequence it was stored
+  // from carried the ordered-and-deduped mark (xdm::Sequence).
+  std::vector<xml::Node*> nodes;
+  bool ordered_deduped = false;
+  // The node set as a sequence, with the mark.
+  xdm::Sequence ToSequence() const;
+  // The index of the probed attribute on a probe-extended entry (DESIGN.md
+  // section 16), built with the entry; null on every other entry. Entries
+  // are immutable once stored, and MigrateClone shares the index rather
+  // than copying it: a clone keeps document order, so no position moves.
+  std::shared_ptr<const ValueIndex> index;
 };
 
 // A thread-safe interning cache for document-rooted node sets, keyed on
@@ -107,10 +152,13 @@ class NodeSetCache {
   // Stores the node set computed from the document identified by `doc_id`,
   // with its guard versions read from the overlay BEFORE computing (so an
   // entry can only ever be stamped too old -- a harmless re-miss -- never
-  // too new). Overwrites stale entries.
-  void Put(const std::string& key, uint64_t doc_id,
-           std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
-           xdm::Sequence nodes);
+  // too new). `nodes` are all nodes of that document. A non-empty
+  // `index_attr` gives the entry a ValueIndex of that attribute over its
+  // nodes. Overwrites stale entries. Returns the stored entry.
+  std::shared_ptr<const CachedNodeSet> Put(
+      const std::string& key, uint64_t doc_id,
+      std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
+      const xdm::Sequence& nodes, const std::string& index_attr = {});
 
   // The key for a step chain hanging off `base`: the owning document's
   // process-unique id plus the base node's index (distinct document nodes in
@@ -133,8 +181,10 @@ class NodeSetCache {
   // the clone carries the edit-version overlay (remapped through the same
   // table), so entries whose chains a post-clone edit dirtied fail their
   // guards on first lookup (reported partial/full as usual) while untouched
-  // chains keep hitting. Entries touching dropped nodes are skipped. This
-  // is what lets a warm cache survive the server's copy-on-write publish.
+  // chains keep hitting. A value index is shared with the migrated entry:
+  // the remapped nodes keep their order. Entries touching dropped nodes are
+  // skipped. This is what lets a warm cache survive the server's
+  // copy-on-write publish.
   // Recency order is preserved. Returns the number of entries migrated.
   size_t MigrateClone(const NodeSetCache& source, const xml::Document& from,
                       const xml::Document& to,

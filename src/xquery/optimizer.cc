@@ -534,28 +534,9 @@ void MarkDemand(Expr* e) {
 
 // --- Node-set interning -----------------------------------------------------
 
-// The one predicate shape folded into an intern key: `@a = "literal"` or
-// `"literal" = @a`. Its verdict for a candidate reads only the candidate's
-// own attributes, which a kLocalChildren guard on the candidate's parent
-// watches, and the guard descent resolves it by comparing each child's @a
-// with the literal (DESIGN.md section 14). Returns the index in `children`
-// of the literal operand, or -1 for any other predicate.
-int FoldedLiteral(const Expr& pred) {
-  if (pred.kind != ExprKind::kBinary || pred.op != BinOp::kGenEq) return -1;
-  for (int literal = 0; literal < 2; ++literal) {
-    const Expr& k = *pred.children[literal];
-    if (k.kind == ExprKind::kLiteral &&
-        k.literal_type == Expr::LiteralType::kString &&
-        IsBareAttributeStep(*pred.children[1 - literal])) {
-      return literal;
-    }
-  }
-  return -1;
-}
-
 // The step after an interned chain is probe-extended when its first
-// predicate is a probe that can apply -- ProbeHits declines every key that
-// is not all strings, so a numeric literal key never does -- and the step
+// predicate is a probe that can apply -- the index answers only keys that
+// are all strings, so a numeric literal key never does -- and the step
 // is position-free, so its predicates judge the candidates of all contexts
 // in one pass exactly as they judge each context's own. A probe is itself
 // position-free (its key reads no focus and calls no trace, error or user
@@ -571,38 +552,25 @@ bool ProbeExtends(const PathStep& step) {
          key.literal_type == Expr::LiteralType::kString;
 }
 
-// Sets a path's Expr::intern_steps, intern_key and probe_chain_key. A
-// folded predicate's key text is `[@a="literal"]` whichever operand order
-// it was written in, with the literal's quotes doubled, so no literal can
-// spell the text of another chain.
+// Sets a path's Expr::intern_steps, intern_key and probe_chain_key. The
+// probe chain's key ends with `@a`, the probed attribute its entry indexes:
+// one entry per (chain, attribute), whatever the key's value. No key holds
+// a literal.
 void ResolveInterning(Expr* path) {
   for (const PathStep& step : path->steps) {
-    if (step.is_filter) break;
-    std::string text;
-    AppendAxisTest(step, &text);
-    bool folds = true;
-    for (const ExprPtr& p : step.predicates) {
-      const int literal = FoldedLiteral(*p);
-      if (literal < 0) {
-        folds = false;
-        break;
-      }
-      text += "[@" + p->children[1 - literal]->steps[0].test.name + "=\"";
-      for (char c : p->children[literal]->text) {
-        text += c;
-        if (c == '"') text += c;
-      }
-      text += "\"]";
-    }
-    if (!folds) break;
-    path->intern_key += text + '/';
+    if (step.is_filter || !step.predicates.empty()) break;
+    AppendAxisTest(step, &path->intern_key);
+    path->intern_key += '/';
     ++path->intern_steps;
   }
   if (path->intern_steps < path->steps.size() &&
       ProbeExtends(path->steps[path->intern_steps])) {
+    const PathStep& step = path->steps[path->intern_steps];
+    const Expr& probe = *step.predicates[0];
     path->probe_chain_key = path->intern_key;
-    AppendAxisTest(path->steps[path->intern_steps], &path->probe_chain_key);
-    path->probe_chain_key += '/';
+    AppendAxisTest(step, &path->probe_chain_key);
+    path->probe_chain_key +=
+        "/@" + probe.children[1 - probe.probe_key]->steps[0].test.name;
   }
 }
 

@@ -88,11 +88,11 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats);
 // (intern_steps, intern_key, probe_chain_key) and every
 // FunctionDecl::memoizable from the bound AST. Run by Compile on every
 // plan, optimized or not, after any rewrite, so the facts are computed once
-// per plan. The intern rule: a step joins the interned chain when every
-// predicate it has is `@a = "literal"` or `"literal" = @a` (DESIGN.md
-// section 14), the next step extends it when that step is position-free
-// and its first predicate a probe (section 16), and a path with a limit
-// hint interns nothing.
+// per plan. The intern rule: a step joins the interned chain when it has no
+// predicate (DESIGN.md section 14), the next step extends it, with an index
+// of its probed attribute, when that step is position-free and its first
+// predicate a probe (section 16), and a path with a limit hint interns
+// nothing.
 void ResolveSteps(Module* module);
 
 // False if evaluating the bound expression `e`, or any user function it

@@ -90,15 +90,25 @@ xml::Node* MaterializePayload(const CompiledUpdateStatement& cs,
   return doc->ImportNode(cs.payload->DocumentElement());
 }
 
+// At most the number of nodes one copy of the statement's payload holds: a
+// text node, or every node of the parsed payload but its document node.
+size_t PayloadNodes(const CompiledUpdateStatement& cs) {
+  return cs.statement.node_is_text ? 1 : cs.payload->node_count() - 1;
+}
+
 // Evaluates one statement's target path against the document, enforcing
 // that every selected item is a node of THAT document (constructed nodes
-// and atomics make no sense as update targets).
+// and atomics make no sense as update targets). Read-only: concurrent
+// read-only evaluation over one tree is the engine's audited contract.
 Result<std::vector<xml::Node*>> SelectTargets(const CompiledUpdateStatement& cs,
-                                              size_t index, xml::Document* doc,
-                                              const EvalOptions& eval) {
+                                              size_t index,
+                                              const xml::Document& doc,
+                                              const EvalOptions& eval,
+                                              const ExecMetrics* metrics) {
   ExecuteOptions eopts;
-  eopts.context_node = doc->root();
+  eopts.context_node = doc.NodeAt(0);
   eopts.eval = eval;
+  eopts.metrics = metrics;
   Result<QueryResult> r = Execute(cs.target, eopts);
   if (!r.ok()) {
     return r.status().AddContext("while selecting targets of " +
@@ -107,7 +117,7 @@ Result<std::vector<xml::Node*>> SelectTargets(const CompiledUpdateStatement& cs,
   std::vector<xml::Node*> nodes;
   nodes.reserve(r->sequence.size());
   for (const xdm::Item& item : r->sequence.items()) {
-    if (!item.is_node() || item.node()->document() != doc) {
+    if (!item.is_node() || item.node()->document() != &doc) {
       return Status::Invalid("update: target path of " +
                              StatementLabel(index, cs.statement) +
                              " selected an item that is not a node of the "
@@ -160,20 +170,26 @@ Result<CompiledUpdate> CompileUpdateText(std::string_view source,
   return CompileUpdate(script, options);
 }
 
-Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
-                                xml::Document* doc,
-                                const UpdateOptions& options) {
-  UpdateStats stats;
+Result<BoundUpdate> BindUpdate(const CompiledUpdate& update,
+                               const xml::Document& doc,
+                               const UpdateOptions& options,
+                               const ExecMetrics* exec) {
+  BoundUpdate bound;
 
   // Phase 1 -- snapshot reads: every target path binds against the
   // pre-update document, before the first mutation.
-  std::vector<std::vector<xml::Node*>> targets(update.statements.size());
+  std::vector<std::vector<xml::Node*>>& targets = bound.targets;
+  targets.resize(update.statements.size());
   for (size_t i = 0; i < update.statements.size(); ++i) {
+    const CompiledUpdateStatement& cs = update.statements[i];
     LLL_ASSIGN_OR_RETURN(
-        targets[i],
-        SelectTargets(update.statements[i], i, doc, options.eval));
+        targets[i], SelectTargets(cs, i, doc, options.eval, exec));
     for (const xml::Node* node : targets[i]) {
-      LLL_RETURN_IF_ERROR(ValidateTarget(update.statements[i].statement, node));
+      LLL_RETURN_IF_ERROR(ValidateTarget(cs.statement, node));
+    }
+    if (cs.statement.op == UpdateOp::kInsert ||
+        cs.statement.op == UpdateOp::kReplace) {
+      bound.created_nodes += targets[i].size() * PayloadNodes(cs);
     }
   }
 
@@ -188,6 +204,7 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
   };
   std::map<const xml::Node*, Claim> exclusive;
   std::string first_conflict;
+  size_t conflicts = 0;
   for (size_t i = 0; i < update.statements.size(); ++i) {
     const UpdateOp op = update.statements[i].statement.op;
     if (op == UpdateOp::kInsert) continue;
@@ -197,7 +214,7 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
       if (op == UpdateOp::kDelete && it->second.op == UpdateOp::kDelete) {
         continue;
       }
-      ++stats.conflicts;
+      ++conflicts;
       if (first_conflict.empty()) {
         first_conflict = "statements " + std::to_string(it->second.statement + 1) +
                          " and " + std::to_string(i + 1) + " both claim " +
@@ -215,7 +232,7 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
       if (it == exclusive.end() || it->second.op == UpdateOp::kRename) {
         continue;
       }
-      ++stats.conflicts;
+      ++conflicts;
       if (first_conflict.empty()) {
         first_conflict = "statement " + std::to_string(i + 1) +
                          " anchors an insert at " + NodePathOf(node) +
@@ -225,26 +242,47 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
       }
     }
   }
-  if (stats.conflicts > 0) {
+  if (conflicts > 0) {
     if (options.metrics != nullptr) {
       options.metrics->counter("xq.update.conflicts_rejected")
-          .Increment(stats.conflicts);
+          .Increment(conflicts);
     }
     return Status::Invalid(
         "update: conflicting claims, script rejected (" +
-        std::to_string(stats.conflicts) + " conflict(s); first: " +
+        std::to_string(conflicts) + " conflict(s); first: " +
         first_conflict + ")");
   }
+  return bound;
+}
 
-  // Phase 3 -- apply, in script order. Validation above makes these
-  // primitive calls infallible in principle; failures are still propagated
-  // (with the statement named) rather than swallowed.
+Result<UpdateStats> ApplyBoundUpdate(const CompiledUpdate& update,
+                                     const BoundUpdate& bound,
+                                     xml::Document* doc,
+                                     const std::vector<uint32_t>* node_map,
+                                     const UpdateOptions& options) {
+  UpdateStats stats;
+  // Phase 3 -- apply, in script order, each target mapped into `doc`.
+  // Validation above makes these primitive calls infallible in principle;
+  // failures are still propagated (with the statement named) rather than
+  // swallowed.
   for (size_t i = 0; i < update.statements.size(); ++i) {
     const CompiledUpdateStatement& cs = update.statements[i];
     const UpdateStatement& s = cs.statement;
     ++stats.statements;
-    stats.target_nodes += targets[i].size();
-    for (xml::Node* node : targets[i]) {
+    stats.target_nodes += bound.targets[i].size();
+    for (xml::Node* bound_node : bound.targets[i]) {
+      xml::Node* node = bound_node;
+      if (node_map != nullptr) {
+        const uint32_t mapped = bound_node->index() < node_map->size()
+                                    ? (*node_map)[bound_node->index()]
+                                    : xml::kNilNode;
+        if (mapped == xml::kNilNode) {
+          return Status::Internal("update: a target of " +
+                                  StatementLabel(i, s) +
+                                  " has no node in the publish copy");
+        }
+        node = doc->NodeAt(mapped);
+      }
       Status st = Status::Ok();
       switch (s.op) {
         case UpdateOp::kDelete:
@@ -281,6 +319,13 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
         .Increment(stats.target_nodes);
   }
   return stats;
+}
+
+Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
+                                xml::Document* doc,
+                                const UpdateOptions& options) {
+  LLL_ASSIGN_OR_RETURN(BoundUpdate bound, BindUpdate(update, *doc, options));
+  return ApplyBoundUpdate(update, bound, doc, /*node_map=*/nullptr, options);
 }
 
 std::string NodePathOf(const xml::Node* node) {

@@ -55,7 +55,6 @@ Result<CompiledUpdate> CompileUpdateText(std::string_view source,
 struct UpdateStats {
   size_t statements = 0;    // statements applied
   size_t target_nodes = 0;  // target nodes selected across all statements
-  size_t conflicts = 0;     // conflicting claims found (script was rejected)
 };
 
 struct UpdateOptions {
@@ -63,16 +62,44 @@ struct UpdateOptions {
   // xq.update.target_nodes; rejected scripts bump
   // xq.update.conflicts_rejected. Borrowed; typically &GlobalMetrics().
   MetricsRegistry* metrics = nullptr;
-  // Target-path evaluation knobs (step budgets, deadlines, ...). The
-  // defaults are right for the server's publish path: no interning cache
-  // (the clone's cache is installed after the edit).
+  // Target-path evaluation knobs (step budgets, deadlines, the interning
+  // cache, ...). The server's publish binds its targets on the base
+  // snapshot it clones, with that snapshot's node-set cache
+  // (QueryServer::PublishUpdate).
   EvalOptions eval;
 };
 
-// Applies `update` to `doc` under the semantics above. An empty target set
-// is a legal no-op for any statement. On error -- unevaluable target paths,
-// invalid targets, conflicts -- the document is left untouched: all
-// validation runs before the first mutation.
+// An update bound against one document: each statement's targets, nodes of
+// that document, valid for their statements and free of conflicts (phases
+// 1 and 2 above), and a bound on the nodes applying it creates -- the
+// insert and replace targets times their payloads' nodes.
+struct BoundUpdate {
+  std::vector<std::vector<xml::Node*>> targets;  // one list per statement
+  size_t created_nodes = 0;
+};
+
+// Phases 1 and 2: binds every statement's targets against `doc`, validates
+// them and rejects conflicting claims. Read-only, so it may run against a
+// published snapshot while readers query it. `exec` (optional, borrowed)
+// records each target path's Execute, as it records a read's.
+Result<BoundUpdate> BindUpdate(const CompiledUpdate& update,
+                               const xml::Document& doc,
+                               const UpdateOptions& options = {},
+                               const ExecMetrics* exec = nullptr);
+
+// Phase 3: applies `bound` to `doc`, the document it was bound against
+// (`node_map` null) or a CloneDocument copy of it, with `node_map` that
+// clone's source -> clone index table: each target is mapped into `doc`.
+Result<UpdateStats> ApplyBoundUpdate(const CompiledUpdate& update,
+                                     const BoundUpdate& bound,
+                                     xml::Document* doc,
+                                     const std::vector<uint32_t>* node_map,
+                                     const UpdateOptions& options = {});
+
+// Binds and applies `update` on `doc` under the semantics above. An empty
+// target set is a legal no-op for any statement. On error -- unevaluable
+// target paths, invalid targets, conflicts -- the document is left
+// untouched: all validation runs before the first mutation.
 Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
                                 xml::Document* doc,
                                 const UpdateOptions& options = {});

@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -203,11 +204,11 @@ size_t Occurrences(const std::string& text, const std::string& tag) {
 }
 
 TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
-  // The fold rule, one row per query shape, with the optimizer on and off.
-  // Each row names the one chain the evaluator interns, by its cache key.
-  // EXPLAIN must mark exactly that chain's steps [interned], and a second
-  // run must answer exactly that chain from the cache: one hit, no miss,
-  // one entry under that key.
+  // The intern rule, one row per query shape, with the optimizer on and
+  // off. Each row names the one chain the evaluator interns, by its cache
+  // key. EXPLAIN must mark exactly that chain's steps [interned], and a
+  // second run must answer exactly that chain from the cache: one hit, no
+  // miss, one entry under that key.
   auto doc = xml::Parse(
       "<r><a id=\"k\" t=\"u\"><b/><b><c/></b></a><a id=\"k\" t=\"v\"><b/></a>"
       "<a id=\"m\" n=\"3\"><b><c/></b></a></r>",
@@ -220,19 +221,20 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
     const char* key_unoptimized;
   };
   const Case cases[] = {
-      // Literal keys fold, in either operand order, into one key.
-      {"/r/a[@id = \"k\"]", "child::r/child::a[@id=\"k\"]/",
-       "child::r/child::a[@id=\"k\"]/"},
-      {"/r/a[\"k\" = @id]", "child::r/child::a[@id=\"k\"]/",
-       "child::r/child::a[@id=\"k\"]/"},
-      {"/r/a[@id = \"k\"][@t = \"u\"]/b",
-       "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/",
-       "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/"},
-      // A probe extends the chain through its step, bare, when optimized.
-      {"/r/a[@id = concat(\"k\", \"\")]", "child::r/child::a/", "child::r/"},
+      // A literal key is a probe: the chain runs through its step, bare,
+      // and the key names the probed attribute, never the literal -- in
+      // either operand order. Unoptimized plans mark no probes.
+      {"/r/a[@id = \"k\"]", "child::r/child::a/@id", "child::r/"},
+      {"/r/a[\"k\" = @id]", "child::r/child::a/@id", "child::r/"},
+      // The step's other predicates filter the hits; later steps run per
+      // query.
+      {"/r/a[@id = \"k\"][@t = \"u\"]/b", "child::r/child::a/@id",
+       "child::r/"},
+      {"/r/a[@id = concat(\"k\", \"\")]", "child::r/child::a/@id",
+       "child::r/"},
       // ... but only through a position-free step: [1] counts per parent.
       {"/r/a[@id = concat(\"k\", \"\")][1]", "child::r/", "child::r/"},
-      {"doc(\"d\")//a[@id = $v]", "descendant::a/",
+      {"doc(\"d\")//a[@id = $v]", "descendant::a/@id",
        "descendant-or-self::node()/"},
       // Every other predicate ends the chain.
       {"//a//b[c]", "descendant::a/",
@@ -278,9 +280,9 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
     }
   }
 
-  // The folded step resolves through its anchor, the one `a` with both
-  // attributes: the entry is guarded at that element, not at its parent's
-  // whole subtree.
+  // The probe-extended entry holds every `a` with its index of @id, and is
+  // guarded at `r`, their parent: its child list (kLocal) and its
+  // children's attributes (kLocalChildren), not its whole subtree.
   auto compiled = xq::Compile("/r/a[@id = \"k\"][@t = \"u\"]/b");
   ASSERT_TRUE(compiled.ok());
   xq::NodeSetCache cache;
@@ -289,17 +291,30 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
   opts.eval.nodeset_cache = &cache;
   ASSERT_TRUE(xq::Execute(*compiled, opts).ok());
   auto entry = cache.Get(
-      (*doc).get(),
-      xq::NodeSetCache::MakeKey(
-          root, "child::r/child::a[@id=\"k\"][@t=\"u\"]/child::b/"));
+      (*doc).get(), xq::NodeSetCache::MakeKey(root, "child::r/child::a/@id"));
   ASSERT_NE(entry, nullptr);
-  const xml::Node* anchor = (*doc)->DocumentElement()->children()[0];
-  bool anchored = false;
+  EXPECT_EQ(entry->nodes.size(), 3u);
+  ASSERT_NE(entry->index, nullptr);
+  EXPECT_EQ(entry->index->attr(), "id");
+  for (const auto& [value, want] :
+       std::vector<std::pair<std::string, std::vector<uint32_t>>>{
+           {"k", {0, 1}}, {"m", {2}}, {"u", {}}, {"", {}}}) {
+    std::vector<uint32_t> hits;
+    entry->index->LookUp(entry->nodes, value, &hits);
+    EXPECT_EQ(hits, want) << value;
+  }
+  const xml::Node* r = (*doc)->DocumentElement();
+  bool local = false, local_children = false;
   for (const auto& guard : entry->guards) {
     EXPECT_NE(guard.kind, xq::CachedNodeSet::GuardKind::kSubtree);
-    anchored = anchored || guard.node == anchor->index();
+    if (guard.node != r->index()) continue;
+    local = local || guard.kind == xq::CachedNodeSet::GuardKind::kLocal;
+    local_children =
+        local_children ||
+        guard.kind == xq::CachedNodeSet::GuardKind::kLocalChildren;
   }
-  EXPECT_TRUE(anchored);
+  EXPECT_TRUE(local);
+  EXPECT_TRUE(local_children);
 }
 
 TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {

@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -196,6 +197,39 @@ TEST(NodeSetCache, DistinctBaseNodesInternSeparately) {
             xq::NodeSetCache::MakeKey((*doc2)->root(), "child::lib/"));
 }
 
+TEST(ValueIndex, HashMatchesAreCheckedAgainstTheNodes) {
+  // Two values whose hashes collide share a run of postings; a lookup
+  // checks each match against its node's attribute, so neither value finds
+  // the other's nodes.
+  std::unordered_map<uint32_t, std::string> seen;
+  std::string x, y;
+  for (int i = 0; x.empty() && i < (1 << 20); ++i) {
+    std::string v = "v" + std::to_string(i);
+    auto [it, fresh] = seen.emplace(xq::ValueIndex::Hash(v), v);
+    if (!fresh) {
+      x = it->second;
+      y = v;
+    }
+  }
+  ASSERT_FALSE(x.empty()) << "no hash collision among 2^20 values";
+  auto doc = xml::Parse("<r><a id=\"" + x + "\"/><a id=\"" + y +
+                        "\"/><a/><a id=\"" + x + "\"/></r>");
+  ASSERT_TRUE(doc.ok());
+  std::vector<const xml::Node*> nodes;
+  for (xml::Node* a : (*doc)->DocumentElement()->children()) {
+    nodes.push_back(a);
+  }
+  const xq::ValueIndex index(nodes, "id");
+  auto look_up = [&](const std::string& value) {
+    std::vector<uint32_t> hits;
+    index.LookUp(nodes, value, &hits);
+    return hits;
+  };
+  EXPECT_EQ(look_up(x), (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(look_up(y), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(look_up("w"), std::vector<uint32_t>{});
+}
+
 // End-to-end: repeated evaluations of the same rooted, predicate-free step
 // chain through one shared cache hit on the second run.
 TEST(NodeSetCacheIntegration, RepeatedQueriesHit) {
@@ -265,9 +299,10 @@ TEST(NodeSetCacheIntegration, MutationInvalidatesAndRecomputes) {
   EXPECT_GT(r3->stats.nodeset_cache_hits, 0u);
 }
 
-TEST(NodeSetCacheIntegration, FoldedPredicateChainsIntern) {
-  // Step chains with `@a = "literal"` predicates intern: the predicate
-  // folds into the chain's key, so model[@id=...] chains hit the cache.
+TEST(NodeSetCacheIntegration, LiteralKeysShareOneIndexedEntry) {
+  // A literal key is a probe: model[@id = "..."] chains intern the `model`
+  // candidates once, with an index of their @id values, and every literal
+  // looks its key up in that one entry.
   auto doc = xml::Parse(kLibrary, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xq::NodeSetCache cache;
@@ -280,35 +315,40 @@ TEST(NodeSetCacheIntegration, FoldedPredicateChainsIntern) {
   auto r1 = xq::Execute(*query, opts);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->sequence.size(), 2u);
-  EXPECT_GT(r1->stats.nodeset_cache_misses, 0u);
+  EXPECT_EQ(r1->stats.nodeset_cache_misses, 1u);
 
   auto r2 = xq::Execute(*query, opts);
   ASSERT_TRUE(r2.ok());
   EXPECT_GT(r2->stats.nodeset_cache_hits, 0u);
   EXPECT_EQ(r2->SerializedItems(), r1->SerializedItems());
 
-  // A different predicate value is a different key, not a hit on (or
-  // collision with) the m1 entry.
+  // A different literal is a hit on the same entry, which answers it with
+  // its own nodes, not the m1 result.
   auto other = xq::Compile("/library/models/model[@id = \"m2\"]/parts/part");
   ASSERT_TRUE(other.ok());
   auto r3 = xq::Execute(*other, opts);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->sequence.size(), 1u);
-  EXPECT_GT(r3->stats.nodeset_cache_misses, 0u);
+  EXPECT_EQ(r3->stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(r3->stats.nodeset_cache_misses, 0u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(NodeSetCacheIntegration, LiteralsCannotSpellAnotherChainsKey) {
-  // A folded literal enters the intern key. A literal that spells the rest
-  // of another chain's key -- if predicates were rendered as
+  // No literal enters an intern key. Literals that would spell the rest of
+  // another chain's key -- if predicates were rendered into keys as
   // `[(/attribute::id = "literal")]` or as `[@id="literal"]` without
-  // doubling its quotes -- must still get a key of its own, or it is
-  // answered with that chain's node set.
+  // doubling their quotes -- are keys looked up in one shared entry, and
+  // each query answers as the cache-free materializing evaluator does.
   auto doc = xml::Parse("<r><a id=\"k\"><b id=\"m\"/></a><a id=\"z\"/></r>");
   ASSERT_TRUE(doc.ok());
   xq::NodeSetCache cache;
   xq::ExecuteOptions opts;
   opts.context_node = (*doc)->root();
   opts.eval.nodeset_cache = &cache;
+  xq::ExecuteOptions oracle;
+  oracle.context_node = (*doc)->root();
+  oracle.eval.streaming = false;
   const char* queries[] = {
       "count(/r/a[@id = \"k\"]/b[@id = \"m\"])",
       "count(/r/a[@id = 'k\")]/child::b[(/attribute::id = \"m'])",
@@ -321,14 +361,24 @@ TEST(NodeSetCacheIntegration, LiteralsCannotSpellAnotherChainsKey) {
     auto r = xq::Execute(*compiled, opts);
     ASSERT_TRUE(r.ok()) << queries[i];
     EXPECT_EQ(r->SerializedItems(), answers[i]) << queries[i];
+    auto fresh = xq::Execute(*compiled, oracle);
+    ASSERT_TRUE(fresh.ok()) << queries[i];
+    EXPECT_EQ(r->SerializedItems(), fresh->SerializedItems()) << queries[i];
   }
-  EXPECT_EQ(cache.size(), std::size(queries));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(cache.Get((*doc).get(),
+                      xq::NodeSetCache::MakeKey((*doc)->root(),
+                                                "child::r/child::a/@id")),
+            nullptr);
 }
 
 TEST(NodeSetCacheIntegration, EditOutsideAnchoredSubtreeKeepsEntries) {
-  // The tentpole behavior: an anchored chain's cached result survives edits
-  // to unrelated subtrees, and an edit inside its own anchor invalidates it
-  // as a PARTIAL (subtree-scoped) invalidation.
+  // An anchored chain's cached result survives edits to unrelated
+  // subtrees, and an edit its entry depends on invalidates it as a PARTIAL
+  // (subtree-scoped) invalidation. The model[@id = ...] entry holds the
+  // models under /library/models with their @id index: it depends on that
+  // element's child list and on its children's attributes, not on what
+  // lies inside a model.
   auto doc = xml::Parse(kLibrary, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
@@ -354,14 +404,23 @@ TEST(NodeSetCacheIntegration, EditOutsideAnchoredSubtreeKeepsEntries) {
   EXPECT_GT(warm->stats.nodeset_cache_hits, 0u);
   EXPECT_EQ(warm->stats.nodeset_cache_invalidations, 0u);
 
-  // Edit m1's own subtree: the entry goes stale, and the stats call it a
-  // partial (subtree-scoped) invalidation, not a whole-document one.
-  xml::Node* m1_parts = models->children()[0]->children()[0];
-  ASSERT_TRUE(m1_parts->AppendChild(d->CreateElement("part")).ok());
+  // Edit m1's own subtree: the entry still holds, and the steps past it
+  // see the new part.
+  xml::Node* m1 = models->children()[0];
+  ASSERT_TRUE(m1->children()[0]->AppendChild(d->CreateElement("part")).ok());
+  auto inside = xq::Execute(*query, opts);
+  ASSERT_TRUE(inside.ok());
+  EXPECT_EQ(inside->sequence.size(), 3u);
+  EXPECT_GT(inside->stats.nodeset_cache_hits, 0u);
+  EXPECT_EQ(inside->stats.nodeset_cache_invalidations, 0u);
 
+  // Edit a candidate's indexed attribute: the entry goes stale, and the
+  // stats call it a partial (subtree-scoped) invalidation, not a
+  // whole-document one.
+  m1->SetAttribute("id", "m0");
   auto after = xq::Execute(*query, opts);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->sequence.size(), 3u);
+  EXPECT_EQ(after->sequence.size(), 0u);
   EXPECT_GT(after->stats.nodeset_cache_invalidations, 0u);
   EXPECT_GT(after->stats.nodeset_cache_partial_invalidations, 0u);
 }

@@ -347,9 +347,22 @@ std::string InternFacts(const xq::Module& m) {
   return out;
 }
 
-// True if some intern key of `facts` (InternFacts) folds a predicate.
-bool AnyFoldedPredicate(const std::string& facts) {
-  return facts.find('[') != std::string::npos;
+// True if some path of `facts` (InternFacts) has a probe chain key: a line
+// without one ends with a space.
+bool AnyProbeChain(const std::string& facts) {
+  for (size_t at = facts.find('\n'); at != std::string::npos;
+       at = facts.find('\n', at + 1)) {
+    if (at > 0 && facts[at - 1] != ' ') return true;
+  }
+  return false;
+}
+
+// True if some path of `facts` (InternFacts) probe-extends its chain with
+// an index: its probe chain key ends with the probed attribute, `/@name`.
+// No intern key holds a predicate or a literal.
+bool AnyIndexedProbe(const std::string& facts) {
+  return facts.find("/@") != std::string::npos &&
+         facts.find('[') == std::string::npos;
 }
 
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {
@@ -364,7 +377,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
   EXPECT_EQ(*count, std::size(kFeatureQueries));
   EXPECT_TRUE(loaded.warmed());
 
-  size_t folded = 0;  // queries with a predicate folded into an intern key
+  size_t indexed = 0;  // queries with a chain probe-extended with an index
   size_t memoizable = 0;  // queries with a memoizable declaration
   size_t limited = 0;     // queries with a path that carries a limit hint
   for (const char* q : kFeatureQueries) {
@@ -380,7 +393,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     EXPECT_EQ(Bindings((*b)->module()), Bindings((*a)->module())) << q;
     const std::string interned = InternFacts((*a)->module());
     EXPECT_EQ(InternFacts((*b)->module()), interned) << q;
-    folded += AnyFoldedPredicate(interned);
+    indexed += AnyIndexedProbe(interned);
     // Every declaration is judged memoizable again, as the fresh compile
     // judged it.
     const std::string memo = Memoizable((*a)->module());
@@ -391,7 +404,7 @@ TEST(PersistPlans, RoundtripPreservesExplainExactly) {
     EXPECT_EQ(LimitHints((*b)->module()), hints) << q;
     limited += AnyLimitHint(hints);
   }
-  EXPECT_GT(folded, 0u);
+  EXPECT_GT(indexed, 0u);
   EXPECT_GT(memoizable, 0u);
   EXPECT_GT(limited, 0u);
 }
@@ -659,8 +672,11 @@ TEST(PersistSnapshots, RoundtripIsByteIdentical) {
 TEST(PersistSnapshots, WarmBootEditInvalidatesOnlyTheEditedSubtree) {
   // Warm boot: a *.llld-loaded document starts with a uniform epoch-0
   // edit-version overlay, so its step chains intern immediately; a
-  // subsequent edit invalidates exactly the entries anchored in the edited
-  // subtree, everything else keeps hitting.
+  // subsequent edit invalidates exactly the entries whose chains it
+  // dirtied, everything else keeps hitting. The m1 and m2 chains share one
+  // entry, the models with their @id index: an edit inside a model keeps
+  // it, and an edit to a model's @id or to the models' child list
+  // invalidates it as a subtree-scoped (partial) invalidation.
   constexpr char kModels[] =
       "<library><models>"
       "<model id=\"m1\"><parts><part/><part/></parts></model>"
@@ -687,16 +703,17 @@ TEST(PersistSnapshots, WarmBootEditInvalidatesOnlyTheEditedSubtree) {
   auto cold1 = xq::Execute(*m1, opts);
   auto cold2 = xq::Execute(*m2, opts);
   ASSERT_TRUE(cold1.ok() && cold2.ok());
+  EXPECT_GT(cold2->stats.nodeset_cache_hits, 0u);
   auto warm1 = xq::Execute(*m1, opts);
   ASSERT_TRUE(warm1.ok());
   EXPECT_GT(warm1->stats.nodeset_cache_hits, 0u);
 
-  // Edit m2's subtree, then re-run both chains: m1 still hits with zero
-  // invalidations; m2 re-misses as a subtree-scoped (partial) invalidation
-  // and returns the post-edit answer.
+  // Edit m2's subtree, then re-run both chains: both still hit with zero
+  // invalidations, and m2 returns the post-edit answer.
   xml::Node* models = doc->DocumentElement()->children()[0];
-  xml::Node* m2_parts = models->children()[1]->children()[0];
-  ASSERT_TRUE(m2_parts->AppendChild(doc->CreateElement("part")).ok());
+  xml::Node* m2_model = models->children()[1];
+  ASSERT_TRUE(
+      m2_model->children()[0]->AppendChild(doc->CreateElement("part")).ok());
 
   auto after1 = xq::Execute(*m1, opts);
   ASSERT_TRUE(after1.ok());
@@ -706,9 +723,31 @@ TEST(PersistSnapshots, WarmBootEditInvalidatesOnlyTheEditedSubtree) {
 
   auto after2 = xq::Execute(*m2, opts);
   ASSERT_TRUE(after2.ok());
-  EXPECT_GT(after2->stats.nodeset_cache_invalidations, 0u);
-  EXPECT_GT(after2->stats.nodeset_cache_partial_invalidations, 0u);
+  EXPECT_GT(after2->stats.nodeset_cache_hits, 0u);
+  EXPECT_EQ(after2->stats.nodeset_cache_invalidations, 0u);
   EXPECT_EQ(after2->sequence.size(), 2u);
+
+  // Edit m2's indexed attribute: the entry re-misses as a subtree-scoped
+  // (partial) invalidation, and m2 finds no model.
+  m2_model->SetAttribute("id", "m9");
+  auto renamed = xq::Execute(*m2, opts);
+  ASSERT_TRUE(renamed.ok());
+  EXPECT_GT(renamed->stats.nodeset_cache_invalidations, 0u);
+  EXPECT_GT(renamed->stats.nodeset_cache_partial_invalidations, 0u);
+  EXPECT_EQ(renamed->sequence.size(), 0u);
+
+  // Edit the models' child list: the same, and m2 finds the new model.
+  xml::Node* added = doc->CreateElement("model");
+  added->SetAttribute("id", "m2");
+  ASSERT_TRUE(models->AppendChild(added).ok());
+  xml::Node* parts = doc->CreateElement("parts");
+  ASSERT_TRUE(added->AppendChild(parts).ok());
+  ASSERT_TRUE(parts->AppendChild(doc->CreateElement("part")).ok());
+  auto appended = xq::Execute(*m2, opts);
+  ASSERT_TRUE(appended.ok());
+  EXPECT_GT(appended->stats.nodeset_cache_invalidations, 0u);
+  EXPECT_GT(appended->stats.nodeset_cache_partial_invalidations, 0u);
+  EXPECT_EQ(appended->sequence.size(), 1u);
 }
 
 TEST(PersistSnapshots, MutatedDocumentExportsThroughTheClonePath) {
@@ -895,7 +934,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   size_t facts_set[3] = {};
   size_t bound_calls = 0;
   size_t bound_vars = 0;
-  size_t folded = 0;
+  size_t indexed = 0;
   size_t extended = 0;
   size_t limited = 0;
   for (const std::string& q : queries) {
@@ -924,9 +963,8 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
     const std::string hints = LimitHints((*fresh)->module());
     ASSERT_EQ(LimitHints((*loaded)->module()), hints) << q;
     limited += AnyLimitHint(hints);
-    folded += AnyFoldedPredicate(interned);
-    // Only a probe chain key ends its line with "/".
-    extended += interned.find("/\n") != std::string::npos;
+    indexed += AnyIndexedProbe(interned);
+    extended += AnyProbeChain(interned);
     bound_calls += bindings.find(" b") != std::string::npos;
     bound_vars += bindings.find(" v") != std::string::npos;
     for (size_t i = 0; i < facts.size(); ++i) {
@@ -938,7 +976,7 @@ TEST(PersistDifferential, DiskLoadedStateMatches495QueryWorkloadExactly) {
   for (size_t i = 0; i < 2; ++i) EXPECT_GT(facts_set[i], 0u) << i;
   EXPECT_GT(bound_calls, 0u);
   EXPECT_GT(bound_vars, 0u);
-  EXPECT_GT(folded, 0u);
+  EXPECT_GT(indexed, 0u);
   EXPECT_GT(extended, 0u);
   EXPECT_GT(limited, 0u);
   // EVERY lookup reports disk-cache: a hit on a disk-loaded plan keeps that

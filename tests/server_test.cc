@@ -623,5 +623,47 @@ TEST(Metrics, ServerCountersAndLatencyHistogramsAreExported) {
   EXPECT_NE(json.find("server.query_cache.lookups"), std::string::npos);
 }
 
+TEST(Metrics, PublishWaitAndWorkAreObservedOncePerPublish) {
+  // Every publish that takes a document's writer mutex observes its wait
+  // for the mutex and the work done holding it: an edit, an update, a
+  // wholesale replacement, and a rejected update that publishes nothing.
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("cat", kCatalog).ok());
+  const Histogram& wait = metrics.histogram("server.publish.wait_us");
+  const Histogram& work = metrics.histogram("server.publish.work_us");
+  EXPECT_EQ(wait.count(), 0u);
+  EXPECT_EQ(work.count(), 0u);
+
+  ASSERT_TRUE(server
+                  .PublishEdit("cat",
+                               [](xml::Document* doc, xml::Node* root) {
+                                 return root->children().front()->AppendChild(
+                                     doc->CreateElement("item"));
+                               })
+                  .ok());
+  EXPECT_EQ(wait.count(), 1u);
+  EXPECT_EQ(work.count(), 1u);
+  ASSERT_TRUE(
+      server.PublishUpdate("cat", "delete /catalog/item[@id = \"2\"]").ok());
+  EXPECT_EQ(wait.count(), 2u);
+  EXPECT_EQ(work.count(), 2u);
+  ASSERT_TRUE(server.PublishXml("cat", kCatalog).ok());
+  EXPECT_EQ(wait.count(), 3u);
+  EXPECT_EQ(work.count(), 3u);
+  EXPECT_FALSE(server.PublishUpdate("cat", "delete /").ok());
+  EXPECT_EQ(wait.count(), 4u);
+  EXPECT_EQ(work.count(), 4u);
+  EXPECT_EQ(server.snapshots_published(), 3u);
+  // A script that does not compile never reaches the store.
+  EXPECT_FALSE(server.PublishUpdate("cat", "frobnicate /catalog").ok());
+  EXPECT_EQ(wait.count(), 4u);
+  EXPECT_EQ(work.count(), 4u);
+
+  const std::string json = server.MetricsJson();
+  EXPECT_NE(json.find("server.publish.wait_us"), std::string::npos);
+  EXPECT_NE(json.find("server.publish.work_us"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace lll::server

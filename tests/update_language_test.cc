@@ -4,6 +4,7 @@
 // publish-path integration (subtree-scoped invalidation of the migrated
 // node-set cache).
 
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,12 +325,12 @@ TEST(UpdateServer, PublishUpdateAppliesThroughCopyOnWrite) {
 
 TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
   // THE acceptance criterion: server-verb update statements trigger only
-  // subtree-scoped invalidations for anchored cached queries. Warm two
-  // chains anchored under different models, publish an update editing only
-  // m2's subtree, and require (a) the m2 chain's first post-publish lookup
-  // to be a PARTIAL invalidation (its migrated entry failed a fine-grained
-  // guard), (b) zero full invalidations anywhere, and (c) the m1 chain to
-  // keep HITTING its migrated entry.
+  // subtree-scoped invalidations for anchored cached queries. The m1 and m2
+  // chains share one entry: the models under /library/models with their
+  // @id index. An update inside a model keeps that entry, with no
+  // invalidation, on the migrated snapshot; one that edits a model's @id,
+  // or the models' child list, invalidates it as PARTIAL (a fine-grained
+  // guard failed), never full; and every answer is the post-edit one.
   MetricsRegistry metrics;
   server::QueryServer server(UpdateTestOptions(&metrics));
   ASSERT_TRUE(server.AddDocumentXml("lib", kLibrary).ok());
@@ -338,9 +339,8 @@ TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
   const std::string q_m2 = "/library/models/model[@id = \"m2\"]/parts/part";
   server::Session session = server.OpenSession("acme");
   ASSERT_TRUE(session.Query("lib", q_m1).status.ok());
-  ASSERT_TRUE(session.Query("lib", q_m2).status.ok());
-  // Warm: both chains hit within the v1 snapshot.
-  server::QueryResponse warm = session.Query("lib", q_m1);
+  // Warm: the m2 chain hits the entry the m1 read stored.
+  server::QueryResponse warm = session.Query("lib", q_m2);
   ASSERT_TRUE(warm.status.ok());
   EXPECT_GE(warm.stats.nodeset_cache_hits, 1u);
 
@@ -351,23 +351,260 @@ TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
       << "warm entries should migrate onto the identity clone";
 
   session.Refresh();
-  // The m1 chain re-validates its migrated guards on the new snapshot: HIT,
-  // no invalidation.
+  // Both chains re-validate the migrated entry's guards on the new
+  // snapshot: HIT, no invalidation, and m2 sees its new part.
   server::QueryResponse m1 = session.Query("lib", q_m1);
   ASSERT_TRUE(m1.status.ok());
   EXPECT_EQ(m1.snapshot_version, 2u);
   EXPECT_GE(m1.stats.nodeset_cache_hits, 1u);
   EXPECT_EQ(m1.stats.nodeset_cache_invalidations, 0u);
-
-  // The m2 chain's guards fail -- and because the entry was subtree-scoped,
-  // the failure counts as PARTIAL, never full.
+  EXPECT_EQ(m1.result, "<part/><part/>");
   server::QueryResponse m2 = session.Query("lib", q_m2);
+  ASSERT_TRUE(m2.status.ok());
+  EXPECT_GE(m2.stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(m2.stats.nodeset_cache_invalidations, 0u);
+  EXPECT_EQ(m2.result, "<part/><part/>");
+
+  // An edit to a candidate's indexed attribute fails the entry's guard on
+  // the models' children -- and because the entry was subtree-scoped, the
+  // failure counts as PARTIAL, never full.
+  ASSERT_TRUE(server
+                  .PublishUpdate("lib",
+                                 "rename /library/models/model[@id = "
+                                 "\"m2\"]/@id as key")
+                  .ok());
+  session.Refresh();
+  m2 = session.Query("lib", q_m2);
   ASSERT_TRUE(m2.status.ok());
   EXPECT_GE(m2.stats.nodeset_cache_invalidations, 1u);
   EXPECT_EQ(m2.stats.nodeset_cache_invalidations,
             m2.stats.nodeset_cache_partial_invalidations)
       << "every invalidation from the scoped update must be subtree-scoped";
-  EXPECT_EQ(m2.result.find("<part/><part/>"), 0u);
+  EXPECT_EQ(m2.result, "");
+
+  // So does an edit to the anchor's child list.
+  ASSERT_TRUE(server
+                  .PublishUpdate("lib",
+                                 "insert <model id=\"m2\"><parts><part/>"
+                                 "</parts></model> into /library/models")
+                  .ok());
+  session.Refresh();
+  m2 = session.Query("lib", q_m2);
+  ASSERT_TRUE(m2.status.ok());
+  EXPECT_GE(m2.stats.nodeset_cache_invalidations, 1u);
+  EXPECT_EQ(m2.stats.nodeset_cache_invalidations,
+            m2.stats.nodeset_cache_partial_invalidations);
+  EXPECT_EQ(m2.result, "<part/>");
+  m1 = session.Query("lib", q_m1);
+  ASSERT_TRUE(m1.status.ok());
+  EXPECT_GE(m1.stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(m1.result, "<part/><part/>");
+}
+
+TEST(UpdateServer, PublishBindsItsTargetsOnTheBaseSnapshotsCache) {
+  // A publish binds its targets on the base snapshot with that snapshot's
+  // node-set cache, and its Execute exports the xq.eval counters: after a
+  // read warmed the model[@id = ...] entry, binding a target through the
+  // same chain is a hit, not a miss.
+  MetricsRegistry metrics;
+  server::QueryServer server(UpdateTestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("lib", kLibrary).ok());
+  server::Session session = server.OpenSession("acme");
+  ASSERT_TRUE(session
+                  .Query("lib",
+                         "/library/models/model[@id = \"m1\"]/parts/part")
+                  .status.ok());
+  const Counter& hits = metrics.counter("xq.eval.nodeset_cache_hits");
+  const Counter& misses = metrics.counter("xq.eval.nodeset_cache_misses");
+  const uint64_t hits_before = hits.value();
+  const uint64_t misses_before = misses.value();
+  const uint64_t base_entries =
+      server.CurrentSnapshot("lib")->nodeset_cache()->size();
+  ASSERT_TRUE(server
+                  .PublishUpdate("lib",
+                                 "insert <part/> into /library/models/"
+                                 "model[@id = \"m2\"]/parts")
+                  .ok());
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  EXPECT_EQ(misses.value(), misses_before);
+  EXPECT_EQ(server.cache_entries_migrated(), base_entries);
+  EXPECT_EQ(session.Query("lib", "count(//part)").result, "4");
+  session.Refresh();
+  EXPECT_EQ(session.Query("lib", "count(//part)").result, "5");
+}
+
+// A random script of one to three statements against the live tree `doc`:
+// targets are canonical paths (NodePathOf), which bind without the cache,
+// or probe-keyed paths, which bind through the indexed chains the reads
+// warm; some statements have invalid targets, and some pairs claim one
+// node.
+std::string RandomScript(xml::Document* doc, std::mt19937* rng) {
+  auto pick = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  const char* names[] = {"a", "b", "c", "d"};
+  auto name = [&] { return std::string(names[pick(4)]); };
+  auto key = [&] { return "[@k = \"" + std::to_string(pick(4)) + "\"]"; };
+  // The document element stays: every target is below it.
+  std::vector<xml::Node*> elements = lll::testing::AllElements(doc);
+  auto target = [&]() -> std::string {
+    switch (pick(4)) {
+      case 0:
+        return "/r/" + name() + key();
+      case 1:
+        return "//" + name() + key();
+      default:
+        if (elements.size() < 2) return "/r/" + name() + key();
+        return NodePathOf(elements[1 + pick(elements.size() - 1)]);
+    }
+  };
+  const char* positions[] = {"into", "before", "after"};
+  const char* invalid[] = {"delete /", "replace //@k with <e/>",
+                           "insert <e/> into //@k", "rename / as e"};
+  std::string script;
+  const size_t statements = 1 + pick(3);
+  for (size_t i = 0; i < statements; ++i) {
+    if (i > 0) script += "; ";
+    const std::string path = target();
+    switch (pick(8)) {
+      case 0:
+        script += "rename " + path + " as " + name();
+        break;
+      case 1:
+        script += "delete " + path;
+        break;
+      case 2:
+        script += "replace " + path + " with <" + name() + " k=\"" +
+                  std::to_string(pick(4)) + "\"/>";
+        break;
+      case 3:
+        script += "replace " + path + "/text() with \"t" +
+                  std::to_string(pick(9)) + "\"";
+        break;
+      case 4:
+      case 5:
+        script += "insert <" + name() + " k=\"" + std::to_string(pick(4)) +
+                  "\"/> " + positions[pick(3)] + " " + path;
+        break;
+      case 6:
+        script += invalid[pick(4)];
+        break;
+      default:
+        script += "delete " + path + "; rename " + path + " as " + name();
+        break;
+    }
+  }
+  return script;
+}
+
+TEST(UpdateServer, BindOnBaseMatchesApplyUpdateOnAnIndependentCopy) {
+  // The bind-on-base differential: the same random scripts go through
+  // PublishUpdate, which binds on the base snapshot with its cache (warmed
+  // by reads through the chains the targets bind on) and applies to the
+  // clone, and through ApplyUpdate on an independent copy. Every
+  // serialization, every read and every Status text agree, and a rejected
+  // script publishes nothing. 8 seeds.
+  size_t rejected = 0, applied = 0;
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(20261020 + seed);
+    const std::string xml = lll::testing::RandomPathWorkloadDocument(&rng);
+    MetricsRegistry metrics;
+    server::QueryServer server(UpdateTestOptions(&metrics));
+    ASSERT_TRUE(server.AddDocumentXml("d", xml).ok());
+    std::unique_ptr<xml::Document> copy = ParseDoc(xml);
+    ASSERT_NE(copy, nullptr);
+    server::Session session = server.OpenSession("acme");
+    std::vector<std::string> reads;
+    for (const char* n : {"a", "b", "c", "d"}) {
+      reads.push_back("/r/" + std::string(n) + "[@k = \"1\"]");
+      reads.push_back("//" + std::string(n) + "[@k = \"2\"]");
+    }
+    for (int round = 0; round < 12; ++round) {
+      session.Refresh();
+      for (const std::string& q : reads) {
+        server::QueryResponse got = session.Query("d", q);
+        ExecuteOptions fresh_opts;
+        fresh_opts.context_node = copy->root();
+        auto fresh = xq::Run(q, fresh_opts);
+        ASSERT_TRUE(got.status.ok() && fresh.ok()) << q;
+        ASSERT_EQ(got.result, fresh->SerializedItems())
+            << "seed " << seed << " round " << round << " " << q;
+      }
+      const std::string script = RandomScript(copy.get(), &rng);
+      const uint64_t published = server.snapshots_published();
+      auto version = server.PublishUpdate("d", script);
+      auto compiled = CompileUpdateText(script);
+      ASSERT_TRUE(compiled.ok()) << script;
+      auto direct = ApplyUpdate(*compiled, copy.get());
+      ASSERT_EQ(version.ok(), direct.ok())
+          << "seed " << seed << " " << script << "\n"
+          << (version.ok() ? direct.status() : version.status()).ToString();
+      if (direct.ok()) {
+        ++applied;
+        EXPECT_EQ(server.snapshots_published(), published + 1);
+      } else {
+        ++rejected;
+        Status want = direct.status();
+        want.AddContext("while binding a publish of 'd'");
+        EXPECT_EQ(version.status().ToString(), want.ToString()) << script;
+        EXPECT_EQ(server.snapshots_published(), published) << script;
+      }
+      ASSERT_EQ(xml::Serialize(server.CurrentSnapshot("d")->root()),
+                xml::Serialize(copy->root()))
+          << "seed " << seed << " round " << round << " " << script;
+    }
+  }
+  // Both outcomes occur, so neither half of the comparison is vacuous.
+  EXPECT_GT(applied, 20u);
+  EXPECT_GT(rejected, 5u);
+}
+
+TEST(UpdateServer, PublishCloneHasRoomForTheNodesItsEditCreates) {
+  // The publish binds before it clones, so the clone reserves room for the
+  // nodes its edit creates: a replace grows the new snapshot by no more
+  // than its new node needs, where regrowing the per-node arrays would add
+  // tens of bytes for every node of the document.
+  std::string xml = "<r>";
+  for (int i = 0; i < 2000; ++i) {
+    xml += "<x id=\"k" + std::to_string(i) + "\"><y/></x>";
+  }
+  xml += "</r>";
+  MetricsRegistry metrics;
+  server::QueryServer server(UpdateTestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("d", xml).ok());
+  // The first publish makes the document a publish clone with a stamped
+  // edit-version overlay; every later publish clones a clone.
+  ASSERT_TRUE(
+      server.PublishUpdate("d", "replace /r/x[@id = \"k0\"]/y with <y/>").ok());
+  // A node's slot in every per-node array, its handle and its order key
+  // come to well under this. The overlay holds the versions of the nodes
+  // edits stamped, so it grows with them, not with the created nodes, and
+  // is checked apart.
+  constexpr size_t kBytesPerNode = 128;
+  auto nodes_bytes = [](const xml::DocumentStorageStats& s) {
+    return s.total_bytes - s.edit_version_bytes;
+  };
+  for (int i = 1; i <= 3; ++i) {
+    const xml::DocumentStorageStats before =
+        server.CurrentSnapshot("d")->document().storage_stats();
+    UpdateStats stats;
+    ASSERT_TRUE(server
+                    .PublishUpdate("d",
+                                   "replace /r/x[@id = \"k" +
+                                       std::to_string(i) + "\"]/y with <y/>",
+                                   &stats)
+                    .ok());
+    ASSERT_EQ(stats.target_nodes, 1u);
+    const xml::DocumentStorageStats after =
+        server.CurrentSnapshot("d")->document().storage_stats();
+    EXPECT_LE(nodes_bytes(after),
+              nodes_bytes(before) + stats.target_nodes * kBytesPerNode)
+        << i;
+    // Stamped are the edited <x> elements, <r> and the document node: the
+    // overlay stays under a sixteenth of three words a node.
+    EXPECT_GT(after.edit_version_bytes, 0u) << i;
+    EXPECT_LT(after.edit_version_bytes,
+              3 * sizeof(uint64_t) * after.node_count / 16)
+        << i;
+  }
 }
 
 // The mutate-between-runs differential, driven ENTIRELY by update-language
@@ -452,14 +689,28 @@ TEST(UpdateConcurrency, ReadersStayConsistentUnderPublishedUpdates) {
     readers.emplace_back([&server, &bad_reads, t] {
       server::Session session =
           server.OpenSession("tenant" + std::to_string(t));
+      // Besides the whole-document count, the readers probe literal keys
+      // on the chain the writer's targets bind through, whose indexed
+      // entry the writer reads on the base snapshot and migrates.
+      struct Read {
+        const char* query;
+        int low, high;
+      };
+      const Read reads[] = {
+          {"count(//part)", 4, 4 + kPublishes},
+          {"count(/library/models/model[@id = \"m1\"]/parts/part)", 2,
+           2 + kPublishes},
+          {"count(/library/models/model[@id = \"m3\"]/parts/part)", 1, 1},
+      };
       for (int i = 0; i < 30; ++i) {
-        server::QueryResponse r = session.Query("lib", "count(//part)");
+        const Read& read = reads[(i + t) % std::size(reads)];
+        server::QueryResponse r = session.Query("lib", read.query);
         if (!r.status.ok()) {
           ++bad_reads;
           continue;
         }
         int count = std::stoi(r.result);
-        if (count < 4 || count > 4 + kPublishes) ++bad_reads;
+        if (count < read.low || count > read.high) ++bad_reads;
         if (i % 5 == 4) session.Refresh();
       }
     });
