@@ -8,12 +8,16 @@
 //
 // Measured: end-to-end generation time of a ToC+omissions document, native
 // (0 whole-document copies) vs XQuery (4 whole-document copies), as the
-// document grows. The copies counter is reported alongside the timing.
+// document grows. The copies counter is reported alongside the timing, and
+// so is nodes_copied: the nodes a report's phases copy into their arenas.
+// Constructors adopt the nodes their content just built, so each phase copy
+// is O(n) and the counter reads 0 for the XQuery arm (DESIGN.md section 20).
 
 #include <string>
 
 #include "awb/builtin_metamodels.h"
 #include "awb/generator.h"
+#include "bench_util.h"
 #include "benchmark/benchmark.h"
 #include "docgen/native_engine.h"
 #include "docgen/xq_engine.h"
@@ -66,19 +70,22 @@ void BM_E4_XQueryPhases(benchmark::State& state) {
       *new Metamodel(lll::awb::MakeItArchitectureMetamodel());
   Model model = MakeModel(&mm, static_cast<int>(state.range(0)));
   size_t copies = 0;
+  size_t nodes_copied = 0;
   size_t toc = 0;
   for (auto _ : state) {
     auto result = lll::docgen::GenerateXQueryFromText(kTemplate, model);
     if (!result.ok()) state.SkipWithError("xquery failed");
     copies = result->stats.document_copies;
+    nodes_copied = result->stats.nodes_copied;
     toc = result->stats.toc_entries;
     benchmark::DoNotOptimize(result);
   }
   state.counters["doc_copies"] = static_cast<double>(copies);
+  state.counters["nodes_copied"] = static_cast<double>(nodes_copied);
   state.counters["toc_entries"] = static_cast<double>(toc);
 }
 BENCHMARK(BM_E4_XQueryPhases)->ArgName("users")->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+LLL_BENCH_MAIN("e4")

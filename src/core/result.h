@@ -24,8 +24,10 @@ class Result {
       : status_(code, std::move(message)) {}
 
   bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-  Status& status() { return status_; }
+  const Status& status() const& { return status_; }
+  Status& status() & { return status_; }
+  // Lets LLL_ASSIGN_OR_RETURN move an error out instead of copying it.
+  Status&& status() && { return std::move(status_); }
 
   const T& value() const& { return *value_; }
   T& value() & { return *value_; }

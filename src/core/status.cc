@@ -30,12 +30,29 @@ const char* StatusCodeName(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::message() const {
+  static const std::string& empty = *new std::string();
+  return rep_ == nullptr ? empty : rep_->message;
+}
+
+const std::vector<std::string>& Status::context() const {
+  static const std::vector<std::string>& empty =
+      *new std::vector<std::string>();
+  return rep_ == nullptr ? empty : rep_->context;
+}
+
+Status& Status::AddContext(std::string frame) {
+  if (rep_ == nullptr) rep_.reset(new Rep{StatusCode::kOk, {}, {}});
+  rep_->context.push_back(std::move(frame));
+  return *this;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = StatusCodeName(code_);
+  std::string out = StatusCodeName(rep_->code);
   out += ": ";
-  out += message_;
-  for (const std::string& frame : context_) {
+  out += rep_->message;
+  for (const std::string& frame : rep_->context) {
     out += "\n  ";
     out += frame;
   }

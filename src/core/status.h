@@ -1,6 +1,7 @@
 #ifndef LLL_CORE_STATUS_H_
 #define LLL_CORE_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,8 +33,11 @@ enum class StatusCode {
 const char* StatusCodeName(StatusCode code);
 
 // Status is the library-wide error-reporting type (Google style: no
-// exceptions). It is cheap in the OK case (no allocation) and carries a
-// message plus a stack of context frames in the error case.
+// exceptions). An OK status is one null pointer: building, moving and
+// destroying one allocates nothing and touches no string, which matters
+// because every evaluation step returns one inside its Result. An error
+// owns its code, message and stack of context frames behind that pointer;
+// copying an error deep-copies it, moving it moves the pointer.
 //
 // The context stack is the "GenTrouble" mechanism from the paper: each layer
 // of the document generator that propagates an error may append one line of
@@ -43,14 +47,18 @@ const char* StatusCodeName(StatusCode code);
 class Status {
  public:
   // OK status.
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : rep_(new Rep{code, std::move(message), {}}) {}
 
-  Status(const Status&) = default;
-  Status& operator=(const Status&) = default;
-  Status(Status&&) = default;
-  Status& operator=(Status&&) = default;
+  Status(const Status& other)
+      : rep_(other.rep_ == nullptr ? nullptr : new Rep(*other.rep_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status Ok() { return Status(); }
   static Status Invalid(std::string msg) {
@@ -84,26 +92,30 @@ class Status {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
-  const std::vector<std::string>& context() const { return context_; }
+  bool ok() const { return code() == StatusCode::kOk; }
+  StatusCode code() const {
+    return rep_ == nullptr ? StatusCode::kOk : rep_->code;
+  }
+  // Empty for an OK status.
+  const std::string& message() const;
+  const std::vector<std::string>& context() const;
 
   // Appends one GenTrouble context frame (outermost frame last). Returns
   // *this so propagation sites can write:
   //   return st.AddContext("while expanding <for> over all.user");
-  Status& AddContext(std::string frame) {
-    context_.push_back(std::move(frame));
-    return *this;
-  }
+  // An OK status keeps its frames too, and stays OK.
+  Status& AddContext(std::string frame);
 
   // Full report: "TypeError: <msg>\n  while ...\n  while ...".
   std::string ToString() const;
 
  private:
-  StatusCode code_;
-  std::string message_;
-  std::vector<std::string> context_;
+  struct Rep {
+    StatusCode code;
+    std::string message;
+    std::vector<std::string> context;
+  };
+  std::unique_ptr<Rep> rep_;
 };
 
 // Propagates a non-OK status out of the current function.

@@ -96,6 +96,10 @@ struct DocGenStats {
   size_t document_copies = 0;
   // XQuery engine only: evaluator steps across all phases.
   size_t eval_steps = 0;
+  // XQuery engine only: nodes copied into the phases' construction arenas
+  // (xq::EvalStats::nodes_copied) across all phases. A phase copy whose
+  // constructors adopt the nodes their content built copies none.
+  size_t nodes_copied = 0;
   // XQuery engine only: document-order normalizations across all phases --
   // sorts actually performed vs. found unnecessary (the sequence already
   // carried its ordered bit, or held at most one item).

@@ -138,6 +138,7 @@ Result<DocGenResult> GenerateXQuery(const xml::Node* template_root,
   }
   auto accumulate_eval_stats = [&stats](const xq::EvalStats& s) {
     stats.eval_steps += s.steps;
+    stats.nodes_copied += s.nodes_copied;
     stats.sorts_performed += s.sorts_performed;
     stats.sorts_skipped += s.sorts_skipped;
     stats.nodes_pulled += s.nodes_pulled;

@@ -21,6 +21,18 @@ class Sequence {
   explicit Sequence(Item item) { items_.push_back(std::move(item)); }
   explicit Sequence(std::vector<Item> items) : items_(std::move(items)) {}
 
+  // A copy is never fresh (see fresh()); a move keeps the bit.
+  Sequence(const Sequence& other)
+      : items_(other.items_), ordered_deduped_(other.ordered_deduped_) {}
+  Sequence& operator=(const Sequence& other) {
+    items_ = other.items_;
+    ordered_deduped_ = other.ordered_deduped_;
+    fresh_ = false;
+    return *this;
+  }
+  Sequence(Sequence&&) noexcept = default;
+  Sequence& operator=(Sequence&&) noexcept = default;
+
   static Sequence Empty() { return Sequence(); }
   static Sequence Singleton(Item item) { return Sequence(std::move(item)); }
 
@@ -32,29 +44,34 @@ class Sequence {
   void Append(Item item) {
     items_.push_back(std::move(item));
     ordered_deduped_ = false;
+    fresh_ = false;
   }
   // Concatenation -- the only way to combine sequences, and it flattens.
   // Appending to an empty sequence preserves the other's order invariant;
-  // any other concatenation invalidates it.
+  // any other concatenation invalidates it. The copied items are not fresh.
   void AppendSequence(const Sequence& other) {
     if (other.items_.empty()) return;
     ordered_deduped_ = items_.empty() && other.ordered_deduped_;
+    fresh_ = false;
     items_.insert(items_.end(), other.items_.begin(), other.items_.end());
   }
   // Move-aware overload for the path/FLWOR hot loops: steals the other
-  // sequence's storage instead of copying every Item.
+  // sequence's storage instead of copying every Item. The result is fresh
+  // when both parts were (an empty part does not count).
   void AppendSequence(Sequence&& other) {
     if (other.items_.empty()) return;
     if (items_.empty()) {
       *this = std::move(other);
     } else {
       ordered_deduped_ = false;
+      fresh_ = fresh_ && other.fresh_;
       items_.insert(items_.end(),
                     std::make_move_iterator(other.items_.begin()),
                     std::make_move_iterator(other.items_.end()));
     }
     other.items_.clear();
     other.ordered_deduped_ = false;
+    other.fresh_ = false;
   }
 
   // True if every item is a node.
@@ -70,6 +87,17 @@ class Sequence {
   // forces after every path step.
   bool ordered_deduped() const { return ordered_deduped_; }
   void MarkOrderedDeduped() { ordered_deduped_ = true; }
+
+  // The adoption bit: true means "every node item is a node a constructor
+  // of this evaluation just built, and nothing but this value refers to
+  // it". Set only by the element, text and comment constructors on their
+  // own result; kept by moves, and by AppendSequence(&&) when both parts
+  // have it; cleared by copies, Append and AppendSequence(const&). So a
+  // value that was stored and read back (a variable, the call memo, a
+  // builtin's result) is never fresh, and a constructor may attach a fresh
+  // value's parentless nodes as its children instead of copying them.
+  bool fresh() const { return fresh_; }
+  void MarkFresh() { fresh_ = true; }
 
   // Sorts node items into document order and removes duplicate nodes.
   // Precondition: AllNodes(). Path steps and `union` produce this form.
@@ -88,6 +116,7 @@ class Sequence {
  private:
   std::vector<Item> items_;
   bool ordered_deduped_ = false;
+  bool fresh_ = false;
 };
 
 // The effective boolean value (XPath 2.0 rules): empty -> false; first item a

@@ -443,11 +443,10 @@ Node* Document::CreateAttribute(std::string_view name,
 Node* Document::ImportNode(const Node* source) {
   // Top-down iterative copy: each node is created and attached before its
   // children are visited, so a 100k-deep source cannot exhaust the stack.
+  // Name ids are process-wide (NameTable), so a copy keeps its source's,
+  // from whichever document it comes.
   auto copy_one = [this](const Node* src) {
-    uint32_t name_id = src->document() == this
-                           ? src->name_id()
-                           : NameTable::Intern(src->name());
-    return NewSlot(src->kind(), name_id, src->value());
+    return NewSlot(src->kind(), src->name_id(), src->value());
   };
   auto copy_attrs = [&](const Node* src, uint32_t dst) {
     for (const Node* a : src->attributes()) {

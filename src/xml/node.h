@@ -300,8 +300,9 @@ class Document {
   Node* CreateAttribute(std::string_view name, std::string_view value);
 
   // Deep-copies `source` (which may belong to another Document) into this
-  // document; the returned node is detached. Iterative (deep sources must
-  // not exhaust the call stack).
+  // document; the returned node is detached, and every copy keeps its
+  // source's name id. Iterative (deep sources must not exhaust the call
+  // stack).
   Node* ImportNode(const Node* source);
 
   // Total number of nodes ever created in this arena (detached included).

@@ -106,6 +106,8 @@ const char* BinOpName(BinOp op) {
     case BinOp::kValGt: return "gt";
     case BinOp::kValGe: return "ge";
     case BinOp::kIs: return "is";
+    case BinOp::kPrecedes: return "<<";
+    case BinOp::kFollows: return ">>";
     case BinOp::kAdd: return "+";
     case BinOp::kSub: return "-";
     case BinOp::kMul: return "*";

@@ -115,6 +115,9 @@ enum class BinOp {
   kValGt,
   kValGe,
   kIs,  // node identity
+  // Node order comparisons << and >>: document order.
+  kPrecedes,
+  kFollows,
   kAdd,
   kSub,
   kMul,

@@ -1340,6 +1340,12 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
   }
   if (streamable && SingleDocumentOf(current) != nullptr) {
     if (limit != kNoLimit) ++stats_.limit_pushdowns;
+    const PathStep& step = e.steps[first];
+    if (current.size() == 1 && last - first == 1 &&
+        step.predicates.empty() &&
+        (step.axis == Axis::kChild || step.axis == Axis::kAttribute)) {
+      return OneNodeStep(step, current.at(0).node(), limit);
+    }
     // The pipeline needs its context runs activated in document order.
     SortDedup(&current);
     Result<Sequence> streamed =
@@ -1351,6 +1357,25 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
     return streamed;
   }
   return EvalStepsMaterialized(e, first, last, std::move(current));
+}
+
+Sequence Evaluator::OneNodeStep(const PathStep& step, xml::Node* context,
+                                size_t limit) {
+  const xml::NodeList list = step.axis == Axis::kChild
+                                 ? context->children()
+                                 : context->attributes();
+  Sequence out;
+  size_t next = 0;
+  while (next < list.size() && out.size() < limit) {
+    xml::Node* candidate = list[next++];
+    ++stats_.nodes_pulled;
+    if (MatchesTest(candidate, step.test, step.axis)) {
+      out.Append(Item::NodeRef(candidate));
+    }
+  }
+  if (out.size() >= limit) ChargeSkipped(list.size() - next);
+  out.MarkOrderedDeduped();  // one context's axis list is in document order
+  return out;
 }
 
 // Step-wise evaluation with inter-step normalization: after each axis step
@@ -1365,8 +1390,8 @@ Result<Sequence> Evaluator::EvalStepsMaterialized(const Expr& e, size_t first,
   for (size_t step_index = first; step_index < last; ++step_index) {
     const PathStep& step = e.steps[step_index];
     if (step.is_filter) {
-      LLL_ASSIGN_OR_RETURN(current,
-                           ApplyPredicates(step.predicates, current));
+      LLL_ASSIGN_OR_RETURN(
+          current, ApplyPredicates(step.predicates, std::move(current)));
       if (current.empty()) return current;
       continue;
     }
@@ -1500,8 +1525,9 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
         candidates.Append(Item::NodeRef(candidate));
       }
     }
-    LLL_ASSIGN_OR_RETURN(Sequence filtered,
-                         ApplyPredicates(step.predicates, candidates));
+    LLL_ASSIGN_OR_RETURN(
+        Sequence filtered,
+        ApplyPredicates(step.predicates, std::move(candidates)));
     result.AppendSequence(std::move(filtered));
   }
   // A forward axis enumerates one context's candidates in document order,
@@ -1539,6 +1565,26 @@ Result<Sequence> Evaluator::ApplyPredicate(const Expr& pred,
 Result<Sequence> Evaluator::FilterEach(const Expr& pred,
                                        const Sequence& candidates) {
   Sequence kept;
+  if (options_.streaming) {
+    // [N] and [last()] keep the one candidate at their position, so pick it
+    // instead of asking every candidate. (fn:last is the one builtin that
+    // reads the focus size.)
+    std::optional<int64_t> position;
+    if (pred.kind == ExprKind::kLiteral &&
+        pred.literal_type == Expr::LiteralType::kInteger) {
+      position = pred.integer;
+    } else if (pred.kind == ExprKind::kFunctionCall &&
+               pred.builtin != nullptr && pred.builtin->Has(kReadsSize)) {
+      position = static_cast<int64_t>(candidates.size());
+    }
+    if (position.has_value()) {
+      if (*position >= 1 &&
+          static_cast<uint64_t>(*position) <= candidates.size()) {
+        kept.Append(candidates.at(static_cast<size_t>(*position - 1)));
+      }
+      return kept;
+    }
+  }
   Focus saved = focus_;
   size_t size = candidates.size();
   for (size_t i = 0; i < size; ++i) {
@@ -1632,16 +1678,25 @@ Result<Sequence> Evaluator::EvalBinary(const Expr& e) {
       LLL_ASSIGN_OR_RETURN(bool truth, xdm::ValueCompare(op, li, ri));
       return Sequence(Item::Boolean(truth));
     }
-    case BinOp::kIs: {
+    case BinOp::kIs:
+    case BinOp::kPrecedes:
+    case BinOp::kFollows: {
       LLL_ASSIGN_OR_RETURN(Sequence lhs, Eval(*e.children[0]));
       LLL_ASSIGN_OR_RETURN(Sequence rhs, Eval(*e.children[1]));
       if (lhs.empty() || rhs.empty()) return Sequence();
-      LLL_ASSIGN_OR_RETURN(Item li, xdm::RequireSingleton(lhs, "is"));
-      LLL_ASSIGN_OR_RETURN(Item ri, xdm::RequireSingleton(rhs, "is"));
+      const char* name = BinOpName(e.op);
+      LLL_ASSIGN_OR_RETURN(Item li, xdm::RequireSingleton(lhs, name));
+      LLL_ASSIGN_OR_RETURN(Item ri, xdm::RequireSingleton(rhs, name));
       if (!li.is_node() || !ri.is_node()) {
-        return Status::TypeError("'is' requires node operands");
+        return Status::TypeError(std::string("'") + name +
+                                 "' requires node operands");
       }
-      return Sequence(Item::Boolean(li.node() == ri.node()));
+      if (e.op == BinOp::kIs) {
+        return Sequence(Item::Boolean(li.node() == ri.node()));
+      }
+      const int order = xml::CompareDocumentOrder(li.node(), ri.node());
+      return Sequence(Item::Boolean(e.op == BinOp::kPrecedes ? order < 0
+                                                             : order > 0));
     }
     case BinOp::kAdd:
     case BinOp::kSub:
@@ -2022,9 +2077,24 @@ Result<Sequence> Evaluator::CallUserFunction(const Expr& call,
 
 // --- Constructors -------------------------------------------------------
 
+namespace {
+
+// An element, text or comment constructor's result: the node it just
+// built, which nothing else refers to yet (Sequence::fresh).
+Sequence FreshNode(xml::Node* node) {
+  Sequence out(Item::NodeRef(node));
+  out.MarkFresh();
+  return out;
+}
+
+}  // namespace
+
 xml::Node* Evaluator::CopyIntoArena(const xml::Node* n) {
-  ++stats_.constructed_nodes;
-  return Arena()->ImportNode(n);
+  xml::Document* arena = Arena();
+  const size_t before = arena->node_count();
+  xml::Node* copy = arena->ImportNode(n);
+  stats_.nodes_copied += arena->node_count() - before;
+  return copy;
 }
 
 xml::Document* Evaluator::Arena() {
@@ -2057,15 +2127,13 @@ Status Evaluator::FillElementContent(xml::Node* element,
     content_started = true;
   };
 
-  for (const Expr* part : parts) {
-    if (part->kind == ExprKind::kTextLiteral) {
-      flush_pending();
-      append_text(part->text);
-      content_started = true;
-      last_atomic = false;
-      continue;
-    }
-    LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*part));
+  // One evaluated content value, item by item. A node of a fresh value
+  // (Sequence::fresh) that is parentless and in this evaluation's arena is
+  // one a constructor just built and nothing else refers to, so it is
+  // attached as it is; any other node is copied. streaming=false always
+  // copies: the copying oracle.
+  auto add_value = [&](const Sequence& value) -> Status {
+    const bool adopt = options_.streaming && value.fresh();
     for (const Item& item : value.items()) {
       if (item.is_node() && item.node()->is_attribute()) {
         // The paper's E2 behavior: leading attribute items become attributes
@@ -2079,8 +2147,8 @@ Status Evaluator::FillElementContent(xml::Node* element,
           return Status::ConstructionError(
               "attribute node in document constructor content");
         }
-        xml::Node* attr = Arena()->CreateAttribute(item.node()->name(),
-                                                        item.node()->value());
+        // A new attribute node with the item's name id and value.
+        xml::Node* attr = Arena()->ImportNode(item.node());
         ++stats_.constructed_nodes;
         if (options_.galax_duplicate_attributes) {
           // Reproduce the Galax bug: duplicates are simply kept.
@@ -2104,12 +2172,15 @@ Status Evaluator::FillElementContent(xml::Node* element,
       }
       if (item.is_node()) {
         flush_pending();
-        const xml::Node* source = item.node();
+        xml::Node* source = item.node();
         if (source->is_document()) {
           for (const xml::Node* child : source->children()) {
             xml::Node* copy = CopyIntoArena(child);
             LLL_RETURN_IF_ERROR(element->AppendChild(copy));
           }
+        } else if (adopt && source->parent() == nullptr &&
+                   source->document() == ctx_->construction_arena()) {
+          LLL_RETURN_IF_ERROR(element->AppendChild(source));
         } else {
           xml::Node* copy = CopyIntoArena(source);
           LLL_RETURN_IF_ERROR(element->AppendChild(copy));
@@ -2128,6 +2199,37 @@ Status Evaluator::FillElementContent(xml::Node* element,
       has_pending = true;
       last_atomic = true;
     }
+    return Status::Ok();
+  };
+
+  for (const Expr* part : parts) {
+    if (part->kind == ExprKind::kTextLiteral) {
+      flush_pending();
+      append_text(part->text);
+      content_started = true;
+      last_atomic = false;
+      continue;
+    }
+    if (options_.streaming && part->kind == ExprKind::kSequence) {
+      // A comma sequence is added part by part, so that each part keeps
+      // its own fresh bit: in `{$n/attribute::*, for ... return
+      // local:copy($c)}` the copied attributes do not spoil the FLWOR's
+      // adoption. Every part is evaluated before any is added, as when the
+      // sequence was one value, so errors and traces come in the same
+      // order.
+      std::vector<Sequence> values;
+      values.reserve(part->children.size());
+      for (const ExprPtr& c : part->children) {
+        LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*c));
+        values.push_back(std::move(value));
+      }
+      for (const Sequence& value : values) {
+        LLL_RETURN_IF_ERROR(add_value(value));
+      }
+      continue;
+    }
+    LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*part));
+    LLL_RETURN_IF_ERROR(add_value(value));
   }
   flush_pending();
   return Status::Ok();
@@ -2163,7 +2265,7 @@ Result<Sequence> Evaluator::EvalDirectElement(const Expr& e) {
   parts.reserve(e.children.size());
   for (const ExprPtr& c : e.children) parts.push_back(c.get());
   LLL_RETURN_IF_ERROR(FillElementContent(element, parts));
-  return Sequence(Item::NodeRef(element));
+  return FreshNode(element);
 }
 
 Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
@@ -2189,7 +2291,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
       ++stats_.constructed_nodes;
       std::vector<const Expr*> parts{&content};
       LLL_RETURN_IF_ERROR(FillElementContent(element, parts));
-      return Sequence(Item::NodeRef(element));
+      return FreshNode(element);
     }
     case ExprKind::kCompAttribute: {
       if (!IsValidXmlName(name)) {
@@ -2217,7 +2319,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
       }
       xml::Node* tn = Arena()->CreateText(text);
       ++stats_.constructed_nodes;
-      return Sequence(Item::NodeRef(tn));
+      return FreshNode(tn);
     }
     case ExprKind::kCompComment: {
       LLL_ASSIGN_OR_RETURN(Sequence value, Eval(content));
@@ -2229,7 +2331,7 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e) {
       }
       xml::Node* cn = Arena()->CreateComment(text);
       ++stats_.constructed_nodes;
-      return Sequence(Item::NodeRef(cn));
+      return FreshNode(cn);
     }
     case ExprKind::kCompDocument: {
       xml::Node* doc = Arena()->CreateDocumentNode();

@@ -100,7 +100,13 @@ struct EvalOptions {
 // not the other.
 //
 //   steps              expression evaluations
-//   constructed_nodes  nodes created by constructors
+//   constructed_nodes  nodes created by constructors (elements, text,
+//                      comments, documents, attributes, and the text and
+//                      attribute nodes their content makes)
+//   nodes_copied       nodes ImportNode creates in the construction arena:
+//                      copies of content nodes a constructor could not
+//                      adopt (DESIGN.md section 20), and fn:parse-xml-
+//                      fragment's parsed nodes
 //   trace_calls        fn:trace invocations actually executed
 //   function_calls     user-defined function bodies run
 //   function_memo_hits user-defined function calls answered from the call
@@ -139,6 +145,7 @@ struct EvalOptions {
 #define LLL_XQ_EVAL_STATS(X)              \
   X(steps)                                \
   X(constructed_nodes)                    \
+  X(nodes_copied)                         \
   X(trace_calls)                          \
   X(function_calls)                       \
   X(function_memo_hits)                   \
@@ -294,6 +301,12 @@ class Evaluator {
   Result<xdm::Sequence> EvalStepsMaterialized(const Expr& e, size_t first,
                                               size_t last,
                                               xdm::Sequence current);
+  // One child or attribute step without predicates from one context node,
+  // under streaming: the axis list walked directly, without the pipeline's
+  // stages, run deque and merge heap. It stops at the limit-th match,
+  // where the pipeline pulled one candidate further.
+  xdm::Sequence OneNodeStep(const PathStep& step, xml::Node* context,
+                            size_t limit);
   // The pull-based pipeline over steps [first, last): `current` must be all
   // nodes of one document, sorted and deduplicated.
   Result<xdm::Sequence> EvalStepsStreamed(const Expr& e, size_t first,
@@ -397,12 +410,16 @@ class Evaluator {
   Result<xdm::Sequence> EvalInstanceOf(const Expr& e);
   Result<xdm::Sequence> EvalArithmetic(const Expr& e);
 
-  // Builds element content: attribute folding, node copying, atomic
-  // space-joining. `parts` are content expressions (kTextLiteral = raw text).
+  // Builds element content: attribute folding, node copying or adoption,
+  // atomic space-joining. `parts` are content expressions (kTextLiteral =
+  // raw text). Under streaming a comma-sequence part is added part by part,
+  // and the parentless arena nodes of a fresh value are attached instead of
+  // copied (DESIGN.md section 20).
   Status FillElementContent(xml::Node* element,
                             const std::vector<const Expr*>& parts);
 
-  // Copies a node (and subtree) into the construction arena.
+  // Copies a node (and subtree) into the construction arena, counting the
+  // copies in EvalStats::nodes_copied.
   xml::Node* CopyIntoArena(const xml::Node* n);
   // The construction arena, created on first use.
   xml::Document* Arena();

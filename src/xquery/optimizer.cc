@@ -404,6 +404,8 @@ bool BooleanValued(const Expr& e) {
         case BinOp::kValGt:
         case BinOp::kValGe:
         case BinOp::kIs:
+        case BinOp::kPrecedes:
+        case BinOp::kFollows:
           return true;
         default:
           return false;

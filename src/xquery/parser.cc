@@ -704,6 +704,10 @@ class Parser {
       op = BinOp::kValGe;
     } else if (ConsumeKeyword("is")) {
       op = BinOp::kIs;
+    } else if (ConsumeTok("<<")) {
+      op = BinOp::kPrecedes;
+    } else if (ConsumeTok(">>")) {
+      op = BinOp::kFollows;
     } else {
       found = false;
       op = BinOp::kOr;

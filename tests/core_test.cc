@@ -39,6 +39,58 @@ TEST(Status, GenTroubleContextStacks) {
   EXPECT_NE(report.find("System Context"), std::string::npos);
 }
 
+TEST(Status, OkIsOneNullPointer) {
+  static_assert(sizeof(Status) == sizeof(void*));
+  Status ok;
+  EXPECT_TRUE(ok.message().empty());
+  EXPECT_TRUE(ok.context().empty());
+  EXPECT_TRUE(Status::Ok().message().empty());
+}
+
+TEST(Status, AddContextOnOkKeepsItOk) {
+  Status st;
+  st.AddContext("while doing nothing wrong");
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kOk);
+  ASSERT_EQ(st.context().size(), 1u);
+  EXPECT_EQ(st.context()[0], "while doing nothing wrong");
+  EXPECT_EQ(st.ToString(), "OK");
+}
+
+TEST(Status, CopiedErrorIsIndependentOfItsSource) {
+  Status source = Status::TypeError("bad operand");
+  source.AddContext("in f()");
+  Status copy = source;
+  copy.AddContext("in g()");
+  EXPECT_EQ(source.context().size(), 1u);
+  EXPECT_EQ(copy.context().size(), 2u);
+  EXPECT_EQ(source.ToString(), "TypeError: bad operand\n  in f()");
+  EXPECT_EQ(copy.ToString(), "TypeError: bad operand\n  in f()\n  in g()");
+
+  Status assigned;
+  assigned = source;
+  source.AddContext("in h()");
+  EXPECT_EQ(assigned.ToString(), "TypeError: bad operand\n  in f()");
+  assigned = Status();
+  EXPECT_TRUE(assigned.ok());
+
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved.context().size(), 2u);
+  EXPECT_EQ(moved.code(), StatusCode::kTypeError);
+}
+
+TEST(Status, ToStringGoldens) {
+  EXPECT_EQ(Status().ToString(), "OK");
+  EXPECT_EQ(Status::Internal("x").ToString(), "Internal: x");
+  EXPECT_EQ(Status::ResourceExhausted("").ToString(), "ResourceExhausted: ");
+  Status framed = Status::ConstructionError("attribute after content");
+  framed.AddContext("in call to f()").AddContext("at line 2, column 3");
+  EXPECT_EQ(framed.ToString(),
+            "ConstructionError: attribute after content\n"
+            "  in call to f()\n"
+            "  at line 2, column 3");
+}
+
 TEST(Status, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,

@@ -561,10 +561,12 @@ TEST(Nesting, QueriesExactlyAtTheCapRunOnAWorkerThread) {
 
 TEST(Nesting, RecursionThroughCallsIsAStatusNotACrash) {
   // Each call stacks another tree of 121 nested levels, each within the
-  // nesting cap: this one 819-byte protocol line used to segfault
-  // lll_serverd. The evaluator's stack floor (DESIGN.md section 17) turns
-  // it into an uncatchable error, on the session's thread and on a Submit
-  // worker alike, and the server keeps serving.
+  // nesting cap. This 819-byte protocol line used to segfault lll_serverd;
+  // since an OK Status is one pointer, its 3,025 levels fit in 8 MiB and it
+  // answers. A deeper call of the same body still reaches the evaluator's
+  // stack floor (DESIGN.md section 17): an uncatchable error, on the
+  // session's thread and on a Submit worker alike, and the server keeps
+  // serving.
   std::string body = "local:f($n - 1)";
   for (int i = 0; i < 120; ++i) body = "1 + (" + body + ")";
   const std::string prolog =
@@ -572,18 +574,15 @@ TEST(Nesting, RecursionThroughCallsIsAStatusNotACrash) {
       " }; ";
   const std::string query = prolog + "local:f(24)";
   ASSERT_EQ(("query t demo " + query).size(), 819u);
-  const std::string caught = prolog + "try { local:f(24) } catch { -1 }";
   MetricsRegistry metrics;
   QueryServer server(TestOptions(&metrics));
   ASSERT_TRUE(server.AddDocumentXml("d", "<r/>").ok());
   Session session = server.OpenSession("t");
-  for (const std::string& q : {query, caught}) {
-    QueryResponse resp = session.Query("d", q);
-    EXPECT_EQ(resp.status.code(), StatusCode::kInternal)
-        << resp.status.ToString().substr(0, 200);
-    EXPECT_NE(resp.status.message().find("recursion"), std::string::npos)
-        << resp.status.message();
 
+  // Runs `q` on the session's thread and on a Submit worker.
+  auto both_threads = [&](const std::string& q) {
+    std::vector<QueryResponse> answers;
+    answers.push_back(session.Query("d", q));
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -596,8 +595,45 @@ TEST(Nesting, RecursionThroughCallsIsAStatusNotACrash) {
     });
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done; });
-    EXPECT_EQ(got.status.code(), StatusCode::kInternal);
-    EXPECT_NE(got.status.message().find("recursion"), std::string::npos);
+    answers.push_back(std::move(got));
+    return answers;
+  };
+
+  // Under AddressSanitizer a level takes ~13.6 KiB of stack instead of
+  // ~2 KiB (DESIGN.md section 17), so there the line reaches the floor;
+  // three calls deep answer in every build.
+#if defined(__SANITIZE_ADDRESS__)
+  constexpr bool kLineAnswers = false;
+#else
+  constexpr bool kLineAnswers = true;
+#endif
+  for (const std::string& q :
+       {query, prolog + "try { local:f(24) } catch { -1 }"}) {
+    for (const QueryResponse& resp : both_threads(q)) {
+      if (kLineAnswers) {
+        EXPECT_TRUE(resp.status.ok()) << resp.status.ToString().substr(0, 200);
+        EXPECT_EQ(resp.result, "2880");
+      } else {
+        EXPECT_EQ(resp.status.code(), StatusCode::kInternal)
+            << resp.status.ToString().substr(0, 200);
+        EXPECT_NE(resp.status.message().find("recursion"), std::string::npos)
+            << resp.status.message();
+      }
+    }
+  }
+  for (const QueryResponse& resp : both_threads(prolog + "local:f(2)")) {
+    EXPECT_TRUE(resp.status.ok()) << resp.status.ToString().substr(0, 200);
+    EXPECT_EQ(resp.result, "240");
+  }
+  for (const std::string& q :
+       {prolog + "local:f(1000)",
+        prolog + "try { local:f(1000) } catch { -1 }"}) {
+    for (const QueryResponse& resp : both_threads(q)) {
+      EXPECT_EQ(resp.status.code(), StatusCode::kInternal)
+          << resp.status.ToString().substr(0, 200);
+      EXPECT_NE(resp.status.message().find("recursion"), std::string::npos)
+          << resp.status.message();
+    }
   }
   EXPECT_EQ(session.Query("d", "count(/r)").result, "1");
 }

@@ -108,6 +108,29 @@ TEST(XmlTree, ImportNodeDeepCopies) {
   EXPECT_EQ(*tree->AttributeValue("k"), "v");
 }
 
+TEST(XmlTree, ImportedNodesKeepTheirNameIds) {
+  // Name ids are process-wide, so a copy into another document reuses its
+  // source's id instead of interning the name again.
+  Document src;
+  Node* el = src.CreateElement("owner");
+  el->SetAttribute("copied-attr", "v");
+  Node* attr = el->AttributeNode("copied-attr");
+  ASSERT_NE(attr, nullptr);
+
+  Document dst;
+  Node* attr_copy = dst.ImportNode(attr);
+  EXPECT_TRUE(attr_copy->is_attribute());
+  EXPECT_EQ(attr_copy->parent(), nullptr);
+  EXPECT_EQ(attr_copy->name_id(), attr->name_id());
+  EXPECT_EQ(attr_copy->name(), "copied-attr");
+  EXPECT_EQ(attr_copy->value(), "v");
+
+  Node* el_copy = dst.ImportNode(el);
+  EXPECT_EQ(el_copy->name_id(), el->name_id());
+  ASSERT_EQ(el_copy->attributes().size(), 1u);
+  EXPECT_EQ(el_copy->attributes()[0]->name_id(), attr->name_id());
+}
+
 TEST(XmlParser, BasicDocument) {
   auto doc = MustParse("<a x='1'><b>text</b><c/></a>");
   Node* a = doc->DocumentElement();

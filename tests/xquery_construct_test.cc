@@ -251,5 +251,144 @@ TEST(XQueryConstruct, CommentConstructorInContent) {
   EXPECT_EQ(Eval("<a><!--hi--></a>"), "<a><!--hi--></a>");
 }
 
+// --- Adoption: constructors attach the nodes their content just built -----
+
+struct BothModes {
+  Result<xq::QueryResult> streamed;
+  Result<xq::QueryResult> copying;
+};
+
+// Runs `query` streamed (where constructors adopt fresh nodes) and with
+// streaming = false (where they copy every content node), and requires
+// byte-identical results, statuses and trace lines.
+BothModes RunBothModes(const std::string& query) {
+  auto compiled = xq::Compile(query);
+  EXPECT_TRUE(compiled.ok()) << query << "\n" << compiled.status().ToString();
+  if (!compiled.ok()) return {compiled.status(), compiled.status()};
+  xq::ExecuteOptions copying_opts;
+  copying_opts.eval.streaming = false;
+  BothModes runs{xq::Execute(*compiled), xq::Execute(*compiled, copying_opts)};
+  EXPECT_EQ(runs.streamed.status().ToString(), runs.copying.status().ToString())
+      << query;
+  if (runs.streamed.ok() && runs.copying.ok()) {
+    EXPECT_EQ(runs.streamed->SerializedItems(), runs.copying->SerializedItems())
+        << query;
+    EXPECT_EQ(runs.streamed->trace_output, runs.copying->trace_output)
+        << query;
+  }
+  return runs;
+}
+
+// The serialized result, which both modes agree on.
+std::string Adopted(const std::string& query) {
+  BothModes runs = RunBothModes(query);
+  if (!runs.streamed.ok()) return runs.streamed.status().ToString();
+  return runs.streamed->SerializedItems();
+}
+
+TEST(Adoption, AStoredValueIsCopiedNotAdopted) {
+  // $x is read back from its slot, so <b> holds a copy and $x stays
+  // parentless.
+  EXPECT_EQ(Adopted("let $x := <a/> return (<b>{$x}</b>, $x/..)"),
+            "<b><a/></b>");
+  EXPECT_EQ(Adopted("let $x := <a/> return (<b>{$x}</b>, count($x/..))"),
+            "<b><a/></b>0");
+  EXPECT_EQ(Adopted("let $a := <a/> return <r>{$a}</r>/a is $a"), "false");
+}
+
+TEST(Adoption, AdoptedNodesKeepIdentityAndOrder) {
+  EXPECT_EQ(Adopted("let $r := <r>{<a/>, <b/>}</r> "
+                    "return ($r/a << $r/b, $r/a/.. is $r)"),
+            "true true");
+  EXPECT_EQ(Adopted("let $r := <r>{<a><c/></a>, <b/>}</r> "
+                    "return ($r//c/../.. is $r, $r/b >> $r//c)"),
+            "true true");
+}
+
+TEST(Adoption, FunctionResults) {
+  // A function returning its argument returns a read of its parameter.
+  EXPECT_EQ(Adopted("declare function local:id($n) { $n }; "
+                    "let $a := <a/> let $r := <r>{local:id($a)}</r> "
+                    "return ($r, $r/a is $a, empty($a/..))"),
+            "<r><a/></r>false true");
+  EXPECT_EQ(Adopted("declare function local:id($n) { $n }; "
+                    "<r>{local:id(<a/>)}</r>"),
+            "<r><a/></r>");
+  // A constructor called twice builds two nodes.
+  EXPECT_EQ(Adopted("declare function local:mk() { <a/> }; "
+                    "let $r := <r>{local:mk(), local:mk()}</r> "
+                    "return ($r, $r/a[1] is $r/a[2])"),
+            "<r><a/><a/></r>false");
+  // One node returned twice is one stored value read twice: two copies.
+  EXPECT_EQ(Adopted("declare function local:twice() "
+                    "{ let $a := <a/> return ($a, $a) }; "
+                    "let $r := <r>{local:twice()}</r> "
+                    "return ($r, $r/a[1] is $r/a[2])"),
+            "<r><a/><a/></r>false");
+}
+
+TEST(Adoption, OrderByOverConstructedNodes) {
+  EXPECT_EQ(Adopted("<r>{for $i in (3, 1, 2) order by $i "
+                    "return <n v=\"{$i}\">{text {$i}}</n>}</r>"),
+            "<r><n v=\"1\">1</n><n v=\"2\">2</n><n v=\"3\">3</n></r>");
+  EXPECT_EQ(Adopted("let $r := <r>{for $i in (2, 1) order by $i descending "
+                    "return <n>{$i}</n>}</r> return $r/n[1] << $r/n[2]"),
+            "true");
+}
+
+TEST(Adoption, TracedContent) {
+  // fn:trace returns its last argument; a builtin's result is never
+  // adopted, and both modes trace the same line.
+  EXPECT_EQ(Adopted("<r>{trace(<a/>, \"t\")}</r>"), "<r>t</r>");
+  EXPECT_EQ(Adopted("<r>{trace(\"t\", <a/>)}</r>"), "<r><a/></r>");
+  EXPECT_EQ(Adopted("let $t := trace(\"t\", <a/>) "
+                    "return (<r>{$t}</r>, empty($t/..))"),
+            "<r><a/></r>true");
+}
+
+TEST(Adoption, AttributeAfterAdoptedContentIsStillAnError) {
+  BothModes plain = RunBothModes("<r>{<a/>, attribute x {\"1\"}}</r>");
+  ASSERT_FALSE(plain.streamed.ok());
+  EXPECT_NE(plain.streamed.status().message().find("XQTY0024"),
+            std::string::npos);
+  EXPECT_EQ(Adopted("try { <r>{<a/>, attribute x {\"1\"}}</r> } "
+                    "catch { \"caught\" }"),
+            "caught");
+  // The error comes from the content, after every part was evaluated.
+  BothModes traced = RunBothModes(
+      "try { <r>{<a/>, attribute x {\"1\"}, trace(\"late\", 1)}</r> } "
+      "catch { \"caught\" }");
+  ASSERT_TRUE(traced.streamed.ok());
+  EXPECT_EQ(traced.streamed->SerializedItems(), "caught");
+  EXPECT_EQ(traced.streamed->trace_output.size(), 1u);
+  // Leading attributes fold, then fresh content is adopted.
+  EXPECT_EQ(Adopted("<r>{attribute x {\"1\"}, <a/>, text {\"t\"}}</r>"),
+            "<r x=\"1\"><a/>t</r>");
+}
+
+TEST(Adoption, ConstructorOnlyContentCopiesNothing) {
+  const std::string query =
+      "declare function local:chain($n) "
+      "{ if ($n le 0) then <leaf/> else <c>{local:chain($n - 1)}</c> }; "
+      "<r>{<a><b/></a>, for $i in 1 to 3 return <c>{$i}</c>, "
+      "local:chain(50), comment {\"x\"}}</r>";
+  BothModes runs = RunBothModes(query);
+  ASSERT_TRUE(runs.streamed.ok()) << runs.streamed.status().ToString();
+  ASSERT_TRUE(runs.copying.ok());
+  EXPECT_EQ(runs.streamed->stats.nodes_copied, 0u);
+  EXPECT_GT(runs.copying->stats.nodes_copied, 0u);
+  // The copying oracle builds the same nodes and copies each once per
+  // ancestor constructor; adoption builds each once.
+  EXPECT_EQ(runs.streamed->stats.constructed_nodes,
+            runs.copying->stats.constructed_nodes);
+  EXPECT_LT(runs.streamed->arena->node_count(),
+            runs.copying->arena->node_count());
+
+  // Content read from a variable or the input is still copied.
+  BothModes stored = RunBothModes("let $a := <a><b/></a> return <r>{$a}</r>");
+  ASSERT_TRUE(stored.streamed.ok());
+  EXPECT_EQ(stored.streamed->stats.nodes_copied, 2u);
+}
+
 }  // namespace
 }  // namespace lll

@@ -82,6 +82,18 @@ TEST(PathSemantics, UnionIntersectExcept) {
   EXPECT_NE(EvalError("(1, 2) union (3)").find("node"), std::string::npos);
 }
 
+TEST(PathSemantics, NodeOrderComparisons) {
+  const char* doc = "<a x=\"1\"><b/><c><d/></c></a>";
+  EXPECT_EQ(EvalWithContext("(//b << //c, //b >> //c, //b << //b)", doc),
+            "true false false");
+  EXPECT_EQ(EvalWithContext("(//a/@x << //b, //d >> //c, () << //b)", doc),
+            "true true");
+  EXPECT_NE(EvalError("1 << 2").find("'<<' requires node operands"),
+            std::string::npos);
+  EXPECT_NE(EvalError("(<a/>, <b/>) >> <c/>").find(">>: expected exactly one"),
+            std::string::npos);
+}
+
 TEST(PathSemantics, AttributesAreNotChildren) {
   const char* doc = "<a k=\"v\"><b/></a>";
   EXPECT_EQ(EvalWithContext("count(/a/child::node())", doc), "1");

@@ -4,6 +4,7 @@
 // descendant collector.
 
 #include <cstddef>
+#include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
@@ -398,6 +399,104 @@ TEST(Streaming, LimitHintStopsPullingEarly) {
     ASSERT_TRUE(reference.ok()) << q;
     EXPECT_EQ(streamed->SerializedItems(), reference->SerializedItems()) << q;
   }
+}
+
+TEST(Streaming, OneNodeStepsSkipThePipeline) {
+  // A child or attribute step without predicates from one context node
+  // walks the axis list directly. Adding an always-true predicate sends the
+  // same step through the pipeline, which must agree on the result and on
+  // limit_pushdowns; the direct walk never pulls more candidates (the
+  // pipeline pulled one past a limit).
+  auto doc = xml::Parse(
+      "<r><e a=\"1\" b=\"2\">t<x/>u<x k=\"v\"/><y/>w</e>"
+      "<e><x/></e><e/></r>",
+      {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions streamed;
+  streamed.context_node = (*doc)->root();
+  xq::ExecuteOptions materializing = streamed;
+  materializing.eval.streaming = false;
+
+  const char* contexts[] = {"//e", "//e/@*", "//e/text()"};
+  const char* steps[] = {"x", "@a", "@*", "node()", "text()"};
+  const char* wrappers[] = {"%s", "exists(%s)", "head(%s)", "(%s)[1]"};
+  size_t pushed = 0;
+  for (const char* context : contexts) {
+    for (const char* step : steps) {
+      for (const char* wrapper : wrappers) {
+        auto query = [&](const std::string& path) {
+          char body[96];
+          std::snprintf(body, sizeof(body), wrapper, path.c_str());
+          return "for $n in " + std::string(context) + " return " + body;
+        };
+        const std::string direct = query("$n/" + std::string(step));
+        const std::string piped =
+            query("$n/" + std::string(step) + "[true()]");
+        auto compiled_direct = xq::Compile(direct);
+        auto compiled_piped = xq::Compile(piped);
+        ASSERT_TRUE(compiled_direct.ok()) << direct;
+        ASSERT_TRUE(compiled_piped.ok()) << piped;
+        auto fast = xq::Execute(*compiled_direct, streamed);
+        auto oracle = xq::Execute(*compiled_direct, materializing);
+        auto pipeline = xq::Execute(*compiled_piped, streamed);
+        ASSERT_TRUE(fast.ok() && oracle.ok() && pipeline.ok()) << direct;
+        EXPECT_EQ(fast->SerializedItems(), oracle->SerializedItems())
+            << direct;
+        EXPECT_EQ(fast->SerializedItems(), pipeline->SerializedItems())
+            << direct;
+        EXPECT_EQ(fast->stats.limit_pushdowns, pipeline->stats.limit_pushdowns)
+            << direct;
+        EXPECT_LE(fast->stats.nodes_pulled, pipeline->stats.nodes_pulled)
+            << direct;
+        pushed += fast->stats.limit_pushdowns;
+      }
+    }
+  }
+  // The wrappers did put limits on the one-node steps.
+  EXPECT_GT(pushed, 0u);
+
+  // One element's first child under a limit: one candidate examined, the
+  // rest charged as skipped.
+  auto first = xq::Run("let $e := (//e)[1] return head($e/node())", streamed);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->SerializedItems(), "t");
+  EXPECT_EQ(first->stats.limit_pushdowns, 2u);  // (//e)[1] and the head
+  EXPECT_GE(first->stats.nodes_skipped_early_exit, 4u);
+}
+
+TEST(Streaming, PositionalFiltersPickTheirItem) {
+  // [N] and [last()] keep at most one candidate, which streaming picks by
+  // index instead of evaluating the predicate once per candidate.
+  std::string xml = "<r>";
+  for (int i = 0; i < 1000; ++i) {
+    xml += "<g><x n=\"" + std::to_string(i) + "\"/></g>";
+  }
+  xml += "</r>";
+  const char* queries[] = {
+      "(//x)[last()]/@n",         "(//x)[last()]/ancestor::g/x/@n",
+      "(//x)[3]/@n",              "(//x)[0]",
+      "(//x)[2000]",              "(1 to 5)[last()]",
+      "(1 to 5)[2]",              "count(//g/x[last()])",
+      "(//x)[last()][1]/@n",      "(//x)[position() = last()]/@n",
+  };
+  for (const char* query : queries) {
+    EvalBothModes(query, xml);
+  }
+  auto doc = xml::Parse(xml);
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions streamed;
+  streamed.context_node = (*doc)->root();
+  xq::ExecuteOptions materializing = streamed;
+  materializing.eval.streaming = false;
+  auto compiled = xq::Compile("(//x)[last()]/@n");
+  ASSERT_TRUE(compiled.ok());
+  auto picked = xq::Execute(*compiled, streamed);
+  auto looped = xq::Execute(*compiled, materializing);
+  ASSERT_TRUE(picked.ok() && looped.ok());
+  EXPECT_EQ(picked->SerializedItems(), "n=\"999\"");
+  // The loop evaluates last() once per candidate.
+  EXPECT_LT(picked->stats.steps, 20u);
+  EXPECT_GT(looped->stats.steps, 1000u);
 }
 
 // --- Hash probes vs the scan oracle ----------------------------------------
