@@ -1,11 +1,11 @@
-// E18: subtree-versioned invalidation and incremental regeneration.
+// E18: name-guarded invalidation and incremental regeneration.
 //
 // Paper connection: AWB's document generation is an interactive loop --
 // edit a little, regenerate, look, edit again. With whole-document
 // structure-version invalidation, ONE edit anywhere evicted every interned
 // node set, so each regeneration after a small edit re-paid the cold-start
-// cost of the whole query workload. The subtree edit-version overlay scopes
-// invalidation to the chains an edit actually dirtied. The anchored
+// cost of the whole query workload. Name guards scope invalidation to the
+// chains that test a name the edit touched. The anchored
 // `model[@id = "mK"]` queries share one interned entry, the models with an
 // index of their @id values, and an edit inside a model leaves it valid.
 //
@@ -27,9 +27,9 @@
 //                        iteration the first anchored query builds the
 //                        shared index and the rest look their keys up.
 //   * ColdFirstMatch     `(//part)[1]` streamed on a fresh document, no
-//                        cache: the E13 early-exit shape, guarding that the
-//                        overlay's read accessors add nothing to cold
-//                        streaming queries.
+//                        cache: the E13 early-exit shape, guarding that
+//                        name versions add nothing to cold streaming
+//                        queries.
 //
 // Results go to stdout AND BENCH_e18.json; engine counters land in
 // BENCH_e18.metrics.json.
@@ -102,7 +102,7 @@ std::vector<lll::xq::CompiledQuery> MakeWorkload(int models) {
 }
 
 // Detach-and-reattach the first <part> of model `m`: two structural edits
-// that bump the model's subtree versions without growing the arena, leaving
+// that bump the names `part` and `n` without growing the arena, leaving
 // the document's content (and every query's answer) unchanged between
 // iterations.
 void EditModel(Document* doc, int m) {
@@ -203,7 +203,7 @@ void BM_E18_NoCacheBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_E18_NoCacheBaseline)->Arg(64)->Arg(256)->Arg(1024);
 
-// No-regression guard for cold streaming shapes: the overlay must cost
+// No-regression guard for cold streaming shapes: name versions must cost
 // nothing when nobody caches (same shape as E13's first-match).
 void BM_E18_ColdFirstMatch(benchmark::State& state) {
   auto doc = MakeLibrary(1024);

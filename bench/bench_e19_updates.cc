@@ -1,5 +1,5 @@
-// E19: the update sublanguage driving subtree-versioned invalidation
-// through the server's publish path.
+// E19: the update sublanguage driving name-guarded invalidation through
+// the server's publish path.
 //
 // Paper connection: the interactive loop E18 measured in-process (edit a
 // little, regenerate, look) reaches production through the query server --
@@ -7,19 +7,19 @@
 // Each publish is a copy-on-write clone, and the clone starts with the
 // previous snapshot's node-set cache migrated onto it, guard versions and
 // all. Whether the E18-class incremental win survives that round trip
-// depends on the update pipeline charging the overlay precisely: statements
-// must dirty only the subtrees they edit, so only the chains through those
-// subtrees re-evaluate after the publish.
+// depends on the update pipeline stamping name versions precisely:
+// statements must bump only the names they move or rename, so only the
+// chains that test those names re-evaluate after the publish.
 //
 // Shapes measured, at library sizes M in {64, 256}, one update publish per
 // iteration followed by the full anchored read workload (<=128 [@id] chains
 // plus two shared scans):
 //
-//   * MixedSubtree/M    subtree invalidation ON (the default server): the
-//                       publish's insert+delete dirties ONE model's parts
-//                       list; every other chain re-validates its migrated
+//   * MixedSubtree/M    the default server: the publish's insert+delete
+//                       moves one <part>, so only chains that test `part`
+//                       miss; every other chain re-validates its migrated
 //                       guards and hits.
-//   * WriteHeavy/M      subtree ON, max(1, M/64) publishes per iteration:
+//   * WriteHeavy/M      the same server, max(1, M/64) publishes per iteration:
 //                       the blend where write amplification (one clone per
 //                       publish) starts to dominate the read-side savings.
 //   * CompileScript     parse + compile of a representative two-statement

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
               xquery->stats.nodeset_cache_misses);
   std::printf("%-28s %12s %12zu\n", "nodeset cache invalidations", "-",
               xquery->stats.nodeset_cache_invalidations);
-  std::printf("%-28s %12s %12zu\n", "  partial (subtree-scoped)", "-",
+  std::printf("%-28s %12s %12zu\n", "  partial (name-guarded)", "-",
               xquery->stats.nodeset_cache_partial_invalidations);
   std::printf("%-28s %12s %12zu\n", "  full (whole-document)", "-",
               xquery->stats.nodeset_cache_invalidations -

@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
         continue;
       }
       // In-place edit, not a copy-on-write publish: the interned chains stay
-      // in the session cache and re-validate their overlay guards on the
-      // next lookup -- only chains through the edited subtrees miss.
+      // in the session cache and re-validate their name guards on the next
+      // lookup -- only chains that test a name the edit touched miss.
       std::printf("applied %zu statement(s), %zu target node(s)\n",
                   stats->statements, stats->target_nodes);
       continue;

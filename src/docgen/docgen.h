@@ -119,9 +119,10 @@ struct DocGenStats {
   size_t nodeset_cache_hits = 0;
   size_t nodeset_cache_misses = 0;
   size_t nodeset_cache_invalidations = 0;
-  // Of the invalidations, how many were subtree-scoped (a guard on an
-  // interior anchor failed, not the whole tree): the fine-grained
-  // invalidation win an interactive edit-regenerate loop banks on.
+  // Of the invalidations, how many were partial (the entry's guard held no
+  // document-wide version, only the names its chain tests): the
+  // fine-grained invalidation win an interactive edit-regenerate loop banks
+  // on.
   size_t nodeset_cache_partial_invalidations = 0;
   // XQuery engine only: `@a = K` predicates answered by a hash probe, and
   // the attribute indexes built for them (DESIGN.md section 16).

@@ -120,6 +120,8 @@ Result<uint64_t> QueryServer::PublishUpdate(const std::string& name,
   }
   xq::UpdateOptions uo;
   uo.metrics = metrics_;
+  // Shutdown() cancels a publish's bind like any read.
+  uo.eval.cancel = &shutdown_;
   xq::UpdateStats applied;
   Result<uint64_t> version = store_.PublishBound(
       name,
@@ -305,7 +307,7 @@ Result<std::string> QueryServer::Explain(const std::string& doc_name,
   }
   if (xq::IsUpdateScript(query_text)) {
     // Update plans explain differently: per-statement targets plus the
-    // overlay guard anchors applying each statement will dirty.
+    // names applying each statement will bump.
     Result<xq::CompiledUpdate> update = xq::CompileUpdateText(query_text);
     if (!update.ok()) return update.status();
     std::string out = "-- document '" + doc_name + "' @ snapshot version " +

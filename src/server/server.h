@@ -138,10 +138,11 @@ class QueryServer {
   // (FLUX snapshot semantics -- update_eval.h); conflicts and invalid
   // targets reject the publish with nothing cloned and the current snapshot
   // intact; the bound targets map into the clone, and the mutation
-  // primitives charge its edit-version overlay, so the new snapshot's
-  // migrated node-set cache invalidates only the chains the statements
-  // dirtied. Returns the new snapshot version; `stats` (optional) receives
-  // the per-script counts on success.
+  // primitives stamp its name versions, so the new snapshot's migrated
+  // node-set cache invalidates only the chains that test a name the
+  // statements touched. Shutdown() cancels the bind like any read. Returns
+  // the new snapshot version; `stats` (optional) receives the per-script
+  // counts on success.
   Result<uint64_t> PublishUpdate(const std::string& name,
                                  const std::string& update_text,
                                  xq::UpdateStats* stats = nullptr);

@@ -132,11 +132,12 @@ Result<uint64_t> SnapshotStore::PublishBound(const std::string& name,
   std::vector<uint32_t> node_map;
   std::unique_ptr<xml::Document> copy =
       xml::CloneDocument(base->document(), &node_map, bound->created_nodes);
-  // The clone receives the base's migrated, guard-stamped cache entries, so
-  // its overlay must record this edit even if no reader has observed a
-  // version yet (the lazy wanted-flag travels by clone, and a writer
-  // outpacing its readers would otherwise never stamp -- letting migrated
-  // entries whose chains the edit dirtied keep validating at version 0).
+  // The clone receives the base's migrated, version-guarded cache entries,
+  // so it must stamp this edit's names even if it copied the base's
+  // wanted-flag before a reader stored the first entry (the flag travels by
+  // clone; without this a writer outpacing its readers would never stamp,
+  // and migrated entries whose names the edit touched would keep
+  // validating at version 0).
   copy->WantEditVersions();
   Status st = bound->apply(copy.get(), node_map);
   if (!st.ok()) {

@@ -164,8 +164,8 @@ class SnapshotStore {
   // snapshot's document and `node_map` CloneDocument's source -> clone index
   // table), the predecessor's warm node-set cache entries are migrated onto
   // the new snapshot BEFORE it becomes visible -- remapped through the map,
-  // so the cache survives the clone's renumbering -- and the edit-version
-  // overlay, carried through the clone, scopes what the edit evicted.
+  // so the cache survives the clone's renumbering -- and the name versions,
+  // carried through the clone, scope what the edit evicted.
   Result<uint64_t> InstallNext(Entry* entry, std::unique_ptr<xml::Document> doc,
                                const Snapshot* carry_cache_from = nullptr,
                                const std::vector<uint32_t>* node_map = nullptr);

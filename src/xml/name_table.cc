@@ -69,6 +69,14 @@ uint32_t NameTable::Intern(std::string_view name) {
   return id;
 }
 
+std::optional<uint32_t> NameTable::Find(std::string_view name) {
+  Table& t = GlobalTable();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  auto it = t.ids.find(name);
+  if (it == t.ids.end()) return std::nullopt;
+  return it->second;
+}
+
 const std::string& NameTable::Get(uint32_t id) {
   Table& t = GlobalTable();
   Chunk* chunk = t.chunks[id >> kChunkBits].load(std::memory_order_acquire);

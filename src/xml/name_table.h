@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -26,6 +27,10 @@ class NameTable {
  public:
   // Returns the id for `name`, interning it on first sight.
   static uint32_t Intern(std::string_view name);
+
+  // The id of `name` if it has been interned, else nullopt. Never interns:
+  // query text is untrusted, and the table is never reclaimed.
+  static std::optional<uint32_t> Find(std::string_view name);
 
   // The interned string for `id`. The reference is stable for the process
   // lifetime. `id` must have been returned by Intern().

@@ -134,16 +134,11 @@ void Node::set_value(std::string_view v) {
   doc->value_bytes_ += v.size();
   doc->value_bytes_ -= doc->value_[idx_].len;
   doc->value_[idx_] = doc->AddChars(v);
-  // Value edits never disturb document order (no structure-version bump),
-  // but they must dirty the subtree overlay: value indexes and
-  // value-sensitive consumers key on it. An attribute's value counts as a
-  // local change of its OWNER element (a detached attribute has no owner
-  // yet; attaching it later bumps).
-  if (is_attribute()) {
-    uint32_t owner = doc->parent_[idx_];
-    if (owner != kNilNode) doc->BumpEditVersion(owner);
-  } else {
-    doc->BumpEditVersion(idx_);
+  // Value edits never disturb document order (no structure-version bump).
+  // An attribute write stamps its name: value indexes read it.
+  const uint64_t epoch = doc->NextEditEpoch();
+  if (epoch != 0 && is_attribute()) {
+    doc->attribute_versions_[doc->name_[idx_]] = epoch;
   }
 }
 
@@ -193,11 +188,7 @@ Status Node::RemoveChild(Node* child) {
       child->is_attribute() || document_->parent_[child->idx_] != idx_) {
     return Status::NotFound("not a child of this node");
   }
-  Document* doc = document_;
-  doc->SpanErase(doc->child_span_[idx_], doc->pos_[child->idx_]);
-  doc->parent_[child->idx_] = kNilNode;
-  doc->InvalidateOrderIndex();
-  doc->BumpEditVersion(idx_);
+  document_->DetachSlot(child->idx_);
   return Status::Ok();
 }
 
@@ -225,7 +216,9 @@ Status Node::ReplaceChild(Node* old_child,
     doc->parent_[c] = idx_;
   }
   doc->InvalidateOrderIndex();
-  doc->BumpEditVersion(idx_);
+  const uint64_t epoch = doc->NextEditEpoch();
+  doc->StampMoved(old_child->idx_, epoch);
+  for (Node* r : replacement) doc->StampMoved(r->idx_, epoch);
   return Status::Ok();
 }
 
@@ -279,11 +272,7 @@ Status Node::ForceAppendDuplicateAttribute(Node* attr) {
 bool Node::RemoveAttribute(std::string_view name) {
   for (Node* a : attributes()) {
     if (a->name() == name) {
-      Document* doc = document_;
-      doc->SpanErase(doc->attr_span_[idx_], doc->pos_[a->idx_]);
-      doc->parent_[a->idx_] = kNilNode;
-      doc->InvalidateOrderIndex();
-      doc->BumpEditVersion(idx_);
+      document_->DetachSlot(a->idx_);
       return true;
     }
   }
@@ -330,18 +319,18 @@ Status Node::Rename(std::string_view qname) {
                            "' is not a well-formed QName");
   }
   Document* doc = document_;
+  const uint32_t old_name = doc->name_[idx_];
   doc->name_[idx_] = NameTable::Intern(qname);
-  // No structural change and no order change -- but the overlay must move:
-  // the node's own identity changed (kLocal guards over it) and its parent
-  // now answers `child::name` differently (kLocalChildren guards over the
-  // parent). BumpEditVersion(idx_) stamps exactly those two plus the
-  // ancestor subtree chain. An attribute rename charges its owner, exactly
-  // like an attribute value write.
-  if (k == NodeKind::kAttribute) {
-    uint32_t owner = doc->parent_[idx_];
-    doc->BumpEditVersion(owner != kNilNode ? owner : idx_);
-  } else {
-    doc->BumpEditVersion(idx_);
+  // No structural change and no order change, but a test of either name
+  // now selects differently. (Processing-instruction tests name no
+  // target.)
+  const uint64_t epoch = doc->NextEditEpoch();
+  if (epoch != 0 && k != NodeKind::kProcessingInstruction) {
+    Document::NameVersions& versions = k == NodeKind::kAttribute
+                                           ? doc->attribute_versions_
+                                           : doc->element_versions_;
+    versions[old_name] = epoch;
+    versions[doc->name_[idx_]] = epoch;
   }
   return Status::Ok();
 }
@@ -533,14 +522,14 @@ void Document::AttachChildAt(uint32_t parent, uint32_t child, uint32_t at) {
   SpanInsert(child_span_[parent], child_pool_, at, child);
   parent_[child] = parent;
   InvalidateOrderIndex();
-  BumpEditVersion(parent);
+  StampMoved(child, NextEditEpoch());
 }
 
 void Document::AttachAttr(uint32_t owner, uint32_t attr) {
   SpanInsert(attr_span_[owner], attr_pool_, attr_span_[owner].count, attr);
   parent_[attr] = owner;
   InvalidateOrderIndex();
-  BumpEditVersion(owner);
+  StampMoved(attr, NextEditEpoch());
 }
 
 void Document::DetachSlot(uint32_t idx) {
@@ -552,23 +541,43 @@ void Document::DetachSlot(uint32_t idx) {
   }
   parent_[idx] = kNilNode;
   InvalidateOrderIndex();
-  BumpEditVersion(p);
+  StampMoved(idx, NextEditEpoch());
 }
 
-void Document::BumpEditVersion(uint32_t at) {
+uint64_t Document::NextEditEpoch() {
   const uint64_t epoch = ++edit_epoch_;
-  if (edit_versions_.empty() &&
-      !edit_versions_wanted_.load(std::memory_order_relaxed)) {
-    // Nobody has read a version yet: the whole overlay is logically the
-    // uniform epoch 0 and stamps nothing. Document builds (parser,
-    // ImportNode, clone) take this O(1) path for every attach.
-    return;
-  }
-  edit_versions_[at].local = epoch;
-  uint32_t parent = parent_[at];
-  if (parent != kNilNode) edit_versions_[parent].child_local = epoch;
-  for (uint32_t n = at; n != kNilNode; n = parent_[n]) {
-    edit_versions_[n].subtree = epoch;
+  // Until someone wants versions they all read 0 and nothing is stamped:
+  // document builds (parser, ImportNode) take this O(1) path for every
+  // attach.
+  return edit_versions_wanted_.load(std::memory_order_relaxed) ? epoch : 0;
+}
+
+void Document::StampMoved(uint32_t root, uint64_t epoch) {
+  if (epoch == 0) return;
+  document_version_ = epoch;
+  auto stamp = [this, epoch](uint32_t n) {
+    switch (static_cast<NodeKind>(kind_[n])) {
+      case NodeKind::kElement:
+        element_versions_[name_[n]] = epoch;
+        break;
+      case NodeKind::kAttribute:
+        attribute_versions_[name_[n]] = epoch;
+        break;
+      default:
+        break;
+    }
+  };
+  // Preorder with an explicit stack, which a leaf never allocates.
+  std::vector<uint32_t> stack;
+  for (uint32_t n = root;;) {
+    stamp(n);
+    const Span& as = attr_span_[n];
+    for (uint32_t i = 0; i < as.count; ++i) stamp(as.ptr[i]);
+    const Span& cs = child_span_[n];
+    stack.insert(stack.end(), cs.ptr, cs.ptr + cs.count);
+    if (stack.empty()) return;
+    n = stack.back();
+    stack.pop_back();
   }
 }
 
@@ -690,16 +699,15 @@ DocumentStorageStats Document::storage_stats() const {
   for (const CharBlock& b : chars_) bytes += b.cap;
   bytes += handles_.size() * sizeof(Node);
   bytes += order_key_.capacity() * sizeof(uint32_t);
-  if (!edit_versions_.empty()) {
-    // A map node (next pointer plus entry) per stamped node, and the
+  for (const NameVersions* versions :
+       {&element_versions_, &attribute_versions_}) {
+    // A map node (next pointer plus entry) per stamped name, and the
     // bucket array.
-    stats.edit_version_bytes =
-        edit_versions_.size() *
-            (sizeof(void*) +
-             sizeof(std::pair<const uint32_t, EditVersions>)) +
-        edit_versions_.bucket_count() * sizeof(void*);
+    bytes += versions->size() * (sizeof(void*) +
+                                 sizeof(NameVersions::value_type)) +
+             versions->bucket_count() * sizeof(void*);
   }
-  stats.total_bytes = bytes + stats.edit_version_bytes;
+  stats.total_bytes = bytes;
   return stats;
 }
 
@@ -784,17 +792,15 @@ std::unique_ptr<Document> CloneDocument(const Document& source,
     for (uint32_t i = 0; i < as.count; ++i) *attr_out++ = map[as.ptr[i]];
   }
 
-  // Carry the subtree edit-version overlay under the renumbering: source
-  // node s is clone node map[s], and the versions of debris the clone
-  // dropped are dropped too.
+  // Carry the edit history: name versions are per name, not per node, so
+  // the renumbering leaves them as they are.
   clone->edit_epoch_ = source.edit_epoch_;
   clone->edit_versions_wanted_.store(
       source.edit_versions_wanted_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  clone->edit_versions_.reserve(source.edit_versions_.size());
-  for (const auto& [s, versions] : source.edit_versions_) {
-    if (map[s] != kNilNode) clone->edit_versions_.emplace(map[s], versions);
-  }
+  clone->document_version_ = source.document_version_;
+  clone->element_versions_ = source.element_versions_;
+  clone->attribute_versions_ = source.attribute_versions_;
   // Clone index d is the d-th node of the source's preorder.
   clone->SetPreorderKeys();
   if (node_map != nullptr) *node_map = std::move(map);

@@ -216,11 +216,10 @@ class Node {
 
   // Renames this element, attribute, or processing-instruction node to
   // `qname` (interned; must be a well-formed QName). Structure and document
-  // order are untouched, so no order-index invalidation -- but the edit
-  // overlay charges the renamed node's local version and its parent's
-  // child-list version (a rename changes what `child::old-name` selects
-  // from the parent). An attribute rename charges its owner, same as
-  // attribute-value writes.
+  // order are untouched, so no order-index invalidation -- but an element
+  // or attribute rename stamps both its old and its new name's version
+  // (Document::element_version / attribute_version): it changes what a
+  // test of either name selects.
   Status Rename(std::string_view qname);
 
   // The document-order stamp assigned by the owning Document's order index
@@ -248,14 +247,12 @@ bool IsWellFormedQName(std::string_view qname);
 // Heap footprint summary of one document's storage (see Document::
 // storage_stats). `total_bytes` is the resident arena footprint: node
 // arrays, index pools, value arena, handle slots, the order-key index and
-// the edit-version overlay's stamped nodes. Interned names are
-// process-wide and excluded.
+// the name versions. Interned names are process-wide and excluded.
 struct DocumentStorageStats {
   size_t node_count = 0;       // slots in the arena (detached included)
   size_t total_bytes = 0;      // resident heap bytes of this document
   size_t value_bytes = 0;      // bytes of node values in the char arena
   size_t pool_slack_slots = 0; // child/attr pool entries dead after moves
-  size_t edit_version_bytes = 0;  // the overlay's share of total_bytes
 };
 
 // Arena that owns every node of one tree (or forest -- detached nodes are
@@ -370,63 +367,73 @@ class Document {
     return idx < order_key_.size() ? order_key_[idx] : 0;
   }
 
-  // --- Subtree edit-version overlay -----------------------------------------
+  // --- Name versions ---------------------------------------------------------
   //
-  // Three uint64 versions per node that let caches scope invalidation to
-  // the part of the tree an edit actually touched (the node-set interning
-  // cache keys on these; see xq::NodeSetCache and DESIGN.md section 14).
-  // Every mutation primitive calls BumpEditVersion(at) with the node whose
-  // list/value changed, which advances `edit_epoch_` and stamps:
+  // What lets the node-set cache keep every entry an edit cannot affect
+  // (xq::NodeSetCache, DESIGN.md section 14). An interned chain's node set
+  // changes only when an edit attaches, detaches or renames a node one of
+  // its steps matches, and a probe-extended entry's index only when the
+  // attribute it reads is written. So every mutation advances `edit_epoch_`
+  // and stamps the new epoch on what it touched:
   //
-  //   local_version_of(n)        n's own child list, attribute list, value,
-  //                              or one of n's attributes' values changed
-  //   child_local_version_of(n)  some DIRECT child of n had a local change
-  //                              (covers "a sibling's @id flipped" without
-  //                              touching the parent's own list)
-  //   subtree_version_of(n)      anything changed anywhere under n -- bumped
-  //                              along the whole ancestor chain, O(depth)
+  //   element_version(name)    an element of that name was attached or
+  //                            detached, alone or inside a moved subtree,
+  //                            or renamed from or to it
+  //   attribute_version(name)  the same for attributes, plus every write
+  //                            of an attribute value of that name
+  //   document_version()       some node was attached or detached: the
+  //                            guard of a chain with a step that tests no
+  //                            name (`*`, node(), text(), ...)
   //
-  // The overlay is sparse: it holds the versions of the nodes some edit
-  // stamped, and every other node reads the uniform epoch 0. An empty
-  // overlay -- a freshly parsed, cloned, or snapshot-loaded document --
-  // reports version 0 everywhere and is immediately internable. Stamping
-  // starts with the first mutation AFTER some reader has asked for a
-  // version (the `edit_versions_wanted_` flag), so document builds --
-  // thousands of attaches, nobody caching yet -- pay one counter increment
-  // per mutation instead of an O(depth) stamp walk. That is sound: versions
-  // recorded before stamping starts are all 0, the first stamping edit
-  // stamps its ancestor chain with a strictly positive epoch, and untouched
-  // nodes keep reporting 0. A publish clone copies only the stamped nodes'
-  // versions.
+  // Attach and detach stamp every name in the moved subtree: a node's
+  // ancestry and its order among its siblings change only when it or an
+  // ancestor moves, so no chain can gain or lose a node without one of its
+  // tested names -- or the document version -- moving. A value write to a
+  // text node stamps nothing: node sets hold identities, not values.
   //
-  // Thread safety: the read accessors never allocate (a node missing from
-  // the overlay reads 0) and the wanted-flag is an atomic, so any number of
-  // readers may validate versions concurrently. Mutating concurrently with
-  // readers is NOT safe -- the same contract as the tree itself.
+  // Names are NameTable ids, shared by every document, so a clone carries
+  // the versions verbatim, whatever its renumbering. A name no edit touched
+  // reads version 0. Stamping starts with the first mutation after
+  // WantEditVersions() -- which NodeSetCache::Put calls before it reads a
+  // version, and the server's publish path on its clone -- so document
+  // builds (thousands of attaches, nobody caching yet) pay one counter
+  // increment per mutation instead of a subtree walk. That is sound:
+  // versions read before stamping starts are all 0, and the first stamping
+  // edit stamps a strictly positive epoch.
+  //
+  // Thread safety: the version reads never allocate and the wanted-flag is
+  // an atomic, so any number of readers may validate versions
+  // concurrently. Mutating concurrently with readers is NOT safe -- the
+  // same contract as the tree itself.
   uint64_t edit_epoch() const { return edit_epoch_; }
   // Declares the document's CURRENT state to be the edit-history origin:
   // epoch 0, no edits yet. Builders call this at finalization so a parsed
   // document and a snapshot-loaded one report identical histories (the
   // cross-process EXPLAIN oracle diffs `[interned@v<epoch>]` renderings).
-  // Only legal while the overlay is empty -- i.e. before any version was
-  // observed AND edited -- so recorded guard versions can never outrun a
-  // rebased epoch; a no-op once some node is stamped.
+  // A no-op once some version is stamped, so recorded versions can never
+  // outrun a rebased epoch.
   void ResetEditEpoch() {
-    if (edit_versions_.empty()) edit_epoch_ = 0;
+    if (document_version_ == 0 && element_versions_.empty() &&
+        attribute_versions_.empty()) {
+      edit_epoch_ = 0;
+    }
   }
-  inline uint64_t subtree_version_of(uint32_t idx) const;
-  inline uint64_t local_version_of(uint32_t idx) const;
-  inline uint64_t child_local_version_of(uint32_t idx) const;
-  // Opts this document into overlay stamping NOW, exactly as if a version
-  // accessor had been called: the next edit stamps its chain. The server's publish path calls this on the clone
-  // BEFORE applying the edit -- it migrates guard-stamped cache entries
-  // onto the clone, and those guards must see the edit even if no reader
-  // observes a version until after the new snapshot is installed. Without
-  // it, a writer outpacing its readers clones before any reader sets the
-  // wanted-flag, the edit never stamps, and migrated entries whose chains
-  // the edit dirtied keep validating at the uniform version 0.
+  uint64_t element_version(uint32_t name) const {
+    return VersionOf(element_versions_, name);
+  }
+  uint64_t attribute_version(uint32_t name) const {
+    return VersionOf(attribute_versions_, name);
+  }
+  uint64_t document_version() const { return document_version_; }
+  // Starts stamping: the next mutation stamps what it touches. The
+  // server's publish path calls this on its clone BEFORE applying the
+  // edit: the clone receives the base snapshot's cache entries, and a
+  // reader may have stored one on the base after the clone copied the
+  // base's flag.
   void WantEditVersions() const {
-    edit_versions_wanted_.store(true, std::memory_order_relaxed);
+    if (!edit_versions_wanted_.load(std::memory_order_relaxed)) {
+      edit_versions_wanted_.store(true, std::memory_order_relaxed);
+    }
   }
 
  private:
@@ -497,11 +504,13 @@ class Document {
   void AttachAttr(uint32_t owner, uint32_t attr);
   void DetachSlot(uint32_t idx);
 
-  // Advances the edit epoch and stamps the version overlay for a mutation
-  // whose list/value change is anchored at node `at` (see the overlay
-  // comment above). Callers pass the node whose OWN state changed: the
-  // parent for child-list edits, the owner for attribute edits.
-  void BumpEditVersion(uint32_t at);
+  // Advances the edit epoch. Returns it when versions are stamped (see
+  // WantEditVersions), 0 when they are not.
+  uint64_t NextEditEpoch();
+  // Stamps `epoch` (from NextEditEpoch; 0 stamps nothing) on the document
+  // version and on every element and attribute name in the subtree at
+  // `root`, the node an attach or detach moved.
+  void StampMoved(uint32_t root, uint64_t epoch);
 
   void InvalidateOrderIndex() {
     structure_version_.fetch_add(1, std::memory_order_acq_rel);
@@ -535,24 +544,19 @@ class Document {
   // them: node indices are 32-bit.
   mutable std::vector<uint32_t> order_key_;
 
-  // Subtree edit-version overlay (see the public accessors above): the
-  // versions of every stamped node. It stays empty -- "uniform epoch 0" --
-  // until a mutation happens after some reader has set
-  // `edit_versions_wanted_`.
-  struct EditVersions {
-    uint64_t subtree = 0;
-    uint64_t local = 0;
-    uint64_t child_local = 0;
-  };
-  const EditVersions* EditVersionsOf(uint32_t idx) const {
-    edit_versions_wanted_.store(true, std::memory_order_relaxed);
-    if (edit_versions_.empty()) return nullptr;
-    auto it = edit_versions_.find(idx);
-    return it == edit_versions_.end() ? nullptr : &it->second;
+  // Name versions (see the public accessors above): NameTable id -> the
+  // epoch of the last edit that stamped it, for the names edits stamped.
+  using NameVersions = std::unordered_map<uint32_t, uint64_t>;
+  static uint64_t VersionOf(const NameVersions& versions, uint32_t name) {
+    if (versions.empty()) return 0;
+    auto it = versions.find(name);
+    return it == versions.end() ? 0 : it->second;
   }
   uint64_t edit_epoch_ = 0;
   mutable std::atomic<bool> edit_versions_wanted_{false};
-  std::unordered_map<uint32_t, EditVersions> edit_versions_;
+  uint64_t document_version_ = 0;
+  NameVersions element_versions_;
+  NameVersions attribute_versions_;
 };
 
 inline Node* NodeList::operator[](size_t i) const {
@@ -591,19 +595,6 @@ inline NodeList Node::attributes() const {
 }
 inline uint64_t Node::order_key() const {
   return document_->order_key_of(idx_);
-}
-
-inline uint64_t Document::subtree_version_of(uint32_t idx) const {
-  const EditVersions* v = EditVersionsOf(idx);
-  return v == nullptr ? 0 : v->subtree;
-}
-inline uint64_t Document::local_version_of(uint32_t idx) const {
-  const EditVersions* v = EditVersionsOf(idx);
-  return v == nullptr ? 0 : v->local;
-}
-inline uint64_t Document::child_local_version_of(uint32_t idx) const {
-  const EditVersions* v = EditVersionsOf(idx);
-  return v == nullptr ? 0 : v->child_local;
 }
 
 // A flattened, position-independent image of one document's rooted tree:
@@ -660,9 +651,8 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
 // sized to source.node_count(), with kNilNode for detached debris the clone
 // dropped. From a source that is already compact and in preorder (an
 // unedited clone or loaded snapshot) it is the identity. This is what lets
-// NodeSetCache::MigrateClone re-target cached entries at the clone (the
-// subtree edit-version overlay is remapped through the same table, so guard
-// versions stay aligned).
+// NodeSetCache::MigrateClone re-target cached entries at the clone. The
+// clone carries the source's edit epoch and name versions as they are.
 //
 // `spare_nodes` is room for that many nodes more: every per-node array (the
 // storage arrays and the order keys) reserves it, so the nodes a publish

@@ -242,11 +242,11 @@ Result<std::unique_ptr<Document>> DocumentFromStorage(
   for (uint32_t i = 1; i < n; ++i) {
     doc->handles_.emplace_back(Node::Key(), doc.get(), i);
   }
-  // Subtree edit-version overlay: deliberately left empty, which IS the
-  // uniform epoch 0 -- a snapshot-loaded document reports version 0 for
-  // every node, so the node-set interning cache can start stamping entries
-  // immediately and the first post-boot edit dirties only its own subtree.
-  // Index order is preorder by validation, so the keys are 1..n.
+  // Name versions: deliberately left empty -- a snapshot-loaded document
+  // reports version 0 for every name, so the node-set interning cache can
+  // store entries immediately and the first post-boot edit bumps only the
+  // names it touches. Index order is preorder by validation, so the keys
+  // are 1..n.
   doc->SetPreorderKeys();
   return doc;
 }

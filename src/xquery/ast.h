@@ -92,6 +92,18 @@ struct PathStep {
   bool streamable = false;
 };
 
+// The names an interned chain tests, its guard (DESIGN.md section 14): the
+// chain's node set cannot change unless an edit attaches, detaches or
+// renames an element or attribute of one of these names, or writes an
+// attribute its entry indexes -- or, when `any` is set, attaches or
+// detaches any node at all. Names stay strings: query text is untrusted,
+// so compiling interns none of them in the process-wide NameTable.
+struct ChainNames {
+  std::vector<std::string> elements;
+  std::vector<std::string> attributes;
+  bool any = false;  // some step tests no name: *, node(), text(), ...
+};
+
 // Appends a step's "axis::test" spelling (e.g. "child::a",
 // "descendant::text()") to `out`: the one renderer behind ExprToString,
 // EXPLAIN, rewrite notes and node-set intern keys.
@@ -276,12 +288,16 @@ struct Expr {
   // `probe_chain_key` is that entry's key -- the intern key plus the bare
   // axis::test, "/" and `@a`, the probed attribute -- and empty when no
   // step is probe-extended. No key holds a literal, so every key value
-  // shares one entry. A path with a limit_hint interns nothing: all three
+  // shares one entry. A path with a limit_hint interns nothing: all five
   // are cleared. EXPLAIN renders every interned step of a path whose base
-  // is statically a tree root as [interned].
+  // is statically a tree root as [interned]. `intern_names` and
+  // `probe_chain_names` are the names each chain tests, its entry's guard;
+  // the probe chain's include the probed attribute.
   size_t intern_steps = 0;
   std::string intern_key;
   std::string probe_chain_key;
+  ChainNames intern_names;
+  ChainNames probe_chain_names;
 
   // kFlwor
   std::vector<FlworClause> clauses;

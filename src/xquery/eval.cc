@@ -1057,8 +1057,8 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   xml::Node* base = current->at(0).node();
   // Any tree root qualifies: a document node, or a parentless element such
   // as a docgen phase's input. Nothing a chain reaches from a root lies
-  // outside its subtree, which the guards below cover. (An attribute's
-  // parent() is its owner; a detached one is no root.)
+  // outside its tree. (An attribute's parent() is its owner; a detached one
+  // is no root.)
   if (base->parent() != nullptr || base->is_attribute() ||
       base->document() == nullptr) {
     return 0;
@@ -1119,9 +1119,9 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
   }
   if (outcome == NodeSetCache::Outcome::kStale ||
       outcome == NodeSetCache::Outcome::kStalePartial) {
-    // A failed version guard, not a cold key: count it as an invalidation
-    // (and, when the entry was scoped below the document, as a partial one
-    // -- the subtree guards confined the damage to this chain).
+    // A failed guard, not a cold key: count it as an invalidation (and,
+    // when no document-wide guard was involved, as a partial one -- the
+    // chain's names confined the damage to the chains that test them).
     ++stats_.nodeset_cache_invalidations;
     if (outcome == NodeSetCache::Outcome::kStalePartial) {
       ++stats_.nodeset_cache_partial_invalidations;
@@ -1130,11 +1130,6 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
     ++stats_.nodeset_cache_misses;
   }
 
-  // Read the guard versions BEFORE computing, so an entry can only ever be
-  // stamped too old (a harmless re-miss), never too new.
-  std::vector<CachedNodeSet::Guard> guards;
-  bool subtree_scoped = false;
-  ComputeInternGuards(e, steps, probed, base, &guards, &subtree_scoped);
   size_t full = probed ? steps - 1 : steps;
   LLL_ASSIGN_OR_RETURN(Sequence computed,
                        EvalStepsRange(e, 0, full, start, kNoLimit));
@@ -1159,7 +1154,7 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
   }
   // Axis steps from a tree root reach only that root's document, so the
   // result is storable as it is.
-  return cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
+  return cache->Put(key, *doc, probed ? e.probe_chain_names : e.intern_names,
                     computed, index_attr);
 }
 
@@ -1233,101 +1228,6 @@ Result<std::optional<std::vector<uint32_t>>> Evaluator::ProbeHits(
     probe_indexes_.push_back(std::move(built));
   }
   return Hits(std::move(hits));
-}
-
-void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
-                                    bool probed, xml::Node* base,
-                                    std::vector<CachedNodeSet::Guard>* guards,
-                                    bool* subtree_scoped) {
-  using Guard = CachedNodeSet::Guard;
-  using GuardKind = CachedNodeSet::GuardKind;
-  constexpr size_t kMaxGuards = 16;
-  auto push = [guards](const xml::Node* n, GuardKind kind) {
-    guards->push_back(NodeSetCache::GuardFor(n, kind));
-  };
-
-  // A non-downward axis anywhere in the prefix (parent/ancestor/siblings)
-  // can read outside any subtree scope the descent below would establish;
-  // one whole-tree guard on the base covers everything such a chain sees:
-  // the coarsest point of the guard lattice.
-  for (size_t i = 0; i < prefix; ++i) {
-    switch (e.steps[i].axis) {
-      case Axis::kChild:
-      case Axis::kAttribute:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-      case Axis::kSelf:
-        continue;
-      default:
-        push(base, GuardKind::kSubtree);
-        *subtree_scoped = false;
-        return;
-    }
-  }
-
-  // Descend from the base through steps that provably resolve to a single
-  // element, pinning each level with the narrowest guard that dominates it:
-  //
-  //   child::name                  the selection depends only on ctx's own
-  //                                child list              -> {ctx, kLocal}
-  //   child::name, probe-extended  ...plus the candidates' attributes, which
-  //                                the entry's index reads
-  //                       -> {ctx, kLocal} + {ctx, kLocalChildren}
-  //
-  // and stop with a whole-subtree guard at the first step that fans out,
-  // matches nothing, or reads deeper than attributes. Every intermediate
-  // singleton also stays pinned, so moving or renaming any node on the
-  // resolved path invalidates the chain through its parent's kLocal guard.
-  xml::Node* ctx = base;
-  for (size_t i = 0; i < prefix; ++i) {
-    const PathStep& step = e.steps[i];
-    const bool last = i + 1 == prefix;
-    if (guards->size() + 2 > kMaxGuards) {
-      push(ctx, GuardKind::kSubtree);
-      break;
-    }
-    if (step.axis == Axis::kChild && step.test.kind == NodeTestKind::kName) {
-      push(ctx, GuardKind::kLocal);
-      if (probed && last) push(ctx, GuardKind::kLocalChildren);
-      if (last) break;
-      // The anchor: the one child the step selects. A step inside the
-      // chain has no predicate.
-      xml::Node* anchor = nullptr;
-      bool unique = true;
-      for (xml::Node* c : ctx->children()) {
-        if (!c->is_element() || c->name() != step.test.name) continue;
-        if (anchor != nullptr) {
-          unique = false;
-          break;
-        }
-        anchor = c;
-      }
-      if (unique && anchor != nullptr) {
-        ctx = anchor;
-        continue;
-      }
-      push(ctx, GuardKind::kSubtree);
-      break;
-    }
-    if (step.axis == Axis::kAttribute && last) {
-      // An attribute set depends only on the owner's own attribute state,
-      // and an attribute has no attributes for an index to read.
-      push(ctx, GuardKind::kLocal);
-      break;
-    }
-    // descendant/self steps and wildcards: the result can depend on
-    // anything beneath ctx.
-    push(ctx, GuardKind::kSubtree);
-    break;
-  }
-
-  *subtree_scoped = false;
-  for (const Guard& g : *guards) {
-    if (g.node != base->index()) {
-      *subtree_scoped = true;
-      break;
-    }
-  }
 }
 
 Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,

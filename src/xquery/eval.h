@@ -78,10 +78,11 @@ struct EvalOptions {
   // steps) as (document identity, Expr::intern_key) -> node set, and a
   // probe-extended chain (Expr::probe_chain_key) with an index of its
   // probed attribute's values, which the probe's key looks up whatever its
-  // value. Entries are invalidated by the document's per-node subtree
-  // edit-version overlay -- an edit evicts only entries whose dependency
-  // chain it dirtied. Borrowed; must outlive the evaluation AND be scoped
-  // to the documents' owner (cached node sets hold raw Node pointers).
+  // value. Each entry is guarded by the names its chain tests
+  // (Expr::intern_names, probe_chain_names): an edit evicts only the
+  // entries whose names it touched. Borrowed; must outlive the evaluation
+  // AND be scoped to the documents' owner (cached node sets hold raw Node
+  // pointers).
   // nullptr = no interning.
   NodeSetCache* nodeset_cache = nullptr;
   // Per-expression profiling (obs/profiler.h): attribute wall time, eval
@@ -132,10 +133,10 @@ struct EvalOptions {
 // stream is evaluated in full and not counted.
 //
 // Node-set interning cache traffic attributable to this evaluation. An
-// invalidation is a lookup that found an entry with a failed subtree version
-// guard (stale edit history, not a cold key); the partial counter is the
-// subset whose entry was subtree-scoped -- i.e. the finer-than-whole-
-// document guards earned their keep by surviving unrelated edits.
+// invalidation is a lookup that found an entry with a failed guard (stale
+// edit history, not a cold key); the partial counter is the subset whose
+// entry had no document-wide guard -- its chain tests names only, so
+// edits that touched none of them left it standing.
 //
 // Hash probes (DESIGN.md section 16): `probe_filters` counts marked
 // `@a = K` predicates answered from an attribute index instead of a
@@ -344,7 +345,7 @@ class Evaluator {
   // The interned entry for the first `steps` steps of `e` from `base` --
   // when `probed`, the last one bare, with the index of its probe's
   // attribute -- looked up under `fingerprint` or computed from `start`
-  // and stored.
+  // and stored, guarded by the names the chain tests.
   Result<std::shared_ptr<const CachedNodeSet>> InternChain(
       const Expr& e, size_t steps, bool probed, xml::Node* base,
       const std::string& fingerprint, const xdm::Sequence& start);
@@ -366,17 +367,6 @@ class Evaluator {
   // per-candidate loop instead.
   Result<std::optional<std::vector<uint32_t>>> ProbeHits(
       const Expr& pred, const xdm::Sequence& candidates);
-  // Builds the subtree version guard set for an intern entry: descends from
-  // `base` through prefix steps that resolve to singleton elements,
-  // recording the narrowest overlay guards that dominate the chain, and
-  // falls back to a whole-subtree guard at the first step it cannot scope
-  // (DESIGN.md section 14). Best-effort: never fails, only widens.
-  // `probed`: the prefix's last step is probe-extended, and its index reads
-  // the candidates' attributes, so it is guarded like a filtered step.
-  void ComputeInternGuards(const Expr& e, size_t prefix, bool probed,
-                           xml::Node* base,
-                           std::vector<CachedNodeSet::Guard>* guards,
-                           bool* subtree_scoped);
   // One axis step over every context of `input`: the per-context results
   // concatenated, marked ordered_deduped when a single context fed a
   // forward axis (the one case that needs no normalizing sort).

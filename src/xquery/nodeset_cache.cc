@@ -11,17 +11,24 @@ namespace lll::xq {
 
 namespace {
 
-uint64_t CurrentVersion(const xml::Document* doc,
+uint64_t CurrentVersion(const xml::Document& doc,
                         const CachedNodeSet::Guard& g) {
-  switch (g.kind) {
-    case CachedNodeSet::GuardKind::kLocal:
-      return doc->local_version_of(g.node);
-    case CachedNodeSet::GuardKind::kLocalChildren:
-      return doc->child_local_version_of(g.node);
-    case CachedNodeSet::GuardKind::kSubtree:
-      return doc->subtree_version_of(g.node);
+  return g.attribute ? doc.attribute_version(g.name)
+                     : doc.element_version(g.name);
+}
+
+bool Holds(const CachedNodeSet& entry, const xml::Document& doc) {
+  if (entry.doc_id != doc.doc_id() ||
+      (entry.document_wide &&
+       entry.document_version != doc.document_version()) ||
+      (entry.names_interned != 0 &&
+       entry.names_interned != xml::NameTable::interned_count())) {
+    return false;
   }
-  return 0;
+  for (const CachedNodeSet::Guard& g : entry.guards) {
+    if (CurrentVersion(doc, g) != g.version) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -72,15 +79,6 @@ std::string NodeSetCache::MakeKey(const xml::Node* base,
   return std::string(buf) + fingerprint;
 }
 
-CachedNodeSet::Guard NodeSetCache::GuardFor(const xml::Node* n,
-                                            CachedNodeSet::GuardKind kind) {
-  CachedNodeSet::Guard g;
-  g.node = n->index();
-  g.kind = kind;
-  g.version = CurrentVersion(n->document(), {n->index(), kind, 0});
-  return g;
-}
-
 std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
     const xml::Document* doc, const std::string& key, Outcome* outcome) {
   std::shared_ptr<const CachedNodeSet> entry = cache_.Get(key);
@@ -88,21 +86,12 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
     if (outcome != nullptr) *outcome = Outcome::kMiss;
     return nullptr;
   }
-  bool stale = entry->doc_id != doc->doc_id();
-  if (!stale) {
-    for (const CachedNodeSet::Guard& g : entry->guards) {
-      if (CurrentVersion(doc, g) != g.version) {
-        stale = true;
-        break;
-      }
-    }
-  }
-  if (stale) {
+  if (!Holds(*entry, *doc)) {
     // A failed guard is an invalidation, not a plain miss: the caller DID
     // intern this chain before, and the edit history is what evicted it.
     if (outcome != nullptr) {
-      *outcome = entry->subtree_scoped ? Outcome::kStalePartial
-                                       : Outcome::kStale;
+      *outcome = entry->document_wide ? Outcome::kStale
+                                      : Outcome::kStalePartial;
     }
     return nullptr;
   }
@@ -120,13 +109,30 @@ xdm::Sequence CachedNodeSet::ToSequence() const {
 }
 
 std::shared_ptr<const CachedNodeSet> NodeSetCache::Put(
-    const std::string& key, uint64_t doc_id,
-    std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
+    const std::string& key, const xml::Document& doc, const ChainNames& names,
     const xdm::Sequence& nodes, const std::string& index_attr) {
+  doc.WantEditVersions();
   auto entry = std::make_shared<CachedNodeSet>();
-  entry->doc_id = doc_id;
-  entry->guards = std::move(guards);
-  entry->subtree_scoped = subtree_scoped;
+  entry->doc_id = doc.doc_id();
+  // Read the count before the lookups: a name interned after a lookup
+  // missed it moves the count past the recorded one.
+  const uint64_t interned = xml::NameTable::interned_count();
+  auto guard = [&](const std::vector<std::string>& list, bool attribute) {
+    for (const std::string& name : list) {
+      const std::optional<uint32_t> id = xml::NameTable::Find(name);
+      if (!id.has_value()) {
+        entry->names_interned = interned;
+        continue;
+      }
+      CachedNodeSet::Guard g{*id, attribute, 0};
+      g.version = CurrentVersion(doc, g);
+      entry->guards.push_back(g);
+    }
+  };
+  guard(names.elements, /*attribute=*/false);
+  guard(names.attributes, /*attribute=*/true);
+  entry->document_wide = names.any;
+  if (names.any) entry->document_version = doc.document_version();
   entry->nodes.reserve(nodes.size());
   for (const xdm::Item& item : nodes.items()) {
     entry->nodes.push_back(item.node());
@@ -178,15 +184,6 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
       moved->nodes.push_back(to.NodeAt(mapped));
     }
     if (!mappable) continue;
-    std::vector<CachedNodeSet::Guard> guards = entry->guards;
-    for (CachedNodeSet::Guard& g : guards) {
-      g.node = remap(g.node);
-      if (g.node == xml::kNilNode) {
-        mappable = false;
-        break;
-      }
-    }
-    if (!mappable) continue;
     // Key layout is "<doc_id>@<base_index>|<fingerprint>" (MakeKey): swap
     // the doc_id prefix and re-base the node index through the map, keep
     // the fingerprint.
@@ -203,8 +200,10 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
     const uint32_t mapped_base = remap(base);
     if (mapped_base == xml::kNilNode) continue;
     moved->doc_id = to.doc_id();
-    moved->guards = std::move(guards);
-    moved->subtree_scoped = entry->subtree_scoped;
+    moved->guards = entry->guards;
+    moved->document_wide = entry->document_wide;
+    moved->document_version = entry->document_version;
+    moved->names_interned = entry->names_interned;
     moved->ordered_deduped = entry->ordered_deduped;
     moved->index = entry->index;
     cache_.Put(std::to_string(to.doc_id()) + "@" +

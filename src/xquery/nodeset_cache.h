@@ -12,6 +12,7 @@
 #include "core/metrics.h"
 #include "xdm/sequence.h"
 #include "xml/node.h"
+#include "xquery/ast.h"
 
 namespace lll::xq {
 
@@ -49,46 +50,42 @@ class ValueIndex {
 };
 
 // One interned node set: the materialized, normalized (document order, no
-// duplicates) result of a step chain from one document node, stamped with
-// the identity (doc_id) of the owning document and a set of subtree version
-// GUARDS read from the document's edit-version overlay at computation time
-// (xml::Document::subtree_version_of and friends; DESIGN.md section 14).
-//
-// A guard pins one node of the dependency chain the entry was computed
-// through: the entry is valid iff EVERY guard's recorded version still
-// matches the document. The three guard kinds mirror the overlay --
-//
-//   kLocal          the node's own child/attribute list and value (and its
-//                   attributes' values) are unchanged: guards "the children
-//                   of N named x are still these"
-//   kLocalChildren  no DIRECT child of the node had a local change: guards
-//                   attribute-only predicates over the node's children
-//                   ("no sibling's @id flipped")
-//   kSubtree        nothing changed anywhere under the node: the coarse
-//                   guard for everything deeper analysis cannot scope
-//
-// so an entry anchored under /library/models/model[@id="m7"] survives edits
-// to every other model subtree -- that is the whole point: one edit no
-// longer evicts the cache wholesale.
+// duplicates) result of a step chain from one tree root, stamped with the
+// identity (doc_id) of the owning document and with a GUARD: the versions,
+// when it was stored, of the names the chain tests (xq::ChainNames, a plan
+// fact; xml::Document::element_version and friends; DESIGN.md section 14).
+// The entry is valid iff every version still matches the document. A
+// chain's node set cannot change unless an edit attaches, detaches or
+// renames a node its tests match, or writes the attribute its index reads,
+// so an edit that touches none of its names keeps it -- that is the whole
+// point: one edit no longer evicts the cache wholesale. A chain with a step
+// that tests no name (`*`, node(), text()) is guarded by the document
+// version as well, which every attach and detach moves.
 //
 // The doc_id stamp guards against identity reuse: the key embeds the base
 // node's doc_id + index, and an entry from a dead document must never
 // validate against a new one -- doc_ids are process-unique and never reused,
 // unlike addresses.
 struct CachedNodeSet {
-  enum class GuardKind : uint8_t { kLocal, kLocalChildren, kSubtree };
+  // One name the chain tests and its version when the entry was stored.
   struct Guard {
-    uint32_t node = 0;  // node index within the owning document's arena
-    GuardKind kind = GuardKind::kSubtree;
-    uint64_t version = 0;  // overlay version recorded at computation time
+    uint32_t name = 0;       // NameTable id
+    bool attribute = false;  // an attribute name, else an element name
+    uint64_t version = 0;
   };
 
   uint64_t doc_id = 0;
   std::vector<Guard> guards;
-  // True if some guard is anchored strictly below the base node, i.e. the
-  // entry's validity is scoped to a subtree rather than the whole tree.
-  // Distinguishes partial from full invalidations in the stats.
-  bool subtree_scoped = false;
+  // Set when some step tests no name: the document version, recorded
+  // beside it, guards the entry too. A failed guard then counts as a full
+  // invalidation in the stats, any other as a partial one.
+  bool document_wide = false;
+  uint64_t document_version = 0;
+  // Nonzero when some name the chain tests was not interned when the entry
+  // was stored: NameTable::interned_count() then. No node had that name,
+  // and none can until it is interned, so the entry holds while the count
+  // stands.
+  uint64_t names_interned = 0;
   // The node set, 8 bytes a node, and whether the sequence it was stored
   // from carried the ordered-and-deduped mark (xdm::Sequence).
   std::vector<xml::Node*> nodes;
@@ -104,9 +101,9 @@ struct CachedNodeSet {
 
 // A thread-safe interning cache for document-rooted node sets, keyed on
 // (document identity, base node, step-chain fingerprint) and invalidated by
-// the document's per-node subtree edit-version overlay: a lookup revalidates
-// every guard of the entry against the document's current versions, so an
-// edit invalidates exactly the entries whose dependency chain it dirtied.
+// the document's name versions: a lookup revalidates the entry's guard
+// against the document's current versions, so an edit invalidates exactly
+// the entries whose chains test a name it touched.
 //
 // Ownership contract: cached Sequences hold raw xml::Node pointers into the
 // documents they were computed from. A NodeSetCache must therefore be scoped
@@ -120,17 +117,17 @@ struct CachedNodeSet {
 //
 // Concurrency: Get/Put are safe from any number of threads (the underlying
 // LruCache serializes bookkeeping; values are shared immutable handles), and
-// guard validation reads the overlay through accessors that never allocate.
-// Mutating a document concurrently with evaluations over it is NOT safe --
-// the same contract as the tree itself.
+// guard validation reads the versions through accessors that never
+// allocate. Mutating a document concurrently with evaluations over it is NOT
+// safe -- the same contract as the tree itself.
 //
 // Stats: the cache counts nothing of its own. Get reports each lookup's
 // Outcome -- a hit, a cold miss, or an invalidation (an entry found with a
-// failed guard; kStalePartial when the entry was subtree-scoped, i.e. a
-// finer-than-whole-document guard did its job) -- and the evaluator tallies
-// them per execution in EvalStats::nodeset_cache_*, which xq::Execute
-// exports as the xq.eval.nodeset_cache_* counters. (The LruCache's own
-// CacheStats would count a stale hit as a hit.)
+// failed guard; kStalePartial when the entry had no document-wide guard,
+// i.e. its names confined the damage to the chains that test them) -- and
+// the evaluator tallies them per execution in EvalStats::nodeset_cache_*,
+// which xq::Execute exports as the xq.eval.nodeset_cache_* counters. (The
+// LruCache's own CacheStats would count a stale hit as a hit.)
 class NodeSetCache {
  public:
   enum class Outcome { kHit, kMiss, kStale, kStalePartial };
@@ -142,23 +139,26 @@ class NodeSetCache {
   NodeSetCache& operator=(const NodeSetCache&) = delete;
 
   // Returns the entry for `key` iff it was computed from this very `doc`
-  // (doc_id match) and every guard still matches the document's current
-  // overlay versions; nullptr on miss or staleness. `outcome` (optional)
-  // distinguishes hit / miss / full stale / subtree-scoped stale.
+  // (doc_id match) and its guard still matches the document's current
+  // versions; nullptr on miss or staleness. `outcome` (optional)
+  // distinguishes hit / miss / full stale / partial stale.
   std::shared_ptr<const CachedNodeSet> Get(const xml::Document* doc,
                                            const std::string& key,
                                            Outcome* outcome = nullptr);
 
-  // Stores the node set computed from the document identified by `doc_id`,
-  // with its guard versions read from the overlay BEFORE computing (so an
-  // entry can only ever be stamped too old -- a harmless re-miss -- never
-  // too new). `nodes` are all nodes of that document. A non-empty
-  // `index_attr` gives the entry a ValueIndex of that attribute over its
-  // nodes. Overwrites stale entries. Returns the stored entry.
-  std::shared_ptr<const CachedNodeSet> Put(
-      const std::string& key, uint64_t doc_id,
-      std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
-      const xdm::Sequence& nodes, const std::string& index_attr = {});
+  // Stores the node set computed from `doc`, guarded by the current
+  // versions of `names`, the names its chain tests. It first has `doc`
+  // stamp versions (xml::Document::WantEditVersions), and no edit can land
+  // between the computation and this call (the single-writer contract), so
+  // the versions are the ones the nodes were computed at. `nodes` are all
+  // nodes of `doc`. A non-empty `index_attr` gives the entry a ValueIndex
+  // of that attribute over its nodes. Overwrites stale entries. Returns the
+  // stored entry.
+  std::shared_ptr<const CachedNodeSet> Put(const std::string& key,
+                                           const xml::Document& doc,
+                                           const ChainNames& names,
+                                           const xdm::Sequence& nodes,
+                                           const std::string& index_attr = {});
 
   // The key for a step chain hanging off `base`: the owning document's
   // process-unique id plus the base node's index (distinct document nodes in
@@ -167,22 +167,16 @@ class NodeSetCache {
   static std::string MakeKey(const xml::Node* base,
                              const std::string& fingerprint);
 
-  // A guard of the given kind over `n`, stamped with the CURRENT overlay
-  // version -- the building block callers assemble dependency chains from.
-  static CachedNodeSet::Guard GuardFor(const xml::Node* n,
-                                       CachedNodeSet::GuardKind kind);
-
   // Copies `source`'s entries for `from` into this cache, re-targeted at
   // `to`, a clone of `from`, with `node_map` the source-index -> clone-index
   // table CloneDocument produced (the identity from a compact, preorder
   // source, kNilNode for dropped debris). Keys are re-stamped with the
-  // clone's doc_id and re-based through the map, node handles and guard
-  // anchors remap through it, and guard versions transfer verbatim:
-  // the clone carries the edit-version overlay (remapped through the same
-  // table), so entries whose chains a post-clone edit dirtied fail their
-  // guards on first lookup (reported partial/full as usual) while untouched
-  // chains keep hitting. A value index is shared with the migrated entry:
-  // the remapped nodes keep their order. Entries touching dropped nodes are
+  // clone's doc_id and re-based through the map, node handles remap
+  // through it, and guards transfer verbatim: the clone carries the name
+  // versions, so entries whose names a post-clone edit touched fail their
+  // guards on first lookup (reported partial/full as usual) while the rest
+  // keep hitting. A value index is shared with the migrated entry: the
+  // remapped nodes keep their order. Entries touching dropped nodes are
   // skipped. This is what lets a warm cache survive the server's
   // copy-on-write publish.
   // Recency order is preserved. Returns the number of entries migrated.

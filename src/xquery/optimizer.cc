@@ -1,5 +1,6 @@
 #include "xquery/optimizer.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -486,6 +487,8 @@ void MarkDemand(Expr* e) {
     operand->intern_steps = 0;
     operand->intern_key.clear();
     operand->probe_chain_key.clear();
+    operand->intern_names = {};
+    operand->probe_chain_names = {};
   };
   switch (e->kind) {
     case ExprKind::kIf:
@@ -554,25 +557,51 @@ bool ProbeExtends(const PathStep& step) {
          key.literal_type == Expr::LiteralType::kString;
 }
 
-// Sets a path's Expr::intern_steps, intern_key and probe_chain_key. The
-// probe chain's key ends with `@a`, the probed attribute its entry indexes:
-// one entry per (chain, attribute), whatever the key's value. No key holds
-// a literal.
+// Adds `name` to `names` unless it is there already.
+void AddName(const std::string& name, std::vector<std::string>* names) {
+  if (std::find(names->begin(), names->end(), name) == names->end()) {
+    names->push_back(name);
+  }
+}
+
+// Adds the name `step` tests to the chain's names: an attribute name on the
+// attribute axis, an element name on every other. A test of no name --
+// `*`, node(), text(), comment(), processing-instruction() -- matches
+// nodes whatever their names, so only the document version guards it.
+void AddTestedName(const PathStep& step, ChainNames* names) {
+  if (step.test.kind != NodeTestKind::kName) {
+    names->any = true;
+  } else if (step.axis == Axis::kAttribute) {
+    AddName(step.test.name, &names->attributes);
+  } else {
+    AddName(step.test.name, &names->elements);
+  }
+}
+
+// Sets a path's Expr::intern_steps, intern_key and probe_chain_key, and the
+// names each chain tests. The probe chain's key ends with `@a`, the probed
+// attribute its entry indexes: one entry per (chain, attribute), whatever
+// the key's value. No key holds a literal.
 void ResolveInterning(Expr* path) {
   for (const PathStep& step : path->steps) {
     if (step.is_filter || !step.predicates.empty()) break;
     AppendAxisTest(step, &path->intern_key);
     path->intern_key += '/';
+    AddTestedName(step, &path->intern_names);
     ++path->intern_steps;
   }
   if (path->intern_steps < path->steps.size() &&
       ProbeExtends(path->steps[path->intern_steps])) {
     const PathStep& step = path->steps[path->intern_steps];
     const Expr& probe = *step.predicates[0];
+    const std::string& attr =
+        probe.children[1 - probe.probe_key]->steps[0].test.name;
     path->probe_chain_key = path->intern_key;
     AppendAxisTest(step, &path->probe_chain_key);
-    path->probe_chain_key +=
-        "/@" + probe.children[1 - probe.probe_key]->steps[0].test.name;
+    path->probe_chain_key += "/@" + attr;
+    path->probe_chain_names = path->intern_names;
+    AddTestedName(step, &path->probe_chain_names);
+    AddName(attr, &path->probe_chain_names.attributes);
   }
 }
 

@@ -85,7 +85,8 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
 // streamable), every path's Expr::limit_hint and intern facts
-// (intern_steps, intern_key, probe_chain_key) and every
+// (intern_steps, intern_key, probe_chain_key, and the names each chain
+// tests, its cache entry's guard) and every
 // FunctionDecl::memoizable from the bound AST. Run by Compile on every
 // plan, optimized or not, after any rewrite, so the facts are computed once
 // per plan. The intern rule: a step joins the interned chain when it has no

@@ -1,6 +1,7 @@
 #include "xquery/update_eval.h"
 
 #include <map>
+#include <set>
 #include <utility>
 
 #include "xml/parser.h"
@@ -14,21 +15,47 @@ std::string StatementLabel(size_t index, const UpdateStatement& s) {
   return "statement " + std::to_string(index + 1) + " (" + ToString(s) + ")";
 }
 
-// The node whose local/child-list versions applying the statement to
-// `target` will bump -- the guard anchor EXPLAIN reports and the charge
-// point the mutation primitives route through BumpEditVersion.
-const xml::Node* ChargePointOf(const UpdateStatement& s,
-                               const xml::Node* target) {
-  switch (s.op) {
-    case UpdateOp::kInsert:
-      return s.position == InsertPosition::kInto ? target : target->parent();
-    case UpdateOp::kDelete:
-    case UpdateOp::kReplace:
-      return target->parent();
-    case UpdateOp::kRename:
-      return target->is_attribute() ? target->parent() : target;
+// What applying `s` to `target` bumps (DESIGN.md section 14): the element
+// and attribute names of every subtree it moves -- the target's for a
+// delete or replace, the payload's for an insert or replace -- or, for a
+// rename, the old and the new name. Returns whether it moves the document
+// version, which every attach and detach does.
+bool AddBumpedNames(const CompiledUpdateStatement& cs,
+                    const xml::Node* target, std::set<std::string>* elements,
+                    std::set<std::string>* attributes) {
+  const UpdateStatement& s = cs.statement;
+  if (s.op == UpdateOp::kRename) {
+    if (target->is_element() || target->is_attribute()) {
+      std::set<std::string>* names =
+          target->is_attribute() ? attributes : elements;
+      names->insert(target->name());
+      names->insert(s.qname);
+    }
+    return false;
   }
-  return target;
+  std::vector<const xml::Node*> stack;
+  if (s.op != UpdateOp::kInsert) stack.push_back(target);
+  if (s.op != UpdateOp::kDelete && !s.node_is_text) {
+    stack.push_back(cs.payload->DocumentElement());
+  }
+  while (!stack.empty()) {
+    const xml::Node* n = stack.back();
+    stack.pop_back();
+    if (n->is_element()) elements->insert(n->name());
+    if (n->is_attribute()) attributes->insert(n->name());
+    for (const xml::Node* a : n->attributes()) attributes->insert(a->name());
+    for (const xml::Node* c : n->children()) stack.push_back(c);
+  }
+  return true;
+}
+
+template <typename Names>
+std::string Join(const Names& names, const char* separator) {
+  std::string out;
+  for (const std::string& name : names) {
+    out += (out.empty() ? "" : separator) + name;
+  }
+  return out;
 }
 
 // Per-op target validation, run against the pre-update snapshot before any
@@ -405,20 +432,28 @@ std::string ExplainUpdate(const CompiledUpdate& update,
            (r->sequence.size() == 1 ? " node" : " nodes") + "\n";
     constexpr size_t kMaxShown = 4;
     size_t shown = 0;
+    std::set<std::string> elements, attributes;
+    bool document = false;
     for (const xdm::Item& item : r->sequence.items()) {
       if (!item.is_node() || item.node()->document() != doc) continue;
-      if (shown == kMaxShown) {
+      document = AddBumpedNames(cs, item.node(), &elements, &attributes) ||
+                 document;
+      if (shown < kMaxShown) {
+        out += "      " + NodePathOf(item.node()) + "\n";
+      } else if (shown == kMaxShown) {
         out += "      ... and " +
                std::to_string(r->sequence.size() - kMaxShown) + " more\n";
-        break;
       }
-      const xml::Node* target = item.node();
-      const xml::Node* charge = ChargePointOf(cs.statement, target);
-      out += "      " + NodePathOf(target) + " -- dirties local+child-list @ " +
-             (charge != nullptr ? NodePathOf(charge) : "<detached>") +
-             ", subtree versions up the ancestor chain\n";
       ++shown;
     }
+    std::vector<std::string> bumps;
+    if (!elements.empty()) bumps.push_back("elements " + Join(elements, ", "));
+    if (!attributes.empty()) {
+      bumps.push_back("attributes " + Join(attributes, ", "));
+    }
+    if (document) bumps.push_back("the document version");
+    out += "    bumps: " + (bumps.empty() ? "nothing" : Join(bumps, "; ")) +
+           "\n";
   }
   return out;
 }

@@ -28,9 +28,10 @@ namespace lll::xq {
 //   3. statements then apply in script order, each routed through the
 //      ordinary mutation primitives (AppendChild / InsertChildAt /
 //      RemoveChild via Detach / ReplaceChild / Rename), so every edit
-//      charges the subtree edit-version overlay exactly like a hand-written
+//      stamps the document's name versions exactly like a hand-written
 //      EditFn -- which is what lets the node-set cache invalidate only the
-//      chains a statement actually dirtied (DESIGN.md sections 14 and 15).
+//      chains that test a name a statement touched (DESIGN.md sections 14
+//      and 15).
 
 // One statement, compiled: the target path as a CompiledQuery, the payload
 // (insert/replace, unless text) pre-parsed into its own little document.
@@ -105,10 +106,12 @@ Result<UpdateStats> ApplyUpdate(const CompiledUpdate& update,
                                 const UpdateOptions& options = {});
 
 // EXPLAIN for update plans: one block per statement showing the operation
-// and payload; with a context document, also the resolved target count and
-// the overlay guard anchors applying the statement will dirty (the node
-// whose local/child-list versions move, plus the subtree chain above it) --
-// i.e. which cached chains the statement will invalidate. Read-only.
+// and payload; with a context document, also the resolved targets and the
+// names applying the statement will bump (xml::Document's name versions:
+// every element and attribute name in a moved subtree, a rename's old and
+// new name) and whether it moves the document version -- i.e. which cached
+// chains the statement will invalidate: those that test one of the names,
+// or any name at all when the document version moves. Read-only.
 std::string ExplainUpdate(const CompiledUpdate& update,
                           const xml::Document* doc = nullptr);
 

@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/explain.h"
+#include "xml/name_table.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
 #include "xquery/nodeset_cache.h"
@@ -281,8 +282,8 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
   }
 
   // The probe-extended entry holds every `a` with its index of @id, and is
-  // guarded at `r`, their parent: its child list (kLocal) and its
-  // children's attributes (kLocalChildren), not its whole subtree.
+  // guarded by the names its chain tests -- r, a and the probed @id -- not
+  // by the document version.
   auto compiled = xq::Compile("/r/a[@id = \"k\"][@t = \"u\"]/b");
   ASSERT_TRUE(compiled.ok());
   xq::NodeSetCache cache;
@@ -303,18 +304,13 @@ TEST(ExplainTest, InternedMarksAgreeWithTheEvaluatorsCacheHits) {
     entry->index->LookUp(entry->nodes, value, &hits);
     EXPECT_EQ(hits, want) << value;
   }
-  const xml::Node* r = (*doc)->DocumentElement();
-  bool local = false, local_children = false;
+  EXPECT_FALSE(entry->document_wide);
+  std::vector<std::string> guarded;
   for (const auto& guard : entry->guards) {
-    EXPECT_NE(guard.kind, xq::CachedNodeSet::GuardKind::kSubtree);
-    if (guard.node != r->index()) continue;
-    local = local || guard.kind == xq::CachedNodeSet::GuardKind::kLocal;
-    local_children =
-        local_children ||
-        guard.kind == xq::CachedNodeSet::GuardKind::kLocalChildren;
+    guarded.push_back((guard.attribute ? "@" : "") +
+                      xml::NameTable::Get(guard.name));
   }
-  EXPECT_TRUE(local);
-  EXPECT_TRUE(local_children);
+  EXPECT_EQ(guarded, (std::vector<std::string>{"r", "a", "@id"}));
 }
 
 TEST(ExplainTest, ProbePredicatesAreMarkedNotedAndCounted) {

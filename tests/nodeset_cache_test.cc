@@ -1,9 +1,9 @@
 // Tests for the versioned node-set interning cache: unit behavior of
-// NodeSetCache itself (guard validation against the document's subtree
-// edit-version overlay), end-to-end interning through the evaluator,
-// subtree-scoped invalidation under document mutation, foldable-predicate
-// interning, and shared-cache concurrency tests (run under ThreadSanitizer
-// via the "concurrency" ctest label).
+// NodeSetCache itself (guard validation against the document's name
+// versions), end-to-end interning through the evaluator, name-guarded
+// invalidation under document mutation, probe-extended entries, and
+// shared-cache concurrency tests (run under ThreadSanitizer via the
+// "concurrency" ctest label).
 
 #include <iterator>
 #include <random>
@@ -14,15 +14,13 @@
 
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "xml/name_table.h"
 #include "xml/parser.h"
 #include "xquery/engine.h"
 #include "xquery/nodeset_cache.h"
 
 namespace lll {
 namespace {
-
-using Guard = xq::CachedNodeSet::Guard;
-using GuardKind = xq::CachedNodeSet::GuardKind;
 
 constexpr char kDoc[] =
     "<lib><shelf><book id=\"1\"/><book id=\"2\"/></shelf>"
@@ -41,27 +39,24 @@ TEST(NodeSetCache, HitMissAndStaleOutcomes) {
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
   xq::NodeSetCache cache(8);
-  std::string key = xq::NodeSetCache::MakeKey(d->root(), "child::lib/");
+  std::string key = xq::NodeSetCache::MakeKey(d->root(), "child::*/");
 
   xq::NodeSetCache::Outcome outcome;
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kMiss);
 
-  // A whole-tree entry: one subtree guard on the base (root) node.
-  std::vector<Guard> guards = {
-      xq::NodeSetCache::GuardFor(d->root(), GuardKind::kSubtree)};
+  // A chain that tests no name (child::*): the document version guards it.
   xdm::Sequence nodes(xdm::Item::NodeRef(d->DocumentElement()));
-  cache.Put(key, d->doc_id(), guards, /*subtree_scoped=*/false,
-            std::move(nodes));
+  cache.Put(key, *d, xq::ChainNames{.any = true}, std::move(nodes));
 
   auto entry = cache.Get(d, key, &outcome);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
   EXPECT_EQ(entry->nodes.size(), 1u);
-  EXPECT_FALSE(entry->subtree_scoped);
+  EXPECT_TRUE(entry->document_wide);
 
-  // Mutate the document: the entry is still stored, but the root's subtree
-  // version moved past the guard stamp, so the lookup reports a full
+  // Mutate the document: the entry is still stored, but the document
+  // version moved past the guard's, so the lookup reports a full
   // invalidation.
   ASSERT_TRUE(
       d->DocumentElement()->AppendChild(d->CreateElement("shelf")).ok());
@@ -69,84 +64,114 @@ TEST(NodeSetCache, HitMissAndStaleOutcomes) {
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStale);
 }
 
-TEST(NodeSetCache, SubtreeGuardScopesInvalidation) {
+TEST(NodeSetCache, NameGuardsScopeInvalidation) {
   auto doc = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
   xml::Node* lib = d->DocumentElement();
-  xml::Node* shelf1 = lib->children()[0];
   xml::Node* shelf2 = lib->children()[1];
 
-  // An entry anchored under shelf1: guards say "lib's child list is
-  // unchanged, and nothing under shelf1 changed" -- the shape the evaluator
-  // records for /lib/shelf[1]-style anchored chains.
+  // The entry of /lib/shelf/book: guarded by the three names it tests.
   xq::NodeSetCache cache(8);
-  std::string key = xq::NodeSetCache::MakeKey(d->root(), "anchored-shelf1");
-  std::vector<Guard> guards = {
-      xq::NodeSetCache::GuardFor(lib, GuardKind::kLocal),
-      xq::NodeSetCache::GuardFor(shelf1, GuardKind::kSubtree)};
-  cache.Put(key, d->doc_id(), guards, /*subtree_scoped=*/true,
-            xdm::Sequence(xdm::Item::NodeRef(shelf1->children()[0])));
+  std::string key =
+      xq::NodeSetCache::MakeKey(d->root(), "child::lib/child::shelf/book");
+  cache.Put(key, *d, xq::ChainNames{.elements = {"lib", "shelf", "book"}},
+            xdm::Sequence(xdm::Item::NodeRef(shelf2->children()[0])));
 
-  // An edit in the OTHER shelf's subtree leaves every guard intact.
+  // An edit that moves and renames no node of those names keeps it.
   xq::NodeSetCache::Outcome outcome;
-  ASSERT_TRUE(shelf2->AppendChild(d->CreateElement("book")).ok());
+  ASSERT_TRUE(shelf2->AppendChild(d->CreateElement("note")).ok());
+  shelf2->children()[0]->SetAttribute("id", "33");
   EXPECT_NE(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
 
-  // An edit under shelf1 fails the subtree guard -- and because the entry
-  // was subtree-scoped, it reports a PARTIAL invalidation.
-  ASSERT_TRUE(shelf1->AppendChild(d->CreateElement("book")).ok());
+  // Attaching a book fails the guard -- and because no document-wide
+  // version was involved, it reports a PARTIAL invalidation.
+  ASSERT_TRUE(shelf2->AppendChild(d->CreateElement("book")).ok());
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStalePartial);
 }
 
-TEST(NodeSetCache, LocalChildrenGuardCatchesSiblingAttributeFlip) {
+TEST(NodeSetCache, IndexedAttributeWriteInvalidates) {
   auto doc = xml::Parse(kLibrary, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
   xml::Node* models = d->DocumentElement()->children()[0];
   xml::Node* m2 = models->children()[1];
 
-  // The guard pair the evaluator records when it descends through an
-  // attribute-only predicate (model[@id="m1"]): the parent's own child list
-  // AND no direct child's local state (its @id) may change.
+  // The guard of a probe-extended model[@id = K] entry: the chain's names
+  // plus the probed attribute, which its index reads.
   xq::NodeSetCache cache(8);
   std::string key = xq::NodeSetCache::MakeKey(d->root(), "model-by-id");
-  std::vector<Guard> guards = {
-      xq::NodeSetCache::GuardFor(models, GuardKind::kLocal),
-      xq::NodeSetCache::GuardFor(models, GuardKind::kLocalChildren)};
-  cache.Put(key, d->doc_id(), guards, /*subtree_scoped=*/true,
+  cache.Put(key, *d,
+            xq::ChainNames{.elements = {"library", "models", "model"},
+                           .attributes = {"id"}},
             xdm::Sequence(xdm::Item::NodeRef(models->children()[0])));
 
-  // Deep edits inside a model do NOT touch models' child-local version.
+  // Deep edits inside a model touch none of those names.
   xml::Node* m2_parts = m2->children()[0];
   ASSERT_TRUE(m2_parts->AppendChild(d->CreateElement("part")).ok());
   xq::NodeSetCache::Outcome outcome;
   EXPECT_NE(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kHit);
 
-  // Flipping a SIBLING model's @id fails the kLocalChildren guard: the
-  // predicate's selection could now be different.
+  // Writing a SIBLING model's @id fails the guard: the index could now
+  // answer differently.
   m2->SetAttribute("id", "m1");
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStalePartial);
 }
 
-TEST(NodeSetCache, GuardForStampsCurrentVersion) {
+TEST(NodeSetCache, PutRecordsTheCurrentVersions) {
   auto doc = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
-  xml::Node* lib = d->DocumentElement();
+  d->WantEditVersions();
+  ASSERT_TRUE(
+      d->DocumentElement()->AppendChild(d->CreateElement("shelf")).ok());
 
-  Guard before = xq::NodeSetCache::GuardFor(lib, GuardKind::kSubtree);
-  EXPECT_EQ(before.node, lib->index());
-  EXPECT_EQ(before.kind, GuardKind::kSubtree);
-  EXPECT_EQ(before.version, d->subtree_version_of(lib->index()));
+  xq::NodeSetCache cache(8);
+  auto entry = cache.Put("k", *d,
+                         xq::ChainNames{.elements = {"shelf"},
+                                        .attributes = {"id"},
+                                        .any = true},
+                         xdm::Sequence());
+  const uint32_t shelf = xml::NameTable::Intern("shelf");
+  const uint32_t id = xml::NameTable::Intern("id");
+  ASSERT_EQ(entry->guards.size(), 2u);
+  EXPECT_EQ(entry->guards[0].name, shelf);
+  EXPECT_FALSE(entry->guards[0].attribute);
+  EXPECT_EQ(entry->guards[0].version, d->element_version(shelf));
+  EXPECT_GT(entry->guards[0].version, 0u);
+  EXPECT_EQ(entry->guards[1].name, id);
+  EXPECT_TRUE(entry->guards[1].attribute);
+  EXPECT_EQ(entry->guards[1].version, 0u);
+  EXPECT_EQ(entry->document_version, d->document_version());
+  EXPECT_EQ(entry->names_interned, 0u);
+}
 
-  ASSERT_TRUE(lib->AppendChild(d->CreateElement("shelf")).ok());
-  Guard after = xq::NodeSetCache::GuardFor(lib, GuardKind::kSubtree);
-  EXPECT_NE(after.version, before.version);
+TEST(NodeSetCache, UninternedNamesAreGuardedByTheNameTable) {
+  // A name no document has ever used is not interned to guard an entry:
+  // query text is untrusted and the table is never reclaimed. The entry
+  // records the table's size instead, and holds while no name is added.
+  auto doc = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  const std::string unseen = "never-interned-by-put";
+  ASSERT_FALSE(xml::NameTable::Find(unseen).has_value());
+
+  xq::NodeSetCache cache(8);
+  const uint64_t before = xml::NameTable::interned_count();
+  auto entry = cache.Put("k", *d, xq::ChainNames{.elements = {"lib", unseen}},
+                         xdm::Sequence());
+  EXPECT_EQ(xml::NameTable::interned_count(), before);
+  EXPECT_EQ(entry->names_interned, before);
+  xq::NodeSetCache::Outcome outcome;
+  EXPECT_NE(cache.Get(d, "k", &outcome), nullptr);
+
+  xml::NameTable::Intern(unseen);
+  EXPECT_EQ(cache.Get(d, "k", &outcome), nullptr);
+  EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kStalePartial);
 }
 
 TEST(NodeSetCache, ZeroCapacityIsPassthrough) {
@@ -155,9 +180,7 @@ TEST(NodeSetCache, ZeroCapacityIsPassthrough) {
   xml::Document* d = doc->get();
   xq::NodeSetCache cache(0);
   std::string key = xq::NodeSetCache::MakeKey(d->root(), "x");
-  cache.Put(key, d->doc_id(),
-            {xq::NodeSetCache::GuardFor(d->root(), GuardKind::kSubtree)},
-            false, xdm::Sequence());
+  cache.Put(key, *d, xq::ChainNames{.any = true}, xdm::Sequence());
   xq::NodeSetCache::Outcome outcome;
   EXPECT_EQ(cache.Get(d, key, &outcome), nullptr);
   EXPECT_EQ(outcome, xq::NodeSetCache::Outcome::kMiss);
@@ -165,10 +188,10 @@ TEST(NodeSetCache, ZeroCapacityIsPassthrough) {
 
 TEST(NodeSetCache, ForeignDocIdReportsStaleNotHit) {
   // An entry stamped with another document's id must never validate, even
-  // when the overlay versions happen to agree. This is the guard against
-  // allocator address reuse: the key embeds the base node's doc_id + index,
-  // so a new Document reusing an id-free key scheme could otherwise serve a
-  // dead document's pointers.
+  // when the versions happen to agree. This is the guard against allocator
+  // address reuse: the key embeds the base node's doc_id + index, so a new
+  // Document reusing an id-free key scheme could otherwise serve a dead
+  // document's pointers.
   auto doc1 = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
   auto doc2 = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc1.ok() && doc2.ok());
@@ -177,10 +200,9 @@ TEST(NodeSetCache, ForeignDocIdReportsStaleNotHit) {
   ASSERT_NE(d1->doc_id(), d2->doc_id());
 
   xq::NodeSetCache cache(8);
-  std::string key = "recycled|child::lib/";
-  cache.Put(key, d1->doc_id(),
-            {xq::NodeSetCache::GuardFor(d1->root(), GuardKind::kSubtree)},
-            false, xdm::Sequence(xdm::Item::NodeRef(d1->DocumentElement())));
+  std::string key = "recycled|child::*/";
+  cache.Put(key, *d1, xq::ChainNames{.any = true},
+            xdm::Sequence(xdm::Item::NodeRef(d1->DocumentElement())));
 
   xq::NodeSetCache::Outcome outcome;
   EXPECT_NE(cache.Get(d1, key, &outcome), nullptr);
@@ -373,12 +395,11 @@ TEST(NodeSetCacheIntegration, LiteralsCannotSpellAnotherChainsKey) {
 }
 
 TEST(NodeSetCacheIntegration, EditOutsideAnchoredSubtreeKeepsEntries) {
-  // An anchored chain's cached result survives edits to unrelated
-  // subtrees, and an edit its entry depends on invalidates it as a PARTIAL
-  // (subtree-scoped) invalidation. The model[@id = ...] entry holds the
-  // models under /library/models with their @id index: it depends on that
-  // element's child list and on its children's attributes, not on what
-  // lies inside a model.
+  // An anchored chain's cached result survives edits that touch none of
+  // its names, and an edit its entry depends on invalidates it as a
+  // PARTIAL invalidation. The model[@id = ...] entry holds the models
+  // under /library/models with their @id index: it depends on the names
+  // library, models, model and @id, not on what lies inside a model.
   auto doc = xml::Parse(kLibrary, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(doc.ok());
   xml::Document* d = doc->get();
@@ -415,14 +436,160 @@ TEST(NodeSetCacheIntegration, EditOutsideAnchoredSubtreeKeepsEntries) {
   EXPECT_EQ(inside->stats.nodeset_cache_invalidations, 0u);
 
   // Edit a candidate's indexed attribute: the entry goes stale, and the
-  // stats call it a partial (subtree-scoped) invalidation, not a
-  // whole-document one.
+  // stats call it a partial invalidation, not a whole-document one.
   m1->SetAttribute("id", "m0");
   auto after = xq::Execute(*query, opts);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->sequence.size(), 0u);
   EXPECT_GT(after->stats.nodeset_cache_invalidations, 0u);
   EXPECT_GT(after->stats.nodeset_cache_partial_invalidations, 0u);
+}
+
+// Runs `query` over `doc` through `cache` and checks it against a fresh,
+// cache-free evaluation; returns the cached run.
+xq::QueryResult RunCached(xml::Document* doc, xq::NodeSetCache* cache,
+                          const std::string& query) {
+  auto compiled = xq::Compile(query);
+  EXPECT_TRUE(compiled.ok()) << query;
+  xq::ExecuteOptions opts;
+  opts.context_node = doc->root();
+  opts.eval.nodeset_cache = cache;
+  auto cached = xq::Execute(*compiled, opts);
+  EXPECT_TRUE(cached.ok()) << query;
+  opts.eval.nodeset_cache = nullptr;
+  auto fresh = xq::Execute(*compiled, opts);
+  EXPECT_TRUE(fresh.ok()) << query;
+  EXPECT_EQ(cached->SerializedItems(), fresh->SerializedItems()) << query;
+  return std::move(*cached);
+}
+
+TEST(NodeSetCacheIntegration, RenameIntoATestedNameInvalidates) {
+  // Renaming c to b adds a node to /a/b's set without touching b's former
+  // parent list or any b: the entry must not answer from before.
+  auto doc = xml::Parse("<a><b/><c/></a>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  EXPECT_EQ(RunCached(d, &cache, "/a/b").SerializedItems(), "<b/>");
+  EXPECT_GT(RunCached(d, &cache, "/a/b").stats.nodeset_cache_hits, 0u);
+
+  ASSERT_TRUE(d->DocumentElement()->children()[1]->Rename("b").ok());
+  xq::QueryResult after = RunCached(d, &cache, "/a/b");
+  EXPECT_EQ(after.SerializedItems(), "<b/><b/>");
+  EXPECT_EQ(after.stats.nodeset_cache_hits, 0u);
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u);
+  EXPECT_EQ(after.stats.nodeset_cache_partial_invalidations, 1u);
+}
+
+TEST(NodeSetCacheIntegration, DetachingASubtreeOfTestedNamesInvalidates) {
+  // The detached <x> is no name //b tests, but the subtree under it holds
+  // a b: every name in a moved subtree is bumped.
+  auto doc = xml::Parse("<r><x><y><b/></y></x><b/></r>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  EXPECT_EQ(RunCached(d, &cache, "count(//b)").SerializedItems(), "2");
+
+  d->DocumentElement()->children()[0]->Detach();
+  xq::QueryResult after = RunCached(d, &cache, "count(//b)");
+  EXPECT_EQ(after.SerializedItems(), "1");
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u);
+}
+
+TEST(NodeSetCacheIntegration, ANameNoNodeHadYetIsStillGuarded) {
+  // The chain selects nothing: no node anywhere has ever had its last
+  // name, so that name is not interned to guard the entry. Attaching a
+  // node of that name must still invalidate it.
+  const std::string name = "zz-attached-later";
+  ASSERT_FALSE(xml::NameTable::Find(name).has_value());
+  auto doc = xml::Parse("<a><b/></a>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  const std::string query = "count(/a/" + name + ")";
+  EXPECT_EQ(RunCached(d, &cache, query).SerializedItems(), "0");
+  EXPECT_GT(RunCached(d, &cache, query).stats.nodeset_cache_hits, 0u);
+  EXPECT_FALSE(xml::NameTable::Find(name).has_value());
+
+  ASSERT_TRUE(d->DocumentElement()->AppendChild(d->CreateElement(name)).ok());
+  xq::QueryResult after = RunCached(d, &cache, query);
+  EXPECT_EQ(after.SerializedItems(), "1");
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u);
+}
+
+TEST(NodeSetCacheIntegration, WritingTheProbedAttributeInvalidates) {
+  auto doc = xml::Parse("<r><x id=\"k\"/><x id=\"m\"/></r>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  const std::string query = "count(/r/x[@id = \"k\"])";
+  EXPECT_EQ(RunCached(d, &cache, query).SerializedItems(), "1");
+  EXPECT_GT(RunCached(d, &cache, query).stats.nodeset_cache_hits, 0u);
+
+  d->DocumentElement()->children()[1]->SetAttribute("id", "k");
+  xq::QueryResult after = RunCached(d, &cache, query);
+  EXPECT_EQ(after.SerializedItems(), "2");
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u);
+  EXPECT_EQ(after.stats.nodeset_cache_partial_invalidations, 1u);
+}
+
+TEST(NodeSetCacheIntegration, EditsToUntestedNamesKeepTheHit) {
+  // Inserting, renaming and rewriting nodes of names /r/a/b does not test
+  // -- the document's structure changes under the chain -- keeps the entry.
+  auto doc = xml::Parse("<r><a><b k=\"1\"/></a><c/></r>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  EXPECT_EQ(RunCached(d, &cache, "/r/a/b").SerializedItems(), "<b k=\"1\"/>");
+
+  xml::Node* a = d->DocumentElement()->children()[0];
+  ASSERT_TRUE(a->AppendChild(d->CreateElement("c")).ok());
+  ASSERT_TRUE(d->DocumentElement()->children()[1]->Rename("e").ok());
+  a->children()[0]->SetAttribute("k", "2");
+  xq::QueryResult after = RunCached(d, &cache, "/r/a/b");
+  EXPECT_EQ(after.SerializedItems(), "<b k=\"2\"/>");
+  EXPECT_GT(after.stats.nodeset_cache_hits, 0u);
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 0u);
+}
+
+TEST(NodeSetCacheIntegration, ChainsThatTestNoNameCountFullInvalidations) {
+  // `*` and node() match nodes whatever their names: only the document
+  // version guards such a chain, and its invalidation is a full one.
+  auto doc = xml::Parse("<r><a/></r>");
+  ASSERT_TRUE(doc.ok());
+  xml::Document* d = doc->get();
+  xq::NodeSetCache cache;
+  for (const char* query : {"count(/r/*)", "count(/r/node())"}) {
+    EXPECT_EQ(RunCached(d, &cache, query).SerializedItems(), "1") << query;
+  }
+  ASSERT_TRUE(d->DocumentElement()->AppendChild(d->CreateElement("z")).ok());
+  for (const char* query : {"count(/r/*)", "count(/r/node())"}) {
+    xq::QueryResult after = RunCached(d, &cache, query);
+    EXPECT_EQ(after.SerializedItems(), "2") << query;
+    EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u) << query;
+    EXPECT_EQ(after.stats.nodeset_cache_partial_invalidations, 0u) << query;
+  }
+}
+
+TEST(NodeSetCacheIntegration, CompilingUnusedNamesInternsNothing) {
+  // Query text is untrusted and the NameTable is never reclaimed: neither
+  // compiling a chain nor storing its entry interns the names it tests.
+  auto doc = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xq::NodeSetCache cache;
+  const uint64_t before = xml::NameTable::interned_count();
+  auto compiled = xq::Compile(
+      "count(/lib/unused-element-name/@unused-attribute-name), "
+      "count(//unused-probed-name[@unused-key = \"k\"])");
+  ASSERT_TRUE(compiled.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.eval.nodeset_cache = &cache;
+  auto r = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->SerializedItems(), "0 0");
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(xml::NameTable::interned_count(), before);
 }
 
 TEST(NodeSetCacheIntegration, ConstructedDocumentsAreNotInterned) {
@@ -474,9 +641,11 @@ TEST(NodeSetCacheIntegration, LimitedProbesAreNotInterned) {
 // The mutate-between-runs differential: grow a random document, run the
 // shared 440-query path workload with a persistent cache, apply a random
 // edit, and re-run -- every cached evaluation must agree byte-for-byte with
-// a fresh, cache-free one after every edit. 8 seeds.
+// a fresh, cache-free one after every edit. 32 seeds x 24 rounds: renames
+// into a tested name (seed 24, round 17: `rename /r[1] as c`, then `/c`)
+// take that many to turn up.
 TEST(NodeSetCacheIntegration, DifferentialMutateBetweenRuns) {
-  for (uint32_t seed = 1; seed <= 8; ++seed) {
+  for (uint32_t seed = 1; seed <= 32; ++seed) {
     std::mt19937 rng(20260807 + seed);
     std::string xml = testing::RandomPathWorkloadDocument(&rng);
     auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
@@ -492,7 +661,7 @@ TEST(NodeSetCacheIntegration, DifferentialMutateBetweenRuns) {
     }
 
     xq::NodeSetCache cache(64);
-    for (int round = 0; round < 4; ++round) {
+    for (int round = 0; round < 24; ++round) {
       std::string edit;
       if (round > 0) edit = testing::ApplyRandomEdit(doc->get(), &rng);
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -570,7 +739,7 @@ TEST(NodeSetCacheConcurrency, SharedCacheParallelEvaluations) {
 // Mutate-between-PHASES under threads: parallel readers share one cache
 // over one document; between phases (all readers joined), the main thread
 // applies a random edit. TSan audits that guard validation against the
-// overlay is race-free with concurrent Get/Put, and every phase's results
+// name versions is race-free with concurrent Get/Put, and every phase's results
 // stay byte-identical to a fresh evaluation after the edit.
 TEST(NodeSetCacheConcurrency, MutateBetweenParallelPhases) {
   std::mt19937 rng(20260807);

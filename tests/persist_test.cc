@@ -670,13 +670,13 @@ TEST(PersistSnapshots, RoundtripIsByteIdentical) {
 }
 
 TEST(PersistSnapshots, WarmBootEditInvalidatesOnlyTheEditedSubtree) {
-  // Warm boot: a *.llld-loaded document starts with a uniform epoch-0
-  // edit-version overlay, so its step chains intern immediately; a
-  // subsequent edit invalidates exactly the entries whose chains it
-  // dirtied, everything else keeps hitting. The m1 and m2 chains share one
-  // entry, the models with their @id index: an edit inside a model keeps
-  // it, and an edit to a model's @id or to the models' child list
-  // invalidates it as a subtree-scoped (partial) invalidation.
+  // Warm boot: a *.llld-loaded document starts with every name version at
+  // 0, so its step chains intern immediately; a subsequent edit
+  // invalidates exactly the entries whose chains test a name it touched,
+  // everything else keeps hitting. The m1 and m2 chains share one entry,
+  // the models with their @id index: an edit inside a model keeps it, and
+  // an edit to a model's @id or to the models' child list invalidates it
+  // as a partial invalidation.
   constexpr char kModels[] =
       "<library><models>"
       "<model id=\"m1\"><parts><part/><part/></parts></model>"
@@ -727,8 +727,8 @@ TEST(PersistSnapshots, WarmBootEditInvalidatesOnlyTheEditedSubtree) {
   EXPECT_EQ(after2->stats.nodeset_cache_invalidations, 0u);
   EXPECT_EQ(after2->sequence.size(), 2u);
 
-  // Edit m2's indexed attribute: the entry re-misses as a subtree-scoped
-  // (partial) invalidation, and m2 finds no model.
+  // Edit m2's indexed attribute: the entry re-misses as a partial
+  // invalidation, and m2 finds no model.
   m2_model->SetAttribute("id", "m9");
   auto renamed = xq::Execute(*m2, opts);
   ASSERT_TRUE(renamed.ok());

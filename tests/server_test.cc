@@ -125,12 +125,12 @@ TEST(Sessions, PerSnapshotNodeSetCacheIsSharedAcrossQueries) {
 }
 
 TEST(Sessions, PinnedCacheSurvivesUnrelatedSubtreePublish) {
-  // The clone-carried edit-version overlay at work across the publish path:
-  // a pinned reader's warm, subtree-anchored cache entries keep validating
-  // after a publish edits an UNRELATED subtree, because (a) the publish
-  // edits a clone, never the pinned snapshot's document, and (b) the
-  // clone carries the overlay, so the new snapshot's versions show exactly
-  // which subtree the edit touched.
+  // The clone-carried name versions at work across the publish path: a
+  // pinned reader's warm, anchored cache entries keep validating after a
+  // publish edits an UNRELATED subtree, because (a) the publish edits a
+  // clone, never the pinned snapshot's document, and (b) the clone carries
+  // the versions, so the new snapshot's versions show exactly which names
+  // the edit touched.
   MetricsRegistry metrics;
   QueryServer server(TestOptions(&metrics));
   constexpr char kModels[] =
@@ -169,7 +169,7 @@ TEST(Sessions, PinnedCacheSurvivesUnrelatedSubtreePublish) {
   EXPECT_EQ(pinned.stats.nodeset_cache_invalidations, 0u);
   EXPECT_EQ(pinned.result, cold.result);
 
-  // The published clone carried the overlay: its edit history extends the
+  // The published clone carried the versions: its edit history extends the
   // pinned document's, and the m1 chain's answer is unchanged on the new
   // version too.
   SnapshotPtr current = server.CurrentSnapshot("lib");
@@ -180,6 +180,26 @@ TEST(Sessions, PinnedCacheSurvivesUnrelatedSubtreePublish) {
   ASSERT_TRUE(refreshed.status.ok());
   EXPECT_EQ(refreshed.snapshot_version, 2u);
   EXPECT_EQ(refreshed.result, cold.result);
+}
+
+TEST(Sessions, RenameIntoATestedNameInvalidatesTheMigratedEntry) {
+  // The publish migrates the count(/a/b) entry onto the new snapshot; the
+  // rename adds a node to /a/b's set, so the entry must not answer there.
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  ASSERT_TRUE(server.AddDocumentXml("d", "<a><b/><c/></a>").ok());
+  QueryResponse before = server.Execute("acme", "d", "count(/a/b)");
+  ASSERT_TRUE(before.status.ok());
+  EXPECT_EQ(before.result, "1");
+
+  ASSERT_TRUE(server.PublishUpdate("d", "rename /a/c as b").ok());
+  EXPECT_GT(server.cache_entries_migrated(), 0u);
+  QueryResponse after = server.Execute("acme", "d", "count(/a/b)");
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_EQ(after.snapshot_version, 2u);
+  EXPECT_EQ(after.result, "2");
+  EXPECT_EQ(after.stats.nodeset_cache_hits, 0u);
+  EXPECT_EQ(after.stats.nodeset_cache_invalidations, 1u);
 }
 
 TEST(Admission, ZeroInflightQuotaDisablesATenant) {
@@ -386,6 +406,27 @@ TEST(Quotas, ShutdownCancelsInFlightEvaluationGracefully) {
   EXPECT_FALSE(resp.status.ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(resp.status.message().find("cancelled"), std::string::npos);
+}
+
+TEST(Quotas, ShutdownCancelsAPublishBind) {
+  // A publish binds its targets with Execute, which polls the cancel flag
+  // every 128 steps: this bind runs a predicate over 500 elements, so
+  // after Shutdown() it is cancelled and nothing is published.
+  MetricsRegistry metrics;
+  QueryServer server(TestOptions(&metrics));
+  std::string xml = "<r>";
+  for (int i = 0; i < 500; ++i) {
+    xml += "<x id=\"" + std::to_string(i) + "\"/>";
+  }
+  ASSERT_TRUE(server.AddDocumentXml("d", xml + "</r>").ok());
+
+  server.Shutdown();
+  auto published = server.PublishUpdate("d", "delete /r/x[@id != '7']");
+  EXPECT_FALSE(published.ok());
+  EXPECT_EQ(published.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(published.status().message().find("cancelled"),
+            std::string::npos);
+  EXPECT_EQ(server.CurrentSnapshot("d")->version(), 1u);
 }
 
 TEST(Queries, ResourceErrorsAreNotCatchableByTryCatch) {

@@ -1,8 +1,7 @@
 // The FLUX-style update sublanguage: grammar, snapshot semantics (targets
 // bind pre-update), conflict rejection, mutation routing through the
-// edit-version overlay, EXPLAIN for update plans, and the server's
-// publish-path integration (subtree-scoped invalidation of the migrated
-// node-set cache).
+// name versions, EXPLAIN for update plans, and the server's publish-path
+// integration (name-scoped invalidation of the migrated node-set cache).
 
 #include <random>
 #include <string>
@@ -243,30 +242,40 @@ TEST(UpdateConflicts, RulesMatchTheDesign) {
 
 // --- EXPLAIN ----------------------------------------------------------------
 
-TEST(UpdateExplain, ShowsStatementsAndGuardAnchors) {
-  auto compiled = CompileUpdateText("delete /r/a/b; rename /r/c as z");
+TEST(UpdateExplain, ShowsStatementsAndTheNamesTheyBump) {
+  auto compiled = CompileUpdateText(
+      "delete /r/a/b; rename /r/c as z; insert <p q=\"1\"><s/></p> into /r");
   ASSERT_TRUE(compiled.ok());
 
   std::string plain = ExplainUpdate(*compiled);
-  EXPECT_NE(plain.find("update script: 2 statements"), std::string::npos);
+  EXPECT_NE(plain.find("update script: 3 statements"), std::string::npos);
   EXPECT_NE(plain.find("[1] delete /r/a/b"), std::string::npos);
   EXPECT_NE(plain.find("[2] rename /r/c as z"), std::string::npos);
   EXPECT_EQ(plain.find("targets:"), std::string::npos);  // no doc, no counts
 
-  auto doc = ParseDoc("<r><a><b/><b/></a><c/></r>");
+  auto doc = ParseDoc("<r><a><b/><b><x k=\"1\"/></b></a><c/></r>");
   ASSERT_NE(doc, nullptr);
   std::string with_doc = ExplainUpdate(*compiled, doc.get());
-  EXPECT_NE(with_doc.find("targets: 2 nodes"), std::string::npos);
-  // A delete dirties its former parent's child list.
-  EXPECT_NE(with_doc.find("/r[1]/a[1]/b[1] -- dirties local+child-list @ "
-                          "/r[1]/a[1]"),
-            std::string::npos);
-  // A rename dirties the renamed node itself.
-  EXPECT_NE(with_doc.find("/r[1]/c[1] -- dirties local+child-list @ "
-                          "/r[1]/c[1]"),
-            std::string::npos);
-  EXPECT_NE(with_doc.find("subtree versions up the ancestor chain"),
-            std::string::npos);
+  // A delete bumps every name in the subtrees it detaches, and moves the
+  // document version.
+  EXPECT_NE(with_doc.find("[1] delete /r/a/b\n"
+                          "    targets: 2 nodes\n"
+                          "      /r[1]/a[1]/b[1]\n"
+                          "      /r[1]/a[1]/b[2]\n"
+                          "    bumps: elements b, x; attributes k; "
+                          "the document version\n"),
+            std::string::npos)
+      << with_doc;
+  // A rename bumps the old and the new name, and moves nothing.
+  EXPECT_NE(with_doc.find("      /r[1]/c[1]\n"
+                          "    bumps: elements c, z\n"),
+            std::string::npos)
+      << with_doc;
+  // An insert bumps the names in its payload.
+  EXPECT_NE(with_doc.find("    bumps: elements p, s; attributes q; "
+                          "the document version\n"),
+            std::string::npos)
+      << with_doc;
 }
 
 // --- Server integration -----------------------------------------------------
@@ -323,9 +332,9 @@ TEST(UpdateServer, PublishUpdateAppliesThroughCopyOnWrite) {
   EXPECT_EQ(server.CurrentSnapshot("lib")->version(), 2u);
 }
 
-TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
+TEST(UpdateServer, PartialInvalidationAcrossPublishUpdate) {
   // THE acceptance criterion: server-verb update statements trigger only
-  // subtree-scoped invalidations for anchored cached queries. The m1 and m2
+  // partial invalidations for anchored cached queries. The m1 and m2
   // chains share one entry: the models under /library/models with their
   // @id index. An update inside a model keeps that entry, with no
   // invalidation, on the migrated snapshot; one that edits a model's @id,
@@ -366,8 +375,8 @@ TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
   EXPECT_EQ(m2.result, "<part/><part/>");
 
   // An edit to a candidate's indexed attribute fails the entry's guard on
-  // the models' children -- and because the entry was subtree-scoped, the
-  // failure counts as PARTIAL, never full.
+  // @id -- and because the entry has no document-wide guard, the failure
+  // counts as PARTIAL, never full.
   ASSERT_TRUE(server
                   .PublishUpdate("lib",
                                  "rename /library/models/model[@id = "
@@ -379,7 +388,7 @@ TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
   EXPECT_GE(m2.stats.nodeset_cache_invalidations, 1u);
   EXPECT_EQ(m2.stats.nodeset_cache_invalidations,
             m2.stats.nodeset_cache_partial_invalidations)
-      << "every invalidation from the scoped update must be subtree-scoped";
+      << "every invalidation from the scoped update must be partial";
   EXPECT_EQ(m2.result, "");
 
   // So does an edit to the anchor's child list.
@@ -570,18 +579,14 @@ TEST(UpdateServer, PublishCloneHasRoomForTheNodesItsEditCreates) {
   MetricsRegistry metrics;
   server::QueryServer server(UpdateTestOptions(&metrics));
   ASSERT_TRUE(server.AddDocumentXml("d", xml).ok());
-  // The first publish makes the document a publish clone with a stamped
-  // edit-version overlay; every later publish clones a clone.
+  // The first publish makes the document a publish clone with stamped name
+  // versions; every later publish clones a clone.
   ASSERT_TRUE(
       server.PublishUpdate("d", "replace /r/x[@id = \"k0\"]/y with <y/>").ok());
   // A node's slot in every per-node array, its handle and its order key
-  // come to well under this. The overlay holds the versions of the nodes
-  // edits stamped, so it grows with them, not with the created nodes, and
-  // is checked apart.
+  // come to well under this. The name versions hold one entry per name
+  // edits stamped, and each of these publishes stamps the same name.
   constexpr size_t kBytesPerNode = 128;
-  auto nodes_bytes = [](const xml::DocumentStorageStats& s) {
-    return s.total_bytes - s.edit_version_bytes;
-  };
   for (int i = 1; i <= 3; ++i) {
     const xml::DocumentStorageStats before =
         server.CurrentSnapshot("d")->document().storage_stats();
@@ -595,14 +600,8 @@ TEST(UpdateServer, PublishCloneHasRoomForTheNodesItsEditCreates) {
     ASSERT_EQ(stats.target_nodes, 1u);
     const xml::DocumentStorageStats after =
         server.CurrentSnapshot("d")->document().storage_stats();
-    EXPECT_LE(nodes_bytes(after),
-              nodes_bytes(before) + stats.target_nodes * kBytesPerNode)
-        << i;
-    // Stamped are the edited <x> elements, <r> and the document node: the
-    // overlay stays under a sixteenth of three words a node.
-    EXPECT_GT(after.edit_version_bytes, 0u) << i;
-    EXPECT_LT(after.edit_version_bytes,
-              3 * sizeof(uint64_t) * after.node_count / 16)
+    EXPECT_LE(after.total_bytes,
+              before.total_bytes + stats.target_nodes * kBytesPerNode)
         << i;
   }
 }

@@ -459,136 +459,135 @@ TEST(XmlStorageConcurrency, SharedReadOnlyDocumentTraversal) {
   for (auto& th : threads) th.join();
 }
 
-// --- Subtree edit-version overlay -------------------------------------------
+// --- Name versions ----------------------------------------------------------
 
 constexpr char kVersionedDoc[] =
-    "<r><a id=\"a\"><b/></a><c id=\"c\"><d/></c></r>";
+    "<r><a id=\"a\"><b/></a><c id=\"c\"><d k=\"1\"/></c></r>";
 
-TEST(XmlEditVersions, BumpStampsExactlyTheAncestorChain) {
+uint64_t ElementVersion(const Document& doc, std::string_view name) {
+  return doc.element_version(NameTable::Intern(name));
+}
+uint64_t AttributeVersion(const Document& doc, std::string_view name) {
+  return doc.attribute_version(NameTable::Intern(name));
+}
+
+TEST(XmlNameVersions, AttachStampsEveryNameInTheMovedSubtree) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
-  Node* b = a->children()[0];
-  Node* c = r->children()[1];
+  Node* b = doc->DocumentElement()->children()[0]->children()[0];
 
-  // Before anybody observed a version, the whole overlay is the uniform
-  // epoch 0 -- parse-time attaches never materialize per-node stamps.
-  EXPECT_EQ(doc->subtree_version_of(r->index()), 0u);
-  EXPECT_EQ(doc->local_version_of(b->index()), 0u);
+  // Before anybody wanted versions, parse-time attaches stamped nothing:
+  // every name reads 0.
+  EXPECT_EQ(ElementVersion(*doc, "b"), 0u);
+  EXPECT_EQ(doc->document_version(), 0u);
+  doc->WantEditVersions();
 
-  // First post-observation edit: append under <b>. Exactly b, a, r (the
-  // ancestor chain) advance their subtree versions; <c>'s corner of the
-  // tree stays at epoch 0.
+  // Attach a built subtree under <b>: every element and attribute name in
+  // it moves to the new epoch, with the document version; names outside
+  // it -- its new ancestors' included -- stay at 0.
+  Node* leaf = doc->CreateElement("leaf");
+  Node* twig = doc->CreateElement("twig");
+  twig->SetAttribute("w", "1");
+  ASSERT_TRUE(leaf->AppendChild(twig).ok());
   const uint64_t before = doc->edit_epoch();
-  ASSERT_TRUE(b->AppendChild(doc->CreateElement("leaf")).ok());
+  ASSERT_TRUE(b->AppendChild(leaf).ok());
   const uint64_t epoch = doc->edit_epoch();
   EXPECT_GT(epoch, before);
-  EXPECT_EQ(doc->subtree_version_of(b->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(a->index()), epoch);
-  EXPECT_GE(doc->subtree_version_of(r->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(c->index()), 0u);
-
-  // Local version: only the edited node itself; its parent records the
-  // child-local change instead.
-  EXPECT_EQ(doc->local_version_of(b->index()), epoch);
-  EXPECT_EQ(doc->local_version_of(a->index()), 0u);
-  EXPECT_EQ(doc->child_local_version_of(a->index()), epoch);
-  EXPECT_EQ(doc->child_local_version_of(r->index()), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "leaf"), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "twig"), epoch);
+  EXPECT_EQ(AttributeVersion(*doc, "w"), epoch);
+  EXPECT_EQ(doc->document_version(), epoch);
+  for (const char* untouched : {"r", "a", "b", "c", "d"}) {
+    EXPECT_EQ(ElementVersion(*doc, untouched), 0u) << untouched;
+  }
+  EXPECT_EQ(AttributeVersion(*doc, "id"), 0u);
 }
 
-TEST(XmlEditVersions, AttributeValueEditBumpsTheOwner) {
+TEST(XmlNameVersions, AttributeValueWriteStampsItsName) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
-  Node* c = r->children()[1];
-  (void)doc->subtree_version_of(r->index());  // observe: materialize on edit
+  Node* a = doc->DocumentElement()->children()[0];
+  doc->WantEditVersions();
 
-  // Rewriting <a>'s existing id attribute is a LOCAL change to <a> (the
-  // node an [@id=...] predicate depends on), invisible to <c>.
+  // Rewriting <a>'s id stamps the attribute name alone: value indexes read
+  // it, and no node moved.
   a->SetAttribute("id", "a2");
   const uint64_t epoch = doc->edit_epoch();
-  EXPECT_EQ(doc->local_version_of(a->index()), epoch);
-  EXPECT_EQ(doc->child_local_version_of(r->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(c->index()), 0u);
-  EXPECT_EQ(doc->local_version_of(c->index()), 0u);
+  EXPECT_EQ(AttributeVersion(*doc, "id"), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "a"), 0u);
+  EXPECT_EQ(AttributeVersion(*doc, "k"), 0u);
+  EXPECT_EQ(doc->document_version(), 0u);
+
+  // A text write advances the epoch and stamps nothing: node sets hold
+  // identities, not values.
+  ASSERT_TRUE(doc->DocumentElement()->AppendChild(doc->CreateText("t")).ok());
+  const uint64_t attached = doc->edit_epoch();
+  doc->DocumentElement()->children().back()->set_value("u");
+  EXPECT_GT(doc->edit_epoch(), attached);
+  EXPECT_EQ(doc->document_version(), attached);
+  EXPECT_EQ(AttributeVersion(*doc, "id"), epoch);
 }
 
-TEST(XmlEditVersions, RemovalBumpsTheFormerParent) {
+TEST(XmlNameVersions, DetachStampsTheDetachedSubtree) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
   Node* r = doc->DocumentElement();
-  Node* c = r->children()[1];
-  Node* d = c->children()[0];
-  (void)doc->subtree_version_of(r->index());
+  doc->WantEditVersions();
 
-  ASSERT_TRUE(c->RemoveChild(d).ok());
+  // Removing <c> stamps c, the d inside it and both their attributes; the
+  // parent keeps its version.
+  ASSERT_TRUE(r->RemoveChild(r->children()[1]).ok());
   const uint64_t epoch = doc->edit_epoch();
   EXPECT_GT(epoch, 0u);
-  EXPECT_EQ(doc->subtree_version_of(c->index()), epoch);
-  EXPECT_EQ(doc->local_version_of(c->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(r->children()[0]->index()), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "c"), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "d"), epoch);
+  EXPECT_EQ(AttributeVersion(*doc, "id"), epoch);
+  EXPECT_EQ(AttributeVersion(*doc, "k"), epoch);
+  EXPECT_EQ(doc->document_version(), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "r"), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "a"), 0u);
 }
 
-TEST(XmlEditVersions, RenameChargesLocalAndParentChildList) {
+TEST(XmlNameVersions, RenameStampsTheOldAndTheNewName) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
+  Node* a = doc->DocumentElement()->children()[0];
   Node* b = a->children()[0];
-  Node* c = r->children()[1];
-  (void)doc->subtree_version_of(r->index());  // observe: materialize on edit
+  doc->WantEditVersions();
 
-  // Renaming <b> is a local change to <b> (name tests on b itself) AND a
-  // child-list change to <a> (a cached a/bb chain must now see <b> gone),
-  // with the subtree chain above advancing as usual. <c> stays untouched.
+  // Renaming <b> changes what a test of `b` and of `bb` selects; nothing
+  // moved, so the document version stays.
   ASSERT_TRUE(b->Rename("bb").ok());
   const uint64_t epoch = doc->edit_epoch();
   EXPECT_GT(epoch, 0u);
   EXPECT_EQ(b->name(), "bb");
-  EXPECT_EQ(doc->local_version_of(b->index()), epoch);
-  EXPECT_EQ(doc->child_local_version_of(a->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(b->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(a->index()), epoch);
-  EXPECT_GE(doc->subtree_version_of(r->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(c->index()), 0u);
-  EXPECT_EQ(doc->local_version_of(c->index()), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "b"), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "bb"), epoch);
+  EXPECT_EQ(ElementVersion(*doc, "a"), 0u);
+  EXPECT_EQ(doc->document_version(), 0u);
+
+  // An attribute rename stamps attribute names, not element ones.
+  ASSERT_TRUE(a->attributes()[0]->Rename("key").ok());
+  const uint64_t renamed = doc->edit_epoch();
+  EXPECT_EQ(AttributeVersion(*doc, "id"), renamed);
+  EXPECT_EQ(AttributeVersion(*doc, "key"), renamed);
+  EXPECT_EQ(ElementVersion(*doc, "key"), 0u);
 }
 
-TEST(XmlEditVersions, AttributeRenameChargesTheOwner) {
-  auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
-  ASSERT_TRUE(parsed.ok());
-  Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
-  Node* c = r->children()[1];
-  (void)doc->subtree_version_of(r->index());
-
-  // Renaming @id is a LOCAL change to its owner <a> -- the node an [@id]
-  // predicate guard hangs off -- exactly like a value rewrite.
-  Node* id_attr = a->attributes()[0];
-  ASSERT_TRUE(id_attr->Rename("key").ok());
-  const uint64_t epoch = doc->edit_epoch();
-  EXPECT_EQ(doc->local_version_of(a->index()), epoch);
-  EXPECT_EQ(doc->child_local_version_of(r->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(c->index()), 0u);
-}
-
-TEST(XmlEditVersions, RenameRejectsBadTargetsAndNames) {
+TEST(XmlNameVersions, RenameRejectsBadTargetsAndNames) {
   auto parsed = Parse("<r>text<!--note--></r>",
                       {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
   Node* r = doc->DocumentElement();
-  (void)doc->subtree_version_of(r->index());
+  doc->WantEditVersions();
 
   // Text and comment nodes have no name; malformed QNames never land. None
-  // of these may charge the overlay.
+  // of these may advance the epoch or stamp a name.
   EXPECT_FALSE(r->children()[0]->Rename("x").ok());
   EXPECT_FALSE(r->children()[1]->Rename("x").ok());
   EXPECT_FALSE(r->Rename("").ok());
@@ -596,65 +595,67 @@ TEST(XmlEditVersions, RenameRejectsBadTargetsAndNames) {
   EXPECT_FALSE(r->Rename("a:b:c").ok());
   EXPECT_FALSE(r->Rename("sp ace").ok());
   EXPECT_EQ(doc->edit_epoch(), 0u);
-  EXPECT_EQ(doc->local_version_of(r->index()), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "r"), 0u);
 
   EXPECT_TRUE(r->Rename("ns:root").ok());  // one colon is a fine QName
   EXPECT_GT(doc->edit_epoch(), 0u);
+  EXPECT_EQ(ElementVersion(*doc, "r"), doc->edit_epoch());
 }
 
-TEST(XmlEditVersions, EveryUpdatePrimitiveBumpsTheOverlay) {
+TEST(XmlNameVersions, EveryUpdatePrimitiveStampsWhatItMoves) {
   // The update sublanguage routes onto AppendChild / InsertChildAt /
-  // RemoveChild (Detach) / ReplaceChild / Rename. Each one must move the
-  // edit epoch -- a primitive that forgets BumpEditVersion would let stale
-  // cached chains keep validating.
+  // RemoveChild (Detach) / ReplaceChild / Rename. Each one must advance
+  // the epoch and stamp the names it moves -- a primitive that forgot
+  // would let stale cached chains keep validating.
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
-  (void)doc->subtree_version_of(r->index());
+  Node* a = doc->DocumentElement()->children()[0];
+  doc->WantEditVersions();
 
   uint64_t last = doc->edit_epoch();
+  auto stamped = [&](std::initializer_list<const char*> names) {
+    const uint64_t epoch = doc->edit_epoch();
+    EXPECT_GT(epoch, last);
+    for (const char* name : names) {
+      EXPECT_EQ(ElementVersion(*doc, name), epoch) << name;
+    }
+    last = epoch;
+  };
   ASSERT_TRUE(a->AppendChild(doc->CreateElement("x")).ok());
-  EXPECT_GT(doc->edit_epoch(), last);
-  last = doc->edit_epoch();
+  stamped({"x"});
   ASSERT_TRUE(a->InsertChildAt(0, doc->CreateElement("y")).ok());
-  EXPECT_GT(doc->edit_epoch(), last);
-  last = doc->edit_epoch();
+  stamped({"y"});
   ASSERT_TRUE(a->RemoveChild(a->children()[0]).ok());
-  EXPECT_GT(doc->edit_epoch(), last);
-  last = doc->edit_epoch();
+  stamped({"y"});
   ASSERT_TRUE(
       a->ReplaceChild(a->children()[0], {doc->CreateElement("z")}).ok());
-  EXPECT_GT(doc->edit_epoch(), last);
-  last = doc->edit_epoch();
+  stamped({"b", "z"});
+  a->children()[1]->Detach();
+  stamped({"x"});
   ASSERT_TRUE(a->Rename("aa").ok());
-  EXPECT_GT(doc->edit_epoch(), last);
+  stamped({"a", "aa"});
 }
 
-TEST(XmlEditVersions, WantEditVersionsStampsWithoutAPriorRead) {
-  // The lazy overlay only materializes when an edit lands AFTER some reader
-  // asked for a version. The server's publish path migrates guard-stamped
-  // cache entries onto a fresh clone and edits it before any reader sees
-  // it, so it opts the clone in explicitly via WantEditVersions() -- the
-  // edit must stamp even though the first version read comes later.
-  // Without the opt-in, versions stay at the uniform 0 and migrated
-  // entries whose chains the edit dirtied would keep validating.
+TEST(XmlNameVersions, WantEditVersionsStartsStamping) {
+  // Nothing is stamped until someone wants versions: NodeSetCache::Put
+  // asks before it reads one, and the server's publish path asks on its
+  // clone, which receives migrated entries before any reader sees it.
   {
-    // Control: no opt-in, no prior read -- the edit moves only the epoch
-    // and the overlay stays at the uniform 0. (The version read at the end
-    // sets the wanted-flag, so this arm uses its own document.)
+    // Control: nobody asked -- the edit moves only the epoch.
     auto parsed =
         Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
     ASSERT_TRUE(parsed.ok());
     Document* doc = parsed->get();
     Node* r = doc->DocumentElement();
     ASSERT_TRUE(r->AppendChild(doc->CreateElement("x")).ok());
-    EXPECT_EQ(doc->subtree_version_of(r->index()), 0u);
+    EXPECT_GT(doc->edit_epoch(), 0u);
+    EXPECT_EQ(ElementVersion(*doc, "x"), 0u);
+    EXPECT_EQ(doc->document_version(), 0u);
   }
   {
     // The publish path's exact sequence: clone a never-observed document,
-    // opt the clone in, edit -- the overlay must stamp.
+    // opt the clone in, edit -- the edit must stamp.
     auto parsed =
         Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
     ASSERT_TRUE(parsed.ok());
@@ -665,27 +666,24 @@ TEST(XmlEditVersions, WantEditVersionsStampsWithoutAPriorRead) {
     Node* y = clone->CreateElement("y");
     const size_t before = clone->storage_stats().total_bytes;
     ASSERT_TRUE(cr->AppendChild(y).ok());
-    EXPECT_GT(clone->subtree_version_of(cr->index()), 0u);
-    EXPECT_GT(clone->local_version_of(cr->index()), 0u);
-    // The versions it stamped are storage: three uint64 words for each of
-    // the two stamped nodes (<r> and the document node), and less than
-    // three words for every node of the document.
-    const size_t overlay = clone->storage_stats().total_bytes - before;
-    EXPECT_GE(overlay, 2 * 3 * sizeof(uint64_t));
-    EXPECT_LT(overlay, 3 * sizeof(uint64_t) * clone->node_count());
+    EXPECT_GT(ElementVersion(*clone, "y"), 0u);
+    EXPECT_GT(clone->document_version(), 0u);
+    // The versions are storage: one map entry for the stamped name, far
+    // less than a word for every node of the document.
+    const size_t versions = clone->storage_stats().total_bytes - before;
+    EXPECT_GE(versions, sizeof(uint32_t) + sizeof(uint64_t));
+    EXPECT_LT(versions, 64 * sizeof(void*));
   }
 }
 
-TEST(XmlEditVersions, CloneCarriesOverlayAfterValueEdit) {
+TEST(XmlNameVersions, CloneCarriesTheVersionsAfterAValueEdit) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
-  Node* r = doc->DocumentElement();
-  Node* a = r->children()[0];
-  (void)doc->subtree_version_of(r->index());
+  Node* a = doc->DocumentElement()->children()[0];
+  doc->WantEditVersions();
   // A value edit creates and moves no nodes, so the parsed document stays
-  // compact and in preorder: the clone's node map is the identity and the
-  // overlay travels slot for slot.
+  // compact and in preorder: the clone's node map is the identity.
   a->SetAttribute("id", "a2");
   const uint64_t epoch = doc->edit_epoch();
   doc->EnsureOrderIndex();
@@ -693,46 +691,47 @@ TEST(XmlEditVersions, CloneCarriesOverlayAfterValueEdit) {
   std::unique_ptr<Document> clone = CloneDocument(*doc, &node_map);
   ASSERT_EQ(node_map.size(), doc->node_count());
   for (uint32_t i = 0; i < node_map.size(); ++i) EXPECT_EQ(node_map[i], i);
-  Node* cr = clone->DocumentElement();
-  Node* ca = cr->children()[0];
-  Node* cc = cr->children()[1];
   EXPECT_EQ(clone->edit_epoch(), epoch);
-  EXPECT_EQ(clone->subtree_version_of(ca->index()), epoch);
-  EXPECT_EQ(clone->subtree_version_of(cc->index()), 0u);
-  EXPECT_EQ(clone->local_version_of(ca->index()), epoch);
+  EXPECT_EQ(AttributeVersion(*clone, "id"), epoch);
+  EXPECT_EQ(ElementVersion(*clone, "a"), 0u);
 
   // The histories diverge after the clone: edits to one side are invisible
   // to the other.
-  ASSERT_TRUE(ca->AppendChild(clone->CreateElement("leaf2")).ok());
-  EXPECT_GT(clone->subtree_version_of(ca->index()), epoch);
-  EXPECT_EQ(doc->subtree_version_of(a->index()), epoch);
+  clone->DocumentElement()->children()[0]->SetAttribute("id", "a3");
+  EXPECT_GT(AttributeVersion(*clone, "id"), epoch);
+  EXPECT_EQ(AttributeVersion(*doc, "id"), epoch);
 }
 
-TEST(XmlEditVersions, CloneCarriesOverlayPastDetachedDebris) {
+TEST(XmlNameVersions, CloneCarriesTheVersionsPastDetachedDebris) {
   auto parsed = Parse(kVersionedDoc, {.strip_insignificant_whitespace = true});
   ASSERT_TRUE(parsed.ok());
   Document* doc = parsed->get();
   Node* r = doc->DocumentElement();
   Node* a = r->children()[0];
   Node* c = r->children()[1];
-  (void)doc->subtree_version_of(r->index());
+  doc->WantEditVersions();
 
-  // Detach <d> from <c>: the document now has an unattached slot, which the
-  // clone drops, so every node after it is renumbered.
+  // Detach <d> from <c>: the document now has an unattached slot, which
+  // the clone drops, so every node after it is renumbered. Versions are
+  // per name, so they travel as they are.
   ASSERT_TRUE(c->RemoveChild(c->children()[0]).ok());
   const uint64_t removal_epoch = doc->edit_epoch();
   a->SetAttribute("id", "a3");
   const uint64_t attr_epoch = doc->edit_epoch();
-
   std::unique_ptr<Document> clone = CloneDocument(*doc);
-  Node* cr = clone->DocumentElement();
-  Node* ca = cr->children()[0];
-  Node* cc = cr->children()[1];
   EXPECT_EQ(clone->edit_epoch(), doc->edit_epoch());
-  // Versions follow the nodes through the index remap.
-  EXPECT_EQ(clone->local_version_of(ca->index()), attr_epoch);
-  EXPECT_EQ(clone->subtree_version_of(cc->index()), removal_epoch);
-  EXPECT_EQ(clone->subtree_version_of(ca->index()), attr_epoch);
+  EXPECT_EQ(clone->document_version(), removal_epoch);
+  EXPECT_EQ(ElementVersion(*clone, "d"), removal_epoch);
+  EXPECT_EQ(AttributeVersion(*clone, "k"), removal_epoch);
+  EXPECT_EQ(AttributeVersion(*clone, "id"), attr_epoch);
+  EXPECT_EQ(ElementVersion(*clone, "c"), 0u);
+
+  // The histories diverge after the clone: edits to one side are invisible
+  // to the other.
+  Node* ca = clone->DocumentElement()->children()[0];
+  ASSERT_TRUE(ca->AppendChild(clone->CreateElement("d")).ok());
+  EXPECT_GT(ElementVersion(*clone, "d"), removal_epoch);
+  EXPECT_EQ(ElementVersion(*doc, "d"), removal_epoch);
 }
 
 }  // namespace
