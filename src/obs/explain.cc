@@ -21,17 +21,18 @@ void AppendLocation(std::string* out, size_t line, size_t col) {
   *out += " (" + std::to_string(line) + ":" + std::to_string(col) + ")";
 }
 
-// How many leading steps of `path` the evaluator interns (Expr::
-// intern_steps, plus the probe-extended step), shown where the base is
-// statically a tree root: the `/` root or fn:doc(...). The evaluator also
-// interns from a tree root it finds only at run time.
+// How many leading steps of `path` the evaluator interns (Expr::intern's
+// steps, plus the probe-extended step), shown where the base is statically
+// a tree root: the `/` root or fn:doc(...). The evaluator also interns from
+// a tree root it finds only at run time.
 size_t InternedSteps(const Expr& path) {
   const xq::Builtin* base =
       path.has_base ? path.children[0]->builtin : nullptr;
-  if (path.has_base ? base == nullptr || base->name != "doc" : !path.rooted) {
+  if (path.intern == nullptr ||
+      (path.has_base ? base == nullptr || base->name != "doc" : !path.rooted)) {
     return 0;
   }
-  return path.intern_steps + (path.probe_chain_key.empty() ? 0 : 1);
+  return path.intern->steps + (path.intern->probe_chain_key.empty() ? 0 : 1);
 }
 
 struct PlanPrinter {

@@ -31,9 +31,9 @@ struct ExplainOptions {
   size_t max_depth = 32;
   // When set, [interned] annotations render as [interned@vN] with N = the
   // document's current edit epoch (xml::Document::edit_epoch), tying the
-  // plan's interning provenance to the subtree-version state a cached entry
-  // would be validated against. Borrowed; callers with a context document in
-  // hand (the server's per-snapshot EXPLAIN, the REPL) pass it here.
+  // plan's interning provenance to the name versions a cached entry would
+  // be validated against. Borrowed; callers with a context document in hand
+  // (the server's per-snapshot EXPLAIN, the REPL) pass it here.
   const xml::Document* context_document = nullptr;
 };
 

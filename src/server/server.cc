@@ -323,9 +323,9 @@ Result<std::string> QueryServer::Explain(const std::string& doc_name,
   obs::ExplainOptions eo;
   eo.provenance =
       std::string("server plan: ") + xq::CacheProvenanceName(provenance);
-  // Tie [interned] annotations to the snapshot's subtree-version epoch so
-  // the plan shows which edit generation a cached node-set would validate
-  // against ([interned@vN]).
+  // Tie [interned] annotations to the snapshot's edit epoch, the last
+  // version an edit stamped on a name, so the plan shows which edit
+  // generation a cached node set would validate against ([interned@vN]).
   eo.context_document = &snapshot->document();
   std::string out = "-- document '" + doc_name + "' @ snapshot version " +
                     std::to_string(snapshot->version()) + "\n";

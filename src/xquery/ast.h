@@ -104,6 +104,31 @@ struct ChainNames {
   bool any = false;  // some step tests no name: *, node(), text(), ...
 };
 
+// How a path interns (Expr::intern). The first `steps` steps are the chain
+// the evaluator memoizes when the path starts at a tree root: the leading
+// axis steps with no predicate. `key` is their text: each step's
+// axis::test, then "/". The next step is probe-extended when it is
+// position_free and its first predicate is a probe (probe_key, so only in
+// optimized plans): under streaming the chain then runs through that step's
+// bare axis::test, its entry carries an index of the probed attribute's
+// values, the probe's key looks up that index, and the step's other
+// predicates filter the hits (DESIGN.md section 16). `probe_chain_key` is
+// that entry's key -- the intern key plus the bare axis::test, "/" and
+// `@a`, the probed attribute -- and empty when no step is probe-extended.
+// No key holds a literal, so every key value shares one entry. A path
+// interns when `steps` is nonzero or a step is probe-extended, and a path
+// with a limit_hint interns nothing. EXPLAIN renders every interned step of
+// a path whose base is statically a tree root as [interned]. `names` and
+// `probe_chain_names` are the names each chain tests, its entry's guard;
+// the probe chain's include the probed attribute.
+struct InternFacts {
+  size_t steps = 0;
+  std::string key;
+  std::string probe_chain_key;
+  ChainNames names;
+  ChainNames probe_chain_names;
+};
+
 // Appends a step's "axis::test" spelling (e.g. "child::a",
 // "descendant::text()") to `out`: the one renderer behind ExprToString,
 // EXPLAIN, rewrite notes and node-set intern keys.
@@ -276,28 +301,9 @@ struct Expr {
   size_t limit_hint = 0;
 
   // kPath: node-set interning, decided by the resolve pass (ResolveSteps)
-  // on every plan (DESIGN.md section 14). The first `intern_steps` steps
-  // are the chain the evaluator memoizes when the path starts at a tree
-  // root: the leading axis steps with no predicate. `intern_key` is their
-  // text: each step's axis::test, then "/". The next step is probe-extended
-  // when it is position_free and its first predicate is a probe (probe_key,
-  // so only in optimized plans): under streaming the chain then runs
-  // through that step's bare axis::test, its entry carries an index of the
-  // probed attribute's values, the probe's key looks up that index, and the
-  // step's other predicates filter the hits (DESIGN.md section 16).
-  // `probe_chain_key` is that entry's key -- the intern key plus the bare
-  // axis::test, "/" and `@a`, the probed attribute -- and empty when no
-  // step is probe-extended. No key holds a literal, so every key value
-  // shares one entry. A path with a limit_hint interns nothing: all five
-  // are cleared. EXPLAIN renders every interned step of a path whose base
-  // is statically a tree root as [interned]. `intern_names` and
-  // `probe_chain_names` are the names each chain tests, its entry's guard;
-  // the probe chain's include the probed attribute.
-  size_t intern_steps = 0;
-  std::string intern_key;
-  std::string probe_chain_key;
-  ChainNames intern_names;
-  ChainNames probe_chain_names;
+  // on every plan (DESIGN.md section 14); null on every path that interns
+  // nothing, and on every other expression.
+  std::unique_ptr<InternFacts> intern;
 
   // kFlwor
   std::vector<FlworClause> clauses;

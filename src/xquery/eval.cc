@@ -514,23 +514,31 @@ void Evaluator::SortDedup(Sequence* seq) {
 
 // --- Streaming pipeline ---------------------------------------------------
 //
-// A streamable step chain is evaluated as a pull pipeline: one StreamStage
-// per axis step, each exposing its (document-ordered, deduplicated) result a
-// node at a time. An axis stage lazily merges per-context "runs" -- one lazy
-// axis enumeration per context node -- on a min-heap keyed by the order-key
-// index (PR 2). Forward axes guarantee every result's key >= its context's
-// key, so upstream contexts are activated only while they could still beat
-// the heap minimum; the pipeline therefore buffers O(active runs), not
-// O(intermediate result), and a consumer that stops pulling (positional
-// predicate satisfied, fn:exists answered, boolean context decided) leaves
-// the remaining work undone.
+// A streamable step chain is evaluated as a pull pipeline: one
+// StreamAxisStage per axis step, each exposing its (document-ordered,
+// deduplicated) result a node at a time. A stage k-way merges per-context
+// StreamRuns -- one axis enumeration per context node -- on a min-heap keyed
+// by the order-key index. Forward axes guarantee every result's key >= its
+// context's key, so a forward stage activates upstream contexts only while
+// they could still beat the heap minimum; the pipeline therefore buffers
+// O(active runs), not O(intermediate result), and a consumer that stops
+// pulling (positional predicate satisfied, fn:exists answered, boolean
+// context decided) leaves the remaining work undone. A reverse stage is a
+// barrier instead (see StreamAxisStage::Settle).
 
-// One lazily-enumerated forward-axis run from a single context node: yields,
-// in document order, the axis candidates that pass the node test and the
-// step's predicate chain. Positional predicates count per run -- exactly the
-// per-context counting the materializing EvalStep does eagerly -- and a
+// One axis enumeration from a single context node, for every streamable
+// axis. It walks the axis in AXIS order -- document order for the forward
+// axes, reverse document order for parent/ancestor(-or-self)/
+// preceding-sibling, whose chain climbs parent pointers and whose sibling
+// list is read backwards -- and judges each candidate by the node test and
+// the step's predicate chain. Positional predicates count per run in axis
+// order, exactly the per-context counting the materializing EvalStep does
+// eagerly, so [1] selects the NEAREST ancestor or preceding sibling; a
 // literal-integer predicate [N] exhausts the run the moment its counter
-// reaches N, because no later candidate can ever pass that stage again.
+// reaches N, because no later candidate can ever pass that stage again. A
+// forward run yields its passers lazily. A reverse run walks its whole axis
+// when it opens and serves the buffered passers back to front, i.e. in
+// document order, so the stage merges both kinds alike.
 class Evaluator::StreamRun {
  public:
   StreamRun(Evaluator* ev, const PathStep* step, xml::Node* context)
@@ -538,49 +546,141 @@ class Evaluator::StreamRun {
     switch (step->axis) {
       case Axis::kChild:
         list_ = context->children();
+        end_ = static_cast<ptrdiff_t>(list_.size());
         break;
       case Axis::kAttribute:
         list_ = context->attributes();
+        end_ = static_cast<ptrdiff_t>(list_.size());
         break;
+      case Axis::kAncestorOrSelf:
+        climb_ = true;
+        [[fallthrough]];
       case Axis::kSelf:
         self_ = context;
         break;
-      case Axis::kDescendant:
-        stack_.emplace_back(context, 0);
+      case Axis::kAncestor:
+        climb_ = true;
+        [[fallthrough]];
+      case Axis::kParent:
+        self_ = context->parent();  // parent:: holds at most this one node
         break;
       case Axis::kDescendantOrSelf:
         self_ = context;
+        [[fallthrough]];
+      case Axis::kDescendant:
         stack_.emplace_back(context, 0);
         break;
       case Axis::kFollowingSibling:
+      case Axis::kPrecedingSibling:
+        // Attributes have an owner but no siblings on these axes (mirrors
+        // the materializing EvalStep guard). Their ANCESTOR chain, by
+        // contrast, starts at the owner via parent().
         if (context->parent() != nullptr && !context->is_attribute()) {
           list_ = context->parent()->children();
-          cursor_ = context->IndexInParent() + 1;
+          const ptrdiff_t at = static_cast<ptrdiff_t>(context->IndexInParent());
+          if (step->axis == Axis::kFollowingSibling) {
+            next_ = at + 1;
+            end_ = static_cast<ptrdiff_t>(list_.size());
+          } else {
+            next_ = at - 1;
+            end_ = -1;
+            stride_ = -1;
+          }
         }
         break;
-      default:
-        break;  // reverse axes run as ReverseRuns (StreamReverseAxisStage)
     }
     positions_.assign(step->predicates.size(), 0);
   }
 
-  // The current passing candidate; nullptr once exhausted.
-  xml::Node* front() const { return front_; }
+  // The current result; nullptr once the run is exhausted. A reverse run's
+  // is the last of its buffered passers not yet served, read in place:
+  // copying each into front_ as it came up doubled the merge time of
+  // bench_e14's `count(//x/ancestor::y)` (2000 runs).
+  xml::Node* front() const {
+    return unserved_ > 0 ? buffer_[unserved_ - 1] : front_;
+  }
 
-  // Moves front() to the next passing candidate (or exhausts the run).
+  // Moves front() to the first result. A reverse run first buffers every
+  // passer of its walk, in axis order; its stage is a barrier anyway, so
+  // there is nothing to gain from walking lazily.
+  Status Open(bool reverse) {
+    if (!reverse) return Advance();
+    Status error;
+    Judge</*kDrain=*/true>(&error);
+    unserved_ = buffer_.size();
+    return error;
+  }
+
+  // Moves front() to the next result in document order: the buffered
+  // passer before it, else the next passer of the walk.
   Status Advance() {
-    if (exhaust_after_front_) {
-      AccountAbandoned();  // the candidates the spent [N] will never examine
-      done_ = true;
+    if (unserved_ > 0 && --unserved_ > 0) return Status::Ok();
+    Status error;
+    front_ = Judge</*kDrain=*/false>(&error);
+    return error;
+  }
+
+  // Charges a lower bound on the axis candidates this run will now never
+  // examine to nodes_skipped_early_exit, and ends the walk. The sibling
+  // remainder is exact; a descendant stack counts only the immediate
+  // unvisited children of each frame, and an ancestor walk one for its
+  // pending link -- walking further just to count would defeat the point:
+  // a cheap floor, not the full remainder. Buffered passers are not
+  // counted: they were visited (and charged to nodes_pulled).
+  void AccountAbandoned() {
+    size_t n = (self_ != nullptr) +
+               static_cast<size_t>((end_ - next_) * stride_);
+    for (const auto& frame : stack_) {
+      n += frame.first->children().size() - frame.second;
     }
-    front_ = nullptr;
-    if (done_) return Status::Ok();
+    ev_->ChargeSkipped(n);
+    self_ = nullptr;
+    next_ = end_;
+    stack_.clear();
+    spent_ = false;
+  }
+
+ private:
+  // The next axis candidate in axis order, unfiltered. self_ comes first:
+  // the context (self, the -or-self axes) or its parent (parent, ancestor),
+  // and on an ancestor axis each one taken climbs to its parent. After it
+  // at most one of the sibling list and the descendant stack feeds the run.
+  xml::Node* NextCandidate() {
+    if (self_ != nullptr) {
+      xml::Node* s = self_;
+      self_ = climb_ ? s->parent() : nullptr;
+      return s;
+    }
+    if (next_ != end_) {
+      xml::Node* sibling = list_[static_cast<size_t>(next_)];
+      next_ += stride_;
+      return sibling;
+    }
+    while (!stack_.empty()) {
+      auto& frame = stack_.back();
+      if (frame.second >= frame.first->children().size()) {
+        stack_.pop_back();
+        continue;
+      }
+      xml::Node* child = frame.first->children()[frame.second++];
+      stack_.emplace_back(child, 0);
+      return child;
+    }
+    return nullptr;
+  }
+
+  // Judges the walk's candidates in axis order by the node test and every
+  // predicate. Returns the next passer; with kDrain, buffers every passer
+  // instead. Returns nullptr once the walk is exhausted, and when a
+  // predicate fails, which sets *error. (The drain is this loop
+  // instantiated apart, not a caller of the lazy one, so a reverse walk
+  // makes no call per passer.)
+  template <bool kDrain>
+  xml::Node* Judge(Status* error) {
+    if (spent_) AccountAbandoned();  // the last passer used up some [N]
     for (;;) {
       xml::Node* candidate = NextCandidate();
-      if (candidate == nullptr) {
-        done_ = true;
-        return Status::Ok();
-      }
+      if (candidate == nullptr) return nullptr;
       ++ev_->stats_.nodes_pulled;
       if (!MatchesTest(candidate, step_->test, step_->axis)) continue;
       bool keep = true;
@@ -598,7 +698,10 @@ class Evaluator::StreamRun {
             ev_->PredicateKeep(pred, Item::NodeRef(candidate), pos,
                                /*size=*/pos);
         ev_->suppress_skip_charges_ = outer_probe;
-        if (!kept.ok()) return kept.status();
+        if (!kept.ok()) {
+          *error = std::move(kept).status();
+          return nullptr;
+        }
         keep = *kept;
         if (pred.kind == ExprKind::kLiteral &&
             pred.literal_type == Expr::LiteralType::kInteger &&
@@ -607,128 +710,79 @@ class Evaluator::StreamRun {
         }
       }
       if (keep) {
-        front_ = candidate;
-        exhaust_after_front_ = spent;
-        return Status::Ok();
+        if constexpr (!kDrain) {
+          spent_ = spent;
+          return candidate;
+        }
+        buffer_.push_back(candidate);
       }
       if (spent) {
         AccountAbandoned();
-        done_ = true;
-        return Status::Ok();
+        return nullptr;
       }
     }
   }
 
-  // Lower bound on axis candidates this run will now never examine, charged
-  // to nodes_skipped_early_exit. For descendant stacks only the immediate
-  // unvisited children of each frame are counted -- a cheap floor, not the
-  // full subtree size.
-  void AccountAbandoned() {
-    size_t n = 0;
-    if (self_ != nullptr) ++n;
-    n += list_.size() - cursor_;
-    for (const auto& frame : stack_) {
-      n += frame.first->children().size() - frame.second;
-    }
-    ev_->ChargeSkipped(n);
-    self_ = nullptr;
-    list_ = xml::NodeList();
-    stack_.clear();
-  }
-
- private:
-  // The next axis candidate in document order, unfiltered.
-  xml::Node* NextCandidate() {
-    if (self_ != nullptr) {
-      xml::Node* s = self_;
-      self_ = nullptr;
-      return s;
-    }
-    if (cursor_ < list_.size()) return list_[cursor_++];
-    while (!stack_.empty()) {
-      auto& frame = stack_.back();
-      if (frame.second >= frame.first->children().size()) {
-        stack_.pop_back();
-        continue;
-      }
-      xml::Node* child = frame.first->children()[frame.second++];
-      stack_.emplace_back(child, 0);
-      return child;
-    }
-    return nullptr;
-  }
-
+  // The members are packed so that std::deque keeps three runs to its
+  // 512-byte block: at two (a run of 176 bytes or more), forward pipelines
+  // ran 1.7x slower (bench_e13's count(//x) and //x[1]), for a cause not
+  // traced.
   Evaluator* ev_;
   const PathStep* step_;
   xml::Node* front_ = nullptr;
-  bool done_ = false;
-  bool exhaust_after_front_ = false;
-  // Enumeration state; at most one of self_/list_/stack_ is live at a time
-  // (descendant-or-self drains self_ first, then the stack).
+  // Walk state. The sibling list is read from next_ towards end_ in steps
+  // of stride_: forward for child, attribute and following-sibling,
+  // backward for preceding-sibling.
   xml::Node* self_ = nullptr;
-  xml::NodeList list_;  // empty when this enumeration source is not in use
-  size_t cursor_ = 0;
+  bool climb_ = false;  // an ancestor axis: self_ moves up, not to null
+  bool spent_ = false;  // the walk ends before the next candidate
+  int32_t stride_ = 1;
+  xml::NodeList list_;
+  ptrdiff_t next_ = 0;
+  ptrdiff_t end_ = 0;
   std::vector<std::pair<xml::Node*, size_t>> stack_;
-  std::vector<size_t> positions_;  // 1-based per-predicate counters
+  std::vector<size_t> positions_;   // 1-based per-predicate counters
+  std::vector<xml::Node*> buffer_;  // a reverse run's passers, axis order
+  size_t unserved_ = 0;             // buffer_[0, unserved_) not yet served
 };
 
-// Pull interface of one pipeline stage: a document-ordered, duplicate-free
-// node stream.
-class Evaluator::StreamStage {
+// One axis step: a k-way document-order merge of per-context StreamRuns.
+// The first stage of a pipeline reads its contexts from the base sequence,
+// every later one from the stage before it.
+class Evaluator::StreamAxisStage {
  public:
-  virtual ~StreamStage() = default;
+  StreamAxisStage(Evaluator* ev, const PathStep* step,
+                  StreamAxisStage* upstream, const Sequence* base)
+      : ev_(ev),
+        step_(step),
+        upstream_(upstream),
+        base_(base),
+        reverse_(IsReverseStreamableAxis(step->axis)) {}
+
   // The current front node; nullptr = exhausted. Idempotent until Pop().
-  virtual Result<xml::Node*> Front() = 0;
-  virtual Status Pop() = 0;
-  // The consumer stopped early: fold a lower bound of the never-visited
-  // work into nodes_skipped_early_exit, recursively upstream.
-  virtual void Abandon() = 0;
-};
-
-// The materialized context sequence feeding the first axis stage.
-class Evaluator::StreamBaseStage : public StreamStage {
- public:
-  StreamBaseStage(Evaluator* ev, const Sequence* base) : ev_(ev), base_(base) {}
-  Result<xml::Node*> Front() override {
-    return index_ < base_->size() ? base_->at(index_).node() : nullptr;
-  }
-  Status Pop() override {
-    ++index_;
-    return Status::Ok();
-  }
-  void Abandon() override {
-    ev_->ChargeSkipped(base_->size() - index_);
-    index_ = base_->size();
-  }
-
- private:
-  Evaluator* ev_;
-  const Sequence* base_;
-  size_t index_ = 0;
-};
-
-// One axis step: a lazy k-way merge of per-context StreamRuns.
-class Evaluator::StreamAxisStage : public StreamStage {
- public:
-  StreamAxisStage(Evaluator* ev, const PathStep* step, StreamStage* upstream)
-      : ev_(ev), step_(step), upstream_(upstream) {}
-
-  Result<xml::Node*> Front() override {
+  Result<xml::Node*> Front() {
     LLL_RETURN_IF_ERROR(Settle());
     return heap_.empty() ? nullptr : heap_.front()->front();
   }
 
-  Status Pop() override {
+  Status Pop() {
     LLL_RETURN_IF_ERROR(Settle());
     if (heap_.empty()) return Status::Ok();
     last_emitted_ = heap_.front()->front();
     return AdvanceMin();
   }
 
-  void Abandon() override {
+  // The consumer stopped early: fold a lower bound of the never-visited
+  // work into nodes_skipped_early_exit, recursively upstream.
+  void Abandon() {
     for (StreamRun* run : heap_) run->AccountAbandoned();
     heap_.clear();
-    upstream_->Abandon();
+    if (upstream_ != nullptr) {
+      upstream_->Abandon();
+    } else {
+      ev_->ChargeSkipped(base_->size() - next_base_);
+      next_base_ = base_->size();
+    }
   }
 
  private:
@@ -742,30 +796,53 @@ class Evaluator::StreamAxisStage : public StreamStage {
     return a->front()->order_key() > b->front()->order_key();
   }
 
-  // Restores the two invariants behind Front(): (1) every upstream context
-  // that could still produce the globally-next node has been activated --
-  // forward-axis results have keys >= their context's key, so activation
-  // stops once the next context's key exceeds the heap minimum; (2) the
-  // heap minimum is not a duplicate of the last emitted node (overlapping
-  // descendant runs yield the same node only at adjacent heap minima,
-  // because emission is non-decreasing in key and keys identify nodes).
+  // The next upstream context, not yet consumed; nullptr = none left.
+  Result<xml::Node*> NextContext() {
+    if (upstream_ != nullptr) return upstream_->Front();
+    return next_base_ < base_->size() ? base_->at(next_base_).node()
+                                      : nullptr;
+  }
+
+  Status PopContext() {
+    if (upstream_ != nullptr) return upstream_->Pop();
+    ++next_base_;
+    return Status::Ok();
+  }
+
+  // Restores the two invariants behind Front(). (1) Every upstream context
+  // that could still produce the globally-next node has been activated.
+  // Forward-axis results have keys >= their context's key, so activation
+  // stops once the next context's key exceeds the heap minimum.
+  // Reverse-axis results have keys <= their context's key, so a context
+  // arriving later can still produce the globally smallest result -- the
+  // root is an ancestor of everything -- and a reverse stage is therefore a
+  // BARRIER: it drains its upstream before its first emission. Its win over
+  // the materializing path is not laziness upstream but skipping the
+  // O(k log k) normalizing sort -- runs are pre-ordered, and merging costs
+  // O(k log runs) -- and per-run early exhaustion for literal [N]
+  // predicates, where [1] ends each walk at its first passer. (2) The heap
+  // minimum is not a duplicate of the last emitted node: overlapping runs
+  // (descendant runs, or sibling contexts sharing an ancestor chain) yield
+  // the same node only at adjacent heap minima, because emission is
+  // non-decreasing in key and keys identify nodes.
   Status Settle() {
     for (;;) {
       while (!upstream_done_) {
-        LLL_ASSIGN_OR_RETURN(xml::Node* context, upstream_->Front());
+        LLL_ASSIGN_OR_RETURN(xml::Node* context, NextContext());
         if (context == nullptr) {
           upstream_done_ = true;
           break;
         }
-        if (!heap_.empty() &&
+        if (!reverse_ && !heap_.empty() &&
             context->order_key() > heap_.front()->front()->order_key()) {
           break;
         }
-        LLL_RETURN_IF_ERROR(upstream_->Pop());
+        LLL_RETURN_IF_ERROR(PopContext());
         runs_.emplace_back(ev_, step_, context);
         StreamRun& run = runs_.back();
-        LLL_RETURN_IF_ERROR(run.Advance());
+        LLL_RETURN_IF_ERROR(run.Open(reverse_));
         if (run.front() != nullptr) {
+          if (reverse_) ++ev_->stats_.reverse_runs_merged;
           heap_.push_back(&run);
           std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
         }
@@ -791,242 +868,15 @@ class Evaluator::StreamAxisStage : public StreamStage {
 
   Evaluator* ev_;
   const PathStep* step_;
-  StreamStage* upstream_;
+  StreamAxisStage* upstream_;  // null for the first stage
+  const Sequence* base_;       // the first stage's contexts
+  size_t next_base_ = 0;
+  const bool reverse_;         // the step's axis is a reverse axis
+  static_assert(3 * sizeof(StreamRun) <= 512);  // see StreamRun's members
   std::deque<StreamRun> runs_;    // deque: stable addresses for heap_
   std::vector<StreamRun*> heap_;  // min-heap by front()->order_key()
   xml::Node* last_emitted_ = nullptr;
   bool upstream_done_ = false;
-};
-
-// One reverse-axis run from a single context node. The axis is enumerated
-// natively in AXIS order -- which for parent/ancestor(-or-self)/
-// preceding-sibling IS reverse document order, by construction: ancestor
-// chains walk parent pointers upward and preceding siblings walk the child
-// vector backwards, so no per-run sort is ever needed. Node test and
-// predicates apply during that walk with per-run positional counting in axis
-// order (so [1] selects the NEAREST ancestor/sibling, matching the
-// materializing evaluator, and a literal [N] exhausts the walk at its N-th
-// passer). Passing candidates are buffered and then served BACK to front,
-// i.e. in document order, which is what lets the merge stage above compose
-// with downstream forward stages and the shared early-exit contract.
-class Evaluator::ReverseRun {
- public:
-  ReverseRun(Evaluator* ev, const PathStep* step, xml::Node* context)
-      : ev_(ev), step_(step) {
-    switch (step->axis) {
-      case Axis::kParent:
-        chain_ = context->parent();
-        chain_stop_after_first_ = true;
-        break;
-      case Axis::kAncestor:
-        chain_ = context->parent();
-        break;
-      case Axis::kAncestorOrSelf:
-        self_ = context;
-        chain_ = context->parent();
-        break;
-      case Axis::kPrecedingSibling:
-        // Attributes have an owner but no preceding siblings on this axis
-        // (mirrors the materializing EvalStep guard). Their ANCESTOR chain,
-        // by contrast, starts at the owner via parent().
-        if (context->parent() != nullptr && !context->is_attribute()) {
-          list_ = context->parent()->children();
-          cursor_ = context->IndexInParent();  // candidates: [cursor_-1 .. 0]
-        }
-        break;
-      default:
-        break;  // forward axes run as StreamRuns
-    }
-    positions_.assign(step->predicates.size(), 0);
-  }
-
-  // Runs the whole axis walk, filling buffer_ with passing candidates in
-  // reverse document order. Called once, at stage open; the stage is a
-  // barrier anyway (see StreamReverseAxisStage), so there is nothing to
-  // gain from enumerating lazily across Fill calls.
-  Status Fill() {
-    for (;;) {
-      xml::Node* candidate = NextCandidate();
-      if (candidate == nullptr) return Status::Ok();
-      ++ev_->stats_.nodes_pulled;
-      if (!MatchesTest(candidate, step_->test, step_->axis)) continue;
-      bool keep = true;
-      bool spent = false;
-      for (size_t j = 0; j < step_->predicates.size() && keep; ++j) {
-        const Expr& pred = *step_->predicates[j];
-        size_t pos = ++positions_[j];
-        bool outer_probe = ev_->suppress_skip_charges_;
-        ev_->suppress_skip_charges_ = true;
-        Result<bool> kept =
-            ev_->PredicateKeep(pred, Item::NodeRef(candidate), pos,
-                               /*size=*/pos);
-        ev_->suppress_skip_charges_ = outer_probe;
-        if (!kept.ok()) return kept.status();
-        keep = *kept;
-        if (pred.kind == ExprKind::kLiteral &&
-            pred.literal_type == Expr::LiteralType::kInteger &&
-            static_cast<int64_t>(pos) >= pred.integer) {
-          spent = true;
-        }
-      }
-      if (keep) buffer_.push_back(candidate);
-      if (spent) {
-        AccountAbandoned();  // the rest of the walk can never pass again
-        return Status::Ok();
-      }
-    }
-  }
-
-  // Document-order serving over the reverse-ordered buffer.
-  xml::Node* front() const {
-    return serve_ == 0 ? nullptr : buffer_[serve_ - 1];
-  }
-  void Pop() {
-    if (serve_ > 0) --serve_;
-  }
-
-  // Lower bound on candidates this run will now never examine. Unserved
-  // BUFFERED nodes are not counted -- they were already visited (and
-  // charged to nodes_pulled); the skip floor only covers the abandoned
-  // remainder of the enumeration: the exact sibling-vector remainder, plus
-  // one for a pending ancestor link (walking the chain just to count it
-  // would defeat the point -- a floor, as documented on the stat).
-  void AccountAbandoned() {
-    size_t n = 0;
-    if (self_ != nullptr) ++n;
-    n += cursor_;
-    if (chain_ != nullptr) ++n;
-    ev_->ChargeSkipped(n);
-    self_ = nullptr;
-    list_ = xml::NodeList();
-    cursor_ = 0;
-    chain_ = nullptr;
-  }
-
-  void FinishFill() { serve_ = buffer_.size(); }
-
- private:
-  // The next axis candidate in reverse document order, unfiltered.
-  xml::Node* NextCandidate() {
-    if (self_ != nullptr) {  // ancestor-or-self: self comes first (nearest)
-      xml::Node* s = self_;
-      self_ = nullptr;
-      return s;
-    }
-    if (cursor_ > 0) return list_[--cursor_];
-    if (chain_ != nullptr) {
-      xml::Node* c = chain_;
-      chain_ = chain_stop_after_first_ ? nullptr : c->parent();
-      return c;
-    }
-    return nullptr;
-  }
-
-  Evaluator* ev_;
-  const PathStep* step_;
-  // Enumeration state; at most one of self_/list_/chain_ feeds at a time
-  // (ancestor-or-self drains self_ first, then the parent chain).
-  xml::Node* self_ = nullptr;
-  xml::NodeList list_;  // empty when this enumeration source is not in use
-  size_t cursor_ = 0;  // counts DOWN; candidates remaining in list_
-  xml::Node* chain_ = nullptr;
-  bool chain_stop_after_first_ = false;  // parent:: is a one-link chain
-  std::vector<size_t> positions_;        // 1-based, in axis order
-  std::vector<xml::Node*> buffer_;       // passers, reverse document order
-  size_t serve_ = 0;                     // buffer_[serve_-1] is the front
-};
-
-// One reverse-axis step: a k-way document-order merge of per-context
-// ReverseRuns. Unlike the forward stage this is a BARRIER: reverse-axis
-// results have keys <= their context's key, so a context arriving later (in
-// document order) can still produce the globally smallest result -- the
-// root is an ancestor of everything. The stage therefore drains its
-// upstream completely before the first emission; its win over the
-// materializing path is not laziness upstream but (a) skipping the
-// O(k log k) normalizing sort -- runs are pre-ordered and merging costs
-// O(k log runs) -- and (b) per-run early exhaustion for literal [N]
-// predicates, where [1] = the nearest ancestor/sibling ends each walk at
-// its first passer. Duplicates (sibling contexts share ancestor chains)
-// surface at adjacent heap minima exactly as in the forward stage, so the
-// same last_emitted_ dedup applies.
-class Evaluator::StreamReverseAxisStage : public StreamStage {
- public:
-  StreamReverseAxisStage(Evaluator* ev, const PathStep* step,
-                         StreamStage* upstream)
-      : ev_(ev), step_(step), upstream_(upstream) {}
-
-  Result<xml::Node*> Front() override {
-    LLL_RETURN_IF_ERROR(Settle());
-    return heap_.empty() ? nullptr : heap_.front()->front();
-  }
-
-  Status Pop() override {
-    LLL_RETURN_IF_ERROR(Settle());
-    if (heap_.empty()) return Status::Ok();
-    last_emitted_ = heap_.front()->front();
-    AdvanceMin();
-    return Status::Ok();
-  }
-
-  void Abandon() override {
-    // Runs were fully enumerated at open (or charged their own remainder
-    // when a literal [N] exhausted them); unserved buffered nodes were
-    // visited, not skipped, so there is nothing further to charge here.
-    for (ReverseRun* run : heap_) run->AccountAbandoned();
-    heap_.clear();
-    upstream_->Abandon();
-  }
-
- private:
-  // Same fresh-read discipline as StreamAxisStage::HeapAfter; by merge time
-  // every predicate has already run (fills are complete), but rebuilds
-  // triggered further downstream still preserve relative keys.
-  static bool HeapAfter(const ReverseRun* a, const ReverseRun* b) {
-    return a->front()->order_key() > b->front()->order_key();
-  }
-
-  Status Settle() {
-    if (!opened_) {
-      opened_ = true;
-      for (;;) {
-        LLL_ASSIGN_OR_RETURN(xml::Node* context, upstream_->Front());
-        if (context == nullptr) break;
-        LLL_RETURN_IF_ERROR(upstream_->Pop());
-        runs_.emplace_back(ev_, step_, context);
-        ReverseRun& run = runs_.back();
-        LLL_RETURN_IF_ERROR(run.Fill());
-        run.FinishFill();
-        if (run.front() != nullptr) {
-          ++ev_->stats_.reverse_runs_merged;
-          heap_.push_back(&run);
-        }
-      }
-      std::make_heap(heap_.begin(), heap_.end(), HeapAfter);
-    }
-    while (!heap_.empty() && heap_.front()->front() == last_emitted_) {
-      AdvanceMin();
-    }
-    return Status::Ok();
-  }
-
-  void AdvanceMin() {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapAfter);
-    ReverseRun* run = heap_.back();
-    heap_.pop_back();
-    run->Pop();
-    if (run->front() != nullptr) {
-      heap_.push_back(run);
-      std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
-    }
-  }
-
-  Evaluator* ev_;
-  const PathStep* step_;
-  StreamStage* upstream_;
-  std::deque<ReverseRun> runs_;    // deque: stable addresses for heap_
-  std::vector<ReverseRun*> heap_;  // min-heap by front()->order_key()
-  xml::Node* last_emitted_ = nullptr;
-  bool opened_ = false;
 };
 
 // --- Path dispatch --------------------------------------------------------
@@ -1050,9 +900,10 @@ Result<Sequence> Evaluator::EvalPath(const Expr& e, size_t limit) {
 }
 
 Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
-  NodeSetCache* cache = options_.nodeset_cache;
-  const bool probe = options_.streaming && !e.probe_chain_key.empty();
-  if (cache == nullptr || (e.intern_steps == 0 && !probe)) return 0;
+  const InternFacts* facts = e.intern.get();
+  if (options_.nodeset_cache == nullptr || facts == nullptr) return 0;
+  const bool probe = options_.streaming && !facts->probe_chain_key.empty();
+  if (facts->steps == 0 && !probe) return 0;
   if (current->size() != 1 || !current->at(0).is_node()) return 0;
   xml::Node* base = current->at(0).node();
   // Any tree root qualifies: a document node, or a parentless element such
@@ -1078,11 +929,9 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   // predicates judge a candidate alike whichever context produced it, so
   // one pass over the candidates of all contexts keeps the same ones.
   if (probe) {
-    const size_t extended = e.intern_steps + 1;
-    const std::vector<ExprPtr>& preds = e.steps[e.intern_steps].predicates;
+    const std::vector<ExprPtr>& preds = e.steps[facts->steps].predicates;
     LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
-                         InternChain(e, extended, /*probed=*/true, base,
-                                     e.probe_chain_key, *current));
+                         InternChain(e, /*probed=*/true, base, *current));
     Result<Sequence> kept = ProbeEntry(*preds[0], *entry);
     if (kept.ok()) {
       kept = ApplyPredicates(std::span(preds).subspan(1), std::move(*kept));
@@ -1090,27 +939,27 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
     if (kept.ok()) {
       *current = std::move(*kept);
       current->MarkOrderedDeduped();  // a subsequence of the normalized set
-      return extended;
+      return facts->steps + 1;
     }
     // Which failing candidate raises the error depends on the order the
     // contexts meet them, which document order is not for a reverse axis
     // or a child step from nested contexts: intern the plain prefix below
     // and let the step's own loop raise it.
   }
-  if (e.intern_steps == 0) return 0;
+  if (facts->steps == 0) return 0;
   LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
-                       InternChain(e, e.intern_steps, /*probed=*/false, base,
-                                   e.intern_key, *current));
+                       InternChain(e, /*probed=*/false, base, *current));
   *current = entry->ToSequence();
-  return e.intern_steps;
+  return facts->steps;
 }
 
 Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
-    const Expr& e, size_t steps, bool probed, xml::Node* base,
-    const std::string& fingerprint, const Sequence& start) {
+    const Expr& e, bool probed, xml::Node* base, const Sequence& start) {
   NodeSetCache* cache = options_.nodeset_cache;
+  const InternFacts& facts = *e.intern;
   xml::Document* doc = base->document();
-  std::string key = NodeSetCache::MakeKey(base, fingerprint);
+  std::string key = NodeSetCache::MakeKey(
+      base, probed ? facts.probe_chain_key : facts.key);
   NodeSetCache::Outcome outcome = NodeSetCache::Outcome::kMiss;
   if (std::shared_ptr<const CachedNodeSet> hit =
           cache->Get(doc, key, &outcome)) {
@@ -1130,7 +979,7 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
     ++stats_.nodeset_cache_misses;
   }
 
-  size_t full = probed ? steps - 1 : steps;
+  const size_t full = facts.steps;
   LLL_ASSIGN_OR_RETURN(Sequence computed,
                        EvalStepsRange(e, 0, full, start, kNoLimit));
   std::string index_attr;
@@ -1154,8 +1003,9 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternChain(
   }
   // Axis steps from a tree root reach only that root's document, so the
   // result is storable as it is.
-  return cache->Put(key, *doc, probed ? e.probe_chain_names : e.intern_names,
-                    computed, index_attr);
+  return cache->Put(key, *doc,
+                    probed ? facts.probe_chain_names : facts.names, computed,
+                    index_attr);
 }
 
 Result<std::optional<Sequence>> Evaluator::ProbeKey(const Expr& pred) {
@@ -1311,37 +1161,31 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
                                               size_t last, Sequence current,
                                               size_t limit) {
   // Preconditions (enforced by EvalStepsRange): nonempty, all nodes of one
-  // document, steps [first, last) all pass StepStreamable. One index build
+  // document, steps [first, last) all PathStep::streamable. One index build
   // up front covers the whole pull -- rebuild-on-mutation keeps relative
   // keys stable (see HeapAfter).
   current.at(0).node()->document()->EnsureOrderIndex();
-  StreamBaseStage base(this, &current);
-  std::vector<std::unique_ptr<StreamStage>> stages;
-  StreamStage* top = &base;
+  std::vector<StreamAxisStage> stages;
+  stages.reserve(last - first);  // no reallocation: stages point upstream
   for (size_t i = first; i < last; ++i) {
-    const PathStep* step = &e.steps[i];
-    if (IsReverseStreamableAxis(step->axis)) {
-      stages.push_back(
-          std::make_unique<StreamReverseAxisStage>(this, step, top));
-    } else {
-      stages.push_back(std::make_unique<StreamAxisStage>(this, step, top));
-    }
-    top = stages.back().get();
+    stages.emplace_back(this, &e.steps[i],
+                        stages.empty() ? nullptr : &stages.back(), &current);
   }
+  StreamAxisStage& top = stages.back();
   // Predicate evaluation inside runs sets the focus; restore around the
   // whole pull (PredicateKeep leaves it dirty by contract).
   Focus saved = focus_;
   Sequence out;
   Status failure;
   while (out.size() < limit) {
-    Result<xml::Node*> front = top->Front();
+    Result<xml::Node*> front = top.Front();
     if (!front.ok()) {
       failure = front.status();
       break;
     }
     if (*front == nullptr) break;
     out.Append(Item::NodeRef(*front));
-    Status popped = top->Pop();
+    Status popped = top.Pop();
     if (!popped.ok()) {
       failure = popped;
       break;
@@ -1349,7 +1193,7 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
   }
   focus_ = saved;
   LLL_RETURN_IF_ERROR(failure);
-  if (out.size() >= limit) top->Abandon();
+  if (out.size() >= limit) top.Abandon();
   out.MarkOrderedDeduped();  // Append clears the bit; emission order proves it
   return out;
 }

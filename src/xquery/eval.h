@@ -74,12 +74,12 @@ struct EvalOptions {
   // (DESIGN.md section 19).
   bool streaming = true;
   // Node-set interning: memoizes the leading step chain of tree-rooted
-  // paths the plan marked (Expr::intern_steps: the leading predicate-free
-  // steps) as (document identity, Expr::intern_key) -> node set, and a
-  // probe-extended chain (Expr::probe_chain_key) with an index of its
-  // probed attribute's values, which the probe's key looks up whatever its
-  // value. Each entry is guarded by the names its chain tests
-  // (Expr::intern_names, probe_chain_names): an edit evicts only the
+  // paths the plan marked (Expr::intern: the leading predicate-free steps)
+  // as (document identity, InternFacts::key) -> node set, and a
+  // probe-extended chain (InternFacts::probe_chain_key) with an index of
+  // its probed attribute's values, which the probe's key looks up whatever
+  // its value. Each entry is guarded by the names its chain tests
+  // (InternFacts::names, probe_chain_names): an edit evicts only the
   // entries whose names it touched. Borrowed; must outlive the evaluation
   // AND be scoped to the documents' owner (cached node sets hold raw Node
   // pointers).
@@ -270,11 +270,7 @@ class Evaluator {
 
   // Streaming pipeline internals (defined in eval.cc).
   class StreamRun;
-  class ReverseRun;
-  class StreamStage;
-  class StreamBaseStage;
   class StreamAxisStage;
-  class StreamReverseAxisStage;
   // One memoized attribute index for hash probes (defined in eval.cc).
   struct ProbeIndex;
 
@@ -331,9 +327,9 @@ class Evaluator {
     if (!suppress_skip_charges_) stats_.nodes_skipped_early_exit += n;
   }
   // Consults / fills the node-set interning cache for the chain the plan
-  // decided (Expr::intern_steps and intern_key) when the path starts at a
-  // tree root (a document node or a parentless element). Under streaming a
-  // probe-extended path (Expr::probe_chain_key) interns the chain through
+  // decided (Expr::intern) when the path starts at a tree root (a document
+  // node or a parentless element). Under streaming a probe-extended path
+  // (InternFacts::probe_chain_key) interns the chain through
   // the next step's bare axis::test instead, with an index of the probed
   // attribute; the probe's key, evaluated once, looks up that index, and
   // the step's other predicates filter the hits (the plan extends only
@@ -342,13 +338,13 @@ class Evaluator {
   // the number of steps consumed and replaces *current with the prefix
   // result; returns 0 when interning does not apply.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
-  // The interned entry for the first `steps` steps of `e` from `base` --
-  // when `probed`, the last one bare, with the index of its probe's
-  // attribute -- looked up under `fingerprint` or computed from `start`
-  // and stored, guarded by the names the chain tests.
+  // The interned entry for `e`'s chain from `base` -- when `probed`, the
+  // chain plus the probe-extended step, bare, with the index of its probe's
+  // attribute -- looked up under its key or computed from `start` and
+  // stored, guarded by the names the chain tests.
   Result<std::shared_ptr<const CachedNodeSet>> InternChain(
-      const Expr& e, size_t steps, bool probed, xml::Node* base,
-      const std::string& fingerprint, const xdm::Sequence& start);
+      const Expr& e, bool probed, xml::Node* base,
+      const xdm::Sequence& start);
   // The key of the marked predicate `pred`, evaluated once and atomized;
   // nullopt when it does not atomize to strings/untypedAtomic only.
   Result<std::optional<xdm::Sequence>> ProbeKey(const Expr& pred);

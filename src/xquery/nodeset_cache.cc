@@ -104,7 +104,7 @@ xdm::Sequence CachedNodeSet::ToSequence() const {
   items.reserve(nodes.size());
   for (xml::Node* node : nodes) items.push_back(xdm::Item::NodeRef(node));
   xdm::Sequence seq(std::move(items));
-  if (ordered_deduped) seq.MarkOrderedDeduped();
+  seq.MarkOrderedDeduped();
   return seq;
 }
 
@@ -137,7 +137,6 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Put(
   for (const xdm::Item& item : nodes.items()) {
     entry->nodes.push_back(item.node());
   }
-  entry->ordered_deduped = nodes.ordered_deduped();
   if (!index_attr.empty()) {
     entry->index =
         std::make_shared<const ValueIndex>(entry->nodes, index_attr);
@@ -204,7 +203,6 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
     moved->document_wide = entry->document_wide;
     moved->document_version = entry->document_version;
     moved->names_interned = entry->names_interned;
-    moved->ordered_deduped = entry->ordered_deduped;
     moved->index = entry->index;
     cache_.Put(std::to_string(to.doc_id()) + "@" +
                    std::to_string(mapped_base) + key.substr(bar),

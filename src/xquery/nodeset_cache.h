@@ -86,11 +86,9 @@ struct CachedNodeSet {
   // and none can until it is interned, so the entry holds while the count
   // stands.
   uint64_t names_interned = 0;
-  // The node set, 8 bytes a node, and whether the sequence it was stored
-  // from carried the ordered-and-deduped mark (xdm::Sequence).
+  // The node set, 8 bytes a node, in document order without duplicates.
   std::vector<xml::Node*> nodes;
-  bool ordered_deduped = false;
-  // The node set as a sequence, with the mark.
+  // The node set as a sequence, marked ordered-and-deduped (xdm::Sequence).
   xdm::Sequence ToSequence() const;
   // The index of the probed attribute on a probe-extended entry (DESIGN.md
   // section 16), built with the entry; null on every other entry. Entries
@@ -151,9 +149,11 @@ class NodeSetCache {
   // stamp versions (xml::Document::WantEditVersions), and no edit can land
   // between the computation and this call (the single-writer contract), so
   // the versions are the ones the nodes were computed at. `nodes` are all
-  // nodes of `doc`. A non-empty `index_attr` gives the entry a ValueIndex
-  // of that attribute over its nodes. Overwrites stale entries. Returns the
-  // stored entry.
+  // nodes of `doc`, in document order without duplicates: a normalized
+  // step result (streamed, one-node or sorted), which ToSequence marks as
+  // such. A non-empty `index_attr` gives the entry a ValueIndex of that
+  // attribute over its nodes. Overwrites stale entries. Returns the stored
+  // entry.
   std::shared_ptr<const CachedNodeSet> Put(const std::string& key,
                                            const xml::Document& doc,
                                            const ChainNames& names,

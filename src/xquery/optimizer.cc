@@ -484,11 +484,7 @@ void MarkDemand(Expr* e) {
   const auto demand = [](Expr* operand, size_t n) {
     if (!NodePath(*operand)) return;
     operand->limit_hint = n;
-    operand->intern_steps = 0;
-    operand->intern_key.clear();
-    operand->probe_chain_key.clear();
-    operand->intern_names = {};
-    operand->probe_chain_names = {};
+    operand->intern.reset();
   };
   switch (e->kind) {
     case ExprKind::kIf:
@@ -578,31 +574,34 @@ void AddTestedName(const PathStep& step, ChainNames* names) {
   }
 }
 
-// Sets a path's Expr::intern_steps, intern_key and probe_chain_key, and the
-// names each chain tests. The probe chain's key ends with `@a`, the probed
-// attribute its entry indexes: one entry per (chain, attribute), whatever
-// the key's value. No key holds a literal.
+// Sets a path's Expr::intern when it interns: the chain's steps and key,
+// the probe chain's key, and the names each chain tests. The probe chain's
+// key ends with `@a`, the probed attribute its entry indexes: one entry per
+// (chain, attribute), whatever the key's value. No key holds a literal.
 void ResolveInterning(Expr* path) {
+  InternFacts facts;
   for (const PathStep& step : path->steps) {
     if (step.is_filter || !step.predicates.empty()) break;
-    AppendAxisTest(step, &path->intern_key);
-    path->intern_key += '/';
-    AddTestedName(step, &path->intern_names);
-    ++path->intern_steps;
+    AppendAxisTest(step, &facts.key);
+    facts.key += '/';
+    AddTestedName(step, &facts.names);
+    ++facts.steps;
   }
-  if (path->intern_steps < path->steps.size() &&
-      ProbeExtends(path->steps[path->intern_steps])) {
-    const PathStep& step = path->steps[path->intern_steps];
+  if (facts.steps < path->steps.size() &&
+      ProbeExtends(path->steps[facts.steps])) {
+    const PathStep& step = path->steps[facts.steps];
     const Expr& probe = *step.predicates[0];
     const std::string& attr =
         probe.children[1 - probe.probe_key]->steps[0].test.name;
-    path->probe_chain_key = path->intern_key;
-    AppendAxisTest(step, &path->probe_chain_key);
-    path->probe_chain_key += "/@" + attr;
-    path->probe_chain_names = path->intern_names;
-    AddTestedName(step, &path->probe_chain_names);
-    AddName(attr, &path->probe_chain_names.attributes);
+    facts.probe_chain_key = facts.key;
+    AppendAxisTest(step, &facts.probe_chain_key);
+    facts.probe_chain_key += "/@" + attr;
+    facts.probe_chain_names = facts.names;
+    AddTestedName(step, &facts.probe_chain_names);
+    AddName(attr, &facts.probe_chain_names.attributes);
   }
+  if (facts.steps == 0 && facts.probe_chain_key.empty()) return;
+  path->intern = std::make_unique<InternFacts>(std::move(facts));
 }
 
 // --- Step resolution --------------------------------------------------------

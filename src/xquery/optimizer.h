@@ -85,15 +85,15 @@ void MarkProbePredicates(Module* module, OptimizerStats* stats);
 
 // The resolve pass: derives every per-step fact of PathStep (position_free,
 // streamable), every path's Expr::limit_hint and intern facts
-// (intern_steps, intern_key, probe_chain_key, and the names each chain
-// tests, its cache entry's guard) and every
-// FunctionDecl::memoizable from the bound AST. Run by Compile on every
-// plan, optimized or not, after any rewrite, so the facts are computed once
-// per plan. The intern rule: a step joins the interned chain when it has no
-// predicate (DESIGN.md section 14), the next step extends it, with an index
-// of its probed attribute, when that step is position-free and its first
-// predicate a probe (section 16), and a path with a limit hint interns
-// nothing.
+// (Expr::intern, set only on a path that interns: the chain, its key, the
+// probe chain's key, and the names each chain tests, its cache entry's
+// guard) and every FunctionDecl::memoizable from the bound AST. Run by
+// Compile on every plan, optimized or not, after any rewrite, so the facts
+// are computed once per plan. The intern rule: a step joins the interned
+// chain when it has no predicate (DESIGN.md section 14), the next step
+// extends it, with an index of its probed attribute, when that step is
+// position-free and its first predicate a probe (section 16), and a path
+// with a limit hint interns nothing.
 void ResolveSteps(Module* module);
 
 // False if evaluating the bound expression `e`, or any user function it

@@ -337,12 +337,16 @@ std::string Memoizable(const xq::Module& m) {
 }
 
 // Every path's derived intern facts in traversal order, one line per path:
-// Expr::intern_steps, intern_key and probe_chain_key.
+// Expr::intern's steps, key and probe_chain_key ("0  " when it interns
+// nothing).
 std::string InternFacts(const xq::Module& m) {
   std::string out;
   ForEachPath(m, [&out](const xq::Expr& path) {
-    out += std::to_string(path.intern_steps) + " " + path.intern_key + " " +
-           path.probe_chain_key + "\n";
+    const xq::InternFacts none;
+    const xq::InternFacts& facts =
+        path.intern != nullptr ? *path.intern : none;
+    out += std::to_string(facts.steps) + " " + facts.key + " " +
+           facts.probe_chain_key + "\n";
   });
   return out;
 }

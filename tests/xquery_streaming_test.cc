@@ -332,6 +332,64 @@ TEST(Streaming, NestedProbeSkipsAreNotDoubleCounted) {
   EXPECT_EQ(ry->stats.nodes_skipped_early_exit, 10u);
 }
 
+TEST(Streaming, AccountingIsExactPerShape) {
+  // Exact counters for shapes spanning every streamable axis: forward
+  // chains from many contexts, nearest and second ancestors over shared
+  // chains, reverse steps from attribute contexts, forward -> reverse ->
+  // forward chains, early exits through limits and literal [N], and a
+  // nested exists() inside a streamed predicate (whose own skips the outer
+  // pipeline charges). The last shape falls back to materializing.
+  constexpr char kPinDoc[] =
+      "<r>"
+      "<y k=\"1\"><y><x/><x k=\"2\"/><z/><x/></y><x/></y>"
+      "<y><x k=\"3\"><y><x/></y></x></y>"
+      "<a><b><c/><d/></b><b><c k=\"4\"/></b><c/></a>"
+      "<x/>"
+      "</r>";
+  struct Pin {
+    const char* query;
+    size_t items, pulled, skipped, reverse_runs, sorts, pushdowns;
+  };
+  const Pin pins[] = {
+      {"//b/c", 2, 23, 0, 0, 0, 0},
+      {"(//y//x)[3]", 1, 19, 3, 0, 0, 1},
+      {"//x/following-sibling::*[1]", 2, 22, 3, 0, 0, 0},
+      {"count(//y/descendant-or-self::y)", 1, 38, 0, 0, 0, 0},
+      {"//x/@k", 2, 22, 0, 0, 0, 0},
+      {"//x/ancestor::y[1]", 4, 28, 6, 6, 0, 0},
+      {"//x/ancestor::y[2]", 2, 37, 4, 4, 0, 0},
+      {"//x/preceding-sibling::x[1]", 2, 27, 1, 2, 0, 0},
+      {"//x/parent::*", 5, 27, 0, 7, 0, 0},
+      {"//@k/ancestor-or-self::*", 9, 46, 0, 4, 0, 0},
+      {"//@k/parent::*", 4, 29, 0, 4, 0, 0},
+      {"//@k/preceding-sibling::*", 0, 25, 0, 0, 0, 0},
+      {"//x[@k]/ancestor::y/x", 5, 36, 0, 2, 0, 7},
+      {"(//c/parent::b/following-sibling::*)[1]", 1, 26, 0, 2, 0, 1},
+      {"exists(//x/ancestor::y)", 1, 45, 0, 6, 0, 1},
+      {"fn:head(//x/preceding-sibling::*)", 1, 28, 0, 4, 0, 1},
+      {"//y[exists(.//x[@k])]/x", 5, 44, 0, 0, 0, 14},
+      {"(//y[exists(x/following-sibling::z)])[1]", 1, 32, 0, 0, 0, 5},
+      {"//x/ancestor::y[last()]/x", 2, 0, 0, 0, 2, 0},
+  };
+  auto doc = xml::Parse(kPinDoc, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  for (const Pin& pin : pins) {
+    EvalBothModes(pin.query, kPinDoc);
+    auto compiled = xq::Compile(pin.query);
+    ASSERT_TRUE(compiled.ok()) << pin.query;
+    auto r = xq::Execute(*compiled, opts);
+    ASSERT_TRUE(r.ok()) << pin.query;
+    EXPECT_EQ(r->sequence.size(), pin.items) << pin.query;
+    EXPECT_EQ(r->stats.nodes_pulled, pin.pulled) << pin.query;
+    EXPECT_EQ(r->stats.nodes_skipped_early_exit, pin.skipped) << pin.query;
+    EXPECT_EQ(r->stats.reverse_runs_merged, pin.reverse_runs) << pin.query;
+    EXPECT_EQ(r->stats.sorts_performed, pin.sorts) << pin.query;
+    EXPECT_EQ(r->stats.limit_pushdowns, pin.pushdowns) << pin.query;
+  }
+}
+
 TEST(Streaming, LimitHintStopsPullingEarly) {
   std::string xml = "<r>";
   for (int i = 0; i < 1000; ++i) {
